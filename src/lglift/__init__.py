@@ -22,7 +22,6 @@ from .lifting import (
     PredictionScheme,
     assign_artificial_levels,
     forward,
-    forward_with_trajectory,
     init_integrals,
     inverse,
     predict_weights,

@@ -9,13 +9,13 @@ import numpy as np
 
 from .graph import Id, LineGraph
 from .lifting import (
-    CoefficientSet,
     LiftingConfig,
     LiftingError,
     LiftingRecord,
+    _replay_forward,
+    _replay_inverse,
+    coefficient_order,
     forward,
-    forward_with_trajectory,
-    inverse,
 )
 
 
@@ -36,11 +36,6 @@ class TransformMatrices:
     record: LiftingRecord
 
 
-def coefficient_order(record: LiftingRecord) -> Tuple[Id, ...]:
-    idx = {k: i for i, k in enumerate(record.ids)}
-    return record.removal_order + tuple(sorted(record.surviving, key=idx.__getitem__))
-
-
 def build_matrices(
     lg: LineGraph,
     config: LiftingConfig,
@@ -49,41 +44,16 @@ def build_matrices(
     """Assemble the transform as dense matrices.
 
     The removal order is fixed once (from the seed or the given
-    trajectory), then the forward map is replayed on each canonical basis
-    vector; the inverse map likewise on canonical coefficient vectors, so
-    the two matrices are built independently of each other.
+    trajectory), then the forward map is replayed on the value basis and
+    the inverse map on the coefficient basis (the identity matrix both
+    times), so the two matrices are built independently of each other.
     """
-    m = lg.m
-    probe = {k: 0.0 for k in lg.ids}
-    _, record = forward(probe, lg, config, trajectory=trajectory)
-    order = record.removal_order
-
-    corder = coefficient_order(record)
-    fwd = np.empty((m, m))
-    for j, k in enumerate(lg.ids):
-        unit = {s: (1.0 if s == k else 0.0) for s in lg.ids}
-        coeffs, _ = forward_with_trajectory(unit, lg, config, order)
-        fwd[:, j] = coeffs.as_vector(record)
-
-    inv = np.empty((m, m))
-    vpos = {k: i for i, k in enumerate(lg.ids)}
-    n_details = len(order)
-    for j in range(m):
-        details = {k: 0.0 for k in order}
-        scaling = {k: 0.0 for k in record.surviving}
-        if j < n_details:
-            details[corder[j]] = 1.0
-        else:
-            scaling[corder[j]] = 1.0
-        unit_set = CoefficientSet(details=details, scaling=scaling, scales={})
-        values = inverse(unit_set, record)
-        for k, v in values.items():
-            inv[vpos[k], j] = v
-
+    _, record = forward({k: 0.0 for k in lg.ids}, lg, config, trajectory=trajectory)
+    identity = np.eye(lg.m)
     return TransformMatrices(
-        forward_matrix=fwd,
-        inverse_matrix=inv,
-        coefficient_order=corder,
+        forward_matrix=_replay_forward(record, identity),
+        inverse_matrix=_replay_inverse(record, identity),
+        coefficient_order=coefficient_order(record),
         value_order=lg.ids,
         record=record,
     )
@@ -114,17 +84,19 @@ class SparsityCurve:
 def sparsity_curve_single(
     true_values: Dict[Id, float], lg: LineGraph, config: LiftingConfig
 ) -> SparsityCurve:
-    """Greedy largest-|d| reconstruction error curve for one graph."""
+    """Greedy largest-|d| reconstruction error curve for one graph, from
+    one inverse replay with a coefficient column per truncation."""
     coeffs, record = forward(true_values, lg, config)
-    order = sorted(coeffs.details, key=lambda k: abs(coeffs.details[k]), reverse=True)
-    ise = np.empty(len(order) + 1)
-    kept: Dict[Id, float] = {k: 0.0 for k in coeffs.details}
-    for t in range(len(order) + 1):
-        if t > 0:
-            kept[order[t - 1]] = coeffs.details[order[t - 1]]
-        trial = CoefficientSet(details=dict(kept), scaling=coeffs.scaling, scales={})
-        rec = inverse(trial, record)
-        ise[t] = sum((rec[k] - true_values[k]) ** 2 for k in lg.ids)
+    c = coeffs.as_vector(record)
+    n = len(coeffs.details)
+    # rank[i]: place of detail i in the greedy order, ties kept in removal
+    # order; column t keeps the scaling coefficients and the t largest
+    rank = np.empty(n, dtype=int)
+    rank[np.argsort(-np.abs(c[:n]), kind="stable")] = np.arange(n)
+    trials = np.tile(c[:, None], n + 1)
+    trials[:n][rank[:, None] >= np.arange(n + 1)] = 0.0
+    truth = np.array([true_values[k] for k in lg.ids], dtype=float)
+    ise = ((_replay_inverse(record, trials) - truth[:, None]) ** 2).sum(axis=0)
     return SparsityCurve(ise=ise)
 
 
@@ -139,10 +111,3 @@ def sparsity_curve(
     if len(lengths) != 1:
         raise LiftingError("sparsity curves have mismatched lengths across graphs")
     return SparsityCurve(ise=np.mean(curves, axis=0))
-
-
-def export_matrix_csv(matrices: TransformMatrices, path: str) -> None:
-    """Row-major CSV of the forward matrix, header carrying the orderings."""
-    header = "coefficients:" + "|".join(map(str, matrices.coefficient_order))
-    header += ";values:" + "|".join(map(str, matrices.value_order))
-    np.savetxt(path, matrices.forward_matrix, delimiter=",", fmt="%.17g", header=header)

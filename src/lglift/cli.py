@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import statistics
 import sys
-from typing import Dict, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from . import io as lio
-from .analysis import build_matrices, condition_number, sparsity_curve_single
+from .analysis import sparsity_curve_single
 from .graph import Graph, GraphError, Id, LineGraph, build_line_graph
 from .lifting import (
     VARIANTS,
@@ -154,7 +151,7 @@ def cmd_condnum(args) -> None:
     from .simulation import condition_number_study
 
     kappas = condition_number_study(args.variant, args.graphs, args.vertices, args.seed)
-    qs = statistics.quantiles(kappas, n=4)
+    qs = statistics.quantiles(kappas, n=4, method="inclusive")
     print(f"condition numbers over {len(kappas)} graphs ({args.variant}):")
     print(
         f"min={min(kappas):.4f} 25%={qs[0]:.4f} median={qs[1]:.4f} "
@@ -244,8 +241,9 @@ def cmd_flowsim(args) -> None:
 def _add_variant_options(p, with_input=True) -> None:
     if with_input:
         p.add_argument("input", help="graph or stations file")
+        # the sampled-network studies always run down to tau = 2
+        p.add_argument("--tau", type=int, default=2, help="surviving scaling count")
     p.add_argument("--variant", default="LG-Aid-c", help=f"one of {', '.join(VARIANTS)}")
-    p.add_argument("--tau", type=int, default=2, help="surviving scaling count")
     p.add_argument("--seed", type=int, default=_default_seed())
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
@@ -155,9 +155,6 @@ class LineGraph:
                 if self.index[k] < self.index[s]:
                     out.append(frozenset((k, s)))
         return out
-
-    def degree(self, k: Id) -> int:
-        return len(self.adjacency[k])
 
     def base_distances(self) -> Dict[FrozenSet[Id], float]:
         """Adjacent-pair distances (l_k + l_l)/2 for the path-length metric."""

@@ -3,15 +3,19 @@
 Each stage removes the new vertex with the smallest integral, predicts its
 value from its neighbours, updates neighbour integrals and coefficients
 with a minimum-norm filter, and relinks the neighbourhood so the structure
-stays connected.  The per-stage archive makes the transform exactly
-invertible and lets the whole linear map be replayed on arbitrary inputs.
+stays connected.  The order and the filters never depend on the data, so
+a planner (`_Lifter`) does all the graph work and archives it as a
+`LiftingRecord`, and two kernels (`_replay_forward`, `_replay_inverse`),
+the only code doing lifting arithmetic, replay it on a signal or a batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -26,7 +30,6 @@ from .graph import (
     shortest_path_distance,
 )
 
-SUM_TOL = 1e-12
 #: floor on inter-vertex distances, as a fraction of the coordinate bounding
 #: box diagonal; keeps inverse-distance weights finite for duplicate stations
 DISTANCE_FLOOR_FRAC = 1e-9
@@ -152,6 +155,33 @@ class LiftingRecord:
             return 1.0
         return sum(1 for b in entries if b <= 0.5) / len(entries)
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """The record flattened for the replay kernels: (offsets, nbr, a, b, order).
+
+        Rows are slots in the canonical coefficient order, so stage i
+        removes slot i.  Its neighbours are the slots nbr[offsets[i]:offsets[i + 1]],
+        with their filter entries at the same offsets of a and b (CSR), and
+        order[slot] is the slot's line-graph position.  Plain tuples, as the
+        kernels read them one element at a time.
+        """
+        pos = {k: i for i, k in enumerate(self.ids)}
+        canonical = coefficient_order(self)
+        slot = {k: i for i, k in enumerate(canonical)}
+        return (
+            (0, *accumulate(len(st.neighbors) for st in self.stages)),
+            tuple(slot[s] for st in self.stages for s in st.neighbors),
+            tuple(chain.from_iterable(st.a for st in self.stages)),
+            tuple(chain.from_iterable(st.b for st in self.stages)),
+            tuple(pos[k] for k in canonical),
+        )
+
+
+def coefficient_order(record: LiftingRecord) -> Tuple[Id, ...]:
+    """Details in removal order, then scaling ids ascending by position."""
+    idx = {k: i for i, k in enumerate(record.ids)}
+    return record.removal_order + tuple(sorted(record.surviving, key=idx.__getitem__))
+
 
 @dataclass
 class CoefficientSet:
@@ -163,35 +193,21 @@ class CoefficientSet:
     levels: Optional[Dict[Id, int]] = None
 
     def as_vector(self, record: LiftingRecord) -> np.ndarray:
-        """Coefficients in canonical order: details in removal order, then
-        scaling ids ascending by line-graph position."""
-        idx = {k: i for i, k in enumerate(record.ids)}
-        vals = [self.details[k] for k in record.removal_order]
-        vals += [self.scaling[k] for k in sorted(record.surviving, key=idx.__getitem__)]
-        return np.asarray(vals, dtype=float)
+        """Coefficients in canonical order (`coefficient_order`)."""
+        coeffs = {**self.details, **self.scaling}
+        return np.array([coeffs[k] for k in coefficient_order(record)], dtype=float)
 
 
 def init_integrals(
     lg: LineGraph, scheme: IntegralScheme, metric_mode: MetricMode = MetricMode.COORDINATE
 ) -> Dict[Id, float]:
-    """Initial integral per new vertex.
+    """Initial integral per new vertex, exactly as `forward` initialises it.
 
     Sum: total distance to neighbours.  Average: that total divided by
     twice the neighbourhood size.  Delta: a vector of ones.
     """
-    for k in lg.ids:
-        if lg.degree(k) == 0:
-            raise GraphError(f"degenerate line graph: isolated new vertex {k!r}")
-    if scheme is IntegralScheme.DELTA:
-        return {k: 1.0 for k in lg.ids}
-    out = {}
-    for k in lg.ids:
-        total = sum(lg.distance(k, s, metric_mode) for s in lg.adjacency[k])
-        if scheme is IntegralScheme.SUM:
-            out[k] = total
-        else:
-            out[k] = total / (2.0 * lg.degree(k))
-    return out
+    edge_dist = None if scheme is IntegralScheme.DELTA else _working_metric(lg, metric_mode)[1]
+    return _integrals_from_state(lg.adjacency, edge_dist, scheme)
 
 
 def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> List[float]:
@@ -214,9 +230,6 @@ def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> Lis
 
 class _Metric:
     """Working metric over the evolving line-graph structure."""
-
-    def floor(self) -> float:
-        return 0.0
 
     def pair_distance(self, k: Id, l: Id) -> float:
         raise NotImplementedError
@@ -273,19 +286,11 @@ class _Lifter:
         self.lg = lg
         self.config = config
         self.adjacency: Dict[Id, Set[Id]] = {k: set(v) for k, v in lg.adjacency.items()}
-        if config.metric_mode is MetricMode.COORDINATE:
-            if lg.coords is None:
-                raise GraphError("metric inputs unavailable: missing coordinates")
-            self.metric: _Metric = _CoordinateMetric(lg.coords)
-            self.edge_dist = {
-                pair: self.metric.pair_distance(*tuple(pair)) for pair in lg.edges()
-            }
-        else:
-            self.metric = _PathMetric()
-            self.edge_dist = lg.base_distances()
+        self.metric, self.edge_dist = _working_metric(lg, config.metric_mode)
         if initial_integrals is None:
+            # the same inputs as init_integrals, so the two agree exactly
             self.integrals = _integrals_from_state(
-                self.adjacency, self.edge_dist, config.integral_scheme
+                lg.adjacency, self.edge_dist, config.integral_scheme
             )
         else:
             self.integrals = {k: float(initial_integrals[k]) for k in lg.ids}
@@ -305,29 +310,26 @@ class _Lifter:
             return candidates[0]
         return candidates[self.rng.integers(len(candidates))]
 
-    def lift_stage(self, coeffs: Dict[Id, float], k: Id, stage: int) -> Tuple[float, LiftingStage]:
+    def lift_stage(self, k: Id, stage: int) -> LiftingStage:
+        """Plan the removal of k: its filters, integral update and relink."""
         neighbors = sorted(self.adjacency[k], key=self.lg.index.__getitem__)
         if not neighbors:
             raise LiftingError(f"isolated vertex {k!r} at stage {stage}")
         dists = [self.edge_dist[frozenset((k, s))] for s in neighbors]
         a = predict_weights(dists, self.config.prediction_scheme)
 
-        detail = coeffs[k] - sum(w * coeffs[s] for w, s in zip(a, neighbors))
-
         Ik = self.integrals[k]
         for w, s in zip(a, neighbors):
             self.integrals[s] += w * Ik
         denom = sum(self.integrals[s] ** 2 for s in neighbors)
         b = [self.integrals[s] * Ik / denom for s in neighbors]
-        for w, s in zip(b, neighbors):
-            coeffs[s] += w * detail
 
         edges_removed = tuple((k, s) for s in neighbors)
         plan = self._relink_plan(k, neighbors)
         self._remove_vertex(k)
         edges_added = self._apply_relink(neighbors, plan)
 
-        return detail, LiftingStage(
+        return LiftingStage(
             stage=stage,
             removed=k,
             neighbors=tuple(neighbors),
@@ -380,13 +382,24 @@ class _Lifter:
         return tuple(added)
 
 
+def _working_metric(lg: LineGraph, mode: MetricMode) -> Tuple[_Metric, Dict[FrozenSet[Id], float]]:
+    """The metric the planner works in, and its distance per line-graph edge."""
+    if mode is MetricMode.COORDINATE:
+        if lg.coords is None:
+            raise GraphError("metric inputs unavailable: missing coordinates")
+        metric = _CoordinateMetric(lg.coords)
+        return metric, {pair: metric.pair_distance(*tuple(pair)) for pair in lg.edges()}
+    return _PathMetric(), lg.base_distances()
+
+
 def _integrals_from_state(adjacency, edge_dist, scheme) -> Dict[Id, float]:
-    if scheme is IntegralScheme.DELTA:
-        return {k: 1.0 for k in adjacency}
     out = {}
     for k, nbrs in adjacency.items():
         if not nbrs:
             raise GraphError(f"degenerate line graph: isolated new vertex {k!r}")
+        if scheme is IntegralScheme.DELTA:
+            out[k] = 1.0
+            continue
         total = sum(edge_dist[frozenset((k, s))] for s in nbrs)
         out[k] = total if scheme is IntegralScheme.SUM else total / (2.0 * len(nbrs))
     return out
@@ -408,8 +421,8 @@ def forward(
     missing = [k for k in lg.ids if k not in values]
     if missing:
         raise LiftingError(f"missing values for new vertices {missing[:3]!r}")
-    coeffs = {k: float(values[k]) for k in lg.ids}
-    for k, v in coeffs.items():
+    x = [float(values[k]) for k in lg.ids]
+    for k, v in zip(lg.ids, x):
         if not math.isfinite(v):
             raise LiftingError(f"non-finite value at {k!r}")
 
@@ -428,15 +441,10 @@ def forward(
             raise LiftingError(f"trajectory references unknown ids {bad[:3]!r}")
 
     initial = dict(lifter.integrals)
-    details: Dict[Id, float] = {}
-    scales: Dict[Id, float] = {}
     stages: List[LiftingStage] = []
     for i in range(n_stages):
         k = trajectory[i] if trajectory is not None else lifter.choose_next()
-        d, st = lifter.lift_stage(coeffs, k, lg.m - i)
-        details[k] = d
-        scales[k] = st.integral
-        stages.append(st)
+        stages.append(lifter.lift_stage(k, lg.m - i))
 
     surviving = tuple(sorted(lifter.active, key=lg.index.__getitem__))
     record = LiftingRecord(
@@ -447,24 +455,15 @@ def forward(
         config=config,
         ids=lg.ids,
     )
+    c = _replay_forward(record, x).tolist()
     coeffset = CoefficientSet(
-        details=details,
-        scaling={k: coeffs[k] for k in surviving},
-        scales=scales,
+        details=dict(zip(record.removal_order, c)),
+        scaling=dict(zip(surviving, c[n_stages:])),
+        scales={st.removed: st.integral for st in stages},
     )
-    if len(details) >= 3:
+    if n_stages >= 3:
         coeffset.levels = assign_artificial_levels(coeffset, record)
     return coeffset, record
-
-
-def forward_with_trajectory(
-    values: Mapping[Id, float],
-    lg: LineGraph,
-    config: LiftingConfig,
-    trajectory: Sequence[Id],
-) -> Tuple[CoefficientSet, LiftingRecord]:
-    """Decomposition with the removal order fixed in advance."""
-    return forward(values, lg, config, trajectory=trajectory)
 
 
 def inverse(coeffs: CoefficientSet, record: LiftingRecord) -> Dict[Id, float]:
@@ -472,13 +471,61 @@ def inverse(coeffs: CoefficientSet, record: LiftingRecord) -> Dict[Id, float]:
     expected_details = set(record.removal_order)
     if set(coeffs.details) != expected_details or set(coeffs.scaling) != set(record.surviving):
         raise LiftingError("coefficient index sets do not match the record")
-    c = dict(coeffs.scaling)
-    for st in reversed(record.stages):
-        d = coeffs.details[st.removed]
-        for w, s in zip(st.b, st.neighbors):
-            c[s] -= w * d
-        c[st.removed] = d + sum(w * c[s] for w, s in zip(st.a, st.neighbors))
-    return c
+    return dict(zip(record.ids, _replay_inverse(record, coeffs.as_vector(record)).tolist()))
+
+
+def _work(X, rows):
+    """Rows `rows` of X, copied into W, and the same rows as a list: floats
+    for one signal (their fastest form), views of W's rows for a batch.
+    `+=` and `-=` rebind a float and write into a row of W, so one kernel
+    loop serves both shapes.
+    """
+    W = np.asarray(X, dtype=float)[list(rows)]
+    return W, (W.tolist() if W.ndim == 1 else list(W))
+
+
+def _replay_forward(record: LiftingRecord, X) -> np.ndarray:
+    """The recorded forward transform applied to X, of shape (m,) or (m, B).
+
+    Rows of X follow the line-graph id order.  Rows of the result follow
+    the canonical coefficient order of `CoefficientSet.as_vector`: details
+    in removal order, then the scaling coefficients.
+    """
+    offsets, nbr, a, b, order = record._plan
+    W, x = _work(X, order)
+    for i in range(len(offsets) - 1):
+        lo, hi = offsets[i], offsets[i + 1]
+        pred = 0.0
+        for j in range(lo, hi):
+            pred += a[j] * x[nbr[j]]
+        x[i] -= pred
+        d = x[i]
+        for j in range(lo, hi):
+            x[nbr[j]] += b[j] * d
+    return W if W.ndim > 1 else np.array(x)
+
+
+def _replay_inverse(record: LiftingRecord, C) -> np.ndarray:
+    """The recorded inverse transform applied to C, of shape (m,) or (m, B).
+
+    Rows of C follow the canonical coefficient order; rows of the result
+    follow the line-graph id order.  Undoes `_replay_forward` stage by
+    stage in reverse.
+    """
+    offsets, nbr, a, b, order = record._plan
+    W, x = _work(C, range(len(order)))
+    for i in reversed(range(len(offsets) - 1)):
+        lo, hi = offsets[i], offsets[i + 1]
+        d = x[i]
+        for j in range(lo, hi):
+            x[nbr[j]] -= b[j] * d
+        pred = 0.0
+        for j in range(lo, hi):
+            pred += a[j] * x[nbr[j]]
+        x[i] += pred
+    out = np.empty_like(W)
+    out[list(order)] = W if W.ndim > 1 else x
+    return out
 
 
 def assign_artificial_levels(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,8 +22,8 @@ from .graph import Id, LineGraph
 from .lifting import (
     CoefficientSet,
     LiftingConfig,
-    LiftingError,
     LiftingRecord,
+    _replay_forward,
     forward,
     inverse,
 )
@@ -228,18 +228,9 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
     Replays the archived filters on an identity matrix, so no further
     graph work is needed.
     """
-    m = len(record.ids)
-    pos = {k: i for i, k in enumerate(record.ids)}
-    C = np.eye(m)
-    gains: Dict[Id, float] = {}
-    for st in record.stages:
-        row = C[pos[st.removed]] - sum(
-            a * C[pos[s]] for a, s in zip(st.a, st.neighbors)
-        )
-        gains[st.removed] = float(np.linalg.norm(row))
-        for b, s in zip(st.b, st.neighbors):
-            C[pos[s]] += b * row
-    return gains
+    rows = _replay_forward(record, np.eye(len(record.ids)))[: len(record.stages)]
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    return dict(zip(record.removal_order, norms.tolist()))
 
 
 def denoise(

@@ -19,7 +19,6 @@ from lglift.lifting import (
     CoefficientSet,
     LiftingConfig,
     forward,
-    forward_with_trajectory,
     inverse,
 )
 from lglift.shrinkage import (

@@ -64,10 +64,8 @@ class TestBuildMatrices:
         cfg = LiftingConfig.from_acronym("LG-Aid-p")
         mats = build_matrices(small_tree_lg, cfg)
         values = {k: float(v) for k, v in zip(small_tree_lg.ids, rng.normal(size=small_tree_lg.m))}
-        from lglift.lifting import forward_with_trajectory
-
-        coeffs, _ = forward_with_trajectory(
-            values, small_tree_lg, cfg, mats.record.removal_order
+        coeffs, _ = forward(
+            values, small_tree_lg, cfg, trajectory=mats.record.removal_order
         )
         vec = mats.forward_matrix @ np.array([values[k] for k in small_tree_lg.ids])
         assert np.allclose(vec, coeffs.as_vector(mats.record), atol=1e-10)

@@ -182,6 +182,28 @@ class TestCli:
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 4
 
+    def test_condnum_quartiles_ordered(self, capsys):
+        assert main(["condnum", "--graphs", "2", "--vertices", "20"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        stats = dict(part.split("=") for part in line.split())
+        order = [float(stats[k]) for k in ("min", "25%", "median", "75%", "max")]
+        assert order == sorted(order)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["condnum", "--graphs", "2", "--vertices", "20"],
+            ["simulate", "--graphs", "1", "--replications", "1", "--vertices", "12"],
+            ["flowsim", "--replications", "1"],
+        ],
+        ids=["condnum", "simulate", "flowsim"],
+    )
+    def test_tau_rejected_where_unused(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--tau", "50", "-o", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tau 50" in capsys.readouterr().err
+
     def test_sparsity_command(self, tmp_path, graph_file):
         out = tmp_path / "sp.csv"
         assert main(["sparsity", str(graph_file), "-o", str(out)]) == 0

@@ -15,7 +15,6 @@ from lglift.lifting import (
     PredictionScheme,
     assign_artificial_levels,
     forward,
-    forward_with_trajectory,
     init_integrals,
     inverse,
     predict_weights,
@@ -80,6 +79,24 @@ class TestInitIntegrals:
         with pytest.raises(GraphError, match="degenerate line graph"):
             init_integrals(lg, IntegralScheme.DELTA)
 
+    @pytest.mark.parametrize("acr", ["LG-Sid-c", "LG-Aid-c"])
+    def test_coincident_stations_match_forward(self, acr):
+        # k and s share a point: the working metric floors their distance,
+        # so k's integral is positive and forward accepts it back
+        lg = make_lg(
+            {"k": {"s"}, "s": {"k", "t"}, "t": {"s"}},
+            coords={"k": (0.0, 0.0), "s": (0.0, 0.0), "t": (1.0, 0.0)},
+        )
+        cfg = LiftingConfig.from_acronym(acr)
+        values = {"k": 1.0, "s": 2.0, "t": 4.0}
+        I = init_integrals(lg, cfg.integral_scheme, cfg.metric_mode)
+        c0, r0 = forward(values, lg, cfg)
+        assert I == r0.initial_integrals
+        assert I["k"] > 0
+        c1, r1 = forward(values, lg, cfg, initial_integrals=I)
+        assert r1.removal_order == r0.removal_order
+        assert c1.details == c0.details
+
 
 class TestPredictWeights:
     def test_inverse_distance_example(self):
@@ -114,7 +131,7 @@ class TestLiftStage:
             metric_mode=MetricMode.COORDINATE,
         )
         values = {"A": 4.0, "B": 10.0, "C": 8.0}
-        coeffs, record = forward_with_trajectory(values, path3_lg, cfg, ["B"])
+        coeffs, record = forward(values, path3_lg, cfg, trajectory=["B"])
         assert coeffs.details["B"] == pytest.approx(10.0 - (0.75 * 4.0 + 0.25 * 8.0))
         st0 = record.stages[0]
         assert list(st0.a) == pytest.approx([0.75, 0.25])
@@ -127,8 +144,8 @@ class TestLiftStage:
             prediction_scheme=PredictionScheme.INVERSE_DISTANCE,
             metric_mode=MetricMode.COORDINATE,
         )
-        _, record = forward_with_trajectory(
-            {"A": 0.0, "B": 0.0, "C": 0.0}, path3_lg, cfg, ["B"]
+        _, record = forward(
+            {"A": 0.0, "B": 0.0, "C": 0.0}, path3_lg, cfg, trajectory=["B"]
         )
         st0 = record.stages[0]
         denom = sum((1 + a) ** 2 for a in st0.a)
@@ -136,8 +153,8 @@ class TestLiftStage:
 
     def test_relink_joins_severed_neighbors(self, path3_lg):
         cfg = LiftingConfig.from_acronym("LG-Did-c")
-        _, record = forward_with_trajectory(
-            {"A": 0.0, "B": 0.0, "C": 0.0}, path3_lg, cfg, ["B"]
+        _, record = forward(
+            {"A": 0.0, "B": 0.0, "C": 0.0}, path3_lg, cfg, trajectory=["B"]
         )
         st0 = record.stages[0]
         assert len(st0.edges_added) == 1
@@ -151,7 +168,7 @@ class TestLiftStage:
             coords={"h": (0.0, 0.0), "p": (1.0, 0.0), "q": (1.2, 0.1), "r": (5.0, 5.0)},
         )
         cfg = LiftingConfig.from_acronym("LG-Did-c")
-        _, record = forward_with_trajectory({k: 0.0 for k in lg.ids}, lg, cfg, ["h", "p"])
+        _, record = forward({k: 0.0 for k in lg.ids}, lg, cfg, trajectory=["h", "p"])
         added = {frozenset((u, v)) for u, v, _ in record.stages[0].edges_added}
         # candidate distances: pq ~ 0.224, qr ~ 6.20, pr ~ 6.40
         assert added == {frozenset(("p", "q")), frozenset(("q", "r"))}
@@ -161,7 +178,7 @@ class TestLiftStage:
 
         lg = build_line_graph(triangle_graph)
         cfg = LiftingConfig.from_acronym("LG-Did-c")
-        _, record = forward_with_trajectory({k: 0.0 for k in lg.ids}, lg, cfg, ["e1"])
+        _, record = forward({k: 0.0 for k in lg.ids}, lg, cfg, trajectory=["e1"])
         assert record.stages[0].edges_added == ()
 
 
@@ -241,7 +258,7 @@ class TestTrajectory:
         cfg = LiftingConfig.from_acronym("LG-Snw-c")
         values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
         c0, r0 = forward(values, mst_lg, cfg)
-        c1, _ = forward_with_trajectory(values, mst_lg, cfg, r0.removal_order)
+        c1, _ = forward(values, mst_lg, cfg, trajectory=r0.removal_order)
         assert c0.details == c1.details
         assert c0.scaling == c1.scaling
 
@@ -250,8 +267,8 @@ class TestTrajectory:
         values = {k: float(v) for k, v in zip(small_tree_lg.ids, rng.normal(size=small_tree_lg.m))}
         ids = list(small_tree_lg.ids)
         n = small_tree_lg.m - cfg.tau
-        c0, _ = forward_with_trajectory(values, small_tree_lg, cfg, ids[:n])
-        c1, _ = forward_with_trajectory(values, small_tree_lg, cfg, ids[::-1][:n])
+        c0, _ = forward(values, small_tree_lg, cfg, trajectory=ids[:n])
+        c1, _ = forward(values, small_tree_lg, cfg, trajectory=ids[::-1][:n])
         assert any(
             abs(c0.details.get(k, 0) - c1.details.get(k, 0)) > 1e-9 for k in ids
         )
@@ -260,12 +277,12 @@ class TestTrajectory:
         values = {k: 0.0 for k in small_tree_lg.ids}
         traj = [small_tree_lg.ids[0]] * (small_tree_lg.m - 2)
         with pytest.raises(LiftingError, match="repeated"):
-            forward_with_trajectory(values, small_tree_lg, LiftingConfig(), traj)
+            forward(values, small_tree_lg, LiftingConfig(), trajectory=traj)
 
     def test_wrong_length_rejected(self, small_tree_lg):
         values = {k: 0.0 for k in small_tree_lg.ids}
         with pytest.raises(LiftingError, match="trajectory length"):
-            forward_with_trajectory(values, small_tree_lg, LiftingConfig(), small_tree_lg.ids[:1])
+            forward(values, small_tree_lg, LiftingConfig(), trajectory=small_tree_lg.ids[:1])
 
     def test_linearity_under_fixed_trajectory(self, small_tree_lg, rng):
         cfg = LiftingConfig.from_acronym("LG-Aid-c")
@@ -273,10 +290,10 @@ class TestTrajectory:
         g = {k: float(v) for k, v in zip(small_tree_lg.ids, rng.normal(size=small_tree_lg.m))}
         _, rec = forward(f, small_tree_lg, cfg)
         traj = rec.removal_order
-        cf, _ = forward_with_trajectory(f, small_tree_lg, cfg, traj)
-        cg, _ = forward_with_trajectory(g, small_tree_lg, cfg, traj)
+        cf, _ = forward(f, small_tree_lg, cfg, trajectory=traj)
+        cg, _ = forward(g, small_tree_lg, cfg, trajectory=traj)
         combo = {k: 2.0 * f[k] - 3.0 * g[k] for k in f}
-        cc, _ = forward_with_trajectory(combo, small_tree_lg, cfg, traj)
+        cc, _ = forward(combo, small_tree_lg, cfg, trajectory=traj)
         for k in cc.details:
             assert cc.details[k] == pytest.approx(
                 2.0 * cf.details[k] - 3.0 * cg.details[k], abs=1e-10
@@ -312,7 +329,7 @@ class TestInverse:
             scales={},
         )
         psi = inverse(unit, record)
-        back, _ = forward_with_trajectory(psi, small_tree_lg, cfg, record.removal_order)
+        back, _ = forward(psi, small_tree_lg, cfg, trajectory=record.removal_order)
         for k, v in back.details.items():
             assert v == pytest.approx(1.0 if k == pick else 0.0, abs=1e-10)
         for v in back.scaling.values():
