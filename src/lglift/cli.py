@@ -150,6 +150,8 @@ def cmd_nlt(args) -> None:
 def cmd_condnum(args) -> None:
     from .simulation import condition_number_study
 
+    if args.graphs < 2:
+        raise SimulationError(f"quartiles need at least 2 graphs, got {args.graphs}")
     kappas = condition_number_study(args.variant, args.graphs, args.vertices, args.seed)
     qs = statistics.quantiles(kappas, n=4, method="inclusive")
     print(f"condition numbers over {len(kappas)} graphs ({args.variant}):")

@@ -19,16 +19,11 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from .graph import Id, LineGraph
-from .lifting import (
-    CoefficientSet,
-    LiftingConfig,
-    LiftingRecord,
-    _replay_forward,
-    forward,
-    inverse,
-)
+from .lifting import LiftingConfig, LiftingRecord, _replay_forward, _replay_inverse, forward
 
 MAD_SCALE = 0.6745
+#: bisection steps of the posterior median over [0, |x|] (|x| <= 20)
+POST_MED_STEPS = 60
 
 
 class ShrinkageError(ValueError):
@@ -107,7 +102,7 @@ def weight_from_data(x: np.ndarray) -> float:
     return float(brentq(score, wlo, 1.0, xtol=1e-12))
 
 
-def _cauchy_med_objective(mu: np.ndarray, x: np.ndarray, w: float) -> np.ndarray:
+def _cauchy_med_objective(mu: np.ndarray, x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     # posterior tail probability minus 1/2, up to common positive factors;
     # decreasing in mu, with the root at the posterior median
     y = x - mu
@@ -117,9 +112,10 @@ def _cauchy_med_objective(mu: np.ndarray, x: np.ndarray, w: float) -> np.ndarray
     return yl / 2.0 - yr
 
 
-def post_med_cauchy(x: np.ndarray, w: float, n_iter: int = 60) -> np.ndarray:
+def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     """Posterior median of the mean given standardized data, vectorized.
 
+    `w` is one mixing weight, or one per column of an (n, B) `x`.
     Bisection over [0, |x|]; large |x| uses the asymptote x - 2/x; medians
     below 1e-7 are clipped to exact zero.
     """
@@ -130,7 +126,7 @@ def post_med_cauchy(x: np.ndarray, w: float, n_iter: int = 60) -> np.ndarray:
 
     lo = np.zeros_like(work)
     hi = work.copy()
-    for _ in range(n_iter):
+    for _ in range(POST_MED_STEPS):
         mid = 0.5 * (lo + hi)
         below = _cauchy_med_objective(mid, work, w) <= 0
         lo = np.where(below, mid, lo)
@@ -164,62 +160,64 @@ def thresh_from_weight(w: float) -> float:
 # ---------------------------------------------------------------------------
 # pipeline operations
 
-def estimate_sigma_mad(details: Mapping[Id, float], levels: Mapping[Id, int]) -> float:
+def estimate_sigma_mad(details: np.ndarray, levels: np.ndarray) -> float:
     """Robust noise scale from the finest artificial level.
 
-    sigma = median(|d - median(d)|) / 0.6745 over finest-level details.
+    `details` and the int array `levels` are aligned (canonical detail
+    order); sigma = median(|d - median(d)|) / 0.6745 over level-0 details.
     """
-    finest = [details[k] for k, lev in levels.items() if lev == 0]
-    if len(finest) < 3:
+    finest = np.asarray(details, dtype=float)[np.asarray(levels) == 0]
+    if finest.size < 3:
         raise ShrinkageError(
-            f"insufficient coefficients: finest level has {len(finest)}, need 3"
+            f"insufficient coefficients: finest level has {finest.size}, need 3"
         )
-    arr = np.asarray(finest)
-    sigma = float(np.median(np.abs(arr - np.median(arr)))) / MAD_SCALE
+    sigma = float(np.median(np.abs(finest - np.median(finest)))) / MAD_SCALE
     if sigma <= 0:
         raise ShrinkageError("degenerate finest level: MAD noise estimate is zero")
     return sigma
 
 
 def ebayes_threshold(
-    details: Mapping[Id, float],
-    sigma: float,
-    levels: Mapping[Id, int],
+    details: np.ndarray,
+    sigma: float | np.ndarray,
+    levels: np.ndarray,
     config: ShrinkageConfig = ShrinkageConfig(),
-) -> Tuple[Dict[Id, float], float]:
-    """Shrink details level-aware; returns (shrunk details, fitted weight).
+) -> Tuple[np.ndarray, float | np.ndarray]:
+    """Shrink details level-aware; returns (shrunk details, fitted weights).
 
+    `details` is one signal's column (n,) or a batch (n, B), rows aligned
+    to the int array `levels`; `sigma` is a noise scale, or one per column.
     The `keep_coarsest` coarsest levels pass through untouched; the rest
-    are standardized by `sigma`, shrunk with one globally fitted mixing
-    weight, and rescaled.
+    are standardized by sigma, shrunk with a mixing weight fitted per
+    column, and rescaled.  The weight is a float for one signal, else (B,).
     """
-    if not sigma > 0:
+    details = np.asarray(details, dtype=float)
+    levels = np.asarray(levels)
+    if not np.all(sigma > 0):
         raise ShrinkageError(f"noise scale must be positive, got {sigma}")
-    n_levels = max(levels.values()) + 1 if levels else 0
+    n_levels = int(levels.max()) + 1 if levels.size else 0
     if not config.keep_coarsest < max(n_levels, 1):
         raise ShrinkageError(
             f"keep_coarsest={config.keep_coarsest} must be below {n_levels} levels"
         )
-    cut = n_levels - config.keep_coarsest
-    target = [k for k in details if levels[k] < cut]
-    out = {k: float(details[k]) for k in details}
-    if not target:
-        return out, 0.0
-
-    z = np.array([details[k] for k in target]) / sigma
-    try:
-        w = weight_from_data(z)
-    except (ValueError, ArithmeticError) as exc:
-        warnings.warn(f"mixing-weight fit failed ({exc}); falling back to 0.5")
-        w = 0.5
-    if config.rule == "median":
-        shrunk = post_med_cauchy(z, w)
-    else:
-        thr = thresh_from_weight(w)
-        shrunk = np.where(np.abs(z) > thr, z, 0.0)
-    for k, v in zip(target, shrunk):
-        out[k] = float(v) * sigma
-    return out, w
+    target = levels < n_levels - config.keep_coarsest
+    out = details.copy()
+    z = details[target] / sigma
+    w = np.zeros(details.shape[1] if details.ndim > 1 else 1)
+    if target.any():
+        for j, col in enumerate(z.reshape(len(z), -1).T):
+            try:
+                w[j] = weight_from_data(col)
+            except (ValueError, ArithmeticError) as exc:
+                warnings.warn(f"mixing-weight fit failed ({exc}); falling back to 0.5")
+                w[j] = 0.5
+        if config.rule == "median":
+            shrunk = post_med_cauchy(z, w)
+        else:
+            thr = np.array([thresh_from_weight(wj) for wj in w])
+            shrunk = np.where(np.abs(z) > thr, z, 0.0)
+        out[target] = shrunk * sigma
+    return out, (w if details.ndim > 1 else float(w[0]))
 
 
 def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
@@ -233,57 +231,65 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
     return dict(zip(record.removal_order, norms.tolist()))
 
 
+def _denoise_replay(
+    record: LiftingRecord,
+    levels: Optional[Mapping[Id, int]],
+    X: np.ndarray,
+    shrink_config: ShrinkageConfig,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Denoise the signals X, shape (m,) or (m, B) in line-graph id order,
+    on the plan `record` whose details `forward` gave the artificial `levels`.
+
+    Returns the estimates and the shrunk coefficients (canonical order),
+    both shaped like X, and sigma and nu per column.  A column whose MAD is
+    zero (noiseless input) passes through with sigma = nu = 0.
+    """
+    if levels is None:
+        raise ShrinkageError("too few detail coefficients to denoise")
+    n = len(record.stages)
+    lev = np.array([levels[k] for k in record.removal_order])
+    # on very small graphs the finest level alone is too thin for a MAD;
+    # pool upward from the finest until at least 3 coefficients are in hand
+    pool = int(np.argmax(np.cumsum(np.bincount(lev)) >= 3))
+    mad_levels = np.where(lev <= pool, 0, lev)
+
+    C = _replay_forward(record, X).reshape(len(record.ids), -1)
+    gains = np.fromiter(detail_gains(record).values(), float, n)[:, None]
+    Z = C[:n] / gains
+    sigma = np.zeros(C.shape[1])
+    for j, z in enumerate(Z.T):
+        try:
+            sigma[j] = estimate_sigma_mad(z, mad_levels)
+        except ShrinkageError as exc:
+            # noiseless input: a zero MAD leaves sigma = 0, nothing to shrink
+            if "degenerate" not in str(exc):
+                raise
+    nu = np.zeros_like(sigma)
+    live = sigma > 0
+    if live.any():
+        shrunk, nu[live] = ebayes_threshold(Z[:, live], sigma[live], lev, shrink_config)
+        C[:n, live] = shrunk * gains
+    C = C.reshape(np.shape(X))
+    return _replay_inverse(record, C), C, sigma, nu
+
+
 def denoise(
     values: Mapping[Id, float],
     lg: LineGraph,
     config: LiftingConfig,
     shrink_config: ShrinkageConfig = ShrinkageConfig(),
     trajectory: Optional[Sequence[Id]] = None,
-    gains: Optional[Mapping[Id, float]] = None,
 ) -> DenoiseResult:
-    """Forward transform, gain-standardize, shrink, invert.
-
-    Precomputed `gains` (from detail_gains on a record with the same
-    removal order) skip the replay when denoising many replicates on one
-    graph.
-    """
+    """Plan the transform with `forward`, then denoise the one signal with
+    the shrink core (`_denoise_replay`)."""
     coeffs, record = forward(values, lg, config, trajectory=trajectory)
-    if gains is None:
-        gains = detail_gains(record)
-    std_details = {k: d / gains[k] for k, d in coeffs.details.items()}
-
-    if coeffs.levels is None:
-        raise ShrinkageError("too few detail coefficients to denoise")
-    # on very small graphs the finest level alone is too thin for a MAD;
-    # pool upward from the finest until at least 3 coefficients are in hand
-    counts = sorted(set(coeffs.levels.values()))
-    pool = 0
-    for j in counts:
-        if sum(1 for lev in coeffs.levels.values() if lev <= j) >= 3:
-            pool = j
-            break
-    mad_levels = {k: (0 if lev <= pool else lev) for k, lev in coeffs.levels.items()}
-    try:
-        sigma = estimate_sigma_mad(std_details, mad_levels)
-    except ShrinkageError as exc:
-        if "degenerate" not in str(exc):
-            raise
-        # noiseless input: a zero MAD means there is nothing to shrink
-        sigma, nu = 0.0, 0.0
-        shrunk = dict(coeffs.details)
-    else:
-        shrunk_std, nu = ebayes_threshold(
-            std_details, sigma, coeffs.levels, shrink_config
-        )
-        shrunk = {k: v * gains[k] for k, v in shrunk_std.items()}
-
-    est_set = CoefficientSet(details=shrunk, scaling=coeffs.scaling, scales=coeffs.scales)
-    estimates = inverse(est_set, record)
+    x = np.array([values[k] for k in lg.ids], dtype=float)
+    est, c, sigma, nu = _denoise_replay(record, coeffs.levels, x, shrink_config)
     return DenoiseResult(
-        estimates=estimates,
-        sigma_hat=sigma,
-        nu_hat=nu,
-        shrunk_details=shrunk,
+        estimates=dict(zip(record.ids, est.tolist())),
+        sigma_hat=float(sigma[0]),
+        nu_hat=float(nu[0]),
+        shrunk_details=dict(zip(record.removal_order, c[: len(record.stages)].tolist())),
         levels=coeffs.levels,
         scales=coeffs.scales,
     )

@@ -8,15 +8,14 @@ can be recomputed independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .graph import EdgeRec, Graph, GraphError, Id, LineGraph, build_line_graph, euclidean_mst
-from .lifting import LiftingConfig
-from .shrinkage import ShrinkageConfig, denoise, detail_gains, nlt_denoise
-from .lifting import forward
+from .graph import EdgeRec, Graph, Id, build_line_graph, euclidean_mst
+from .lifting import LiftingConfig, forward
+from .shrinkage import ShrinkageConfig, _denoise_replay, nlt_denoise
 
 # substream tags; combined with the master seed they name an RNG stream
 SUB_GRAPH = 1
@@ -313,15 +312,11 @@ def run_experiment(
             g = embed_edge_average(fn, graph, config.n_samples)
         g = normalize_unit_variance(g)
         truths[q] = [g[k] for k in lg.ids]
-        # removal order is data-independent; freeze it once per graph so the
-        # per-detail gains can be reused across replications
-        _, record = forward(g, lg, lift_cfg)
-        order = record.removal_order
-        gains = detail_gains(record)
-        for r in range(R):
-            noisy, _ = add_noise(g, config.snr, seed=(config.master_seed, q, r))
-            res = denoise(noisy, lg, lift_cfg, shrink_config, trajectory=order, gains=gains)
-            estimates[q, r] = [res.estimates[k] for k in lg.ids]
+        samples = [add_noise(g, config.snr, seed=(config.master_seed, q, r))[0] for r in range(R)]
+        noisy = np.array([[s[k] for k in lg.ids] for s in samples]).T
+        # plan, gains and levels are data-independent: one plan per graph
+        coeffs, record = forward(g, lg, lift_cfg)
+        estimates[q] = _denoise_replay(record, coeffs.levels, noisy, shrink_config)[0].T
     return compute_metrics(estimates, truths)
 
 
@@ -331,6 +326,8 @@ def condition_number_study(
     """Condition number of the forward matrix over sampled networks."""
     from .analysis import build_matrices, condition_number
 
+    if n_graphs < 1:
+        raise SimulationError(f"need at least 1 graph, got {n_graphs}")
     cfg = LiftingConfig.from_acronym(variant)
     out = []
     for q in range(n_graphs):
@@ -359,20 +356,15 @@ def flow_experiment(
     m = lg.m
     truths = np.array([[values[k] for k in lg.ids]])
     estimates = np.empty((1, n_replications, m))
-    gains = None
-    order = None
+    rngs = [np.random.default_rng((seed, SUB_NOISE, r)) for r in range(n_replications)]
+    noisy = truths.T + np.array([rng.normal(0, sigma, m) for rng in rngs]).T
     if nlt_trajectories is None:
-        _, record = forward(values, lg, cfg)
-        order = record.removal_order
-        gains = detail_gains(record)
-    for r in range(n_replications):
-        rng = np.random.default_rng((seed, SUB_NOISE, r))
-        noisy = {k: values[k] + float(e) for k, e in zip(lg.ids, rng.normal(0, sigma, m))}
-        if nlt_trajectories is None:
-            res = denoise(noisy, lg, cfg, shrink_config, trajectory=order, gains=gains)
-        else:
+        coeffs, record = forward(values, lg, cfg)
+        estimates[0] = _denoise_replay(record, coeffs.levels, noisy, shrink_config)[0].T
+    else:
+        for r, x in enumerate(noisy.T.tolist()):
             res, _ = nlt_denoise(
-                noisy, lg, cfg, shrink_config, nlt_trajectories, seed=(seed * 100 + r)
+                dict(zip(lg.ids, x)), lg, cfg, shrink_config, nlt_trajectories, seed=seed * 100 + r
             )
-        estimates[0, r] = [res.estimates[k] for k in lg.ids]
+            estimates[0, r] = [res.estimates[k] for k in lg.ids]
     return compute_metrics(estimates, truths)

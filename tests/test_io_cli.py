@@ -189,6 +189,11 @@ class TestCli:
         order = [float(stats[k]) for k in ("min", "25%", "median", "75%", "max")]
         assert order == sorted(order)
 
+    @pytest.mark.parametrize("graphs", ["1", "0"])
+    def test_condnum_needs_two_graphs(self, capsys, graphs):
+        assert main(["condnum", "--graphs", graphs, "--vertices", "20"]) == 2
+        assert "error category=simulation" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command",
         [

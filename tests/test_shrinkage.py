@@ -12,9 +12,9 @@ from lglift.lifting import LiftingConfig, forward
 from lglift.shrinkage import (
     ShrinkageConfig,
     ShrinkageError,
+    _denoise_replay,
     beta_cauchy,
     denoise,
-    detail_gains,
     ebayes_threshold,
     estimate_sigma_mad,
     nlt_denoise,
@@ -23,7 +23,12 @@ from lglift.shrinkage import (
     weight_from_data,
     weight_from_thresh,
 )
-from lglift.simulation import generate_flow_fixture
+from lglift.simulation import (
+    embed_pointwise,
+    generate_flow_fixture,
+    get_field,
+    sample_network,
+)
 from lglift.graph import build_line_graph
 
 
@@ -165,53 +170,53 @@ class TestShrinkageProperties:
 
 class TestMad:
     def test_hand_example(self):
-        details = {0: -1.0, 1: 0.0, 2: 1.0}
-        levels = {0: 0, 1: 0, 2: 0}
+        details = np.array([-1.0, 0.0, 1.0])
+        levels = np.array([0, 0, 0])
         assert estimate_sigma_mad(details, levels) == pytest.approx(1.0 / 0.6745)
 
     def test_constant_finest_rejected(self):
         with pytest.raises(ShrinkageError, match="degenerate"):
-            estimate_sigma_mad({0: 2.0, 1: 2.0, 2: 2.0}, {0: 0, 1: 0, 2: 0})
+            estimate_sigma_mad(np.array([2.0, 2.0, 2.0]), np.array([0, 0, 0]))
 
     def test_small_finest_rejected(self):
         with pytest.raises(ShrinkageError, match="insufficient"):
-            estimate_sigma_mad({0: 1.0, 1: 2.0}, {0: 0, 1: 0})
+            estimate_sigma_mad(np.array([1.0, 2.0]), np.array([0, 0]))
 
     def test_monte_carlo_consistency(self, rng):
         draws = rng.normal(size=1000)
-        details = dict(enumerate(draws))
-        levels = {k: 0 for k in details}
+        details = draws
+        levels = np.zeros(len(draws), dtype=int)
         assert 0.9 <= estimate_sigma_mad(details, levels) <= 1.1
 
 
 class TestEbayesThreshold:
     def test_zero_in_zero_out(self):
-        details = {k: 0.0 for k in range(12)}
-        levels = {k: k // 4 for k in range(12)}
+        details = np.zeros(12)
+        levels = np.arange(12) // 4
         out, _ = ebayes_threshold(details, 1.0, levels)
-        assert all(v == 0.0 for v in out.values())
+        assert all(v == 0.0 for v in out)
 
     def test_keep_coarsest_passthrough_exact(self, rng):
-        details = {k: float(v) for k, v in enumerate(rng.normal(size=30))}
-        levels = {k: k // 10 for k in details}  # 3 levels
+        details = rng.normal(size=30)
+        levels = np.arange(30) // 10  # 3 levels
         out, _ = ebayes_threshold(details, 1.0, levels, ShrinkageConfig(keep_coarsest=2))
-        for k in details:
+        for k in range(len(details)):
             if levels[k] >= 1:
                 assert out[k] == details[k]
 
     def test_pure_noise_mostly_zeroed(self, rng):
         zero_frac = []
         for _ in range(20):
-            details = {k: float(v) for k, v in enumerate(rng.normal(size=97))}
-            levels = {k: min(k // 20, 3) for k in details}
+            details = rng.normal(size=97)
+            levels = np.minimum(np.arange(97) // 20, 3)
             out, _ = ebayes_threshold(details, 1.0, levels, ShrinkageConfig(keep_coarsest=1))
-            target = [k for k in details if levels[k] < 3]
+            target = [k for k in range(len(details)) if levels[k] < 3]
             zero_frac.append(sum(1 for k in target if out[k] == 0.0) / len(target))
         assert np.median(zero_frac) >= 0.8
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(ShrinkageError, match="positive"):
-            ebayes_threshold({0: 1.0}, 0.0, {0: 0})
+            ebayes_threshold(np.array([1.0]), 0.0, np.array([0]))
 
 
 class TestDenoise:
@@ -246,14 +251,43 @@ class TestDenoise:
         for k, v in coeffs.scaling.items():
             assert back.scaling[k] == pytest.approx(v, abs=1e-9)
 
-    def test_gain_cache_matches_fresh_computation(self, mst_lg, rng):
-        cfg = LiftingConfig.from_acronym("LG-Snw-c")
-        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
-        _, record = forward(values, mst_lg, cfg)
-        gains = detail_gains(record)
-        a = denoise(values, mst_lg, cfg, trajectory=record.removal_order)
-        b = denoise(values, mst_lg, cfg, trajectory=record.removal_order, gains=gains)
-        assert a.estimates == b.estimates
+
+class TestBatchCore:
+    """B columns through the shrink core equal B single-signal denoise calls."""
+
+    @pytest.mark.parametrize(
+        "acr, graph", [("LG-Aid-c", "mst"), ("LG-Sid-p", "flow"), ("LG-Dnw-p", "flow")]
+    )
+    @pytest.mark.parametrize("rule", ["median", "hard"])
+    @pytest.mark.parametrize("keep", [0, 2])
+    def test_batch_equals_single_denoise(self, acr, graph, rule, keep):
+        if graph == "flow":
+            net, clean = generate_flow_fixture(0)
+        else:
+            net = sample_network(100, seed=7)
+            clean = embed_pointwise(get_field("quadrants"), net)
+        lg = build_line_graph(net)
+        cfg = LiftingConfig.from_acronym(acr)
+        shrink = ShrinkageConfig(keep_coarsest=keep, rule=rule)
+        truth = np.array([clean[k] for k in lg.ids])
+        noise = np.random.default_rng(3).normal(size=(lg.m, 4))
+        # four noisy columns, then the clean signal, whose MAD is zero
+        X = np.column_stack([truth[:, None] + noise, truth])
+        coeffs, record = forward(clean, lg, cfg)
+        n = len(record.stages)
+        est, shrunk, sigma, nu = _denoise_replay(record, coeffs.levels, X, shrink)
+        for j in range(X.shape[1]):
+            single = denoise(
+                dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
+                trajectory=record.removal_order,
+            )
+            assert np.max(np.abs(est[:, j] - [single.estimates[k] for k in lg.ids])) <= 1e-12
+            assert np.max(np.abs(shrunk[:n, j] - list(single.shrunk_details.values()))) <= 1e-12
+            assert abs(sigma[j] - single.sigma_hat) <= 1e-12
+            assert abs(nu[j] - single.nu_hat) <= 1e-12
+        assert np.all(sigma[:-1] > 0)
+        assert sigma[-1] == 0.0 and nu[-1] == 0.0
+        assert np.array_equal(shrunk[:, -1], coeffs.as_vector(record))
 
 
 class TestNlt:

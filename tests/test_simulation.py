@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import lglift.shrinkage
+import lglift.simulation
 from lglift.graph import EdgeRec, Graph, build_line_graph
+from lglift.lifting import forward
 from lglift.simulation import (
     FIELDS,
     ExperimentConfig,
     SimulationError,
     add_noise,
     compute_metrics,
+    condition_number_study,
     embed_edge_average,
     embed_pointwise,
+    flow_experiment,
     generate_flow_fixture,
     get_field,
     normalize_unit_variance,
@@ -211,3 +216,24 @@ class TestRunExperiment:
             ExperimentConfig(n_graphs=0)
         with pytest.raises(SimulationError):
             ExperimentConfig(embedding="weird")
+
+    def test_one_forward_per_graph(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(lglift.simulation, "forward", counted)
+        monkeypatch.setattr(lglift.shrinkage, "forward", counted)
+        run_experiment(ExperimentConfig(n_vertices=20, n_graphs=2, n_replications=3))
+        assert len(calls) == 2
+        flow_experiment(1.0, n_replications=3)
+        assert len(calls) == 3
+
+
+class TestConditionNumberStudy:
+    @pytest.mark.parametrize("n_graphs", [0, -1])
+    def test_needs_a_graph(self, n_graphs):
+        with pytest.raises(SimulationError, match="at least 1 graph"):
+            condition_number_study("LG-Aid-c", n_graphs=n_graphs, n_vertices=20)
