@@ -183,10 +183,10 @@ class LineGraph:
         pair = frozenset((k, l))
         if pair in base:
             return base[pair]
-        d = shortest_path_distance(self.adjacency, base, k, l)
-        if d is None:
+        d = shortest_path_distance(self.adjacency, base, k, targets=(l,))
+        if l not in d:
             raise GraphError(f"disconnected in metric: {k!r} and {l!r}")
-        return d
+        return d[l]
 
 
 def build_line_graph(graph: Graph) -> LineGraph:
@@ -258,24 +258,33 @@ def shortest_path_distance(
     adjacency: Dict[Id, Iterable[Id]],
     edge_dist: Dict[FrozenSet[Id], float],
     source: Id,
-    target: Optional[Id] = None,
-) -> Optional[object]:
-    """Dijkstra over an adjacency map with per-edge distances.
+    targets: Optional[Iterable[Id]] = None,
+) -> Dict[Id, float]:
+    """Dijkstra from `source` over an adjacency map with per-edge distances.
 
-    With a target, returns its distance (None if unreachable); without,
-    returns the full distance dict from `source`.
+    Without `targets`, searches the whole component and returns the
+    distance of every reached vertex.  With `targets`, stops as soon as
+    every target is settled and returns `{target: distance}` for the
+    targets reached; an unreachable target is absent.  Edge distances are
+    nonnegative, so a settled distance never changes afterwards, and each
+    returned value is bitwise the one the full search returns.
     """
+    pending = None if targets is None else set(targets)
+    found: Dict[Id, float] = {}
     dist: Dict[Id, float] = {source: 0.0}
     done: Set[Id] = set()
     counter = 0
     heap: List[Tuple[float, int, Id]] = [(0.0, counter, source)]
-    while heap:
+    while heap and (pending is None or pending):
         d, _, u = heapq.heappop(heap)
         if u in done:
             continue
         done.add(u)
-        if target is not None and u == target:
-            return d
+        if pending is not None and u in pending:
+            found[u] = d
+            pending.discard(u)
+            if not pending:
+                break
         for s in adjacency.get(u, ()):
             w = edge_dist[frozenset((u, s))]
             nd = d + w
@@ -283,9 +292,7 @@ def shortest_path_distance(
                 dist[s] = nd
                 counter += 1
                 heapq.heappush(heap, (nd, counter, s))
-    if target is not None:
-        return None
-    return dist
+    return dist if pending is None else found
 
 
 def minimum_spanning_tree(

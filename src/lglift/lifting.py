@@ -11,6 +11,7 @@ the only code doing lifting arithmetic, replay it on a signal or a batch.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -231,9 +232,6 @@ def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> Lis
 class _Metric:
     """Working metric over the evolving line-graph structure."""
 
-    def pair_distance(self, k: Id, l: Id) -> float:
-        raise NotImplementedError
-
     def mutual_distances(self, nodes: Sequence[Id], adjacency, edge_dist) -> Dict:
         raise NotImplementedError
 
@@ -260,13 +258,10 @@ class _CoordinateMetric(_Metric):
 class _PathMetric(_Metric):
     """Path-length metric; relink freezes link-time shortest-path values."""
 
-    def pair_distance(self, k, l):
-        raise LiftingError("path metric defined only on current edges")
-
     def mutual_distances(self, nodes, adjacency, edge_dist):
         out = {}
-        for i, a in enumerate(nodes):
-            dists = shortest_path_distance(adjacency, edge_dist, a)
+        for i, a in enumerate(nodes[:-1]):
+            dists = shortest_path_distance(adjacency, edge_dist, a, nodes[i + 1 :])
             for b in nodes[i + 1 :]:
                 if b not in dists:
                     raise GraphError(f"disconnected in metric: {a!r} and {b!r}")
@@ -275,7 +270,13 @@ class _PathMetric(_Metric):
 
 
 class _Lifter:
-    """Mutable transform state: adjacency, per-edge distances, integrals."""
+    """Mutable transform state: adjacency, per-edge distances, integrals.
+
+    Live ids are also kept in buckets by their exact integral value, with a
+    heap of the distinct values (stale ones are skipped when they surface).
+    Integrals only grow, so the smallest live bucket is the exact set of
+    ids tied for the minimum.
+    """
 
     def __init__(self, lg: LineGraph, config: LiftingConfig,
                  initial_integrals: Optional[Mapping[Id, float]] = None):
@@ -298,17 +299,40 @@ class _Lifter:
             if not I > 0:
                 raise LiftingError(f"non-positive initial integral at {k!r}")
         self.active: Set[Id] = set(lg.ids)
+        self.buckets: Dict[float, Set[Id]] = {}
+        for k, I in self.integrals.items():
+            self.buckets.setdefault(I, set()).add(k)
+        self.values = list(self.buckets)
+        heapq.heapify(self.values)
         self.rng = np.random.default_rng(config.rng_seed)
 
     def choose_next(self) -> Id:
-        live = [(k, self.integrals[k]) for k in self.active]
-        imin = min(I for _, I in live)
-        candidates = sorted(
-            (k for k, I in live if I == imin), key=self.lg.index.__getitem__
-        )
-        if len(candidates) == 1:
-            return candidates[0]
+        while self.values[0] not in self.buckets:
+            heapq.heappop(self.values)
+        tied = self.buckets[self.values[0]]
+        if len(tied) == 1:
+            return next(iter(tied))
+        candidates = sorted(tied, key=self.lg.index.__getitem__)
         return candidates[self.rng.integers(len(candidates))]
+
+    def _move(self, k: Id, value: Optional[float]) -> None:
+        """Set k's integral to `value`, moving k between buckets; None
+        takes k out of the buckets and leaves its last integral in place."""
+        old = self.integrals[k]
+        if value == old:
+            return
+        bucket = self.buckets[old]
+        bucket.discard(k)
+        if not bucket:
+            del self.buckets[old]
+        if value is None:
+            return
+        self.integrals[k] = value
+        if value in self.buckets:
+            self.buckets[value].add(k)
+        else:
+            self.buckets[value] = {k}
+            heapq.heappush(self.values, value)
 
     def lift_stage(self, k: Id, stage: int) -> LiftingStage:
         """Plan the removal of k: its filters, integral update and relink."""
@@ -320,7 +344,7 @@ class _Lifter:
 
         Ik = self.integrals[k]
         for w, s in zip(a, neighbors):
-            self.integrals[s] += w * Ik
+            self._move(s, self.integrals[s] + w * Ik)
         denom = sum(self.integrals[s] ** 2 for s in neighbors)
         b = [self.integrals[s] * Ik / denom for s in neighbors]
 
@@ -346,6 +370,7 @@ class _Lifter:
             self.edge_dist.pop(frozenset((k, s)), None)
         self.adjacency[k] = set()
         self.active.discard(k)
+        self._move(k, None)
 
     def _relink_plan(self, k: Id, neighbors: Sequence[Id]):
         """Pairwise neighbour distances, measured before k is removed.

@@ -348,8 +348,13 @@ def flow_experiment(
     """Denoising error on the flow fixture at a fixed noise level.
 
     With `nlt_trajectories` set, the averaged multi-trajectory estimator
-    is used instead of a single run.
+    is used instead of a single run.  `sigma = 0` is valid: the noiseless
+    column passes through the shrink core unchanged.
     """
+    if not 0 <= sigma < math.inf:
+        raise SimulationError(f"noise level must be finite and nonnegative, got {sigma}")
+    if n_replications < 1:
+        raise SimulationError(f"need at least 1 replication, got {n_replications}")
     graph, values = generate_flow_fixture(seed)
     lg = build_line_graph(graph)
     cfg = LiftingConfig.from_acronym(variant)

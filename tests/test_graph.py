@@ -14,6 +14,7 @@ from lglift.graph import (
     euclidean_mst,
     is_connected,
     minimum_spanning_tree,
+    shortest_path_distance,
 )
 from lglift.simulation import sample_network
 
@@ -139,6 +140,66 @@ class TestDistance:
             dbc = mst_lg.distance(b, c, MetricMode.COORDINATE)
             dac = mst_lg.distance(a, c, MetricMode.COORDINATE)
             assert dac <= dab + dbc + 1e-12
+
+    def test_path_disconnected_pair_rejected(self):
+        lg = LineGraph(
+            ["a", "b", "c", "d"],
+            {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}},
+            edge_lengths={"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
+        )
+        assert lg.distance("a", "b", MetricMode.PATH_LENGTH) == 1.0
+        with pytest.raises(GraphError, match="disconnected"):
+            lg.distance("a", "c", MetricMode.PATH_LENGTH)
+
+
+class FarSideRaises(dict):
+    """Edge distances that fail the test when an edge touching `far` is read."""
+
+    def __init__(self, items, far):
+        super().__init__(items)
+        self.far = set(far)
+        self.lookups = 0
+
+    def __getitem__(self, pair):
+        assert not pair & self.far, f"search reached {set(pair)}"
+        self.lookups += 1
+        return super().__getitem__(pair)
+
+
+class TestShortestPathDistance:
+    def test_targets_bitwise_equal_full_search(self, mst_lg):
+        base = mst_lg.base_distances()
+        rng = np.random.default_rng(0)
+        for source in mst_lg.ids[:10]:
+            full = shortest_path_distance(mst_lg.adjacency, base, source)
+            assert len(full) == mst_lg.m
+            targets = list(rng.choice(np.array(mst_lg.ids), size=6, replace=False))
+            got = shortest_path_distance(mst_lg.adjacency, base, source, targets)
+            assert set(got) == set(targets)
+            assert all(got[t].hex() == full[t].hex() for t in targets)
+
+    def test_unreachable_target_absent(self):
+        adj = {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}}
+        base = {frozenset(("a", "b")): 1.5, frozenset(("c", "d")): 2.0}
+        assert shortest_path_distance(adj, base, "a", ["b", "c"]) == {"b": 1.5}
+        assert shortest_path_distance(adj, base, "a", ["d"]) == {}
+
+    def test_source_and_empty_targets(self):
+        lg = chain_lg([1.0] * 4)
+        base = FarSideRaises(lg.base_distances(), far=lg.ids)
+        assert shortest_path_distance(lg.adjacency, base, "e0", ["e0"]) == {"e0": 0.0}
+        assert shortest_path_distance(lg.adjacency, base, "e0", []) == {}
+        assert base.lookups == 0
+
+    def test_stops_once_targets_settled(self):
+        lg = chain_lg([1.0] * 10)
+        far = [f"e{i}" for i in range(3, 10)]
+        base = FarSideRaises(lg.base_distances(), far=far)
+        got = shortest_path_distance(lg.adjacency, base, "e0", ["e2", "e1"])
+        assert got == {"e1": 1.0, "e2": 2.0}
+        assert base.lookups == 3
+        with pytest.raises(AssertionError, match="search reached"):
+            shortest_path_distance(lg.adjacency, base, "e0")
 
 
 def brute_force_mst_weight(vertices, weighted_edges):

@@ -238,6 +238,11 @@ class TestCli:
         g = parse_graph(str(fixture))
         assert g.m == 79
 
+    @pytest.mark.parametrize("option", [["--sigma", "-1"], ["--replications", "0"]])
+    def test_flowsim_rejects_bad_input(self, tmp_path, capsys, option):
+        assert main(["flowsim", *option, "-o", str(tmp_path / "flow.csv")]) == 2
+        assert "error category=simulation" in capsys.readouterr().err
+
     def test_unknown_variant_lists_options(self, tmp_path, graph_file, capsys):
         code = main(["forward", str(graph_file), "--variant", "LG-Zid-c", "-o", str(tmp_path / "x")])
         assert code == 2

@@ -6,17 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lglift.analysis import build_matrices
-from lglift.graph import LineGraph, build_line_graph
+from lglift.graph import LineGraph, build_line_graph, shortest_path_distance
 from lglift.lifting import (
     VARIANTS,
     LiftingConfig,
+    _Lifter,
+    _PathMetric,
     _replay_forward,
     _replay_inverse,
     forward,
     inverse,
 )
 from lglift.shrinkage import detail_gains
-from lglift.simulation import sample_network
+from lglift.simulation import generate_flow_fixture, sample_network
 
 
 def reference_forward(values, record):
@@ -133,6 +135,112 @@ def test_detail_gains_are_forward_matrix_row_norms(graphs, acr):
     norms = np.linalg.norm(mats.forward_matrix[:n], axis=1)
     assert list(gains) == list(mats.coefficient_order[:n])
     assert np.max(np.abs(np.array(list(gains.values())) - norms)) <= 1e-12
+
+
+class _UnboundedPathMetric(_PathMetric):
+    """A full Dijkstra from every neighbour, as the relink first searched."""
+
+    def mutual_distances(self, nodes, adjacency, edge_dist):
+        out = {}
+        for i, a in enumerate(nodes):
+            dists = shortest_path_distance(adjacency, edge_dist, a)
+            for b in nodes[i + 1 :]:
+                out[frozenset((a, b))] = dists[b]
+        return out
+
+
+class ReferencePlanner(_Lifter):
+    """The planner as first written: each stage scans every live integral
+    for the minimum, and each path-metric relink searches the whole graph
+    from every neighbour.  Integrals are plain dict entries, so none of the
+    value buckets of `_Lifter` are consulted."""
+
+    def __init__(self, lg, config):
+        super().__init__(lg, config)
+        if isinstance(self.metric, _PathMetric):
+            self.metric = _UnboundedPathMetric()
+
+    def _move(self, k, value):
+        if value is not None:
+            self.integrals[k] = value
+
+    def choose_next(self):
+        live = [(k, self.integrals[k]) for k in self.active]
+        imin = min(I for _, I in live)
+        candidates = sorted(
+            (k for k, I in live if I == imin), key=self.lg.index.__getitem__
+        )
+        if len(candidates) == 1:
+            return candidates[0]
+        return candidates[self.rng.integers(len(candidates))]
+
+
+def assert_same_plan(lg, config, trajectory=None):
+    """`forward`'s record equals the reference planner's, field for field."""
+    _, record = forward({k: 0.0 for k in lg.ids}, lg, config, trajectory=trajectory)
+    ref = ReferencePlanner(lg, config)
+    initial = dict(ref.integrals)
+    stages = tuple(
+        ref.lift_stage(ref.choose_next() if trajectory is None else trajectory[i], lg.m - i)
+        for i in range(lg.m - config.tau)
+    )
+    assert record.stages == stages
+    assert record.initial_integrals == initial
+    assert record.final_integrals == {k: ref.integrals[k] for k in ref.active}
+
+
+@pytest.mark.parametrize("acr", VARIANTS)
+@pytest.mark.parametrize("gname", ["mst", "coincident"])
+def test_planner_matches_reference(graphs, gname, acr):
+    assert_same_plan(graphs[gname], LiftingConfig.from_acronym(acr))
+
+
+@pytest.mark.parametrize("acr", [v for v in VARIANTS if v.endswith("-p")])
+def test_planner_matches_reference_on_flow_fixture(acr):
+    graph, _ = generate_flow_fixture(0)
+    lg = build_line_graph(graph)
+    config = LiftingConfig.from_acronym(acr)
+    assert_same_plan(lg, config)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        order = [lg.ids[i] for i in rng.permutation(lg.m)[: lg.m - config.tau]]
+        assert_same_plan(lg, config, trajectory=order)
+
+
+@st.composite
+def coincident_stations_graphs(draw):
+    """A random connected stations graph whose stations sit on a 3 x 3 grid
+    (so many coincide) and whose lengths take two values (so Sum and Average
+    integrals tie as well as Delta ones)."""
+    m = draw(st.integers(3, 25))
+    adj = {i: set() for i in range(m)}
+    for i in range(1, m):
+        j = draw(st.integers(0, i - 1))
+        adj[i].add(j)
+        adj[j].add(i)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=m)):
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    point = st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 2.0]))
+    coords = {i: draw(point) for i in range(m)}
+    lengths = {i: draw(st.sampled_from([1.0, 2.0])) for i in range(m)}
+    return LineGraph(list(range(m)), adj, coords=coords, edge_lengths=lengths)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(4, 60), rng_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 10_000))
+def test_planner_matches_reference_on_random_msts(n, rng_seed, seed):
+    lg = build_line_graph(sample_network(n, seed=seed))
+    for acr in VARIANTS:
+        assert_same_plan(lg, LiftingConfig.from_acronym(acr, rng_seed=rng_seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lg=coincident_stations_graphs(), rng_seed=st.integers(0, 2**32 - 1))
+def test_planner_matches_reference_on_coincident_stations(lg, rng_seed):
+    for acr in VARIANTS:
+        assert_same_plan(lg, LiftingConfig.from_acronym(acr, rng_seed=rng_seed))
 
 
 @settings(max_examples=15, deadline=None)

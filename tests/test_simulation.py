@@ -232,6 +232,16 @@ class TestRunExperiment:
         assert len(calls) == 3
 
 
+class TestFlowExperiment:
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(SimulationError, match="nonnegative"):
+            flow_experiment(-1.0, n_replications=2)
+
+    def test_no_replications_rejected(self):
+        with pytest.raises(SimulationError, match="at least 1 replication"):
+            flow_experiment(1.0, n_replications=0)
+
+
 class TestConditionNumberStudy:
     @pytest.mark.parametrize("n_graphs", [0, -1])
     def test_needs_a_graph(self, n_graphs):
