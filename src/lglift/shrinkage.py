@@ -12,18 +12,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .graph import Id, LineGraph
 from .lifting import LiftingConfig, LiftingRecord, _replay_forward, _replay_inverse, forward
 
 MAD_SCALE = 0.6745
-#: bisection steps of the posterior median over [0, |x|] (|x| <= 20)
-POST_MED_STEPS = 60
+#: the posterior-median bisection stops once every bracket is this narrow
+POST_MED_TOL = 1e-13
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class ShrinkageError(ValueError):
@@ -57,21 +58,39 @@ class DenoiseResult:
 # ---------------------------------------------------------------------------
 # quasi-Cauchy building blocks (vectorized over standardized coefficients)
 
+def _norm_pdf(x: np.ndarray) -> np.ndarray:
+    # bit for bit the arithmetic of scipy.stats.norm.pdf: where the median's
+    # objective is flat, rounding decides the bisection's path
+    return np.exp(-x**2 / 2.0) / _SQRT_2PI
+
+
+def _norm_pdf1(x: float) -> float:
+    return math.exp(-x * x / 2.0) / _SQRT_2PI
+
+
+def _norm_cdf1(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def beta_cauchy(x: np.ndarray) -> np.ndarray:
     """(marginal/normal density ratio - 1) under the quasi-Cauchy slab."""
     x = np.asarray(x, dtype=float)
     out = np.full_like(x, -0.5)
-    nz = x != 0
-    # norm.pdf underflows to 0 beyond |x| ~ 38; the cap below absorbs the inf
-    with np.errstate(over="ignore", divide="ignore"):
-        out[nz] = (norm.pdf(0) / norm.pdf(x[nz]) - 1.0) / x[nz] ** 2 - 1.0
+    # beta = -1/2 + x^2/8 + ... rounds to -1/2 below |x| = 1e-8, and x^2
+    # underflows further down; NaN stays NaN
+    nz = ~(np.abs(x) < 1e-8)
+    # the normal density ratio pdf(0)/pdf(x) is exp(x^2/2): expm1 keeps the
+    # digits that exp(x^2/2) - 1 cancels at small |x|, and its overflow to
+    # inf beyond |x| ~ 37.7 lands on the cap below
+    with np.errstate(over="ignore"):
+        out[nz] = np.expm1(x[nz] ** 2 / 2.0) / x[nz] ** 2 - 1.0
     return np.minimum(out, 1e20)
 
 
 def weight_from_thresh(thr: float) -> float:
     """Mixing weight whose posterior-median threshold equals `thr`."""
-    fx = norm.pdf(thr)
-    Fx = norm.cdf(thr)
+    fx = _norm_pdf1(thr)
+    Fx = _norm_cdf1(thr)
     denom = math.sqrt(math.pi / 2.0) * fx * thr * thr
     if denom == 0:
         return 1.0
@@ -102,33 +121,43 @@ def weight_from_data(x: np.ndarray) -> float:
     return float(brentq(score, wlo, 1.0, xtol=1e-12))
 
 
-def _cauchy_med_objective(mu: np.ndarray, x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
-    # posterior tail probability minus 1/2, up to common positive factors;
-    # decreasing in mu, with the root at the posterior median
-    y = x - mu
-    fy = norm.pdf(y)
-    yr = norm.cdf(y) - x * fy + (x * mu - 1.0) * fy * norm.cdf(-mu) / norm.pdf(mu)
-    yl = 1.0 + np.exp(-x * x / 2.0) * (x * x * (1.0 / w - 1.0) - 1.0)
-    return yl / 2.0 - yr
+def _cauchy_med_objective(
+    x: np.ndarray, w: float | np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The posterior median's objective at magnitudes `x`, as a function of
+    mu: posterior tail probability minus 1/2, up to common positive factors,
+    increasing in mu, with its root at the posterior median."""
+    half_yl = (1.0 + np.exp(-x * x / 2.0) * (x * x * (1.0 / w - 1.0) - 1.0)) / 2.0
+
+    def objective(mu: np.ndarray) -> np.ndarray:
+        y = x - mu
+        fy = _norm_pdf(y)
+        yr = ndtr(y) - x * fy + (x * mu - 1.0) * fy * ndtr(-mu) / _norm_pdf(mu)
+        return half_yl - yr
+
+    return objective
 
 
 def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     """Posterior median of the mean given standardized data, vectorized.
 
     `w` is one mixing weight, or one per column of an (n, B) `x`.
-    Bisection over [0, |x|]; large |x| uses the asymptote x - 2/x; medians
-    below 1e-7 are clipped to exact zero.
+    The median of |x| <= 20 is bracketed in [0, |x|] and bisected until
+    every bracket is narrower than `POST_MED_TOL` (at most 48 halvings);
+    larger |x| uses the asymptote |x| - 2/|x|.  Medians below 1e-7 are
+    clipped to exact zero; the sign is that of x, and no median exceeds |x|.
     """
     x = np.asarray(x, dtype=float)
     mag = np.abs(x)
     big = mag > 20.0
     work = np.where(big, 0.0, mag)
+    objective = _cauchy_med_objective(work, w)
 
-    lo = np.zeros_like(work)
-    hi = work.copy()
-    for _ in range(POST_MED_STEPS):
+    lo, hi = np.zeros_like(work), work
+    # a NaN width compares false, so NaN input cannot hold the loop open
+    while np.any(hi - lo > POST_MED_TOL):
         mid = 0.5 * (lo + hi)
-        below = _cauchy_med_objective(mid, work, w) <= 0
+        below = objective(mid) <= 0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     med = 0.5 * (lo + hi)
@@ -145,8 +174,8 @@ def thresh_from_weight(w: float) -> float:
     """Hard-threshold location implied by a mixing weight."""
 
     def objective(z: float) -> float:
-        fz = norm.pdf(z)
-        return norm.cdf(z) - z * fz - 0.5 - z * z * math.sqrt(2 * math.pi) * fz * (1.0 / w - 1.0) / 2.0
+        fz = _norm_pdf1(z)
+        return _norm_cdf1(z) - z * fz - 0.5 - z * z * math.sqrt(2 * math.pi) * fz * (1.0 / w - 1.0) / 2.0
 
     # z = 0 is always a root; the threshold is the interior one
     lo = 1e-4

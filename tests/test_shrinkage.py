@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+import lglift
 from lglift.lifting import LiftingConfig, forward
 from lglift.shrinkage import (
     ShrinkageConfig,
@@ -108,6 +113,147 @@ class TestOracleAgreement:
         for x in (0.5, 1.5, 3.0):
             expect = slab_marginal(x) / norm.pdf(x) - 1.0
             assert beta_cauchy(np.array([x]))[0] == pytest.approx(expect, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# reference: the scipy.stats forms that the closed-form kernels replaced
+
+def ref_post_med_cauchy(x, w):
+    """The former solver: 60 bisection steps of the objective through
+    scipy.stats."""
+    x = np.asarray(x, dtype=float)
+    mag = np.abs(x)
+    big = mag > 20.0
+    work = np.where(big, 0.0, mag)
+    lo = np.zeros_like(work)
+    hi = work.copy()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        y = work - mid
+        fy = norm.pdf(y)
+        yr = norm.cdf(y) - work * fy + (work * mid - 1.0) * fy * norm.cdf(-mid) / norm.pdf(mid)
+        yl = 1.0 + np.exp(-work * work / 2.0) * (work * work * (1.0 / w - 1.0) - 1.0)
+        below = yl / 2.0 - yr <= 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    med = 0.5 * (lo + hi)
+    med[big] = mag[big] - 2.0 / mag[big]
+    med[med < 1e-7] = 0.0
+    med = np.sign(x) * med
+    clip = np.abs(med) > np.abs(x)
+    med[clip] = x[clip]
+    return med
+
+
+def ref_beta_cauchy(x: float) -> float:
+    with np.errstate(over="ignore", divide="ignore"):
+        return min((norm.pdf(0) / norm.pdf(x) - 1.0) / x**2 - 1.0, 1e20)
+
+
+def ref_weight_from_thresh(thr: float) -> float:
+    fx = norm.pdf(thr)
+    Fx = norm.cdf(thr)
+    denom = math.sqrt(math.pi / 2.0) * fx * thr * thr
+    if denom == 0:
+        return 1.0
+    with np.errstate(over="ignore"):
+        inv = 1.0 + (Fx - thr * fx - 0.5) / denom
+    return 1.0 / inv if math.isfinite(inv) else 1.0
+
+
+def ref_thresh_objective(z: float, w: float) -> float:
+    fz = norm.pdf(z)
+    return norm.cdf(z) - z * fz - 0.5 - z * z * math.sqrt(2 * math.pi) * fz * (1.0 / w - 1.0) / 2.0
+
+
+def ref_thresh_slope(z: float, w: float) -> float:
+    """d/dz of `ref_thresh_objective`."""
+    return z * z * norm.pdf(z) - (1.0 / w - 1.0) / 2.0 * z * (2.0 - z * z) * math.exp(-z * z / 2.0)
+
+
+def ref_thresh_from_weight(w: float) -> float:
+    if ref_thresh_objective(1e-4, w) >= 0:
+        return 0.0
+    if ref_thresh_objective(20.0, w) <= 0:
+        return 20.0
+    return float(brentq(ref_thresh_objective, 1e-4, 20.0, args=(w,), xtol=1e-12))
+
+
+# standardized coefficients: the clip to zero at 1e-7, the |x| > 20 asymptote
+_EDGE_X = [0.0, 1e-7, -1e-7, 20.0, -20.0, np.nextafter(20.0, 21.0), 25.0, -30.0]
+
+
+@st.composite
+def coefficient_batches(draw):
+    """An (n, B) batch of coefficients in [-30, 30] and one weight per column."""
+    n, b = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    xs = draw(st.lists(st.floats(-30, 30) | st.sampled_from(_EDGE_X), min_size=n * b, max_size=n * b))
+    w = draw(st.lists(st.floats(0.01, 1.0), min_size=b, max_size=b))
+    return np.array(xs).reshape(n, b), np.array(w)
+
+
+class TestClosedFormKernels:
+    """The scipy.stats-free kernels against the forms they replaced."""
+
+    @given(coefficient_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_post_med_matches_scipy_stats_bisection(self, batch):
+        x, w = batch
+        got = post_med_cauchy(x, w)
+        assert np.all(np.abs(got - ref_post_med_cauchy(x, w)) <= 1e-12 * np.maximum(1.0, np.abs(x)))
+
+    @given(st.floats(0.05, 60) | st.floats(-60, -0.05) | st.sampled_from([38.0, -38.0, 38.6, 40.0, 1e3]))
+    @settings(max_examples=200, deadline=None)
+    def test_beta_matches_density_ratio_form(self, x):
+        # beta crosses zero at |x| ~ 1.585, where only an absolute bound
+        # (a few ulps of the O(1) terms) means anything
+        got = beta_cauchy(np.array([x]))[0]
+        assert got == pytest.approx(ref_beta_cauchy(x), rel=1e-12, abs=2e-15)
+        if abs(x) >= 38:
+            assert got == ref_beta_cauchy(x) == 1e20
+
+    @given(st.floats(-0.05, 0.05).filter(lambda x: x != 0))
+    @settings(max_examples=100, deadline=None)
+    def test_beta_accurate_near_zero(self, x):
+        # (exp(u) - 1) / (2u) - 1 with u = x^2 / 2, as its Taylor series;
+        # the density ratio form cancels to about 1e-16 / x^2 here
+        series = -0.5 + x**2 / 8 + x**4 / 48 + x**6 / 384
+        assert beta_cauchy(np.array([x]))[0] == pytest.approx(series, rel=1e-13)
+
+    @given(st.just(0.0) | st.floats(1.0, 60.0))
+    @settings(max_examples=200, deadline=None)
+    def test_weight_from_thresh_matches_scipy_stats(self, thr):
+        # its callers pass sqrt(2 log m): 0, or at least 1.18.  Below 1,
+        # cdf(t) - 1/2 - t pdf(t) cancels to about t^3 / 8 in both forms
+        assert weight_from_thresh(thr) == pytest.approx(ref_weight_from_thresh(thr), rel=1e-12)
+
+    @given(st.floats(1e-6, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_thresh_from_weight_matches_scipy_stats(self, w):
+        # both are brentq roots (xtol 1e-12) of objectives that differ by
+        # rounding, under 1e-15, which moves the root by 1e-15 / |slope|;
+        # that grows as w -> 1, where the threshold and the slope go to 0
+        got, want = thresh_from_weight(w), ref_thresh_from_weight(w)
+        if want in (0.0, 20.0):
+            assert got == want
+        else:
+            assert abs(got - want) <= 2e-12 + 1e-15 / abs(ref_thresh_slope(want, w))
+
+    def test_non_finite_input_terminates(self):
+        # a NaN bracket never narrows; the solver must still stop
+        out = post_med_cauchy(np.array([np.nan, np.inf, -np.inf, 0.0, 1e-300]), 0.3)
+        np.testing.assert_array_equal(out, [np.nan, np.inf, -np.inf, 0.0, 0.0])
+        # next to a NaN, a finite coefficient is still bisected to the end
+        mixed = post_med_cauchy(np.array([np.nan, 3.0]), 0.3)
+        assert np.isnan(mixed[0]) and mixed[1] == post_med_cauchy(np.array([3.0]), 0.3)[0]
+
+    def test_import_does_not_load_scipy_stats(self):
+        code = "import sys, lglift; print(any(m.split('.')[:2] == ['scipy', 'stats'] for m in sys.modules))"
+        env = {**os.environ, "PYTHONPATH": str(Path(lglift.__file__).resolve().parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert run.stdout.strip() == "False"
 
 
 class TestWeightFit:
