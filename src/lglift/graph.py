@@ -156,15 +156,17 @@ class LineGraph:
                     out.append(frozenset((k, s)))
         return out
 
-    def base_distances(self) -> Dict[FrozenSet[Id], float]:
-        """Adjacent-pair distances (l_k + l_l)/2 for the path-length metric."""
+    def base_distances(self) -> Dict[Id, Dict[Id, float]]:
+        """Weighted rows {k: {s: (l_k + l_s)/2}} of the path-length metric,
+        each row in ascending position order."""
         if self.edge_lengths is None:
             raise GraphError("metric inputs unavailable: no source edge lengths")
-        out = {}
-        for pair in self.edges():
-            k, s = tuple(pair)
-            out[pair] = 0.5 * (self.edge_lengths[k] + self.edge_lengths[s])
-        return out
+        lengths = self.edge_lengths
+        return {
+            k: {s: 0.5 * (lengths[k] + lengths[s])
+                for s in sorted(self.adjacency[k], key=self.index.__getitem__)}
+            for k in self.ids
+        }
 
     def distance(self, k: Id, l: Id, mode: MetricMode) -> float:
         """Distance between two new vertices under the chosen metric.
@@ -180,10 +182,10 @@ class LineGraph:
                 raise GraphError("metric inputs unavailable: missing coordinates")
             return math.dist(self.coords[k], self.coords[l])
         base = self.base_distances()
-        pair = frozenset((k, l))
-        if pair in base:
-            return base[pair]
-        d = shortest_path_distance(self.adjacency, base, k, targets=(l,))
+        row = base.get(k, {})
+        if l in row:
+            return row[l]
+        d = shortest_path_distance(base, k, targets=(l,)) if row else {}
         if l not in d:
             raise GraphError(f"disconnected in metric: {k!r} and {l!r}")
         return d[l]
@@ -255,12 +257,9 @@ def is_connected(vertices: Iterable[Id], edges: Iterable[Tuple[Id, Id]]) -> bool
 
 
 def shortest_path_distance(
-    adjacency: Dict[Id, Iterable[Id]],
-    edge_dist: Dict[FrozenSet[Id], float],
-    source: Id,
-    targets: Optional[Iterable[Id]] = None,
+    adj, source: Id, targets: Optional[Iterable[Id]] = None
 ) -> Dict[Id, float]:
-    """Dijkstra from `source` over an adjacency map with per-edge distances.
+    """Dijkstra from `source` over weighted rows `adj[u] = {s: dist}`.
 
     Without `targets`, searches the whole component and returns the
     distance of every reached vertex.  With `targets`, stops as soon as
@@ -285,8 +284,7 @@ def shortest_path_distance(
             pending.discard(u)
             if not pending:
                 break
-        for s in adjacency.get(u, ()):
-            w = edge_dist[frozenset((u, s))]
+        for s, w in adj[u].items():
             nd = d + w
             if nd < dist.get(s, math.inf):
                 dist[s] = nd

@@ -192,14 +192,13 @@ def write_graph(path: str, obj: Union[Graph, LineGraph]) -> None:
 # ---------------------------------------------------------------------------
 # transform serialization: JSON record + CSV coefficients
 #
-# Ids inside the record are stored as positions into the "ids" list, so
-# arbitrary hashable ids survive the trip.
+# Ids are written once, as JSON ints or strings, and every other mention of
+# an id inside the record is its position in that "ids" list.
 
 def record_to_dict(record: LiftingRecord) -> dict:
     pos = {k: i for i, k in enumerate(record.ids)}
     return {
-        "ids": [str(k) for k in record.ids],
-        "id_kind": "int" if all(isinstance(k, int) for k in record.ids) else "str",
+        "ids": list(record.ids),
         "config": record.config.to_dict(),
         "surviving": [pos[k] for k in record.surviving],
         "initial_integrals": [record.initial_integrals[k] for k in record.ids],
@@ -213,7 +212,6 @@ def record_to_dict(record: LiftingRecord) -> dict:
                 "b": list(st.b),
                 "integral": st.integral,
                 "edges_added": [[pos[u], pos[v], w] for u, v, w in st.edges_added],
-                "edges_removed": [[pos[u], pos[v]] for u, v in st.edges_removed],
             }
             for st in record.stages
         ],
@@ -221,8 +219,9 @@ def record_to_dict(record: LiftingRecord) -> dict:
 
 
 def record_from_dict(d: dict) -> LiftingRecord:
-    conv = int if d.get("id_kind") == "int" else str
-    ids = tuple(conv(k) for k in d["ids"])
+    """The record of `record_to_dict`; also reads older files, which wrote
+    every id as a string with an "id_kind" and listed "edges_removed"."""
+    ids = tuple(int(k) if d.get("id_kind") == "int" else k for k in d["ids"])
     surviving = tuple(ids[i] for i in d["surviving"])
     stages = tuple(
         LiftingStage(
@@ -233,7 +232,6 @@ def record_from_dict(d: dict) -> LiftingRecord:
             b=tuple(s["b"]),
             integral=s["integral"],
             edges_added=tuple((ids[u], ids[v], w) for u, v, w in s["edges_added"]),
-            edges_removed=tuple((ids[u], ids[v]) for u, v in s["edges_removed"]),
         )
         for s in d["stages"]
     )
@@ -269,11 +267,15 @@ def write_transform(prefix: str, coeffs: CoefficientSet, record: LiftingRecord) 
 def read_transform(prefix: str) -> Tuple[CoefficientSet, LiftingRecord]:
     with open(f"{prefix}.record.json") as fh:
         record = record_from_dict(json.load(fh))
-    conv = int if all(isinstance(k, int) for k in record.ids) else str
+    by_text = {str(k): k for k in record.ids}
+    if len(by_text) != len(record.ids):
+        raise ParseError(f"{prefix}.record.json: two ids share a text form, so "
+                         f"{prefix}.coeffs.csv cannot tell them apart")
     details, scaling, scales, levels = {}, {}, {}, {}
     with open(f"{prefix}.coeffs.csv", newline="") as fh:
         for row in csv.DictReader(fh):
-            k = conv(row["id"])
+            # an id the record lacks stays text; `inverse` rejects the mismatch
+            k = by_text.get(row["id"], row["id"])
             if row["kind"] == "detail":
                 details[k] = float(row["value"])
                 scales[k] = float(row["scale"])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -130,8 +130,8 @@ class LiftingStage:
     a: Tuple[float, ...]             # prediction filter, per neighbor
     b: Tuple[float, ...]             # update filter, per neighbor
     integral: float                  # removed vertex's integral = scale value
-    edges_added: Tuple[Tuple[Id, Id, float], ...]   # relink edges (with distance)
-    edges_removed: Tuple[Tuple[Id, Id], ...]        # incident edges deleted
+    edges_added: Tuple[Tuple[Id, Id, float], ...]   # relink edges (with distance),
+                                                    # earlier position first
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,11 @@ def init_integrals(
     Sum: total distance to neighbours.  Average: that total divided by
     twice the neighbourhood size.  Delta: a vector of ones.
     """
-    edge_dist = None if scheme is IntegralScheme.DELTA else _working_metric(lg, metric_mode)[1]
-    return _integrals_from_state(lg.adjacency, edge_dist, scheme)
+    if scheme is IntegralScheme.DELTA:
+        rows = [lg.adjacency[k] for k in lg.ids]
+    else:
+        rows = _metric_rows(lg, metric_mode)[0]
+    return dict(zip(lg.ids, _integrals(lg.ids, rows, scheme)))
 
 
 def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> List[float]:
@@ -229,53 +232,14 @@ def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> Lis
     return [w / total for w in inv]
 
 
-class _Metric:
-    """Working metric over the evolving line-graph structure."""
-
-    def mutual_distances(self, nodes: Sequence[Id], adjacency, edge_dist) -> Dict:
-        raise NotImplementedError
-
-
-class _CoordinateMetric(_Metric):
-    def __init__(self, coords: Dict[Id, Tuple[float, float]]):
-        self.coords = coords
-        xs = [c[0] for c in coords.values()]
-        ys = [c[1] for c in coords.values()]
-        diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-        self._floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
-
-    def pair_distance(self, k, l):
-        return max(math.dist(self.coords[k], self.coords[l]), self._floor)
-
-    def mutual_distances(self, nodes, adjacency, edge_dist):
-        return {
-            frozenset((a, b)): self.pair_distance(a, b)
-            for i, a in enumerate(nodes)
-            for b in nodes[i + 1 :]
-        }
-
-
-class _PathMetric(_Metric):
-    """Path-length metric; relink freezes link-time shortest-path values."""
-
-    def mutual_distances(self, nodes, adjacency, edge_dist):
-        out = {}
-        for i, a in enumerate(nodes[:-1]):
-            dists = shortest_path_distance(adjacency, edge_dist, a, nodes[i + 1 :])
-            for b in nodes[i + 1 :]:
-                if b not in dists:
-                    raise GraphError(f"disconnected in metric: {a!r} and {b!r}")
-                out[frozenset((a, b))] = dists[b]
-        return out
-
-
 class _Lifter:
-    """Mutable transform state: adjacency, per-edge distances, integrals.
+    """Mutable transform state on slots 0..m-1 (line-graph positions): one
+    weighted adjacency `adj[u] = {s: dist}` and the integrals.
 
-    Live ids are also kept in buckets by their exact integral value, with a
-    heap of the distinct values (stale ones are skipped when they surface).
-    Integrals only grow, so the smallest live bucket is the exact set of
-    ids tied for the minimum.
+    Live slots are also kept in buckets by their exact integral value, with
+    a heap of the distinct values (stale ones are skipped when they
+    surface).  Integrals only grow, so the smallest live bucket is the
+    exact set of slots tied for the minimum.
     """
 
     def __init__(self, lg: LineGraph, config: LiftingConfig,
@@ -284,38 +248,36 @@ class _Lifter:
             raise LiftingError(f"stopping time {config.tau} must be below m={lg.m}")
         if not is_connected(lg.ids, [tuple(p) for p in lg.edges()]):
             raise GraphError("line graph disconnected")
-        self.lg = lg
+        self.ids = lg.ids
+        self.index = lg.index
         self.config = config
-        self.adjacency: Dict[Id, Set[Id]] = {k: set(v) for k, v in lg.adjacency.items()}
-        self.metric, self.edge_dist = _working_metric(lg, config.metric_mode)
+        self.adj, self.pair_distance = _metric_rows(lg, config.metric_mode)
         if initial_integrals is None:
             # the same inputs as init_integrals, so the two agree exactly
-            self.integrals = _integrals_from_state(
-                lg.adjacency, self.edge_dist, config.integral_scheme
-            )
+            self.integrals = _integrals(lg.ids, self.adj, config.integral_scheme)
         else:
-            self.integrals = {k: float(initial_integrals[k]) for k in lg.ids}
-        for k, I in self.integrals.items():
+            self.integrals = [float(initial_integrals[k]) for k in lg.ids]
+        for k, I in zip(lg.ids, self.integrals):
             if not I > 0:
                 raise LiftingError(f"non-positive initial integral at {k!r}")
-        self.active: Set[Id] = set(lg.ids)
-        self.buckets: Dict[float, Set[Id]] = {}
-        for k, I in self.integrals.items():
-            self.buckets.setdefault(I, set()).add(k)
+        self.active: Set[int] = set(range(lg.m))
+        self.buckets: Dict[float, Set[int]] = {}
+        for u, I in enumerate(self.integrals):
+            self.buckets.setdefault(I, set()).add(u)
         self.values = list(self.buckets)
         heapq.heapify(self.values)
         self.rng = np.random.default_rng(config.rng_seed)
 
-    def choose_next(self) -> Id:
+    def choose_next(self) -> int:
         while self.values[0] not in self.buckets:
             heapq.heappop(self.values)
         tied = self.buckets[self.values[0]]
         if len(tied) == 1:
             return next(iter(tied))
-        candidates = sorted(tied, key=self.lg.index.__getitem__)
+        candidates = sorted(tied)
         return candidates[self.rng.integers(len(candidates))]
 
-    def _move(self, k: Id, value: Optional[float]) -> None:
+    def _move(self, k: int, value: Optional[float]) -> None:
         """Set k's integral to `value`, moving k between buckets; None
         takes k out of the buckets and leaves its last integral in place."""
         old = self.integrals[k]
@@ -334,13 +296,14 @@ class _Lifter:
             self.buckets[value] = {k}
             heapq.heappush(self.values, value)
 
-    def lift_stage(self, k: Id, stage: int) -> LiftingStage:
-        """Plan the removal of k: its filters, integral update and relink."""
-        neighbors = sorted(self.adjacency[k], key=self.lg.index.__getitem__)
-        if not neighbors:
-            raise LiftingError(f"isolated vertex {k!r} at stage {stage}")
-        dists = [self.edge_dist[frozenset((k, s))] for s in neighbors]
-        a = predict_weights(dists, self.config.prediction_scheme)
+    def lift_stage(self, k: int, stage: int) -> LiftingStage:
+        """Plan the removal of slot k: its filters, integral update and
+        relink, archived with line-graph ids."""
+        row = self.adj[k]
+        if not row:
+            raise LiftingError(f"isolated vertex {self.ids[k]!r} at stage {stage}")
+        neighbors = sorted(row)
+        a = predict_weights([row[s] for s in neighbors], self.config.prediction_scheme)
 
         Ik = self.integrals[k]
         for w, s in zip(a, neighbors):
@@ -348,32 +311,26 @@ class _Lifter:
         denom = sum(self.integrals[s] ** 2 for s in neighbors)
         b = [self.integrals[s] * Ik / denom for s in neighbors]
 
-        edges_removed = tuple((k, s) for s in neighbors)
-        plan = self._relink_plan(k, neighbors)
-        self._remove_vertex(k)
-        edges_added = self._apply_relink(neighbors, plan)
-
+        mutual = self._relink_distances(neighbors)
+        for s in row:
+            del self.adj[s][k]
+        self.adj[k] = {}
+        self.active.discard(k)
+        self._move(k, None)
+        ids = self.ids
         return LiftingStage(
             stage=stage,
-            removed=k,
-            neighbors=tuple(neighbors),
+            removed=ids[k],
+            neighbors=tuple(ids[s] for s in neighbors),
             a=tuple(a),
             b=tuple(b),
             integral=Ik,
-            edges_added=edges_added,
-            edges_removed=edges_removed,
+            edges_added=tuple((ids[u], ids[v], w) for u, v, w in self._relink(neighbors, mutual)),
         )
 
-    def _remove_vertex(self, k: Id) -> None:
-        for s in self.adjacency[k]:
-            self.adjacency[s].discard(k)
-            self.edge_dist.pop(frozenset((k, s)), None)
-        self.adjacency[k] = set()
-        self.active.discard(k)
-        self._move(k, None)
-
-    def _relink_plan(self, k: Id, neighbors: Sequence[Id]):
-        """Pairwise neighbour distances, measured before k is removed.
+    def _relink_distances(self, neighbors: List[int]) -> Optional[List[Tuple[int, int, float]]]:
+        """Distances (u, v, dist) between every pair u < v of neighbours,
+        measured before k is removed.
 
         Returns None when the induced neighbourhood subgraph is already
         connected.  Path-mode distances may route through k; they are
@@ -382,51 +339,82 @@ class _Lifter:
         if len(neighbors) < 2:
             return None
         induced = [
-            (a, b)
-            for i, a in enumerate(neighbors)
-            for b in neighbors[i + 1 :]
-            if b in self.adjacency[a]
+            (u, v) for i, u in enumerate(neighbors) for v in neighbors[i + 1 :] if v in self.adj[u]
         ]
         if is_connected(neighbors, induced):
             return None
-        return self.metric.mutual_distances(list(neighbors), self.adjacency, self.edge_dist)
+        if self.pair_distance is not None:
+            return [
+                (u, v, self.pair_distance(u, v))
+                for i, u in enumerate(neighbors)
+                for v in neighbors[i + 1 :]
+            ]
+        out = []
+        for i, u in enumerate(neighbors[:-1]):
+            dists = shortest_path_distance(self.adj, u, neighbors[i + 1 :])
+            for v in neighbors[i + 1 :]:
+                if v not in dists:
+                    raise GraphError(
+                        f"disconnected in metric: {self.ids[u]!r} and {self.ids[v]!r}"
+                    )
+                out.append((u, v, dists[v]))
+        return out
 
-    def _apply_relink(self, neighbors: Sequence[Id], mutual) -> Tuple[Tuple[Id, Id, float], ...]:
+    def _relink(self, neighbors: List[int], mutual) -> List[Tuple[int, int, float]]:
+        """Add the edges of the neighbourhood's spanning tree that are missing."""
         if mutual is None:
-            return ()
+            return []
+        ids, index = self.ids, self.index
+        # the tree's tie-break ranks ids, so it is taken over ids
         tree = minimum_spanning_tree(
-            list(neighbors), [(*tuple(p), w) for p, w in mutual.items()]
+            [ids[s] for s in neighbors], [(ids[u], ids[v], w) for u, v, w in mutual]
         )
         added = []
-        for u, v, w in tree:
-            if v not in self.adjacency[u]:
-                self.adjacency[u].add(v)
-                self.adjacency[v].add(u)
-                self.edge_dist[frozenset((u, v))] = w
+        for p, q, w in tree:
+            u, v = index[p], index[q]
+            if v not in self.adj[u]:
+                self.adj[u][v] = self.adj[v][u] = w
                 added.append((u, v, w))
-        return tuple(added)
+        return added
 
 
-def _working_metric(lg: LineGraph, mode: MetricMode) -> Tuple[_Metric, Dict[FrozenSet[Id], float]]:
-    """The metric the planner works in, and its distance per line-graph edge."""
-    if mode is MetricMode.COORDINATE:
-        if lg.coords is None:
-            raise GraphError("metric inputs unavailable: missing coordinates")
-        metric = _CoordinateMetric(lg.coords)
-        return metric, {pair: metric.pair_distance(*tuple(pair)) for pair in lg.edges()}
-    return _PathMetric(), lg.base_distances()
+def _metric_rows(lg: LineGraph, mode: MetricMode):
+    """The planner's metric on slots: the weighted rows of the line graph,
+    each in ascending slot order, and the pair distance a coordinate relink
+    measures with (None for the path metric, which relinks with the
+    bounded Dijkstra)."""
+    if mode is MetricMode.PATH_LENGTH:
+        base = lg.base_distances()
+        return [{lg.index[s]: w for s, w in base[k].items()} for k in lg.ids], None
+    if lg.coords is None:
+        raise GraphError("metric inputs unavailable: missing coordinates")
+    xs = [c[0] for c in lg.coords.values()]
+    ys = [c[1] for c in lg.coords.values()]
+    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
+    pts = [lg.coords[k] for k in lg.ids]
+
+    def pair_distance(u: int, v: int) -> float:
+        return max(math.dist(pts[u], pts[v]), floor)
+
+    rows = [
+        {s: pair_distance(u, s) for s in sorted(map(lg.index.__getitem__, lg.adjacency[k]))}
+        for u, k in enumerate(lg.ids)
+    ]
+    return rows, pair_distance
 
 
-def _integrals_from_state(adjacency, edge_dist, scheme) -> Dict[Id, float]:
-    out = {}
-    for k, nbrs in adjacency.items():
-        if not nbrs:
+def _integrals(ids: Sequence[Id], rows, scheme: IntegralScheme) -> List[float]:
+    """Starting integral per slot; a row's distances are added in slot order."""
+    out = []
+    for k, row in zip(ids, rows):
+        if not row:
             raise GraphError(f"degenerate line graph: isolated new vertex {k!r}")
         if scheme is IntegralScheme.DELTA:
-            out[k] = 1.0
+            out.append(1.0)
             continue
-        total = sum(edge_dist[frozenset((k, s))] for s in nbrs)
-        out[k] = total if scheme is IntegralScheme.SUM else total / (2.0 * len(nbrs))
+        total = sum(row.values())
+        out.append(total if scheme is IntegralScheme.SUM else total / (2.0 * len(row)))
     return out
 
 
@@ -465,17 +453,18 @@ def forward(
         if bad:
             raise LiftingError(f"trajectory references unknown ids {bad[:3]!r}")
 
-    initial = dict(lifter.integrals)
+    initial = dict(zip(lg.ids, lifter.integrals))
     stages: List[LiftingStage] = []
     for i in range(n_stages):
-        k = trajectory[i] if trajectory is not None else lifter.choose_next()
+        k = lg.index[trajectory[i]] if trajectory is not None else lifter.choose_next()
         stages.append(lifter.lift_stage(k, lg.m - i))
 
-    surviving = tuple(sorted(lifter.active, key=lg.index.__getitem__))
+    survivors = sorted(lifter.active)
+    surviving = tuple(lg.ids[u] for u in survivors)
     record = LiftingRecord(
         stages=tuple(stages),
         initial_integrals=initial,
-        final_integrals={k: lifter.integrals[k] for k in surviving},
+        final_integrals={lg.ids[u]: lifter.integrals[u] for u in survivors},
         surviving=surviving,
         config=config,
         ids=lg.ids,

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import gammainc, ndtr
 
 from .graph import Id, LineGraph
 from .lifting import LiftingConfig, LiftingRecord, _replay_forward, _replay_inverse, forward
@@ -68,8 +68,11 @@ def _norm_pdf1(x: float) -> float:
     return math.exp(-x * x / 2.0) / _SQRT_2PI
 
 
-def _norm_cdf1(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+def _norm_moment2(z: float) -> float:
+    """cdf(z) - 1/2 - z pdf(z), the integral of t^2 pdf(t) over [0, z], for
+    z >= 0.  As gammainc(3/2, z^2/2) / 2 it keeps the digits that the
+    difference cancels at small z (it is about z^3 / 7.5 there)."""
+    return float(gammainc(1.5, z * z / 2.0)) / 2.0
 
 
 def beta_cauchy(x: np.ndarray) -> np.ndarray:
@@ -89,12 +92,10 @@ def beta_cauchy(x: np.ndarray) -> np.ndarray:
 
 def weight_from_thresh(thr: float) -> float:
     """Mixing weight whose posterior-median threshold equals `thr`."""
-    fx = _norm_pdf1(thr)
-    Fx = _norm_cdf1(thr)
-    denom = math.sqrt(math.pi / 2.0) * fx * thr * thr
+    denom = math.sqrt(math.pi / 2.0) * _norm_pdf1(thr) * thr * thr
     if denom == 0:
         return 1.0
-    inv = 1.0 + (Fx - thr * fx - 0.5) / denom
+    inv = 1.0 + _norm_moment2(thr) / denom
     return 1.0 / inv if math.isfinite(inv) else 1.0
 
 
@@ -174,8 +175,7 @@ def thresh_from_weight(w: float) -> float:
     """Hard-threshold location implied by a mixing weight."""
 
     def objective(z: float) -> float:
-        fz = _norm_pdf1(z)
-        return _norm_cdf1(z) - z * fz - 0.5 - z * z * math.sqrt(2 * math.pi) * fz * (1.0 / w - 1.0) / 2.0
+        return _norm_moment2(z) - z * z * math.sqrt(2 * math.pi) * _norm_pdf1(z) * (1.0 / w - 1.0) / 2.0
 
     # z = 0 is always a root; the threshold is the interior one
     lo = 1e-4

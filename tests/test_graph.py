@@ -153,17 +153,27 @@ class TestDistance:
 
 
 class FarSideRaises(dict):
-    """Edge distances that fail the test when an edge touching `far` is read."""
+    """Weighted rows that fail the test when an edge touching `far` is read."""
 
-    def __init__(self, items, far):
-        super().__init__(items)
+    def __init__(self, rows, far):
         self.far = set(far)
         self.lookups = 0
+        super().__init__({u: _CheckedRow(self, u, row) for u, row in rows.items()})
 
-    def __getitem__(self, pair):
-        assert not pair & self.far, f"search reached {set(pair)}"
-        self.lookups += 1
-        return super().__getitem__(pair)
+
+class _CheckedRow(dict):
+    """One row of `FarSideRaises`: checks and counts each (u, s) pair it yields."""
+
+    def __init__(self, owner, u, row):
+        super().__init__(row)
+        self.owner, self.u = owner, u
+
+    def items(self):
+        for s, w in super().items():
+            pair = {self.u, s}
+            assert not pair & self.owner.far, f"search reached {pair}"
+            self.owner.lookups += 1
+            yield s, w
 
 
 class TestShortestPathDistance:
@@ -171,35 +181,34 @@ class TestShortestPathDistance:
         base = mst_lg.base_distances()
         rng = np.random.default_rng(0)
         for source in mst_lg.ids[:10]:
-            full = shortest_path_distance(mst_lg.adjacency, base, source)
+            full = shortest_path_distance(base, source)
             assert len(full) == mst_lg.m
             targets = list(rng.choice(np.array(mst_lg.ids), size=6, replace=False))
-            got = shortest_path_distance(mst_lg.adjacency, base, source, targets)
+            got = shortest_path_distance(base, source, targets)
             assert set(got) == set(targets)
             assert all(got[t].hex() == full[t].hex() for t in targets)
 
     def test_unreachable_target_absent(self):
-        adj = {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}}
-        base = {frozenset(("a", "b")): 1.5, frozenset(("c", "d")): 2.0}
-        assert shortest_path_distance(adj, base, "a", ["b", "c"]) == {"b": 1.5}
-        assert shortest_path_distance(adj, base, "a", ["d"]) == {}
+        base = {"a": {"b": 1.5}, "b": {"a": 1.5}, "c": {"d": 2.0}, "d": {"c": 2.0}}
+        assert shortest_path_distance(base, "a", ["b", "c"]) == {"b": 1.5}
+        assert shortest_path_distance(base, "a", ["d"]) == {}
 
     def test_source_and_empty_targets(self):
         lg = chain_lg([1.0] * 4)
         base = FarSideRaises(lg.base_distances(), far=lg.ids)
-        assert shortest_path_distance(lg.adjacency, base, "e0", ["e0"]) == {"e0": 0.0}
-        assert shortest_path_distance(lg.adjacency, base, "e0", []) == {}
+        assert shortest_path_distance(base, "e0", ["e0"]) == {"e0": 0.0}
+        assert shortest_path_distance(base, "e0", []) == {}
         assert base.lookups == 0
 
     def test_stops_once_targets_settled(self):
         lg = chain_lg([1.0] * 10)
         far = [f"e{i}" for i in range(3, 10)]
         base = FarSideRaises(lg.base_distances(), far=far)
-        got = shortest_path_distance(lg.adjacency, base, "e0", ["e2", "e1"])
+        got = shortest_path_distance(base, "e0", ["e2", "e1"])
         assert got == {"e1": 1.0, "e2": 2.0}
         assert base.lookups == 3
         with pytest.raises(AssertionError, match="search reached"):
-            shortest_path_distance(lg.adjacency, base, "e0")
+            shortest_path_distance(base, "e0")
 
 
 def brute_force_mst_weight(vertices, weighted_edges):

@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglift.cli import main
 from lglift.graph import Graph, LineGraph, build_line_graph
@@ -118,6 +122,55 @@ class TestTransformSerialization:
         rec = inverse(coeffs2, record2)
         for k, v in values.items():
             assert rec[k] == pytest.approx(v, abs=1e-12)
+
+
+    def test_reads_files_with_string_ids_and_edges_removed(self, small_tree_lg):
+        # the format before ids were JSON-native: every id a string, an
+        # "id_kind", and each stage's incident edges listed
+        _, record = forward(dict.fromkeys(small_tree_lg.ids, 0.0), small_tree_lg,
+                            LiftingConfig.from_acronym("LG-Sid-p"))
+        d = record_to_dict(record)
+        d["ids"], d["id_kind"] = [str(k) for k in d["ids"]], "int"
+        for s in d["stages"]:
+            s["edges_removed"] = [[s["removed"], j] for j in s["neighbors"]]
+        assert record_from_dict(json.loads(json.dumps(d))) == record
+
+    def test_ids_sharing_a_text_form_rejected(self, tmp_path):
+        ids = [1, "1", "a", "b"]
+        lg = LineGraph(ids, {1: {"1"}, "1": {1, "a"}, "a": {"1", "b"}, "b": {"a"}},
+                       coords={k: (float(i), 0.0) for i, k in enumerate(ids)})
+        coeffs, record = forward(dict.fromkeys(ids, 1.0), lg, LiftingConfig.from_acronym("LG-Sid-c"))
+        prefix = str(tmp_path / "t")
+        write_transform(prefix, coeffs, record)
+        with pytest.raises(ParseError, match="text form"):
+            read_transform(prefix)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ids=st.lists(
+        st.one_of(st.integers(-20, 20), st.text("ab1-", min_size=1, max_size=3)),
+        min_size=4, max_size=12, unique_by=str,
+    ),
+    seed=st.integers(0, 1000),
+)
+def test_mixed_id_transform_round_trip(ids, seed):
+    """Int and string ids, including strings that look like ints, come
+    back from the record and coefficient files as they went in."""
+    adjacency = {k: set() for k in ids}
+    for k, l in zip(ids, ids[1:]):
+        adjacency[k].add(l)
+        adjacency[l].add(k)
+    lg = LineGraph(ids, adjacency, coords={k: (float(i), float(i % 2)) for i, k in enumerate(ids)})
+    values = dict(zip(ids, np.random.default_rng(seed).normal(size=len(ids)).tolist()))
+    coeffs, record = forward(values, lg, LiftingConfig.from_acronym("LG-Aid-c", rng_seed=seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "t")
+        write_transform(prefix, coeffs, record)
+        coeffs2, record2 = read_transform(prefix)
+    assert record2 == record
+    assert [type(k) for k in record2.ids] == [type(k) for k in ids]
+    assert coeffs2.details == coeffs.details and coeffs2.scaling == coeffs.scaling
 
 
 @pytest.fixture

@@ -1,21 +1,30 @@
 """The replay kernels against a scalar reference, and their batch form."""
 
+import heapq
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lglift
 from lglift.analysis import build_matrices
-from lglift.graph import LineGraph, build_line_graph, shortest_path_distance
+from lglift.graph import LineGraph, MetricMode, build_line_graph, is_connected, minimum_spanning_tree
 from lglift.lifting import (
+    DISTANCE_FLOOR_FRAC,
     VARIANTS,
+    IntegralScheme,
     LiftingConfig,
-    _Lifter,
-    _PathMetric,
+    LiftingStage,
     _replay_forward,
     _replay_inverse,
     forward,
     inverse,
+    predict_weights,
 )
 from lglift.shrinkage import detail_gains
 from lglift.simulation import generate_flow_fixture, sample_network
@@ -137,42 +146,98 @@ def test_detail_gains_are_forward_matrix_row_norms(graphs, acr):
     assert np.max(np.abs(np.array(list(gains.values())) - norms)) <= 1e-12
 
 
-class _UnboundedPathMetric(_PathMetric):
-    """A full Dijkstra from every neighbour, as the relink first searched."""
+def _full_dijkstra(adjacency, edge_dist, source):
+    """Distances from `source` to every vertex it reaches."""
+    dist = {source: 0.0}
+    heap = [(0.0, 0, source)]
+    counter = 0
+    done = set()
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for s in adjacency[u]:
+            nd = d + edge_dist[frozenset((u, s))]
+            if nd < dist.get(s, math.inf):
+                dist[s] = nd
+                counter += 1
+                heapq.heappush(heap, (nd, counter, s))
+    return dist
 
-    def mutual_distances(self, nodes, adjacency, edge_dist):
-        out = {}
-        for i, a in enumerate(nodes):
-            dists = shortest_path_distance(adjacency, edge_dist, a)
-            for b in nodes[i + 1 :]:
-                out[frozenset((a, b))] = dists[b]
-        return out
 
-
-class ReferencePlanner(_Lifter):
-    """The planner as first written: each stage scans every live integral
-    for the minimum, and each path-metric relink searches the whole graph
-    from every neighbour.  Integrals are plain dict entries, so none of the
-    value buckets of `_Lifter` are consulted."""
+class ReferencePlanner:
+    """The planner as first written, on line-graph ids: an adjacency of id
+    sets and a distance per frozenset pair.  Each stage scans every live
+    integral for the minimum, and each path-metric relink searches the
+    whole graph from every neighbour.  Integrals are summed over
+    neighbours in position order, and each added edge is written (earlier
+    position, later position)."""
 
     def __init__(self, lg, config):
-        super().__init__(lg, config)
-        if isinstance(self.metric, _PathMetric):
-            self.metric = _UnboundedPathMetric()
-
-    def _move(self, k, value):
-        if value is not None:
-            self.integrals[k] = value
+        self.lg, self.config = lg, config
+        self.position = lg.index.__getitem__
+        self.adjacency = {k: set(v) for k, v in lg.adjacency.items()}
+        if config.metric_mode is MetricMode.COORDINATE:
+            xs = [c[0] for c in lg.coords.values()]
+            ys = [c[1] for c in lg.coords.values()]
+            diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+            floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
+            self.pair_distance = lambda k, l: max(math.dist(lg.coords[k], lg.coords[l]), floor)
+            self.edge_dist = {p: self.pair_distance(*p) for p in lg.edges()}
+        else:
+            self.pair_distance = None
+            self.edge_dist = {p: 0.5 * sum(lg.edge_lengths[k] for k in p) for p in lg.edges()}
+        self.integrals = {}
+        for k in lg.ids:
+            nbrs = sorted(self.adjacency[k], key=self.position)
+            total = sum(self.edge_dist[frozenset((k, s))] for s in nbrs)
+            self.integrals[k] = {
+                IntegralScheme.SUM: total,
+                IntegralScheme.AVERAGE: total / (2.0 * len(nbrs)),
+                IntegralScheme.DELTA: 1.0,
+            }[config.integral_scheme]
+        self.active = set(lg.ids)
+        self.rng = np.random.default_rng(config.rng_seed)
 
     def choose_next(self):
         live = [(k, self.integrals[k]) for k in self.active]
         imin = min(I for _, I in live)
-        candidates = sorted(
-            (k for k, I in live if I == imin), key=self.lg.index.__getitem__
-        )
+        candidates = sorted((k for k, I in live if I == imin), key=self.position)
         if len(candidates) == 1:
             return candidates[0]
         return candidates[self.rng.integers(len(candidates))]
+
+    def lift_stage(self, k, stage):
+        neighbors = sorted(self.adjacency[k], key=self.position)
+        dists = [self.edge_dist[frozenset((k, s))] for s in neighbors]
+        a = predict_weights(dists, self.config.prediction_scheme)
+        Ik = self.integrals[k]
+        for w, s in zip(a, neighbors):
+            self.integrals[s] = self.integrals[s] + w * Ik
+        denom = sum(self.integrals[s] ** 2 for s in neighbors)
+        b = [self.integrals[s] * Ik / denom for s in neighbors]
+
+        pairs = [(u, v) for i, u in enumerate(neighbors) for v in neighbors[i + 1 :]]
+        mutual = None
+        if pairs and not is_connected(neighbors, [p for p in pairs if p[1] in self.adjacency[p[0]]]):
+            if self.pair_distance is not None:
+                mutual = [(u, v, self.pair_distance(u, v)) for u, v in pairs]
+            else:
+                full = {u: _full_dijkstra(self.adjacency, self.edge_dist, u) for u in neighbors}
+                mutual = [(u, v, full[u][v]) for u, v in pairs]
+        for s in self.adjacency.pop(k):
+            self.adjacency[s].discard(k)
+            del self.edge_dist[frozenset((k, s))]
+        self.active.discard(k)
+        added = []
+        for u, v, w in minimum_spanning_tree(neighbors, mutual) if mutual else ():
+            if v not in self.adjacency[u]:
+                self.adjacency[u].add(v)
+                self.adjacency[v].add(u)
+                self.edge_dist[frozenset((u, v))] = w
+                added.append((u, v, w))
+        return LiftingStage(stage, k, tuple(neighbors), tuple(a), tuple(b), Ik, tuple(added))
 
 
 def assert_same_plan(lg, config, trajectory=None):
@@ -253,3 +318,36 @@ def test_inverse_undoes_forward_on_random_msts(n, seed):
         coeffs, record = forward(values, lg, LiftingConfig.from_acronym(acr))
         rec = inverse(coeffs, record)
         assert max(abs(rec[k] - values[k]) for k in lg.ids) / scale <= 1e-8, acr
+
+
+LATTICE_PLANS = """
+from lglift.graph import EdgeRec, Graph, build_line_graph
+from lglift.lifting import VARIANTS, LiftingConfig, forward
+
+n = 6
+vertices = [(f"v{i}.{j}", (float(i), float(j))) for i in range(n) for j in range(n)]
+edges = [EdgeRec(f"x{i}.{j}", f"v{i}.{j}", f"v{i + 1}.{j}") for i in range(n - 1) for j in range(n)]
+edges += [EdgeRec(f"y{i}.{j}", f"v{i}.{j}", f"v{i}.{j + 1}") for i in range(n) for j in range(n - 1)]
+lg = build_line_graph(Graph(vertices, edges))
+for acr in VARIANTS:
+    _, record = forward(dict.fromkeys(lg.ids, 0.0), lg, LiftingConfig.from_acronym(acr))
+    print(acr, record.stages, record.initial_integrals, record.final_integrals)
+"""
+
+
+def test_same_plan_in_every_process():
+    """String ids hash differently in every process; the plans must not."""
+    src = os.path.dirname(os.path.dirname(lglift.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", LATTICE_PLANS],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    plans = [out.splitlines() for out in outs]
+    assert [line.split()[0] for line in plans[0]] == list(VARIANTS)
+    for acr, plan1, plan2 in zip(VARIANTS, *plans):
+        assert plan1 == plan2, acr

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,50 @@ def ref_thresh_from_weight(w: float) -> float:
     if ref_thresh_objective(20.0, w) <= 0:
         return 20.0
     return float(brentq(ref_thresh_objective, 1e-4, 20.0, args=(w,), xtol=1e-12))
+
+
+_PI = Decimal("3.141592653589793238462643383279502884197")
+
+
+def series_moment2(z: float) -> float:
+    """cdf(z) - 1/2 - z pdf(z) for z >= 0 from the series of the lower
+    incomplete gamma function, gamma(3/2, x) = x^(3/2) e^-x sum_n x^n /
+    ((3/2)(5/2)...(3/2 + n)) at x = z^2/2, in 40-digit decimals.  Every
+    term is positive, so nothing cancels.  The quantity is gamma(3/2, x)
+    / (2 Gamma(3/2)) = gamma(3/2, x) / sqrt(pi)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(z) ** 2 / 2
+        term = total = 1 / Decimal("1.5")
+        n = 0
+        while term > total * Decimal("1e-38"):
+            n += 1
+            term = term * x / (Decimal("1.5") + n)
+            total += term
+        return float(x * x.sqrt() * (-x).exp() * total / _PI.sqrt())
+
+
+def series_thresh_from_weight(w: float) -> float:
+    def objective(z):
+        return series_moment2(z) - z * z * (1.0 / w - 1.0) / 2.0 * math.exp(-z * z / 2.0)
+
+    return float(brentq(objective, 1e-4, 20.0, xtol=1e-15, rtol=1e-15))
+
+
+class TestHardThresholdOracle:
+    """The hard-rule kernels against a cancellation-free series oracle.
+    cdf(z) - 1/2 - z pdf(z) cancels to about z^3 / 7.5 as z -> 0, which
+    is where the threshold goes as w -> 1."""
+
+    @pytest.mark.parametrize("z", np.geomspace(1e-3, 5.0, 40))
+    def test_weight_from_thresh(self, z):
+        denom = math.sqrt(math.pi / 2.0) * norm.pdf(z) * z * z
+        want = 1.0 / (1.0 + series_moment2(z) / denom)
+        assert weight_from_thresh(z) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("w", [0.01, 0.1, 0.5, 0.9, 0.99, 0.99266, 0.999, 0.9999])
+    def test_thresh_from_weight(self, w):
+        assert thresh_from_weight(w) == pytest.approx(series_thresh_from_weight(w), rel=1e-10)
 
 
 # standardized coefficients: the clip to zero at 1e-7, the |x| > 20 asymptote
