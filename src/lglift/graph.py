@@ -15,6 +15,9 @@ from enum import Enum
 from itertools import combinations
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+from scipy.spatial import Delaunay, QhullError
+
 Id = Hashable
 Coord = Tuple[float, float]
 
@@ -181,11 +184,13 @@ class LineGraph:
             if self.coords is None or k not in self.coords or l not in self.coords:
                 raise GraphError("metric inputs unavailable: missing coordinates")
             return math.dist(self.coords[k], self.coords[l])
+        if self.edge_lengths is None:
+            raise GraphError("metric inputs unavailable: no source edge lengths")
+        if l in self.adjacency.get(k, ()):
+            # bitwise the entry of base_distances(), without building all rows
+            return 0.5 * (self.edge_lengths[k] + self.edge_lengths[l])
         base = self.base_distances()
-        row = base.get(k, {})
-        if l in row:
-            return row[l]
-        d = shortest_path_distance(base, k, targets=(l,)) if row else {}
+        d = shortest_path_distance(base, k, targets=(l,)) if base.get(k) else {}
         if l not in d:
             raise GraphError(f"disconnected in metric: {k!r} and {l!r}")
         return d[l]
@@ -338,11 +343,46 @@ def minimum_spanning_tree(
 
 
 def euclidean_mst(points: Sequence[Tuple[Id, Coord]]) -> List[Tuple[Id, Id, float]]:
-    """MST of points under Euclidean distance (all pairs considered)."""
+    """MST of points under Euclidean distance, over Delaunay candidates.
+
+    A point on or inside the closed diametral disk of an edge would make
+    that edge the strictly heaviest of a triangle, so every edge of a
+    Euclidean MST has an empty closed diametral disk: it is a Gabriel edge
+    and lies in every Delaunay triangulation.  Kruskal over the Delaunay
+    edges, with the `math.dist` weights and the key of the all-pairs run,
+    therefore accepts the same edges in the same order.  All pairs are
+    considered only where Qhull cannot triangulate every point: fewer than
+    3 points, non-finite or collinear points, or duplicates it drops (whose
+    zero distance `minimum_spanning_tree` rejects).
+    """
     if len(points) < 2:
         raise GraphError("euclidean_mst requires at least two points")
+    coords = [c for _, c in points]
+    pairs = _delaunay_pairs(coords)
+    if pairs is None:
+        pairs = combinations(range(len(points)), 2)
     edges = [
-        (a, b, math.dist(ca, cb))
-        for (a, ca), (b, cb) in combinations(points, 2)
+        (points[i][0], points[j][0], math.dist(coords[i], coords[j]))
+        for i, j in pairs
     ]
     return minimum_spanning_tree([p[0] for p in points], edges)
+
+
+def _delaunay_pairs(coords: Sequence[Coord]) -> Optional[List[Tuple[int, int]]]:
+    """Index pairs i < j joined in the Delaunay triangulation of `coords`,
+    or None when it would not cover every point."""
+    if len(coords) < 3:
+        return None
+    xy = np.asarray(coords, dtype=float)
+    if xy.shape != (len(coords), 2) or not np.isfinite(xy).all():
+        return None
+    try:
+        tri = Delaunay(xy)
+    except QhullError:
+        return None
+    if len(tri.coplanar):
+        return None
+    indptr, nbrs = tri.vertex_neighbor_vertices
+    src = np.repeat(np.arange(len(coords)), np.diff(indptr))
+    keep = src < nbrs
+    return list(zip(src[keep].tolist(), nbrs[keep].tolist()))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -236,10 +237,11 @@ class _Lifter:
     """Mutable transform state on slots 0..m-1 (line-graph positions): one
     weighted adjacency `adj[u] = {s: dist}` and the integrals.
 
-    Live slots are also kept in buckets by their exact integral value, with
-    a heap of the distinct values (stale ones are skipped when they
-    surface).  Integrals only grow, so the smallest live bucket is the
-    exact set of slots tied for the minimum.
+    Live slots are also kept in buckets by their exact integral value, each
+    an ascending list of slots, with a heap of the distinct values (stale
+    ones are skipped when they surface).  Integrals only grow, so the
+    smallest live bucket is the exact set of slots tied for the minimum, and
+    a tie is broken by one random index into it.
     """
 
     def __init__(self, lg: LineGraph, config: LiftingConfig,
@@ -261,9 +263,9 @@ class _Lifter:
             if not I > 0:
                 raise LiftingError(f"non-positive initial integral at {k!r}")
         self.active: Set[int] = set(range(lg.m))
-        self.buckets: Dict[float, Set[int]] = {}
+        self.buckets: Dict[float, List[int]] = {}
         for u, I in enumerate(self.integrals):
-            self.buckets.setdefault(I, set()).add(u)
+            self.buckets.setdefault(I, []).append(u)
         self.values = list(self.buckets)
         heapq.heapify(self.values)
         self.rng = np.random.default_rng(config.rng_seed)
@@ -273,9 +275,8 @@ class _Lifter:
             heapq.heappop(self.values)
         tied = self.buckets[self.values[0]]
         if len(tied) == 1:
-            return next(iter(tied))
-        candidates = sorted(tied)
-        return candidates[self.rng.integers(len(candidates))]
+            return tied[0]
+        return tied[self.rng.integers(len(tied))]
 
     def _move(self, k: int, value: Optional[float]) -> None:
         """Set k's integral to `value`, moving k between buckets; None
@@ -284,16 +285,16 @@ class _Lifter:
         if value == old:
             return
         bucket = self.buckets[old]
-        bucket.discard(k)
+        del bucket[bisect_left(bucket, k)]
         if not bucket:
             del self.buckets[old]
         if value is None:
             return
         self.integrals[k] = value
         if value in self.buckets:
-            self.buckets[value].add(k)
+            insort(self.buckets[value], k)
         else:
-            self.buckets[value] = {k}
+            self.buckets[value] = [k]
             heapq.heappush(self.values, value)
 
     def lift_stage(self, k: int, stage: int) -> LiftingStage:

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglift.graph import (
     EdgeRec,
@@ -10,6 +12,7 @@ from lglift.graph import (
     GraphError,
     LineGraph,
     MetricMode,
+    _delaunay_pairs,
     build_line_graph,
     euclidean_mst,
     is_connected,
@@ -151,6 +154,27 @@ class TestDistance:
         with pytest.raises(GraphError, match="disconnected"):
             lg.distance("a", "c", MetricMode.PATH_LENGTH)
 
+    def test_path_adjacent_pair_reads_no_rows(self, mst_lg, monkeypatch):
+        base = mst_lg.base_distances()
+        expected = {(k, s): base[k][s] for k in mst_lg.ids for s in base[k]}
+
+        def boom():
+            raise AssertionError("adjacent pair built every row")
+
+        monkeypatch.setattr(mst_lg, "base_distances", boom)
+        for (k, s), d in expected.items():
+            assert mst_lg.distance(k, s, MetricMode.PATH_LENGTH).hex() == d.hex()
+
+    def test_path_errors(self):
+        lg = chain_lg([1.0, 1.0, 1.0])
+        with pytest.raises(GraphError, match="disconnected"):
+            lg.distance("e0", "zz", MetricMode.PATH_LENGTH)
+        with pytest.raises(GraphError, match="disconnected"):
+            lg.distance("zz", "e0", MetricMode.PATH_LENGTH)
+        bare = LineGraph(["a", "b"], {"a": {"b"}, "b": {"a"}})
+        with pytest.raises(GraphError, match="no source edge lengths"):
+            bare.distance("a", "b", MetricMode.PATH_LENGTH)
+
 
 class FarSideRaises(dict):
     """Weighted rows that fail the test when an edge touching `far` is read."""
@@ -209,6 +233,106 @@ class TestShortestPathDistance:
         assert base.lookups == 3
         with pytest.raises(AssertionError, match="search reached"):
             shortest_path_distance(base, "e0")
+
+
+def all_pairs_mst(points):
+    """The all-pairs Euclidean MST: Kruskal over every pair of points."""
+    if len(points) < 2:
+        raise GraphError("euclidean_mst requires at least two points")
+    edges = [
+        (a, b, math.dist(ca, cb))
+        for (a, ca), (b, cb) in combinations(points, 2)
+    ]
+    return minimum_spanning_tree([p[0] for p in points], edges)
+
+
+def _points(xy, seed):
+    """Points with ids shuffled against their coordinates, so that id ranks
+    and geometry break distance ties differently."""
+    ids = np.random.default_rng(seed).permutation(len(xy)).tolist()
+    return [(i, (float(x), float(y))) for i, (x, y) in zip(ids, xy)]
+
+
+@st.composite
+def uniform_points(draw):
+    n = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _points(rng.uniform(0.0, 1.0, size=(n, 2)), draw(st.integers(0, 1000)))
+
+
+@st.composite
+def lattice_points(draw):
+    rows, cols = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 3.0, 1e4]))
+    ox, oy = draw(st.sampled_from([(0.0, 0.0), (0.3, -0.7), (1e3, 2e3)]))
+    xy = [(ox + i * scale, oy + j * scale) for i in range(rows) for j in range(cols)]
+    return _points(xy, draw(st.integers(0, 1000)))
+
+
+@st.composite
+def cocircular_points(draw):
+    k = draw(st.integers(3, 60))
+    r = draw(st.sampled_from([1e-2, 1.0, 50.0]))
+    phase = draw(st.floats(0.0, 2 * math.pi))
+    xy = [(r * math.cos(phase + 2 * math.pi * i / k), r * math.sin(phase + 2 * math.pi * i / k))
+          for i in range(k)]
+    return _points(xy + [(0.0, 0.0)], draw(st.integers(0, 1000)))
+
+
+@st.composite
+def collinear_points(draw):
+    n = draw(st.integers(3, 60))
+    direction = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-2.0, 1.0)]))
+    ts = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True))
+    return _points([(t * direction[0], t * direction[1]) for t in ts], draw(st.integers(0, 1000)))
+
+
+class TestEuclideanMstCandidates:
+    """`euclidean_mst` runs Kruskal over Delaunay edges only; the tree must
+    be the all-pairs tree, the same tuples in the same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pts=uniform_points())
+    def test_uniform_points(self, pts):
+        assert (_delaunay_pairs([c for _, c in pts]) is None) == (len(pts) < 3)
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pts=lattice_points())
+    def test_shuffled_lattices(self, pts):
+        assert _delaunay_pairs([c for _, c in pts]) is not None
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pts=cocircular_points())
+    def test_cocircular_with_centre(self, pts):
+        assert _delaunay_pairs([c for _, c in pts]) is not None
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pts=collinear_points())
+    def test_collinear_points_use_all_pairs(self, pts):
+        assert _delaunay_pairs([c for _, c in pts]) is None
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_duplicate_points_rejected(self, n):
+        xy = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 2))
+        pts = _points(np.vstack([xy, xy[:1]]), n)
+        for mst in (euclidean_mst, all_pairs_mst):
+            with pytest.raises(GraphError, match="non-positive"):
+                mst(pts)
+
+    def test_non_finite_point_rejected(self):
+        pts = [(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (0.0, 1.0)), (3, (math.nan, 0.5))]
+        for mst in (euclidean_mst, all_pairs_mst):
+            with pytest.raises(GraphError, match="non-finite"):
+                mst(pts)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_network_n500(self, seed):
+        pts = list(sample_network(500, seed).coords.items())
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
 
 
 def brute_force_mst_weight(vertices, weighted_edges):
