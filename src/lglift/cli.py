@@ -12,7 +12,7 @@ import csv
 import os
 import statistics
 import sys
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from . import io as lio
 from .analysis import sparsity_curve_single
@@ -47,10 +47,9 @@ def _default_seed() -> int:
     return int(os.environ.get("LGLIFT_SEED", "0"))
 
 
-def _load_line_graph(path: str) -> Tuple[LineGraph, Optional[Dict[Id, float]]]:
+def _load_line_graph(path: str) -> LineGraph:
     obj = lio.parse_graph(path)
-    lg = build_line_graph(obj) if isinstance(obj, Graph) else obj
-    return lg, lg.values
+    return build_line_graph(obj) if isinstance(obj, Graph) else obj
 
 
 def _require_values(lg: LineGraph) -> Dict[Id, float]:
@@ -96,7 +95,7 @@ def cmd_linegraph(args) -> None:
 
 
 def cmd_forward(args) -> None:
-    lg, _ = _load_line_graph(args.input)
+    lg = _load_line_graph(args.input)
     values = _require_values(lg)
     coeffs, record = forward(values, lg, _lift_config(args))
     paths = lio.write_transform(args.output, coeffs, record)
@@ -116,7 +115,7 @@ def cmd_inverse(args) -> None:
 
 
 def cmd_denoise(args) -> None:
-    lg, _ = _load_line_graph(args.input)
+    lg = _load_line_graph(args.input)
     values = _require_values(lg)
     shrink = ShrinkageConfig(keep_coarsest=args.keep_coarsest, rule=args.rule)
     result = denoise(values, lg, _lift_config(args), shrink)
@@ -132,7 +131,7 @@ def cmd_denoise(args) -> None:
 
 
 def cmd_nlt(args) -> None:
-    lg, _ = _load_line_graph(args.input)
+    lg = _load_line_graph(args.input)
     values = _require_values(lg)
     shrink = ShrinkageConfig(keep_coarsest=args.keep_coarsest, rule=args.rule)
     result, singles = nlt_denoise(
@@ -167,7 +166,7 @@ def cmd_condnum(args) -> None:
 
 
 def cmd_sparsity(args) -> None:
-    lg, _ = _load_line_graph(args.input)
+    lg = _load_line_graph(args.input)
     values = _require_values(lg)
     curve = sparsity_curve_single(values, lg, _lift_config(args))
     with open(args.output, "w", newline="") as fh:

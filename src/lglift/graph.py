@@ -137,12 +137,21 @@ class LineGraph:
         self.adjacency: Dict[Id, FrozenSet[Id]] = {
             k: frozenset(adjacency.get(k, ())) for k in self.ids
         }
+        rows = []
         for k, nbrs in self.adjacency.items():
             if k in nbrs:
                 raise GraphError(f"line-graph self-adjacency at {k!r}")
             for s in nbrs:
+                if s not in self.adjacency:
+                    raise GraphError(f"line-graph adjacency names unknown id {s!r}")
                 if k not in self.adjacency[s]:
                     raise GraphError("line-graph adjacency is not symmetric")
+            rows.append(tuple(sorted(map(self.index.__getitem__, nbrs))))
+        #: each position's neighbour positions, ascending: the one neighbour order
+        self.rows: Tuple[Tuple[int, ...], ...] = tuple(rows)
+        self.connected = is_connected(
+            range(self.m), ((u, s) for u, r in enumerate(rows) for s in r if u < s)
+        )
         self.coords = dict(coords) if coords else None
         self.edge_lengths = dict(edge_lengths) if edge_lengths else None
         self.values = dict(values) if values else None
@@ -152,23 +161,23 @@ class LineGraph:
         return len(self.ids)
 
     def edges(self) -> List[FrozenSet[Id]]:
-        out = []
-        for k in self.ids:
-            for s in self.adjacency[k]:
-                if self.index[k] < self.index[s]:
-                    out.append(frozenset((k, s)))
-        return out
+        ids = self.ids
+        return [frozenset((ids[u], ids[s])) for u, r in enumerate(self.rows) for s in r if u < s]
 
-    def base_distances(self) -> Dict[Id, Dict[Id, float]]:
-        """Weighted rows {k: {s: (l_k + l_s)/2}} of the path-length metric,
-        each row in ascending position order."""
+    def path_rows(self) -> List[Dict[int, float]]:
+        """Path-length rows {s: (l_k + l_s)/2} on positions, in the order of `rows`."""
         if self.edge_lengths is None:
             raise GraphError("metric inputs unavailable: no source edge lengths")
-        lengths = self.edge_lengths
+        lengths = [self.edge_lengths[k] for k in self.ids]
+        return [
+            {s: 0.5 * (lengths[u] + lengths[s]) for s in row} for u, row in enumerate(self.rows)
+        ]
+
+    def base_distances(self) -> Dict[Id, Dict[Id, float]]:
+        """The rows of `path_rows`, keyed by id."""
+        ids = self.ids
         return {
-            k: {s: 0.5 * (lengths[k] + lengths[s])
-                for s in sorted(self.adjacency[k], key=self.index.__getitem__)}
-            for k in self.ids
+            ids[u]: {ids[s]: w for s, w in row.items()} for u, row in enumerate(self.path_rows())
         }
 
     def distance(self, k: Id, l: Id, mode: MetricMode) -> float:
@@ -189,11 +198,11 @@ class LineGraph:
         if l in self.adjacency.get(k, ()):
             # bitwise the entry of base_distances(), without building all rows
             return 0.5 * (self.edge_lengths[k] + self.edge_lengths[l])
-        base = self.base_distances()
-        d = shortest_path_distance(base, k, targets=(l,)) if base.get(k) else {}
-        if l not in d:
+        u, v = self.index.get(k), self.index.get(l)
+        d = {} if u is None or v is None else shortest_path_distance(self.path_rows(), u, (v,))
+        if v not in d:
             raise GraphError(f"disconnected in metric: {k!r} and {l!r}")
-        return d[l]
+        return d[v]
 
 
 def build_line_graph(graph: Graph) -> LineGraph:

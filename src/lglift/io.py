@@ -177,9 +177,8 @@ def serialize_line_graph(lg: LineGraph) -> str:
         if lg.values and k in lg.values:
             row += f" value={_fmt(lg.values[k])}"
         lines.append(row)
-    for pair in lg.edges():
-        a, b = sorted(pair, key=lg.index.__getitem__)
-        lines.append(f"link {a} {b}")
+    for u, row in enumerate(lg.rows):
+        lines.extend(f"link {lg.ids[u]} {lg.ids[s]}" for s in row if u < s)
     return "\n".join(lines) + "\n"
 
 

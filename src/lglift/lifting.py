@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -208,10 +208,7 @@ def init_integrals(
     Sum: total distance to neighbours.  Average: that total divided by
     twice the neighbourhood size.  Delta: a vector of ones.
     """
-    if scheme is IntegralScheme.DELTA:
-        rows = [lg.adjacency[k] for k in lg.ids]
-    else:
-        rows = _metric_rows(lg, metric_mode)[0]
+    rows = lg.rows if scheme is IntegralScheme.DELTA else _metric_rows(lg, metric_mode)[0]
     return dict(zip(lg.ids, _integrals(lg.ids, rows, scheme)))
 
 
@@ -237,21 +234,20 @@ class _Lifter:
     """Mutable transform state on slots 0..m-1 (line-graph positions): one
     weighted adjacency `adj[u] = {s: dist}` and the integrals.
 
-    Live slots are also kept in buckets by their exact integral value, each
-    an ascending list of slots, with a heap of the distinct values (stale
-    ones are skipped when they surface).  Integrals only grow, so the
-    smallest live bucket is the exact set of slots tied for the minimum, and
-    a tie is broken by one random index into it.
+    The live slots are the ones in the buckets, keyed by their exact
+    integral value, each an ascending list of slots, with a heap of the
+    distinct values (stale ones are skipped when they surface).  Integrals
+    only grow, so the smallest live bucket is the exact set of slots tied
+    for the minimum, and a tie is broken by one random index into it.
     """
 
     def __init__(self, lg: LineGraph, config: LiftingConfig,
                  initial_integrals: Optional[Mapping[Id, float]] = None):
         if not (config.tau < lg.m):
             raise LiftingError(f"stopping time {config.tau} must be below m={lg.m}")
-        if not is_connected(lg.ids, [tuple(p) for p in lg.edges()]):
+        if not lg.connected:
             raise GraphError("line graph disconnected")
-        self.ids = lg.ids
-        self.index = lg.index
+        self.lg = lg
         self.config = config
         self.adj, self.pair_distance = _metric_rows(lg, config.metric_mode)
         if initial_integrals is None:
@@ -262,7 +258,6 @@ class _Lifter:
         for k, I in zip(lg.ids, self.integrals):
             if not I > 0:
                 raise LiftingError(f"non-positive initial integral at {k!r}")
-        self.active: Set[int] = set(range(lg.m))
         self.buckets: Dict[float, List[int]] = {}
         for u, I in enumerate(self.integrals):
             self.buckets.setdefault(I, []).append(u)
@@ -302,7 +297,7 @@ class _Lifter:
         relink, archived with line-graph ids."""
         row = self.adj[k]
         if not row:
-            raise LiftingError(f"isolated vertex {self.ids[k]!r} at stage {stage}")
+            raise LiftingError(f"isolated vertex {self.lg.ids[k]!r} at stage {stage}")
         neighbors = sorted(row)
         a = predict_weights([row[s] for s in neighbors], self.config.prediction_scheme)
 
@@ -316,9 +311,8 @@ class _Lifter:
         for s in row:
             del self.adj[s][k]
         self.adj[k] = {}
-        self.active.discard(k)
         self._move(k, None)
-        ids = self.ids
+        ids = self.lg.ids
         return LiftingStage(
             stage=stage,
             removed=ids[k],
@@ -356,7 +350,7 @@ class _Lifter:
             for v in neighbors[i + 1 :]:
                 if v not in dists:
                     raise GraphError(
-                        f"disconnected in metric: {self.ids[u]!r} and {self.ids[v]!r}"
+                        f"disconnected in metric: {self.lg.ids[u]!r} and {self.lg.ids[v]!r}"
                     )
                 out.append((u, v, dists[v]))
         return out
@@ -365,7 +359,7 @@ class _Lifter:
         """Add the edges of the neighbourhood's spanning tree that are missing."""
         if mutual is None:
             return []
-        ids, index = self.ids, self.index
+        ids, index = self.lg.ids, self.lg.index
         # the tree's tie-break ranks ids, so it is taken over ids
         tree = minimum_spanning_tree(
             [ids[s] for s in neighbors], [(ids[u], ids[v], w) for u, v, w in mutual]
@@ -381,12 +375,11 @@ class _Lifter:
 
 def _metric_rows(lg: LineGraph, mode: MetricMode):
     """The planner's metric on slots: the weighted rows of the line graph,
-    each in ascending slot order, and the pair distance a coordinate relink
+    in the order of `lg.rows`, and the pair distance a coordinate relink
     measures with (None for the path metric, which relinks with the
     bounded Dijkstra)."""
     if mode is MetricMode.PATH_LENGTH:
-        base = lg.base_distances()
-        return [{lg.index[s]: w for s, w in base[k].items()} for k in lg.ids], None
+        return lg.path_rows(), None
     if lg.coords is None:
         raise GraphError("metric inputs unavailable: missing coordinates")
     xs = [c[0] for c in lg.coords.values()]
@@ -398,11 +391,7 @@ def _metric_rows(lg: LineGraph, mode: MetricMode):
     def pair_distance(u: int, v: int) -> float:
         return max(math.dist(pts[u], pts[v]), floor)
 
-    rows = [
-        {s: pair_distance(u, s) for s in sorted(map(lg.index.__getitem__, lg.adjacency[k]))}
-        for u, k in enumerate(lg.ids)
-    ]
-    return rows, pair_distance
+    return [{s: pair_distance(u, s) for s in row} for u, row in enumerate(lg.rows)], pair_distance
 
 
 def _integrals(ids: Sequence[Id], rows, scheme: IntegralScheme) -> List[float]:
@@ -460,7 +449,7 @@ def forward(
         k = lg.index[trajectory[i]] if trajectory is not None else lifter.choose_next()
         stages.append(lifter.lift_stage(k, lg.m - i))
 
-    survivors = sorted(lifter.active)
+    survivors = sorted(chain.from_iterable(lifter.buckets.values()))
     surviving = tuple(lg.ids[u] for u in survivors)
     record = LiftingRecord(
         stages=tuple(stages),

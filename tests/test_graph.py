@@ -19,7 +19,8 @@ from lglift.graph import (
     minimum_spanning_tree,
     shortest_path_distance,
 )
-from lglift.simulation import sample_network
+from lglift.lifting import DISTANCE_FLOOR_FRAC, LiftingConfig, _metric_rows, forward
+from lglift.simulation import generate_flow_fixture, sample_network
 
 
 def chain_lg(lengths):
@@ -107,6 +108,28 @@ class TestBuildLineGraph:
             assert (b in lg.adjacency[a]) == (shared == 1)
 
 
+class TestLineGraphValidation:
+    def test_unknown_neighbour_rejected(self):
+        with pytest.raises(GraphError, match="unknown id 'b'"):
+            LineGraph(["a"], {"a": {"b"}})
+
+    def test_asymmetric_adjacency_rejected(self):
+        with pytest.raises(GraphError, match="not symmetric"):
+            LineGraph(["a", "b"], {"a": {"b"}})
+
+    def test_self_adjacency_rejected(self):
+        with pytest.raises(GraphError, match="self-adjacency"):
+            LineGraph(["a", "b"], {"a": {"a", "b"}, "b": {"a"}})
+
+    def test_rows_and_connected_flag(self):
+        lg = LineGraph(["c", "a", "d", "b"], {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}})
+        assert lg.rows == ((2,), (3,), (0,), (1,))
+        assert not lg.connected
+        with pytest.raises(GraphError, match="line graph disconnected"):
+            forward(dict.fromkeys(lg.ids, 0.0), lg, LiftingConfig(tau=2))
+        assert chain_lg([1.0] * 4).connected
+
+
 class TestDistance:
     def test_coordinate_345(self):
         lg = LineGraph(
@@ -174,6 +197,95 @@ class TestDistance:
         bare = LineGraph(["a", "b"], {"a": {"b"}, "b": {"a"}})
         with pytest.raises(GraphError, match="no source edge lengths"):
             bare.distance("a", "b", MetricMode.PATH_LENGTH)
+
+
+def reference_edges(lg):
+    """`LineGraph.edges` as first written, reading each neighbour frozenset
+    in its own (hash) order."""
+    return [
+        frozenset((k, s)) for k in lg.ids for s in lg.adjacency[k] if lg.index[k] < lg.index[s]
+    ]
+
+
+def reference_base_distances(lg):
+    """`LineGraph.base_distances` as first written, sorting each row by position."""
+    lengths = lg.edge_lengths
+    return {
+        k: {s: 0.5 * (lengths[k] + lengths[s])
+            for s in sorted(lg.adjacency[k], key=lg.index.__getitem__)}
+        for k in lg.ids
+    }
+
+
+def reference_metric_rows(lg, mode):
+    """The planner's slot rows as first written: path rows re-keyed from
+    `reference_base_distances`, coordinate rows sorted per row."""
+    if mode is MetricMode.PATH_LENGTH:
+        base = reference_base_distances(lg)
+        return [{lg.index[s]: w for s, w in base[k].items()} for k in lg.ids]
+    xs = [c[0] for c in lg.coords.values()]
+    ys = [c[1] for c in lg.coords.values()]
+    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
+    pts = [lg.coords[k] for k in lg.ids]
+    return [
+        {s: max(math.dist(pts[u], pts[s]), floor)
+         for s in sorted(map(lg.index.__getitem__, lg.adjacency[k]))}
+        for u, k in enumerate(lg.ids)
+    ]
+
+
+def assert_rows_match_reference(lg):
+    """Metric rows equal the references in values and key order; the edge
+    set is unchanged."""
+    assert set(lg.edges()) == set(reference_edges(lg))
+    assert len(lg.edges()) == len(reference_edges(lg))
+    base, ref = lg.base_distances(), reference_base_distances(lg)
+    assert [(k, list(r.items())) for k, r in base.items()] == [
+        (k, list(r.items())) for k, r in ref.items()
+    ]
+    modes = [MetricMode.PATH_LENGTH] + ([MetricMode.COORDINATE] if lg.coords else [])
+    for mode in modes:
+        got = _metric_rows(lg, mode)[0]
+        assert [list(r.items()) for r in got] == [
+            list(r.items()) for r in reference_metric_rows(lg, mode)
+        ]
+
+
+@st.composite
+def string_stations(draw):
+    """A random connected stations graph with string ids in shuffled
+    order, its stations on a 3 x 3 grid so that many coincide."""
+    m = draw(st.integers(3, 30))
+    ids = [f"st{i}" for i in draw(st.permutations(range(m)))]
+    adj = {k: set() for k in ids}
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, m)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=m))
+    for i, j in pairs:
+        if i != j:
+            adj[ids[i]].add(ids[j])
+            adj[ids[j]].add(ids[i])
+    point = st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 2.0]))
+    coords = {k: draw(point) for k in ids}
+    lengths = {k: draw(st.sampled_from([1.0, 2.0, 0.5])) for k in ids}
+    return LineGraph(ids, adj, coords=coords, edge_lengths=lengths)
+
+
+class TestRowsMatchReference:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 120), seed=st.integers(0, 10_000))
+    def test_random_msts(self, n, seed):
+        assert_rows_match_reference(build_line_graph(sample_network(n, seed=seed)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_flow_fixture(self, seed):
+        assert_rows_match_reference(build_line_graph(generate_flow_fixture(seed)[0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(lg=string_stations())
+    def test_string_stations(self, lg):
+        assert_rows_match_reference(lg)
 
 
 class FarSideRaises(dict):

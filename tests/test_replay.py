@@ -322,6 +322,7 @@ def test_inverse_undoes_forward_on_random_msts(n, seed):
 
 LATTICE_PLANS = """
 from lglift.graph import EdgeRec, Graph, build_line_graph
+from lglift.io import serialize_line_graph
 from lglift.lifting import VARIANTS, LiftingConfig, forward
 
 n = 6
@@ -332,11 +333,13 @@ lg = build_line_graph(Graph(vertices, edges))
 for acr in VARIANTS:
     _, record = forward(dict.fromkeys(lg.ids, 0.0), lg, LiftingConfig.from_acronym(acr))
     print(acr, record.stages, record.initial_integrals, record.final_integrals)
+print("stations", repr(serialize_line_graph(lg)))
 """
 
 
 def test_same_plan_in_every_process():
-    """String ids hash differently in every process; the plans must not."""
+    """String ids hash differently in every process; the plans and the
+    stations file must not."""
     src = os.path.dirname(os.path.dirname(lglift.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [
@@ -348,6 +351,6 @@ def test_same_plan_in_every_process():
         for seed in ("1", "2")
     ]
     plans = [out.splitlines() for out in outs]
-    assert [line.split()[0] for line in plans[0]] == list(VARIANTS)
-    for acr, plan1, plan2 in zip(VARIANTS, *plans):
+    assert [line.split()[0] for line in plans[0]] == [*VARIANTS, "stations"]
+    for acr, plan1, plan2 in zip([*VARIANTS, "stations"], *plans):
         assert plan1 == plan2, acr
