@@ -43,8 +43,11 @@ _ERROR_CATEGORIES = (
 )
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("LGLIFT_SEED", "0"))
+def _seed(text: str) -> int:
+    """A --seed value (or LGLIFT_SEED, its default): a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _load_line_graph(path: str) -> LineGraph:
@@ -245,7 +248,8 @@ def _add_variant_options(p, with_input=True) -> None:
         # the sampled-network studies always run down to tau = 2
         p.add_argument("--tau", type=int, default=2, help="surviving scaling count")
     p.add_argument("--variant", default="LG-Aid-c", help=f"one of {', '.join(VARIANTS)}")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    # a string default goes through `type` too, so LGLIFT_SEED is checked alike
+    p.add_argument("--seed", type=_seed, default=os.environ.get("LGLIFT_SEED", "0"))
 
 
 def _add_shrink_options(p) -> None:

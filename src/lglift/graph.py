@@ -21,6 +21,10 @@ from scipy.spatial import Delaunay, QhullError
 Id = Hashable
 Coord = Tuple[float, float]
 
+#: floor on coordinate distances, as a fraction of the coordinate bounding
+#: box diagonal; keeps inverse-distance weights finite for duplicate stations
+DISTANCE_FLOOR_FRAC = 1e-9
+
 
 class GraphError(ValueError):
     """Invalid graph structure or unusable metric inputs."""
@@ -121,7 +125,8 @@ class LineGraph:
     """Line graph: one new vertex per source edge, plus a metric provider.
 
     New vertices inherit the source edge ids.  Coordinates, when present,
-    are the source-edge midpoints (or station coordinates in station mode).
+    are the source-edge midpoints (or station coordinates in station mode);
+    coordinates and edge lengths, when given, must cover every new vertex.
     """
 
     def __init__(
@@ -134,24 +139,26 @@ class LineGraph:
     ) -> None:
         self.ids: Tuple[Id, ...] = tuple(ids)
         self.index: Dict[Id, int] = {k: i for i, k in enumerate(self.ids)}
-        self.adjacency: Dict[Id, FrozenSet[Id]] = {
-            k: frozenset(adjacency.get(k, ())) for k in self.ids
-        }
         rows = []
-        for k, nbrs in self.adjacency.items():
+        for k in self.ids:
+            nbrs = adjacency.get(k, ())
             if k in nbrs:
                 raise GraphError(f"line-graph self-adjacency at {k!r}")
             for s in nbrs:
-                if s not in self.adjacency:
+                if s not in self.index:
                     raise GraphError(f"line-graph adjacency names unknown id {s!r}")
-                if k not in self.adjacency[s]:
+                if k not in adjacency.get(s, ()):
                     raise GraphError("line-graph adjacency is not symmetric")
-            rows.append(tuple(sorted(map(self.index.__getitem__, nbrs))))
-        #: each position's neighbour positions, ascending: the one neighbour order
+            rows.append(tuple(sorted({self.index[s] for s in nbrs})))
+        #: each position's neighbour positions, ascending: the one adjacency
         self.rows: Tuple[Tuple[int, ...], ...] = tuple(rows)
         self.connected = is_connected(
             range(self.m), ((u, s) for u, r in enumerate(rows) for s in r if u < s)
         )
+        for what, given in (("coordinates", coords), ("edge lengths", edge_lengths)):
+            missing = [k for k in self.ids if k not in given] if given else []
+            if missing:
+                raise GraphError(f"{what} missing for new vertices {missing[:3]!r}")
         self.coords = dict(coords) if coords else None
         self.edge_lengths = dict(edge_lengths) if edge_lengths else None
         self.values = dict(values) if values else None
@@ -164,21 +171,32 @@ class LineGraph:
         ids = self.ids
         return [frozenset((ids[u], ids[s])) for u, r in enumerate(self.rows) for s in r if u < s]
 
-    def path_rows(self) -> List[Dict[int, float]]:
-        """Path-length rows {s: (l_k + l_s)/2} on positions, in the order of `rows`."""
-        if self.edge_lengths is None:
-            raise GraphError("metric inputs unavailable: no source edge lengths")
-        lengths = [self.edge_lengths[k] for k in self.ids]
-        return [
-            {s: 0.5 * (lengths[u] + lengths[s]) for s in row} for u, row in enumerate(self.rows)
-        ]
+    def metric_rows(self, mode: MetricMode):
+        """The metric the planner lifts with: fresh weighted rows
+        `{s: dist}` on positions, in the order of `rows`, and the pair
+        distance a coordinate relink measures with (None for the path
+        metric, whose relinks search the rows)."""
+        if mode is MetricMode.PATH_LENGTH:
+            if self.edge_lengths is None:
+                raise GraphError("metric inputs unavailable: no source edge lengths")
+            lengths = [self.edge_lengths[k] for k in self.ids]
+            rows = [
+                {s: 0.5 * (lengths[u] + lengths[s]) for s in r} for u, r in enumerate(self.rows)
+            ]
+            return rows, None
+        if self.coords is None:
+            raise GraphError("metric inputs unavailable: missing coordinates")
+        xs = [c[0] for c in self.coords.values()]
+        ys = [c[1] for c in self.coords.values()]
+        diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
+        pts = [self.coords[k] for k in self.ids]
 
-    def base_distances(self) -> Dict[Id, Dict[Id, float]]:
-        """The rows of `path_rows`, keyed by id."""
-        ids = self.ids
-        return {
-            ids[u]: {ids[s]: w for s, w in row.items()} for u, row in enumerate(self.path_rows())
-        }
+        def pair_distance(u: int, v: int) -> float:
+            return max(math.dist(pts[u], pts[v]), floor)
+
+        rows = [{s: pair_distance(u, s) for s in r} for u, r in enumerate(self.rows)]
+        return rows, pair_distance
 
     def distance(self, k: Id, l: Id, mode: MetricMode) -> float:
         """Distance between two new vertices under the chosen metric.
@@ -195,11 +213,13 @@ class LineGraph:
             return math.dist(self.coords[k], self.coords[l])
         if self.edge_lengths is None:
             raise GraphError("metric inputs unavailable: no source edge lengths")
-        if l in self.adjacency.get(k, ()):
-            # bitwise the entry of base_distances(), without building all rows
-            return 0.5 * (self.edge_lengths[k] + self.edge_lengths[l])
         u, v = self.index.get(k), self.index.get(l)
-        d = {} if u is None or v is None else shortest_path_distance(self.path_rows(), u, (v,))
+        if u is not None and v in self.rows[u]:
+            # bitwise the entry of metric_rows(), without building all rows
+            return 0.5 * (self.edge_lengths[k] + self.edge_lengths[l])
+        d = {}
+        if u is not None and v is not None:
+            d = shortest_path_distance(self.metric_rows(mode)[0], u, (v,))
         if v not in d:
             raise GraphError(f"disconnected in metric: {k!r} and {l!r}")
         return d[v]

@@ -219,8 +219,35 @@ def record_to_dict(record: LiftingRecord) -> dict:
 
 def record_from_dict(d: dict) -> LiftingRecord:
     """The record of `record_to_dict`; also reads older files, which wrote
-    every id as a string with an "id_kind" and listed "edges_removed"."""
+    every id as a string with an "id_kind" and listed "edges_removed".
+
+    Raises ParseError unless the stages can be replayed: every position in
+    range, each id removed at most once, a stage's neighbours neither the
+    removed id nor one removed earlier, one `a` and one `b` entry per
+    neighbour, and `surviving` exactly the ids never removed.
+    """
     ids = tuple(int(k) if d.get("id_kind") == "int" else k for k in d["ids"])
+    m = len(ids)
+
+    def positions(what, ps):
+        for i in ps:
+            if type(i) is not int or not 0 <= i < m:
+                raise ParseError(f"record: {what} position {i!r} is not in 0..{m - 1}")
+        return ps
+
+    removed = set()
+    for n, s in enumerate(d["stages"]):
+        k, nbrs = s["removed"], positions(f"stage {n} neighbour", s["neighbors"])
+        positions(f"stage {n}", [k, *(p for e in s["edges_added"] for p in e[:2])])
+        if k in removed:
+            raise ParseError(f"record: stage {n} removes position {k} a second time")
+        if k in nbrs or removed.intersection(nbrs):
+            raise ParseError(f"record: stage {n} has a removed id among its neighbours")
+        if not len(s["a"]) == len(s["b"]) == len(nbrs):
+            raise ParseError(f"record: stage {n} needs one a and one b per neighbour")
+        removed.add(k)
+    if sorted(positions("surviving", d["surviving"])) != sorted(set(range(m)) - removed):
+        raise ParseError("record: surviving ids are not exactly the ids never removed")
     surviving = tuple(ids[i] for i in d["surviving"])
     stages = tuple(
         LiftingStage(
@@ -294,8 +321,3 @@ def read_transform(prefix: str) -> Tuple[CoefficientSet, LiftingRecord]:
 def write_manifest(path: str, manifest: dict) -> None:
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-
-
-def read_manifest(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -32,11 +32,6 @@ from .graph import (
     shortest_path_distance,
 )
 
-#: floor on inter-vertex distances, as a fraction of the coordinate bounding
-#: box diagonal; keeps inverse-distance weights finite for duplicate stations
-DISTANCE_FLOOR_FRAC = 1e-9
-
-
 class LiftingError(ValueError):
     """Invalid lifting configuration or state."""
 
@@ -52,14 +47,16 @@ class PredictionScheme(str, Enum):
     MOVING_AVERAGE = "moving_average"
 
 
-_INTEGRAL_CODE = {"S": IntegralScheme.SUM, "A": IntegralScheme.AVERAGE, "D": IntegralScheme.DELTA}
-_PREDICT_CODE = {"id": PredictionScheme.INVERSE_DISTANCE, "nw": PredictionScheme.MOVING_AVERAGE}
-_METRIC_CODE = {"c": MetricMode.COORDINATE, "p": MetricMode.PATH_LENGTH}
-
-#: the twelve supported variant acronyms, e.g. "LG-Aid-c"
-VARIANTS = tuple(
-    f"LG-{i}{p}-{m}" for i in "SAD" for p in ("id", "nw") for m in ("c", "p")
-)
+#: the scheme choices of each of the twelve supported variants, by acronym:
+#: "LG-Aid-c" is average integrals, inverse-distance prediction, coordinates
+#: (each code pairs with its scheme in the enum's definition order)
+_VARIANT_SCHEMES = {
+    f"LG-{i}{p}-{m}": (integral, predict, metric)
+    for i, integral in zip("SAD", IntegralScheme)
+    for p, predict in zip(("id", "nw"), PredictionScheme)
+    for m, metric in zip("cp", MetricMode)
+}
+VARIANTS = tuple(_VARIANT_SCHEMES)
 
 
 @dataclass(frozen=True)
@@ -75,31 +72,21 @@ class LiftingConfig:
     def __post_init__(self):
         if self.tau < 2:
             raise LiftingError(f"stopping time must be at least 2, got {self.tau}")
+        if self.rng_seed < 0:
+            raise LiftingError(f"seed must be a nonnegative integer, got {self.rng_seed}")
 
     @classmethod
     def from_acronym(cls, acronym: str, tau: int = 2, rng_seed: int = 0) -> "LiftingConfig":
-        try:
-            body = acronym.removeprefix("LG-")
-            integral, metric = body[0], body[-1]
-            predict = body[1:-2]
-            return cls(
-                integral_scheme=_INTEGRAL_CODE[integral],
-                prediction_scheme=_PREDICT_CODE[predict],
-                metric_mode=_METRIC_CODE[metric],
-                tau=tau,
-                rng_seed=rng_seed,
-            )
-        except (KeyError, IndexError):
+        if acronym not in _VARIANT_SCHEMES:
             raise LiftingError(
                 f"unknown variant acronym {acronym!r}; options: {', '.join(VARIANTS)}"
-            ) from None
+            )
+        return cls(*_VARIANT_SCHEMES[acronym], tau=tau, rng_seed=rng_seed)
 
     @property
     def acronym(self) -> str:
-        icode = {v: k for k, v in _INTEGRAL_CODE.items()}[self.integral_scheme]
-        pcode = {v: k for k, v in _PREDICT_CODE.items()}[self.prediction_scheme]
-        mcode = {v: k for k, v in _METRIC_CODE.items()}[self.metric_mode]
-        return f"LG-{icode}{pcode}-{mcode}"
+        schemes = (self.integral_scheme, self.prediction_scheme, self.metric_mode)
+        return next(k for k, v in _VARIANT_SCHEMES.items() if v == schemes)
 
     def to_dict(self) -> dict:
         return {
@@ -208,7 +195,7 @@ def init_integrals(
     Sum: total distance to neighbours.  Average: that total divided by
     twice the neighbourhood size.  Delta: a vector of ones.
     """
-    rows = lg.rows if scheme is IntegralScheme.DELTA else _metric_rows(lg, metric_mode)[0]
+    rows = lg.rows if scheme is IntegralScheme.DELTA else lg.metric_rows(metric_mode)[0]
     return dict(zip(lg.ids, _integrals(lg.ids, rows, scheme)))
 
 
@@ -249,7 +236,7 @@ class _Lifter:
             raise GraphError("line graph disconnected")
         self.lg = lg
         self.config = config
-        self.adj, self.pair_distance = _metric_rows(lg, config.metric_mode)
+        self.adj, self.pair_distance = lg.metric_rows(config.metric_mode)
         if initial_integrals is None:
             # the same inputs as init_integrals, so the two agree exactly
             self.integrals = _integrals(lg.ids, self.adj, config.integral_scheme)
@@ -371,27 +358,6 @@ class _Lifter:
                 self.adj[u][v] = self.adj[v][u] = w
                 added.append((u, v, w))
         return added
-
-
-def _metric_rows(lg: LineGraph, mode: MetricMode):
-    """The planner's metric on slots: the weighted rows of the line graph,
-    in the order of `lg.rows`, and the pair distance a coordinate relink
-    measures with (None for the path metric, which relinks with the
-    bounded Dijkstra)."""
-    if mode is MetricMode.PATH_LENGTH:
-        return lg.path_rows(), None
-    if lg.coords is None:
-        raise GraphError("metric inputs unavailable: missing coordinates")
-    xs = [c[0] for c in lg.coords.values()]
-    ys = [c[1] for c in lg.coords.values()]
-    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-    floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
-    pts = [lg.coords[k] for k in lg.ids]
-
-    def pair_distance(u: int, v: int) -> float:
-        return max(math.dist(pts[u], pts[v]), floor)
-
-    return [{s: pair_distance(u, s) for s in row} for u, row in enumerate(lg.rows)], pair_distance
 
 
 def _integrals(ids: Sequence[Id], rows, scheme: IntegralScheme) -> List[float]:

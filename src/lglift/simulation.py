@@ -279,7 +279,6 @@ class ExperimentConfig:
     n_replications: int = 100
     snr: float = 3.0
     embedding: str = "pointwise"        # or "edge_average"
-    n_samples: int = 100
     variant: str = "LG-Aid-c"
     field_name: str = "quadrants"
     master_seed: int = 0
@@ -309,7 +308,7 @@ def run_experiment(
         if config.embedding == "pointwise":
             g = embed_pointwise(fn, graph)
         else:
-            g = embed_edge_average(fn, graph, config.n_samples)
+            g = embed_edge_average(fn, graph)
         g = normalize_unit_variance(g)
         truths[q] = [g[k] for k in lg.ids]
         samples = [add_noise(g, config.snr, seed=(config.master_seed, q, r))[0] for r in range(R)]

@@ -89,9 +89,10 @@ class TestConditionNumber:
 
         cfg = LiftingConfig.from_acronym("LG-Sid-c")
         mats0 = build_matrices(small_tree_lg, cfg)
+        ids = small_tree_lg.ids
         scaled = LineGraph(
-            small_tree_lg.ids,
-            {k: set(v) for k, v in small_tree_lg.adjacency.items()},
+            ids,
+            {k: {ids[s] for s in row} for k, row in zip(ids, small_tree_lg.rows)},
             coords={k: (7.0 * x, 7.0 * y) for k, (x, y) in small_tree_lg.coords.items()},
         )
         mats1 = build_matrices(scaled, cfg, trajectory=mats0.record.removal_order)

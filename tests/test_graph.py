@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lglift.graph import (
+    DISTANCE_FLOOR_FRAC,
     EdgeRec,
     Graph,
     GraphError,
@@ -19,7 +20,7 @@ from lglift.graph import (
     minimum_spanning_tree,
     shortest_path_distance,
 )
-from lglift.lifting import DISTANCE_FLOOR_FRAC, LiftingConfig, _metric_rows, forward
+from lglift.lifting import LiftingConfig, forward
 from lglift.simulation import generate_flow_fixture, sample_network
 
 
@@ -31,6 +32,23 @@ def chain_lg(lengths):
         adj[a].add(b)
         adj[b].add(a)
     return LineGraph(ids, adj, edge_lengths=dict(zip(ids, lengths)))
+
+
+def path_rows_by_id(lg):
+    """The path-metric rows of `lg.metric_rows`, keyed by id."""
+    rows, _ = lg.metric_rows(MetricMode.PATH_LENGTH)
+    return {lg.ids[u]: {lg.ids[s]: w for s, w in row.items()} for u, row in enumerate(rows)}
+
+
+def shared_endpoint_adjacency(graph):
+    """The line graph's adjacency from the source graph: two edges are
+    neighbours when they share exactly one endpoint."""
+    adj = {e.id: set() for e in graph.edges}
+    for e, f in combinations(graph.edges, 2):
+        if len({e.u, e.v} & {f.u, f.v}) == 1:
+            adj[e.id].add(f.id)
+            adj[f.id].add(e.id)
+    return adj
 
 
 class TestGraphValidation:
@@ -105,7 +123,7 @@ class TestBuildLineGraph:
         pair = {e.id: {e.u, e.v} for e in g.edges}
         for a, b in combinations(lg.ids, 2):
             shared = len(pair[a] & pair[b])
-            assert (b in lg.adjacency[a]) == (shared == 1)
+            assert (lg.index[b] in lg.rows[lg.index[a]]) == (shared == 1)
 
 
 class TestLineGraphValidation:
@@ -120,6 +138,15 @@ class TestLineGraphValidation:
     def test_self_adjacency_rejected(self):
         with pytest.raises(GraphError, match="self-adjacency"):
             LineGraph(["a", "b"], {"a": {"a", "b"}, "b": {"a"}})
+
+    @pytest.mark.parametrize("field", ["coords", "edge_lengths"])
+    def test_partial_metric_inputs_rejected(self, field):
+        ids = ["a", "b", "c", "d"]
+        adj = {"a": {"b"}, "b": {"a", "c"}, "c": {"b", "d"}, "d": {"c"}}
+        given = {"coords": {k: (float(i), 0.0) for i, k in enumerate(ids[:3])},
+                 "edge_lengths": dict.fromkeys(ids[:3], 1.0)}[field]
+        with pytest.raises(GraphError, match=r"missing for new vertices \['d'\]"):
+            LineGraph(ids, adj, **{field: given})
 
     def test_rows_and_connected_flag(self):
         lg = LineGraph(["c", "a", "d", "b"], {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}})
@@ -178,13 +205,13 @@ class TestDistance:
             lg.distance("a", "c", MetricMode.PATH_LENGTH)
 
     def test_path_adjacent_pair_reads_no_rows(self, mst_lg, monkeypatch):
-        base = mst_lg.base_distances()
+        base = path_rows_by_id(mst_lg)
         expected = {(k, s): base[k][s] for k in mst_lg.ids for s in base[k]}
 
-        def boom():
+        def boom(mode):
             raise AssertionError("adjacent pair built every row")
 
-        monkeypatch.setattr(mst_lg, "base_distances", boom)
+        monkeypatch.setattr(mst_lg, "metric_rows", boom)
         for (k, s), d in expected.items():
             assert mst_lg.distance(k, s, MetricMode.PATH_LENGTH).hex() == d.hex()
 
@@ -199,29 +226,27 @@ class TestDistance:
             bare.distance("a", "b", MetricMode.PATH_LENGTH)
 
 
-def reference_edges(lg):
-    """`LineGraph.edges` as first written, reading each neighbour frozenset
-    in its own (hash) order."""
-    return [
-        frozenset((k, s)) for k in lg.ids for s in lg.adjacency[k] if lg.index[k] < lg.index[s]
-    ]
+def reference_edges(lg, adj):
+    """`LineGraph.edges` as first written, reading each neighbour set of
+    the caller's mapping `adj` in its own (hash) order."""
+    return [frozenset((k, s)) for k in lg.ids for s in adj[k] if lg.index[k] < lg.index[s]]
 
 
-def reference_base_distances(lg):
-    """`LineGraph.base_distances` as first written, sorting each row by position."""
+def reference_base_distances(lg, adj):
+    """The path-length rows as first written, on the caller's mapping `adj`
+    keyed by id, sorting each row by position."""
     lengths = lg.edge_lengths
     return {
-        k: {s: 0.5 * (lengths[k] + lengths[s])
-            for s in sorted(lg.adjacency[k], key=lg.index.__getitem__)}
+        k: {s: 0.5 * (lengths[k] + lengths[s]) for s in sorted(adj[k], key=lg.index.__getitem__)}
         for k in lg.ids
     }
 
 
-def reference_metric_rows(lg, mode):
+def reference_metric_rows(lg, adj, mode):
     """The planner's slot rows as first written: path rows re-keyed from
     `reference_base_distances`, coordinate rows sorted per row."""
     if mode is MetricMode.PATH_LENGTH:
-        base = reference_base_distances(lg)
+        base = reference_base_distances(lg, adj)
         return [{lg.index[s]: w for s, w in base[k].items()} for k in lg.ids]
     xs = [c[0] for c in lg.coords.values()]
     ys = [c[1] for c in lg.coords.values()]
@@ -230,32 +255,34 @@ def reference_metric_rows(lg, mode):
     pts = [lg.coords[k] for k in lg.ids]
     return [
         {s: max(math.dist(pts[u], pts[s]), floor)
-         for s in sorted(map(lg.index.__getitem__, lg.adjacency[k]))}
+         for s in sorted(map(lg.index.__getitem__, adj[k]))}
         for u, k in enumerate(lg.ids)
     ]
 
 
-def assert_rows_match_reference(lg):
-    """Metric rows equal the references in values and key order; the edge
-    set is unchanged."""
-    assert set(lg.edges()) == set(reference_edges(lg))
-    assert len(lg.edges()) == len(reference_edges(lg))
-    base, ref = lg.base_distances(), reference_base_distances(lg)
-    assert [(k, list(r.items())) for k, r in base.items()] == [
-        (k, list(r.items())) for k, r in ref.items()
-    ]
+def assert_rows_match_reference(lg, adj):
+    """Metric rows equal the references on the caller's adjacency `adj` in
+    values and key order; the edge set is that of `adj`."""
+    assert set(lg.edges()) == set(reference_edges(lg, adj))
+    assert len(lg.edges()) == len(reference_edges(lg, adj))
     modes = [MetricMode.PATH_LENGTH] + ([MetricMode.COORDINATE] if lg.coords else [])
     for mode in modes:
-        got = _metric_rows(lg, mode)[0]
+        got, pair_distance = lg.metric_rows(mode)
         assert [list(r.items()) for r in got] == [
-            list(r.items()) for r in reference_metric_rows(lg, mode)
+            list(r.items()) for r in reference_metric_rows(lg, adj, mode)
         ]
+        assert (pair_distance is None) == (mode is MetricMode.PATH_LENGTH)
+
+
+def assert_source_rows_match_reference(graph):
+    assert_rows_match_reference(build_line_graph(graph), shared_endpoint_adjacency(graph))
 
 
 @st.composite
 def string_stations(draw):
     """A random connected stations graph with string ids in shuffled
-    order, its stations on a 3 x 3 grid so that many coincide."""
+    order, its stations on a 3 x 3 grid so that many coincide, and the
+    adjacency it was built from."""
     m = draw(st.integers(3, 30))
     ids = [f"st{i}" for i in draw(st.permutations(range(m)))]
     adj = {k: set() for k in ids}
@@ -268,24 +295,24 @@ def string_stations(draw):
     point = st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 2.0]))
     coords = {k: draw(point) for k in ids}
     lengths = {k: draw(st.sampled_from([1.0, 2.0, 0.5])) for k in ids}
-    return LineGraph(ids, adj, coords=coords, edge_lengths=lengths)
+    return LineGraph(ids, adj, coords=coords, edge_lengths=lengths), adj
 
 
 class TestRowsMatchReference:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 120), seed=st.integers(0, 10_000))
     def test_random_msts(self, n, seed):
-        assert_rows_match_reference(build_line_graph(sample_network(n, seed=seed)))
+        assert_source_rows_match_reference(sample_network(n, seed=seed))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_flow_fixture(self, seed):
-        assert_rows_match_reference(build_line_graph(generate_flow_fixture(seed)[0]))
+        assert_source_rows_match_reference(generate_flow_fixture(seed)[0])
 
     @settings(max_examples=40, deadline=None)
-    @given(lg=string_stations())
-    def test_string_stations(self, lg):
-        assert_rows_match_reference(lg)
+    @given(case=string_stations())
+    def test_string_stations(self, case):
+        assert_rows_match_reference(*case)
 
 
 class FarSideRaises(dict):
@@ -314,7 +341,7 @@ class _CheckedRow(dict):
 
 class TestShortestPathDistance:
     def test_targets_bitwise_equal_full_search(self, mst_lg):
-        base = mst_lg.base_distances()
+        base = path_rows_by_id(mst_lg)
         rng = np.random.default_rng(0)
         for source in mst_lg.ids[:10]:
             full = shortest_path_distance(base, source)
@@ -331,7 +358,7 @@ class TestShortestPathDistance:
 
     def test_source_and_empty_targets(self):
         lg = chain_lg([1.0] * 4)
-        base = FarSideRaises(lg.base_distances(), far=lg.ids)
+        base = FarSideRaises(path_rows_by_id(lg), far=lg.ids)
         assert shortest_path_distance(base, "e0", ["e0"]) == {"e0": 0.0}
         assert shortest_path_distance(base, "e0", []) == {}
         assert base.lookups == 0
@@ -339,7 +366,7 @@ class TestShortestPathDistance:
     def test_stops_once_targets_settled(self):
         lg = chain_lg([1.0] * 10)
         far = [f"e{i}" for i in range(3, 10)]
-        base = FarSideRaises(lg.base_distances(), far=far)
+        base = FarSideRaises(path_rows_by_id(lg), far=far)
         got = shortest_path_distance(base, "e0", ["e2", "e1"])
         assert got == {"e1": 1.0, "e2": 2.0}
         assert base.lookups == 3

@@ -302,6 +302,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error category=lifting" in err and "LG-Aid-c" in err
 
+    @pytest.mark.parametrize("variant", ["LG-Sidxp", "Sid-p"])
+    def test_near_miss_variant_rejected(self, tmp_path, graph_file, capsys, variant):
+        out = str(tmp_path / "x")
+        assert main(["forward", str(graph_file), "--variant", variant, "-o", out]) == 2
+        assert "error category=lifting" in capsys.readouterr().err
+        assert not os.path.exists(out + ".manifest.json")
+
+    @pytest.mark.parametrize("command", ["forward", "nlt", "simulate", "flowsim"])
+    def test_negative_seed_rejected(self, tmp_path, graph_file, capsys, command):
+        args = {
+            "forward": [str(graph_file)],
+            "nlt": [str(graph_file), "--trajectories", "2"],
+            "simulate": ["--graphs", "1", "--replications", "1", "--vertices", "12"],
+            "flowsim": ["--replications", "1"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--seed", "-1", "-o", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_bad_seed_environment_rejected(self, tmp_path, graph_file, capsys, monkeypatch):
+        monkeypatch.setenv("LGLIFT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", str(graph_file), "-o", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "got 'abc'" in capsys.readouterr().err
+        monkeypatch.setenv("LGLIFT_SEED", "3")
+        assert main(["forward", str(graph_file), "-o", str(tmp_path / "y")]) == 0
+        assert json.loads((tmp_path / "y.manifest.json").read_text())["args"]["seed"] == 3
+
     def test_missing_file_error(self, tmp_path, capsys):
         code = main(["forward", str(tmp_path / "nope.graph"), "-o", str(tmp_path / "x")])
         assert code == 2
@@ -319,3 +349,38 @@ class TestCli:
         for out in (a, b):
             assert main(["denoise", str(graph_file), "--seed", "3", "-o", str(out)]) == 0
         assert a.read_text() == b.read_text()
+
+
+def _neighbour_removed_earlier(d):
+    # a later stage that lists stage 0's removed id, which the replay
+    # would read after it became a detail
+    d["stages"][1]["neighbors"][0] = d["stages"][0]["removed"]
+
+
+#: hand edits of a record file that replay wrongly or not at all
+RECORD_CORRUPTIONS = {
+    "position-out-of-range": lambda d: d["stages"][0]["neighbors"].__setitem__(0, len(d["ids"])),
+    "negative-position": lambda d: d["stages"][0].__setitem__("removed", -1),
+    "removed-twice": lambda d: d["stages"][1].__setitem__("removed", d["stages"][0]["removed"]),
+    "neighbour-is-itself": lambda d: d["stages"][0]["neighbors"].__setitem__(
+        0, d["stages"][0]["removed"]),
+    "neighbour-removed-earlier": _neighbour_removed_earlier,
+    "a-too-short": lambda d: d["stages"][0]["a"].pop(),
+    "b-too-long": lambda d: d["stages"][0]["b"].append(0.5),
+    "surviving-missing-one": lambda d: d["surviving"].pop(),
+    "surviving-removed-id": lambda d: d["surviving"].append(d["stages"][0]["removed"]),
+    "surviving-repeated": lambda d: d["surviving"].append(d["surviving"][0]),
+}
+
+
+@pytest.mark.parametrize("corruption", list(RECORD_CORRUPTIONS))
+def test_inverse_rejects_corrupt_record(tmp_path, graph_file, capsys, corruption):
+    prefix = str(tmp_path / "t")
+    assert main(["forward", str(graph_file), "--variant", "LG-Sid-p", "-o", prefix]) == 0
+    path = tmp_path / "t.record.json"
+    d = json.loads(path.read_text())
+    RECORD_CORRUPTIONS[corruption](d)
+    path.write_text(json.dumps(d))
+    assert main(["inverse", prefix, "-o", str(tmp_path / "back.csv")]) == 2
+    assert "error category=parse" in capsys.readouterr().err
+    assert not (tmp_path / "back.csv").exists()

@@ -44,6 +44,17 @@ class TestConfig:
         with pytest.raises(LiftingError, match="LG-Aid-c"):
             LiftingConfig.from_acronym("LG-Xid-c")
 
+    @pytest.mark.parametrize("acr", ["LG-Sidxp", "Sid-p", "LG-Sid_p"])
+    def test_near_miss_acronym_rejected(self, acr):
+        with pytest.raises(LiftingError, match="unknown variant acronym"):
+            LiftingConfig.from_acronym(acr)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(LiftingError, match="nonnegative"):
+            LiftingConfig(rng_seed=-1)
+        with pytest.raises(LiftingError, match="nonnegative"):
+            LiftingConfig.from_acronym("LG-Sid-p", rng_seed=-1)
+
     def test_tau_bounds(self):
         with pytest.raises(LiftingError, match="at least 2"):
             LiftingConfig(tau=1)

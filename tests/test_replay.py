@@ -13,9 +13,15 @@ from hypothesis import strategies as st
 
 import lglift
 from lglift.analysis import build_matrices
-from lglift.graph import LineGraph, MetricMode, build_line_graph, is_connected, minimum_spanning_tree
-from lglift.lifting import (
+from lglift.graph import (
     DISTANCE_FLOOR_FRAC,
+    LineGraph,
+    MetricMode,
+    build_line_graph,
+    is_connected,
+    minimum_spanning_tree,
+)
+from lglift.lifting import (
     VARIANTS,
     IntegralScheme,
     LiftingConfig,
@@ -177,7 +183,10 @@ class ReferencePlanner:
     def __init__(self, lg, config):
         self.lg, self.config = lg, config
         self.position = lg.index.__getitem__
-        self.adjacency = {k: set(v) for k, v in lg.adjacency.items()}
+        self.adjacency = {k: set() for k in lg.ids}
+        for p in lg.edges():
+            for k in p:
+                self.adjacency[k] |= p - {k}
         if config.metric_mode is MetricMode.COORDINATE:
             xs = [c[0] for c in lg.coords.values()]
             ys = [c[1] for c in lg.coords.values()]
