@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .graph import EdgeRec, Graph, GraphError, Id, LineGraph
@@ -223,8 +224,8 @@ def record_from_dict(d: dict) -> LiftingRecord:
 
     Raises ParseError unless the stages can be replayed: every position in
     range, each id removed at most once, a stage's neighbours neither the
-    removed id nor one removed earlier, one `a` and one `b` entry per
-    neighbour, and `surviving` exactly the ids never removed.
+    removed id nor one removed earlier, one finite `a` and one finite `b`
+    entry per neighbour, and `surviving` exactly the ids never removed.
     """
     ids = tuple(int(k) if d.get("id_kind") == "int" else k for k in d["ids"])
     m = len(ids)
@@ -245,6 +246,8 @@ def record_from_dict(d: dict) -> LiftingRecord:
             raise ParseError(f"record: stage {n} has a removed id among its neighbours")
         if not len(s["a"]) == len(s["b"]) == len(nbrs):
             raise ParseError(f"record: stage {n} needs one a and one b per neighbour")
+        if not all(map(math.isfinite, (*s["a"], *s["b"]))):
+            raise ParseError(f"record: stage {n} has a filter entry that is not a finite number")
         removed.add(k)
     if sorted(positions("surviving", d["surviving"])) != sorted(set(range(m)) - removed):
         raise ParseError("record: surviving ids are not exactly the ids never removed")
@@ -272,7 +275,8 @@ def record_from_dict(d: dict) -> LiftingRecord:
 
 
 def write_transform(prefix: str, coeffs: CoefficientSet, record: LiftingRecord) -> Tuple[str, str]:
-    """Write <prefix>.record.json and <prefix>.coeffs.csv; returns the paths."""
+    """Write <prefix>.record.json and <prefix>.coeffs.csv; returns the paths.
+    A detail's scale and level are written from the record, for the reader."""
     record_path = f"{prefix}.record.json"
     coeffs_path = f"{prefix}.coeffs.csv"
     with open(record_path, "w") as fh:
@@ -281,9 +285,9 @@ def write_transform(prefix: str, coeffs: CoefficientSet, record: LiftingRecord) 
         writer = csv.writer(fh)
         writer.writerow(["kind", "id", "value", "scale", "level"])
         for k in record.removal_order:
-            level = "" if coeffs.levels is None else coeffs.levels[k]
+            level = "" if record.levels is None else record.levels[k]
             writer.writerow(
-                ["detail", k, _fmt(coeffs.details[k]), _fmt(coeffs.scales[k]), level]
+                ["detail", k, _fmt(coeffs.details[k]), _fmt(record.scales[k]), level]
             )
         for k in record.surviving:
             writer.writerow(["scaling", k, _fmt(coeffs.scaling[k]), "", ""])
@@ -291,28 +295,41 @@ def write_transform(prefix: str, coeffs: CoefficientSet, record: LiftingRecord) 
 
 
 def read_transform(prefix: str) -> Tuple[CoefficientSet, LiftingRecord]:
-    with open(f"{prefix}.record.json") as fh:
-        record = record_from_dict(json.load(fh))
+    """The coefficients and record of `write_transform`.  Raises ParseError,
+    naming the file, for a record that is not valid JSON or not a
+    replayable record, and for a coefficients file without a kind, id or
+    value column, with a value that is not a finite number, or with an id
+    on two rows."""
+    record_path, coeffs_path = f"{prefix}.record.json", f"{prefix}.coeffs.csv"
+    with open(record_path) as fh:
+        try:
+            record = record_from_dict(json.load(fh))
+        except (LookupError, TypeError, AttributeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ParseError(f"{record_path}: {what}") from exc
     by_text = {str(k): k for k in record.ids}
     if len(by_text) != len(record.ids):
-        raise ParseError(f"{prefix}.record.json: two ids share a text form, so "
-                         f"{prefix}.coeffs.csv cannot tell them apart")
-    details, scaling, scales, levels = {}, {}, {}, {}
-    with open(f"{prefix}.coeffs.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
+        raise ParseError(f"{record_path}: two ids share a text form, so "
+                         f"{coeffs_path} cannot tell them apart")
+    details, scaling = {}, {}
+    with open(coeffs_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if not {"kind", "id", "value"} <= set(reader.fieldnames or ()):
+            raise ParseError(f"{coeffs_path}: header lacks a kind, id or value column")
+        for row in reader:
             # an id the record lacks stays text; `inverse` rejects the mismatch
             k = by_text.get(row["id"], row["id"])
-            if row["kind"] == "detail":
-                details[k] = float(row["value"])
-                scales[k] = float(row["scale"])
-                if row["level"]:
-                    levels[k] = int(row["level"])
-            else:
-                scaling[k] = float(row["value"])
-    coeffs = CoefficientSet(
-        details=details, scaling=scaling, scales=scales, levels=levels or None
-    )
-    return coeffs, record
+            try:
+                value = float(row["value"])
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(f"{coeffs_path} line {reader.line_num}: value "
+                                 f"{row['value']!r} is not a finite number")
+            if k in details or k in scaling:
+                raise ParseError(f"{coeffs_path} line {reader.line_num}: id {k!r} repeated")
+            (details if row["kind"] == "detail" else scaling)[k] = value
+    return CoefficientSet(details=details, scaling=scaling), record
 
 
 # ---------------------------------------------------------------------------

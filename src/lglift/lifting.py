@@ -137,6 +137,17 @@ class LiftingRecord:
     def removal_order(self) -> Tuple[Id, ...]:
         return tuple(st.removed for st in self.stages)
 
+    @cached_property
+    def scales(self) -> Dict[Id, float]:
+        """Each detail's scale: its vertex's integral when it was removed."""
+        return {st.removed: st.integral for st in self.stages}
+
+    @cached_property
+    def levels(self) -> Optional[Dict[Id, int]]:
+        """Artificial level per detail, None with fewer details than levels."""
+        n_levels = _default_n_levels(len(self.ids))
+        return None if len(self.stages) < n_levels else assign_artificial_levels(self, n_levels)
+
     def update_filter_fraction_below_half(self) -> float:
         """Fraction of update-filter entries b <= 1/2 (stability diagnostic)."""
         entries = [b for st in self.stages for b in st.b]
@@ -174,12 +185,10 @@ def coefficient_order(record: LiftingRecord) -> Tuple[Id, ...]:
 
 @dataclass
 class CoefficientSet:
-    """Details plus surviving scaling coefficients, scales and levels."""
+    """Details plus surviving scaling coefficients."""
 
     details: Dict[Id, float]
     scaling: Dict[Id, float]
-    scales: Dict[Id, float]
-    levels: Optional[Dict[Id, int]] = None
 
     def as_vector(self, record: LiftingRecord) -> np.ndarray:
         """Coefficients in canonical order (`coefficient_order`)."""
@@ -426,14 +435,10 @@ def forward(
         ids=lg.ids,
     )
     c = _replay_forward(record, x).tolist()
-    coeffset = CoefficientSet(
+    return CoefficientSet(
         details=dict(zip(record.removal_order, c)),
         scaling=dict(zip(surviving, c[n_stages:])),
-        scales={st.removed: st.integral for st in stages},
-    )
-    if n_stages >= 3:
-        coeffset.levels = assign_artificial_levels(coeffset, record)
-    return coeffset, record
+    ), record
 
 
 def inverse(coeffs: CoefficientSet, record: LiftingRecord) -> Dict[Id, float]:
@@ -498,25 +503,29 @@ def _replay_inverse(record: LiftingRecord, C) -> np.ndarray:
     return out
 
 
+def _default_n_levels(m: int) -> int:
+    return max(3, int(math.log2(m)))
+
+
 def assign_artificial_levels(
-    coeffs: CoefficientSet, record: LiftingRecord, n_levels: Optional[int] = None
+    record: LiftingRecord, n_levels: Optional[int] = None
 ) -> Dict[Id, int]:
-    """Group details into resolution-like levels by quantiles of scale.
+    """Group details into resolution-like levels by quantiles of `record.scales`.
 
     Level 0 is the finest (smallest scales).  Ties in scale are broken by
     removal order, earlier removals counting as finer.  The default level
     count is max(3, floor(log2(m))).
     """
-    m = len(record.ids)
-    n_details = len(coeffs.details)
+    scales = record.scales
+    n_details = len(scales)
     if n_levels is None:
-        n_levels = max(3, int(math.log2(m)))
+        n_levels = _default_n_levels(len(record.ids))
     if n_levels < 3:
         raise LiftingError(f"need at least 3 levels, got {n_levels}")
     if n_levels > n_details:
         raise LiftingError(f"{n_levels} levels exceed the {n_details} details")
     removal_pos = {k: i for i, k in enumerate(record.removal_order)}
-    ranked = sorted(coeffs.details, key=lambda k: (coeffs.scales[k], removal_pos[k]))
+    ranked = sorted(scales, key=lambda k: (scales[k], removal_pos[k]))
     bounds = [round(j * n_details / n_levels) for j in range(n_levels + 1)]
     levels = {}
     for lev in range(n_levels):

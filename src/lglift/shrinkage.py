@@ -51,8 +51,6 @@ class DenoiseResult:
     sigma_hat: float
     nu_hat: float
     shrunk_details: Dict[Id, float]
-    levels: Dict[Id, int]
-    scales: Dict[Id, float]
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +259,16 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
 
 
 def _denoise_replay(
-    record: LiftingRecord,
-    levels: Optional[Mapping[Id, int]],
-    X: np.ndarray,
-    shrink_config: ShrinkageConfig,
+    record: LiftingRecord, X: np.ndarray, shrink_config: ShrinkageConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Denoise the signals X, shape (m,) or (m, B) in line-graph id order,
-    on the plan `record` whose details `forward` gave the artificial `levels`.
+    on the plan `record`, shrinking by its artificial levels.
 
     Returns the estimates and the shrunk coefficients (canonical order),
     both shaped like X, and sigma and nu per column.  A column whose MAD is
     zero (noiseless input) passes through with sigma = nu = 0.
     """
+    levels = record.levels
     if levels is None:
         raise ShrinkageError("too few detail coefficients to denoise")
     n = len(record.stages)
@@ -311,16 +307,14 @@ def denoise(
 ) -> DenoiseResult:
     """Plan the transform with `forward`, then denoise the one signal with
     the shrink core (`_denoise_replay`)."""
-    coeffs, record = forward(values, lg, config, trajectory=trajectory)
+    _, record = forward(values, lg, config, trajectory=trajectory)
     x = np.array([values[k] for k in lg.ids], dtype=float)
-    est, c, sigma, nu = _denoise_replay(record, coeffs.levels, x, shrink_config)
+    est, c, sigma, nu = _denoise_replay(record, x, shrink_config)
     return DenoiseResult(
         estimates=dict(zip(record.ids, est.tolist())),
         sigma_hat=float(sigma[0]),
         nu_hat=float(nu[0]),
         shrunk_details=dict(zip(record.removal_order, c[: len(record.stages)].tolist())),
-        levels=coeffs.levels,
-        scales=coeffs.scales,
     )
 
 
@@ -352,6 +346,8 @@ def nlt_denoise(
     """
     if n_trajectories < 1:
         raise ShrinkageError("need at least one trajectory")
+    if np.min(seed) < 0:  # an int, or a sequence of ints
+        raise ShrinkageError(f"seed must be nonnegative, got {seed}")
     singles = []
     for traj in random_trajectories(lg, config, n_trajectories, seed):
         singles.append(denoise(values, lg, config, shrink_config, trajectory=traj))
@@ -363,7 +359,5 @@ def nlt_denoise(
         sigma_hat=float(np.mean([r.sigma_hat for r in singles])),
         nu_hat=float(np.mean([r.nu_hat for r in singles])),
         shrunk_details={},
-        levels=singles[0].levels,
-        scales=singles[0].scales,
     )
     return combined, singles

@@ -28,8 +28,14 @@ class SimulationError(ValueError):
     """Invalid experiment configuration or inputs."""
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise SimulationError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def _substream(seed, tag: int) -> np.random.Generator:
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    _check_seed(min(parts))
     return np.random.default_rng((*parts, tag))
 
 
@@ -290,6 +296,7 @@ class ExperimentConfig:
             raise SimulationError("SNR must be positive")
         if self.embedding not in ("pointwise", "edge_average"):
             raise SimulationError(f"unknown embedding {self.embedding!r}")
+        _check_seed(self.master_seed)
 
 
 def run_experiment(
@@ -314,8 +321,8 @@ def run_experiment(
         samples = [add_noise(g, config.snr, seed=(config.master_seed, q, r))[0] for r in range(R)]
         noisy = np.array([[s[k] for k in lg.ids] for s in samples]).T
         # plan, gains and levels are data-independent: one plan per graph
-        coeffs, record = forward(g, lg, lift_cfg)
-        estimates[q] = _denoise_replay(record, coeffs.levels, noisy, shrink_config)[0].T
+        _, record = forward(g, lg, lift_cfg)
+        estimates[q] = _denoise_replay(record, noisy, shrink_config)[0].T
     return compute_metrics(estimates, truths)
 
 
@@ -327,6 +334,7 @@ def condition_number_study(
 
     if n_graphs < 1:
         raise SimulationError(f"need at least 1 graph, got {n_graphs}")
+    _check_seed(seed)
     cfg = LiftingConfig.from_acronym(variant)
     out = []
     for q in range(n_graphs):
@@ -363,8 +371,8 @@ def flow_experiment(
     rngs = [np.random.default_rng((seed, SUB_NOISE, r)) for r in range(n_replications)]
     noisy = truths.T + np.array([rng.normal(0, sigma, m) for rng in rngs]).T
     if nlt_trajectories is None:
-        coeffs, record = forward(values, lg, cfg)
-        estimates[0] = _denoise_replay(record, coeffs.levels, noisy, shrink_config)[0].T
+        _, record = forward(values, lg, cfg)
+        estimates[0] = _denoise_replay(record, noisy, shrink_config)[0].T
     else:
         for r, x in enumerate(noisy.T.tolist()):
             res, _ = nlt_denoise(

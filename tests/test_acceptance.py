@@ -183,7 +183,6 @@ def test_criterion_07_sparsity(mst_lg, small_tree_lg):
             trial = CoefficientSet(
                 details={k: (coeffs.details[k] if k in subset else 0.0) for k in coeffs.details},
                 scaling=coeffs.scaling,
-                scales={},
             )
             rec = inverse(trial, record)
             best = min(best, sum((rec[k] - values[k]) ** 2 for k in small_tree_lg.ids))

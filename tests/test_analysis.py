@@ -142,7 +142,6 @@ class TestSparsity:
                 trial = CoefficientSet(
                     details={k: (coeffs.details[k] if k in subset else 0.0) for k in coeffs.details},
                     scaling=coeffs.scaling,
-                    scales={},
                 )
                 rec = inverse(trial, record)
                 best = min(best, sum((rec[k] - values[k]) ** 2 for k in lg.ids))

@@ -135,6 +135,23 @@ class TestTransformSerialization:
             s["edges_removed"] = [[s["removed"], j] for j in s["neighbors"]]
         assert record_from_dict(json.loads(json.dumps(d))) == record
 
+    def test_garbled_scale_and_level_cells_still_invert(self, tmp_path, mst_lg, rng):
+        # scale and level are written for the reader; only values are read
+        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
+        coeffs, record = forward(values, mst_lg, LiftingConfig.from_acronym("LG-Sid-p"))
+        prefix = str(tmp_path / "t")
+        write_transform(prefix, coeffs, record)
+        path = tmp_path / "t.coeffs.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][4] != ""
+        rows[1][3], rows[1][4], rows[2][3], rows[2][4] = "abc", "nan", "", "1.5"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        coeffs2, record2 = read_transform(prefix)
+        assert coeffs2 == coeffs
+        assert inverse(coeffs2, record2) == inverse(coeffs, record)
+
     def test_ids_sharing_a_text_form_rejected(self, tmp_path):
         ids = [1, "1", "a", "b"]
         lg = LineGraph(ids, {1: {"1"}, "1": {1, "a"}, "a": {"1", "b"}, "b": {"a"}},
@@ -344,6 +361,27 @@ class TestCli:
         assert code == 2
         assert "error category=parse" in capsys.readouterr().err
 
+    def test_fewer_details_than_levels(self, tmp_path, graph_file, capsys):
+        # m = 19 and tau = 16 leave 3 details, fewer than floor(log2 19) = 4
+        # levels: the transform and its inverse run, denoising cannot
+        prefix = str(tmp_path / "fw")
+        args = [str(graph_file), "--variant", "LG-Sid-p", "--tau", "16"]
+        assert main(["forward", *args, "-o", prefix]) == 0
+        with open(prefix + ".coeffs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["level"] for r in rows if r["kind"] == "detail"] == ["", "", ""]
+        out = tmp_path / "rec.csv"
+        assert main(["inverse", prefix, "-o", str(out)]) == 0
+        with open(out) as fh:
+            back = {r["id"]: float(r["value"]) for r in csv.DictReader(fh)}
+        for e in parse_graph(str(graph_file)).edges:
+            assert back[str(e.id)] == pytest.approx(e.value, abs=1e-12)
+        assert main(["sparsity", *args, "-o", str(tmp_path / "sp.csv")]) == 0
+        capsys.readouterr()
+        assert main(["denoise", *args, "-o", str(tmp_path / "den.csv")]) == 2
+        assert "error category=shrinkage" in capsys.readouterr().err
+        assert not (tmp_path / "den.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path, graph_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -370,6 +408,12 @@ RECORD_CORRUPTIONS = {
     "surviving-missing-one": lambda d: d["surviving"].pop(),
     "surviving-removed-id": lambda d: d["surviving"].append(d["stages"][0]["removed"]),
     "surviving-repeated": lambda d: d["surviving"].append(d["surviving"][0]),
+    "stage-without-integral": lambda d: d["stages"][0].pop("integral"),
+    "no-surviving": lambda d: d.pop("surviving"),
+    "bogus-integral-scheme": lambda d: d["config"].__setitem__("integral_scheme", "bogus"),
+    "tau-not-a-number": lambda d: d["config"].__setitem__("tau", "x"),
+    "stages-null": lambda d: d.__setitem__("stages", None),
+    "filter-entry-nan": lambda d: d["stages"][0]["a"].__setitem__(0, math.nan),
 }
 
 
@@ -382,5 +426,45 @@ def test_inverse_rejects_corrupt_record(tmp_path, graph_file, capsys, corruption
     RECORD_CORRUPTIONS[corruption](d)
     path.write_text(json.dumps(d))
     assert main(["inverse", prefix, "-o", str(tmp_path / "back.csv")]) == 2
-    assert "error category=parse" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error category=parse" in err and "t.record.json" in err
+    assert not (tmp_path / "back.csv").exists()
+
+
+def _set_first_detail(text):
+    def edit(path):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][2] = text
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    return edit
+
+
+def _repeat_first_detail(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + lines[1:]))
+
+
+#: hand edits of the transform files that are not records or coefficients
+FILE_CORRUPTIONS = {
+    "truncated-record": ("t.record.json", lambda p: p.write_text(p.read_text()[:200])),
+    "header-without-value": ("t.coeffs.csv",
+                             lambda p: p.write_text(p.read_text().replace("value", "val", 1))),
+    "value-not-a-number": ("t.coeffs.csv", _set_first_detail("abc")),
+    "value-nan": ("t.coeffs.csv", _set_first_detail("nan")),
+    "value-infinite": ("t.coeffs.csv", _set_first_detail("-inf")),
+    "repeated-id": ("t.coeffs.csv", _repeat_first_detail),
+}
+
+
+@pytest.mark.parametrize("corruption", list(FILE_CORRUPTIONS))
+def test_inverse_rejects_corrupt_files(tmp_path, graph_file, capsys, corruption):
+    prefix = str(tmp_path / "t")
+    assert main(["forward", str(graph_file), "--variant", "LG-Sid-p", "-o", prefix]) == 0
+    name, edit = FILE_CORRUPTIONS[corruption]
+    edit(tmp_path / name)
+    assert main(["inverse", prefix, "-o", str(tmp_path / "back.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "error category=parse" in err and name in err
     assert not (tmp_path / "back.csv").exists()

@@ -337,7 +337,6 @@ class TestInverse:
         unit = CoefficientSet(
             details={k: (1.0 if k == pick else 0.0) for k in coeffs.details},
             scaling={k: 0.0 for k in coeffs.scaling},
-            scales={},
         )
         psi = inverse(unit, record)
         back, _ = forward(psi, small_tree_lg, cfg, trajectory=record.removal_order)
@@ -350,44 +349,36 @@ class TestInverse:
 class TestArtificialLevels:
     def test_quantile_groups_with_ties(self):
         order = list("abcdef")
-        coeffs = CoefficientSet(
-            details={k: 0.0 for k in order},
-            scaling={},
+        fake = FakeRecord(
+            ids=tuple(order) + ("x", "y"), removal_order=tuple(order), surviving=("x", "y"),
             scales=dict(zip(order, [1.0, 1.0, 2.0, 3.0, 3.0, 9.0])),
         )
-        fake = FakeRecord(
-            ids=tuple(order) + ("x", "y"), removal_order=tuple(order), surviving=("x", "y")
-        )
-        levels = assign_artificial_levels(coeffs, fake, n_levels=3)
+        levels = assign_artificial_levels(fake, n_levels=3)
         assert [levels[k] for k in order] == [0, 0, 1, 1, 2, 2]
 
     def test_all_equal_scales_use_removal_order(self, small_tree_lg):
         cfg = LiftingConfig.from_acronym("LG-Dnw-c")  # unit integrals early on
         values = {k: 0.0 for k in small_tree_lg.ids}
-        coeffs, record = forward(values, small_tree_lg, cfg)
-        levels = coeffs.levels
+        _, record = forward(values, small_tree_lg, cfg)
+        levels = record.levels
         order = record.removal_order
         # earlier removals never sit on a coarser level than later ones
         # when their scales are equal
         for i, a in enumerate(order):
             for b in order[i + 1 :]:
-                if coeffs.scales[a] == coeffs.scales[b]:
+                if record.scales[a] == record.scales[b]:
                     assert levels[a] <= levels[b]
 
     def test_too_many_levels_rejected(self, small_tree_lg):
         values = {k: 0.0 for k in small_tree_lg.ids}
-        coeffs, record = forward(values, small_tree_lg, LiftingConfig())
+        _, record = forward(values, small_tree_lg, LiftingConfig())
         with pytest.raises(LiftingError, match="exceed"):
-            assign_artificial_levels(coeffs, record, n_levels=99)
+            assign_artificial_levels(record, n_levels=99)
 
     def test_equal_sized_groups(self):
         levels = assign_artificial_levels(
-            CoefficientSet(
-                details={i: 0.0 for i in range(8)},
-                scaling={},
-                scales={i: float(i) for i in range(8)},
-            ),
-            FakeRecord(ids=tuple(range(10)), removal_order=tuple(range(8)), surviving=(8, 9)),
+            FakeRecord(ids=tuple(range(10)), removal_order=tuple(range(8)), surviving=(8, 9),
+                       scales={i: float(i) for i in range(8)}),
             n_levels=4,
         )
         from collections import Counter
@@ -398,7 +389,8 @@ class TestArtificialLevels:
 class FakeRecord:
     """Just enough of the record interface for level-assignment tests."""
 
-    def __init__(self, ids, removal_order, surviving):
+    def __init__(self, ids, removal_order, surviving, scales):
         self.ids = ids
         self.removal_order = removal_order
         self.surviving = surviving
+        self.scales = scales

@@ -14,7 +14,8 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 import lglift
-from lglift.lifting import LiftingConfig, forward
+from lglift.analysis import sparsity_curve_single
+from lglift.lifting import LiftingConfig, forward, inverse
 from lglift.shrinkage import (
     ShrinkageConfig,
     ShrinkageError,
@@ -466,7 +467,7 @@ class TestBatchCore:
         X = np.column_stack([truth[:, None] + noise, truth])
         coeffs, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        est, shrunk, sigma, nu = _denoise_replay(record, coeffs.levels, X, shrink)
+        est, shrunk, sigma, nu = _denoise_replay(record, X, shrink)
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -507,3 +508,35 @@ class TestNlt:
         values = {k: 0.0 for k in small_tree_lg.ids}
         with pytest.raises(ShrinkageError):
             nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=0)
+
+    def test_negative_seed_rejected(self, small_tree_lg):
+        values = {k: 0.0 for k in small_tree_lg.ids}
+        for seed in (-1, (3, -1)):
+            with pytest.raises(ShrinkageError, match="seed must be nonnegative"):
+                nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=2, seed=seed)
+
+
+class TestFewDetails:
+    """With 3 <= m - tau < floor(log2 m) details there are too few for the
+    default levels: the transform is still valid, only denoising is not."""
+
+    @pytest.mark.parametrize("tau", [94, 95, 96])
+    def test_transform_valid_denoise_rejected(self, mst_lg, rng, tau):
+        cfg = LiftingConfig.from_acronym("LG-Sid-p", tau=tau)
+        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
+        coeffs, record = forward(values, mst_lg, cfg)
+        assert len(coeffs.details) == mst_lg.m - tau
+        assert record.levels is None
+        assert record.scales == {st.removed: st.integral for st in record.stages}
+        back = inverse(coeffs, record)
+        assert max(abs(back[k] - values[k]) for k in mst_lg.ids) <= 1e-12
+        curve = sparsity_curve_single(values, mst_lg, cfg)
+        assert len(curve.ise) == mst_lg.m - tau + 1 and curve.ise[-1] <= 1e-20
+        with pytest.raises(ShrinkageError, match="too few detail coefficients"):
+            denoise(values, mst_lg, cfg)
+
+    def test_levels_from_as_many_details_as_levels(self, mst_lg):
+        # floor(log2 99) = 6 details: one per level
+        cfg = LiftingConfig.from_acronym("LG-Sid-p", tau=93)
+        _, record = forward(dict.fromkeys(mst_lg.ids, 0.0), mst_lg, cfg)
+        assert sorted(record.levels.values()) == list(range(6))

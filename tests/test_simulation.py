@@ -217,6 +217,10 @@ class TestRunExperiment:
         with pytest.raises(SimulationError):
             ExperimentConfig(embedding="weird")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SimulationError, match="seed must be a nonnegative integer"):
+            ExperimentConfig(n_vertices=12, n_graphs=1, n_replications=1, master_seed=-1)
+
     def test_one_forward_per_graph(self, monkeypatch):
         calls = []
 
@@ -241,9 +245,31 @@ class TestFlowExperiment:
         with pytest.raises(SimulationError, match="at least 1 replication"):
             flow_experiment(1.0, n_replications=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SimulationError, match="seed must be a nonnegative integer"):
+            flow_experiment(1.0, n_replications=1, seed=-1)
+
 
 class TestConditionNumberStudy:
     @pytest.mark.parametrize("n_graphs", [0, -1])
     def test_needs_a_graph(self, n_graphs):
         with pytest.raises(SimulationError, match="at least 1 graph"):
             condition_number_study("LG-Aid-c", n_graphs=n_graphs, n_vertices=20)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SimulationError, match="seed must be a nonnegative integer"):
+            condition_number_study("LG-Aid-c", n_graphs=1, n_vertices=20, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_network(10, seed=-1),
+        lambda: generate_flow_fixture(-1),
+        lambda: add_noise({1: 1.0, 2: 2.0}, 3.0, seed=(0, -1, 0)),
+    ],
+    ids=["sample_network", "generate_flow_fixture", "add_noise"],
+)
+def test_negative_substream_seed_rejected(call):
+    with pytest.raises(SimulationError, match="seed must be a nonnegative integer"):
+        call()
