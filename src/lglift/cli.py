@@ -126,7 +126,7 @@ def cmd_denoise(args) -> None:
     _manifest(
         args,
         "denoise",
-        {"sigma_hat": result.sigma_hat, "nu_hat": result.nu_hat},
+        {"sigma_hat": result.sigma_hat, "nu_hat": result.nu_hat, "zero_frac": result.zero_frac},
     )
     print(
         f"denoise: sigma_hat={result.sigma_hat:.4g} nu_hat={result.nu_hat:.4g} -> {args.output}"
@@ -144,7 +144,12 @@ def cmd_nlt(args) -> None:
     _manifest(
         args,
         "nlt",
-        {"sigma_hat": result.sigma_hat, "trajectories": len(singles)},
+        {
+            "sigma_hat": result.sigma_hat,
+            "nu_hat": result.nu_hat,
+            "zero_frac": result.zero_frac,
+            "trajectories": len(singles),
+        },
     )
     print(f"nlt: averaged {len(singles)} trajectories -> {args.output}")
 

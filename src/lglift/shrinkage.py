@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -51,6 +51,8 @@ class DenoiseResult:
     sigma_hat: float
     nu_hat: float
     shrunk_details: Dict[Id, float]
+    #: fraction of the m - tau shrunk details that are exactly 0
+    zero_frac: float
 
 
 # ---------------------------------------------------------------------------
@@ -120,46 +122,56 @@ def weight_from_data(x: np.ndarray) -> float:
     return float(brentq(score, wlo, 1.0, xtol=1e-12))
 
 
-def _cauchy_med_objective(
-    x: np.ndarray, w: float | np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The posterior median's objective at magnitudes `x`, as a function of
-    mu: posterior tail probability minus 1/2, up to common positive factors,
-    increasing in mu, with its root at the posterior median."""
-    half_yl = (1.0 + np.exp(-x * x / 2.0) * (x * x * (1.0 / w - 1.0) - 1.0)) / 2.0
+def _cauchy_med_half_yl(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
+    """The mu-free half of `_cauchy_med_objective` at magnitudes `x`."""
+    return (1.0 + np.exp(-x * x / 2.0) * (x * x * (1.0 / w - 1.0) - 1.0)) / 2.0
 
-    def objective(mu: np.ndarray) -> np.ndarray:
-        y = x - mu
-        fy = _norm_pdf(y)
-        yr = ndtr(y) - x * fy + (x * mu - 1.0) * fy * ndtr(-mu) / _norm_pdf(mu)
-        return half_yl - yr
 
-    return objective
+def _cauchy_med_objective(x: np.ndarray, half_yl: np.ndarray, mu: np.ndarray | float) -> np.ndarray:
+    """The posterior median's objective at magnitudes `x` and trial medians
+    `mu`: posterior tail probability minus 1/2, up to common positive
+    factors, increasing in mu, with its root at the posterior median.
+    `half_yl` is its mu-free half, `_cauchy_med_half_yl(x, w)`."""
+    y = x - mu
+    fy = _norm_pdf(y)
+    yr = ndtr(y) - x * fy + (x * mu - 1.0) * fy * ndtr(-mu) / _norm_pdf(mu)
+    return half_yl - yr
 
 
 def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     """Posterior median of the mean given standardized data, vectorized.
 
     `w` is one mixing weight, or one per column of an (n, B) `x`.
-    The median of |x| <= 20 is bracketed in [0, |x|] and bisected until
-    every bracket is narrower than `POST_MED_TOL` (at most 48 halvings);
-    larger |x| uses the asymptote |x| - 2/|x|.  Medians below 1e-7 are
-    clipped to exact zero; the sign is that of x, and no median exceeds |x|.
+    The objective increases in the median, so where it is >= 0 at 0 the
+    median is 0, settled by that one evaluation.  The rest of |x| <= 20 is
+    bracketed in [0, |x|] and bisected, each bracket until it is narrower
+    than `POST_MED_TOL` (up to 48 halvings at |x| = 20), so a median
+    does not depend on the other coefficients in the call.  Larger |x|
+    uses the asymptote |x| - 2/|x|.  Medians below 1e-7 are clipped to
+    exact zero; the sign is that of x, and no median exceeds |x|.
     """
     x = np.asarray(x, dtype=float)
     mag = np.abs(x)
     big = mag > 20.0
     work = np.where(big, 0.0, mag)
-    objective = _cauchy_med_objective(work, w)
+    half_yl = np.broadcast_to(_cauchy_med_half_yl(work, w), work.shape)
 
-    lo, hi = np.zeros_like(work), work
-    # a NaN width compares false, so NaN input cannot hold the loop open
-    while np.any(hi - lo > POST_MED_TOL):
+    med = np.zeros(work.size)
+    # NaN input fails the screen and leaves the loop at once, as a NaN
+    # width compares false
+    idx = np.flatnonzero(~(_cauchy_med_objective(work, half_yl, 0.0) >= 0))
+    xs, hs = work.ravel()[idx], half_yl.ravel()[idx]
+    lo, hi = np.zeros_like(xs), xs
+    while idx.size:
+        open_ = hi - lo > POST_MED_TOL
+        if not open_.all():
+            med[idx[~open_]] = 0.5 * (lo[~open_] + hi[~open_])
+            idx, xs, hs, lo, hi = idx[open_], xs[open_], hs[open_], lo[open_], hi[open_]
         mid = 0.5 * (lo + hi)
-        below = objective(mid) <= 0
+        below = _cauchy_med_objective(xs, hs, mid) <= 0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    med = 0.5 * (lo + hi)
+    med = med.reshape(x.shape)
 
     med[big] = mag[big] - 2.0 / mag[big]
     med[med < 1e-7] = 0.0
@@ -310,11 +322,13 @@ def denoise(
     _, record = forward(values, lg, config, trajectory=trajectory)
     x = np.array([values[k] for k in lg.ids], dtype=float)
     est, c, sigma, nu = _denoise_replay(record, x, shrink_config)
+    details = c[: len(record.stages)]
     return DenoiseResult(
         estimates=dict(zip(record.ids, est.tolist())),
         sigma_hat=float(sigma[0]),
         nu_hat=float(nu[0]),
-        shrunk_details=dict(zip(record.removal_order, c[: len(record.stages)].tolist())),
+        shrunk_details=dict(zip(record.removal_order, details.tolist())),
+        zero_frac=float(np.mean(details == 0.0)),
     )
 
 
@@ -336,17 +350,22 @@ def nlt_denoise(
     config: LiftingConfig,
     shrink_config: ShrinkageConfig = ShrinkageConfig(),
     n_trajectories: int = 30,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> Tuple[DenoiseResult, List[DenoiseResult]]:
     """Average the denoiser over random removal orders.
 
     Each trajectory gets an independent substream derived from (seed,
-    index), so results do not depend on evaluation order.  Returns the
-    averaged result plus the per-trajectory results.
+    index), so results do not depend on evaluation order.  `seed` is an
+    int or a nonempty sequence of ints.  Returns the averaged result (its
+    sigma, nu and zero fraction are the trajectories' means) plus the
+    per-trajectory results.
     """
     if n_trajectories < 1:
         raise ShrinkageError("need at least one trajectory")
-    if np.min(seed) < 0:  # an int, or a sequence of ints
+    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    if not parts or not all(isinstance(s, (int, np.integer)) for s in parts):
+        raise ShrinkageError(f"seed must be an int or a nonempty sequence of ints, got {seed!r}")
+    if min(parts) < 0:
         raise ShrinkageError(f"seed must be nonnegative, got {seed}")
     singles = []
     for traj in random_trajectories(lg, config, n_trajectories, seed):
@@ -359,5 +378,6 @@ def nlt_denoise(
         sigma_hat=float(np.mean([r.sigma_hat for r in singles])),
         nu_hat=float(np.mean([r.nu_hat for r in singles])),
         shrunk_details={},
+        zero_frac=float(np.mean([r.zero_frac for r in singles])),
     )
     return combined, singles

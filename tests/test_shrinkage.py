@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import lglift
 from lglift.analysis import sparsity_curve_single
 from lglift.lifting import LiftingConfig, forward, inverse
 from lglift.shrinkage import (
+    POST_MED_TOL,
     ShrinkageConfig,
     ShrinkageError,
     _denoise_replay,
@@ -136,6 +139,34 @@ def ref_post_med_cauchy(x, w):
         yr = norm.cdf(y) - work * fy + (work * mid - 1.0) * fy * norm.cdf(-mid) / norm.pdf(mid)
         yl = 1.0 + np.exp(-work * work / 2.0) * (work * work * (1.0 / w - 1.0) - 1.0)
         below = yl / 2.0 - yr <= 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    med = 0.5 * (lo + hi)
+    med[big] = mag[big] - 2.0 / mag[big]
+    med[med < 1e-7] = 0.0
+    med = np.sign(x) * med
+    clip = np.abs(med) > np.abs(x)
+    med[clip] = x[clip]
+    return med
+
+
+def ref_batch_post_med_cauchy(x, w):
+    """The whole-batch bisection that the zero screen replaced: every
+    bracket is halved until the widest one in the call is narrower than
+    `POST_MED_TOL`."""
+    x = np.asarray(x, dtype=float)
+    mag = np.abs(x)
+    big = mag > 20.0
+    work = np.where(big, 0.0, mag)
+    half_yl = (1.0 + np.exp(-work * work / 2.0) * (work * work * (1.0 / w - 1.0) - 1.0)) / 2.0
+    lo, hi = np.zeros_like(work), work
+    while np.any(hi - lo > POST_MED_TOL):
+        mid = 0.5 * (lo + hi)
+        y = work - mid
+        fy = np.exp(-y**2 / 2.0) / math.sqrt(2 * math.pi)
+        fmid = np.exp(-mid**2 / 2.0) / math.sqrt(2 * math.pi)
+        yr = ndtr(y) - work * fy + (work * mid - 1.0) * fy * ndtr(-mid) / fmid
+        below = half_yl - yr <= 0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     med = 0.5 * (lo + hi)
@@ -302,6 +333,53 @@ class TestClosedFormKernels:
         assert run.stdout.strip() == "False"
 
 
+def _bits(a) -> bytes:
+    """The float64 bit pattern of `a` (so -0.0 differs from 0.0)."""
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+class TestZeroScreen:
+    """The zero screen and per-bracket stop against the whole-batch
+    bisection they replaced, and each median's independence of its batch."""
+
+    # |x| on a 0.01 grid, the asymptote's edge, and non-finite input.  Below
+    # |x| ~ 1e-5 the objective at mu = 0 cancels to rounding noise when w is
+    # within about 1e-2 of 1, and both solvers follow that noise, so the grid
+    # starts at 0.01
+    _mags = np.concatenate(
+        [np.linspace(0.0, 25.0, 2501), [20.0, np.nextafter(20.0, 21.0), np.nan, np.inf]]
+    )
+
+    @pytest.mark.parametrize("w", [0.01, 0.1, 0.3, 0.7, 1.0])
+    def test_matches_whole_batch_bisection(self, w):
+        x = np.concatenate([self._mags, -self._mags])
+        got, want = post_med_cauchy(x, w), ref_batch_post_med_cauchy(x, w)
+        assert np.array_equal(got == 0, want == 0)
+        finite = np.isfinite(x)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.maximum(1.0, np.abs(x[finite])))
+        assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+
+    def test_median_independent_of_batch_scalar_w(self):
+        # one wide bracket (|x| near 20) in the call no longer keeps the
+        # narrow ones halving
+        x = np.append(np.random.default_rng(11).normal(0.0, 2.0, 300), 19.5)
+        got = post_med_cauchy(x, 0.1)
+        singles = np.array([post_med_cauchy(x[i : i + 1], 0.1)[0] for i in range(len(x))])
+        assert np.count_nonzero(got) > 20
+        assert _bits(got) == _bits(singles)
+
+    def test_median_independent_of_batch_per_column_w(self):
+        rng = np.random.default_rng(12)
+        x = np.vstack([rng.normal(0.0, 2.0, (100, 3)), [19.5, 3.0, 7.0]])
+        w = np.array([0.05, 0.3, 0.9])
+        got = post_med_cauchy(x, w)
+        rows = np.array([post_med_cauchy(x[i : i + 1], w)[0] for i in range(len(x))])
+        assert _bits(got) == _bits(rows)
+        for j in range(x.shape[1]):
+            col = [post_med_cauchy(x[i : i + 1, j], w[j])[0] for i in range(len(x))]
+            assert _bits(got[:, j]) == _bits(col)
+
+
 class TestWeightFit:
     def test_pure_noise_hits_lower_bound(self, rng):
         x = rng.normal(size=500)
@@ -443,6 +521,16 @@ class TestDenoise:
         for k, v in coeffs.scaling.items():
             assert back.scaling[k] == pytest.approx(v, abs=1e-9)
 
+    def test_zero_frac_counts_shrunk_details(self, mst_lg, rng):
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
+        res = denoise(values, mst_lg, cfg)
+        details = list(res.shrunk_details.values())
+        assert len(details) == mst_lg.m - cfg.tau
+        assert res.zero_frac == sum(d == 0.0 for d in details) / len(details)
+        # pure noise: most details shrink to exactly 0
+        assert res.zero_frac > 0.5
+
 
 class TestBatchCore:
     """B columns through the shrink core equal B single-signal denoise calls."""
@@ -482,6 +570,40 @@ class TestBatchCore:
         assert np.array_equal(shrunk[:, -1], coeffs.as_vector(record))
 
 
+class TestBatchCoreBitwise:
+    """Each column through the shrink core equals a single-signal denoise of
+    that column bit for bit: no column's result depends on its batch."""
+
+    @pytest.mark.parametrize(
+        "acr, graph", [("LG-Aid-c", "mst"), ("LG-Sid-p", "flow"), ("LG-Dnw-p", "flow")]
+    )
+    @pytest.mark.parametrize("rule", ["median", "hard"])
+    @pytest.mark.parametrize("keep", [0, 2])
+    def test_batch_column_is_single_denoise(self, acr, graph, rule, keep):
+        if graph == "flow":
+            net, clean = generate_flow_fixture(0)
+        else:
+            net = sample_network(100, seed=7)
+            clean = embed_pointwise(get_field("quadrants"), net)
+        lg = build_line_graph(net)
+        cfg = LiftingConfig.from_acronym(acr)
+        shrink = ShrinkageConfig(keep_coarsest=keep, rule=rule)
+        truth = np.array([clean[k] for k in lg.ids])
+        noise = np.random.default_rng(3).normal(size=(lg.m, 4))
+        X = np.column_stack([truth[:, None] + noise, truth])
+        _, record = forward(clean, lg, cfg)
+        n = len(record.stages)
+        est, shrunk, sigma, nu = _denoise_replay(record, X, shrink)
+        for j in range(X.shape[1]):
+            single = denoise(
+                dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
+                trajectory=record.removal_order,
+            )
+            assert _bits(est[:, j]) == _bits([single.estimates[k] for k in lg.ids])
+            assert _bits(shrunk[:n, j]) == _bits(list(single.shrunk_details.values()))
+            assert _bits([sigma[j], nu[j]]) == _bits([single.sigma_hat, single.nu_hat])
+
+
 class TestNlt:
     def test_single_trajectory_equals_denoise(self, mst_lg, rng):
         from lglift.shrinkage import random_trajectories
@@ -514,6 +636,19 @@ class TestNlt:
         for seed in (-1, (3, -1)):
             with pytest.raises(ShrinkageError, match="seed must be nonnegative"):
                 nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [(), 1.5, (2, 0.5), "3"])
+    def test_malformed_seed_rejected(self, small_tree_lg, seed):
+        values = {k: 0.0 for k in small_tree_lg.ids}
+        with pytest.raises(ShrinkageError, match=f"seed must be an int .*got {re.escape(repr(seed))}"):
+            nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=2, seed=seed)
+
+    def test_zero_frac_is_mean_over_trajectories(self, mst_lg, rng):
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
+        combined, singles = nlt_denoise(values, mst_lg, cfg, n_trajectories=3, seed=4)
+        assert combined.zero_frac == pytest.approx(np.mean([r.zero_frac for r in singles]))
+        assert 0.0 < combined.zero_frac < 1.0
 
 
 class TestFewDetails:
