@@ -31,7 +31,6 @@ from .analysis import (
     TransformMatrices,
     build_matrices,
     condition_number,
-    sparsity_curve,
     sparsity_curve_single,
 )
 from .shrinkage import (

@@ -98,16 +98,3 @@ def sparsity_curve_single(
     truth = np.array([true_values[k] for k in lg.ids], dtype=float)
     ise = ((_replay_inverse(record, trials) - truth[:, None]) ** 2).sum(axis=0)
     return SparsityCurve(ise=ise)
-
-
-def sparsity_curve(
-    per_graph: Sequence[Tuple[Dict[Id, float], LineGraph]], config: LiftingConfig
-) -> SparsityCurve:
-    """Average the greedy ISE curve over several (values, graph) pairs."""
-    if not per_graph:
-        raise LiftingError("sparsity_curve needs at least one graph")
-    curves = [sparsity_curve_single(v, lg, config).ise for v, lg in per_graph]
-    lengths = {len(c) for c in curves}
-    if len(lengths) != 1:
-        raise LiftingError("sparsity curves have mismatched lengths across graphs")
-    return SparsityCurve(ise=np.mean(curves, axis=0))

@@ -66,7 +66,11 @@ class Graph:
         for vid, xy in vertices:
             if vid in self.coords:
                 raise GraphError(f"duplicate vertex id {vid!r}")
-            self.coords[vid] = (float(xy[0]), float(xy[1])) if xy is not None else None
+            if xy is not None:
+                xy = (float(xy[0]), float(xy[1]))
+                if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+                    raise GraphError(f"vertex {vid!r} has non-finite coordinates {xy}")
+            self.coords[vid] = xy
 
         seen_pairs: Set[FrozenSet[Id]] = set()
         seen_ids: Set[Id] = set()
@@ -87,6 +91,8 @@ class Graph:
                 cu, cv = self.coords[e.u], self.coords[e.v]
                 if cu is not None and cv is not None:
                     length = math.dist(cu, cv)
+            if length is not None and not math.isfinite(length):
+                raise GraphError(f"edge {e.id!r} has non-finite length {length}")
             if length is not None and not length > 0:
                 raise GraphError(f"edge {e.id!r} has non-positive length {length}")
             resolved.append(EdgeRec(e.id, e.u, e.v, length, e.value))
@@ -152,6 +158,12 @@ class LineGraph:
             rows.append(tuple(sorted({self.index[s] for s in nbrs})))
         #: each position's neighbour positions, ascending: the one adjacency
         self.rows: Tuple[Tuple[int, ...], ...] = tuple(rows)
+        #: each position's place among the ids in `repr` order, equal reprs
+        #: kept in position order: the tie-break of `minimum_spanning_tree`
+        rank = [0] * len(rows)
+        for r, u in enumerate(sorted(range(len(rows)), key=lambda u: repr(self.ids[u]))):
+            rank[u] = r
+        self.rank: Tuple[int, ...] = tuple(rank)
         self.connected = is_connected(
             range(self.m), ((u, s) for u, r in enumerate(rows) for s in r if u < s)
         )
@@ -159,6 +171,12 @@ class LineGraph:
             missing = [k for k in self.ids if k not in given] if given else []
             if missing:
                 raise GraphError(f"{what} missing for new vertices {missing[:3]!r}")
+            finite = np.isfinite([given[k] for k in self.ids] if given else [])
+            if finite.ndim == 2:  # coordinate pairs
+                finite = finite.all(axis=1)
+            bad = [k for k, ok in zip(self.ids, finite.tolist()) if not ok]
+            if bad:
+                raise GraphError(f"non-finite {what} at new vertices {bad[:3]!r}")
         self.coords = dict(coords) if coords else None
         self.edge_lengths = dict(edge_lengths) if edge_lengths else None
         self.values = dict(values) if values else None
@@ -197,32 +215,6 @@ class LineGraph:
 
         rows = [{s: pair_distance(u, s) for s in r} for u, r in enumerate(self.rows)]
         return rows, pair_distance
-
-    def distance(self, k: Id, l: Id, mode: MetricMode) -> float:
-        """Distance between two new vertices under the chosen metric.
-
-        Coordinate mode is the Euclidean distance between stored
-        coordinates; path-length mode is (l_k + l_l)/2 for adjacent pairs
-        and otherwise the shortest path through the line-graph structure.
-        """
-        if k == l:
-            raise GraphError("distance requires two distinct new vertices")
-        if mode is MetricMode.COORDINATE:
-            if self.coords is None or k not in self.coords or l not in self.coords:
-                raise GraphError("metric inputs unavailable: missing coordinates")
-            return math.dist(self.coords[k], self.coords[l])
-        if self.edge_lengths is None:
-            raise GraphError("metric inputs unavailable: no source edge lengths")
-        u, v = self.index.get(k), self.index.get(l)
-        if u is not None and v in self.rows[u]:
-            # bitwise the entry of metric_rows(), without building all rows
-            return 0.5 * (self.edge_lengths[k] + self.edge_lengths[l])
-        d = {}
-        if u is not None and v is not None:
-            d = shortest_path_distance(self.metric_rows(mode)[0], u, (v,))
-        if v not in d:
-            raise GraphError(f"disconnected in metric: {k!r} and {l!r}")
-        return d[v]
 
 
 def build_line_graph(graph: Graph) -> LineGraph:

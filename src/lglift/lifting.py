@@ -22,15 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import (
-    GraphError,
-    Id,
-    LineGraph,
-    MetricMode,
-    is_connected,
-    minimum_spanning_tree,
-    shortest_path_distance,
-)
+from .graph import GraphError, Id, LineGraph, MetricMode, shortest_path_distance
 
 class LiftingError(ValueError):
     """Invalid lifting configuration or state."""
@@ -303,7 +295,7 @@ class _Lifter:
         denom = sum(self.integrals[s] ** 2 for s in neighbors)
         b = [self.integrals[s] * Ik / denom for s in neighbors]
 
-        mutual = self._relink_distances(neighbors)
+        added = self._relink(neighbors)
         for s in row:
             del self.adj[s][k]
         self.adj[k] = {}
@@ -316,57 +308,70 @@ class _Lifter:
             a=tuple(a),
             b=tuple(b),
             integral=Ik,
-            edges_added=tuple((ids[u], ids[v], w) for u, v, w in self._relink(neighbors, mutual)),
+            edges_added=tuple((ids[u], ids[v], w) for u, v, w in added),
         )
 
-    def _relink_distances(self, neighbors: List[int]) -> Optional[List[Tuple[int, int, float]]]:
-        """Distances (u, v, dist) between every pair u < v of neighbours,
-        measured before k is removed.
+    def _relink(self, neighbors: List[int]) -> List[Tuple[int, int, float]]:
+        """Join the neighbours of the slot being removed, while its edges
+        are still in place: when the edges among them leave them in several
+        pieces, add the missing edges (u, v, dist), u < v, of the minimum
+        spanning tree of their mutual distances.
 
-        Returns None when the induced neighbourhood subgraph is already
-        connected.  Path-mode distances may route through k; they are
-        frozen at these link-time values, keeping the inverse exact.
+        Path-mode distances may route through the removed slot; they are
+        frozen at these link-time values, keeping the inverse exact.  The
+        tree is Kruskal's with the key (dist, lower rank, higher rank), the
+        tie-break `minimum_spanning_tree` applies to ids.
         """
-        if len(neighbors) < 2:
-            return None
-        induced = [
-            (u, v) for i, u in enumerate(neighbors) for v in neighbors[i + 1 :] if v in self.adj[u]
-        ]
-        if is_connected(neighbors, induced):
-            return None
-        if self.pair_distance is not None:
-            return [
-                (u, v, self.pair_distance(u, v))
-                for i, u in enumerate(neighbors)
-                for v in neighbors[i + 1 :]
-            ]
-        out = []
-        for i, u in enumerate(neighbors[:-1]):
-            dists = shortest_path_distance(self.adj, u, neighbors[i + 1 :])
-            for v in neighbors[i + 1 :]:
-                if v not in dists:
-                    raise GraphError(
-                        f"disconnected in metric: {self.lg.ids[u]!r} and {self.lg.ids[v]!r}"
-                    )
-                out.append((u, v, dists[v]))
-        return out
-
-    def _relink(self, neighbors: List[int], mutual) -> List[Tuple[int, int, float]]:
-        """Add the edges of the neighbourhood's spanning tree that are missing."""
-        if mutual is None:
+        n = len(neighbors)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        adj = self.adj
+        parent = list(range(n))
+        joins = sum(_union(parent, i, j) for i, j in pairs if neighbors[j] in adj[neighbors[i]])
+        if joins == n - 1:
             return []
-        ids, index = self.lg.ids, self.lg.index
-        # the tree's tie-break ranks ids, so it is taken over ids
-        tree = minimum_spanning_tree(
-            [ids[s] for s in neighbors], [(ids[u], ids[v], w) for u, v, w in mutual]
-        )
+        if self.pair_distance is not None:
+            dist = [self.pair_distance(neighbors[i], neighbors[j]) for i, j in pairs]
+        else:
+            dist = []
+            for i, u in enumerate(neighbors[:-1]):
+                reached = shortest_path_distance(adj, u, neighbors[i + 1 :])
+                for v in neighbors[i + 1 :]:
+                    if v not in reached:
+                        raise GraphError(
+                            f"disconnected in metric: {self.lg.ids[u]!r} and {self.lg.ids[v]!r}"
+                        )
+                    dist.append(reached[v])
+        for w in dist:
+            if not (math.isfinite(w) and w > 0):
+                raise GraphError(f"non-positive or non-finite edge weight {w}")
+        rank = [self.lg.rank[s] for s in neighbors]
+
+        def key(edge):
+            (i, j), w = edge
+            return (w, min(rank[i], rank[j]), max(rank[i], rank[j]))
+
+        parent = list(range(n))
         added = []
-        for p, q, w in tree:
-            u, v = index[p], index[q]
-            if v not in self.adj[u]:
-                self.adj[u][v] = self.adj[v][u] = w
-                added.append((u, v, w))
+        for (i, j), w in sorted(zip(pairs, dist), key=key):
+            if _union(parent, i, j):
+                u, v = neighbors[i], neighbors[j]
+                if v not in adj[u]:
+                    adj[u][v] = adj[v][u] = w
+                    added.append((u, v, w))
         return added
+
+
+def _union(parent: List[int], i: int, j: int) -> bool:
+    """Merge the sets of i and j in the union-find `parent`; False when
+    they already share one."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    while parent[j] != j:
+        parent[j] = j = parent[parent[j]]
+    if i == j:
+        return False
+    parent[i] = j
+    return True
 
 
 def _integrals(ids: Sequence[Id], rows, scheme: IntegralScheme) -> List[float]:

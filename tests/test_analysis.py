@@ -8,12 +8,10 @@ from lglift.analysis import (
     TransformMatrices,
     build_matrices,
     condition_number,
-    sparsity_curve,
     sparsity_curve_single,
 )
 from lglift.graph import build_line_graph
 from lglift.lifting import CoefficientSet, LiftingConfig, forward, inverse
-from lglift.simulation import sample_network
 
 
 def fake_matrices(mat):
@@ -118,15 +116,6 @@ class TestSparsity:
         diffs = np.diff(curve.ise)
         # greedy ordering in a biorthogonal system: allow small slack
         assert np.max(diffs) <= 1e-10 or np.max(diffs) / max(curve.ise.max(), 1.0) < 0.05
-
-    def test_averaged_curve(self, rng):
-        cfg = LiftingConfig.from_acronym("LG-Aid-c")
-        pairs = []
-        for seed in (1, 2):
-            lg = build_line_graph(sample_network(7, seed=seed))
-            pairs.append(({k: float(v) for k, v in zip(lg.ids, rng.normal(size=lg.m))}, lg))
-        curve = sparsity_curve(pairs, cfg)
-        assert curve.ise[-1] <= 1e-8
 
     def test_greedy_close_to_best_subset_m6(self, small_tree_lg, rng):
         # brute-force best-k reconstruction at m=6; log the greedy gap

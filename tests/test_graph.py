@@ -72,6 +72,20 @@ class TestGraphValidation:
         with pytest.raises(GraphError, match="non-positive length"):
             Graph([(1, None), (2, None)], [EdgeRec("a", 1, 2, length=0.0)])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(GraphError, match="vertex 'd' has non-finite coordinates"):
+            Graph([(1, (0.0, 0.0)), ("d", (3.0, bad))], [])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_length_rejected(self, bad):
+        with pytest.raises(GraphError, match="edge 'a' has non-finite length"):
+            Graph([(1, None), (2, None)], [EdgeRec("a", 1, 2, length=bad)])
+
+    def test_overflowing_euclidean_length_rejected(self):
+        with pytest.raises(GraphError, match="edge 'a' has non-finite length"):
+            Graph([(1, (-1e308, 0.0)), (2, (1e308, 0.0))], [EdgeRec("a", 1, 2)])
+
     def test_length_defaults_to_euclidean(self):
         g = Graph([(1, (0.0, 0.0)), (2, (3.0, 4.0))], [EdgeRec("a", 1, 2)])
         assert g.edges[0].length == pytest.approx(5.0)
@@ -148,6 +162,27 @@ class TestLineGraphValidation:
         with pytest.raises(GraphError, match=r"missing for new vertices \['d'\]"):
             LineGraph(ids, adj, **{field: given})
 
+    @pytest.mark.parametrize("field", ["coords", "edge_lengths"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_metric_inputs_rejected(self, field, bad):
+        ids = ["a", "b", "c"]
+        adj = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        given = {"coords": {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (3.0, bad)},
+                 "edge_lengths": {"a": 1.0, "b": 2.0, "c": bad}}[field]
+        with pytest.raises(GraphError, match=r"non-finite .* at new vertices \['c'\]"):
+            LineGraph(ids, adj, **{field: given})
+
+    def test_rank_is_repr_order(self):
+        # repr order: "'10'" < "'a'" < "'b2'" < '10' < '2' < '3'
+        assert LineGraph([10, "a", 3, "b2", 2, "10"], {}).rank == (3, 1, 5, 2, 4, 0)
+
+    def test_rank_ties_keep_position_order(self):
+        class Same:
+            def __repr__(self):
+                return "same"
+
+        assert LineGraph([Same(), 1, Same()], {}).rank == (1, 0, 2)
+
     def test_rows_and_connected_flag(self):
         lg = LineGraph(["c", "a", "d", "b"], {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}})
         assert lg.rows == ((2,), (3,), (0,), (1,))
@@ -158,72 +193,54 @@ class TestLineGraphValidation:
 
 
 class TestDistance:
+    """The one metric, `LineGraph.metric_rows`: its rows, its coordinate
+    pair distance and shortest paths over its path-length rows."""
+
     def test_coordinate_345(self):
         lg = LineGraph(
             ["a", "b"], {"a": {"b"}, "b": {"a"}}, coords={"a": (0, 0), "b": (3, 4)}
         )
-        assert lg.distance("a", "b", MetricMode.COORDINATE) == pytest.approx(5.0)
+        rows, pair_distance = lg.metric_rows(MetricMode.COORDINATE)
+        assert rows == [{1: pytest.approx(5.0)}, {0: pytest.approx(5.0)}]
+        assert pair_distance(0, 1) == pytest.approx(5.0)
 
     def test_path_adjacent_average_of_lengths(self):
-        lg = chain_lg([2.0, 4.0])
-        assert lg.distance("e0", "e1", MetricMode.PATH_LENGTH) == pytest.approx(3.0)
+        rows, _ = chain_lg([2.0, 4.0]).metric_rows(MetricMode.PATH_LENGTH)
+        assert rows[0][1] == rows[1][0] == pytest.approx(3.0)
 
     def test_path_nonadjacent_shortest_path(self):
-        lg = chain_lg([2.0, 2.0, 2.0])
-        assert lg.distance("e0", "e2", MetricMode.PATH_LENGTH) == pytest.approx(4.0)
-
-    def test_same_vertex_rejected(self):
-        lg = chain_lg([1.0, 1.0])
-        with pytest.raises(GraphError, match="distinct"):
-            lg.distance("e0", "e0", MetricMode.PATH_LENGTH)
+        rows, _ = chain_lg([2.0, 2.0, 2.0]).metric_rows(MetricMode.PATH_LENGTH)
+        assert 2 not in rows[0]
+        assert shortest_path_distance(rows, 0, (2,)) == {2: pytest.approx(4.0)}
 
     def test_missing_inputs_rejected(self):
         lg = chain_lg([1.0, 1.0])
         with pytest.raises(GraphError, match="metric inputs unavailable"):
-            lg.distance("e0", "e1", MetricMode.COORDINATE)
+            lg.metric_rows(MetricMode.COORDINATE)
 
     def test_symmetry_and_triangle_inequality(self, mst_lg):
-        ids = mst_lg.ids[:8]
-        for a, b in combinations(ids, 2):
-            dab = mst_lg.distance(a, b, MetricMode.COORDINATE)
-            assert dab == mst_lg.distance(b, a, MetricMode.COORDINATE)
-            assert dab > 0
-        for a, b, c in combinations(ids, 3):
-            dab = mst_lg.distance(a, b, MetricMode.COORDINATE)
-            dbc = mst_lg.distance(b, c, MetricMode.COORDINATE)
-            dac = mst_lg.distance(a, c, MetricMode.COORDINATE)
-            assert dac <= dab + dbc + 1e-12
+        _, d = mst_lg.metric_rows(MetricMode.COORDINATE)
+        for a, b in combinations(range(8), 2):
+            assert d(a, b) == d(b, a)
+            assert d(a, b) > 0
+        for a, b, c in combinations(range(8), 3):
+            assert d(a, c) <= d(a, b) + d(b, c) + 1e-12
 
     def test_path_disconnected_pair_rejected(self):
+        """A pair in different components has no path distance."""
         lg = LineGraph(
             ["a", "b", "c", "d"],
             {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}},
             edge_lengths={"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
         )
-        assert lg.distance("a", "b", MetricMode.PATH_LENGTH) == 1.0
-        with pytest.raises(GraphError, match="disconnected"):
-            lg.distance("a", "c", MetricMode.PATH_LENGTH)
-
-    def test_path_adjacent_pair_reads_no_rows(self, mst_lg, monkeypatch):
-        base = path_rows_by_id(mst_lg)
-        expected = {(k, s): base[k][s] for k in mst_lg.ids for s in base[k]}
-
-        def boom(mode):
-            raise AssertionError("adjacent pair built every row")
-
-        monkeypatch.setattr(mst_lg, "metric_rows", boom)
-        for (k, s), d in expected.items():
-            assert mst_lg.distance(k, s, MetricMode.PATH_LENGTH).hex() == d.hex()
+        rows, _ = lg.metric_rows(MetricMode.PATH_LENGTH)
+        assert shortest_path_distance(rows, 0, (1,)) == {1: 1.0}
+        assert shortest_path_distance(rows, 0, (2,)) == {}
 
     def test_path_errors(self):
-        lg = chain_lg([1.0, 1.0, 1.0])
-        with pytest.raises(GraphError, match="disconnected"):
-            lg.distance("e0", "zz", MetricMode.PATH_LENGTH)
-        with pytest.raises(GraphError, match="disconnected"):
-            lg.distance("zz", "e0", MetricMode.PATH_LENGTH)
         bare = LineGraph(["a", "b"], {"a": {"b"}, "b": {"a"}})
         with pytest.raises(GraphError, match="no source edge lengths"):
-            bare.distance("a", "b", MetricMode.PATH_LENGTH)
+            bare.metric_rows(MetricMode.PATH_LENGTH)
 
 
 def reference_edges(lg, adj):

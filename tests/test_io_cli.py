@@ -44,8 +44,43 @@ link s1 s2
 link s2 s3
 """
 
+#: a station whose y is infinite, and an edge whose length is infinite: the
+#: transform used to divide by zero on them
+INF_STATION = """\
+mode stations
+station a 0 0 value=1
+station b 1 0 value=2
+station c 2 1 value=3
+station d 3 inf value=4
+link a b
+link b c
+link c d
+link a c
+"""
+
+INF_LENGTH = """\
+mode graph
+vertex 1 0 0
+vertex 2 1 0
+vertex 3 2 0
+vertex 4 3 0
+edge e1 1 2 value=1
+edge e2 2 3 value=2 length=inf
+edge e3 3 4 value=3
+"""
+
 
 class TestParse:
+    @pytest.mark.parametrize(
+        "text, message",
+        [(INF_STATION, r"non-finite coordinates at new vertices \['d'\]"),
+         (INF_LENGTH, "edge 'e2' has non-finite length inf")],
+        ids=["inf-station", "inf-length"],
+    )
+    def test_non_finite_input_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_graph_text(text)
+
     def test_minimal_graph(self):
         g = parse_graph_text(MINIMAL)
         assert isinstance(g, Graph)
@@ -366,6 +401,19 @@ class TestCli:
         bad = tmp_path / "bad.graph"
         bad.write_text("mode graph\nvertex 1 zero zero\n")
         code = main(["forward", str(bad), "-o", str(tmp_path / "x")])
+        assert code == 2
+        assert "error category=parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, variant",
+        [(INF_STATION, "LG-Aid-c"), (INF_LENGTH, "LG-Sid-p")],
+        ids=["inf-station", "inf-length"],
+    )
+    @pytest.mark.parametrize("command", ["forward", "denoise"])
+    def test_non_finite_input_is_a_parse_error(self, tmp_path, capsys, text, variant, command):
+        bad = tmp_path / "inf.graph"
+        bad.write_text(text)
+        code = main([command, str(bad), "--variant", variant, "-o", str(tmp_path / "x")])
         assert code == 2
         assert "error category=parse" in capsys.readouterr().err
 

@@ -285,7 +285,9 @@ def test_planner_matches_reference_on_flow_fixture(acr):
 def coincident_stations_graphs(draw):
     """A random connected stations graph whose stations sit on a 3 x 3 grid
     (so many coincide) and whose lengths take two values (so Sum and Average
-    integrals tie as well as Delta ones)."""
+    integrals tie as well as Delta ones).  A drawn flag relabels the
+    positions with a mix of int and str ids, as `io` parses them, so that
+    `repr` order, int order and position order all disagree."""
     m = draw(st.integers(3, 25))
     adj = {i: set() for i in range(m)}
     for i in range(1, m):
@@ -299,7 +301,14 @@ def coincident_stations_graphs(draw):
     point = st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 2.0]))
     coords = {i: draw(point) for i in range(m)}
     lengths = {i: draw(st.sampled_from([1.0, 2.0])) for i in range(m)}
-    return LineGraph(list(range(m)), adj, coords=coords, edge_lengths=lengths)
+    ids = list(range(m))
+    if draw(st.booleans()):
+        mixed = st.one_of(st.integers(0, 99), st.from_regex(r"[ab][0-9]?", fullmatch=True))
+        ids = draw(st.lists(mixed, min_size=m, max_size=m, unique=True))
+        adj = {ids[i]: {ids[j] for j in adj[i]} for i in range(m)}
+        coords = {ids[i]: coords[i] for i in range(m)}
+        lengths = {ids[i]: lengths[i] for i in range(m)}
+    return LineGraph(ids, adj, coords=coords, edge_lengths=lengths)
 
 
 @settings(max_examples=15, deadline=None)
