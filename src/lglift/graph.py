@@ -193,7 +193,8 @@ class LineGraph:
         """The metric the planner lifts with: fresh weighted rows
         `{s: dist}` on positions, in the order of `rows`, and the pair
         distance a coordinate relink measures with (None for the path
-        metric, whose relinks search the rows)."""
+        metric, whose relinks search the rows).  Finite inputs so large
+        that a distance overflows are rejected."""
         if mode is MetricMode.PATH_LENGTH:
             if self.edge_lengths is None:
                 raise GraphError("metric inputs unavailable: no source edge lengths")
@@ -201,19 +202,26 @@ class LineGraph:
             rows = [
                 {s: 0.5 * (lengths[u] + lengths[s]) for s in r} for u, r in enumerate(self.rows)
             ]
-            return rows, None
-        if self.coords is None:
-            raise GraphError("metric inputs unavailable: missing coordinates")
-        xs = [c[0] for c in self.coords.values()]
-        ys = [c[1] for c in self.coords.values()]
-        diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-        floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
-        pts = [self.coords[k] for k in self.ids]
+            pair_distance = None
+        else:
+            if self.coords is None:
+                raise GraphError("metric inputs unavailable: missing coordinates")
+            xs = [c[0] for c in self.coords.values()]
+            ys = [c[1] for c in self.coords.values()]
+            diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+            floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
+            pts = [self.coords[k] for k in self.ids]
 
-        def pair_distance(u: int, v: int) -> float:
-            return max(math.dist(pts[u], pts[v]), floor)
+            def pair_distance(u: int, v: int) -> float:
+                return max(math.dist(pts[u], pts[v]), floor)
 
-        rows = [{s: pair_distance(u, s) for s in r} for u, r in enumerate(self.rows)]
+            rows = [{s: pair_distance(u, s) for s in r} for u, r in enumerate(self.rows)]
+        for k, row in zip(self.ids, rows):
+            # distances of finite inputs are finite or +inf, never NaN
+            if math.inf in row.values():
+                raise GraphError(
+                    f"non-finite metric distance at new vertex {k!r}: inputs too large"
+                )
         return rows, pair_distance
 
 

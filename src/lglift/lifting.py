@@ -244,8 +244,8 @@ class _Lifter:
         else:
             self.integrals = [float(initial_integrals[k]) for k in lg.ids]
         for k, I in zip(lg.ids, self.integrals):
-            if not I > 0:
-                raise LiftingError(f"non-positive initial integral at {k!r}")
+            if not 0 < I < math.inf:
+                raise LiftingError(f"non-positive or non-finite initial integral at {k!r}")
         self.buckets: Dict[float, List[int]] = {}
         for u, I in enumerate(self.integrals):
             self.buckets.setdefault(I, []).append(u)

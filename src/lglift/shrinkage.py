@@ -199,20 +199,25 @@ def thresh_from_weight(w: float) -> float:
 # ---------------------------------------------------------------------------
 # pipeline operations
 
+def _mad_sigma(finest: np.ndarray) -> np.ndarray:
+    """median(|d - median(d)|) / 0.6745 down each column of `finest`, the
+    finest-level details of one signal (n,) or of a batch (n, B)."""
+    if len(finest) < 3:
+        raise ShrinkageError(
+            f"insufficient coefficients: finest level has {len(finest)}, need 3"
+        )
+    return np.median(np.abs(finest - np.median(finest, axis=0)), axis=0) / MAD_SCALE
+
+
 def estimate_sigma_mad(details: np.ndarray, levels: np.ndarray) -> float:
     """Robust noise scale from the finest artificial level.
 
     `details` and the int array `levels` are aligned (canonical detail
     order); sigma = median(|d - median(d)|) / 0.6745 over level-0 details.
     """
-    finest = np.asarray(details, dtype=float)[np.asarray(levels) == 0]
-    if finest.size < 3:
-        raise ShrinkageError(
-            f"insufficient coefficients: finest level has {finest.size}, need 3"
-        )
-    sigma = float(np.median(np.abs(finest - np.median(finest)))) / MAD_SCALE
-    if sigma <= 0:
-        raise ShrinkageError("degenerate finest level: MAD noise estimate is zero")
+    sigma = float(_mad_sigma(np.asarray(details, dtype=float)[np.asarray(levels) == 0]))
+    if not sigma > 0:
+        raise ShrinkageError(f"degenerate finest level: MAD noise estimate {sigma} is not positive")
     return sigma
 
 
@@ -293,14 +298,7 @@ def _denoise_replay(
     C = _replay_forward(record, X).reshape(len(record.ids), -1)
     gains = np.fromiter(detail_gains(record).values(), float, n)[:, None]
     Z = C[:n] / gains
-    sigma = np.zeros(C.shape[1])
-    for j, z in enumerate(Z.T):
-        try:
-            sigma[j] = estimate_sigma_mad(z, mad_levels)
-        except ShrinkageError as exc:
-            # noiseless input: a zero MAD leaves sigma = 0, nothing to shrink
-            if "degenerate" not in str(exc):
-                raise
+    sigma = _mad_sigma(Z[mad_levels == 0])
     nu = np.zeros_like(sigma)
     live = sigma > 0
     if live.any():

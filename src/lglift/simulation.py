@@ -307,6 +307,7 @@ def run_experiment(
     lift_cfg = LiftingConfig.from_acronym(config.variant)
     Q, R = config.n_graphs, config.n_replications
     m = config.n_vertices - 1
+    sigma = 1.0 / config.snr
     estimates = np.empty((Q, R, m))
     truths = np.empty((Q, m))
     for q in range(Q):
@@ -318,8 +319,13 @@ def run_experiment(
             g = embed_edge_average(fn, graph)
         g = normalize_unit_variance(g)
         truths[q] = [g[k] for k in lg.ids]
-        samples = [add_noise(g, config.snr, seed=(config.master_seed, q, r))[0] for r in range(R)]
-        noisy = np.array([[s[k] for k in lg.ids] for s in samples]).T
+        # add_noise's draws, without normalizing g a second time: lg.ids
+        # follows graph.edges, the order add_noise draws in
+        noise = np.column_stack([
+            _substream((config.master_seed, q, r), SUB_NOISE).normal(0.0, sigma, m)
+            for r in range(R)
+        ])
+        noisy = truths[q][:, None] + noise
         # plan, gains and levels are data-independent: one plan per graph
         _, record = forward(g, lg, lift_cfg)
         estimates[q] = _denoise_replay(record, noisy, shrink_config)[0].T

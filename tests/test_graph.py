@@ -172,6 +172,21 @@ class TestLineGraphValidation:
         with pytest.raises(GraphError, match=r"non-finite .* at new vertices \['c'\]"):
             LineGraph(ids, adj, **{field: given})
 
+    @pytest.mark.parametrize(
+        "mode, field, given, named",
+        [(MetricMode.COORDINATE, "coords",
+          {"a": (-1e308, 0.0), "b": (0.0, 0.0), "c": (1e308, 0.0)}, "a"),
+         (MetricMode.PATH_LENGTH, "edge_lengths", {"a": 1.0, "b": 1e308, "c": 1e308}, "b")],
+        ids=["coordinate", "path"],
+    )
+    def test_overflowing_distance_rejected(self, mode, field, given, named):
+        # finite inputs whose distances overflow: the coordinate extent is
+        # inf, so is every floored distance; 0.5 * (1e308 + 1e308) is inf
+        adj = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        lg = LineGraph(["a", "b", "c"], adj, **{field: given})
+        with pytest.raises(GraphError, match=f"non-finite metric distance at new vertex '{named}'"):
+            lg.metric_rows(mode)
+
     def test_rank_is_repr_order(self):
         # repr order: "'10'" < "'a'" < "'b2'" < '10' < '2' < '3'
         assert LineGraph([10, "a", 3, "b2", 2, "10"], {}).rank == (3, 1, 5, 2, 4, 0)

@@ -70,6 +70,33 @@ edge e3 3 4 value=3
 """
 
 
+#: finite inputs whose distances overflow: stations at x = -1e308 and 1e308
+#: (the coordinate extent is inf) and a path of 1e308-long edges (the mean
+#: of two lengths is inf); both used to end in a division by zero
+HUGE_STATION = """\
+mode stations
+station a -1e308 0 value=1
+station b 1 0 value=2
+station c 2 1 value=3
+station d 1e308 4 value=4
+link a b
+link b c
+link c d
+link a c
+"""
+
+HUGE_LENGTH = """\
+mode graph
+vertex 1 0 0
+vertex 2 1 0
+vertex 3 2 0
+vertex 4 3 0
+edge e1 1 2 value=1 length=1e308
+edge e2 2 3 value=2 length=1e308
+edge e3 3 4 value=3 length=1e308
+"""
+
+
 class TestParse:
     @pytest.mark.parametrize(
         "text, message",
@@ -416,6 +443,22 @@ class TestCli:
         code = main([command, str(bad), "--variant", variant, "-o", str(tmp_path / "x")])
         assert code == 2
         assert "error category=parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, variant, named",
+        [(HUGE_STATION, "LG-Aid-c", "a"), (HUGE_LENGTH, "LG-Sid-p", "e1")],
+        ids=["huge-station", "huge-length"],
+    )
+    @pytest.mark.parametrize("command", ["forward", "denoise"])
+    def test_overflowing_metric_is_a_graph_error(
+        self, tmp_path, capsys, text, variant, named, command
+    ):
+        bad = tmp_path / "huge.graph"
+        bad.write_text(text)
+        code = main([command, str(bad), "--variant", variant, "-o", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error category=graph: non-finite metric distance at new vertex '{named}'" in err
 
     def test_fewer_details_than_levels(self, tmp_path, graph_file, capsys):
         # m = 19 and tau = 16 leave 3 details, fewer than floor(log2 19) = 4

@@ -247,6 +247,22 @@ class TestForward:
         with pytest.raises(LiftingError, match="non-finite"):
             forward(values, small_tree_lg, LiftingConfig())
 
+    @pytest.mark.parametrize("acr", ["LG-Sid-p", "LG-Aid-p"])
+    def test_overflowing_initial_integral_rejected(self, acr):
+        # the line graph of a 4-edge star is K4: every distance 8e307 is
+        # finite, but a sum of three of them overflows
+        ids = ["a", "b", "c", "d"]
+        lg = make_lg({k: set(ids) - {k} for k in ids}, lengths=dict.fromkeys(ids, 8e307))
+        with pytest.raises(LiftingError, match="non-finite initial integral at 'a'"):
+            forward(dict.fromkeys(ids, 1.0), lg, LiftingConfig.from_acronym(acr))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_bad_given_initial_integral_rejected(self, path3_lg, bad):
+        values = dict.fromkeys(path3_lg.ids, 1.0)
+        integrals = {"A": 1.0, "B": bad, "C": 1.0}
+        with pytest.raises(LiftingError, match="non-positive or non-finite initial integral at 'B'"):
+            forward(values, path3_lg, LiftingConfig(), initial_integrals=integrals)
+
     def test_scaled_integrals_leave_details_unchanged(self, mst_lg, rng):
         # multiplying the initial integrals by a constant must not change
         # any detail or filter

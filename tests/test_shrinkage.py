@@ -25,6 +25,7 @@ from lglift.shrinkage import (
     _denoise_replay,
     beta_cauchy,
     denoise,
+    detail_gains,
     ebayes_threshold,
     estimate_sigma_mad,
     nlt_denoise,
@@ -448,6 +449,11 @@ class TestMad:
         with pytest.raises(ShrinkageError, match="degenerate"):
             estimate_sigma_mad(np.array([2.0, 2.0, 2.0]), np.array([0, 0, 0]))
 
+    def test_nan_detail_rejected(self):
+        # NaN compares false against 0, so a `sigma <= 0` test let it through
+        with pytest.raises(ShrinkageError, match="MAD noise estimate nan is not positive"):
+            estimate_sigma_mad(np.array([1.0, np.nan, 2.0, 3.0]), np.zeros(4, dtype=int))
+
     def test_small_finest_rejected(self):
         with pytest.raises(ShrinkageError, match="insufficient"):
             estimate_sigma_mad(np.array([1.0, 2.0]), np.array([0, 0]))
@@ -602,6 +608,54 @@ class TestBatchCoreBitwise:
             assert _bits(est[:, j]) == _bits([single.estimates[k] for k in lg.ids])
             assert _bits(shrunk[:n, j]) == _bits(list(single.shrunk_details.values()))
             assert _bits([sigma[j], nu[j]]) == _bits([single.sigma_hat, single.nu_hat])
+
+
+class TestBatchSigma:
+    """The shrink core estimates sigma in one MAD pass over the batch: column
+    by column it is bitwise `estimate_sigma_mad` on the pooled levels, and a
+    zero-MAD column has sigma 0 and passes through unshrunk."""
+
+    @pytest.mark.parametrize(
+        "acr, graph, zero_cols",
+        [("LG-Aid-c", "mst", (3, 4)), ("LG-Sid-p", "flow", (3, 4)), ("LG-Aid-c", "tiny", (3,))],
+    )
+    @pytest.mark.parametrize("rule", ["median", "hard"])
+    def test_core_sigma_is_estimate_sigma_mad(self, acr, graph, zero_cols, rule):
+        if graph == "flow":
+            net, clean = generate_flow_fixture(0)
+        else:
+            # the tiny network (m = 8) has 2 details per level, so the MAD
+            # pools its two finest levels
+            net = sample_network(*((100, 7) if graph == "mst" else (9, 3)))
+            clean = embed_pointwise(get_field("quadrants"), net)
+        lg = build_line_graph(net)
+        cfg = LiftingConfig.from_acronym(acr)
+        truth = np.array([clean[k] for k in lg.ids])
+        noise = np.random.default_rng(5).normal(size=(lg.m, 3))
+        # three noisy columns, a constant one and the clean signal
+        X = np.column_stack([truth[:, None] + noise, np.full(lg.m, 2.5), truth])
+        _, record = forward(clean, lg, cfg)
+        n = len(record.stages)
+        lev = np.array([record.levels[k] for k in record.removal_order])
+        pool = int(np.argmax(np.cumsum(np.bincount(lev)) >= 3))
+        assert pool == (1 if graph == "tiny" else 0)
+        mad_levels = np.where(lev <= pool, 0, lev)
+        gains = np.array(list(detail_gains(record).values()))
+        for batch in (X, X[:, 0]):
+            est, shrunk, sigma, _ = _denoise_replay(record, batch, ShrinkageConfig(rule=rule))
+            est, shrunk = est.reshape(lg.m, -1), shrunk.reshape(lg.m, -1)
+            for j, x in enumerate(batch.reshape(lg.m, -1).T):
+                values = dict(zip(lg.ids, x.tolist()))
+                c = forward(values, lg, cfg, trajectory=record.removal_order)[0].as_vector(record)
+                z = c[:n] / gains
+                if j in zero_cols:
+                    with pytest.raises(ShrinkageError, match="degenerate finest level"):
+                        estimate_sigma_mad(z, mad_levels)
+                    assert sigma[j] == 0.0
+                    assert _bits(shrunk[:, j]) == _bits(c)
+                    assert np.max(np.abs(est[:, j] - x)) <= 1e-12
+                else:
+                    assert _bits([sigma[j]]) == _bits([estimate_sigma_mad(z, mad_levels)])
 
 
 class TestNlt:

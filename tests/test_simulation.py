@@ -9,6 +9,7 @@ from lglift.graph import EdgeRec, Graph, build_line_graph
 from lglift.lifting import forward
 from lglift.simulation import (
     FIELDS,
+    SUB_NOISE,
     ExperimentConfig,
     SimulationError,
     add_noise,
@@ -210,6 +211,38 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert math.isfinite(rep.amse)
         assert rep.amse == pytest.approx(rep.variance + rep.bias_sq, abs=1e-10)
+
+    def test_edge_average_embedding(self):
+        rep = run_experiment(
+            ExperimentConfig(n_vertices=20, n_graphs=2, n_replications=3, embedding="edge_average")
+        )
+        assert all(math.isfinite(v) for v in (rep.amse, rep.variance, rep.bias_sq, rep.amse_std))
+        assert rep.amse == pytest.approx(rep.variance + rep.bias_sq, abs=1e-10)
+
+    def test_batch_is_truth_plus_substream_draws(self, monkeypatch):
+        # master seed 0: normalizing either graph's unit-variance truth a
+        # second time changes the last bits of its values, which the
+        # replicates must not carry
+        replay = lglift.simulation._denoise_replay
+        batches = []
+
+        def capture(record, X, shrink_config):
+            batches.append(X.copy())
+            return replay(record, X, shrink_config)
+
+        monkeypatch.setattr(lglift.simulation, "_denoise_replay", capture)
+        run_experiment(ExperimentConfig(n_vertices=20, n_graphs=2, n_replications=3, snr=3.0))
+        assert len(batches) == 2
+        for q, X in enumerate(batches):
+            graph = sample_network(20, seed=q)
+            lg = build_line_graph(graph)
+            g = normalize_unit_variance(embed_pointwise(get_field("quadrants"), graph))
+            truth = np.array([g[k] for k in lg.ids])
+            draws = [
+                np.random.default_rng((0, q, r, SUB_NOISE)).normal(0.0, 1.0 / 3.0, lg.m)
+                for r in range(3)
+            ]
+            assert X.tobytes() == (truth[:, None] + np.column_stack(draws)).tobytes()
 
     def test_invalid_config(self):
         with pytest.raises(SimulationError):
