@@ -158,15 +158,10 @@ class LineGraph:
             rows.append(tuple(sorted({self.index[s] for s in nbrs})))
         #: each position's neighbour positions, ascending: the one adjacency
         self.rows: Tuple[Tuple[int, ...], ...] = tuple(rows)
-        #: each position's place among the ids in `repr` order, equal reprs
-        #: kept in position order: the tie-break of `minimum_spanning_tree`
-        rank = [0] * len(rows)
-        for r, u in enumerate(sorted(range(len(rows)), key=lambda u: repr(self.ids[u]))):
-            rank[u] = r
-        self.rank: Tuple[int, ...] = tuple(rank)
-        self.connected = is_connected(
-            range(self.m), ((u, s) for u, r in enumerate(rows) for s in r if u < s)
-        )
+        #: each position's `repr` rank, the tie-break of the planner's relinks
+        self.rank: Tuple[int, ...] = tuple(_repr_rank(self.ids))
+        pairs = ((u, s) for u, r in enumerate(rows) for s in r if u < s)
+        self.connected = _connected(self.m, pairs)
         for what, given in (("coordinates", coords), ("edge lengths", edge_lengths)):
             missing = [k for k in self.ids if k not in given] if given else []
             if missing:
@@ -270,24 +265,13 @@ def is_connected(vertices: Iterable[Id], edges: Iterable[Tuple[Id, Id]]) -> bool
     The empty vertex set counts as connected.  Edges must reference subset
     vertices only.
     """
-    verts = set(vertices)
-    if not verts:
+    index = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
+    if not index:
         return True
-    adj: Dict[Id, Set[Id]] = {v: set() for v in verts}
-    for u, v in edges:
-        if u not in verts or v not in verts:
-            raise GraphError("edge references vertex outside the subset")
-        adj[u].add(v)
-        adj[v].add(u)
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for s in adj[stack.pop()]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return len(seen) == len(verts)
+    edges = list(edges)
+    if any(u not in index or v not in index for u, v in edges):
+        raise GraphError("edge references vertex outside the subset")
+    return _connected(len(index), ((index[u], index[v]) for u, v in edges))
 
 
 def shortest_path_distance(
@@ -341,33 +325,62 @@ def minimum_spanning_tree(
     for _, _, w in weighted_edges:
         if not (math.isfinite(w) and w > 0):
             raise GraphError(f"non-positive or non-finite edge weight {w}")
-
-    order = {v: i for i, v in enumerate(sorted(vertices, key=repr))}
-
-    def key(e: Tuple[Id, Id, float]):
-        a, b = sorted((order[e[0]], order[e[1]]))
-        return (e[2], a, b)
-
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    tree: List[Tuple[Id, Id, float]] = []
-    for u, v, w in sorted(weighted_edges, key=key):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append((u, v, w))
-            if len(tree) == len(vertices) - 1:
-                break
+    index = {v: i for i, v in enumerate(vertices)}
+    pairs = [(index[u], index[v]) for u, v, _ in weighted_edges]
+    weights = [w for _, _, w in weighted_edges]
+    tree = _kruskal(len(vertices), pairs, weights, _repr_rank(vertices))
     if len(tree) != len(vertices) - 1:
         raise GraphError("cannot span: weighted edges do not connect the vertices")
+    return [tuple(weighted_edges[e]) for e in tree]
+
+
+def _repr_rank(ids: Sequence[Id]) -> List[int]:
+    """Each position's place among `ids` in `repr` order, equal reprs kept
+    in position order: the id order every spanning tree here breaks ties by."""
+    rank = [0] * len(ids)
+    for r, u in enumerate(sorted(range(len(ids)), key=lambda u: repr(ids[u]))):
+        rank[u] = r
+    return rank
+
+
+def _union(parent: List[int], i: int, j: int) -> bool:
+    """Merge the sets of i and j in the union-find `parent`; False when
+    they already share one."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    while parent[j] != j:
+        parent[j] = j = parent[parent[j]]
+    if i == j:
+        return False
+    parent[i] = j
+    return True
+
+
+def _connected(n: int, pairs: Iterable[Tuple[int, int]]) -> bool:
+    """True iff the pairs (i, j) join the slots 0..n-1, n > 0, into one set."""
+    parent = list(range(n))
+    return sum(_union(parent, i, j) for i, j in pairs) == n - 1
+
+
+def _kruskal(n: int, pairs: Sequence[Tuple[int, int]], weights: Sequence[float],
+             rank: Sequence[int]) -> List[int]:
+    """Kruskal's spanning forest of the slots 0..n-1: the indices of the
+    pairs (i, j) it accepts, in acceptance order.  Pairs are taken by the
+    key (weight, lower rank, higher rank), equal keys in input order, and
+    the search stops once n - 1 pairs are accepted."""
+
+    def key(e: int):
+        i, j = pairs[e]
+        a, b = rank[i], rank[j]
+        return (weights[e], a, b) if a < b else (weights[e], b, a)
+
+    parent = list(range(n))
+    tree = []
+    for e in sorted(range(len(pairs)), key=key):
+        if _union(parent, *pairs[e]):
+            tree.append(e)
+            if len(tree) == n - 1:
+                break
     return tree
 
 

@@ -298,8 +298,8 @@ def read_transform(prefix: str) -> Tuple[CoefficientSet, LiftingRecord]:
     """The coefficients and record of `write_transform`.  Raises ParseError,
     naming the file, for a record that is not valid JSON or not a
     replayable record, and for a coefficients file without a kind, id or
-    value column, with a value that is not a finite number, or with an id
-    on two rows."""
+    value column, with a kind other than detail or scaling, with a value
+    that is not a finite number, or with an id on two rows."""
     record_path, coeffs_path = f"{prefix}.record.json", f"{prefix}.coeffs.csv"
     with open(record_path) as fh:
         try:
@@ -317,6 +317,9 @@ def read_transform(prefix: str) -> Tuple[CoefficientSet, LiftingRecord]:
         if not {"kind", "id", "value"} <= set(reader.fieldnames or ()):
             raise ParseError(f"{coeffs_path}: header lacks a kind, id or value column")
         for row in reader:
+            if row["kind"] not in ("detail", "scaling"):
+                raise ParseError(f"{coeffs_path} line {reader.line_num}: kind "
+                                 f"{row['kind']!r} is not detail or scaling")
             # an id the record lacks stays text; `inverse` rejects the mismatch
             k = by_text.get(row["id"], row["id"])
             try:

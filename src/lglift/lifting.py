@@ -22,7 +22,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import GraphError, Id, LineGraph, MetricMode, shortest_path_distance
+from .graph import (GraphError, Id, LineGraph, MetricMode, _connected, _kruskal,
+                    shortest_path_distance)
 
 class LiftingError(ValueError):
     """Invalid lifting configuration or state."""
@@ -292,7 +293,12 @@ class _Lifter:
         Ik = self.integrals[k]
         for w, s in zip(a, neighbors):
             self._move(s, self.integrals[s] + w * Ik)
-        denom = sum(self.integrals[s] ** 2 for s in neighbors)
+        try:
+            denom = sum(self.integrals[s] ** 2 for s in neighbors)
+        except OverflowError:  # the square of a finite integral past the float range
+            denom = math.inf
+        if denom == math.inf:  # or an updated integral is inf
+            raise LiftingError(f"non-finite integral update at stage {stage}: integrals too large")
         b = [self.integrals[s] * Ik / denom for s in neighbors]
 
         added = self._relink(neighbors)
@@ -315,19 +321,15 @@ class _Lifter:
         """Join the neighbours of the slot being removed, while its edges
         are still in place: when the edges among them leave them in several
         pieces, add the missing edges (u, v, dist), u < v, of the minimum
-        spanning tree of their mutual distances.
+        spanning tree of their mutual distances, ties broken by `LineGraph.rank`.
 
         Path-mode distances may route through the removed slot; they are
-        frozen at these link-time values, keeping the inverse exact.  The
-        tree is Kruskal's with the key (dist, lower rank, higher rank), the
-        tie-break `minimum_spanning_tree` applies to ids.
+        frozen at these link-time values, keeping the inverse exact.
         """
         n = len(neighbors)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         adj = self.adj
-        parent = list(range(n))
-        joins = sum(_union(parent, i, j) for i, j in pairs if neighbors[j] in adj[neighbors[i]])
-        if joins == n - 1:
+        if _connected(n, ((i, j) for i, j in pairs if neighbors[j] in adj[neighbors[i]])):
             return []
         if self.pair_distance is not None:
             dist = [self.pair_distance(neighbors[i], neighbors[j]) for i, j in pairs]
@@ -344,34 +346,14 @@ class _Lifter:
         for w in dist:
             if not (math.isfinite(w) and w > 0):
                 raise GraphError(f"non-positive or non-finite edge weight {w}")
-        rank = [self.lg.rank[s] for s in neighbors]
-
-        def key(edge):
-            (i, j), w = edge
-            return (w, min(rank[i], rank[j]), max(rank[i], rank[j]))
-
-        parent = list(range(n))
         added = []
-        for (i, j), w in sorted(zip(pairs, dist), key=key):
-            if _union(parent, i, j):
-                u, v = neighbors[i], neighbors[j]
-                if v not in adj[u]:
-                    adj[u][v] = adj[v][u] = w
-                    added.append((u, v, w))
+        for e in _kruskal(n, pairs, dist, [self.lg.rank[s] for s in neighbors]):
+            i, j = pairs[e]
+            u, v = neighbors[i], neighbors[j]
+            if v not in adj[u]:
+                adj[u][v] = adj[v][u] = dist[e]
+                added.append((u, v, dist[e]))
         return added
-
-
-def _union(parent: List[int], i: int, j: int) -> bool:
-    """Merge the sets of i and j in the union-find `parent`; False when
-    they already share one."""
-    while parent[i] != i:
-        parent[i] = i = parent[parent[i]]
-    while parent[j] != j:
-        parent[j] = j = parent[parent[j]]
-    if i == j:
-        return False
-    parent[i] = j
-    return True
 
 
 def _integrals(ids: Sequence[Id], rows, scheme: IntegralScheme) -> List[float]:

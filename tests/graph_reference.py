@@ -1,0 +1,82 @@
+"""Frozen reference copies of `lglift.graph.is_connected` and
+`lglift.graph.minimum_spanning_tree` as they were before the package
+moved both onto the union-find Kruskal its planner relinks with: a
+depth-first search, and a Kruskal with its own union-find.  The planner
+and spanning-tree tests check the package against these, so a fault in
+the shared Kruskal cannot hide by checking the planner against itself.
+"""
+
+import math
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+from lglift.graph import GraphError, Id
+
+
+def is_connected(vertices: Iterable[Id], edges: Iterable[Tuple[Id, Id]]) -> bool:
+    """True iff the subgraph on `vertices` with `edges` has one component.
+
+    The empty vertex set counts as connected.  Edges must reference subset
+    vertices only.
+    """
+    verts = set(vertices)
+    if not verts:
+        return True
+    adj: Dict[Id, Set[Id]] = {v: set() for v in verts}
+    for u, v in edges:
+        if u not in verts or v not in verts:
+            raise GraphError("edge references vertex outside the subset")
+        adj[u].add(v)
+        adj[v].add(u)
+    start = next(iter(verts))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for s in adj[stack.pop()]:
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return len(seen) == len(verts)
+
+
+def minimum_spanning_tree(
+    vertices: Sequence[Id],
+    weighted_edges: Sequence[Tuple[Id, Id, float]],
+) -> List[Tuple[Id, Id, float]]:
+    """Kruskal MST with a deterministic tie-break.
+
+    Candidate edges are processed in lexicographic (weight, smaller id,
+    larger id) order so the result is reproducible across runs.
+    """
+    if not vertices:
+        raise GraphError("minimum_spanning_tree requires at least one vertex")
+    for _, _, w in weighted_edges:
+        if not (math.isfinite(w) and w > 0):
+            raise GraphError(f"non-positive or non-finite edge weight {w}")
+
+    order = {v: i for i, v in enumerate(sorted(vertices, key=repr))}
+
+    def key(e: Tuple[Id, Id, float]):
+        a, b = sorted((order[e[0]], order[e[1]]))
+        return (e[2], a, b)
+
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    tree: List[Tuple[Id, Id, float]] = []
+    for u, v, w in sorted(weighted_edges, key=key):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree.append((u, v, w))
+            if len(tree) == len(vertices) - 1:
+                break
+    if len(tree) != len(vertices) - 1:
+        raise GraphError("cannot span: weighted edges do not connect the vertices")
+    return tree

@@ -23,6 +23,8 @@ from lglift.graph import (
 from lglift.lifting import LiftingConfig, forward
 from lglift.simulation import generate_flow_fixture, sample_network
 
+import graph_reference
+
 
 def chain_lg(lengths):
     """Line graph of a path; new vertices chained in order."""
@@ -414,7 +416,7 @@ def all_pairs_mst(points):
         (a, b, math.dist(ca, cb))
         for (a, ca), (b, cb) in combinations(points, 2)
     ]
-    return minimum_spanning_tree([p[0] for p in points], edges)
+    return graph_reference.minimum_spanning_tree([p[0] for p in points], edges)
 
 
 def _points(xy, seed):
@@ -509,7 +511,7 @@ class TestEuclideanMstCandidates:
 def brute_force_mst_weight(vertices, weighted_edges):
     best = math.inf
     for subset in combinations(weighted_edges, len(vertices) - 1):
-        if is_connected(vertices, [(u, v) for u, v, _ in subset]):
+        if graph_reference.is_connected(vertices, [(u, v) for u, v, _ in subset]):
             best = min(best, sum(w for _, _, w in subset))
     return best
 
@@ -552,7 +554,7 @@ class TestSpanningTree:
         edges = [(a, b, math.dist(ca, cb)) for (a, ca), (b, cb) in combinations(pts, 2)]
         tree = minimum_spanning_tree([p[0] for p in pts], edges)
         assert len(tree) == n - 1
-        assert is_connected([p[0] for p in pts], [(u, v) for u, v, _ in tree])
+        assert graph_reference.is_connected([p[0] for p in pts], [(u, v) for u, v, _ in tree])
         total = sum(w for _, _, w in tree)
         assert total == pytest.approx(brute_force_mst_weight([p[0] for p in pts], edges))
 
@@ -578,3 +580,61 @@ class TestConnectivity:
     def test_foreign_edge_rejected(self):
         with pytest.raises(GraphError):
             is_connected(["a"], [("a", "z")])
+
+
+#: ids as `io` parses them, mixing ints and strings whose `repr` order,
+#: int order and draw order disagree ("1" and 1 both occur)
+MIXED_IDS = st.one_of(st.integers(-3, 12), st.from_regex(r"[ab1][0-9]?", fullmatch=True))
+
+
+@st.composite
+def spanning_inputs(draw):
+    """Vertices and weighted edges among them: tied weights, often too few
+    edges to connect them, and with a drawn flag, no or repeated vertices,
+    weights that are not positive and finite or an endpoint that is not a
+    vertex."""
+    faulty = draw(st.integers(0, 3)) == 0
+    vertices = draw(st.lists(MIXED_IDS, min_size=int(not faulty), max_size=8, unique=not faulty))
+    end = st.sampled_from(vertices) if vertices else MIXED_IDS
+    weight = st.sampled_from([0.5, 1.0, 1.0, 2.0])
+    if faulty:
+        end = end | MIXED_IDS
+        weight = weight | st.sampled_from([0.0, -1.0, math.inf, math.nan])
+    edges = draw(st.lists(st.tuples(end, end, weight), max_size=12))
+    if vertices and draw(st.booleans()):
+        # hide a random tree among the edges, so that many draws span
+        tree = [(v, vertices[draw(st.integers(0, i))], draw(weight))
+                for i, v in enumerate(vertices[1:])]
+        edges = draw(st.permutations(edges + tree))
+    return vertices, edges
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFrozenReferences:
+    """The package's spanning tree and connectivity test share one
+    union-find Kruskal with the planner; they must give what the frozen
+    references in `graph_reference` give, results and errors alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=spanning_inputs())
+    def test_minimum_spanning_tree(self, inputs):
+        vertices, edges = inputs
+        got = _outcome(minimum_spanning_tree, vertices, edges)
+        want = _outcome(graph_reference.minimum_spanning_tree, vertices, edges)
+        assert got == want and repr(got) == repr(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=spanning_inputs())
+    def test_is_connected(self, inputs):
+        vertices, edges = inputs
+        pairs = [(u, v) for u, v, _ in edges]
+        assert _outcome(is_connected, vertices, pairs) == _outcome(
+            graph_reference.is_connected, vertices, pairs
+        )

@@ -530,11 +530,13 @@ def test_inverse_rejects_corrupt_record(tmp_path, graph_file, capsys, corruption
     assert not (tmp_path / "back.csv").exists()
 
 
-def _set_first_detail(text):
+def _set_first_detail(text, column=2):
+    """An edit writing `text` into the first detail row's cell `column`
+    (by default its value)."""
     def edit(path):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        rows[1][2] = text
+        rows[1][column] = text
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
     return edit
@@ -554,6 +556,9 @@ FILE_CORRUPTIONS = {
     "value-nan": ("t.coeffs.csv", _set_first_detail("nan")),
     "value-infinite": ("t.coeffs.csv", _set_first_detail("-inf")),
     "repeated-id": ("t.coeffs.csv", _repeat_first_detail),
+    "kind-typo": ("t.coeffs.csv", _set_first_detail("typo", column=0)),
+    "kind-capitalised": ("t.coeffs.csv", _set_first_detail("Scaling", column=0)),
+    "kind-empty": ("t.coeffs.csv", _set_first_detail("", column=0)),
 }
 
 

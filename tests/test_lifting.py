@@ -256,6 +256,19 @@ class TestForward:
         with pytest.raises(LiftingError, match="non-finite initial integral at 'a'"):
             forward(dict.fromkeys(ids, 1.0), lg, LiftingConfig.from_acronym(acr))
 
+    @pytest.mark.parametrize("acr", ["LG-Sid-p", "LG-Aid-p"])
+    def test_overflowing_integral_update_rejected(self, acr):
+        # the line graph of a 3-edge path: every initial integral is finite,
+        # but above about 1.3e154 the square of an updated one overflows
+        adj = {"e1": {"e2"}, "e2": {"e1", "e3"}, "e3": {"e2"}}
+        values = {"e1": 1.0, "e2": 2.0, "e3": 3.0}
+        config = LiftingConfig.from_acronym(acr)
+        huge = make_lg(adj, lengths=dict.fromkeys(adj, 1e155))
+        with pytest.raises(LiftingError, match="non-finite integral update at stage 3"):
+            forward(values, huge, config)
+        coeffs, record = forward(values, make_lg(adj, lengths=dict.fromkeys(adj, 1e150)), config)
+        assert inverse(coeffs, record) == pytest.approx(values)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
     def test_bad_given_initial_integral_rejected(self, path3_lg, bad):
         values = dict.fromkeys(path3_lg.ids, 1.0)

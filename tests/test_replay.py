@@ -18,8 +18,6 @@ from lglift.graph import (
     LineGraph,
     MetricMode,
     build_line_graph,
-    is_connected,
-    minimum_spanning_tree,
 )
 from lglift.lifting import (
     VARIANTS,
@@ -34,6 +32,8 @@ from lglift.lifting import (
 )
 from lglift.shrinkage import detail_gains
 from lglift.simulation import generate_flow_fixture, sample_network
+
+from graph_reference import is_connected, minimum_spanning_tree
 
 
 def reference_forward(values, record):
