@@ -12,6 +12,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import combinations
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -186,10 +187,10 @@ class LineGraph:
 
     def metric_rows(self, mode: MetricMode):
         """The metric the planner lifts with: fresh weighted rows
-        `{s: dist}` on positions, in the order of `rows`, and the pair
-        distance a coordinate relink measures with (None for the path
-        metric, whose relinks search the rows).  Finite inputs so large
-        that a distance overflows are rejected."""
+        `{s: dist}` on positions, in the order of `rows`, and the relink
+        `relink(adj, slots)` that joins ascending `slots` over such rows in
+        the same metric (see `_relink`).  Finite inputs so large that a
+        distance overflows are rejected."""
         if mode is MetricMode.PATH_LENGTH:
             if self.edge_lengths is None:
                 raise GraphError("metric inputs unavailable: no source edge lengths")
@@ -197,7 +198,19 @@ class LineGraph:
             rows = [
                 {s: 0.5 * (lengths[u] + lengths[s]) for s in r} for u, r in enumerate(self.rows)
             ]
-            pair_distance = None
+
+            def measure(adj, slots):
+                # may route through the removed slot; frozen at link time (exact inverse)
+                dist = []
+                for i, u in enumerate(slots[:-1]):
+                    reached = shortest_path_distance(adj, u, slots[i + 1 :])
+                    for v in slots[i + 1 :]:
+                        if v not in reached:
+                            raise GraphError(
+                                f"disconnected in metric: {self.ids[u]!r} and {self.ids[v]!r}"
+                            )
+                        dist.append(reached[v])
+                return dist
         else:
             if self.coords is None:
                 raise GraphError("metric inputs unavailable: missing coordinates")
@@ -210,6 +223,9 @@ class LineGraph:
             def pair_distance(u: int, v: int) -> float:
                 return max(math.dist(pts[u], pts[v]), floor)
 
+            def measure(adj, slots):
+                return [pair_distance(u, v) for u, v in combinations(slots, 2)]
+
             rows = [{s: pair_distance(u, s) for s in r} for u, r in enumerate(self.rows)]
         for k, row in zip(self.ids, rows):
             # distances of finite inputs are finite or +inf, never NaN
@@ -217,7 +233,30 @@ class LineGraph:
                 raise GraphError(
                     f"non-finite metric distance at new vertex {k!r}: inputs too large"
                 )
-        return rows, pair_distance
+        return rows, partial(self._relink, measure)
+
+    def _relink(self, measure, adj, slots: Sequence[int]) -> List[Tuple[int, int, float]]:
+        """Join `slots` (a removed slot's neighbours, its edges still in
+        `adj`) when the edges among them leave them in pieces: add to `adj`,
+        and return, the missing edges (u, v, dist) of the minimum spanning
+        tree of the pair distances `measure` lists in `combinations` order,
+        ties broken by `rank`."""
+        n = len(slots)
+        pairs = list(combinations(range(n), 2))
+        if _connected(n, ((i, j) for i, j in pairs if slots[j] in adj[slots[i]])):
+            return []
+        dist = measure(adj, slots)
+        for w in dist:
+            if not (math.isfinite(w) and w > 0):
+                raise GraphError(f"non-positive or non-finite edge weight {w}")
+        added = []
+        for e in _kruskal(n, pairs, dist, [self.rank[s] for s in slots]):
+            i, j = pairs[e]
+            u, v = slots[i], slots[j]
+            if v not in adj[u]:
+                adj[u][v] = adj[v][u] = dist[e]
+                added.append((u, v, dist[e]))
+        return added
 
 
 def build_line_graph(graph: Graph) -> LineGraph:
@@ -274,30 +313,24 @@ def is_connected(vertices: Iterable[Id], edges: Iterable[Tuple[Id, Id]]) -> bool
     return _connected(len(index), ((index[u], index[v]) for u, v in edges))
 
 
-def shortest_path_distance(
-    adj, source: Id, targets: Optional[Iterable[Id]] = None
-) -> Dict[Id, float]:
-    """Dijkstra from `source` over weighted rows `adj[u] = {s: dist}`.
-
-    Without `targets`, searches the whole component and returns the
-    distance of every reached vertex.  With `targets`, stops as soon as
-    every target is settled and returns `{target: distance}` for the
-    targets reached; an unreachable target is absent.  Edge distances are
-    nonnegative, so a settled distance never changes afterwards, and each
-    returned value is bitwise the one the full search returns.
+def shortest_path_distance(adj, source: Id, targets: Iterable[Id]) -> Dict[Id, float]:
+    """Dijkstra from `source` over weighted rows `adj[u] = {s: dist}`,
+    stopped once every target is settled: `{target: distance}` for the
+    targets reached (an unreachable one is absent).  Edge distances are
+    nonnegative, so a settled distance is final, bitwise what a search of
+    the whole component gives, and a popped entry above its best distance
+    is stale.
     """
-    pending = None if targets is None else set(targets)
+    pending = set(targets)
     found: Dict[Id, float] = {}
     dist: Dict[Id, float] = {source: 0.0}
-    done: Set[Id] = set()
     counter = 0
     heap: List[Tuple[float, int, Id]] = [(0.0, counter, source)]
-    while heap and (pending is None or pending):
+    while heap and pending:
         d, _, u = heapq.heappop(heap)
-        if u in done:
+        if d > dist[u]:
             continue
-        done.add(u)
-        if pending is not None and u in pending:
+        if u in pending:
             found[u] = d
             pending.discard(u)
             if not pending:
@@ -308,7 +341,7 @@ def shortest_path_distance(
                 dist[s] = nd
                 counter += 1
                 heapq.heappush(heap, (nd, counter, s))
-    return dist if pending is None else found
+    return found
 
 
 def minimum_spanning_tree(
@@ -326,6 +359,8 @@ def minimum_spanning_tree(
         if not (math.isfinite(w) and w > 0):
             raise GraphError(f"non-positive or non-finite edge weight {w}")
     index = {v: i for i, v in enumerate(vertices)}
+    if any(u not in index or v not in index for u, v, _ in weighted_edges):
+        raise GraphError("edge references vertex outside the subset")
     pairs = [(index[u], index[v]) for u, v, _ in weighted_edges]
     weights = [w for _, _, w in weighted_edges]
     tree = _kruskal(len(vertices), pairs, weights, _repr_rank(vertices))

@@ -4,9 +4,9 @@ Each stage removes the new vertex with the smallest integral, predicts its
 value from its neighbours, updates neighbour integrals and coefficients
 with a minimum-norm filter, and relinks the neighbourhood so the structure
 stays connected.  The order and the filters never depend on the data, so
-a planner (`_Lifter`) does all the graph work and archives it as a
-`LiftingRecord`, and two kernels (`_replay_forward`, `_replay_inverse`),
-the only code doing lifting arithmetic, replay it on a signal or a batch.
+a planner (`_Lifter`, which leaves the relink to `LineGraph`) archives
+them as a `LiftingRecord`, and two kernels (`_replay_forward`,
+`_replay_inverse`) replay it on a signal or a batch.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import (GraphError, Id, LineGraph, MetricMode, _connected, _kruskal,
-                    shortest_path_distance)
+from .graph import GraphError, Id, LineGraph, MetricMode
 
 class LiftingError(ValueError):
     """Invalid lifting configuration or state."""
@@ -221,7 +220,8 @@ def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> Lis
 
 class _Lifter:
     """Mutable transform state on slots 0..m-1 (line-graph positions): one
-    weighted adjacency `adj[u] = {s: dist}` and the integrals.
+    weighted adjacency `adj[u] = {s: dist}`, the relink `LineGraph.metric_rows`
+    pairs with it, and the integrals.
 
     The live slots are the ones in the buckets, keyed by their exact
     integral value, each an ascending list of slots, with a heap of the
@@ -238,7 +238,7 @@ class _Lifter:
             raise GraphError("line graph disconnected")
         self.lg = lg
         self.config = config
-        self.adj, self.pair_distance = lg.metric_rows(config.metric_mode)
+        self.adj, self.relink = lg.metric_rows(config.metric_mode)
         if initial_integrals is None:
             # the same inputs as init_integrals, so the two agree exactly
             self.integrals = _integrals(lg.ids, self.adj, config.integral_scheme)
@@ -301,7 +301,7 @@ class _Lifter:
             raise LiftingError(f"non-finite integral update at stage {stage}: integrals too large")
         b = [self.integrals[s] * Ik / denom for s in neighbors]
 
-        added = self._relink(neighbors)
+        added = self.relink(self.adj, neighbors)  # while k's edges are in place
         for s in row:
             del self.adj[s][k]
         self.adj[k] = {}
@@ -316,44 +316,6 @@ class _Lifter:
             integral=Ik,
             edges_added=tuple((ids[u], ids[v], w) for u, v, w in added),
         )
-
-    def _relink(self, neighbors: List[int]) -> List[Tuple[int, int, float]]:
-        """Join the neighbours of the slot being removed, while its edges
-        are still in place: when the edges among them leave them in several
-        pieces, add the missing edges (u, v, dist), u < v, of the minimum
-        spanning tree of their mutual distances, ties broken by `LineGraph.rank`.
-
-        Path-mode distances may route through the removed slot; they are
-        frozen at these link-time values, keeping the inverse exact.
-        """
-        n = len(neighbors)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        adj = self.adj
-        if _connected(n, ((i, j) for i, j in pairs if neighbors[j] in adj[neighbors[i]])):
-            return []
-        if self.pair_distance is not None:
-            dist = [self.pair_distance(neighbors[i], neighbors[j]) for i, j in pairs]
-        else:
-            dist = []
-            for i, u in enumerate(neighbors[:-1]):
-                reached = shortest_path_distance(adj, u, neighbors[i + 1 :])
-                for v in neighbors[i + 1 :]:
-                    if v not in reached:
-                        raise GraphError(
-                            f"disconnected in metric: {self.lg.ids[u]!r} and {self.lg.ids[v]!r}"
-                        )
-                    dist.append(reached[v])
-        for w in dist:
-            if not (math.isfinite(w) and w > 0):
-                raise GraphError(f"non-positive or non-finite edge weight {w}")
-        added = []
-        for e in _kruskal(n, pairs, dist, [self.lg.rank[s] for s in neighbors]):
-            i, j = pairs[e]
-            u, v = neighbors[i], neighbors[j]
-            if v not in adj[u]:
-                adj[u][v] = adj[v][u] = dist[e]
-                added.append((u, v, dist[e]))
-        return added
 
 
 def _integrals(ids: Sequence[Id], rows, scheme: IntegralScheme) -> List[float]:

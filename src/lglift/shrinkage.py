@@ -24,6 +24,8 @@ from .lifting import LiftingConfig, LiftingRecord, _replay_forward, _replay_inve
 MAD_SCALE = 0.6745
 #: the posterior-median bisection stops once every bracket is this narrow
 POST_MED_TOL = 1e-13
+#: identity columns `detail_gains` replays at a time, bounding its memory
+GAIN_BLOCK = 1024
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -267,12 +269,16 @@ def ebayes_threshold(
 def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
     """Per-detail noise gain: the 2-norm of that forward-matrix row.
 
-    Replays the archived filters on an identity matrix, so no further
-    graph work is needed.
+    Replays the archived filters on the identity matrix, `GAIN_BLOCK`
+    columns at a time, and sums the rows' squared norms over the blocks,
+    so no further graph work is needed and memory stays linear in m.
     """
-    rows = _replay_forward(record, np.eye(len(record.ids)))[: len(record.stages)]
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    return dict(zip(record.removal_order, norms.tolist()))
+    m, n = len(record.ids), len(record.stages)
+    squares = np.zeros(n)
+    for lo in range(0, m, GAIN_BLOCK):
+        rows = _replay_forward(record, np.eye(m, min(GAIN_BLOCK, m - lo), -lo))[:n]
+        squares += np.einsum("ij,ij->i", rows, rows)
+    return dict(zip(record.removal_order, np.sqrt(squares).tolist()))
 
 
 def _denoise_replay(

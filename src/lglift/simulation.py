@@ -1,8 +1,9 @@
 """Experiment harness: test fields, sampled networks, noise, and metrics.
 
 All randomness flows from one master seed through documented per-purpose
-substreams (graph, noise, trajectory), so any cell of an experiment grid
-can be recomputed independently.
+substreams (graph, noise, fixture; NLT removal orders seed `(seed, p)` in
+`shrinkage.random_trajectories`), so any cell of an experiment grid can be
+recomputed independently.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .shrinkage import ShrinkageConfig, _denoise_replay, nlt_denoise
 # substream tags; combined with the master seed they name an RNG stream
 SUB_GRAPH = 1
 SUB_NOISE = 2
-SUB_TRAJECTORY = 3
 SUB_FIXTURE = 4
 
 

@@ -4,8 +4,12 @@ moved both onto the union-find Kruskal its planner relinks with: a
 depth-first search, and a Kruskal with its own union-find.  The planner
 and spanning-tree tests check the package against these, so a fault in
 the shared Kruskal cannot hide by checking the planner against itself.
+`shortest_path_distances` is the whole-component Dijkstra that
+`lglift.graph.shortest_path_distance` ran before it kept only its
+bounded, multi-target search.
 """
 
+import heapq
 import math
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -80,3 +84,24 @@ def minimum_spanning_tree(
     if len(tree) != len(vertices) - 1:
         raise GraphError("cannot span: weighted edges do not connect the vertices")
     return tree
+
+
+def shortest_path_distances(adj, source: Id) -> Dict[Id, float]:
+    """Dijkstra from `source` over weighted rows `adj[u] = {s: dist}`:
+    the distance of every vertex in the source's component."""
+    dist: Dict[Id, float] = {source: 0.0}
+    done: Set[Id] = set()
+    counter = 0
+    heap: List[Tuple[float, int, Id]] = [(0.0, counter, source)]
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for s, w in adj[u].items():
+            nd = d + w
+            if nd < dist.get(s, math.inf):
+                dist[s] = nd
+                counter += 1
+                heapq.heappush(heap, (nd, counter, s))
+    return dist

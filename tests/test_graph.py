@@ -42,6 +42,15 @@ def path_rows_by_id(lg):
     return {lg.ids[u]: {lg.ids[s]: w for s, w in row.items()} for u, row in enumerate(rows)}
 
 
+def relink_distance(relink, m, u, v):
+    """The distance a coordinate `relink` of an m-slot line graph measures
+    from slot u to slot v: the weight of the one edge it adds between them
+    when no edge joins them."""
+    (edge,) = relink([{} for _ in range(m)], [u, v])
+    assert edge[:2] == (u, v)
+    return edge[2]
+
+
 def shared_endpoint_adjacency(graph):
     """The line graph's adjacency from the source graph: two edges are
     neighbours when they share exactly one endpoint."""
@@ -210,25 +219,27 @@ class TestLineGraphValidation:
 
 
 class TestDistance:
-    """The one metric, `LineGraph.metric_rows`: its rows, its coordinate
-    pair distance and shortest paths over its path-length rows."""
+    """The one metric, `LineGraph.metric_rows`: its rows, the distances
+    its relink measures and shortest paths over its path-length rows."""
 
     def test_coordinate_345(self):
         lg = LineGraph(
             ["a", "b"], {"a": {"b"}, "b": {"a"}}, coords={"a": (0, 0), "b": (3, 4)}
         )
-        rows, pair_distance = lg.metric_rows(MetricMode.COORDINATE)
+        rows, relink = lg.metric_rows(MetricMode.COORDINATE)
         assert rows == [{1: pytest.approx(5.0)}, {0: pytest.approx(5.0)}]
-        assert pair_distance(0, 1) == pytest.approx(5.0)
+        assert relink_distance(relink, 2, 0, 1) == pytest.approx(5.0)
 
     def test_path_adjacent_average_of_lengths(self):
         rows, _ = chain_lg([2.0, 4.0]).metric_rows(MetricMode.PATH_LENGTH)
         assert rows[0][1] == rows[1][0] == pytest.approx(3.0)
 
     def test_path_nonadjacent_shortest_path(self):
-        rows, _ = chain_lg([2.0, 2.0, 2.0]).metric_rows(MetricMode.PATH_LENGTH)
+        rows, relink = chain_lg([2.0, 2.0, 2.0]).metric_rows(MetricMode.PATH_LENGTH)
         assert 2 not in rows[0]
         assert shortest_path_distance(rows, 0, (2,)) == {2: pytest.approx(4.0)}
+        assert relink(rows, [0, 2]) == [(0, 2, pytest.approx(4.0))]
+        assert rows[0][2] == rows[2][0] == pytest.approx(4.0)
 
     def test_missing_inputs_rejected(self):
         lg = chain_lg([1.0, 1.0])
@@ -236,7 +247,11 @@ class TestDistance:
             lg.metric_rows(MetricMode.COORDINATE)
 
     def test_symmetry_and_triangle_inequality(self, mst_lg):
-        _, d = mst_lg.metric_rows(MetricMode.COORDINATE)
+        _, relink = mst_lg.metric_rows(MetricMode.COORDINATE)
+
+        def d(a, b):
+            return relink_distance(relink, mst_lg.m, a, b)
+
         for a, b in combinations(range(8), 2):
             assert d(a, b) == d(b, a)
             assert d(a, b) > 0
@@ -276,36 +291,51 @@ def reference_base_distances(lg, adj):
     }
 
 
+def reference_pair_distance(lg):
+    """The floored coordinate distance between two positions, as first
+    written."""
+    xs = [c[0] for c in lg.coords.values()]
+    ys = [c[1] for c in lg.coords.values()]
+    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
+    pts = [lg.coords[k] for k in lg.ids]
+    return lambda u, s: max(math.dist(pts[u], pts[s]), floor)
+
+
 def reference_metric_rows(lg, adj, mode):
     """The planner's slot rows as first written: path rows re-keyed from
     `reference_base_distances`, coordinate rows sorted per row."""
     if mode is MetricMode.PATH_LENGTH:
         base = reference_base_distances(lg, adj)
         return [{lg.index[s]: w for s, w in base[k].items()} for k in lg.ids]
-    xs = [c[0] for c in lg.coords.values()]
-    ys = [c[1] for c in lg.coords.values()]
-    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-    floor = DISTANCE_FLOOR_FRAC * diag if diag > 0 else DISTANCE_FLOOR_FRAC
-    pts = [lg.coords[k] for k in lg.ids]
+    pair_distance = reference_pair_distance(lg)
     return [
-        {s: max(math.dist(pts[u], pts[s]), floor)
-         for s in sorted(map(lg.index.__getitem__, adj[k]))}
+        {s: pair_distance(u, s) for s in sorted(map(lg.index.__getitem__, adj[k]))}
         for u, k in enumerate(lg.ids)
     ]
 
 
 def assert_rows_match_reference(lg, adj):
     """Metric rows equal the references on the caller's adjacency `adj` in
-    values and key order; the edge set is that of `adj`."""
+    values and key order; the edge set is that of `adj`; the relink that
+    comes with the rows joins the first non-adjacent pair at its reference
+    distance in the same metric: straight for coordinates, the shortest
+    path over the rows for path lengths."""
     assert set(lg.edges()) == set(reference_edges(lg, adj))
     assert len(lg.edges()) == len(reference_edges(lg, adj))
     modes = [MetricMode.PATH_LENGTH] + ([MetricMode.COORDINATE] if lg.coords else [])
     for mode in modes:
-        got, pair_distance = lg.metric_rows(mode)
-        assert [list(r.items()) for r in got] == [
-            list(r.items()) for r in reference_metric_rows(lg, adj, mode)
-        ]
-        assert (pair_distance is None) == (mode is MetricMode.PATH_LENGTH)
+        got, relink = lg.metric_rows(mode)
+        want = reference_metric_rows(lg, adj, mode)
+        assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+        apart = [(u, v) for u, v in combinations(range(lg.m), 2) if v not in got[u]]
+        if apart:
+            u, v = apart[0]
+            if mode is MetricMode.PATH_LENGTH:
+                dist = graph_reference.shortest_path_distances(want, u)[v]
+            else:
+                dist = reference_pair_distance(lg)(u, v)
+            assert relink(got, [u, v]) == [(u, v, dist)]
 
 
 def assert_source_rows_match_reference(graph):
@@ -378,7 +408,7 @@ class TestShortestPathDistance:
         base = path_rows_by_id(mst_lg)
         rng = np.random.default_rng(0)
         for source in mst_lg.ids[:10]:
-            full = shortest_path_distance(base, source)
+            full = graph_reference.shortest_path_distances(base, source)
             assert len(full) == mst_lg.m
             targets = list(rng.choice(np.array(mst_lg.ids), size=6, replace=False))
             got = shortest_path_distance(base, source, targets)
@@ -405,7 +435,7 @@ class TestShortestPathDistance:
         assert got == {"e1": 1.0, "e2": 2.0}
         assert base.lookups == 3
         with pytest.raises(AssertionError, match="search reached"):
-            shortest_path_distance(base, "e0")
+            shortest_path_distance(base, "e0", ["e9"])
 
 
 def all_pairs_mst(points):
@@ -542,6 +572,13 @@ class TestSpanningTree:
         with pytest.raises(GraphError, match="non-positive"):
             minimum_spanning_tree([1, 2], [(1, 2, 0.0)])
 
+    def test_foreign_endpoint_rejected(self):
+        with pytest.raises(GraphError, match="edge references vertex outside the subset"):
+            minimum_spanning_tree(["a", "b"], [("a", "b", 1.0), ("a", "zz", 1.0)])
+        # the weight check comes first
+        with pytest.raises(GraphError, match="non-positive"):
+            minimum_spanning_tree(["a", "b"], [("a", "zz", 1.0), ("a", "b", 0.0)])
+
     def test_unspannable_rejected(self):
         with pytest.raises(GraphError, match="cannot span"):
             minimum_spanning_tree([1, 2, 3], [(1, 2, 1.0)])
@@ -620,7 +657,9 @@ def _outcome(fn, *args):
 class TestFrozenReferences:
     """The package's spanning tree and connectivity test share one
     union-find Kruskal with the planner; they must give what the frozen
-    references in `graph_reference` give, results and errors alike."""
+    references in `graph_reference` give, results and errors alike, except
+    that an endpoint outside the vertices, a bare `KeyError` in the
+    reference, is the package's categorized `GraphError`."""
 
     @settings(max_examples=300, deadline=None)
     @given(inputs=spanning_inputs())
@@ -628,6 +667,8 @@ class TestFrozenReferences:
         vertices, edges = inputs
         got = _outcome(minimum_spanning_tree, vertices, edges)
         want = _outcome(graph_reference.minimum_spanning_tree, vertices, edges)
+        if want[0] is KeyError:
+            want = (GraphError, "edge references vertex outside the subset")
         assert got == want and repr(got) == repr(want)
 
     @settings(max_examples=300, deadline=None)

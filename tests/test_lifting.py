@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lglift import lifting
 from lglift.graph import GraphError, LineGraph, MetricMode
 from lglift.lifting import (
     VARIANTS,
@@ -183,6 +186,18 @@ class TestLiftStage:
         added = {frozenset((u, v)) for u, v, _ in record.stages[0].edges_added}
         # candidate distances: pq ~ 0.224, qr ~ 6.20, pr ~ 6.40
         assert added == {frozenset(("p", "q")), frozenset(("q", "r"))}
+
+    def test_relink_is_graph_work(self):
+        # the planner relinks through LineGraph.metric_rows; it imports no
+        # private graph name (a search, a union-find or a Kruskal)
+        names = [
+            alias.name
+            for node in ast.walk(ast.parse(inspect.getsource(lifting)))
+            if isinstance(node, ast.ImportFrom) and node.module == "graph"
+            for alias in node.names
+        ]
+        assert "LineGraph" in names
+        assert [n for n in names if n.startswith("_") or n == "shortest_path_distance"] == []
 
     def test_no_relink_when_already_connected(self, triangle_graph):
         from lglift.graph import build_line_graph

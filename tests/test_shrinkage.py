@@ -16,6 +16,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 import lglift
+from lglift import shrinkage
 from lglift.analysis import sparsity_curve_single
 from lglift.lifting import LiftingConfig, forward, inverse
 from lglift.shrinkage import (
@@ -608,6 +609,24 @@ class TestBatchCoreBitwise:
             assert _bits(est[:, j]) == _bits([single.estimates[k] for k in lg.ids])
             assert _bits(shrunk[:n, j]) == _bits(list(single.shrunk_details.values()))
             assert _bits([sigma[j], nu[j]]) == _bits([single.sigma_hat, single.nu_hat])
+
+
+class TestDetailGains:
+    """`detail_gains` replays the identity in blocks of `GAIN_BLOCK`
+    columns; more blocks change only the order of each squared norm's sum."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])
+    def test_blocks_match_one_block(self, monkeypatch, mst_lg, acr, block):
+        cfg = LiftingConfig.from_acronym(acr)
+        _, record = forward(dict.fromkeys(mst_lg.ids, 0.0), mst_lg, cfg)
+        assert mst_lg.m <= shrinkage.GAIN_BLOCK
+        one = detail_gains(record)
+        monkeypatch.setattr(shrinkage, "GAIN_BLOCK", block)
+        many = detail_gains(record)
+        assert list(many) == list(one) == list(record.removal_order)
+        for k, g in one.items():
+            assert many[k] == pytest.approx(g, rel=1e-15, abs=0.0)
 
 
 class TestBatchSigma:
