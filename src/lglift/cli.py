@@ -126,7 +126,12 @@ def cmd_denoise(args) -> None:
     _manifest(
         args,
         "denoise",
-        {"sigma_hat": result.sigma_hat, "nu_hat": result.nu_hat, "zero_frac": result.zero_frac},
+        {
+            "sigma_hat": result.sigma_hat,
+            "nu_hat": result.nu_hat,
+            "zero_frac": result.zero_frac,
+            "fallback_frac": result.fallback_frac,
+        },
     )
     print(
         f"denoise: sigma_hat={result.sigma_hat:.4g} nu_hat={result.nu_hat:.4g} -> {args.output}"
@@ -148,6 +153,7 @@ def cmd_nlt(args) -> None:
             "sigma_hat": result.sigma_hat,
             "nu_hat": result.nu_hat,
             "zero_frac": result.zero_frac,
+            "fallback_frac": result.fallback_frac,
             "trajectories": len(singles),
         },
     )

@@ -22,8 +22,10 @@ from .graph import Id, LineGraph
 from .lifting import LiftingConfig, LiftingRecord, _replay_forward, _replay_inverse, forward
 
 MAD_SCALE = 0.6745
-#: the posterior-median bisection stops once every bracket is this narrow
+#: the posterior-median bisection stops each bracket once it is this narrow
 POST_MED_TOL = 1e-13
+#: the mixing-weight fit stops each column once its Newton step is this small
+WEIGHT_TOL = 1e-13
 #: identity columns `detail_gains` replays at a time, bounding its memory
 GAIN_BLOCK = 1024
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -55,6 +57,8 @@ class DenoiseResult:
     shrunk_details: Dict[Id, float]
     #: fraction of the m - tau shrunk details that are exactly 0
     zero_frac: float
+    #: fraction of the signals whose mixing-weight fit fell back to 0.5
+    fallback_frac: float
 
 
 # ---------------------------------------------------------------------------
@@ -101,27 +105,57 @@ def weight_from_thresh(thr: float) -> float:
     return 1.0 / inv if math.isfinite(inv) else 1.0
 
 
-def weight_from_data(x: np.ndarray) -> float:
-    """Marginal maximum-likelihood mixing weight.
+def weight_from_data(x: np.ndarray) -> float | np.ndarray:
+    """Marginal maximum-likelihood mixing weight of one column (n,), a float,
+    or of each column of (n, B), a (B,) array.
 
     The likelihood score S(w) = sum beta/(1 + w*beta) is decreasing in w;
-    the solution is bracketed between the universal-threshold weight and 1.
+    the solution is bracketed between the universal-threshold weight w_lo
+    and 1, and is exactly 1 where S(1) >= 0 and exactly w_lo where
+    S(w_lo) <= 0.  An interior root is found from w_lo by Newton's method
+    on w*S(w) = n - sum 1/(1 + w*beta), which is nearly linear in w; a step
+    that leaves the bracket is replaced by bisection.  Each column stops
+    once its step is within `WEIGHT_TOL`, and its sums run along one
+    contiguous row, so a weight does not depend on the other columns.  A
+    column whose score is not finite (a NaN or infinite coefficient, or
+    one whose square overflows) has no weight: NaN in a batch,
+    ShrinkageError for one column.
     """
     x = np.asarray(x, dtype=float)
-    m = x.size
-    if m == 0:
+    n = len(x)
+    if n == 0:
         raise ShrinkageError("cannot fit mixing weight to zero coefficients")
-    wlo = weight_from_thresh(math.sqrt(2.0 * math.log(m)))
-    beta = beta_cauchy(x)
+    wlo = weight_from_thresh(math.sqrt(2.0 * math.log(n)))
+    beta = beta_cauchy(np.ascontiguousarray(x.reshape(n, -1).T))
+    s_one = np.sum(beta / (1.0 + beta), axis=1)
+    t = beta / (1.0 + wlo * beta)
+    s = np.sum(t, axis=1)
+    w = np.where(s_one >= 0, 1.0, np.where(s <= 0, wlo, np.nan))
 
-    def score(w: float) -> float:
-        return float(np.sum(beta / (1.0 + w * beta)))
-
-    if score(1.0) >= 0:
-        return 1.0
-    if score(wlo) <= 0:
-        return wlo
-    return float(brentq(score, wlo, 1.0, xtol=1e-12))
+    idx = np.flatnonzero((s_one < 0) & (s > 0))
+    beta, t, s = beta[idx], t[idx], s[idx]
+    cur = lo = np.full(idx.size, wlo)
+    hi = np.ones(idx.size)
+    while idx.size:
+        # (w S)' = S + w S' with S' = -sum t^2
+        step = cur * s / (cur * np.sum(t * t, axis=1) - s)
+        new = cur + step
+        done = (np.abs(step) <= WEIGHT_TOL) | (hi - lo <= WEIGHT_TOL)
+        if done.any():
+            w[idx[done]] = np.clip(new[done], lo[done], hi[done])
+            open_ = ~done
+            idx, beta, new, lo, hi = idx[open_], beta[open_], new[open_], lo[open_], hi[open_]
+        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        t = beta / (1.0 + new[:, None] * beta)
+        s = np.sum(t, axis=1)
+        lo = np.where(s > 0, new, lo)
+        hi = np.where(s < 0, new, hi)
+        cur = new
+    if x.ndim > 1:
+        return w
+    if np.isnan(w[0]):
+        raise ShrinkageError("cannot fit mixing weight: the likelihood score is not finite")
+    return float(w[0])
 
 
 def _cauchy_med_half_yl(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
@@ -223,6 +257,39 @@ def estimate_sigma_mad(details: np.ndarray, levels: np.ndarray) -> float:
     return sigma
 
 
+def _ebayes(
+    details: np.ndarray, sigma: float | np.ndarray, levels: np.ndarray, config: ShrinkageConfig
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`ebayes_threshold` on an (n, B) batch.  Returns the shrunk details,
+    the weight per column, and the columns whose weight fit failed and fell
+    back to 0.5, each with one warning."""
+    if not np.all(sigma > 0):
+        raise ShrinkageError(f"noise scale must be positive, got {sigma}")
+    n_levels = int(levels.max()) + 1 if levels.size else 0
+    if not config.keep_coarsest < max(n_levels, 1):
+        raise ShrinkageError(
+            f"keep_coarsest={config.keep_coarsest} must be below {n_levels} levels"
+        )
+    target = levels < n_levels - config.keep_coarsest
+    out = details.copy()
+    w = np.zeros(details.shape[1])
+    fallback = np.zeros(details.shape[1], dtype=bool)
+    if target.any():
+        z = details[target] / sigma
+        w = weight_from_data(z)
+        fallback = np.isnan(w)
+        for _ in range(np.count_nonzero(fallback)):
+            warnings.warn("mixing-weight fit failed (score not finite); falling back to 0.5")
+        w[fallback] = 0.5
+        if config.rule == "median":
+            shrunk = post_med_cauchy(z, w)
+        else:
+            thr = np.array([thresh_from_weight(wj) for wj in w])
+            shrunk = np.where(np.abs(z) > thr, z, 0.0)
+        out[target] = shrunk * sigma
+    return out, w, fallback
+
+
 def ebayes_threshold(
     details: np.ndarray,
     sigma: float | np.ndarray,
@@ -235,35 +302,14 @@ def ebayes_threshold(
     to the int array `levels`; `sigma` is a noise scale, or one per column.
     The `keep_coarsest` coarsest levels pass through untouched; the rest
     are standardized by sigma, shrunk with a mixing weight fitted per
-    column, and rescaled.  The weight is a float for one signal, else (B,).
+    column (0.5, with a warning, where the fit fails), and rescaled.  The
+    weight is a float for one signal, else (B,).
     """
     details = np.asarray(details, dtype=float)
-    levels = np.asarray(levels)
-    if not np.all(sigma > 0):
-        raise ShrinkageError(f"noise scale must be positive, got {sigma}")
-    n_levels = int(levels.max()) + 1 if levels.size else 0
-    if not config.keep_coarsest < max(n_levels, 1):
-        raise ShrinkageError(
-            f"keep_coarsest={config.keep_coarsest} must be below {n_levels} levels"
-        )
-    target = levels < n_levels - config.keep_coarsest
-    out = details.copy()
-    z = details[target] / sigma
-    w = np.zeros(details.shape[1] if details.ndim > 1 else 1)
-    if target.any():
-        for j, col in enumerate(z.reshape(len(z), -1).T):
-            try:
-                w[j] = weight_from_data(col)
-            except (ValueError, ArithmeticError) as exc:
-                warnings.warn(f"mixing-weight fit failed ({exc}); falling back to 0.5")
-                w[j] = 0.5
-        if config.rule == "median":
-            shrunk = post_med_cauchy(z, w)
-        else:
-            thr = np.array([thresh_from_weight(wj) for wj in w])
-            shrunk = np.where(np.abs(z) > thr, z, 0.0)
-        out[target] = shrunk * sigma
-    return out, (w if details.ndim > 1 else float(w[0]))
+    out, w, _ = _ebayes(details.reshape(len(details), -1), sigma, np.asarray(levels), config)
+    if details.ndim > 1:
+        return out, w
+    return out.reshape(details.shape), float(w[0])
 
 
 def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
@@ -281,37 +327,99 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
     return dict(zip(record.removal_order, np.sqrt(squares).tolist()))
 
 
-def _denoise_replay(
-    record: LiftingRecord, X: np.ndarray, shrink_config: ShrinkageConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Denoise the signals X, shape (m,) or (m, B) in line-graph id order,
-    on the plan `record`, shrinking by its artificial levels.
+def _by_level(record: LiftingRecord) -> Tuple[np.ndarray, np.ndarray]:
+    """The detail rows of `record` (canonical order) sorted stably by
+    artificial level, and their sorted levels.
 
-    Returns the estimates and the shrunk coefficients (canonical order),
-    both shaped like X, and sigma and nu per column.  A column whose MAD is
-    zero (noiseless input) passes through with sigma = nu = 0.
+    The level bounds depend only on m and the level count, so every plan of
+    one line graph has the same sorted levels: the shrink core runs any
+    batch of plans on one level vector, and always sums in this row order.
     """
     levels = record.levels
     if levels is None:
         raise ShrinkageError("too few detail coefficients to denoise")
-    n = len(record.stages)
     lev = np.array([levels[k] for k in record.removal_order])
+    rows = np.argsort(lev, kind="stable")
+    return rows, lev[rows]
+
+
+def _shrink_core(
+    Z: np.ndarray, lev: np.ndarray, shrink_config: ShrinkageConfig
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shrink gain-standardized details Z, (n, B) with rows sorted by their
+    levels `lev`.  Returns the shrunk Z, and sigma, nu and the weight-fit
+    fallback per column.  A column whose MAD is zero (noiseless input)
+    comes back unchanged with sigma = nu = 0."""
     # on very small graphs the finest level alone is too thin for a MAD;
     # pool upward from the finest until at least 3 coefficients are in hand
     pool = int(np.argmax(np.cumsum(np.bincount(lev)) >= 3))
-    mad_levels = np.where(lev <= pool, 0, lev)
-
-    C = _replay_forward(record, X).reshape(len(record.ids), -1)
-    gains = np.fromiter(detail_gains(record).values(), float, n)[:, None]
-    Z = C[:n] / gains
-    sigma = _mad_sigma(Z[mad_levels == 0])
+    sigma = _mad_sigma(Z[lev <= pool])
     nu = np.zeros_like(sigma)
+    fallback = np.zeros(sigma.shape, dtype=bool)
     live = sigma > 0
     if live.any():
-        shrunk, nu[live] = ebayes_threshold(Z[:, live], sigma[live], lev, shrink_config)
-        C[:n, live] = shrunk * gains
-    C = C.reshape(np.shape(X))
-    return _replay_inverse(record, C), C, sigma, nu
+        Z = Z.copy()
+        Z[:, live], nu[live], fallback[live] = _ebayes(Z[:, live], sigma[live], lev, shrink_config)
+    return Z, sigma, nu, fallback
+
+
+def _denoise_plans(
+    plans: Sequence[Tuple[LiftingRecord, np.ndarray]], shrink_config: ShrinkageConfig
+) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+    """Denoise each block of signals X, shape (m,) or (m, B) in line-graph
+    id order, on its plan `record`, in one shrink-core call for all columns.
+
+    `plans` holds (record, X) pairs of one line graph.  Returns per plan the
+    estimates and the shrunk coefficients (canonical order), both shaped
+    like its X, and sigma, nu and the fallback mask over all columns, plan
+    after plan.
+    """
+    blocks = []
+    for record, X in plans:
+        rows, lev = _by_level(record)
+        if blocks and not np.array_equal(lev, levels):
+            raise ShrinkageError("plans of one batch must share their level counts")
+        levels = lev
+        C = _replay_forward(record, X).reshape(len(record.ids), -1)
+        gains = np.fromiter(detail_gains(record).values(), float, len(rows))[rows, None]
+        blocks.append((record, np.shape(X), rows, C, gains))
+    Z = np.hstack([C[rows] / gains for _, _, rows, C, gains in blocks])
+    Z, sigma, nu, fallback = _shrink_core(Z, levels, shrink_config)
+    out, j = [], 0
+    for record, shape, rows, C, gains in blocks:
+        live = np.flatnonzero(sigma[j : j + C.shape[1]] > 0)
+        C[rows[:, None], live] = Z[:, j + live] * gains
+        j += C.shape[1]
+        C = C.reshape(shape)
+        out.append((_replay_inverse(record, C), C))
+    return out, sigma, nu, fallback
+
+
+def _denoise_replay(
+    record: LiftingRecord, X: np.ndarray, shrink_config: ShrinkageConfig
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Denoise the signals X, shape (m,) or (m, B) in line-graph id order,
+    on the plan `record`, shrinking by its artificial levels.
+
+    Returns the estimates and the shrunk coefficients (canonical order),
+    both shaped like X, and sigma, nu and the weight-fit fallback mask per
+    column.  A column whose MAD is zero (noiseless input) passes through
+    with sigma = nu = 0.
+    """
+    [(est, C)], sigma, nu, fallback = _denoise_plans([(record, X)], shrink_config)
+    return est, C, sigma, nu, fallback
+
+
+def _result(record: LiftingRecord, est, c, sigma, nu, fallback) -> DenoiseResult:
+    details = c[: len(record.stages)]
+    return DenoiseResult(
+        estimates=dict(zip(record.ids, est.tolist())),
+        sigma_hat=float(sigma),
+        nu_hat=float(nu),
+        shrunk_details=dict(zip(record.removal_order, details.tolist())),
+        zero_frac=float(np.mean(details == 0.0)),
+        fallback_frac=float(fallback),
+    )
 
 
 def denoise(
@@ -325,15 +433,8 @@ def denoise(
     the shrink core (`_denoise_replay`)."""
     _, record = forward(values, lg, config, trajectory=trajectory)
     x = np.array([values[k] for k in lg.ids], dtype=float)
-    est, c, sigma, nu = _denoise_replay(record, x, shrink_config)
-    details = c[: len(record.stages)]
-    return DenoiseResult(
-        estimates=dict(zip(record.ids, est.tolist())),
-        sigma_hat=float(sigma[0]),
-        nu_hat=float(nu[0]),
-        shrunk_details=dict(zip(record.removal_order, details.tolist())),
-        zero_frac=float(np.mean(details == 0.0)),
-    )
+    est, c, sigma, nu, fallback = _denoise_replay(record, x, shrink_config)
+    return _result(record, est, c, sigma[0], nu[0], fallback[0])
 
 
 def random_trajectories(
@@ -360,9 +461,12 @@ def nlt_denoise(
 
     Each trajectory gets an independent substream derived from (seed,
     index), so results do not depend on evaluation order.  `seed` is an
-    int or a nonempty sequence of ints.  Returns the averaged result (its
-    sigma, nu and zero fraction are the trajectories' means) plus the
-    per-trajectory results.
+    int or a nonempty sequence of ints.  Each trajectory is planned with
+    `forward`; the shrink core then runs once on all the trajectories'
+    details (`_denoise_plans`), so each per-trajectory result is bitwise
+    `denoise(..., trajectory=...)`.  Returns the averaged result (its
+    sigma, nu, zero and fallback fractions are the trajectories' means)
+    plus the per-trajectory results.
     """
     if n_trajectories < 1:
         raise ShrinkageError("need at least one trajectory")
@@ -371,17 +475,23 @@ def nlt_denoise(
         raise ShrinkageError(f"seed must be an int or a nonempty sequence of ints, got {seed!r}")
     if min(parts) < 0:
         raise ShrinkageError(f"seed must be nonnegative, got {seed}")
-    singles = []
-    for traj in random_trajectories(lg, config, n_trajectories, seed):
-        singles.append(denoise(values, lg, config, shrink_config, trajectory=traj))
-    mean_est = {
-        k: sum(r.estimates[k] for r in singles) / len(singles) for k in lg.ids
-    }
+    records = [
+        forward(values, lg, config, trajectory=traj)[1]
+        for traj in random_trajectories(lg, config, n_trajectories, seed)
+    ]
+    x = np.array([values[k] for k in lg.ids], dtype=float)
+    blocks, sigma, nu, fallback = _denoise_plans([(r, x) for r in records], shrink_config)
+    singles = [
+        _result(r, est, c, sigma[t], nu[t], fallback[t])
+        for t, (r, (est, c)) in enumerate(zip(records, blocks))
+    ]
+    mean_est = np.sum([est for est, _ in blocks], axis=0) / len(blocks)
     combined = DenoiseResult(
-        estimates=mean_est,
-        sigma_hat=float(np.mean([r.sigma_hat for r in singles])),
-        nu_hat=float(np.mean([r.nu_hat for r in singles])),
+        estimates=dict(zip(lg.ids, mean_est.tolist())),
+        sigma_hat=float(np.mean(sigma)),
+        nu_hat=float(np.mean(nu)),
         shrunk_details={},
         zero_frac=float(np.mean([r.zero_frac for r in singles])),
+        fallback_frac=float(np.mean(fallback)),
     )
     return combined, singles

@@ -311,6 +311,13 @@ class TestCli:
             assert {"sigma_hat", "nu_hat", "zero_frac"} <= manifest.keys()
             assert manifest["sigma_hat"] > 0 and 0.0 <= manifest["zero_frac"] <= 1.0
 
+    def test_shrink_manifests_record_fallback_frac(self, tmp_path, graph_file):
+        for cmd in (["denoise"], ["nlt", "--trajectories", "2"]):
+            out = tmp_path / f"{cmd[0]}.csv"
+            assert main([*cmd, str(graph_file), "-o", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{cmd[0]}.csv.manifest.json").read_text())
+            assert manifest["fallback_frac"] == 0.0
+
     def test_condnum_command(self, tmp_path, capsys):
         out = tmp_path / "k.csv"
         code = main(

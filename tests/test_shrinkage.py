@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -23,7 +24,9 @@ from lglift.shrinkage import (
     POST_MED_TOL,
     ShrinkageConfig,
     ShrinkageError,
+    _denoise_plans,
     _denoise_replay,
+    _shrink_core,
     beta_cauchy,
     denoise,
     detail_gains,
@@ -31,6 +34,7 @@ from lglift.shrinkage import (
     estimate_sigma_mad,
     nlt_denoise,
     post_med_cauchy,
+    random_trajectories,
     thresh_from_weight,
     weight_from_data,
     weight_from_thresh,
@@ -178,6 +182,23 @@ def ref_batch_post_med_cauchy(x, w):
     clip = np.abs(med) > np.abs(x)
     med[clip] = x[clip]
     return med
+
+
+def ref_weight_from_data(x):
+    """The former mixing-weight fit: scalar `brentq` on one column's score,
+    with the same exact endpoint checks."""
+    x = np.asarray(x, dtype=float)
+    wlo = weight_from_thresh(math.sqrt(2.0 * math.log(x.size)))
+    beta = beta_cauchy(x)
+
+    def score(w):
+        return float(np.sum(beta / (1.0 + w * beta)))
+
+    if score(1.0) >= 0:
+        return 1.0
+    if score(wlo) <= 0:
+        return wlo
+    return float(brentq(score, wlo, 1.0, xtol=1e-12))
 
 
 def ref_beta_cauchy(x: float) -> float:
@@ -410,6 +431,88 @@ class TestWeightFit:
         assert abs(deriv) < 1e-3 * len(x)
 
 
+@st.composite
+def weight_samples(draw):
+    """One column of standardized details: scaled normal noise, a share of
+    it shifted by a common amplitude, and a few edge values (beta's zero
+    and its small-|x| branch, and the 1e20 cap)."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, draw(st.floats(0.2, 3.0)), n)
+    x[rng.uniform(size=n) < draw(st.floats(0.0, 1.0))] += draw(st.floats(-12.0, 12.0))
+    edges = draw(st.lists(st.sampled_from([0.0, 1e-9, 1.585, 37.0, 40.0, -1e3]), max_size=3))
+    x[: len(edges)] = edges[:n]
+    return x
+
+
+class TestBatchWeightFit:
+    """The Newton fit against the frozen `brentq` fit, and each column of a
+    batch fit against the one-column fit."""
+
+    @given(weight_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brentq_fit(self, x):
+        w, want = weight_from_data(x), ref_weight_from_data(x)
+        assert abs(w - want) <= 1e-12
+        # the endpoints are exact comparisons of the same sums
+        wlo = weight_from_thresh(math.sqrt(2.0 * math.log(len(x))))
+        if want in (1.0, wlo):
+            assert w == want
+
+    def test_exact_endpoints(self, rng):
+        noise = rng.normal(size=500)
+        assert weight_from_data(noise) == weight_from_thresh(math.sqrt(2 * math.log(500)))
+        assert weight_from_data(rng.normal(loc=6.0, size=200)) == 1.0
+
+    @pytest.mark.parametrize("b", [1, 3, 20])
+    def test_column_is_one_column_fit(self, b):
+        rng = np.random.default_rng(b)
+        X = rng.normal(size=(150, b))
+        X[:30] += rng.uniform(0.0, 8.0, b)
+        X[:, :3:2] = rng.normal(loc=6.0, size=(150, 1))   # dense: exactly 1
+        w = weight_from_data(X)
+        assert w.shape == (b,)
+        assert _bits(w) == _bits([weight_from_data(X[:, j]) for j in range(b)])
+        assert _bits(weight_from_data(np.asfortranarray(X))) == _bits(w)
+        if b == 20:
+            wlo = weight_from_thresh(math.sqrt(2 * math.log(150)))
+            assert w[0] == 1.0 and np.sum((wlo < w) & (w < 1.0)) >= 10
+
+    def test_non_finite_column_falls_back_alone(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(60, 3))
+        X[:6] += 5.0
+        X[25, 1] = np.nan
+        w = weight_from_data(X)
+        assert np.isnan(w[1])
+        assert _bits(w[[0, 2]]) == _bits([weight_from_data(X[:, 0]), weight_from_data(X[:, 2])])
+        with pytest.raises(ShrinkageError, match="likelihood score is not finite"):
+            weight_from_data(X[:, 1])
+
+        # six levels of ten sorted rows: the NaN sits in a shrunk level above
+        # the finest one, so sigma is finite and only the fit fails
+        lev = np.repeat(np.arange(6), 10)
+        config = ShrinkageConfig()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Z, sigma, nu, fallback = _shrink_core(X, lev, config)
+        assert [str(c.message) for c in caught] == [
+            "mixing-weight fit failed (score not finite); falling back to 0.5"
+        ]
+        assert fallback.tolist() == [False, True, False]
+        assert nu[1] == 0.5 and np.all(sigma > 0)
+        for j in (0, 2):
+            alone = _shrink_core(X[:, j : j + 1], lev, config)
+            assert _bits(Z[:, j]) == _bits(alone[0])
+            assert _bits([sigma[j], nu[j]]) == _bits([alone[1][0], alone[2][0]])
+            assert not alone[3][0]
+
+        with pytest.warns(UserWarning, match="mixing-weight fit failed") as rec:
+            _, w = ebayes_threshold(X, sigma, lev, config)
+        assert len(rec) == 1
+        assert w[1] == 0.5 and _bits(w[[0, 2]]) == _bits(nu[[0, 2]])
+
+
 class TestShrinkageProperties:
     @given(st.floats(0.05, 0.99), st.lists(st.floats(-30, 30), min_size=2, max_size=30))
     @settings(max_examples=50, deadline=None)
@@ -562,7 +665,7 @@ class TestBatchCore:
         X = np.column_stack([truth[:, None] + noise, truth])
         coeffs, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        est, shrunk, sigma, nu = _denoise_replay(record, X, shrink)
+        est, shrunk, sigma, nu, _ = _denoise_replay(record, X, shrink)
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -600,7 +703,7 @@ class TestBatchCoreBitwise:
         X = np.column_stack([truth[:, None] + noise, truth])
         _, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        est, shrunk, sigma, nu = _denoise_replay(record, X, shrink)
+        est, shrunk, sigma, nu, _ = _denoise_replay(record, X, shrink)
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -661,7 +764,7 @@ class TestBatchSigma:
         mad_levels = np.where(lev <= pool, 0, lev)
         gains = np.array(list(detail_gains(record).values()))
         for batch in (X, X[:, 0]):
-            est, shrunk, sigma, _ = _denoise_replay(record, batch, ShrinkageConfig(rule=rule))
+            est, shrunk, sigma, _, _ = _denoise_replay(record, batch, ShrinkageConfig(rule=rule))
             est, shrunk = est.reshape(lg.m, -1), shrunk.reshape(lg.m, -1)
             for j, x in enumerate(batch.reshape(lg.m, -1).T):
                 values = dict(zip(lg.ids, x.tolist()))
@@ -722,6 +825,80 @@ class TestNlt:
         combined, singles = nlt_denoise(values, mst_lg, cfg, n_trajectories=3, seed=4)
         assert combined.zero_frac == pytest.approx(np.mean([r.zero_frac for r in singles]))
         assert 0.0 < combined.zero_frac < 1.0
+
+
+class TestNltBatch:
+    """`nlt_denoise` plans each trajectory with `forward` and shrinks all of
+    them in one shrink-core call; each per-trajectory result is bitwise a
+    single `denoise` on that trajectory."""
+
+    @pytest.mark.parametrize("acr, graph", [("LG-Sid-p", "flow"), ("LG-Aid-c", "mst")])
+    @pytest.mark.parametrize("rule", ["median", "hard"])
+    @pytest.mark.parametrize("keep", [0, 2])
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_singles_are_denoise(self, acr, graph, rule, keep, noisy):
+        if graph == "flow":
+            net, clean = generate_flow_fixture(0)
+        else:
+            net = sample_network(100, seed=7)
+            clean = embed_pointwise(get_field("quadrants"), net)
+        lg = build_line_graph(net)
+        cfg = LiftingConfig.from_acronym(acr)
+        shrink = ShrinkageConfig(keep_coarsest=keep, rule=rule)
+        noise = np.random.default_rng(9).normal(size=lg.m) if noisy else np.zeros(lg.m)
+        values = {k: clean[k] + e for k, e in zip(lg.ids, noise.tolist())}
+        combined, singles = nlt_denoise(values, lg, cfg, shrink, n_trajectories=5, seed=6)
+        trajectories = random_trajectories(lg, cfg, 5, seed=6)
+        for traj, single in zip(trajectories, singles):
+            direct = denoise(values, lg, cfg, shrink, trajectory=traj)
+            assert list(single.estimates) == list(direct.estimates) == list(lg.ids)
+            assert list(single.shrunk_details) == list(direct.shrunk_details) == list(traj)
+            assert _bits(list(single.estimates.values())) == _bits(list(direct.estimates.values()))
+            assert _bits(list(single.shrunk_details.values())) == _bits(
+                list(direct.shrunk_details.values())
+            )
+            assert _bits([single.sigma_hat, single.nu_hat]) == _bits([direct.sigma_hat, direct.nu_hat])
+            assert (single.zero_frac, single.fallback_frac) == (direct.zero_frac, 0.0)
+            if not noisy:
+                # a zero MAD: the details pass through unshrunk
+                coeffs, _ = forward(values, lg, cfg, trajectory=traj)
+                assert single.sigma_hat == single.nu_hat == 0.0
+                assert _bits(list(single.shrunk_details.values())) == _bits(
+                    [coeffs.details[k] for k in traj]
+                )
+        assert combined.sigma_hat == np.mean([r.sigma_hat for r in singles])
+        assert (combined.sigma_hat > 0) == noisy
+
+    def test_fallback_frac_counts_failed_fits(self, monkeypatch, mst_lg, rng):
+        fit = shrinkage.weight_from_data
+
+        def first_column_fails(z):
+            w = fit(z)
+            w[0] = np.nan
+            return w
+
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
+        assert denoise(values, mst_lg, cfg).fallback_frac == 0.0
+        monkeypatch.setattr(shrinkage, "weight_from_data", first_column_fails)
+        with pytest.warns(UserWarning, match="mixing-weight fit failed") as rec:
+            single = denoise(values, mst_lg, cfg)
+        assert len(rec) == 1
+        assert single.fallback_frac == 1.0 and single.nu_hat == 0.5
+        with pytest.warns(UserWarning, match="mixing-weight fit failed") as rec:
+            combined, singles = nlt_denoise(values, mst_lg, cfg, n_trajectories=4, seed=3)
+        assert len(rec) == 1
+        assert [r.fallback_frac for r in singles] == [1.0, 0.0, 0.0, 0.0]
+        assert combined.fallback_frac == 0.25
+
+    def test_plans_must_share_level_counts(self, mst_lg, small_tree_lg):
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        plans = []
+        for lg in (mst_lg, small_tree_lg):
+            _, record = forward(dict.fromkeys(lg.ids, 0.0), lg, cfg)
+            plans.append((record, np.ones(lg.m)))
+        with pytest.raises(ShrinkageError, match="share their level counts"):
+            _denoise_plans(plans, ShrinkageConfig(keep_coarsest=0))
 
 
 class TestFewDetails:
