@@ -131,6 +131,7 @@ def cmd_denoise(args) -> None:
             "nu_hat": result.nu_hat,
             "zero_frac": result.zero_frac,
             "fallback_frac": result.fallback_frac,
+            "mad_pool_level": result.mad_pool_level,
         },
     )
     print(
@@ -154,6 +155,7 @@ def cmd_nlt(args) -> None:
             "nu_hat": result.nu_hat,
             "zero_frac": result.zero_frac,
             "fallback_frac": result.fallback_frac,
+            "mad_pool_level": result.mad_pool_level,
             "trajectories": len(singles),
         },
     )

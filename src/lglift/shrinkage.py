@@ -16,19 +16,29 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammainc, ndtr
+from scipy.special import erfcx, gammainc, ndtr
 
 from .graph import Id, LineGraph
 from .lifting import LiftingConfig, LiftingRecord, _replay_forward, _replay_inverse, forward
 
 MAD_SCALE = 0.6745
-#: the posterior-median bisection stops each bracket once it is this narrow
+#: the posterior-median Newton iteration stops each coefficient once its step
+#: or its bracket is this narrow, relative to max(1, |x|)
 POST_MED_TOL = 1e-13
+#: below this |x| the posterior median's objective is integrated from its
+#: slope, as its closed form cancels there
+POST_MED_SMALL = 0.2
 #: the mixing-weight fit stops each column once its Newton step is this small
 WEIGHT_TOL = 1e-13
 #: identity columns `detail_gains` replays at a time, bounding its memory
 GAIN_BLOCK = 1024
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_PI_2 = math.sqrt(math.pi / 2.0)
+# the 4-point Gauss-Legendre rule on [0, 1], as columns; the nodes end with
+# 1, where the integrand is the slope itself
+_gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(4)
+_GL_NODES = np.append((1.0 + _gl_nodes) / 2.0, 1.0)[:, None]
+_GL_WEIGHTS = (_gl_weights / 2.0)[:, None]
 
 
 class ShrinkageError(ValueError):
@@ -59,15 +69,15 @@ class DenoiseResult:
     zero_frac: float
     #: fraction of the signals whose mixing-weight fit fell back to 0.5
     fallback_frac: float
+    #: the coarsest artificial level in the MAD noise estimate (0: the finest alone)
+    mad_pool_level: int
 
 
 # ---------------------------------------------------------------------------
 # quasi-Cauchy building blocks (vectorized over standardized coefficients)
 
 def _norm_pdf(x: np.ndarray) -> np.ndarray:
-    # bit for bit the arithmetic of scipy.stats.norm.pdf: where the median's
-    # objective is flat, rounding decides the bisection's path
-    return np.exp(-x**2 / 2.0) / _SQRT_2PI
+    return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def _norm_pdf1(x: float) -> float:
@@ -84,15 +94,19 @@ def _norm_moment2(z: float) -> float:
 def beta_cauchy(x: np.ndarray) -> np.ndarray:
     """(marginal/normal density ratio - 1) under the quasi-Cauchy slab."""
     x = np.asarray(x, dtype=float)
-    out = np.full_like(x, -0.5)
+    mag = np.abs(x)
+    # every finite |x| from 38 on takes the cap, unsquared (x^2 overflows
+    # from |x| ~ 1.3e154); a NaN or infinite x has no ratio
+    out = np.where(np.isfinite(x), 1e20, np.nan)
     # beta = -1/2 + x^2/8 + ... rounds to -1/2 below |x| = 1e-8, and x^2
-    # underflows further down; NaN stays NaN
-    nz = ~(np.abs(x) < 1e-8)
+    # underflows further down
+    out[mag < 1e-8] = -0.5
+    mid = (mag >= 1e-8) & (mag < 38.0)
     # the normal density ratio pdf(0)/pdf(x) is exp(x^2/2): expm1 keeps the
     # digits that exp(x^2/2) - 1 cancels at small |x|, and its overflow to
     # inf beyond |x| ~ 37.7 lands on the cap below
     with np.errstate(over="ignore"):
-        out[nz] = np.expm1(x[nz] ** 2 / 2.0) / x[nz] ** 2 - 1.0
+        out[mid] = np.expm1(x[mid] ** 2 / 2.0) / x[mid] ** 2 - 1.0
     return np.minimum(out, 1e20)
 
 
@@ -117,9 +131,9 @@ def weight_from_data(x: np.ndarray) -> float | np.ndarray:
     that leaves the bracket is replaced by bisection.  Each column stops
     once its step is within `WEIGHT_TOL`, and its sums run along one
     contiguous row, so a weight does not depend on the other columns.  A
-    column whose score is not finite (a NaN or infinite coefficient, or
-    one whose square overflows) has no weight: NaN in a batch,
-    ShrinkageError for one column.
+    column whose score is not finite (one with a NaN or infinite
+    coefficient) has no weight: NaN in a batch, ShrinkageError for one
+    column.  A finite coefficient, however large, has beta at its cap.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -158,20 +172,89 @@ def weight_from_data(x: np.ndarray) -> float | np.ndarray:
     return float(w[0])
 
 
+def _mills(mu: np.ndarray) -> np.ndarray:
+    """The Mills ratio cdf(-mu) / pdf(mu), from `erfcx`, so it keeps its
+    digits where the density and the tail are both far below 1."""
+    return _SQRT_PI_2 * erfcx(mu / math.sqrt(2.0))
+
+
 def _cauchy_med_half_yl(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     """The mu-free half of `_cauchy_med_objective` at magnitudes `x`."""
-    return (1.0 + np.exp(-x * x / 2.0) * (x * x * (1.0 / w - 1.0) - 1.0)) / 2.0
+    u = x * x / 2.0
+    return (np.exp(-u) * x * x * (1.0 / w - 1.0) - np.expm1(-u)) / 2.0
 
 
-def _cauchy_med_objective(x: np.ndarray, half_yl: np.ndarray, mu: np.ndarray | float) -> np.ndarray:
-    """The posterior median's objective at magnitudes `x` and trial medians
-    `mu`: posterior tail probability minus 1/2, up to common positive
-    factors, increasing in mu, with its root at the posterior median.
-    `half_yl` is its mu-free half, `_cauchy_med_half_yl(x, w)`."""
+def _cauchy_med_objective(
+    x: np.ndarray, half_yl: np.ndarray, mu: np.ndarray | float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The posterior median's objective g and its slope g' at magnitudes
+    `x` and trial medians `mu`.
+
+    g(mu) = half_yl - yr(mu) is the posterior tail probability minus 1/2,
+    up to common positive factors, with its root at the posterior median;
+    `half_yl` is its mu-free half, `_cauchy_med_half_yl(x, w)`, and
+    yr(mu) = cdf(y) - x pdf(y) + (x mu - 1) pdf(y) R(mu) with y = x - mu and
+    R the Mills ratio.  g'(mu) = x^2 pdf(y) (1 - mu R(mu)) > 0, as mu R(mu)
+    < 1.  Its terms are O(1) where g is O(x^3) at small x and w near 1, so
+    below `POST_MED_SMALL` the median uses `_cauchy_med_objective_small`.
+    """
     y = x - mu
     fy = _norm_pdf(y)
-    yr = ndtr(y) - x * fy + (x * mu - 1.0) * fy * ndtr(-mu) / _norm_pdf(mu)
-    return half_yl - yr
+    fr = fy * _mills(mu)
+    # pdf(y) (1 - mu R(mu)), the slope over x^2
+    d = fy - mu * fr
+    return half_yl - ndtr(y) + x * d + fr, x * x * d
+
+
+def _cauchy_med_at_zero(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
+    """g(0) = exp(-x^2/2) x^2 (1/w - 1) / 2 - (cdf(x) - 1/2 - x pdf(x)),
+    the latter as `gammainc(3/2, x^2/2) / 2`: for small |x| the difference
+    of positive O(x^2) and O(x^3) terms, not of O(1) ones."""
+    return np.exp(-x * x / 2.0) * x * x * (1.0 / w - 1.0) / 2.0 - gammainc(1.5, x * x / 2.0) / 2.0
+
+
+def _cauchy_med_objective_small(
+    x: np.ndarray, g0: np.ndarray, mu: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """`_cauchy_med_objective` for |x| < `POST_MED_SMALL`, without its
+    cancellation: g(mu) = g(0) + the integral of g' over [0, mu], with
+    `g0` = `_cauchy_med_at_zero(x, w)` and the integral by the 4-point
+    Gauss-Legendre rule.  Its relative error is about 1e-16 up to mu = 0.1
+    and 1e-14 at 0.2; the root lies near |x|/3 or below."""
+    s = _GL_NODES * mu
+    h = _norm_pdf(x - s) * (1.0 - s * _mills(s))
+    x2 = x * x
+    return g0 + x2 * mu * np.sum(_GL_WEIGHTS * h[:-1], axis=0), x2 * h[-1]
+
+
+def _newton_median(x: np.ndarray, aux: np.ndarray, mu: np.ndarray, objective) -> np.ndarray:
+    """The root in [0, x] of `objective(x, aux, mu)`, which returns g and
+    g' > 0 with g(0) < 0, by Newton steps from `mu` inside a bracket that
+    the sign of g narrows; a step that leaves the open bracket is replaced
+    by its midpoint.  Each coefficient stops on its own, once its step or
+    its bracket is within `POST_MED_TOL` max(1, x); a NaN stops after its
+    first evaluation."""
+    med = np.empty_like(x)
+    idx = np.arange(x.size)
+    lo, hi = np.zeros_like(x), x
+    tol = POST_MED_TOL * np.maximum(1.0, x)
+    while idx.size:
+        g, slope = objective(x, aux, mu)
+        below = g <= 0
+        lo = np.where(below, mu, lo)
+        hi = np.where(below, hi, mu)
+        step = g / slope
+        new = mu - step
+        # a NaN compares false, so it leaves at once
+        open_ = (np.abs(step) > tol) & (hi - lo > tol)
+        if not open_.all():
+            shut = ~open_
+            med[idx[shut]] = np.clip(new[shut], lo[shut], hi[shut])
+            idx, x, aux, lo, hi, tol, new = (
+                a[open_] for a in (idx, x, aux, lo, hi, tol, new)
+            )
+        mu = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+    return med
 
 
 def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
@@ -180,33 +263,36 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     `w` is one mixing weight, or one per column of an (n, B) `x`.
     The objective increases in the median, so where it is >= 0 at 0 the
     median is 0, settled by that one evaluation.  The rest of |x| <= 20 is
-    bracketed in [0, |x|] and bisected, each bracket until it is narrower
-    than `POST_MED_TOL` (up to 48 halvings at |x| = 20), so a median
-    does not depend on the other coefficients in the call.  Larger |x|
-    uses the asymptote |x| - 2/|x|.  Medians below 1e-7 are clipped to
-    exact zero; the sign is that of x, and no median exceeds |x|.
+    found in [0, |x|] by safeguarded Newton steps on the objective and its
+    closed-form slope (`_newton_median`), from the asymptote |x| - 2/|x|
+    clipped into that bracket; about 4 evaluations where the bisection took
+    up to 48 halvings.  Each coefficient stops on its own, so a median does
+    not depend on the other coefficients in the call.  Below |x| =
+    `POST_MED_SMALL` the objective is one that does not cancel.  Larger
+    |x| uses the asymptote.  Medians below 1e-7 are clipped to exact zero;
+    the sign is that of x, and no median exceeds |x|.
     """
     x = np.asarray(x, dtype=float)
     mag = np.abs(x)
     big = mag > 20.0
-    work = np.where(big, 0.0, mag)
-    half_yl = np.broadcast_to(_cauchy_med_half_yl(work, w), work.shape)
+    work = np.where(big, 0.0, mag).ravel()
+    wt = np.broadcast_to(w, x.shape).ravel()
+    half_yl = _cauchy_med_half_yl(work, wt)
+    g0 = _cauchy_med_objective(work, half_yl, 0.0)[0]
+    small = work < POST_MED_SMALL
+    g0[small] = _cauchy_med_at_zero(work[small], wt[small])
 
     med = np.zeros(work.size)
-    # NaN input fails the screen and leaves the loop at once, as a NaN
-    # width compares false
-    idx = np.flatnonzero(~(_cauchy_med_objective(work, half_yl, 0.0) >= 0))
-    xs, hs = work.ravel()[idx], half_yl.ravel()[idx]
-    lo, hi = np.zeros_like(xs), xs
-    while idx.size:
-        open_ = hi - lo > POST_MED_TOL
-        if not open_.all():
-            med[idx[~open_]] = 0.5 * (lo[~open_] + hi[~open_])
-            idx, xs, hs, lo, hi = idx[open_], xs[open_], hs[open_], lo[open_], hi[open_]
-        mid = 0.5 * (lo + hi)
-        below = _cauchy_med_objective(xs, hs, mid) <= 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    # NaN input fails the screen, and stops at its first evaluation
+    live = ~(g0 >= 0)
+    for group, objective, aux in (
+        (live & ~small, _cauchy_med_objective, half_yl),
+        (live & small, _cauchy_med_objective_small, g0),
+    ):
+        idx = np.flatnonzero(group)
+        if idx.size:
+            xs = work[idx]
+            med[idx] = _newton_median(xs, aux[idx], np.clip(xs - 2.0 / xs, 0.0, xs), objective)
     med = med.reshape(x.shape)
 
     med[big] = mag[big] - 2.0 / mag[big]
@@ -343,6 +429,13 @@ def _by_level(record: LiftingRecord) -> Tuple[np.ndarray, np.ndarray]:
     return rows, lev[rows]
 
 
+def _mad_pool_level(lev: np.ndarray) -> int:
+    """The coarsest level that the MAD pools, given sorted levels `lev`: on
+    very small graphs the finest level alone is too thin for a MAD, so it
+    pools upward from the finest until at least 3 coefficients are in hand."""
+    return int(np.argmax(np.cumsum(np.bincount(lev)) >= 3))
+
+
 def _shrink_core(
     Z: np.ndarray, lev: np.ndarray, shrink_config: ShrinkageConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -350,10 +443,7 @@ def _shrink_core(
     levels `lev`.  Returns the shrunk Z, and sigma, nu and the weight-fit
     fallback per column.  A column whose MAD is zero (noiseless input)
     comes back unchanged with sigma = nu = 0."""
-    # on very small graphs the finest level alone is too thin for a MAD;
-    # pool upward from the finest until at least 3 coefficients are in hand
-    pool = int(np.argmax(np.cumsum(np.bincount(lev)) >= 3))
-    sigma = _mad_sigma(Z[lev <= pool])
+    sigma = _mad_sigma(Z[lev <= _mad_pool_level(lev)])
     nu = np.zeros_like(sigma)
     fallback = np.zeros(sigma.shape, dtype=bool)
     live = sigma > 0
@@ -419,6 +509,7 @@ def _result(record: LiftingRecord, est, c, sigma, nu, fallback) -> DenoiseResult
         shrunk_details=dict(zip(record.removal_order, details.tolist())),
         zero_frac=float(np.mean(details == 0.0)),
         fallback_frac=float(fallback),
+        mad_pool_level=_mad_pool_level(_by_level(record)[1]),
     )
 
 
@@ -493,5 +584,7 @@ def nlt_denoise(
         shrunk_details={},
         zero_frac=float(np.mean([r.zero_frac for r in singles])),
         fallback_frac=float(np.mean(fallback)),
+        # the trajectories of one line graph share their levels
+        mad_pool_level=singles[0].mad_pool_level,
     )
     return combined, singles

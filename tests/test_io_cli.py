@@ -308,8 +308,9 @@ class TestCli:
             out = tmp_path / f"{cmd[0]}.csv"
             assert main([*cmd, str(graph_file), "-o", str(out)]) == 0
             manifest = json.loads((tmp_path / f"{cmd[0]}.csv.manifest.json").read_text())
-            assert {"sigma_hat", "nu_hat", "zero_frac"} <= manifest.keys()
+            assert {"sigma_hat", "nu_hat", "zero_frac", "mad_pool_level"} <= manifest.keys()
             assert manifest["sigma_hat"] > 0 and 0.0 <= manifest["zero_frac"] <= 1.0
+            assert manifest["mad_pool_level"] == 0
 
     def test_shrink_manifests_record_fallback_frac(self, tmp_path, graph_file):
         for cmd in (["denoise"], ["nlt", "--trajectories", "2"]):

@@ -7,13 +7,14 @@ import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import erfcx, ndtr
 from scipy.stats import norm
 
 import lglift
@@ -184,6 +185,36 @@ def ref_batch_post_med_cauchy(x, w):
     return med
 
 
+def mp_post_med_cauchy(x: float, w: float) -> float:
+    """The posterior median of one |x| <= 20 to 50 digits: the objective in
+    its closed form (50 digits outlast its cancellation), the screen at 0, a
+    bracketed root in [0, |x|], the 1e-7 clip and the sign of x."""
+    with mpmath.workdps(50):
+        a, w = mpmath.mpf(abs(x)), mpmath.mpf(w)
+        half_yl = (1 + mpmath.exp(-a * a / 2) * (a * a * (1 / w - 1) - 1)) / 2
+
+        def objective(mu):
+            y, fy = a - mu, mpmath.npdf(a - mu)
+            return half_yl - (
+                mpmath.ncdf(y) - a * fy + (a * mu - 1) * fy * mpmath.ncdf(-mu) / mpmath.npdf(mu)
+            )
+
+        if objective(0) >= 0:
+            return 0.0
+        med = float(mpmath.findroot(objective, (0, a), solver="anderson"))
+    return 0.0 if med < 1e-7 else math.copysign(med, x)
+
+
+def with_band_from_mpmath(want, x, w):
+    """`want` with its entries in the cancellation band, w >= 0.99 and |x| <
+    0.1, where the frozen bisections follow the rounding noise of their
+    objective, replaced by 50-digit medians."""
+    w = np.broadcast_to(w, x.shape)
+    band = (w >= 0.99) & (np.abs(x) < 0.1)
+    want[band] = [mp_post_med_cauchy(v, wv) for v, wv in zip(x[band], w[band])]
+    return want
+
+
 def ref_weight_from_data(x):
     """The former mixing-weight fit: scalar `brentq` on one column's score,
     with the same exact endpoint checks."""
@@ -300,7 +331,8 @@ class TestClosedFormKernels:
     def test_post_med_matches_scipy_stats_bisection(self, batch):
         x, w = batch
         got = post_med_cauchy(x, w)
-        assert np.all(np.abs(got - ref_post_med_cauchy(x, w)) <= 1e-12 * np.maximum(1.0, np.abs(x)))
+        want = with_band_from_mpmath(ref_post_med_cauchy(x, w), x, w)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(x)))
 
     @given(st.floats(0.05, 60) | st.floats(-60, -0.05) | st.sampled_from([38.0, -38.0, 38.6, 40.0, 1e3]))
     @settings(max_examples=200, deadline=None)
@@ -311,6 +343,18 @@ class TestClosedFormKernels:
         assert got == pytest.approx(ref_beta_cauchy(x), rel=1e-12, abs=2e-15)
         if abs(x) >= 38:
             assert got == ref_beta_cauchy(x) == 1e20
+
+    def test_beta_caps_every_finite_coefficient(self):
+        # past the overflow of exp(x^2/2), and of x^2 itself from ~1.3e154
+        huge = np.array([38.0, 1e154, 2e154, 1e155, 1.7e308])
+        x = np.random.default_rng(4).normal(size=50)
+        x[7] = 1e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = beta_cauchy(np.concatenate([huge, -huge, [np.nan, np.inf, -np.inf]]))
+            w = weight_from_data(x)
+        assert np.all(beta[:10] == 1e20) and np.all(np.isnan(beta[10:]))
+        assert 0.0 < w <= 1.0
 
     @given(st.floats(-0.05, 0.05).filter(lambda x: x != 0))
     @settings(max_examples=100, deadline=None)
@@ -343,17 +387,30 @@ class TestClosedFormKernels:
         # a NaN bracket never narrows; the solver must still stop
         out = post_med_cauchy(np.array([np.nan, np.inf, -np.inf, 0.0, 1e-300]), 0.3)
         np.testing.assert_array_equal(out, [np.nan, np.inf, -np.inf, 0.0, 0.0])
-        # next to a NaN, a finite coefficient is still bisected to the end
+        # next to a NaN, a finite coefficient is still solved to the end
         mixed = post_med_cauchy(np.array([np.nan, 3.0]), 0.3)
         assert np.isnan(mixed[0]) and mixed[1] == post_med_cauchy(np.array([3.0]), 0.3)[0]
+        # a NaN and an inf among finite coefficients of both Newton paths
+        # (|x| below and above POST_MED_SMALL), in a batch with one w per column
+        x = np.array([[np.nan, 0.05], [3.0, np.inf], [-0.04, -12.0], [0.5, np.nan]])
+        w = np.array([1.0, 0.9])
+        out = post_med_cauchy(x, w)
+        assert np.isnan(out[0, 0]) and np.isnan(out[3, 1]) and out[1, 1] == np.inf
+        for i, j in [(0, 1), (1, 0), (2, 0), (2, 1), (3, 0)]:
+            assert _bits([out[i, j]]) == _bits(post_med_cauchy(x[i : i + 1, j], w[j]))
+        assert np.count_nonzero(out[np.isfinite(x)]) == 4
 
     def test_import_does_not_load_scipy_stats(self):
-        code = "import sys, lglift; print(any(m.split('.')[:2] == ['scipy', 'stats'] for m in sys.modules))"
+        # nor mpmath, which only the tests' oracles use
+        code = (
+            "import sys, lglift; print(any(m.split('.')[:2] == ['scipy', 'stats'] for m in sys.modules),"
+            " 'mpmath' in sys.modules)"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(lglift.__file__).resolve().parents[1])}
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
         )
-        assert run.stdout.strip() == "False"
+        assert run.stdout.strip() == "False False"
 
 
 def _bits(a) -> bytes:
@@ -366,9 +423,10 @@ class TestZeroScreen:
     bisection they replaced, and each median's independence of its batch."""
 
     # |x| on a 0.01 grid, the asymptote's edge, and non-finite input.  Below
-    # |x| ~ 1e-5 the objective at mu = 0 cancels to rounding noise when w is
-    # within about 1e-2 of 1, and both solvers follow that noise, so the grid
-    # starts at 0.01
+    # |x| ~ 1e-5 the closed-form objective at mu = 0 cancels to rounding
+    # noise when w is within about 1e-2 of 1, so the grid starts at 0.01; in
+    # the band the frozen bisection still follows that noise by up to 1e-12,
+    # so there the medians are compared with 50-digit ones
     _mags = np.concatenate(
         [np.linspace(0.0, 25.0, 2501), [20.0, np.nextafter(20.0, 21.0), np.nan, np.inf]]
     )
@@ -376,7 +434,7 @@ class TestZeroScreen:
     @pytest.mark.parametrize("w", [0.01, 0.1, 0.3, 0.7, 1.0])
     def test_matches_whole_batch_bisection(self, w):
         x = np.concatenate([self._mags, -self._mags])
-        got, want = post_med_cauchy(x, w), ref_batch_post_med_cauchy(x, w)
+        got, want = post_med_cauchy(x, w), with_band_from_mpmath(ref_batch_post_med_cauchy(x, w), x, w)
         assert np.array_equal(got == 0, want == 0)
         finite = np.isfinite(x)
         assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.maximum(1.0, np.abs(x[finite])))
@@ -401,6 +459,49 @@ class TestZeroScreen:
         for j in range(x.shape[1]):
             col = [post_med_cauchy(x[i : i + 1, j], w[j])[0] for i in range(len(x))]
             assert _bits(got[:, j]) == _bits(col)
+
+
+class TestNewtonMedian:
+    """The safeguarded Newton iteration: 50-digit medians in the band where
+    the closed-form objective cancels, and how many evaluations a median
+    takes."""
+
+    @pytest.mark.parametrize("w", [0.99, 0.999, 1.0])
+    def test_band_matches_mpmath(self, w):
+        mags = np.geomspace(1e-7, 0.1, 41)
+        x = np.concatenate([mags, -mags])
+        got = post_med_cauchy(x, w)
+        want = np.array([mp_post_med_cauchy(v, w) for v in x])
+        zero = want == 0
+        # zeros from the screen (w < 1) or the 1e-7 clip (w = 1), and medians
+        assert 0 < np.count_nonzero(zero) < x.size
+        assert np.all(got[zero] == 0.0)
+        err = np.abs(got[~zero] - want[~zero])
+        assert np.all(err <= 1e-12) and np.all(err <= 1e-9 * np.abs(want[~zero]))
+
+    def test_small_path_independent_of_batch(self):
+        # |x| below POST_MED_SMALL at w near 1, where no coefficient is screened
+        rng = np.random.default_rng(13)
+        x = np.column_stack([rng.normal(0.0, 0.1, 200), rng.normal(0.0, 0.5, 200)])
+        w = np.array([1.0, 0.999])
+        got = post_med_cauchy(x, w)
+        assert np.count_nonzero(got[np.abs(x) < shrinkage.POST_MED_SMALL]) > 150
+        for j in range(2):
+            col = [post_med_cauchy(x[i : i + 1, j], w[j])[0] for i in range(len(x))]
+            assert _bits(got[:, j]) == _bits(col)
+
+    def test_evaluations_per_median(self, monkeypatch):
+        # every objective evaluation calls erfcx once, and so does the
+        # screen at 0; the bisection took up to 48 halvings
+        calls = []
+        monkeypatch.setattr(shrinkage, "erfcx", lambda z: calls.append(1) or erfcx(z))
+        worst = {}
+        for w in (0.01, 0.3, 0.9, 0.999, 1.0):
+            for x in np.geomspace(1e-6, 20.0, 1000):
+                calls.clear()
+                post_med_cauchy(np.array([x]), w)
+                worst[w] = max(worst.get(w, 0), len(calls) - 1)
+        assert max(worst.values()) <= 7, worst
 
 
 class TestWeightFit:
@@ -778,6 +879,22 @@ class TestBatchSigma:
                     assert np.max(np.abs(est[:, j] - x)) <= 1e-12
                 else:
                     assert _bits([sigma[j]]) == _bits([estimate_sigma_mad(z, mad_levels)])
+
+    @pytest.mark.parametrize("acr, graph, level", [("LG-Aid-c", "tiny", 1), ("LG-Sid-p", "flow", 0)])
+    def test_results_record_mad_pool_level(self, acr, graph, level):
+        # the level that `pool` above reaches, as the results report it
+        if graph == "flow":
+            net, clean = generate_flow_fixture(0)
+        else:
+            net = sample_network(9, 3)
+            clean = embed_pointwise(get_field("quadrants"), net)
+        lg = build_line_graph(net)
+        cfg = LiftingConfig.from_acronym(acr)
+        noise = np.random.default_rng(5).normal(size=lg.m)
+        values = {k: clean[k] + e for k, e in zip(lg.ids, noise.tolist())}
+        assert denoise(values, lg, cfg).mad_pool_level == level
+        combined, singles = nlt_denoise(values, lg, cfg, n_trajectories=3)
+        assert [r.mad_pool_level for r in [combined, *singles]] == [level] * 4
 
 
 class TestNlt:
