@@ -176,6 +176,8 @@ class LineGraph:
         self.coords = dict(coords) if coords else None
         self.edge_lengths = dict(edge_lengths) if edge_lengths else None
         self.values = dict(values) if values else None
+        #: each metric mode's weighted rows and relink, built on first use
+        self._metrics: Dict[MetricMode, tuple] = {}
 
     @property
     def m(self) -> int:
@@ -188,9 +190,19 @@ class LineGraph:
     def metric_rows(self, mode: MetricMode):
         """The metric the planner lifts with: fresh weighted rows
         `{s: dist}` on positions, in the order of `rows`, and the relink
-        `relink(adj, slots)` that joins ascending `slots` over such rows in
-        the same metric (see `_relink`).  Finite inputs so large that a
-        distance overflows are rejected."""
+        `relink(adj, k, slots)` that joins the ascending neighbours `slots`
+        of a removed slot k over such rows in the same metric (see
+        `_relink`).  Finite inputs so large that a distance overflows are
+        rejected.  Each mode's rows and relink are built once; a call
+        returns copies of the rows, which the planner edits."""
+        metric = self._metrics.get(mode)
+        if metric is None:
+            metric = self._metrics[mode] = self._metric(mode)
+        rows, relink = metric
+        return [row.copy() for row in rows], relink
+
+    def _metric(self, mode: MetricMode):
+        """The weighted rows and the relink `metric_rows` hands out."""
         if mode is MetricMode.PATH_LENGTH:
             if self.edge_lengths is None:
                 raise GraphError("metric inputs unavailable: no source edge lengths")
@@ -199,12 +211,16 @@ class LineGraph:
                 {s: 0.5 * (lengths[u] + lengths[s]) for s in r} for u, r in enumerate(self.rows)
             ]
 
-            def measure(adj, slots):
-                # may route through the removed slot; frozen at link time (exact inverse)
+            def measure(adj, k, slots):
+                # may route through the removed slot k; frozen at link time
+                # (exact inverse).  A path u - k - v bounds each search.
+                hub = adj[k]
                 dist = []
                 for i, u in enumerate(slots[:-1]):
-                    reached = shortest_path_distance(adj, u, slots[i + 1 :])
-                    for v in slots[i + 1 :]:
+                    later = slots[i + 1 :]
+                    bound = hub[u] + max([hub[v] for v in later])
+                    reached = shortest_path_distance(adj, u, later, bound)
+                    for v in later:
                         if v not in reached:
                             raise GraphError(
                                 f"disconnected in metric: {self.ids[u]!r} and {self.ids[v]!r}"
@@ -223,7 +239,7 @@ class LineGraph:
             def pair_distance(u: int, v: int) -> float:
                 return max(math.dist(pts[u], pts[v]), floor)
 
-            def measure(adj, slots):
+            def measure(adj, k, slots):
                 return [pair_distance(u, v) for u, v in combinations(slots, 2)]
 
             rows = [{s: pair_distance(u, s) for s in r} for u, r in enumerate(self.rows)]
@@ -235,17 +251,32 @@ class LineGraph:
                 )
         return rows, partial(self._relink, measure)
 
-    def _relink(self, measure, adj, slots: Sequence[int]) -> List[Tuple[int, int, float]]:
-        """Join `slots` (a removed slot's neighbours, its edges still in
-        `adj`) when the edges among them leave them in pieces: add to `adj`,
-        and return, the missing edges (u, v, dist) of the minimum spanning
-        tree of the pair distances `measure` lists in `combinations` order,
-        ties broken by `rank`."""
+    def _relink(self, measure, adj, k: int, slots: Sequence[int]) -> List[Tuple[int, int, float]]:
+        """Join `slots`, the ascending neighbours of the removed slot k
+        (its edges still in `adj`), when the edges among them leave them in
+        pieces: add to `adj`, and return, the missing edges (u, v, dist) of
+        the minimum spanning tree of the pair distances
+        `measure(adj, k, slots)` lists in `combinations` order, ties broken
+        by `rank`.  One slot, or two already adjacent, need nothing.
+
+        The path metric's searches stop at the hub bound: the search from u
+        towards the later slots v pushes no entry above
+        b(u) = w(u, k) + max_v w(k, v).  Its first step reaches k at
+        distance 0 + w(u, k) = w(u, k) exactly, so k settles at some
+        d(k) <= w(u, k), and each v is reached at d(k) + w(k, v) <= b(u),
+        as rounded addition of nonnegative floats is monotone.  Every
+        target therefore settles at or below b(u) and before any entry
+        above it would be popped; a pruned entry is never popped, and never
+        blocks a push at or below b(u).  So the kept pushes, their
+        relative order and every distance are those of the unbounded
+        search."""
         n = len(slots)
+        if n < 2 or (n == 2 and slots[1] in adj[slots[0]]):
+            return []
         pairs = list(combinations(range(n), 2))
         if _connected(n, ((i, j) for i, j in pairs if slots[j] in adj[slots[i]])):
             return []
-        dist = measure(adj, slots)
+        dist = measure(adj, k, slots)
         for w in dist:
             if not (math.isfinite(w) and w > 0):
                 raise GraphError(f"non-positive or non-finite edge weight {w}")
@@ -313,13 +344,21 @@ def is_connected(vertices: Iterable[Id], edges: Iterable[Tuple[Id, Id]]) -> bool
     return _connected(len(index), ((index[u], index[v]) for u, v in edges))
 
 
-def shortest_path_distance(adj, source: Id, targets: Iterable[Id]) -> Dict[Id, float]:
+def shortest_path_distance(
+    adj, source: Id, targets: Iterable[Id], bound: float = math.inf
+) -> Dict[Id, float]:
     """Dijkstra from `source` over weighted rows `adj[u] = {s: dist}`,
     stopped once every target is settled: `{target: distance}` for the
     targets reached (an unreachable one is absent).  Edge distances are
     nonnegative, so a settled distance is final, bitwise what a search of
     the whole component gives, and a popped entry above its best distance
     is stale.
+
+    No entry above `bound` is pushed.  When every target lies within
+    `bound` (the relink's hub bound, see `LineGraph._relink`), the
+    entries kept are pushed and popped in the order of the unbounded
+    search, and the distances are bitwise its own; a target beyond
+    `bound` is reported unreachable.
     """
     pending = set(targets)
     found: Dict[Id, float] = {}
@@ -337,7 +376,7 @@ def shortest_path_distance(adj, source: Id, targets: Iterable[Id]) -> Dict[Id, f
                 break
         for s, w in adj[u].items():
             nd = d + w
-            if nd < dist.get(s, math.inf):
+            if nd <= bound and nd < dist.get(s, math.inf):
                 dist[s] = nd
                 counter += 1
                 heapq.heappush(heap, (nd, counter, s))
@@ -404,14 +443,13 @@ def _kruskal(n: int, pairs: Sequence[Tuple[int, int]], weights: Sequence[float],
     key (weight, lower rank, higher rank), equal keys in input order, and
     the search stops once n - 1 pairs are accepted."""
 
-    def key(e: int):
-        i, j = pairs[e]
+    keys = []
+    for (i, j), w in zip(pairs, weights):
         a, b = rank[i], rank[j]
-        return (weights[e], a, b) if a < b else (weights[e], b, a)
-
+        keys.append((w, a, b) if a < b else (w, b, a))
     parent = list(range(n))
     tree = []
-    for e in sorted(range(len(pairs)), key=key):
+    for e in sorted(range(len(pairs)), key=keys.__getitem__):
         if _union(parent, *pairs[e]):
             tree.append(e)
             if len(tree) == n - 1:

@@ -1,12 +1,13 @@
 """Lifting-one-coefficient-at-a-time transform on line-graph vertices.
 
-Each stage removes the new vertex with the smallest integral, predicts its
-value from its neighbours, updates neighbour integrals and coefficients
-with a minimum-norm filter, and relinks the neighbourhood so the structure
-stays connected.  The order and the filters never depend on the data, so
-a planner (`_Lifter`, which leaves the relink to `LineGraph`) archives
-them as a `LiftingRecord`, and two kernels (`_replay_forward`,
-`_replay_inverse`) replay it on a signal or a batch.
+Each stage removes the new vertex with the smallest integral (or the next
+one of a given trajectory), predicts its value from its neighbours, updates
+neighbour integrals and coefficients with a minimum-norm filter, and
+relinks the neighbourhood so the structure stays connected.  The order and
+the filters never depend on the data, so a planner (`_Lifter`, which leaves
+the relink to `LineGraph`, with `_Chooser` picking the order when none is
+given) archives them as a `LiftingRecord`, and two kernels
+(`_replay_forward`, `_replay_inverse`) replay it on a signal or a batch.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ class LiftingRecord:
     config: LiftingConfig
     ids: Tuple[Id, ...]
 
-    @property
+    @cached_property
     def removal_order(self) -> Tuple[Id, ...]:
-        return tuple(st.removed for st in self.stages)
+        return tuple([st.removed for st in self.stages])
 
     @cached_property
     def scales(self) -> Dict[Id, float]:
@@ -221,14 +222,7 @@ def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> Lis
 class _Lifter:
     """Mutable transform state on slots 0..m-1 (line-graph positions): one
     weighted adjacency `adj[u] = {s: dist}`, the relink `LineGraph.metric_rows`
-    pairs with it, and the integrals.
-
-    The live slots are the ones in the buckets, keyed by their exact
-    integral value, each an ascending list of slots, with a heap of the
-    distinct values (stale ones are skipped when they surface).  Integrals
-    only grow, so the smallest live bucket is the exact set of slots tied
-    for the minimum, and a tie is broken by one random index into it.
-    """
+    pairs with it, and the integrals, a plain list."""
 
     def __init__(self, lg: LineGraph, config: LiftingConfig,
                  initial_integrals: Optional[Mapping[Id, float]] = None):
@@ -247,14 +241,70 @@ class _Lifter:
         for k, I in zip(lg.ids, self.integrals):
             if not 0 < I < math.inf:
                 raise LiftingError(f"non-positive or non-finite initial integral at {k!r}")
+
+    def lift_stage(self, k: int, stage: int) -> LiftingStage:
+        """Plan the removal of slot k: its filters, integral update and
+        relink, archived with line-graph ids.  k's row is replaced, not
+        edited, so a caller holding it still sees k's neighbours."""
+        row = self.adj[k]
+        if not row:
+            raise LiftingError(f"isolated vertex {self.lg.ids[k]!r} at stage {stage}")
+        neighbors = sorted(row)
+        a = predict_weights([row[s] for s in neighbors], self.config.prediction_scheme)
+
+        integrals = self.integrals
+        Ik = integrals[k]
+        for w, s in zip(a, neighbors):
+            integrals[s] += w * Ik
+        try:
+            denom = sum([integrals[s] ** 2 for s in neighbors])
+        except OverflowError:  # the square of a finite integral past the float range
+            denom = math.inf
+        if denom == math.inf:  # or an updated integral is inf
+            raise LiftingError(f"non-finite integral update at stage {stage}: integrals too large")
+        b = [integrals[s] * Ik / denom for s in neighbors]
+
+        added = self.relink(self.adj, k, neighbors)  # while k's edges are in place
+        for s in row:
+            del self.adj[s][k]
+        self.adj[k] = {}
+        ids = self.lg.ids
+        return LiftingStage(
+            stage=stage,
+            removed=ids[k],
+            neighbors=tuple([ids[s] for s in neighbors]),
+            a=tuple(a),
+            b=tuple(b),
+            integral=Ik,
+            edges_added=tuple([(ids[u], ids[v], w) for u, v, w in added]),
+        )
+
+
+class _Chooser:
+    """The free-order rule over a planner's integrals: the live slot with
+    the smallest integral, a tie broken by one seeded random index into the
+    tied slots in ascending order.  Only `forward` without a trajectory
+    builds one.
+
+    Live slots sit in buckets keyed by their exact integral value (`keys`
+    holds each slot's), each an ascending list, with a heap of the
+    distinct values (stale ones are skipped when they surface).  Integrals
+    only grow, so the smallest live bucket is the exact set of slots tied
+    for the minimum.  Buckets stay sorted, so the order in which `removed`
+    re-buckets the neighbours changes nothing.
+    """
+
+    def __init__(self, integrals: List[float], rng_seed: int):
+        self.integrals = integrals
+        self.keys = list(integrals)
         self.buckets: Dict[float, List[int]] = {}
-        for u, I in enumerate(self.integrals):
+        for u, I in enumerate(integrals):
             self.buckets.setdefault(I, []).append(u)
         self.values = list(self.buckets)
         heapq.heapify(self.values)
-        self.rng = np.random.default_rng(config.rng_seed)
+        self.rng = np.random.default_rng(rng_seed)
 
-    def choose_next(self) -> int:
+    def choose(self) -> int:
         while self.values[0] not in self.buckets:
             heapq.heappop(self.values)
         tied = self.buckets[self.values[0]]
@@ -262,60 +312,29 @@ class _Lifter:
             return tied[0]
         return tied[self.rng.integers(len(tied))]
 
-    def _move(self, k: int, value: Optional[float]) -> None:
-        """Set k's integral to `value`, moving k between buckets; None
-        takes k out of the buckets and leaves its last integral in place."""
-        old = self.integrals[k]
-        if value == old:
-            return
-        bucket = self.buckets[old]
-        del bucket[bisect_left(bucket, k)]
+    def _drop(self, u: int) -> None:
+        key = self.keys[u]
+        bucket = self.buckets[key]
+        del bucket[bisect_left(bucket, u)]
         if not bucket:
-            del self.buckets[old]
-        if value is None:
-            return
-        self.integrals[k] = value
-        if value in self.buckets:
-            insort(self.buckets[value], k)
-        else:
-            self.buckets[value] = [k]
-            heapq.heappush(self.values, value)
+            del self.buckets[key]
 
-    def lift_stage(self, k: int, stage: int) -> LiftingStage:
-        """Plan the removal of slot k: its filters, integral update and
-        relink, archived with line-graph ids."""
-        row = self.adj[k]
-        if not row:
-            raise LiftingError(f"isolated vertex {self.lg.ids[k]!r} at stage {stage}")
-        neighbors = sorted(row)
-        a = predict_weights([row[s] for s in neighbors], self.config.prediction_scheme)
-
-        Ik = self.integrals[k]
-        for w, s in zip(a, neighbors):
-            self._move(s, self.integrals[s] + w * Ik)
-        try:
-            denom = sum(self.integrals[s] ** 2 for s in neighbors)
-        except OverflowError:  # the square of a finite integral past the float range
-            denom = math.inf
-        if denom == math.inf:  # or an updated integral is inf
-            raise LiftingError(f"non-finite integral update at stage {stage}: integrals too large")
-        b = [self.integrals[s] * Ik / denom for s in neighbors]
-
-        added = self.relink(self.adj, neighbors)  # while k's edges are in place
-        for s in row:
-            del self.adj[s][k]
-        self.adj[k] = {}
-        self._move(k, None)
-        ids = self.lg.ids
-        return LiftingStage(
-            stage=stage,
-            removed=ids[k],
-            neighbors=tuple(ids[s] for s in neighbors),
-            a=tuple(a),
-            b=tuple(b),
-            integral=Ik,
-            edges_added=tuple((ids[u], ids[v], w) for u, v, w in added),
-        )
+    def removed(self, k: int, neighbors) -> None:
+        """After slot k's stage: re-bucket the `neighbors` whose integral
+        it changed, and take k out."""
+        for s in neighbors:
+            value = self.integrals[s]
+            if value == self.keys[s]:
+                continue
+            self._drop(s)
+            self.keys[s] = value
+            bucket = self.buckets.get(value)
+            if bucket is None:
+                self.buckets[value] = [s]
+                heapq.heappush(self.values, value)
+            else:
+                insort(bucket, s)
+        self._drop(k)
 
 
 def _integrals(ids: Sequence[Id], rows, scheme: IntegralScheme) -> List[float]:
@@ -355,7 +374,17 @@ def forward(
 
     lifter = _Lifter(lg, config, initial_integrals)
     n_stages = lg.m - config.tau
-    if trajectory is not None:
+    initial = dict(zip(lg.ids, lifter.integrals))
+    if trajectory is None:
+        chooser = _Chooser(lifter.integrals, config.rng_seed)
+        slots, stages = [], []
+        for i in range(n_stages):
+            k = chooser.choose()
+            row = lifter.adj[k]  # lift_stage leaves this dict whole
+            stages.append(lifter.lift_stage(k, lg.m - i))
+            chooser.removed(k, row)
+            slots.append(k)
+    else:
         trajectory = list(trajectory)
         if len(trajectory) != n_stages:
             raise LiftingError(
@@ -366,15 +395,12 @@ def forward(
         bad = [k for k in trajectory if k not in lg.index]
         if bad:
             raise LiftingError(f"trajectory references unknown ids {bad[:3]!r}")
+        slots = [lg.index[k] for k in trajectory]
+        stages = [lifter.lift_stage(k, lg.m - i) for i, k in enumerate(slots)]
 
-    initial = dict(zip(lg.ids, lifter.integrals))
-    stages: List[LiftingStage] = []
-    for i in range(n_stages):
-        k = lg.index[trajectory[i]] if trajectory is not None else lifter.choose_next()
-        stages.append(lifter.lift_stage(k, lg.m - i))
-
-    survivors = sorted(chain.from_iterable(lifter.buckets.values()))
-    surviving = tuple(lg.ids[u] for u in survivors)
+    gone = set(slots)
+    survivors = [u for u in range(lg.m) if u not in gone]
+    surviving = tuple([lg.ids[u] for u in survivors])
     record = LiftingRecord(
         stages=tuple(stages),
         initial_integrals=initial,
@@ -398,14 +424,12 @@ def inverse(coeffs: CoefficientSet, record: LiftingRecord) -> Dict[Id, float]:
     return dict(zip(record.ids, _replay_inverse(record, coeffs.as_vector(record)).tolist()))
 
 
-def _work(X, rows):
-    """Rows `rows` of X, copied into W, and the same rows as a list: floats
-    for one signal (their fastest form), views of W's rows for a batch.
-    `+=` and `-=` rebind a float and write into a row of W, so one kernel
-    loop serves both shapes.
+def _rows(W: np.ndarray) -> list:
+    """The rows of W as a list: floats for one signal (their fastest form),
+    views of W's rows for a batch.  `+=` and `-=` rebind a float and write
+    into a row of W, so one kernel loop serves both shapes.
     """
-    W = np.asarray(X, dtype=float)[list(rows)]
-    return W, (W.tolist() if W.ndim == 1 else list(W))
+    return W.tolist() if W.ndim == 1 else list(W)
 
 
 def _replay_forward(record: LiftingRecord, X) -> np.ndarray:
@@ -415,8 +439,14 @@ def _replay_forward(record: LiftingRecord, X) -> np.ndarray:
     the canonical coefficient order of `CoefficientSet.as_vector`: details
     in removal order, then the scaling coefficients.
     """
-    offsets, nbr, a, b, order = record._plan
-    W, x = _work(X, order)
+    return _replay_forward_slots(record, np.asarray(X, dtype=float)[list(record._plan[4])])
+
+
+def _replay_forward_slots(record: LiftingRecord, W: np.ndarray) -> np.ndarray:
+    """`_replay_forward` of a float array W whose rows are already in slot
+    (canonical) order; a batch is transformed in place and returned."""
+    offsets, nbr, a, b, _ = record._plan
+    x = _rows(W)
     for i in range(len(offsets) - 1):
         lo, hi = offsets[i], offsets[i + 1]
         pred = 0.0
@@ -437,7 +467,8 @@ def _replay_inverse(record: LiftingRecord, C) -> np.ndarray:
     stage in reverse.
     """
     offsets, nbr, a, b, order = record._plan
-    W, x = _work(C, range(len(order)))
+    W = np.array(C, dtype=float)
+    x = _rows(W)
     for i in reversed(range(len(offsets) - 1)):
         lo, hi = offsets[i], offsets[i + 1]
         d = x[i]

@@ -19,7 +19,14 @@ from scipy.optimize import brentq
 from scipy.special import erfcx, gammainc, ndtr
 
 from .graph import Id, LineGraph
-from .lifting import LiftingConfig, LiftingRecord, _replay_forward, _replay_inverse, forward
+from .lifting import (
+    LiftingConfig,
+    LiftingRecord,
+    _replay_forward,
+    _replay_forward_slots,
+    _replay_inverse,
+    forward,
+)
 
 MAD_SCALE = 0.6745
 #: the posterior-median Newton iteration stops each coefficient once its step
@@ -28,6 +35,9 @@ POST_MED_TOL = 1e-13
 #: below this |x| the posterior median's objective is integrated from its
 #: slope, as its closed form cancels there
 POST_MED_SMALL = 0.2
+#: above this |x| the posterior median is the asymptote |x| - 2/|x|, whose
+#: error, about (2/3)/|x|^3, is then below POST_MED_TOL |x|
+POST_MED_BIG = 2000.0
 #: the mixing-weight fit stops each column once its Newton step is this small
 WEIGHT_TOL = 1e-13
 #: identity columns `detail_gains` replays at a time, bounding its memory
@@ -262,19 +272,20 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
 
     `w` is one mixing weight, or one per column of an (n, B) `x`.
     The objective increases in the median, so where it is >= 0 at 0 the
-    median is 0, settled by that one evaluation.  The rest of |x| <= 20 is
-    found in [0, |x|] by safeguarded Newton steps on the objective and its
-    closed-form slope (`_newton_median`), from the asymptote |x| - 2/|x|
-    clipped into that bracket; about 4 evaluations where the bisection took
-    up to 48 halvings.  Each coefficient stops on its own, so a median does
-    not depend on the other coefficients in the call.  Below |x| =
-    `POST_MED_SMALL` the objective is one that does not cancel.  Larger
-    |x| uses the asymptote.  Medians below 1e-7 are clipped to exact zero;
+    median is 0, settled by that one evaluation.  The rest of |x| <=
+    `POST_MED_BIG` is found in [0, |x|] by safeguarded Newton steps on the
+    objective and its closed-form slope (`_newton_median`), from the
+    asymptote |x| - 2/|x| clipped into that bracket; about 4 evaluations
+    where the bisection took up to 48 halvings.  Each coefficient stops on
+    its own, so a median does not depend on the other coefficients in the
+    call.  Below |x| = `POST_MED_SMALL` the objective is one that does not
+    cancel.  Larger |x| uses the asymptote, by then within `POST_MED_TOL`
+    |x| of the median.  Medians below 1e-7 are clipped to exact zero;
     the sign is that of x, and no median exceeds |x|.
     """
     x = np.asarray(x, dtype=float)
     mag = np.abs(x)
-    big = mag > 20.0
+    big = mag > POST_MED_BIG
     work = np.where(big, 0.0, mag).ravel()
     wt = np.broadcast_to(w, x.shape).ravel()
     half_yl = _cauchy_med_half_yl(work, wt)
@@ -403,13 +414,22 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
 
     Replays the archived filters on the identity matrix, `GAIN_BLOCK`
     columns at a time, and sums the rows' squared norms over the blocks,
-    so no further graph work is needed and memory stays linear in m.
+    so no further graph work is needed and memory stays linear in m.  Each
+    block is built with its rows already in slot order, so the replay
+    works in it and makes no copy, and it is freed before the next one is
+    built: one m x `GAIN_BLOCK` array at a time.
     """
     m, n = len(record.ids), len(record.stages)
+    slot = np.empty(m, dtype=np.intp)
+    slot[list(record._plan[4])] = np.arange(m)
     squares = np.zeros(n)
     for lo in range(0, m, GAIN_BLOCK):
-        rows = _replay_forward(record, np.eye(m, min(GAIN_BLOCK, m - lo), -lo))[:n]
+        width = min(GAIN_BLOCK, m - lo)
+        block = np.zeros((m, width))
+        block[slot[lo : lo + width], np.arange(width)] = 1.0
+        rows = _replay_forward_slots(record, block)[:n]
         squares += np.einsum("ij,ij->i", rows, rows)
+        del block, rows
     return dict(zip(record.removal_order, np.sqrt(squares).tolist()))
 
 

@@ -45,8 +45,9 @@ def path_rows_by_id(lg):
 def relink_distance(relink, m, u, v):
     """The distance a coordinate `relink` of an m-slot line graph measures
     from slot u to slot v: the weight of the one edge it adds between them
-    when no edge joins them."""
-    (edge,) = relink([{} for _ in range(m)], [u, v])
+    when no edge joins them.  A coordinate relink measures straight
+    distances and reads no hub row, so no hub slot is given."""
+    (edge,) = relink([{} for _ in range(m)], None, [u, v])
     assert edge[:2] == (u, v)
     return edge[2]
 
@@ -238,7 +239,7 @@ class TestDistance:
         rows, relink = chain_lg([2.0, 2.0, 2.0]).metric_rows(MetricMode.PATH_LENGTH)
         assert 2 not in rows[0]
         assert shortest_path_distance(rows, 0, (2,)) == {2: pytest.approx(4.0)}
-        assert relink(rows, [0, 2]) == [(0, 2, pytest.approx(4.0))]
+        assert relink(rows, 1, [0, 2]) == [(0, 2, pytest.approx(4.0))]
         assert rows[0][2] == rows[2][0] == pytest.approx(4.0)
 
     def test_missing_inputs_rejected(self):
@@ -318,9 +319,10 @@ def reference_metric_rows(lg, adj, mode):
 def assert_rows_match_reference(lg, adj):
     """Metric rows equal the references on the caller's adjacency `adj` in
     values and key order; the edge set is that of `adj`; the relink that
-    comes with the rows joins the first non-adjacent pair at its reference
-    distance in the same metric: straight for coordinates, the shortest
-    path over the rows for path lengths."""
+    comes with the rows joins the first non-adjacent pair with a common
+    neighbour (the hub the relink is given) at its reference distance in
+    the same metric: straight for coordinates, the shortest path over the
+    rows for path lengths."""
     assert set(lg.edges()) == set(reference_edges(lg, adj))
     assert len(lg.edges()) == len(reference_edges(lg, adj))
     modes = [MetricMode.PATH_LENGTH] + ([MetricMode.COORDINATE] if lg.coords else [])
@@ -328,14 +330,20 @@ def assert_rows_match_reference(lg, adj):
         got, relink = lg.metric_rows(mode)
         want = reference_metric_rows(lg, adj, mode)
         assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
-        apart = [(u, v) for u, v in combinations(range(lg.m), 2) if v not in got[u]]
+        apart = [
+            (u, v, hub)
+            for u, v in combinations(range(lg.m), 2)
+            if v not in got[u]
+            for hub in got[u]
+            if v in got[hub]
+        ]
         if apart:
-            u, v = apart[0]
+            u, v, hub = apart[0]
             if mode is MetricMode.PATH_LENGTH:
                 dist = graph_reference.shortest_path_distances(want, u)[v]
             else:
                 dist = reference_pair_distance(lg)(u, v)
-            assert relink(got, [u, v]) == [(u, v, dist)]
+            assert relink(got, hub, [u, v]) == [(u, v, dist)]
 
 
 def assert_source_rows_match_reference(graph):
@@ -436,6 +444,41 @@ class TestShortestPathDistance:
         assert base.lookups == 3
         with pytest.raises(AssertionError, match="search reached"):
             shortest_path_distance(base, "e0", ["e9"])
+
+
+@st.composite
+def hub_graphs(draw):
+    """Weighted rows on slots 0..n-1 around a hub, slot 0, and the hub's
+    neighbours ascending, as a relink sees them: spokes from the hub plus
+    random edges anywhere.  Weights come from a few tied values and from a
+    wide range, so sums round and paths tie."""
+    n = draw(st.integers(3, 20))
+    weight = st.one_of(st.sampled_from([0.1, 0.5, 1.0, 1.5]), st.floats(1e-3, 1e3))
+    adj = [{} for _ in range(n)]
+    for s in draw(st.lists(st.integers(1, n - 1), min_size=2, unique=True)):
+        adj[0][s] = adj[s][0] = draw(weight)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)):
+        if i != j:
+            adj[i][j] = adj[j][i] = draw(weight)
+    return adj, sorted(adj[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=hub_graphs())
+def test_hub_bounded_search_is_bitwise_the_full_one(case):
+    """A search from each hub neighbour u towards the later ones, bounded by
+    w(u, hub) + max w(hub, v) as the path relink bounds it, settles every
+    target at the frozen whole-component distance, bit for bit, and in the
+    order the unbounded search settles them."""
+    adj, slots = case
+    hub = adj[0]
+    for i, u in enumerate(slots[:-1]):
+        later = slots[i + 1 :]
+        bound = hub[u] + max(hub[v] for v in later)
+        full = graph_reference.shortest_path_distances(adj, u)
+        got = shortest_path_distance(adj, u, later, bound)
+        assert {v: d.hex() for v, d in got.items()} == {v: full[v].hex() for v in later}
+        assert list(got.items()) == list(shortest_path_distance(adj, u, later).items())
 
 
 def all_pairs_mst(points):

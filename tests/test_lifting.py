@@ -317,6 +317,23 @@ class TestTrajectory:
         assert c0.details == c1.details
         assert c0.scaling == c1.scaling
 
+    def test_fixed_order_builds_no_chooser(self, mst_lg, rng, monkeypatch):
+        # a given trajectory needs no buckets, value heap or tie-break
+        # generator: the same record comes out with both unavailable
+        cfg = LiftingConfig.from_acronym("LG-Dnw-c")
+        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
+        c0, r0 = forward(values, mst_lg, cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a chooser or a generator")
+
+        monkeypatch.setattr(lifting, "_Chooser", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        c1, r1 = forward(values, mst_lg, cfg, trajectory=r0.removal_order)
+        assert (c1, r1) == (c0, r0)
+        with pytest.raises(AssertionError, match="built a chooser"):
+            forward(values, mst_lg, cfg)
+
     def test_different_orders_differ(self, small_tree_lg, rng):
         cfg = LiftingConfig.from_acronym("LG-Did-c")
         values = {k: float(v) for k, v in zip(small_tree_lg.ids, rng.normal(size=small_tree_lg.m))}

@@ -30,7 +30,7 @@ from lglift.lifting import (
     inverse,
     predict_weights,
 )
-from lglift.shrinkage import detail_gains
+from lglift.shrinkage import detail_gains, random_trajectories
 from lglift.simulation import generate_flow_fixture, sample_network
 
 from graph_reference import is_connected, minimum_spanning_tree
@@ -278,6 +278,17 @@ def test_planner_matches_reference_on_flow_fixture(acr):
     rng = np.random.default_rng(5)
     for _ in range(3):
         order = [lg.ids[i] for i in rng.permutation(lg.m)[: lg.m - config.tau]]
+        assert_same_plan(lg, config, trajectory=order)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("acr", [v for v in VARIANTS if v.endswith("-p")])
+def test_fixed_order_planner_matches_reference(acr, seed):
+    """The planner without a chooser, on the trajectories NLT draws."""
+    graph, _ = generate_flow_fixture(seed)
+    lg = build_line_graph(graph)
+    config = LiftingConfig.from_acronym(acr)
+    for order in random_trajectories(lg, config, 10, seed):
         assert_same_plan(lg, config, trajectory=order)
 
 

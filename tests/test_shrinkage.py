@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -22,6 +23,7 @@ from lglift import shrinkage
 from lglift.analysis import sparsity_curve_single
 from lglift.lifting import LiftingConfig, forward, inverse
 from lglift.shrinkage import (
+    POST_MED_BIG,
     POST_MED_TOL,
     ShrinkageConfig,
     ShrinkageError,
@@ -186,9 +188,17 @@ def ref_batch_post_med_cauchy(x, w):
 
 
 def mp_post_med_cauchy(x: float, w: float) -> float:
-    """The posterior median of one |x| <= 20 to 50 digits: the objective in
+    """The posterior median of one finite x to 50 digits: the objective in
     its closed form (50 digits outlast its cancellation), the screen at 0, a
     bracketed root in [0, |x|], the 1e-7 clip and the sign of x."""
+    med = _mp_median(abs(x), w)
+    return math.copysign(med, x) if med else 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_median(x: float, w: float) -> float:
+    """`mp_post_med_cauchy` of x >= 0, cached: the grids below repeat each
+    magnitude with both signs."""
     with mpmath.workdps(50):
         a, w = mpmath.mpf(abs(x)), mpmath.mpf(w)
         half_yl = (1 + mpmath.exp(-a * a / 2) * (a * a * (1 / w - 1) - 1)) / 2
@@ -202,15 +212,16 @@ def mp_post_med_cauchy(x: float, w: float) -> float:
         if objective(0) >= 0:
             return 0.0
         med = float(mpmath.findroot(objective, (0, a), solver="anderson"))
-    return 0.0 if med < 1e-7 else math.copysign(med, x)
+    return 0.0 if med < 1e-7 else med
 
 
 def with_band_from_mpmath(want, x, w):
-    """`want` with its entries in the cancellation band, w >= 0.99 and |x| <
-    0.1, where the frozen bisections follow the rounding noise of their
-    objective, replaced by 50-digit medians."""
+    """`want` with 50-digit medians in two bands of the frozen solvers:
+    the cancellation band, w >= 0.99 and |x| < 0.1, where their bisections
+    follow the rounding noise of their objective, and finite |x| > 20, where
+    they take the asymptote |x| - 2/|x|, up to 8e-5 off."""
     w = np.broadcast_to(w, x.shape)
-    band = (w >= 0.99) & (np.abs(x) < 0.1)
+    band = ((w >= 0.99) & (np.abs(x) < 0.1)) | ((np.abs(x) > 20.0) & np.isfinite(x))
     want[band] = [mp_post_med_cauchy(v, wv) for v, wv in zip(x[band], w[band])]
     return want
 
@@ -310,8 +321,12 @@ class TestHardThresholdOracle:
         assert thresh_from_weight(w) == pytest.approx(series_thresh_from_weight(w), rel=1e-10)
 
 
-# standardized coefficients: the clip to zero at 1e-7, the |x| > 20 asymptote
-_EDGE_X = [0.0, 1e-7, -1e-7, 20.0, -20.0, np.nextafter(20.0, 21.0), 25.0, -30.0]
+# standardized coefficients: the clip to zero at 1e-7, the frozen solvers'
+# |x| > 20 asymptote, and the asymptote past POST_MED_BIG
+_EDGE_X = [
+    0.0, 1e-7, -1e-7, 20.0, -20.0, np.nextafter(20.0, 21.0), 25.0, -30.0,
+    POST_MED_BIG, -np.nextafter(POST_MED_BIG, 3e3),
+]
 
 
 @st.composite
@@ -422,13 +437,18 @@ class TestZeroScreen:
     """The zero screen and per-bracket stop against the whole-batch
     bisection they replaced, and each median's independence of its batch."""
 
-    # |x| on a 0.01 grid, the asymptote's edge, and non-finite input.  Below
+    # |x| on a 0.01 grid, the frozen and the current asymptote edges, and
+    # non-finite input.  Below
     # |x| ~ 1e-5 the closed-form objective at mu = 0 cancels to rounding
     # noise when w is within about 1e-2 of 1, so the grid starts at 0.01; in
     # the band the frozen bisection still follows that noise by up to 1e-12,
     # so there the medians are compared with 50-digit ones
     _mags = np.concatenate(
-        [np.linspace(0.0, 25.0, 2501), [20.0, np.nextafter(20.0, 21.0), np.nan, np.inf]]
+        [
+            np.linspace(0.0, 25.0, 2501),
+            [20.0, np.nextafter(20.0, 21.0), POST_MED_BIG, np.nextafter(POST_MED_BIG, 3e3)],
+            [np.nan, np.inf],
+        ]
     )
 
     @pytest.mark.parametrize("w", [0.01, 0.1, 0.3, 0.7, 1.0])
@@ -478,6 +498,20 @@ class TestNewtonMedian:
         assert np.all(got[zero] == 0.0)
         err = np.abs(got[~zero] - want[~zero])
         assert np.all(err <= 1e-12) and np.all(err <= 1e-9 * np.abs(want[~zero]))
+
+    @pytest.mark.parametrize("w", [0.01, 0.5, 1.0])
+    def test_large_x_matches_mpmath(self, w):
+        # Newton steps up to POST_MED_BIG and the asymptote |x| - 2/|x|
+        # past it, both within POST_MED_TOL |x|; the asymptote alone was
+        # 8e-5 off at |x| = 20
+        mags = np.concatenate([
+            np.geomspace(15.0, POST_MED_BIG, 60),
+            [20.0, np.nextafter(20.0, 21.0), np.nextafter(POST_MED_BIG, 3e3), 3e3, 1e4, 1e6],
+        ])
+        x = np.concatenate([mags, -mags])
+        got = post_med_cauchy(x, w)
+        want = np.array([mp_post_med_cauchy(v, w) for v in x])
+        assert np.all(np.abs(got - want) <= POST_MED_TOL * np.abs(x))
 
     def test_small_path_independent_of_batch(self):
         # |x| below POST_MED_SMALL at w near 1, where no coefficient is screened
