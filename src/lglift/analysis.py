@@ -48,20 +48,32 @@ def build_matrices(
     the inverse map on the coefficient basis (the identity matrix both
     times), so the two matrices are built independently of each other.
     """
-    _, record = forward({k: 0.0 for k in lg.ids}, lg, config, trajectory=trajectory)
-    identity = np.eye(lg.m)
+    record, forward_matrix = _forward_matrix(lg, config, trajectory)
     return TransformMatrices(
-        forward_matrix=_replay_forward(record, identity),
-        inverse_matrix=_replay_inverse(record, identity),
+        forward_matrix=forward_matrix,
+        inverse_matrix=_replay_inverse(record, np.eye(lg.m)),
         coefficient_order=coefficient_order(record),
         value_order=lg.ids,
         record=record,
     )
 
 
+def _forward_matrix(
+    lg: LineGraph, config: LiftingConfig, trajectory: Optional[Sequence[Id]] = None
+) -> Tuple[LiftingRecord, np.ndarray]:
+    """The plan of `build_matrices` and its forward matrix, without the inverse."""
+    _, record = forward({k: 0.0 for k in lg.ids}, lg, config, trajectory=trajectory)
+    return record, _replay_forward(record, np.eye(lg.m))
+
+
 def condition_number(matrices: TransformMatrices) -> float:
     """Ratio of the extreme singular values of the forward matrix."""
-    sv = np.linalg.svd(matrices.forward_matrix, compute_uv=False)
+    return _condition(matrices.forward_matrix)
+
+
+def _condition(forward_matrix: np.ndarray) -> float:
+    """`condition_number` of a forward matrix alone."""
+    sv = np.linalg.svd(forward_matrix, compute_uv=False)
     if sv[-1] <= 0 or not np.isfinite(sv[-1]):
         raise LiftingError("transform not invertible")
     return float(sv[0] / sv[-1])

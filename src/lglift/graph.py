@@ -206,7 +206,8 @@ class LineGraph:
         if mode is MetricMode.PATH_LENGTH:
             if self.edge_lengths is None:
                 raise GraphError("metric inputs unavailable: no source edge lengths")
-            lengths = [self.edge_lengths[k] for k in self.ids]
+            ids = self.ids
+            lengths = [self.edge_lengths[k] for k in ids]
             rows = [
                 {s: 0.5 * (lengths[u] + lengths[s]) for s in r} for u, r in enumerate(self.rows)
             ]
@@ -223,7 +224,7 @@ class LineGraph:
                     for v in later:
                         if v not in reached:
                             raise GraphError(
-                                f"disconnected in metric: {self.ids[u]!r} and {self.ids[v]!r}"
+                                f"disconnected in metric: {ids[u]!r} and {ids[v]!r}"
                             )
                         dist.append(reached[v])
                 return dist
@@ -249,9 +250,12 @@ class LineGraph:
                 raise GraphError(
                     f"non-finite metric distance at new vertex {k!r}: inputs too large"
                 )
-        return rows, partial(self._relink, measure)
+        return rows, partial(self._relink, measure, self.rank)
 
-    def _relink(self, measure, adj, k: int, slots: Sequence[int]) -> List[Tuple[int, int, float]]:
+    @staticmethod
+    def _relink(
+        measure, rank, adj, k: int, slots: Sequence[int]
+    ) -> List[Tuple[int, int, float]]:
         """Join `slots`, the ascending neighbours of the removed slot k
         (its edges still in `adj`), when the edges among them leave them in
         pieces: add to `adj`, and return, the missing edges (u, v, dist) of
@@ -281,7 +285,7 @@ class LineGraph:
             if not (math.isfinite(w) and w > 0):
                 raise GraphError(f"non-positive or non-finite edge weight {w}")
         added = []
-        for e in _kruskal(n, pairs, dist, [self.rank[s] for s in slots]):
+        for e in _kruskal(n, pairs, dist, [rank[s] for s in slots]):
             i, j = pairs[e]
             u, v = slots[i], slots[j]
             if v not in adj[u]:

@@ -8,12 +8,15 @@ the filters never depend on the data, so a planner (`_Lifter`, which leaves
 the relink to `LineGraph`, with `_Chooser` picking the order when none is
 given) archives them as a `LiftingRecord`, and two kernels
 (`_replay_forward`, `_replay_inverse`) replay it on a signal or a batch.
+A free-order plan depends only on the line graph and the config, so
+`forward` plans each such pair once (`_PLANS`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
@@ -63,6 +66,18 @@ class LiftingConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # canonical enum members, so that equal configs plan alike: the
+        # planner tests schemes by identity, and `_PLANS` keys on configs
+        for name, scheme in (
+            ("integral_scheme", IntegralScheme),
+            ("prediction_scheme", PredictionScheme),
+            ("metric_mode", MetricMode),
+        ):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, scheme(value))
+            except ValueError:
+                raise LiftingError(f"unknown {name.replace('_', ' ')} {value!r}") from None
         if self.tau < 2:
             raise LiftingError(f"stopping time must be at least 2, got {self.tau}")
         if self.rng_seed < 0:
@@ -93,9 +108,9 @@ class LiftingConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "LiftingConfig":
         return cls(
-            integral_scheme=IntegralScheme(d["integral_scheme"]),
-            prediction_scheme=PredictionScheme(d["prediction_scheme"]),
-            metric_mode=MetricMode(d["metric_mode"]),
+            integral_scheme=d["integral_scheme"],
+            prediction_scheme=d["prediction_scheme"],
+            metric_mode=d["metric_mode"],
             tau=int(d["tau"]),
             rng_seed=int(d["rng_seed"]),
         )
@@ -117,7 +132,11 @@ class LiftingStage:
 
 @dataclass(frozen=True)
 class LiftingRecord:
-    """Ordered stage archive from stage m down to stage tau+1."""
+    """Ordered stage archive from stage m down to stage tau+1.
+
+    Read-only: `forward` hands the same free-order record to every caller
+    that plans one line graph with one config.
+    """
 
     stages: Tuple[LiftingStage, ...]
     initial_integrals: Dict[Id, float]
@@ -351,6 +370,13 @@ def _integrals(ids: Sequence[Id], rows, scheme: IntegralScheme) -> List[float]:
     return out
 
 
+#: each line graph's free-order plans, by config; an entry dies with its
+#: line graph
+_PLANS: "weakref.WeakKeyDictionary[LineGraph, Dict[LiftingConfig, LiftingRecord]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def forward(
     values: Mapping[Id, float],
     lg: LineGraph,
@@ -363,6 +389,11 @@ def forward(
     The removal order follows the minimum-integral rule (ties broken by the
     seeded generator) unless an explicit trajectory is given.  Passing
     `initial_integrals` overrides the scheme's initialisation.
+
+    A free-order plan (no trajectory, no initial integrals) is made once per
+    line graph and config and kept until the line graph is collected: later
+    calls replay the same `LiftingRecord` object, which callers must treat
+    as read-only.  A planning error is raised on every call.
     """
     missing = [k for k in lg.ids if k not in values]
     if missing:
@@ -372,6 +403,26 @@ def forward(
         if not math.isfinite(v):
             raise LiftingError(f"non-finite value at {k!r}")
 
+    if trajectory is None and initial_integrals is None:
+        record = _PLANS.get(lg, {}).get(config)
+        if record is None:
+            record = _PLANS.setdefault(lg, {})[config] = _build_record(lg, config)
+    else:
+        record = _build_record(lg, config, trajectory, initial_integrals)
+    c = _replay_forward(record, x).tolist()
+    return CoefficientSet(
+        details=dict(zip(record.removal_order, c)),
+        scaling=dict(zip(record.surviving, c[len(record.stages):])),
+    ), record
+
+
+def _build_record(
+    lg: LineGraph,
+    config: LiftingConfig,
+    trajectory: Optional[Sequence[Id]] = None,
+    initial_integrals: Optional[Mapping[Id, float]] = None,
+) -> LiftingRecord:
+    """Plan the transform of `forward` on `lg`: the one planner."""
     lifter = _Lifter(lg, config, initial_integrals)
     n_stages = lg.m - config.tau
     initial = dict(zip(lg.ids, lifter.integrals))
@@ -400,20 +451,14 @@ def forward(
 
     gone = set(slots)
     survivors = [u for u in range(lg.m) if u not in gone]
-    surviving = tuple([lg.ids[u] for u in survivors])
-    record = LiftingRecord(
+    return LiftingRecord(
         stages=tuple(stages),
         initial_integrals=initial,
         final_integrals={lg.ids[u]: lifter.integrals[u] for u in survivors},
-        surviving=surviving,
+        surviving=tuple([lg.ids[u] for u in survivors]),
         config=config,
         ids=lg.ids,
     )
-    c = _replay_forward(record, x).tolist()
-    return CoefficientSet(
-        details=dict(zip(record.removal_order, c)),
-        scaling=dict(zip(surviving, c[n_stages:])),
-    ), record
 
 
 def inverse(coeffs: CoefficientSet, record: LiftingRecord) -> Dict[Id, float]:

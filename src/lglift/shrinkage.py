@@ -418,19 +418,28 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
     block is built with its rows already in slot order, so the replay
     works in it and makes no copy, and it is freed before the next one is
     built: one m x `GAIN_BLOCK` array at a time.
+
+    The gains depend only on the record, so the replay runs on the first
+    call for a record; the gains are kept on it, like its `_plan`, and
+    every call returns a fresh dict of them.
     """
-    m, n = len(record.ids), len(record.stages)
-    slot = np.empty(m, dtype=np.intp)
-    slot[list(record._plan[4])] = np.arange(m)
-    squares = np.zeros(n)
-    for lo in range(0, m, GAIN_BLOCK):
-        width = min(GAIN_BLOCK, m - lo)
-        block = np.zeros((m, width))
-        block[slot[lo : lo + width], np.arange(width)] = 1.0
-        rows = _replay_forward_slots(record, block)[:n]
-        squares += np.einsum("ij,ij->i", rows, rows)
-        del block, rows
-    return dict(zip(record.removal_order, np.sqrt(squares).tolist()))
+    gains = vars(record).get("_gains")
+    if gains is None:
+        m, n = len(record.ids), len(record.stages)
+        slot = np.empty(m, dtype=np.intp)
+        slot[list(record._plan[4])] = np.arange(m)
+        squares = np.zeros(n)
+        for lo in range(0, m, GAIN_BLOCK):
+            width = min(GAIN_BLOCK, m - lo)
+            block = np.zeros((m, width))
+            block[slot[lo : lo + width], np.arange(width)] = 1.0
+            rows = _replay_forward_slots(record, block)[:n]
+            squares += np.einsum("ij,ij->i", rows, rows)
+            del block, rows
+        gains = dict(zip(record.removal_order, np.sqrt(squares).tolist()))
+        # the record is frozen: stored as its cached properties are
+        vars(record)["_gains"] = gains
+    return dict(gains)
 
 
 def _by_level(record: LiftingRecord) -> Tuple[np.ndarray, np.ndarray]:

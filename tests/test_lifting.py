@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lglift import lifting
-from lglift.graph import GraphError, LineGraph, MetricMode
+from lglift.graph import GraphError, LineGraph, MetricMode, build_line_graph
 from lglift.lifting import (
     VARIANTS,
     CoefficientSet,
@@ -22,6 +22,7 @@ from lglift.lifting import (
     inverse,
     predict_weights,
 )
+from lglift.simulation import sample_network
 
 
 def make_lg(adj, coords=None, lengths=None):
@@ -51,6 +52,15 @@ class TestConfig:
     def test_near_miss_acronym_rejected(self, acr):
         with pytest.raises(LiftingError, match="unknown variant acronym"):
             LiftingConfig.from_acronym(acr)
+
+    def test_schemes_given_by_value_become_members(self):
+        cfg = LiftingConfig("delta", "moving_average", "path_length")
+        assert cfg == LiftingConfig.from_acronym("LG-Dnw-p")
+        assert cfg.integral_scheme is IntegralScheme.DELTA
+        assert cfg.prediction_scheme is PredictionScheme.MOVING_AVERAGE
+        assert cfg.metric_mode is MetricMode.PATH_LENGTH
+        with pytest.raises(LiftingError, match="unknown integral scheme 'mean'"):
+            LiftingConfig(integral_scheme="mean")
 
     def test_negative_seed_rejected(self):
         with pytest.raises(LiftingError, match="nonnegative"):
@@ -247,7 +257,9 @@ class TestForward:
         cfg = LiftingConfig.from_acronym("LG-Dnw-c", rng_seed=99)
         values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
         c1, r1 = forward(values, mst_lg, cfg)
-        c2, r2 = forward(values, mst_lg, cfg)
+        # a fresh line graph of the same network: planned again, not reused
+        c2, r2 = forward(values, build_line_graph(sample_network(100, seed=7)), cfg)
+        assert r2 is not r1
         assert c1.details == c2.details
         assert r1.removal_order == r2.removal_order
 
@@ -323,6 +335,7 @@ class TestTrajectory:
         cfg = LiftingConfig.from_acronym("LG-Dnw-c")
         values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
         c0, r0 = forward(values, mst_lg, cfg)
+        fresh = build_line_graph(sample_network(100, seed=7))  # mst_lg's network
 
         def refuse(*args, **kwargs):
             raise AssertionError("built a chooser or a generator")
@@ -331,8 +344,11 @@ class TestTrajectory:
         monkeypatch.setattr(np.random, "default_rng", refuse)
         c1, r1 = forward(values, mst_lg, cfg, trajectory=r0.removal_order)
         assert (c1, r1) == (c0, r0)
+        # the free-order plan of mst_lg is kept, so it needs no chooser again
+        c2, r2 = forward(values, mst_lg, cfg)
+        assert r2 is r0 and c2 == c0
         with pytest.raises(AssertionError, match="built a chooser"):
-            forward(values, mst_lg, cfg)
+            forward(values, fresh, cfg)
 
     def test_different_orders_differ(self, small_tree_lg, rng):
         cfg = LiftingConfig.from_acronym("LG-Did-c")

@@ -1,0 +1,177 @@
+"""`forward` plans each (line graph, config) pair once, and `detail_gains`
+replays the identity once per record: the kept plans and gains give the
+same bits as planning afresh, and they die with their line graph."""
+
+import dataclasses
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from lglift import lifting, shrinkage
+from lglift.graph import GraphError, LineGraph, build_line_graph
+from lglift.lifting import VARIANTS, LiftingConfig, LiftingError, forward, init_integrals
+from lglift.shrinkage import denoise, detail_gains
+from lglift.simulation import generate_flow_fixture, sample_network
+
+NETWORKS = {
+    "mst": lambda: sample_network(100, seed=7),
+    "flow": lambda: generate_flow_fixture(0)[0],
+}
+
+
+def _bits(a) -> bytes:
+    """The float64 bit pattern of `a` (so -0.0 differs from 0.0)."""
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _noisy(lg, seed):
+    rng = np.random.default_rng(seed)
+    return dict(zip(lg.ids, rng.normal(size=lg.m).tolist()))
+
+
+# the flow fixture has no coordinates, so only the path-metric variants
+@pytest.mark.parametrize(
+    "net, acr",
+    [("mst", acr) for acr in VARIANTS] + [("flow", acr) for acr in VARIANTS if acr.endswith("-p")],
+)
+def test_kept_plan_matches_fresh_line_graph(net, acr):
+    lg = build_line_graph(NETWORKS[net]())
+    fresh = build_line_graph(NETWORKS[net]())
+    cfg = LiftingConfig.from_acronym(acr)
+    values = _noisy(lg, 1)
+    _, r1 = forward(_noisy(lg, 2), lg, cfg)
+    c2, r2 = forward(values, lg, cfg)
+    c3, r3 = forward(values, fresh, cfg)
+    assert r2 is r1 and r3 is not r1
+    assert r2.removal_order == r3.removal_order
+    assert list(c2.details) == list(c3.details) and list(c2.scaling) == list(c3.scaling)
+    assert _bits(c2.as_vector(r2)) == _bits(c3.as_vector(r3))
+    # the first denoise on lg computes r1's gains, the second reuses them
+    want = denoise(values, fresh, cfg)
+    for got in (denoise(values, lg, cfg), denoise(values, lg, cfg)):
+        assert list(got.estimates) == list(want.estimates)
+        assert _bits(list(got.estimates.values())) == _bits(list(want.estimates.values()))
+        assert list(got.shrunk_details) == list(want.shrunk_details)
+        assert _bits(list(got.shrunk_details.values())) == _bits(
+            list(want.shrunk_details.values())
+        )
+        assert _bits([got.sigma_hat, got.nu_hat]) == _bits([want.sigma_hat, want.nu_hat])
+
+
+def test_configs_differing_in_tau_or_seed_get_their_own_plans():
+    lg = build_line_graph(sample_network(100, seed=7))
+    zeros = dict.fromkeys(lg.ids, 0.0)
+    base = LiftingConfig.from_acronym("LG-Dnw-c")  # all integrals tie: the seed matters
+    configs = [base, dataclasses.replace(base, tau=3), dataclasses.replace(base, rng_seed=5)]
+    records = [forward(zeros, lg, cfg)[1] for cfg in configs]
+    assert len({id(r) for r in records}) == 3
+    assert [r.config for r in records] == configs
+    assert [len(r.stages) for r in records] == [lg.m - 2, lg.m - 3, lg.m - 2]
+    assert records[0].removal_order != records[2].removal_order
+    assert all(a is b for a, b in zip((forward(zeros, lg, c)[1] for c in configs), records))
+    assert lifting._PLANS[lg] == dict(zip(configs, records))
+
+
+def test_equal_configs_share_a_plan():
+    # schemes given by value are the same members as by acronym
+    lg = build_line_graph(sample_network(30, seed=1))
+    zeros = dict.fromkeys(lg.ids, 0.0)
+    by_value = LiftingConfig("sum", "moving_average", "path_length")
+    _, record = forward(zeros, lg, LiftingConfig.from_acronym("LG-Snw-p"))
+    assert forward(zeros, lg, by_value)[1] is record
+    first = record.stages[0]
+    assert first.a == (1.0 / len(first.neighbors),) * len(first.neighbors)
+
+
+def test_fixed_plans_neither_read_nor_fill_the_memo():
+    lg = build_line_graph(sample_network(100, seed=7))
+    cfg = LiftingConfig.from_acronym("LG-Sid-p")
+    values = _noisy(lg, 1)
+    integrals = init_integrals(lg, cfg.integral_scheme, cfg.metric_mode)
+    order = forward(values, build_line_graph(sample_network(100, seed=7)), cfg)[1].removal_order
+    fixed = forward(values, lg, cfg, trajectory=order)[1]
+    given = forward(values, lg, cfg, initial_integrals=integrals)[1]
+    assert lg not in lifting._PLANS
+    free = forward(values, lg, cfg)[1]
+    assert lifting._PLANS[lg] == {cfg: free}
+    again = (
+        forward(values, lg, cfg, trajectory=order)[1],
+        forward(values, lg, cfg, initial_integrals=integrals)[1],
+    )
+    assert all(r is not free for r in again) and again == (fixed, given) == (free, free)
+    assert lifting._PLANS[lg] == {cfg: free}
+
+
+def _star_of_huge_lengths():
+    # the line graph of a 4-edge star is K4, and its initial integrals overflow
+    ids = ["a", "b", "c", "d"]
+    adj = {k: set(ids) - {k} for k in ids}
+    return LineGraph(ids, adj, edge_lengths=dict.fromkeys(ids, 8e307)), "LG-Sid-p"
+
+
+@pytest.mark.parametrize(
+    "case, error, match",
+    [
+        ("tau", LiftingError, "stopping time"),
+        ("disconnected", GraphError, "disconnected"),
+        ("overflow", LiftingError, "non-finite initial integral"),
+    ],
+)
+def test_planning_error_raises_on_every_call(case, error, match):
+    if case == "tau":
+        lg, cfg = build_line_graph(sample_network(7, seed=42)), LiftingConfig(tau=6)
+    elif case == "disconnected":
+        adj = {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}}
+        lg = LineGraph(list(adj), adj, coords={k: (float(i), 0.0) for i, k in enumerate(adj)})
+        cfg = LiftingConfig()
+    else:
+        lg, acr = _star_of_huge_lengths()
+        cfg = LiftingConfig.from_acronym(acr)
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            forward(dict.fromkeys(lg.ids, 1.0), lg, cfg)
+    assert lg not in lifting._PLANS
+
+
+def test_detail_gains_replay_the_identity_once_per_record(monkeypatch):
+    lg = build_line_graph(sample_network(100, seed=7))
+    assert lg.m <= shrinkage.GAIN_BLOCK
+    cfg = LiftingConfig.from_acronym("LG-Aid-c")
+    replays = []
+
+    def counted(record, W):
+        replays.append(record)
+        return lifting._replay_forward_slots(record, W)
+
+    monkeypatch.setattr(shrinkage, "_replay_forward_slots", counted)
+    values = _noisy(lg, 1)
+    _, record = forward(values, lg, cfg)
+    first = detail_gains(record)
+    second = detail_gains(record)
+    denoise(values, lg, cfg)
+    assert replays == [record]
+    assert second == first and second is not first  # a fresh dict every call
+    second.clear()
+    assert detail_gains(record) == first
+    twin = forward(values, lg, cfg, trajectory=record.removal_order)[1]
+    assert _bits(list(detail_gains(twin).values())) == _bits(list(first.values()))
+    assert replays == [record, twin]
+
+
+@pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])
+def test_plans_die_with_their_line_graph(acr):
+    lg = build_line_graph(sample_network(100, seed=7))
+    _, record = forward(dict.fromkeys(lg.ids, 0.0), lg, LiftingConfig.from_acronym(acr))
+    detail_gains(record)
+    assert lifting._PLANS[lg]
+    lg_ref, record_ref = weakref.ref(lg), weakref.ref(record)
+    # a line graph holds no reference cycle (its cached relink included), so
+    # it and its plans go with the last reference, before any collection
+    gc.disable()
+    try:
+        del lg, record
+        assert lg_ref() is None and record_ref() is None
+    finally:
+        gc.enable()

@@ -861,7 +861,10 @@ class TestDetailGains:
         assert mst_lg.m <= shrinkage.GAIN_BLOCK
         one = detail_gains(record)
         monkeypatch.setattr(shrinkage, "GAIN_BLOCK", block)
-        many = detail_gains(record)
+        # a new record of the same plan: `record` keeps the gains of one block
+        zeros = dict.fromkeys(mst_lg.ids, 0.0)
+        twin = forward(zeros, mst_lg, cfg, trajectory=record.removal_order)[1]
+        many = detail_gains(twin)
         assert list(many) == list(one) == list(record.removal_order)
         for k, g in one.items():
             assert many[k] == pytest.approx(g, rel=1e-15, abs=0.0)

@@ -5,8 +5,9 @@ import pytest
 
 import lglift.shrinkage
 import lglift.simulation
+from lglift.analysis import build_matrices, condition_number
 from lglift.graph import EdgeRec, Graph, build_line_graph
-from lglift.lifting import forward
+from lglift.lifting import VARIANTS, LiftingConfig, forward
 from lglift.simulation import (
     FIELDS,
     SUB_NOISE,
@@ -292,6 +293,15 @@ class TestConditionNumberStudy:
     def test_negative_seed_rejected(self):
         with pytest.raises(SimulationError, match="seed must be a nonnegative integer"):
             condition_number_study("LG-Aid-c", n_graphs=1, n_vertices=20, seed=-1)
+
+    @pytest.mark.parametrize("acr", VARIANTS)
+    def test_kappa_is_that_of_build_matrices(self, acr):
+        # the study builds no inverse matrix, and its kappa keeps every bit
+        kappas = condition_number_study(acr, n_graphs=2, n_vertices=40, seed=3)
+        cfg = LiftingConfig.from_acronym(acr)
+        graphs = [build_line_graph(sample_network(40, seed=3000 + q)) for q in range(2)]
+        want = [condition_number(build_matrices(lg, cfg)) for lg in graphs]
+        assert np.array(kappas).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize(
