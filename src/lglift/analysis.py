@@ -14,7 +14,6 @@ from .lifting import (
     LiftingRecord,
     _replay_forward,
     _replay_inverse,
-    coefficient_order,
     forward,
 )
 
@@ -52,7 +51,7 @@ def build_matrices(
     return TransformMatrices(
         forward_matrix=forward_matrix,
         inverse_matrix=_replay_inverse(record, np.eye(lg.m)),
-        coefficient_order=coefficient_order(record),
+        coefficient_order=record._order,
         value_order=lg.ids,
         record=record,
     )

@@ -225,7 +225,9 @@ def record_from_dict(d: dict) -> LiftingRecord:
     Raises ParseError unless the stages can be replayed: every position in
     range, each id removed at most once, a stage's neighbours neither the
     removed id nor one removed earlier, one finite `a` and one finite `b`
-    entry per neighbour, and `surviving` exactly the ids never removed.
+    entry per neighbour and a finite `integral`, `surviving` exactly the ids
+    never removed, and finite integrals: one initial per id, one final per
+    survivor.
     """
     ids = tuple(int(k) if d.get("id_kind") == "int" else k for k in d["ids"])
     m = len(ids)
@@ -235,6 +237,11 @@ def record_from_dict(d: dict) -> LiftingRecord:
             if type(i) is not int or not 0 <= i < m:
                 raise ParseError(f"record: {what} position {i!r} is not in 0..{m - 1}")
         return ps
+
+    def finite(what, values):
+        for v in values:
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
+                raise ParseError(f"record: {what} {v!r} is not a finite number")
 
     removed = set()
     for n, s in enumerate(d["stages"]):
@@ -246,11 +253,15 @@ def record_from_dict(d: dict) -> LiftingRecord:
             raise ParseError(f"record: stage {n} has a removed id among its neighbours")
         if not len(s["a"]) == len(s["b"]) == len(nbrs):
             raise ParseError(f"record: stage {n} needs one a and one b per neighbour")
-        if not all(map(math.isfinite, (*s["a"], *s["b"]))):
-            raise ParseError(f"record: stage {n} has a filter entry that is not a finite number")
+        finite(f"stage {n} filter entry or integral", [*s["a"], *s["b"], s["integral"]])
         removed.add(k)
     if sorted(positions("surviving", d["surviving"])) != sorted(set(range(m)) - removed):
         raise ParseError("record: surviving ids are not exactly the ids never removed")
+    initial, final = d["initial_integrals"], d["final_integrals"]
+    if (len(initial), len(final)) != (m, len(d["surviving"])):
+        raise ParseError(f"record: {len(initial)} initial and {len(final)} final integrals "
+                         f"for {m} ids and {len(d['surviving'])} survivors")
+    finite("initial or final integral", [*initial, *final])
     surviving = tuple(ids[i] for i in d["surviving"])
     stages = tuple(
         LiftingStage(
@@ -266,8 +277,8 @@ def record_from_dict(d: dict) -> LiftingRecord:
     )
     return LiftingRecord(
         stages=stages,
-        initial_integrals=dict(zip(ids, d["initial_integrals"])),
-        final_integrals=dict(zip(surviving, d["final_integrals"])),
+        initial_integrals=dict(zip(ids, initial)),
+        final_integrals=dict(zip(surviving, final)),
         surviving=surviving,
         config=LiftingConfig.from_dict(d["config"]),
         ids=ids,

@@ -9,7 +9,8 @@ the relink to `LineGraph`, with `_Chooser` picking the order when none is
 given) archives them as a `LiftingRecord`, and two kernels
 (`_replay_forward`, `_replay_inverse`) replay it on a signal or a batch.
 A free-order plan depends only on the line graph and the config, so
-`forward` plans each such pair once (`_PLANS`).
+`forward` plans each such pair once (`_PLANS`); what depends only on the
+plan (coefficient order, scales, levels, detail gains) is kept on it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ from .graph import GraphError, Id, LineGraph, MetricMode
 
 class LiftingError(ValueError):
     """Invalid lifting configuration or state."""
+
+
+#: identity columns the detail gains replay at a time, bounding their memory
+GAIN_BLOCK = 1024
+
+
+def _is_count(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class IntegralScheme(str, Enum):
@@ -66,8 +76,8 @@ class LiftingConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # canonical enum members, so that equal configs plan alike: the
-        # planner tests schemes by identity, and `_PLANS` keys on configs
+        # canonical enum members and ints, so that equal configs plan alike:
+        # the planner tests schemes by identity, and `_PLANS` keys on configs
         for name, scheme in (
             ("integral_scheme", IntegralScheme),
             ("prediction_scheme", PredictionScheme),
@@ -78,10 +88,12 @@ class LiftingConfig:
                 object.__setattr__(self, name, scheme(value))
             except ValueError:
                 raise LiftingError(f"unknown {name.replace('_', ' ')} {value!r}") from None
-        if self.tau < 2:
-            raise LiftingError(f"stopping time must be at least 2, got {self.tau}")
-        if self.rng_seed < 0:
-            raise LiftingError(f"seed must be a nonnegative integer, got {self.rng_seed}")
+        for name, low, kind in (("tau", 2, "an integer of at least 2"),
+                                ("rng_seed", 0, "a nonnegative integer")):
+            value = getattr(self, name)
+            if not (_is_count(value) and value >= low):
+                raise LiftingError(f"{name} must be {kind}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @classmethod
     def from_acronym(cls, acronym: str, tau: int = 2, rng_seed: int = 0) -> "LiftingConfig":
@@ -111,8 +123,8 @@ class LiftingConfig:
             integral_scheme=d["integral_scheme"],
             prediction_scheme=d["prediction_scheme"],
             metric_mode=d["metric_mode"],
-            tau=int(d["tau"]),
-            rng_seed=int(d["rng_seed"]),
+            tau=d["tau"],
+            rng_seed=d["rng_seed"],
         )
 
 
@@ -168,6 +180,13 @@ class LiftingRecord:
         return sum(1 for b in entries if b <= 0.5) / len(entries)
 
     @cached_property
+    def _order(self) -> Tuple[Id, ...]:
+        """The canonical coefficient order: details in removal order, then
+        scaling ids ascending by line-graph position."""
+        pos = {k: i for i, k in enumerate(self.ids)}
+        return self.removal_order + tuple(sorted(self.surviving, key=pos.__getitem__))
+
+    @cached_property
     def _plan(self) -> tuple:
         """The record flattened for the replay kernels: (offsets, nbr, a, b, order).
 
@@ -178,21 +197,33 @@ class LiftingRecord:
         kernels read them one element at a time.
         """
         pos = {k: i for i, k in enumerate(self.ids)}
-        canonical = coefficient_order(self)
-        slot = {k: i for i, k in enumerate(canonical)}
+        slot = {k: i for i, k in enumerate(self._order)}
         return (
             (0, *accumulate(len(st.neighbors) for st in self.stages)),
             tuple(slot[s] for st in self.stages for s in st.neighbors),
             tuple(chain.from_iterable(st.a for st in self.stages)),
             tuple(chain.from_iterable(st.b for st in self.stages)),
-            tuple(pos[k] for k in canonical),
+            tuple(pos[k] for k in self._order),
         )
 
-
-def coefficient_order(record: LiftingRecord) -> Tuple[Id, ...]:
-    """Details in removal order, then scaling ids ascending by position."""
-    idx = {k: i for i, k in enumerate(record.ids)}
-    return record.removal_order + tuple(sorted(record.surviving, key=idx.__getitem__))
+    @cached_property
+    def _gains(self) -> Dict[Id, float]:
+        """Each detail's noise gain, the 2-norm of its forward-matrix row, in
+        removal order (`shrinkage.detail_gains`): the identity replayed
+        `GAIN_BLOCK` columns at a time, each block built in slot order (the
+        replay works in it) and freed before the next, so memory is linear in m."""
+        m, n = len(self.ids), len(self.stages)
+        slot = np.empty(m, dtype=np.intp)
+        slot[list(self._plan[4])] = np.arange(m)
+        squares = np.zeros(n)
+        for lo in range(0, m, GAIN_BLOCK):
+            width = min(GAIN_BLOCK, m - lo)
+            block = np.zeros((m, width))
+            block[slot[lo : lo + width], np.arange(width)] = 1.0
+            rows = _replay_forward_slots(self, block)[:n]
+            squares += np.einsum("ij,ij->i", rows, rows)
+            del block, rows
+        return dict(zip(self.removal_order, np.sqrt(squares).tolist()))
 
 
 @dataclass
@@ -203,9 +234,9 @@ class CoefficientSet:
     scaling: Dict[Id, float]
 
     def as_vector(self, record: LiftingRecord) -> np.ndarray:
-        """Coefficients in canonical order (`coefficient_order`)."""
+        """Coefficients in canonical order (`LiftingRecord._order`)."""
         coeffs = {**self.details, **self.scaling}
-        return np.array([coeffs[k] for k in coefficient_order(record)], dtype=float)
+        return np.array([coeffs[k] for k in record._order], dtype=float)
 
 
 def init_integrals(

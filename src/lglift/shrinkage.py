@@ -19,14 +19,7 @@ from scipy.optimize import brentq
 from scipy.special import erfcx, gammainc, ndtr
 
 from .graph import Id, LineGraph
-from .lifting import (
-    LiftingConfig,
-    LiftingRecord,
-    _replay_forward,
-    _replay_forward_slots,
-    _replay_inverse,
-    forward,
-)
+from .lifting import LiftingConfig, LiftingRecord, _is_count, _replay_inverse, forward
 
 MAD_SCALE = 0.6745
 #: the posterior-median Newton iteration stops each coefficient once its step
@@ -40,8 +33,6 @@ POST_MED_SMALL = 0.2
 POST_MED_BIG = 2000.0
 #: the mixing-weight fit stops each column once its Newton step is this small
 WEIGHT_TOL = 1e-13
-#: identity columns `detail_gains` replays at a time, bounding its memory
-GAIN_BLOCK = 1024
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 # the 4-point Gauss-Legendre rule on [0, 1], as columns; the nodes end with
@@ -63,8 +54,10 @@ class ShrinkageConfig:
     rule: str = "median"      # "median" (posterior median) or "hard"
 
     def __post_init__(self):
-        if self.keep_coarsest < 0:
-            raise ShrinkageError("keep_coarsest must be nonnegative")
+        if not (_is_count(self.keep_coarsest) and self.keep_coarsest >= 0):
+            raise ShrinkageError(
+                f"keep_coarsest must be a nonnegative integer, got {self.keep_coarsest!r}"
+            )
         if self.rule not in ("median", "hard"):
             raise ShrinkageError(f"unknown shrinkage rule {self.rule!r}")
 
@@ -410,36 +403,9 @@ def ebayes_threshold(
 
 
 def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
-    """Per-detail noise gain: the 2-norm of that forward-matrix row.
-
-    Replays the archived filters on the identity matrix, `GAIN_BLOCK`
-    columns at a time, and sums the rows' squared norms over the blocks,
-    so no further graph work is needed and memory stays linear in m.  Each
-    block is built with its rows already in slot order, so the replay
-    works in it and makes no copy, and it is freed before the next one is
-    built: one m x `GAIN_BLOCK` array at a time.
-
-    The gains depend only on the record, so the replay runs on the first
-    call for a record; the gains are kept on it, like its `_plan`, and
-    every call returns a fresh dict of them.
-    """
-    gains = vars(record).get("_gains")
-    if gains is None:
-        m, n = len(record.ids), len(record.stages)
-        slot = np.empty(m, dtype=np.intp)
-        slot[list(record._plan[4])] = np.arange(m)
-        squares = np.zeros(n)
-        for lo in range(0, m, GAIN_BLOCK):
-            width = min(GAIN_BLOCK, m - lo)
-            block = np.zeros((m, width))
-            block[slot[lo : lo + width], np.arange(width)] = 1.0
-            rows = _replay_forward_slots(record, block)[:n]
-            squares += np.einsum("ij,ij->i", rows, rows)
-            del block, rows
-        gains = dict(zip(record.removal_order, np.sqrt(squares).tolist()))
-        # the record is frozen: stored as its cached properties are
-        vars(record)["_gains"] = gains
-    return dict(gains)
+    """Per-detail noise gain: the 2-norm of that forward-matrix row, kept
+    on the record after its first replay; every call returns a fresh dict."""
+    return dict(record._gains)
 
 
 def _by_level(record: LiftingRecord) -> Tuple[np.ndarray, np.ndarray]:
@@ -485,23 +451,26 @@ def _shrink_core(
 def _denoise_plans(
     plans: Sequence[Tuple[LiftingRecord, np.ndarray]], shrink_config: ShrinkageConfig
 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
-    """Denoise each block of signals X, shape (m,) or (m, B) in line-graph
-    id order, on its plan `record`, in one shrink-core call for all columns.
+    """Denoise each block of coefficients C, shape (m,) or (m, B) in the
+    canonical order (that of `_replay_forward` and `CoefficientSet.as_vector`),
+    on its plan `record`, in one shrink-core call for all columns.
 
-    `plans` holds (record, X) pairs of one line graph.  Returns per plan the
-    estimates and the shrunk coefficients (canonical order), both shaped
-    like its X, and sigma, nu and the fallback mask over all columns, plan
-    after plan.
+    `plans` holds (record, C) pairs of one line graph.  Returns per plan the
+    estimates (line-graph id order) and the shrunk coefficients, both shaped
+    like its C, and sigma, nu and the weight-fit fallback mask over all
+    columns, plan after plan.  A column whose MAD is zero (noiseless input)
+    passes through with sigma = nu = 0.
     """
     blocks = []
-    for record, X in plans:
+    for record, C in plans:
         rows, lev = _by_level(record)
         if blocks and not np.array_equal(lev, levels):
             raise ShrinkageError("plans of one batch must share their level counts")
         levels = lev
-        C = _replay_forward(record, X).reshape(len(record.ids), -1)
+        shape = np.shape(C)
+        C = np.array(C, dtype=float).reshape(len(record.ids), -1)
         gains = np.fromiter(detail_gains(record).values(), float, len(rows))[rows, None]
-        blocks.append((record, np.shape(X), rows, C, gains))
+        blocks.append((record, shape, rows, C, gains))
     Z = np.hstack([C[rows] / gains for _, _, rows, C, gains in blocks])
     Z, sigma, nu, fallback = _shrink_core(Z, levels, shrink_config)
     out, j = [], 0
@@ -512,21 +481,6 @@ def _denoise_plans(
         C = C.reshape(shape)
         out.append((_replay_inverse(record, C), C))
     return out, sigma, nu, fallback
-
-
-def _denoise_replay(
-    record: LiftingRecord, X: np.ndarray, shrink_config: ShrinkageConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Denoise the signals X, shape (m,) or (m, B) in line-graph id order,
-    on the plan `record`, shrinking by its artificial levels.
-
-    Returns the estimates and the shrunk coefficients (canonical order),
-    both shaped like X, and sigma, nu and the weight-fit fallback mask per
-    column.  A column whose MAD is zero (noiseless input) passes through
-    with sigma = nu = 0.
-    """
-    [(est, C)], sigma, nu, fallback = _denoise_plans([(record, X)], shrink_config)
-    return est, C, sigma, nu, fallback
 
 
 def _result(record: LiftingRecord, est, c, sigma, nu, fallback) -> DenoiseResult:
@@ -549,11 +503,12 @@ def denoise(
     shrink_config: ShrinkageConfig = ShrinkageConfig(),
     trajectory: Optional[Sequence[Id]] = None,
 ) -> DenoiseResult:
-    """Plan the transform with `forward`, then denoise the one signal with
-    the shrink core (`_denoise_replay`)."""
-    _, record = forward(values, lg, config, trajectory=trajectory)
-    x = np.array([values[k] for k in lg.ids], dtype=float)
-    est, c, sigma, nu, fallback = _denoise_replay(record, x, shrink_config)
+    """Transform the one signal with `forward`, shrink its coefficients in
+    the shrink core (`_denoise_plans`) and invert them."""
+    coeffs, record = forward(values, lg, config, trajectory=trajectory)
+    [(est, c)], sigma, nu, fallback = _denoise_plans(
+        [(record, coeffs.as_vector(record))], shrink_config
+    )
     return _result(record, est, c, sigma[0], nu[0], fallback[0])
 
 
@@ -581,29 +536,28 @@ def nlt_denoise(
 
     Each trajectory gets an independent substream derived from (seed,
     index), so results do not depend on evaluation order.  `seed` is an
-    int or a nonempty sequence of ints.  Each trajectory is planned with
-    `forward`; the shrink core then runs once on all the trajectories'
-    details (`_denoise_plans`), so each per-trajectory result is bitwise
+    int or a nonempty sequence of ints.  Each trajectory is transformed
+    with `forward`; the shrink core then runs once on all the trajectories'
+    coefficients (`_denoise_plans`), so each per-trajectory result is bitwise
     `denoise(..., trajectory=...)`.  Returns the averaged result (its
     sigma, nu, zero and fallback fractions are the trajectories' means)
     plus the per-trajectory results.
     """
-    if n_trajectories < 1:
-        raise ShrinkageError("need at least one trajectory")
+    if not (_is_count(n_trajectories) and n_trajectories >= 1):
+        raise ShrinkageError(f"n_trajectories must be a positive integer, got {n_trajectories!r}")
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    if not parts or not all(isinstance(s, (int, np.integer)) for s in parts):
+    if not parts or not all(map(_is_count, parts)):
         raise ShrinkageError(f"seed must be an int or a nonempty sequence of ints, got {seed!r}")
     if min(parts) < 0:
         raise ShrinkageError(f"seed must be nonnegative, got {seed}")
-    records = [
-        forward(values, lg, config, trajectory=traj)[1]
-        for traj in random_trajectories(lg, config, n_trajectories, seed)
-    ]
-    x = np.array([values[k] for k in lg.ids], dtype=float)
-    blocks, sigma, nu, fallback = _denoise_plans([(r, x) for r in records], shrink_config)
+    plans = []
+    for traj in random_trajectories(lg, config, n_trajectories, seed):
+        coeffs, record = forward(values, lg, config, trajectory=traj)
+        plans.append((record, coeffs.as_vector(record)))
+    blocks, sigma, nu, fallback = _denoise_plans(plans, shrink_config)
     singles = [
         _result(r, est, c, sigma[t], nu[t], fallback[t])
-        for t, (r, (est, c)) in enumerate(zip(records, blocks))
+        for t, ((r, _), (est, c)) in enumerate(zip(plans, blocks))
     ]
     mean_est = np.sum([est for est, _ in blocks], axis=0) / len(blocks)
     combined = DenoiseResult(

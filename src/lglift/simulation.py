@@ -15,8 +15,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .graph import EdgeRec, Graph, Id, build_line_graph, euclidean_mst
-from .lifting import LiftingConfig, forward
-from .shrinkage import ShrinkageConfig, _denoise_replay, nlt_denoise
+from .lifting import LiftingConfig, _replay_forward, forward
+from .shrinkage import ShrinkageConfig, _denoise_plans, nlt_denoise
 
 # substream tags; combined with the master seed they name an RNG stream
 SUB_GRAPH = 1
@@ -328,7 +328,8 @@ def run_experiment(
         noisy = truths[q][:, None] + noise
         # plan, gains and levels are data-independent: one plan per graph
         _, record = forward(g, lg, lift_cfg)
-        estimates[q] = _denoise_replay(record, noisy, shrink_config)[0].T
+        [(est, _)], *_ = _denoise_plans([(record, _replay_forward(record, noisy))], shrink_config)
+        estimates[q] = est.T
     return compute_metrics(estimates, truths)
 
 
@@ -379,7 +380,8 @@ def flow_experiment(
     noisy = truths.T + np.array([rng.normal(0, sigma, m) for rng in rngs]).T
     if nlt_trajectories is None:
         _, record = forward(values, lg, cfg)
-        estimates[0] = _denoise_replay(record, noisy, shrink_config)[0].T
+        [(est, _)], *_ = _denoise_plans([(record, _replay_forward(record, noisy))], shrink_config)
+        estimates[0] = est.T
     else:
         for r, x in enumerate(noisy.T.tolist()):
             res, _ = nlt_denoise(

@@ -214,6 +214,19 @@ class TestTransformSerialization:
         assert coeffs2 == coeffs
         assert inverse(coeffs2, record2) == inverse(coeffs, record)
 
+    @pytest.mark.parametrize("key, count, message", [
+        ("initial_integrals", 3, "3 initial and 2 final integrals for 29 ids and 2 survivors"),
+        ("final_integrals", 1, "29 initial and 1 final integrals for 29 ids and 2 survivors"),
+    ])
+    def test_integral_lists_must_match_their_ids(self, key, count, message):
+        lg = build_line_graph(sample_network(30, seed=2))
+        _, record = forward(dict.fromkeys(lg.ids, 0.0), lg, LiftingConfig.from_acronym("LG-Sid-p"))
+        d = record_to_dict(record)
+        assert record_from_dict(d) == record
+        d[key] = d[key][:count]
+        with pytest.raises(ParseError, match=message):
+            record_from_dict(d)
+
     def test_ids_sharing_a_text_form_rejected(self, tmp_path):
         ids = [1, "1", "a", "b"]
         lg = LineGraph(ids, {1: {"1"}, "1": {1, "a"}, "a": {"1", "b"}, "b": {"a"}},
@@ -521,6 +534,13 @@ RECORD_CORRUPTIONS = {
     "tau-not-a-number": lambda d: d["config"].__setitem__("tau", "x"),
     "stages-null": lambda d: d.__setitem__("stages", None),
     "filter-entry-nan": lambda d: d["stages"][0]["a"].__setitem__(0, math.nan),
+    "initial-integrals-truncated": lambda d: d.__setitem__(
+        "initial_integrals", d["initial_integrals"][:3]),
+    "final-integral-extra": lambda d: d["final_integrals"].append(1.0),
+    "initial-integral-text": lambda d: d["initial_integrals"].__setitem__(0, "1.5"),
+    "final-integral-infinite": lambda d: d["final_integrals"].__setitem__(0, math.inf),
+    "stage-integral-nan": lambda d: d["stages"][0].__setitem__("integral", math.nan),
+    "tau-fraction": lambda d: d["config"].__setitem__("tau", 2.7),
 }
 
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 import math
 
 import numpy as np
@@ -75,6 +76,24 @@ class TestConfig:
     def test_dict_round_trip(self):
         cfg = LiftingConfig.from_acronym("LG-Snw-p", tau=3, rng_seed=9)
         assert LiftingConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("name", ["tau", "rng_seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(LiftingError, match=f"{name} must be an? (nonnegative )?integer"):
+            LiftingConfig(**{name: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = LiftingConfig(tau=np.int64(3), rng_seed=np.uint32(7))
+        assert cfg == LiftingConfig(tau=3, rng_seed=7)
+        assert type(cfg.tau) is int and type(cfg.rng_seed) is int
+        assert json.loads(json.dumps(cfg.to_dict()))["rng_seed"] == 7
+
+    def test_dict_with_fractional_tau_rejected(self):
+        d = LiftingConfig.from_acronym("LG-Snw-p", tau=3).to_dict()
+        d["tau"] = 2.7
+        with pytest.raises(LiftingError, match="tau must be an integer of at least 2"):
+            LiftingConfig.from_dict(d)
 
 
 class TestInitIntegrals:

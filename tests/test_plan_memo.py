@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lglift import lifting, shrinkage
+from lglift import lifting
 from lglift.graph import GraphError, LineGraph, build_line_graph
 from lglift.lifting import VARIANTS, LiftingConfig, LiftingError, forward, init_integrals
 from lglift.shrinkage import denoise, detail_gains
@@ -137,15 +137,17 @@ def test_planning_error_raises_on_every_call(case, error, match):
 
 def test_detail_gains_replay_the_identity_once_per_record(monkeypatch):
     lg = build_line_graph(sample_network(100, seed=7))
-    assert lg.m <= shrinkage.GAIN_BLOCK
+    assert lg.m <= lifting.GAIN_BLOCK
     cfg = LiftingConfig.from_acronym("LG-Aid-c")
+    replay = lifting._replay_forward_slots
     replays = []
 
     def counted(record, W):
-        replays.append(record)
-        return lifting._replay_forward_slots(record, W)
+        if W.ndim > 1:  # an identity block; a signal's replay is 1-D
+            replays.append(record)
+        return replay(record, W)
 
-    monkeypatch.setattr(shrinkage, "_replay_forward_slots", counted)
+    monkeypatch.setattr(lifting, "_replay_forward_slots", counted)
     values = _noisy(lg, 1)
     _, record = forward(values, lg, cfg)
     first = detail_gains(record)

@@ -19,16 +19,15 @@ from scipy.special import erfcx, ndtr
 from scipy.stats import norm
 
 import lglift
-from lglift import shrinkage
+from lglift import lifting, shrinkage
 from lglift.analysis import sparsity_curve_single
-from lglift.lifting import LiftingConfig, forward, inverse
+from lglift.lifting import LiftingConfig, _replay_forward, forward, inverse
 from lglift.shrinkage import (
     POST_MED_BIG,
     POST_MED_TOL,
     ShrinkageConfig,
     ShrinkageError,
     _denoise_plans,
-    _denoise_replay,
     _shrink_core,
     beta_cauchy,
     denoise,
@@ -733,6 +732,12 @@ class TestEbayesThreshold:
         with pytest.raises(ShrinkageError, match="positive"):
             ebayes_threshold(np.array([1.0]), 0.0, np.array([0]))
 
+    @pytest.mark.parametrize("keep", [1.5, True, "2"])
+    def test_non_integer_keep_coarsest_rejected(self, keep):
+        with pytest.raises(ShrinkageError, match="keep_coarsest must be a nonnegative integer"):
+            ShrinkageConfig(keep_coarsest=keep)
+        assert ShrinkageConfig(keep_coarsest=np.int64(1)).keep_coarsest == 1
+
 
 class TestDenoise:
     def test_clean_flow_signal_barely_damaged(self):
@@ -777,6 +782,30 @@ class TestDenoise:
         assert res.zero_frac > 0.5
 
 
+class TestOneForwardReplay:
+    """The shrink core takes the coefficients of the caller's `forward`
+    call, so each signal goes through the forward kernel once."""
+
+    @pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])
+    def test_one_kernel_call_per_signal(self, monkeypatch, mst_lg, rng, acr):
+        kernel = lifting._replay_forward_slots
+        signals = []
+
+        def counted(record, W):
+            if W.ndim == 1:  # a signal; the detail gains replay identity blocks
+                signals.append(record)
+            return kernel(record, W)
+
+        monkeypatch.setattr(lifting, "_replay_forward_slots", counted)
+        cfg = LiftingConfig.from_acronym(acr)
+        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
+        denoise(values, mst_lg, cfg)
+        assert len(signals) == 1
+        signals.clear()
+        _, singles = nlt_denoise(values, mst_lg, cfg, n_trajectories=3, seed=2)
+        assert len(signals) == 3 and len(set(map(id, signals))) == 3
+
+
 class TestBatchCore:
     """B columns through the shrink core equal B single-signal denoise calls."""
 
@@ -800,7 +829,7 @@ class TestBatchCore:
         X = np.column_stack([truth[:, None] + noise, truth])
         coeffs, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        est, shrunk, sigma, nu, _ = _denoise_replay(record, X, shrink)
+        [(est, shrunk)], sigma, nu, _ = _denoise_plans([(record, _replay_forward(record, X))], shrink)
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -838,7 +867,7 @@ class TestBatchCoreBitwise:
         X = np.column_stack([truth[:, None] + noise, truth])
         _, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        est, shrunk, sigma, nu, _ = _denoise_replay(record, X, shrink)
+        [(est, shrunk)], sigma, nu, _ = _denoise_plans([(record, _replay_forward(record, X))], shrink)
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -858,9 +887,9 @@ class TestDetailGains:
     def test_blocks_match_one_block(self, monkeypatch, mst_lg, acr, block):
         cfg = LiftingConfig.from_acronym(acr)
         _, record = forward(dict.fromkeys(mst_lg.ids, 0.0), mst_lg, cfg)
-        assert mst_lg.m <= shrinkage.GAIN_BLOCK
+        assert mst_lg.m <= lifting.GAIN_BLOCK
         one = detail_gains(record)
-        monkeypatch.setattr(shrinkage, "GAIN_BLOCK", block)
+        monkeypatch.setattr(lifting, "GAIN_BLOCK", block)
         # a new record of the same plan: `record` keeps the gains of one block
         zeros = dict.fromkeys(mst_lg.ids, 0.0)
         twin = forward(zeros, mst_lg, cfg, trajectory=record.removal_order)[1]
@@ -902,7 +931,9 @@ class TestBatchSigma:
         mad_levels = np.where(lev <= pool, 0, lev)
         gains = np.array(list(detail_gains(record).values()))
         for batch in (X, X[:, 0]):
-            est, shrunk, sigma, _, _ = _denoise_replay(record, batch, ShrinkageConfig(rule=rule))
+            [(est, shrunk)], sigma, _, _ = _denoise_plans(
+                [(record, _replay_forward(record, batch))], ShrinkageConfig(rule=rule)
+            )
             est, shrunk = est.reshape(lg.m, -1), shrunk.reshape(lg.m, -1)
             for j, x in enumerate(batch.reshape(lg.m, -1).T):
                 values = dict(zip(lg.ids, x.tolist()))
@@ -967,11 +998,17 @@ class TestNlt:
             with pytest.raises(ShrinkageError, match="seed must be nonnegative"):
                 nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=2, seed=seed)
 
-    @pytest.mark.parametrize("seed", [(), 1.5, (2, 0.5), "3"])
+    @pytest.mark.parametrize("seed", [(), 1.5, (2, 0.5), "3", True, (2, False)])
     def test_malformed_seed_rejected(self, small_tree_lg, seed):
         values = {k: 0.0 for k in small_tree_lg.ids}
         with pytest.raises(ShrinkageError, match=f"seed must be an int .*got {re.escape(repr(seed))}"):
             nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=2, seed=seed)
+
+    @pytest.mark.parametrize("count", [2.0, True, "2"])
+    def test_non_integer_trajectory_count_rejected(self, small_tree_lg, count):
+        values = {k: 0.0 for k in small_tree_lg.ids}
+        with pytest.raises(ShrinkageError, match="n_trajectories must be a positive integer"):
+            nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=count)
 
     def test_zero_frac_is_mean_over_trajectories(self, mst_lg, rng):
         cfg = LiftingConfig.from_acronym("LG-Aid-c")

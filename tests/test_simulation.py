@@ -224,14 +224,14 @@ class TestRunExperiment:
         # master seed 0: normalizing either graph's unit-variance truth a
         # second time changes the last bits of its values, which the
         # replicates must not carry
-        replay = lglift.simulation._denoise_replay
+        replay = lglift.simulation._replay_forward
         batches = []
 
-        def capture(record, X, shrink_config):
+        def capture(record, X):
             batches.append(X.copy())
-            return replay(record, X, shrink_config)
+            return replay(record, X)
 
-        monkeypatch.setattr(lglift.simulation, "_denoise_replay", capture)
+        monkeypatch.setattr(lglift.simulation, "_replay_forward", capture)
         run_experiment(ExperimentConfig(n_vertices=20, n_graphs=2, n_replications=3, snr=3.0))
         assert len(batches) == 2
         for q, X in enumerate(batches):
