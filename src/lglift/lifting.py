@@ -8,9 +8,13 @@ the filters never depend on the data, so a planner (`_Lifter`, which leaves
 the relink to `LineGraph`, with `_Chooser` picking the order when none is
 given) archives them as a `LiftingRecord`, and two kernels
 (`_replay_forward`, `_replay_inverse`) replay it on a signal or a batch.
+The kernels read one form of the record, `_steps`: per stage, the
+line-graph position it removes and a (position, a, b) triple per
+neighbour, plus the positions in canonical coefficient order, gathered
+after the forward stages and scattered before the inverse ones.
 A free-order plan depends only on the line graph and the config, so
 `forward` plans each such pair once (`_PLANS`); what depends only on the
-plan (coefficient order, scales, levels, detail gains) is kept on it.
+plan (steps, coefficient order, scales, levels, detail gains) is kept on it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -180,50 +184,70 @@ class LiftingRecord:
         return sum(1 for b in entries if b <= 0.5) / len(entries)
 
     @cached_property
+    def _steps(self) -> Tuple[tuple, np.ndarray]:
+        """The record on line-graph positions for the replay kernels:
+        (steps, canon).
+
+        Stage i is steps[i] = (k, ((s, a_s, b_s), ...)): it removes
+        position k, predicting it from its neighbours s with the filter
+        entries a_s and updating them with b_s.  The triples are plain
+        tuples, ready made, as the kernels read them one at a time; one
+        tuple per neighbour (not an (s, a_s) and an (s, b_s) pair) halves
+        the objects a record keeps, and with them the garbage collections
+        that planning many records triggers.  canon[j] is the position of
+        the j-th coefficient in the canonical order: the removed positions
+        in removal order, then the surviving ones ascending.
+        """
+        pos = {k: i for i, k in enumerate(self.ids)}.__getitem__
+        stages = self.stages
+        # all stages' triples in one flat list, then cut per stage
+        nbr = list(map(pos, chain.from_iterable([st.neighbors for st in stages])))
+        ab = list(zip(nbr, chain.from_iterable([st.a for st in stages]),
+                      chain.from_iterable([st.b for st in stages])))
+        removed = list(map(pos, self.removal_order))
+        bounds = pairwise(accumulate([len(st.neighbors) for st in stages], initial=0))
+        steps = tuple([(k, tuple(ab[lo:hi])) for k, (lo, hi) in zip(removed, bounds)])
+        canon = removed + sorted(map(pos, self.surviving))
+        return steps, np.array(canon, dtype=np.intp)
+
+    @cached_property
     def _order(self) -> Tuple[Id, ...]:
         """The canonical coefficient order: details in removal order, then
         scaling ids ascending by line-graph position."""
-        pos = {k: i for i, k in enumerate(self.ids)}
-        return self.removal_order + tuple(sorted(self.surviving, key=pos.__getitem__))
-
-    @cached_property
-    def _plan(self) -> tuple:
-        """The record flattened for the replay kernels: (offsets, nbr, a, b, order).
-
-        Rows are slots in the canonical coefficient order, so stage i
-        removes slot i.  Its neighbours are the slots nbr[offsets[i]:offsets[i + 1]],
-        with their filter entries at the same offsets of a and b (CSR), and
-        order[slot] is the slot's line-graph position.  Plain tuples, as the
-        kernels read them one element at a time.
-        """
-        pos = {k: i for i, k in enumerate(self.ids)}
-        slot = {k: i for i, k in enumerate(self._order)}
-        return (
-            (0, *accumulate(len(st.neighbors) for st in self.stages)),
-            tuple(slot[s] for st in self.stages for s in st.neighbors),
-            tuple(chain.from_iterable(st.a for st in self.stages)),
-            tuple(chain.from_iterable(st.b for st in self.stages)),
-            tuple(pos[k] for k in self._order),
-        )
+        ids = self.ids
+        return tuple([ids[p] for p in self._steps[1].tolist()])
 
     @cached_property
     def _gains(self) -> Dict[Id, float]:
         """Each detail's noise gain, the 2-norm of its forward-matrix row, in
         removal order (`shrinkage.detail_gains`): the identity replayed
-        `GAIN_BLOCK` columns at a time, each block built in slot order (the
-        replay works in it) and freed before the next, so memory is linear in m."""
-        m, n = len(self.ids), len(self.stages)
-        slot = np.empty(m, dtype=np.intp)
-        slot[list(self._plan[4])] = np.arange(m)
-        squares = np.zeros(n)
+        `GAIN_BLOCK` columns at a time in line-graph position order, keeping
+        the norms of the removed positions' rows; each block is freed before
+        the next, so memory is linear in m."""
+        m = len(self.ids)
+        removed = self._steps[1][: len(self.stages)]
+        squares = np.zeros(len(self.stages))
         for lo in range(0, m, GAIN_BLOCK):
             width = min(GAIN_BLOCK, m - lo)
             block = np.zeros((m, width))
-            block[slot[lo : lo + width], np.arange(width)] = 1.0
-            rows = _replay_forward_slots(self, block)[:n]
-            squares += np.einsum("ij,ij->i", rows, rows)
-            del block, rows
+            block[np.arange(lo, lo + width), np.arange(width)] = 1.0
+            _replay_forward_positions(self, block)
+            # every row's norm, then the removed ones: no copy of the rows
+            squares += np.einsum("ij,ij->i", block, block)[removed]
+            del block
         return dict(zip(self.removal_order, np.sqrt(squares).tolist()))
+
+    @cached_property
+    def _level_rows(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The detail rows (canonical order) sorted stably by artificial
+        level, and their sorted levels; None without levels
+        (`shrinkage._by_level`)."""
+        levels = self.levels
+        if levels is None:
+            return None
+        lev = np.array([levels[k] for k in self.removal_order])
+        rows = np.argsort(lev, kind="stable")
+        return rows, lev[rows]
 
 
 @dataclass
@@ -426,13 +450,14 @@ def forward(
     calls replay the same `LiftingRecord` object, which callers must treat
     as read-only.  A planning error is raised on every call.
     """
-    missing = [k for k in lg.ids if k not in values]
-    if missing:
-        raise LiftingError(f"missing values for new vertices {missing[:3]!r}")
-    x = [float(values[k]) for k in lg.ids]
-    for k, v in zip(lg.ids, x):
-        if not math.isfinite(v):
-            raise LiftingError(f"non-finite value at {k!r}")
+    try:
+        x = np.array([values[k] for k in lg.ids], dtype=float)
+    except KeyError:
+        missing = [k for k in lg.ids if k not in values]
+        raise LiftingError(f"missing values for new vertices {missing[:3]!r}") from None
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise LiftingError(f"non-finite value at {lg.ids[int(np.argmin(finite))]!r}")
 
     if trajectory is None and initial_integrals is None:
         record = _PLANS.get(lg, {}).get(config)
@@ -515,23 +540,24 @@ def _replay_forward(record: LiftingRecord, X) -> np.ndarray:
     the canonical coefficient order of `CoefficientSet.as_vector`: details
     in removal order, then the scaling coefficients.
     """
-    return _replay_forward_slots(record, np.asarray(X, dtype=float)[list(record._plan[4])])
+    # a copy: a batch is transformed in place
+    return _replay_forward_positions(record, np.array(X, dtype=float))[record._steps[1]]
 
 
-def _replay_forward_slots(record: LiftingRecord, W: np.ndarray) -> np.ndarray:
-    """`_replay_forward` of a float array W whose rows are already in slot
-    (canonical) order; a batch is transformed in place and returned."""
-    offsets, nbr, a, b, _ = record._plan
+def _replay_forward_positions(record: LiftingRecord, W: np.ndarray) -> np.ndarray:
+    """The forward stages on a float array W in line-graph position order,
+    with no gather into the canonical order: each removed position ends
+    holding its detail, each survivor its scaling coefficient.  A batch is
+    transformed in place and returned."""
     x = _rows(W)
-    for i in range(len(offsets) - 1):
-        lo, hi = offsets[i], offsets[i + 1]
+    for k, trip in record._steps[0]:
         pred = 0.0
-        for j in range(lo, hi):
-            pred += a[j] * x[nbr[j]]
-        x[i] -= pred
-        d = x[i]
-        for j in range(lo, hi):
-            x[nbr[j]] += b[j] * d
+        for s, aj, _ in trip:
+            pred += aj * x[s]
+        x[k] -= pred
+        d = x[k]
+        for s, _, bj in trip:
+            x[s] += bj * d
     return W if W.ndim > 1 else np.array(x)
 
 
@@ -539,24 +565,23 @@ def _replay_inverse(record: LiftingRecord, C) -> np.ndarray:
     """The recorded inverse transform applied to C, of shape (m,) or (m, B).
 
     Rows of C follow the canonical coefficient order; rows of the result
-    follow the line-graph id order.  Undoes `_replay_forward` stage by
-    stage in reverse.
+    follow the line-graph id order.  Scatters C to line-graph positions,
+    then undoes `_replay_forward` stage by stage in reverse.
     """
-    offsets, nbr, a, b, order = record._plan
-    W = np.array(C, dtype=float)
+    steps, canon = record._steps
+    C = np.asarray(C, dtype=float)
+    W = np.empty(C.shape)
+    W[canon] = C
     x = _rows(W)
-    for i in reversed(range(len(offsets) - 1)):
-        lo, hi = offsets[i], offsets[i + 1]
-        d = x[i]
-        for j in range(lo, hi):
-            x[nbr[j]] -= b[j] * d
+    for k, trip in reversed(steps):
+        d = x[k]
+        for s, _, bj in trip:
+            x[s] -= bj * d
         pred = 0.0
-        for j in range(lo, hi):
-            pred += a[j] * x[nbr[j]]
-        x[i] += pred
-    out = np.empty_like(W)
-    out[list(order)] = W if W.ndim > 1 else x
-    return out
+        for s, aj, _ in trip:
+            pred += aj * x[s]
+        x[k] += pred
+    return W if W.ndim > 1 else np.array(x)
 
 
 def _default_n_levels(m: int) -> int:

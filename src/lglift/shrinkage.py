@@ -410,18 +410,17 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
 
 def _by_level(record: LiftingRecord) -> Tuple[np.ndarray, np.ndarray]:
     """The detail rows of `record` (canonical order) sorted stably by
-    artificial level, and their sorted levels.
+    artificial level, and their sorted levels, kept on the record after
+    the first call.
 
     The level bounds depend only on m and the level count, so every plan of
     one line graph has the same sorted levels: the shrink core runs any
     batch of plans on one level vector, and always sums in this row order.
     """
-    levels = record.levels
-    if levels is None:
+    by_level = record._level_rows
+    if by_level is None:
         raise ShrinkageError("too few detail coefficients to denoise")
-    lev = np.array([levels[k] for k in record.removal_order])
-    rows = np.argsort(lev, kind="stable")
-    return rows, lev[rows]
+    return by_level
 
 
 def _mad_pool_level(lev: np.ndarray) -> int:
@@ -433,24 +432,26 @@ def _mad_pool_level(lev: np.ndarray) -> int:
 
 def _shrink_core(
     Z: np.ndarray, lev: np.ndarray, shrink_config: ShrinkageConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Shrink gain-standardized details Z, (n, B) with rows sorted by their
-    levels `lev`.  Returns the shrunk Z, and sigma, nu and the weight-fit
-    fallback per column.  A column whose MAD is zero (noiseless input)
-    comes back unchanged with sigma = nu = 0."""
-    sigma = _mad_sigma(Z[lev <= _mad_pool_level(lev)])
+    levels `lev`.  Returns the shrunk Z, sigma, nu and the weight-fit
+    fallback per column, and the coarsest level the MAD pooled.  A column
+    whose MAD is zero (noiseless input) comes back unchanged with
+    sigma = nu = 0."""
+    pool = _mad_pool_level(lev)
+    sigma = _mad_sigma(Z[lev <= pool])
     nu = np.zeros_like(sigma)
     fallback = np.zeros(sigma.shape, dtype=bool)
     live = sigma > 0
     if live.any():
         Z = Z.copy()
         Z[:, live], nu[live], fallback[live] = _ebayes(Z[:, live], sigma[live], lev, shrink_config)
-    return Z, sigma, nu, fallback
+    return Z, sigma, nu, fallback, pool
 
 
 def _denoise_plans(
     plans: Sequence[Tuple[LiftingRecord, np.ndarray]], shrink_config: ShrinkageConfig
-) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray, int]:
     """Denoise each block of coefficients C, shape (m,) or (m, B) in the
     canonical order (that of `_replay_forward` and `CoefficientSet.as_vector`),
     on its plan `record`, in one shrink-core call for all columns.
@@ -458,8 +459,9 @@ def _denoise_plans(
     `plans` holds (record, C) pairs of one line graph.  Returns per plan the
     estimates (line-graph id order) and the shrunk coefficients, both shaped
     like its C, and sigma, nu and the weight-fit fallback mask over all
-    columns, plan after plan.  A column whose MAD is zero (noiseless input)
-    passes through with sigma = nu = 0.
+    columns, plan after plan, and the coarsest level the MAD pooled (the
+    plans share their levels).  A column whose MAD is zero (noiseless
+    input) passes through with sigma = nu = 0.
     """
     blocks = []
     for record, C in plans:
@@ -472,7 +474,7 @@ def _denoise_plans(
         gains = np.fromiter(detail_gains(record).values(), float, len(rows))[rows, None]
         blocks.append((record, shape, rows, C, gains))
     Z = np.hstack([C[rows] / gains for _, _, rows, C, gains in blocks])
-    Z, sigma, nu, fallback = _shrink_core(Z, levels, shrink_config)
+    Z, sigma, nu, fallback, pool = _shrink_core(Z, levels, shrink_config)
     out, j = [], 0
     for record, shape, rows, C, gains in blocks:
         live = np.flatnonzero(sigma[j : j + C.shape[1]] > 0)
@@ -480,10 +482,10 @@ def _denoise_plans(
         j += C.shape[1]
         C = C.reshape(shape)
         out.append((_replay_inverse(record, C), C))
-    return out, sigma, nu, fallback
+    return out, sigma, nu, fallback, pool
 
 
-def _result(record: LiftingRecord, est, c, sigma, nu, fallback) -> DenoiseResult:
+def _result(record: LiftingRecord, est, c, sigma, nu, fallback, pool) -> DenoiseResult:
     details = c[: len(record.stages)]
     return DenoiseResult(
         estimates=dict(zip(record.ids, est.tolist())),
@@ -492,7 +494,7 @@ def _result(record: LiftingRecord, est, c, sigma, nu, fallback) -> DenoiseResult
         shrunk_details=dict(zip(record.removal_order, details.tolist())),
         zero_frac=float(np.mean(details == 0.0)),
         fallback_frac=float(fallback),
-        mad_pool_level=_mad_pool_level(_by_level(record)[1]),
+        mad_pool_level=pool,
     )
 
 
@@ -506,10 +508,10 @@ def denoise(
     """Transform the one signal with `forward`, shrink its coefficients in
     the shrink core (`_denoise_plans`) and invert them."""
     coeffs, record = forward(values, lg, config, trajectory=trajectory)
-    [(est, c)], sigma, nu, fallback = _denoise_plans(
+    [(est, c)], sigma, nu, fallback, pool = _denoise_plans(
         [(record, coeffs.as_vector(record))], shrink_config
     )
-    return _result(record, est, c, sigma[0], nu[0], fallback[0])
+    return _result(record, est, c, sigma[0], nu[0], fallback[0], pool)
 
 
 def random_trajectories(
@@ -554,9 +556,9 @@ def nlt_denoise(
     for traj in random_trajectories(lg, config, n_trajectories, seed):
         coeffs, record = forward(values, lg, config, trajectory=traj)
         plans.append((record, coeffs.as_vector(record)))
-    blocks, sigma, nu, fallback = _denoise_plans(plans, shrink_config)
+    blocks, sigma, nu, fallback, pool = _denoise_plans(plans, shrink_config)
     singles = [
-        _result(r, est, c, sigma[t], nu[t], fallback[t])
+        _result(r, est, c, sigma[t], nu[t], fallback[t], pool)
         for t, ((r, _), (est, c)) in enumerate(zip(plans, blocks))
     ]
     mean_est = np.sum([est for est, _ in blocks], axis=0) / len(blocks)
@@ -568,6 +570,6 @@ def nlt_denoise(
         zero_frac=float(np.mean([r.zero_frac for r in singles])),
         fallback_frac=float(np.mean(fallback)),
         # the trajectories of one line graph share their levels
-        mad_pool_level=singles[0].mad_pool_level,
+        mad_pool_level=pool,
     )
     return combined, singles

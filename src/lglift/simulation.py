@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .graph import EdgeRec, Graph, Id, build_line_graph, euclidean_mst
-from .lifting import LiftingConfig, _replay_forward, forward
+from .lifting import LiftingConfig, _is_count, _replay_forward, forward
 from .shrinkage import ShrinkageConfig, _denoise_plans, nlt_denoise
 
 # substream tags; combined with the master seed they name an RNG stream
@@ -28,14 +28,21 @@ class SimulationError(ValueError):
     """Invalid experiment configuration or inputs."""
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise SimulationError(f"seed must be a nonnegative integer, got {seed}")
+#: the message of a seed that `_check_count` rejects
+_SEED = "seed must be a nonnegative integer"
+
+
+def _check_count(value, low: int, message: str) -> None:
+    """Reject a count or seed unless it is an int or a numpy integer (not a
+    bool) of at least `low`."""
+    if not (_is_count(value) and value >= low):
+        raise SimulationError(f"{message}, got {value!r}")
 
 
 def _substream(seed, tag: int) -> np.random.Generator:
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    _check_seed(min(parts))
+    for part in parts:
+        _check_count(part, 0, _SEED)
     return np.random.default_rng((*parts, tag))
 
 
@@ -122,8 +129,7 @@ def get_field(name: str) -> FieldFn:
 
 def sample_network(n: int, seed: int) -> Graph:
     """n uniform points on the unit square joined by their Euclidean MST."""
-    if n < 3:
-        raise SimulationError(f"need at least 3 vertices, got {n}")
+    _check_count(n, 3, "need at least 3 vertices")
     rng = _substream(seed, SUB_GRAPH)
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
     vertices = [(i, (float(x), float(y))) for i, (x, y) in enumerate(pts)]
@@ -290,13 +296,13 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_vertices, self.n_graphs, self.n_replications) < 1:
-            raise SimulationError("n, Q and R must all be at least 1")
+        for name in ("n_vertices", "n_graphs", "n_replications"):
+            _check_count(getattr(self, name), 1, f"{name} must be an integer of at least 1")
         if not self.snr > 0:
             raise SimulationError("SNR must be positive")
         if self.embedding not in ("pointwise", "edge_average"):
             raise SimulationError(f"unknown embedding {self.embedding!r}")
-        _check_seed(self.master_seed)
+        _check_count(self.master_seed, 0, _SEED)
 
 
 def run_experiment(
@@ -340,9 +346,8 @@ def condition_number_study(
     of `build_matrices`, which the study builds without the inverse."""
     from .analysis import _condition, _forward_matrix
 
-    if n_graphs < 1:
-        raise SimulationError(f"need at least 1 graph, got {n_graphs}")
-    _check_seed(seed)
+    _check_count(n_graphs, 1, "need at least 1 graph")
+    _check_count(seed, 0, _SEED)
     cfg = LiftingConfig.from_acronym(variant)
     out = []
     for q in range(n_graphs):
@@ -368,8 +373,8 @@ def flow_experiment(
     """
     if not 0 <= sigma < math.inf:
         raise SimulationError(f"noise level must be finite and nonnegative, got {sigma}")
-    if n_replications < 1:
-        raise SimulationError(f"need at least 1 replication, got {n_replications}")
+    _check_count(n_replications, 1, "need at least 1 replication")
+    _check_count(seed, 0, _SEED)
     graph, values = generate_flow_fixture(seed)
     lg = build_line_graph(graph)
     cfg = LiftingConfig.from_acronym(variant)

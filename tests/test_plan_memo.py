@@ -139,7 +139,7 @@ def test_detail_gains_replay_the_identity_once_per_record(monkeypatch):
     lg = build_line_graph(sample_network(100, seed=7))
     assert lg.m <= lifting.GAIN_BLOCK
     cfg = LiftingConfig.from_acronym("LG-Aid-c")
-    replay = lifting._replay_forward_slots
+    replay = lifting._replay_forward_positions
     replays = []
 
     def counted(record, W):
@@ -147,7 +147,7 @@ def test_detail_gains_replay_the_identity_once_per_record(monkeypatch):
             replays.append(record)
         return replay(record, W)
 
-    monkeypatch.setattr(lifting, "_replay_forward_slots", counted)
+    monkeypatch.setattr(lifting, "_replay_forward_positions", counted)
     values = _noisy(lg, 1)
     _, record = forward(values, lg, cfg)
     first = detail_gains(record)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lglift
+from lglift import lifting
 from lglift.analysis import build_matrices
 from lglift.graph import (
     DISTANCE_FLOOR_FRAC,
@@ -19,6 +21,7 @@ from lglift.graph import (
     MetricMode,
     build_line_graph,
 )
+from lglift.io import read_transform, write_transform
 from lglift.lifting import (
     VARIANTS,
     IntegralScheme,
@@ -139,6 +142,118 @@ def test_batch_equals_single_columns(graphs, acr):
         assert np.max(np.abs(inv[:, j] - _replay_inverse(record, X[:, j]))) <= 1e-12
     # the kernels leave their input alone
     assert np.array_equal(X, np.random.default_rng(4).normal(size=(lg.m, 5)))
+
+
+def _csr_plan(record):
+    """The record as CSR over slots, the kernels' earlier form:
+    (offsets, nbr, a, b, order).  Slot i is the i-th coefficient of the
+    canonical order, so stage i removes slot i; its neighbour slots and
+    filter entries sit at offsets[i]:offsets[i + 1] of nbr, a and b, and
+    order[slot] is the slot's line-graph position."""
+    pos = {k: i for i, k in enumerate(record.ids)}
+    canonical = record.removal_order + tuple(sorted(record.surviving, key=pos.__getitem__))
+    slot = {k: i for i, k in enumerate(canonical)}
+    return (
+        (0, *accumulate(len(st_.neighbors) for st_ in record.stages)),
+        tuple(slot[s] for st_ in record.stages for s in st_.neighbors),
+        tuple(chain.from_iterable(st_.a for st_ in record.stages)),
+        tuple(chain.from_iterable(st_.b for st_ in record.stages)),
+        tuple(pos[k] for k in canonical),
+    )
+
+
+def _csr_forward_slots(plan, W):
+    """The earlier forward kernel on W with rows in slot order."""
+    offsets, nbr, a, b, _ = plan
+    x = W.tolist() if W.ndim == 1 else list(W)
+    for i in range(len(offsets) - 1):
+        lo, hi = offsets[i], offsets[i + 1]
+        pred = 0.0
+        for j in range(lo, hi):
+            pred += a[j] * x[nbr[j]]
+        x[i] -= pred
+        d = x[i]
+        for j in range(lo, hi):
+            x[nbr[j]] += b[j] * d
+    return W if W.ndim > 1 else np.array(x)
+
+
+def csr_forward(record, X):
+    plan = _csr_plan(record)
+    return _csr_forward_slots(plan, np.asarray(X, dtype=float)[list(plan[4])])
+
+
+def csr_inverse(record, C):
+    offsets, nbr, a, b, order = _csr_plan(record)
+    W = np.array(C, dtype=float)
+    x = W.tolist() if W.ndim == 1 else list(W)
+    for i in reversed(range(len(offsets) - 1)):
+        lo, hi = offsets[i], offsets[i + 1]
+        d = x[i]
+        for j in range(lo, hi):
+            x[nbr[j]] -= b[j] * d
+        pred = 0.0
+        for j in range(lo, hi):
+            pred += a[j] * x[nbr[j]]
+        x[i] += pred
+    out = np.empty_like(W)
+    out[list(order)] = W if W.ndim > 1 else x
+    return out
+
+
+def csr_gains(record):
+    """The identity replayed in slot order, `GAIN_BLOCK` columns at a time."""
+    plan = _csr_plan(record)
+    m, n = len(record.ids), len(record.stages)
+    slot = np.empty(m, dtype=np.intp)
+    slot[list(plan[4])] = np.arange(m)
+    squares = np.zeros(n)
+    for lo in range(0, m, lifting.GAIN_BLOCK):
+        width = min(lifting.GAIN_BLOCK, m - lo)
+        block = np.zeros((m, width))
+        block[slot[lo : lo + width], np.arange(width)] = 1.0
+        rows = _csr_forward_slots(plan, block)[:n]
+        squares += np.einsum("ij,ij->i", rows, rows)
+    return np.sqrt(squares)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def assert_kernels_match_csr(record):
+    """Forward, inverse and gains are bitwise those of the CSR kernels."""
+    m = len(record.ids)
+    rng = np.random.default_rng(m)
+    for X in (rng.normal(size=m), rng.normal(size=(m, 5))):
+        assert _bits(_replay_forward(record, X)) == _bits(csr_forward(record, X))
+        assert _bits(_replay_inverse(record, X)) == _bits(csr_inverse(record, X))
+    assert _bits(list(detail_gains(record).values())) == _bits(csr_gains(record))
+
+
+@pytest.mark.parametrize(
+    "net, acr",
+    [("mst", acr) for acr in VARIANTS] + [("flow", acr) for acr in VARIANTS if acr.endswith("-p")],
+)
+def test_kernels_match_csr_kernels_bitwise(graphs, net, acr):
+    lg = graphs["mst"] if net == "mst" else build_line_graph(generate_flow_fixture(0)[0])
+    config = LiftingConfig.from_acronym(acr)
+    zeros = dict.fromkeys(lg.ids, 0.0)
+    for trajectory in (None, *random_trajectories(lg, config, 2, seed=11)):
+        assert_kernels_match_csr(forward(zeros, lg, config, trajectory=trajectory)[1])
+
+
+@pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])
+def test_kernels_match_csr_kernels_on_a_record_read_from_file(graphs, tmp_path, acr):
+    lg = graphs["mst"]
+    coeffs, record = forward(_values(lg, seed=6), lg, LiftingConfig.from_acronym(acr))
+    prefix = str(tmp_path / "t")
+    write_transform(prefix, coeffs, record)
+    coeffs2, record2 = read_transform(prefix)
+    assert record2 is not record
+    assert_kernels_match_csr(record2)
+    back = inverse(coeffs2, record2)
+    assert _bits([back[k] for k in lg.ids]) == _bits(csr_inverse(record2, coeffs2.as_vector(record2)))
 
 
 @pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])

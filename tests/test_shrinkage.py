@@ -629,7 +629,7 @@ class TestBatchWeightFit:
         config = ShrinkageConfig()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            Z, sigma, nu, fallback = _shrink_core(X, lev, config)
+            Z, sigma, nu, fallback, _ = _shrink_core(X, lev, config)
         assert [str(c.message) for c in caught] == [
             "mixing-weight fit failed (score not finite); falling back to 0.5"
         ]
@@ -788,7 +788,7 @@ class TestOneForwardReplay:
 
     @pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])
     def test_one_kernel_call_per_signal(self, monkeypatch, mst_lg, rng, acr):
-        kernel = lifting._replay_forward_slots
+        kernel = lifting._replay_forward_positions
         signals = []
 
         def counted(record, W):
@@ -796,7 +796,7 @@ class TestOneForwardReplay:
                 signals.append(record)
             return kernel(record, W)
 
-        monkeypatch.setattr(lifting, "_replay_forward_slots", counted)
+        monkeypatch.setattr(lifting, "_replay_forward_positions", counted)
         cfg = LiftingConfig.from_acronym(acr)
         values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
         denoise(values, mst_lg, cfg)
@@ -829,7 +829,7 @@ class TestBatchCore:
         X = np.column_stack([truth[:, None] + noise, truth])
         coeffs, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        [(est, shrunk)], sigma, nu, _ = _denoise_plans([(record, _replay_forward(record, X))], shrink)
+        [(est, shrunk)], sigma, nu, _, _ = _denoise_plans([(record, _replay_forward(record, X))], shrink)
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -867,7 +867,7 @@ class TestBatchCoreBitwise:
         X = np.column_stack([truth[:, None] + noise, truth])
         _, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        [(est, shrunk)], sigma, nu, _ = _denoise_plans([(record, _replay_forward(record, X))], shrink)
+        [(est, shrunk)], sigma, nu, _, _ = _denoise_plans([(record, _replay_forward(record, X))], shrink)
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -931,7 +931,7 @@ class TestBatchSigma:
         mad_levels = np.where(lev <= pool, 0, lev)
         gains = np.array(list(detail_gains(record).values()))
         for batch in (X, X[:, 0]):
-            [(est, shrunk)], sigma, _, _ = _denoise_plans(
+            [(est, shrunk)], sigma, _, _, _ = _denoise_plans(
                 [(record, _replay_forward(record, batch))], ShrinkageConfig(rule=rule)
             )
             est, shrunk = est.reshape(lg.m, -1), shrunk.reshape(lg.m, -1)

@@ -255,6 +255,10 @@ class TestRunExperiment:
         with pytest.raises(SimulationError, match="seed must be a nonnegative integer"):
             ExperimentConfig(n_vertices=12, n_graphs=1, n_replications=1, master_seed=-1)
 
+    def test_fractional_replications_rejected(self):
+        with pytest.raises(SimulationError, match="n_replications must be an integer .*got 2.5"):
+            ExperimentConfig(n_replications=2.5)
+
     def test_one_forward_per_graph(self, monkeypatch):
         calls = []
 
@@ -283,6 +287,14 @@ class TestFlowExperiment:
         with pytest.raises(SimulationError, match="seed must be a nonnegative integer"):
             flow_experiment(1.0, n_replications=1, seed=-1)
 
+    def test_fractional_replications_rejected(self):
+        with pytest.raises(SimulationError, match="at least 1 replication, got 2.5"):
+            flow_experiment(0.5, n_replications=2.5)
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(SimulationError, match="seed must be a nonnegative integer, got 1.5"):
+            flow_experiment(0.5, seed=1.5)
+
 
 class TestConditionNumberStudy:
     @pytest.mark.parametrize("n_graphs", [0, -1])
@@ -293,6 +305,11 @@ class TestConditionNumberStudy:
     def test_negative_seed_rejected(self):
         with pytest.raises(SimulationError, match="seed must be a nonnegative integer"):
             condition_number_study("LG-Aid-c", n_graphs=1, n_vertices=20, seed=-1)
+
+    def test_bool_graph_count_rejected(self):
+        # True is an int to Python, and once ran one graph
+        with pytest.raises(SimulationError, match="at least 1 graph, got True"):
+            condition_number_study("LG-Aid-c", n_graphs=True, n_vertices=20)
 
     @pytest.mark.parametrize("acr", VARIANTS)
     def test_kappa_is_that_of_build_matrices(self, acr):
