@@ -214,19 +214,36 @@ class LineGraph:
 
             def measure(adj, k, slots):
                 # may route through the removed slot k; frozen at link time
-                # (exact inverse).  A path u - k - v bounds each search.
+                # (exact inverse).  A pair whose cheapest first and last
+                # edges already reach the direct or hub path is not
+                # searched, and a path u - k - v bounds each search.
                 hub = adj[k]
+                low = [min(adj[u].values()) for u in slots]
                 dist = []
                 for i, u in enumerate(slots[:-1]):
-                    later = slots[i + 1 :]
-                    bound = hub[u] + max([hub[v] for v in later])
-                    reached = shortest_path_distance(adj, u, later, bound)
-                    for v in later:
+                    row, hu, lu = adj[u], hub[u], low[i]
+                    search = []  # (index into dist, slot) of the pairs left
+                    for j in range(i + 1, len(slots)):
+                        v = slots[j]
+                        c = hu + hub[v]
+                        w = row.get(v)
+                        if w is not None and w < c:
+                            c = w
+                        if c < math.inf and lu + low[j] >= c:
+                            dist.append(c)
+                        else:
+                            search.append((len(dist), v))
+                            dist.append(None)
+                    if not search:
+                        continue
+                    bound = hu + max([hub[v] for _, v in search])
+                    reached = shortest_path_distance(adj, u, [v for _, v in search], bound)
+                    for e, v in search:
                         if v not in reached:
                             raise GraphError(
                                 f"disconnected in metric: {ids[u]!r} and {ids[v]!r}"
                             )
-                        dist.append(reached[v])
+                        dist[e] = reached[v]
                 return dist
         else:
             if self.coords is None:
@@ -263,8 +280,25 @@ class LineGraph:
         `measure(adj, k, slots)` lists in `combinations` order, ties broken
         by `rank`.  One slot, or two already adjacent, need nothing.
 
-        The path metric's searches stop at the hub bound: the search from u
-        towards the later slots v pushes no entry above
+        The path metric searches only the pairs that one comparison does
+        not settle.  For slots u < v let c = min(w(u, v) if adjacent,
+        w(u, k) + w(k, v)) and low(x) = min_s w(x, s), x's cheapest live
+        edge; the pair is settled at c, unsearched, when c is finite and
+        low(u) + low(v) >= c.  That c is bitwise the search's distance:
+        Dijkstra settles each slot at the minimum, over paths from u, of
+        the path's weight summed left to right from 0.0, whatever order
+        its heap breaks ties in.  The direct edge weighs
+        0.0 + w(u, v) = w(u, v), and u - k - v weighs
+        (0.0 + w(u, k)) + w(k, v) = w(u, k) + w(k, v) exactly.  Every
+        other u - v path has at least two edges, a first one w1 >= low(u)
+        and a last one wn >= low(v).  Rounded addition of nonnegative
+        floats is monotone and never falls below an addend, so the prefix
+        sums only grow: the path weighs at least fl(w1 + wn) >=
+        fl(low(u) + low(v)) >= c.  A hub sum that overflows to inf is
+        searched, so an unreachable pair still raises as before.
+
+        The searches that remain stop at the hub bound: the search from u
+        towards its unsettled later slots v pushes no entry above
         b(u) = w(u, k) + max_v w(k, v).  Its first step reaches k at
         distance 0 + w(u, k) = w(u, k) exactly, so k settles at some
         d(k) <= w(u, k), and each v is reached at d(k) + w(k, v) <= b(u),

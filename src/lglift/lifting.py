@@ -601,8 +601,8 @@ def assign_artificial_levels(
     n_details = len(scales)
     if n_levels is None:
         n_levels = _default_n_levels(len(record.ids))
-    if n_levels < 3:
-        raise LiftingError(f"need at least 3 levels, got {n_levels}")
+    if not (_is_count(n_levels) and n_levels >= 3):
+        raise LiftingError(f"need at least 3 levels, got {n_levels!r}")
     if n_levels > n_details:
         raise LiftingError(f"{n_levels} levels exceed the {n_details} details")
     removal_pos = {k: i for i, k in enumerate(record.removal_order)}

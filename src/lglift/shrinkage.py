@@ -515,9 +515,18 @@ def denoise(
 
 
 def random_trajectories(
-    lg: LineGraph, config: LiftingConfig, n: int, seed: int
+    lg: LineGraph, config: LiftingConfig, n: int, seed: int | Sequence[int]
 ) -> List[Tuple[Id, ...]]:
-    """n removal orders: uniform permutations truncated to length m - tau."""
+    """n removal orders: uniform permutations truncated to length m - tau.
+    `seed` is an int or a nonempty sequence of ints; order p is drawn from
+    the substream (seed, p)."""
+    if not (_is_count(n) and n >= 0):
+        raise ShrinkageError(f"trajectory count must be a nonnegative integer, got {n!r}")
+    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    if not parts or not all(map(_is_count, parts)):
+        raise ShrinkageError(f"seed must be an int or a nonempty sequence of ints, got {seed!r}")
+    if min(parts) < 0:
+        raise ShrinkageError(f"seed must be nonnegative, got {seed}")
     out = []
     for p in range(n):
         rng = np.random.default_rng((seed, p))
@@ -547,12 +556,7 @@ def nlt_denoise(
     """
     if not (_is_count(n_trajectories) and n_trajectories >= 1):
         raise ShrinkageError(f"n_trajectories must be a positive integer, got {n_trajectories!r}")
-    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    if not parts or not all(map(_is_count, parts)):
-        raise ShrinkageError(f"seed must be an int or a nonempty sequence of ints, got {seed!r}")
-    if min(parts) < 0:
-        raise ShrinkageError(f"seed must be nonnegative, got {seed}")
-    plans = []
+    plans = []  # `random_trajectories` checks the seed
     for traj in random_trajectories(lg, config, n_trajectories, seed):
         coeffs, record = forward(values, lg, config, trajectory=traj)
         plans.append((record, coeffs.as_vector(record)))

@@ -149,8 +149,7 @@ def embed_pointwise(fn: FieldFn, graph: Graph) -> Dict[Id, float]:
 
 def embed_edge_average(fn: FieldFn, graph: Graph, n_samples: int = 100) -> Dict[Id, float]:
     """Field averaged over n_samples equispaced points along each edge."""
-    if n_samples < 2:
-        raise SimulationError("edge averaging needs at least 2 samples")
+    _check_count(n_samples, 2, "edge averaging needs at least 2 samples")
     out = {}
     ts = np.linspace(0.0, 1.0, n_samples)
     for e in graph.edges:

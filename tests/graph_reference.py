@@ -6,11 +6,14 @@ and spanning-tree tests check the package against these, so a fault in
 the shared Kruskal cannot hide by checking the planner against itself.
 `shortest_path_distances` is the whole-component Dijkstra that
 `lglift.graph.shortest_path_distance` ran before it kept only its
-bounded, multi-target search.
+bounded, multi-target search, and `path_relink` the path-metric relink
+before it skipped searches: every pair measured by that Dijkstra, then
+Kruskal.
 """
 
 import heapq
 import math
+from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from lglift.graph import GraphError, Id
@@ -105,3 +108,27 @@ def shortest_path_distances(adj, source: Id) -> Dict[Id, float]:
                 counter += 1
                 heapq.heappush(heap, (nd, counter, s))
     return dist
+
+
+def path_relink(adj, k: int, slots: Sequence[int], ids: Sequence[Id]) -> List[Tuple[int, int, float]]:
+    """Join `slots`, the ascending neighbours of the removed slot k (its
+    edges still in the weighted rows `adj`), unless the edges among them
+    already do: every pair's whole-component distance, then the Kruskal
+    tree of those distances with ties broken by `repr` of the slots' `ids`.
+    Adds to `adj`, and returns in acceptance order, the tree edges
+    (u, v, dist) that `adj` lacks."""
+    pairs = list(combinations(slots, 2))
+    if is_connected(slots, [(u, v) for u, v in pairs if v in adj[u]]):
+        return []
+    dist = {u: shortest_path_distances(adj, u) for u in slots[:-1]}
+    tree = minimum_spanning_tree(
+        [ids[s] for s in slots], [(ids[u], ids[v], dist[u][v]) for u, v in pairs]
+    )
+    slot = {ids[s]: s for s in slots}
+    added = []
+    for a, b, w in tree:
+        u, v = slot[a], slot[b]
+        if v not in adj[u]:
+            adj[u][v] = adj[v][u] = w
+            added.append((u, v, w))
+    return added

@@ -1,0 +1,35 @@
+"""Plans match the committed corpus (`golden_corpus`): removal orders,
+neighbours, survivors and relink edges exactly, every filter entry,
+integral and relink distance within 1e-12 relative.  The test prints how
+many of the floats are bitwise equal and the largest relative deviation."""
+
+import math
+
+import golden_corpus
+
+
+def test_plans_match_the_committed_corpus():
+    want = golden_corpus.load()
+    got = golden_corpus.corpus()
+    assert got["ids"] == want["ids"]
+    assert len(got["plans"]) == len(want["plans"])
+    total = equal = 0
+    worst = 0.0
+    for g, w in zip(got["plans"], want["plans"]):
+        where = (w["graph"], w["variant"], w["trajectory"])
+        assert (g["graph"], g["variant"], g["trajectory"]) == where
+        for key in ("order", "neighbors", "surviving", "edges"):
+            assert g[key] == w[key], f"{key} differs in {where}"
+        gf, wf = list(golden_corpus.flat_floats(g)), list(golden_corpus.flat_floats(w))
+        assert len(gf) == len(wf), f"float count differs in {where}"
+        for a, b in zip(gf, wf):
+            total += 1
+            if a == b:
+                equal += 1
+                continue
+            x, y = float.fromhex(a), float.fromhex(b)
+            dev = abs(x - y) / max(abs(y), math.ulp(0.0))
+            worst = max(worst, dev)
+            assert dev <= 1e-12, f"{a} != {b} (relative {dev:.3g}) in {where}"
+    print(f"golden corpus: {equal} of {total} floats bitwise equal; "
+          f"largest relative deviation {worst:.3g}")

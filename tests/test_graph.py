@@ -481,6 +481,102 @@ def test_hub_bounded_search_is_bitwise_the_full_one(case):
         assert list(got.items()) == list(shortest_path_distance(adj, u, later).items())
 
 
+@st.composite
+def cyclic_removals(draw):
+    """A random connected line graph with cycles, string ids in shuffled
+    order, lengths from a few tied values and from 1e-3..1e3 (so sums
+    round and paths tie), and an order removing all but two positions."""
+    m = draw(st.integers(4, 24))
+    ids = [f"v{i}" for i in draw(st.permutations(range(m)))]
+    adj = {k: set() for k in ids}
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, m)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                           min_size=m // 2, max_size=2 * m))
+    for i, j in pairs:
+        if i != j:
+            adj[ids[i]].add(ids[j])
+            adj[ids[j]].add(ids[i])
+    length = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(1e-3, 1e3))
+    lengths = {k: draw(length) for k in ids}
+    order = draw(st.permutations(range(m)))[: m - 2]
+    return LineGraph(ids, adj, edge_lengths=lengths), order
+
+
+def remove_slot(adj, k):
+    for s in adj[k]:
+        del adj[s][k]
+    adj[k] = {}
+
+
+class TestPathRelink:
+    @settings(max_examples=60, deadline=None)
+    @given(case=cyclic_removals())
+    def test_whole_removals_match_the_reference_relink(self, case):
+        """Through a whole removal sequence, each path relink adds the edges
+        and distances, bit for bit, of the reference that measures every
+        pair by a whole-component search."""
+        lg, order = case
+        adj, relink = lg.metric_rows(MetricMode.PATH_LENGTH)
+        ref = [row.copy() for row in adj]
+        for k in order:
+            slots = sorted(adj[k])
+            got = relink(adj, k, slots)
+            want = graph_reference.path_relink(ref, k, slots, lg.ids)
+            assert [(u, v, w.hex()) for u, v, w in got] == [(u, v, w.hex()) for u, v, w in want]
+            remove_slot(adj, k)
+            remove_slot(ref, k)
+        assert adj == ref
+
+    @pytest.mark.parametrize("x, detour", [(1.0, 2.0), (1.0 - 2.0**-51, 2.0 - 2.0**-51)])
+    def test_shorter_detour_is_searched(self, monkeypatch, x, detour):
+        """u and v meet the hub k at 10 each, or at 1 each with x's length
+        one step below 1, and the path u - x - v is shorter: 2 against 20,
+        or 2 - 2**-51 against 2.  Their cheapest edges sum to that detour,
+        below the hub sum, so the pair is searched and joined at the
+        detour."""
+        ids = ["k", "u", "v", "x"]
+        adj = {"k": {"u", "v"}, "u": {"k", "x"}, "v": {"k", "x"}, "x": {"u", "v"}}
+        hub = 19.0 if detour == 2.0 else 1.0
+        lg = LineGraph(ids, adj, edge_lengths={"k": hub, "u": 1.0, "v": 1.0, "x": x})
+        rows, relink = lg.metric_rows(MetricMode.PATH_LENGTH)
+        assert rows[0][1] + rows[0][2] > detour
+        searches = []
+
+        def counted(*args):
+            searches.append(args[1:3])
+            return shortest_path_distance(*args)
+
+        monkeypatch.setattr("lglift.graph.shortest_path_distance", counted)
+        assert relink(rows, 0, [1, 2]) == [(1, 2, detour)]
+        assert searches == [(1, [2])]
+
+    def test_settled_pair_reads_no_row_beyond_the_slots(self):
+        """u and v meet the hub k at 1 each and have no cheaper edge, so the
+        pair is settled at 2 without a search: no row is read, and the far
+        side u - x - y, which a search from u would reach, stays untouched."""
+        ids = ["k", "u", "v", "x", "y"]
+        adj = {"k": {"u", "v"}, "u": {"k", "x"}, "v": {"k"}, "x": {"u", "y"}, "y": {"x"}}
+        lg = LineGraph(ids, adj, edge_lengths={"k": 1.0, "u": 1.0, "v": 1.0, "x": 3.0, "y": 1.0})
+        rows, relink = lg.metric_rows(MetricMode.PATH_LENGTH)
+        base = FarSideRaises(dict(enumerate(rows)), far=[0, 3, 4])
+        assert relink(base, 0, [1, 2]) == [(1, 2, 2.0)]
+        assert base.lookups == 0
+        with pytest.raises(AssertionError, match="search reached"):
+            shortest_path_distance(base, 1, [2])
+
+
+    def test_overflowing_hub_sum_is_searched(self):
+        """Relinked distances can reach 1e308, and a hub sum of two of them
+        overflows: such a pair is searched, which reaches nothing below
+        inf, and raises as a pair the metric cannot join."""
+        lg = LineGraph(["k", "u", "v"], {"k": {"u", "v"}, "u": {"k"}, "v": {"k"}},
+                       edge_lengths={"k": 1.0, "u": 1.0, "v": 1.0})
+        _, relink = lg.metric_rows(MetricMode.PATH_LENGTH)
+        rows = [{1: 1e308, 2: 1e308}, {0: 1e308}, {0: 1e308}]
+        with pytest.raises(GraphError, match="disconnected in metric: 'u' and 'v'"):
+            relink(rows, 0, [1, 2])
+
+
 def all_pairs_mst(points):
     """The all-pairs Euclidean MST: Kruskal over every pair of points."""
     if len(points) < 2:

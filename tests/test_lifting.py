@@ -471,6 +471,12 @@ class TestArtificialLevels:
         with pytest.raises(LiftingError, match="exceed"):
             assign_artificial_levels(record, n_levels=99)
 
+    def test_fractional_level_count_rejected(self, small_tree_lg):
+        values = {k: 0.0 for k in small_tree_lg.ids}
+        _, record = forward(values, small_tree_lg, LiftingConfig())
+        with pytest.raises(LiftingError, match="need at least 3 levels, got 3.5"):
+            assign_artificial_levels(record, 3.5)
+
     def test_equal_sized_groups(self):
         levels = assign_artificial_levels(
             FakeRecord(ids=tuple(range(10)), removal_order=tuple(range(8)), surviving=(8, 9),

@@ -1010,6 +1010,11 @@ class TestNlt:
         with pytest.raises(ShrinkageError, match="n_trajectories must be a positive integer"):
             nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=count)
 
+    @pytest.mark.parametrize("n, seed", [(2.5, 0), (2, 1.5), (-1, 0)])
+    def test_random_trajectories_rejects_bad_counts(self, small_tree_lg, n, seed):
+        with pytest.raises(ShrinkageError, match=f"got {re.escape(repr(n if seed == 0 else seed))}"):
+            random_trajectories(small_tree_lg, LiftingConfig(), n, seed)
+
     def test_zero_frac_is_mean_over_trajectories(self, mst_lg, rng):
         cfg = LiftingConfig.from_acronym("LG-Aid-c")
         values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}

@@ -103,6 +103,10 @@ class TestEmbeddings:
         with pytest.raises(SimulationError):
             embed_edge_average(lambda x, y: x, segment_graph, 1)
 
+    def test_fractional_samples_rejected(self, segment_graph):
+        with pytest.raises(SimulationError, match="at least 2 samples, got 3.5"):
+            embed_edge_average(lambda x, y: x, segment_graph, 3.5)
+
 
 class TestNoise:
     def test_sigma_from_snr(self, rng):
