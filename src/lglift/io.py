@@ -15,7 +15,7 @@ import math
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .graph import EdgeRec, Graph, GraphError, Id, LineGraph
-from .lifting import CoefficientSet, LiftingConfig, LiftingRecord, LiftingStage
+from .lifting import CoefficientSet, LiftingConfig, LiftingRecord
 
 
 class ParseError(ValueError):
@@ -197,6 +197,7 @@ def write_graph(path: str, obj: Union[Graph, LineGraph]) -> None:
 
 def record_to_dict(record: LiftingRecord) -> dict:
     pos = {k: i for i, k in enumerate(record.ids)}
+    m = len(record.ids)
     return {
         "ids": list(record.ids),
         "config": record.config.to_dict(),
@@ -205,15 +206,16 @@ def record_to_dict(record: LiftingRecord) -> dict:
         "final_integrals": [record.final_integrals[k] for k in record.surviving],
         "stages": [
             {
-                "stage": st.stage,
-                "removed": pos[st.removed],
-                "neighbors": [pos[s] for s in st.neighbors],
-                "a": list(st.a),
-                "b": list(st.b),
-                "integral": st.integral,
-                "edges_added": [[pos[u], pos[v], w] for u, v, w in st.edges_added],
+                "stage": m - i,
+                "removed": k,
+                "neighbors": [s for s, _, _ in trip],
+                "a": [a for _, a, _ in trip],
+                "b": [b for _, _, b in trip],
+                "integral": integral,
+                "edges_added": [list(e) for e in edges],
             }
-            for st in record.stages
+            for i, ((k, trip), integral, edges)
+            in enumerate(zip(record.steps, record.step_integrals, record.step_edges))
         ],
     }
 
@@ -222,12 +224,12 @@ def record_from_dict(d: dict) -> LiftingRecord:
     """The record of `record_to_dict`; also reads older files, which wrote
     every id as a string with an "id_kind" and listed "edges_removed".
 
-    Raises ParseError unless the stages can be replayed: every position in
-    range, each id removed at most once, a stage's neighbours neither the
-    removed id nor one removed earlier, one finite `a` and one finite `b`
-    entry per neighbour and a finite `integral`, `surviving` exactly the ids
-    never removed, and finite integrals: one initial per id, one final per
-    survivor.
+    Raises ParseError unless the stages can be replayed: stage i numbered
+    m - i, every position in range, each id removed at most once, a stage's
+    neighbours neither the removed id nor one removed earlier, one finite
+    `a` and one finite `b` entry per neighbour and a finite `integral`,
+    `surviving` exactly the ids never removed, and finite integrals: one
+    initial per id, one final per survivor.
     """
     ids = tuple(int(k) if d.get("id_kind") == "int" else k for k in d["ids"])
     m = len(ids)
@@ -245,6 +247,8 @@ def record_from_dict(d: dict) -> LiftingRecord:
 
     removed = set()
     for n, s in enumerate(d["stages"]):
+        if type(s["stage"]) is not int or s["stage"] != m - n:
+            raise ParseError(f"record: stage {n} is numbered {s['stage']!r}, not {m - n}")
         k, nbrs = s["removed"], positions(f"stage {n} neighbour", s["neighbors"])
         positions(f"stage {n}", [k, *(p for e in s["edges_added"] for p in e[:2])])
         if k in removed:
@@ -263,20 +267,11 @@ def record_from_dict(d: dict) -> LiftingRecord:
                          f"for {m} ids and {len(d['surviving'])} survivors")
     finite("initial or final integral", [*initial, *final])
     surviving = tuple(ids[i] for i in d["surviving"])
-    stages = tuple(
-        LiftingStage(
-            stage=s["stage"],
-            removed=ids[s["removed"]],
-            neighbors=tuple(ids[i] for i in s["neighbors"]),
-            a=tuple(s["a"]),
-            b=tuple(s["b"]),
-            integral=s["integral"],
-            edges_added=tuple((ids[u], ids[v], w) for u, v, w in s["edges_added"]),
-        )
-        for s in d["stages"]
-    )
+    stages = d["stages"]
     return LiftingRecord(
-        stages=stages,
+        steps=tuple([(s["removed"], tuple(zip(s["neighbors"], s["a"], s["b"]))) for s in stages]),
+        step_integrals=tuple([s["integral"] for s in stages]),
+        step_edges=tuple([tuple([(u, v, w) for u, v, w in s["edges_added"]]) for s in stages]),
         initial_integrals=dict(zip(ids, initial)),
         final_integrals=dict(zip(surviving, final)),
         surviving=surviving,

@@ -6,15 +6,14 @@ neighbour integrals and coefficients with a minimum-norm filter, and
 relinks the neighbourhood so the structure stays connected.  The order and
 the filters never depend on the data, so a planner (`_Lifter`, which leaves
 the relink to `LineGraph`, with `_Chooser` picking the order when none is
-given) archives them as a `LiftingRecord`, and two kernels
+given) writes them into a `LiftingRecord`, and two kernels
 (`_replay_forward`, `_replay_inverse`) replay it on a signal or a batch.
-The kernels read one form of the record, `_steps`: per stage, the
-line-graph position it removes and a (position, a, b) triple per
-neighbour, plus the positions in canonical coefficient order, gathered
-after the forward stages and scattered before the inverse ones.
+The record stores the plan once, on line-graph positions, in the form
+the kernels read; `LiftingRecord.stages`, the same plan with ids, is a
+view built when first read, and no hot path reads it.
 A free-order plan depends only on the line graph and the config, so
 `forward` plans each such pair once (`_PLANS`); what depends only on the
-plan (steps, coefficient order, scales, levels, detail gains) is kept on it.
+plan (coefficient order, scales, levels, detail gains) is kept on it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, pairwise
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -134,7 +132,7 @@ class LiftingConfig:
 
 @dataclass(frozen=True)
 class LiftingStage:
-    """Archive of one removal: everything needed to undo or replay it."""
+    """One removal with line-graph ids, an entry of `LiftingRecord.stages`."""
 
     stage: int                       # m, m-1, ..., tau+1
     removed: Id
@@ -148,13 +146,25 @@ class LiftingStage:
 
 @dataclass(frozen=True)
 class LiftingRecord:
-    """Ordered stage archive from stage m down to stage tau+1.
+    """The plan of stages m down to tau+1, stored once on line-graph
+    positions (indices into `ids`), in the form the replay kernels read.
+
+    Stage i removes steps[i] = (k, ((s, a_s, b_s), ...)): position k,
+    predicted from its neighbours s with the filter entries a_s, which it
+    updates with b_s.  One ready-made tuple per neighbour, not an (s, a_s)
+    and an (s, b_s) pair, halves the objects a record keeps, and with them
+    the garbage collections that planning many records triggers.
+    step_integrals[i] is k's integral at its removal and step_edges[i] its
+    relink edges (u, v, distance), u < v.  `stages` is the same plan with
+    ids, built when first read.
 
     Read-only: `forward` hands the same free-order record to every caller
     that plans one line graph with one config.
     """
 
-    stages: Tuple[LiftingStage, ...]
+    steps: Tuple[Tuple[int, Tuple[Tuple[int, float, float], ...]], ...]
+    step_integrals: Tuple[float, ...]
+    step_edges: Tuple[Tuple[Tuple[int, int, float], ...], ...]
     initial_integrals: Dict[Id, float]
     final_integrals: Dict[Id, float]
     surviving: Tuple[Id, ...]
@@ -162,60 +172,61 @@ class LiftingRecord:
     ids: Tuple[Id, ...]
 
     @cached_property
+    def stages(self) -> Tuple[LiftingStage, ...]:
+        """The plan with line-graph ids, one `LiftingStage` per step."""
+        ids, m = self.ids, len(self.ids)
+        return tuple([
+            LiftingStage(
+                stage=m - i,
+                removed=ids[k],
+                neighbors=tuple([ids[s] for s, _, _ in trip]),
+                a=tuple([a for _, a, _ in trip]),
+                b=tuple([b for _, _, b in trip]),
+                integral=integral,
+                edges_added=tuple([(ids[u], ids[v], w) for u, v, w in edges]),
+            )
+            for i, ((k, trip), integral, edges)
+            in enumerate(zip(self.steps, self.step_integrals, self.step_edges))
+        ])
+
+    @cached_property
     def removal_order(self) -> Tuple[Id, ...]:
-        return tuple([st.removed for st in self.stages])
+        ids = self.ids
+        return tuple([ids[k] for k, _ in self.steps])
 
     @cached_property
     def scales(self) -> Dict[Id, float]:
         """Each detail's scale: its vertex's integral when it was removed."""
-        return {st.removed: st.integral for st in self.stages}
+        return dict(zip(self.removal_order, self.step_integrals))
 
     @cached_property
     def levels(self) -> Optional[Dict[Id, int]]:
         """Artificial level per detail, None with fewer details than levels."""
         n_levels = _default_n_levels(len(self.ids))
-        return None if len(self.stages) < n_levels else assign_artificial_levels(self, n_levels)
+        return None if len(self.steps) < n_levels else assign_artificial_levels(self, n_levels)
 
     def update_filter_fraction_below_half(self) -> float:
         """Fraction of update-filter entries b <= 1/2 (stability diagnostic)."""
-        entries = [b for st in self.stages for b in st.b]
+        entries = [b for _, trip in self.steps for _, _, b in trip]
         if not entries:
             return 1.0
         return sum(1 for b in entries if b <= 0.5) / len(entries)
 
     @cached_property
-    def _steps(self) -> Tuple[tuple, np.ndarray]:
-        """The record on line-graph positions for the replay kernels:
-        (steps, canon).
-
-        Stage i is steps[i] = (k, ((s, a_s, b_s), ...)): it removes
-        position k, predicting it from its neighbours s with the filter
-        entries a_s and updating them with b_s.  The triples are plain
-        tuples, ready made, as the kernels read them one at a time; one
-        tuple per neighbour (not an (s, a_s) and an (s, b_s) pair) halves
-        the objects a record keeps, and with them the garbage collections
-        that planning many records triggers.  canon[j] is the position of
-        the j-th coefficient in the canonical order: the removed positions
-        in removal order, then the surviving ones ascending.
-        """
-        pos = {k: i for i, k in enumerate(self.ids)}.__getitem__
-        stages = self.stages
-        # all stages' triples in one flat list, then cut per stage
-        nbr = list(map(pos, chain.from_iterable([st.neighbors for st in stages])))
-        ab = list(zip(nbr, chain.from_iterable([st.a for st in stages]),
-                      chain.from_iterable([st.b for st in stages])))
-        removed = list(map(pos, self.removal_order))
-        bounds = pairwise(accumulate([len(st.neighbors) for st in stages], initial=0))
-        steps = tuple([(k, tuple(ab[lo:hi])) for k, (lo, hi) in zip(removed, bounds)])
-        canon = removed + sorted(map(pos, self.surviving))
-        return steps, np.array(canon, dtype=np.intp)
+    def _canon(self) -> np.ndarray:
+        """The positions in canonical coefficient order: the removed ones in
+        removal order, then the surviving ones ascending.  The kernels gather
+        through it after the forward stages and scatter before the inverse."""
+        removed = [k for k, _ in self.steps]
+        survivors = sorted(set(range(len(self.ids))).difference(removed))
+        return np.array(removed + survivors, dtype=np.intp)
 
     @cached_property
     def _order(self) -> Tuple[Id, ...]:
         """The canonical coefficient order: details in removal order, then
         scaling ids ascending by line-graph position."""
         ids = self.ids
-        return tuple([ids[p] for p in self._steps[1].tolist()])
+        return tuple([ids[p] for p in self._canon.tolist()])
 
     @cached_property
     def _gains(self) -> Dict[Id, float]:
@@ -225,8 +236,8 @@ class LiftingRecord:
         the norms of the removed positions' rows; each block is freed before
         the next, so memory is linear in m."""
         m = len(self.ids)
-        removed = self._steps[1][: len(self.stages)]
-        squares = np.zeros(len(self.stages))
+        removed = self._canon[: len(self.steps)]
+        squares = np.zeros(len(self.steps))
         for lo in range(0, m, GAIN_BLOCK):
             width = min(GAIN_BLOCK, m - lo)
             block = np.zeros((m, width))
@@ -316,10 +327,10 @@ class _Lifter:
             if not 0 < I < math.inf:
                 raise LiftingError(f"non-positive or non-finite initial integral at {k!r}")
 
-    def lift_stage(self, k: int, stage: int) -> LiftingStage:
-        """Plan the removal of slot k: its filters, integral update and
-        relink, archived with line-graph ids.  k's row is replaced, not
-        edited, so a caller holding it still sees k's neighbours."""
+    def lift_stage(self, k: int, stage: int) -> Tuple[tuple, float, tuple]:
+        """Plan the removal of slot k: its step, integral and relink edges as
+        `LiftingRecord` keeps them.  k's row is replaced, not edited, so a
+        caller holding it still sees k's neighbours."""
         row = self.adj[k]
         if not row:
             raise LiftingError(f"isolated vertex {self.lg.ids[k]!r} at stage {stage}")
@@ -342,16 +353,7 @@ class _Lifter:
         for s in row:
             del self.adj[s][k]
         self.adj[k] = {}
-        ids = self.lg.ids
-        return LiftingStage(
-            stage=stage,
-            removed=ids[k],
-            neighbors=tuple([ids[s] for s in neighbors]),
-            a=tuple(a),
-            b=tuple(b),
-            integral=Ik,
-            edges_added=tuple([(ids[u], ids[v], w) for u, v, w in added]),
-        )
+        return (k, tuple(zip(neighbors, a, b))), Ik, tuple(added)
 
 
 class _Chooser:
@@ -468,7 +470,7 @@ def forward(
     c = _replay_forward(record, x).tolist()
     return CoefficientSet(
         details=dict(zip(record.removal_order, c)),
-        scaling=dict(zip(record.surviving, c[len(record.stages):])),
+        scaling=dict(zip(record.surviving, c[len(record.steps):])),
     ), record
 
 
@@ -484,13 +486,12 @@ def _build_record(
     initial = dict(zip(lg.ids, lifter.integrals))
     if trajectory is None:
         chooser = _Chooser(lifter.integrals, config.rng_seed)
-        slots, stages = [], []
+        planned = []
         for i in range(n_stages):
             k = chooser.choose()
             row = lifter.adj[k]  # lift_stage leaves this dict whole
-            stages.append(lifter.lift_stage(k, lg.m - i))
+            planned.append(lifter.lift_stage(k, lg.m - i))
             chooser.removed(k, row)
-            slots.append(k)
     else:
         trajectory = list(trajectory)
         if len(trajectory) != n_stages:
@@ -502,13 +503,16 @@ def _build_record(
         bad = [k for k in trajectory if k not in lg.index]
         if bad:
             raise LiftingError(f"trajectory references unknown ids {bad[:3]!r}")
-        slots = [lg.index[k] for k in trajectory]
-        stages = [lifter.lift_stage(k, lg.m - i) for i, k in enumerate(slots)]
+        planned = [lifter.lift_stage(lg.index[k], lg.m - i) for i, k in enumerate(trajectory)]
 
-    gone = set(slots)
+    # tau < m, so at least one stage
+    steps, integrals, edges = zip(*planned)
+    gone = {k for k, _ in steps}
     survivors = [u for u in range(lg.m) if u not in gone]
     return LiftingRecord(
-        stages=tuple(stages),
+        steps=steps,
+        step_integrals=integrals,
+        step_edges=edges,
         initial_integrals=initial,
         final_integrals={lg.ids[u]: lifter.integrals[u] for u in survivors},
         surviving=tuple([lg.ids[u] for u in survivors]),
@@ -541,7 +545,7 @@ def _replay_forward(record: LiftingRecord, X) -> np.ndarray:
     in removal order, then the scaling coefficients.
     """
     # a copy: a batch is transformed in place
-    return _replay_forward_positions(record, np.array(X, dtype=float))[record._steps[1]]
+    return _replay_forward_positions(record, np.array(X, dtype=float))[record._canon]
 
 
 def _replay_forward_positions(record: LiftingRecord, W: np.ndarray) -> np.ndarray:
@@ -550,7 +554,7 @@ def _replay_forward_positions(record: LiftingRecord, W: np.ndarray) -> np.ndarra
     holding its detail, each survivor its scaling coefficient.  A batch is
     transformed in place and returned."""
     x = _rows(W)
-    for k, trip in record._steps[0]:
+    for k, trip in record.steps:
         pred = 0.0
         for s, aj, _ in trip:
             pred += aj * x[s]
@@ -568,12 +572,11 @@ def _replay_inverse(record: LiftingRecord, C) -> np.ndarray:
     follow the line-graph id order.  Scatters C to line-graph positions,
     then undoes `_replay_forward` stage by stage in reverse.
     """
-    steps, canon = record._steps
     C = np.asarray(C, dtype=float)
     W = np.empty(C.shape)
-    W[canon] = C
+    W[record._canon] = C
     x = _rows(W)
-    for k, trip in reversed(steps):
+    for k, trip in reversed(record.steps):
         d = x[k]
         for s, _, bj in trip:
             x[s] -= bj * d

@@ -486,7 +486,7 @@ def _denoise_plans(
 
 
 def _result(record: LiftingRecord, est, c, sigma, nu, fallback, pool) -> DenoiseResult:
-    details = c[: len(record.stages)]
+    details = c[: len(record.steps)]
     return DenoiseResult(
         estimates=dict(zip(record.ids, est.tolist())),
         sigma_hat=float(sigma),

@@ -10,6 +10,10 @@ record into plain JSON: the removal order, neighbours, survivors and
 relink edges as line-graph positions, and the filters, integrals and
 relink distances as `float.hex()`.
 
+`record_files()` gives the `write_transform` record JSON of three plans,
+which `records.json.gz` pins byte for byte: the record file format and
+the plan it holds.
+
 Re-record the corpus only in a change of its own, or in one that fixes a
 numeric defect and says which entries moved:
 
@@ -19,14 +23,17 @@ numeric defect and says which entries moved:
 import gzip
 import json
 import os
+import tempfile
 
 from lglift.graph import build_line_graph
-from lglift.io import parse_graph_text
+from lglift.io import parse_graph_text, write_transform
 from lglift.lifting import VARIANTS, LiftingConfig, forward
 from lglift.shrinkage import random_trajectories
 from lglift.simulation import generate_flow_fixture, sample_network
 
-PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "plans.json.gz")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+PATH = os.path.join(GOLDEN, "plans.json.gz")
+RECORDS_PATH = os.path.join(GOLDEN, "records.json.gz")
 
 #: removal orders per graph besides the free one (`random_trajectories` seed 0)
 TRAJECTORIES = 2
@@ -110,19 +117,49 @@ def corpus() -> dict:
     return {"ids": ids, "plans": plans}
 
 
-def load() -> dict:
-    with gzip.open(PATH, "rt") as fh:
+def record_files() -> dict:
+    """The `write_transform` record file of three plans, by name: `LG-Sid-p`
+    on the flow fixture of seed 0, in free order and on one random
+    trajectory, and `LG-Aid-c` on the m = 99 MST in free order."""
+    flow = build_line_graph(generate_flow_fixture(0)[0])
+    mst = build_line_graph(sample_network(100, seed=7))
+    sid, aid = LiftingConfig.from_acronym("LG-Sid-p"), LiftingConfig.from_acronym("LG-Aid-c")
+    plans = {
+        "flow-0 LG-Sid-p free": (flow, sid, None),
+        "flow-0 LG-Sid-p trajectory 0": (flow, sid, random_trajectories(flow, sid, 1, 0)[0]),
+        "mst100-7 LG-Aid-c free": (mst, aid, None),
+    }
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "t")
+        for name, (lg, config, traj) in plans.items():
+            zeros = dict.fromkeys(lg.ids, 0.0)
+            record_path, _ = write_transform(prefix, *forward(zeros, lg, config, trajectory=traj))
+            with open(record_path, "rb") as fh:
+                files[name] = fh.read().decode("ascii")
+    return files
+
+
+def load(path: str = PATH) -> dict:
+    with gzip.open(path, "rt") as fh:
         return json.load(fh)
 
 
-def main() -> None:
-    os.makedirs(os.path.dirname(PATH), exist_ok=True)
-    data = corpus()
-    # mtime 0: the same corpus gives the same bytes
-    with open(PATH, "wb") as raw, gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
+def _dump(path: str, data) -> None:
+    # mtime 0: the same data gives the same bytes
+    with open(path, "wb") as raw, gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
         fh.write(json.dumps(data, separators=(",", ":")).encode())
+
+
+def main() -> None:
+    os.makedirs(GOLDEN, exist_ok=True)
+    data = corpus()
+    _dump(PATH, data)
     n = sum(1 for plan in data["plans"] for _ in flat_floats(plan))
     print(f"{len(data['plans'])} plans, {n} floats, {os.path.getsize(PATH)} bytes: {PATH}")
+    files = record_files()
+    _dump(RECORDS_PATH, files)
+    print(f"{len(files)} record files, {os.path.getsize(RECORDS_PATH)} bytes: {RECORDS_PATH}")
 
 
 if __name__ == "__main__":

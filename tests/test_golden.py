@@ -1,7 +1,9 @@
 """Plans match the committed corpus (`golden_corpus`): removal orders,
 neighbours, survivors and relink edges exactly, every filter entry,
 integral and relink distance within 1e-12 relative.  The test prints how
-many of the floats are bitwise equal and the largest relative deviation."""
+many of the floats are bitwise equal and the largest relative deviation.
+Three record files (`golden_corpus.record_files`) match theirs byte for
+byte."""
 
 import math
 
@@ -33,3 +35,11 @@ def test_plans_match_the_committed_corpus():
             assert dev <= 1e-12, f"{a} != {b} (relative {dev:.3g}) in {where}"
     print(f"golden corpus: {equal} of {total} floats bitwise equal; "
           f"largest relative deviation {worst:.3g}")
+
+
+def test_record_files_match_the_committed_records():
+    want = golden_corpus.load(golden_corpus.RECORDS_PATH)
+    got = golden_corpus.record_files()
+    assert got.keys() == want.keys()
+    for name, text in want.items():
+        assert got[name] == text, f"the record file of {name} differs"

@@ -541,6 +541,7 @@ RECORD_CORRUPTIONS = {
     "final-integral-infinite": lambda d: d["final_integrals"].__setitem__(0, math.inf),
     "stage-integral-nan": lambda d: d["stages"][0].__setitem__("integral", math.nan),
     "tau-fraction": lambda d: d["config"].__setitem__("tau", 2.7),
+    "stage-misnumbered": lambda d: d["stages"][0].__setitem__("stage", d["stages"][0]["stage"] + 1),
 }
 
 

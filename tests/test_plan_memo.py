@@ -1,6 +1,7 @@
 """`forward` plans each (line graph, config) pair once, and `detail_gains`
 replays the identity once per record: the kept plans and gains give the
-same bits as planning afresh, and they die with their line graph."""
+same bits as planning afresh, and they die with their line graph.  No hot
+path builds a record's `stages` view."""
 
 import dataclasses
 import gc
@@ -9,11 +10,18 @@ import weakref
 import numpy as np
 import pytest
 
-from lglift import lifting
+from lglift import analysis, lifting, shrinkage, simulation
 from lglift.graph import GraphError, LineGraph, build_line_graph
 from lglift.lifting import VARIANTS, LiftingConfig, LiftingError, forward, init_integrals
-from lglift.shrinkage import denoise, detail_gains
-from lglift.simulation import generate_flow_fixture, sample_network
+from lglift.shrinkage import denoise, detail_gains, nlt_denoise
+from lglift.simulation import (
+    ExperimentConfig,
+    condition_number_study,
+    flow_experiment,
+    generate_flow_fixture,
+    run_experiment,
+    sample_network,
+)
 
 NETWORKS = {
     "mst": lambda: sample_network(100, seed=7),
@@ -177,3 +185,39 @@ def test_plans_die_with_their_line_graph(acr):
         assert lg_ref() is None and record_ref() is None
     finally:
         gc.enable()
+
+
+def _flow_denoise(n_trajectories=None):
+    lg = build_line_graph(generate_flow_fixture(0)[0])
+    cfg = LiftingConfig.from_acronym("LG-Sid-p")
+    if n_trajectories is None:
+        denoise(_noisy(lg, 1), lg, cfg)
+    else:
+        nlt_denoise(_noisy(lg, 1), lg, cfg, n_trajectories=n_trajectories)
+
+
+#: the hot paths: each plans its records through `forward`
+HOT_PATHS = {
+    "denoise": _flow_denoise,
+    "nlt_denoise": lambda: _flow_denoise(n_trajectories=3),
+    "run_experiment": lambda: run_experiment(
+        ExperimentConfig(n_vertices=20, n_graphs=2, n_replications=3)),
+    "flow_experiment": lambda: flow_experiment(1.0, n_replications=2),
+    "condition_number_study": lambda: condition_number_study("LG-Aid-c", 2, 20),
+}
+
+
+@pytest.mark.parametrize("path", list(HOT_PATHS))
+def test_hot_paths_never_build_the_stages_view(monkeypatch, path):
+    records = []
+
+    def caught(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        records.append(out[1])
+        return out
+
+    for module in (analysis, shrinkage, simulation):
+        monkeypatch.setattr(module, "forward", caught)
+    HOT_PATHS[path]()
+    built = sum("stages" in vars(r) for r in records)
+    assert records and not built, f"{built} of {len(records)} records built their stages view"
