@@ -211,29 +211,40 @@ class LineGraph:
             rows = [
                 {s: 0.5 * (lengths[u] + lengths[s]) for s in r} for u, r in enumerate(self.rows)
             ]
+            # no live weight falls below the rows' smallest (see `_relink`)
+            w_min = min((w for row in rows for w in row.values()), default=math.inf)
 
             def measure(adj, k, slots):
                 # may route through the removed slot k; frozen at link time
-                # (exact inverse).  A pair whose cheapest first and last
-                # edges already reach the direct or hub path is not
-                # searched, and a path u - k - v bounds each search.
-                hub = adj[k]
+                # (exact inverse).  A pair whose direct or hub path no other
+                # path can undercut is not searched, and a path u - k - v
+                # bounds each search.
+                hub, inf = adj[k], math.inf
                 low = [min(adj[u].values()) for u in slots]
                 dist = []
                 for i, u in enumerate(slots[:-1]):
                     row, hu, lu = adj[u], hub[u], low[i]
+                    lw = lu + w_min
                     search = []  # (index into dist, slot) of the pairs left
-                    for j in range(i + 1, len(slots)):
-                        v = slots[j]
+                    for v, lv in zip(slots[i + 1:], low[i + 1:]):
                         c = hu + hub[v]
                         w = row.get(v)
                         if w is not None and w < c:
                             c = w
-                        if c < math.inf and lu + low[j] >= c:
-                            dist.append(c)
-                        else:
-                            search.append((len(dist), v))
-                            dist.append(None)
+                        if c < inf:
+                            if lu + lv >= c:
+                                dist.append(c)
+                                continue
+                            if lw + lv >= c:
+                                rv = adj[v]
+                                for x in row.keys() & rv.keys():
+                                    if row[x] + rv[x] < c:
+                                        break
+                                else:
+                                    dist.append(c)
+                                    continue
+                        search.append((len(dist), v))
+                        dist.append(None)
                     if not search:
                         continue
                     bound = hu + max([hub[v] for _, v in search])
@@ -297,6 +308,20 @@ class LineGraph:
         fl(low(u) + low(v)) >= c.  A hub sum that overflows to inf is
         searched, so an unreachable pair still raises as before.
 
+        A pair that fails that comparison is still settled at a finite c
+        when two more tests hold: every two-edge path u - x - v through a
+        common neighbour x weighs fl(w(u, x) + w(x, v)) >= c, computed
+        exactly, and fl(fl(low(u) + w_min) + low(v)) >= c, where w_min is
+        the smallest weight of the line graph's metric rows.  No live
+        weight is below w_min: the rows start so, and a relink edge joins
+        two slots that are not adjacent, so it weighs a path of two or more
+        edges, each at least w_min, whose rounded sum is at least w_min.
+        The direct path and the two-edge paths (u - k - v among them) are
+        then all at least c, and every other path has three or more edges:
+        a first one w1 >= low(u), a second one w2 >= w_min and a last one
+        wn >= low(v).  Its prefix sums only grow, so it weighs at least
+        fl(fl(w1 + w2) + wn) >= fl(fl(low(u) + w_min) + low(v)) >= c.
+
         The searches that remain stop at the hub bound: the search from u
         towards its unsettled later slots v pushes no entry above
         b(u) = w(u, k) + max_v w(k, v).  Its first step reaches k at
@@ -308,18 +333,22 @@ class LineGraph:
         blocks a push at or below b(u).  So the kept pushes, their
         relative order and every distance are those of the unbounded
         search."""
-        n = len(slots)
-        if n < 2 or (n == 2 and slots[1] in adj[slots[0]]):
-            return []
-        pairs = list(combinations(range(n), 2))
-        if _connected(n, ((i, j) for i, j in pairs if slots[j] in adj[slots[i]])):
+        # flood the slots over the edges among them: joined already?
+        rest = set(slots[1:])
+        front = slots[:1]
+        while front and rest:
+            met = adj[front.pop()].keys() & rest
+            rest -= met
+            front += met
+        if not rest:
             return []
         dist = measure(adj, k, slots)
         for w in dist:
-            if not (math.isfinite(w) and w > 0):
+            if not 0.0 < w < math.inf:
                 raise GraphError(f"non-positive or non-finite edge weight {w}")
+        pairs = list(combinations(range(len(slots)), 2))
         added = []
-        for e in _kruskal(n, pairs, dist, [rank[s] for s in slots]):
+        for e in _kruskal(len(slots), pairs, dist, [rank[s] for s in slots]):
             i, j = pairs[e]
             u, v = slots[i], slots[j]
             if v not in adj[u]:
@@ -398,13 +427,15 @@ def shortest_path_distance(
     search, and the distances are bitwise its own; a target beyond
     `bound` is reported unreachable.
     """
+    heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
     pending = set(targets)
     found: Dict[Id, float] = {}
     dist: Dict[Id, float] = {source: 0.0}
+    get = dist.get
     counter = 0
     heap: List[Tuple[float, int, Id]] = [(0.0, counter, source)]
     while heap and pending:
-        d, _, u = heapq.heappop(heap)
+        d, _, u = heappop(heap)
         if d > dist[u]:
             continue
         if u in pending:
@@ -414,10 +445,10 @@ def shortest_path_distance(
                 break
         for s, w in adj[u].items():
             nd = d + w
-            if nd <= bound and nd < dist.get(s, math.inf):
+            if nd <= bound and nd < get(s, inf):
                 dist[s] = nd
                 counter += 1
-                heapq.heappush(heap, (nd, counter, s))
+                heappush(heap, (nd, counter, s))
     return found
 
 
@@ -480,14 +511,14 @@ def _kruskal(n: int, pairs: Sequence[Tuple[int, int]], weights: Sequence[float],
     pairs (i, j) it accepts, in acceptance order.  Pairs are taken by the
     key (weight, lower rank, higher rank), equal keys in input order, and
     the search stops once n - 1 pairs are accepted."""
-
     keys = []
-    for (i, j), w in zip(pairs, weights):
+    for e, ((i, j), w) in enumerate(zip(pairs, weights)):
         a, b = rank[i], rank[j]
-        keys.append((w, a, b) if a < b else (w, b, a))
+        keys.append((w, a, b, e) if a < b else (w, b, a, e))
+    keys.sort()
     parent = list(range(n))
     tree = []
-    for e in sorted(range(len(pairs)), key=keys.__getitem__):
+    for _, _, _, e in keys:
         if _union(parent, *pairs[e]):
             tree.append(e)
             if len(tree) == n - 1:

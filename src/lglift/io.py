@@ -228,8 +228,10 @@ def record_from_dict(d: dict) -> LiftingRecord:
     m - i, every position in range, each id removed at most once, a stage's
     neighbours neither the removed id nor one removed earlier, one finite
     `a` and one finite `b` entry per neighbour and a finite `integral`,
-    `surviving` exactly the ids never removed, and finite integrals: one
-    initial per id, one final per survivor.
+    each relink edge [u, v, distance] with u < v two of the stage's
+    neighbours and a finite positive distance, `surviving` exactly the ids
+    never removed, and finite integrals: one initial per id, one final per
+    survivor.
     """
     ids = tuple(int(k) if d.get("id_kind") == "int" else k for k in d["ids"])
     m = len(ids)
@@ -250,7 +252,17 @@ def record_from_dict(d: dict) -> LiftingRecord:
         if type(s["stage"]) is not int or s["stage"] != m - n:
             raise ParseError(f"record: stage {n} is numbered {s['stage']!r}, not {m - n}")
         k, nbrs = s["removed"], positions(f"stage {n} neighbour", s["neighbors"])
-        positions(f"stage {n}", [k, *(p for e in s["edges_added"] for p in e[:2])])
+        positions(f"stage {n}", [k])
+        for e in s["edges_added"]:
+            if len(e) != 3:
+                raise ParseError(f"record: stage {n} relink edge {e!r} is not [u, v, distance]")
+            u, v, w = positions(f"stage {n} relink", e[:2]) + e[2:]
+            if not (u < v and u in nbrs and v in nbrs):
+                raise ParseError(f"record: stage {n} relink edge {e!r} does not join two "
+                                 "of its neighbours, the earlier first")
+            finite(f"stage {n} relink distance", [w])
+            if not w > 0:
+                raise ParseError(f"record: stage {n} relink distance {w!r} is not positive")
         if k in removed:
             raise ParseError(f"record: stage {n} removes position {k} a second time")
         if k in nbrs or removed.intersection(nbrs):

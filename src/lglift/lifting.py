@@ -25,7 +25,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -294,14 +294,21 @@ def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> Lis
     """
     if not distances:
         raise LiftingError("prediction requires at least one neighbor")
+    return _weights(distances, len(distances), scheme)
+
+
+def _weights(distances: Iterable[float], n: int, scheme: PredictionScheme) -> List[float]:
+    """The weights of `predict_weights` over n > 0 distances, which may come
+    from any iterable (the planner maps a row over its neighbours)."""
     if scheme is PredictionScheme.MOVING_AVERAGE:
-        return [1.0 / len(distances)] * len(distances)
-    for d in distances:
-        if not d > 0:
-            raise LiftingError(f"degenerate distance {d} in inverse-distance weights")
-    inv = [1.0 / d for d in distances]
+        return [1.0 / n] * n
+    inv = [1.0 / d if d > 0 else _degenerate(d) for d in distances]
     total = sum(inv)
     return [w / total for w in inv]
+
+
+def _degenerate(d: float) -> float:
+    raise LiftingError(f"degenerate distance {d} in inverse-distance weights")
 
 
 class _Lifter:
@@ -335,7 +342,8 @@ class _Lifter:
         if not row:
             raise LiftingError(f"isolated vertex {self.lg.ids[k]!r} at stage {stage}")
         neighbors = sorted(row)
-        a = predict_weights([row[s] for s in neighbors], self.config.prediction_scheme)
+        a = _weights(map(row.__getitem__, neighbors), len(neighbors),
+                     self.config.prediction_scheme)
 
         integrals = self.integrals
         Ik = integrals[k]

@@ -349,10 +349,10 @@ def estimate_sigma_mad(details: np.ndarray, levels: np.ndarray) -> float:
 
 def _ebayes(
     details: np.ndarray, sigma: float | np.ndarray, levels: np.ndarray, config: ShrinkageConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`ebayes_threshold` on an (n, B) batch.  Returns the shrunk details,
-    the weight per column, and the columns whose weight fit failed and fell
-    back to 0.5, each with one warning."""
+    the weight per column, the columns whose weight fit failed and fell
+    back to 0.5, each with one warning, and the mask of the rows shrunk."""
     if not np.all(sigma > 0):
         raise ShrinkageError(f"noise scale must be positive, got {sigma}")
     n_levels = int(levels.max()) + 1 if levels.size else 0
@@ -377,7 +377,7 @@ def _ebayes(
             thr = np.array([thresh_from_weight(wj) for wj in w])
             shrunk = np.where(np.abs(z) > thr, z, 0.0)
         out[target] = shrunk * sigma
-    return out, w, fallback
+    return out, w, fallback, target
 
 
 def ebayes_threshold(
@@ -396,7 +396,7 @@ def ebayes_threshold(
     weight is a float for one signal, else (B,).
     """
     details = np.asarray(details, dtype=float)
-    out, w, _ = _ebayes(details.reshape(len(details), -1), sigma, np.asarray(levels), config)
+    out, w, _, _ = _ebayes(details.reshape(len(details), -1), sigma, np.asarray(levels), config)
     if details.ndim > 1:
         return out, w
     return out.reshape(details.shape), float(w[0])
@@ -434,19 +434,24 @@ def _shrink_core(
     Z: np.ndarray, lev: np.ndarray, shrink_config: ShrinkageConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Shrink gain-standardized details Z, (n, B) with rows sorted by their
-    levels `lev`.  Returns the shrunk Z, sigma, nu and the weight-fit
-    fallback per column, and the coarsest level the MAD pooled.  A column
-    whose MAD is zero (noiseless input) comes back unchanged with
-    sigma = nu = 0."""
+    levels `lev`.  Returns the rows it shrank, sigma, nu and the weight-fit
+    fallback per column, and the coarsest level the MAD pooled.  The rows
+    shrunk are a prefix of Z's, as the coarsest levels, which pass through,
+    sort last; none are returned when no column is live.  A column whose
+    MAD is zero (noiseless input) comes back unchanged with sigma = nu = 0."""
     pool = _mad_pool_level(lev)
     sigma = _mad_sigma(Z[lev <= pool])
     nu = np.zeros_like(sigma)
     fallback = np.zeros(sigma.shape, dtype=bool)
     live = sigma > 0
+    n = 0
     if live.any():
         Z = Z.copy()
-        Z[:, live], nu[live], fallback[live] = _ebayes(Z[:, live], sigma[live], lev, shrink_config)
-    return Z, sigma, nu, fallback, pool
+        Z[:, live], nu[live], fallback[live], target = _ebayes(
+            Z[:, live], sigma[live], lev, shrink_config
+        )
+        n = int(np.count_nonzero(target))
+    return Z[:n], sigma, nu, fallback, pool
 
 
 def _denoise_plans(
@@ -475,10 +480,11 @@ def _denoise_plans(
         blocks.append((record, shape, rows, C, gains))
     Z = np.hstack([C[rows] / gains for _, _, rows, C, gains in blocks])
     Z, sigma, nu, fallback, pool = _shrink_core(Z, levels, shrink_config)
+    n = len(Z)  # only the rows shrunk are written back; the rest stay bitwise
     out, j = [], 0
     for record, shape, rows, C, gains in blocks:
         live = np.flatnonzero(sigma[j : j + C.shape[1]] > 0)
-        C[rows[:, None], live] = Z[:, j + live] * gains
+        C[rows[:n, None], live] = Z[:, j + live] * gains[:n]
         j += C.shape[1]
         C = C.reshape(shape)
         out.append((_replay_inverse(record, C), C))

@@ -576,6 +576,65 @@ class TestPathRelink:
         with pytest.raises(GraphError, match="disconnected in metric: 'u' and 'v'"):
             relink(rows, 0, [1, 2])
 
+    @staticmethod
+    def _counted(monkeypatch):
+        """The (source, targets) of every search the relink runs."""
+        searches = []
+
+        def counted(*args):
+            searches.append(args[1:3])
+            return shortest_path_distance(*args)
+
+        monkeypatch.setattr("lglift.graph.shortest_path_distance", counted)
+        return searches
+
+    @pytest.mark.parametrize("x, detour", [(2.0, 3.5), (2.0 - 2.0**-51, 3.5 - 2.0**-51)])
+    def test_two_hop_detour_settles_only_at_or_above_the_candidate(self, monkeypatch, x, detour):
+        """u and v meet the hub k at 1.5 + 2 = 3.5 and the common neighbour x
+        at `detour`: 3.5 exactly, or one ulp below it.  u's leaf y gives
+        low(u) = w_min = 0.75, so low(u) + low(v) < 3.5 and only the
+        two-hop test decides (the three-edge bound 0.75 + 0.75 + 2 is
+        3.5).  An equal detour is settled without a search; a shorter one
+        is searched and joins the pair at its own distance."""
+        ids = ["k", "u", "v", "x", "y"]
+        adj = {"k": {"u", "v"}, "u": {"k", "x", "y"}, "v": {"k", "x"}, "x": {"u", "v"},
+               "y": {"u"}}
+        lg = LineGraph(ids, adj, edge_lengths={"k": 2.0, "u": 1.0, "v": 2.0, "x": x, "y": 0.5})
+        rows, relink = lg.metric_rows(MetricMode.PATH_LENGTH)
+        assert rows[1][3] + rows[3][2] == detour and rows[1][0] + rows[0][2] == 3.5
+        searches = self._counted(monkeypatch)
+        assert relink(rows, 0, [1, 2]) == [(1, 2, detour)]
+        assert searches == ([] if detour == 3.5 else [(1, [2])])
+
+    def test_three_edge_detour_at_the_bound_is_searched(self, monkeypatch):
+        """The hub path weighs one ulp above fl(fl(low(u) + w_min) + low(v))
+        = 1.5, and u - a - b - v weighs exactly that bound: the pair is
+        searched and joined at 1.5.  w_min is a's edge to b, below the
+        smallest weight of the hub's row."""
+        ids = ["k", "u", "v", "a", "b"]
+        adj = {"k": {"u", "v"}, "u": {"k", "a"}, "v": {"k", "b"}, "a": {"u", "b"},
+               "b": {"a", "v"}}
+        lengths = {"k": 1.0 + 2.0**-52, "u": 0.5, "v": 0.5, "a": 0.5, "b": 0.5}
+        lg = LineGraph(ids, adj, edge_lengths=lengths)
+        rows, relink = lg.metric_rows(MetricMode.PATH_LENGTH)
+        assert rows[1][0] + rows[0][2] == math.nextafter(1.5, 2.0)
+        searches = self._counted(monkeypatch)
+        assert relink(rows, 0, [1, 2]) == [(1, 2, 1.5)]
+        assert searches == [(1, [2])]
+
+    def test_overflowing_candidate_with_a_common_neighbour_is_searched(self):
+        """The hub sum, the two-hop path through x and the three-edge bound
+        all overflow to inf: the pair is not settled at inf but searched,
+        and raises as a pair the metric cannot join."""
+        ids = ["k", "u", "v", "x"]
+        lg = LineGraph(ids, {"k": {"u", "v"}, "u": {"k", "x"}, "v": {"k", "x"}, "x": {"u", "v"}},
+                       edge_lengths=dict.fromkeys(ids, 1.0))
+        _, relink = lg.metric_rows(MetricMode.PATH_LENGTH)
+        rows = [{1: 1e308, 2: 1e308}, {0: 1e308, 3: 1e308}, {0: 1e308, 3: 1e308},
+                {1: 1e308, 2: 1e308}]
+        with pytest.raises(GraphError, match="disconnected in metric: 'u' and 'v'"):
+            relink(rows, 0, [1, 2])
+
 
 def all_pairs_mst(points):
     """The all-pairs Euclidean MST: Kruskal over every pair of points."""

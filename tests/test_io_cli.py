@@ -515,6 +515,15 @@ def _neighbour_removed_earlier(d):
     d["stages"][1]["neighbors"][0] = d["stages"][0]["removed"]
 
 
+def _first_relink(edit):
+    """A corruption that calls `edit(edge, stage)` on the record's first
+    relink edge [u, v, distance] and its stage."""
+    def corrupt(d):
+        stage = next(s for s in d["stages"] if s["edges_added"])
+        edit(stage["edges_added"][0], stage)
+    return corrupt
+
+
 #: hand edits of a record file that replay wrongly or not at all
 RECORD_CORRUPTIONS = {
     "position-out-of-range": lambda d: d["stages"][0]["neighbors"].__setitem__(0, len(d["ids"])),
@@ -542,7 +551,22 @@ RECORD_CORRUPTIONS = {
     "stage-integral-nan": lambda d: d["stages"][0].__setitem__("integral", math.nan),
     "tau-fraction": lambda d: d["config"].__setitem__("tau", 2.7),
     "stage-misnumbered": lambda d: d["stages"][0].__setitem__("stage", d["stages"][0]["stage"] + 1),
+    "relink-distance-text": _first_relink(lambda e, s: e.__setitem__(2, "abc")),
+    "relink-distance-zero": _first_relink(lambda e, s: e.__setitem__(2, 0.0)),
+    "relink-endpoint-removed": _first_relink(lambda e, s: e.__setitem__(1, s["removed"])),
+    "relink-two-items": _first_relink(lambda e, s: e.pop()),
 }
+
+
+@pytest.mark.parametrize("corruption", [c for c in RECORD_CORRUPTIONS if c.startswith("relink-")])
+def test_corrupt_relink_edge_is_a_parse_error(corruption):
+    """Each relink edge is checked when read, as a ParseError of its own."""
+    lg = build_line_graph(sample_network(20, seed=6))
+    _, record = forward(dict.fromkeys(lg.ids, 0.0), lg, LiftingConfig.from_acronym("LG-Sid-p"))
+    d = json.loads(json.dumps(record_to_dict(record)))
+    RECORD_CORRUPTIONS[corruption](d)
+    with pytest.raises(ParseError, match="relink"):
+        record_from_dict(d)
 
 
 @pytest.mark.parametrize("corruption", list(RECORD_CORRUPTIONS))

@@ -198,6 +198,10 @@ def mp_post_med_cauchy(x: float, w: float) -> float:
 def _mp_median(x: float, w: float) -> float:
     """`mp_post_med_cauchy` of x >= 0, cached: the grids below repeat each
     magnitude with both signs."""
+    if abs(x) < 1e-7:
+        # the median lies in [0, |x|], which the clip makes 0; findroot
+        # can divide by zero on such tiny brackets
+        return 0.0
     with mpmath.workdps(50):
         a, w = mpmath.mpf(abs(x)), mpmath.mpf(w)
         half_yl = (1 + mpmath.exp(-a * a / 2) * (a * a * (1 / w - 1) - 1)) / 2
@@ -320,11 +324,12 @@ class TestHardThresholdOracle:
         assert thresh_from_weight(w) == pytest.approx(series_thresh_from_weight(w), rel=1e-10)
 
 
-# standardized coefficients: the clip to zero at 1e-7, the frozen solvers'
-# |x| > 20 asymptote, and the asymptote past POST_MED_BIG
+# standardized coefficients: the clip to zero at 1e-7 (and a magnitude far
+# below it), the frozen solvers' |x| > 20 asymptote, and the asymptote past
+# POST_MED_BIG
 _EDGE_X = [
-    0.0, 1e-7, -1e-7, 20.0, -20.0, np.nextafter(20.0, 21.0), 25.0, -30.0,
-    POST_MED_BIG, -np.nextafter(POST_MED_BIG, 3e3),
+    0.0, 1e-7, -1e-7, float.fromhex("0x1.4efb3d95f3f5bp-63"), 20.0, -20.0,
+    np.nextafter(20.0, 21.0), 25.0, -30.0, POST_MED_BIG, -np.nextafter(POST_MED_BIG, 3e3),
 ]
 
 
@@ -780,6 +785,24 @@ class TestDenoise:
         assert res.zero_frac == sum(d == 0.0 for d in details) / len(details)
         # pure noise: most details shrink to exactly 0
         assert res.zero_frac > 0.5
+
+
+class TestPassThroughLevels:
+    @pytest.mark.parametrize("acr", lifting.VARIANTS)
+    def test_details_passed_through_are_bitwise(self, acr):
+        """The `keep_coarsest` coarsest levels are not shrunk, so `denoise`
+        returns their details exactly as `forward` gave them, not divided
+        by their gain and multiplied back."""
+        lg = build_line_graph(sample_network(100, seed=7))
+        values = dict(zip(lg.ids, np.random.default_rng(0).normal(size=lg.m).tolist()))
+        cfg = LiftingConfig.from_acronym(acr)
+        coeffs, record = forward(values, lg, cfg)
+        res = denoise(values, lg, cfg)
+        top = max(record.levels.values()) + 1 - ShrinkageConfig().keep_coarsest
+        kept = [k for k in record.removal_order if record.levels[k] >= top]
+        assert len(kept) == 32 and res.zero_frac > 0
+        assert _bits([res.shrunk_details[k] for k in kept]) == _bits(
+            [coeffs.details[k] for k in kept])
 
 
 class TestOneForwardReplay:
