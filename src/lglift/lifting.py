@@ -4,10 +4,11 @@ Each stage removes the new vertex with the smallest integral (or the next
 one of a given trajectory), predicts its value from its neighbours, updates
 neighbour integrals and coefficients with a minimum-norm filter, and
 relinks the neighbourhood so the structure stays connected.  The order and
-the filters never depend on the data, so a planner (`_Lifter`, which leaves
-the relink to `LineGraph`, with `_Chooser` picking the order when none is
-given) writes them into a `LiftingRecord`, and two kernels
-(`_replay_forward`, `_replay_inverse`) replay it on a signal or a batch.
+the filters never depend on the data, so one planner (`_build_record`:
+one stage loop for both orders, the relink left to `LineGraph`, and
+`_Chooser` picking the order when none is given) writes them into a
+`LiftingRecord`, and two kernels (`_replay_forward`, `_replay_inverse`)
+replay it on a signal or a batch.
 The record stores the plan once, on line-graph positions, in the form
 the kernels read; `LiftingRecord.stages`, the same plan with ids, is a
 view built when first read, and no hot path reads it.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -252,7 +254,7 @@ class LiftingRecord:
     def _level_rows(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The detail rows (canonical order) sorted stably by artificial
         level, and their sorted levels; None without levels
-        (`shrinkage._by_level`)."""
+        (`shrinkage._denoise_plans`)."""
         levels = self.levels
         if levels is None:
             return None
@@ -302,66 +304,15 @@ def _weights(distances: Iterable[float], n: int, scheme: PredictionScheme) -> Li
     from any iterable (the planner maps a row over its neighbours)."""
     if scheme is PredictionScheme.MOVING_AVERAGE:
         return [1.0 / n] * n
-    inv = [1.0 / d if d > 0 else _degenerate(d) for d in distances]
+    inv = [1.0 / d if 0 < d < math.inf else _degenerate(d) for d in distances]
     total = sum(inv)
+    if not 0 < total < math.inf:  # tiny distances: a reciprocal or their sum overflows
+        raise LiftingError(f"inverse-distance weights out of range: reciprocal sum {total}")
     return [w / total for w in inv]
 
 
 def _degenerate(d: float) -> float:
     raise LiftingError(f"degenerate distance {d} in inverse-distance weights")
-
-
-class _Lifter:
-    """Mutable transform state on slots 0..m-1 (line-graph positions): one
-    weighted adjacency `adj[u] = {s: dist}`, the relink `LineGraph.metric_rows`
-    pairs with it, and the integrals, a plain list."""
-
-    def __init__(self, lg: LineGraph, config: LiftingConfig,
-                 initial_integrals: Optional[Mapping[Id, float]] = None):
-        if not (config.tau < lg.m):
-            raise LiftingError(f"stopping time {config.tau} must be below m={lg.m}")
-        if not lg.connected:
-            raise GraphError("line graph disconnected")
-        self.lg = lg
-        self.config = config
-        self.adj, self.relink = lg.metric_rows(config.metric_mode)
-        if initial_integrals is None:
-            # the same inputs as init_integrals, so the two agree exactly
-            self.integrals = _integrals(lg.ids, self.adj, config.integral_scheme)
-        else:
-            self.integrals = [float(initial_integrals[k]) for k in lg.ids]
-        for k, I in zip(lg.ids, self.integrals):
-            if not 0 < I < math.inf:
-                raise LiftingError(f"non-positive or non-finite initial integral at {k!r}")
-
-    def lift_stage(self, k: int, stage: int) -> Tuple[tuple, float, tuple]:
-        """Plan the removal of slot k: its step, integral and relink edges as
-        `LiftingRecord` keeps them.  k's row is replaced, not edited, so a
-        caller holding it still sees k's neighbours."""
-        row = self.adj[k]
-        if not row:
-            raise LiftingError(f"isolated vertex {self.lg.ids[k]!r} at stage {stage}")
-        neighbors = sorted(row)
-        a = _weights(map(row.__getitem__, neighbors), len(neighbors),
-                     self.config.prediction_scheme)
-
-        integrals = self.integrals
-        Ik = integrals[k]
-        for w, s in zip(a, neighbors):
-            integrals[s] += w * Ik
-        try:
-            denom = sum([integrals[s] ** 2 for s in neighbors])
-        except OverflowError:  # the square of a finite integral past the float range
-            denom = math.inf
-        if denom == math.inf:  # or an updated integral is inf
-            raise LiftingError(f"non-finite integral update at stage {stage}: integrals too large")
-        b = [integrals[s] * Ik / denom for s in neighbors]
-
-        added = self.relink(self.adj, k, neighbors)  # while k's edges are in place
-        for s in row:
-            del self.adj[s][k]
-        self.adj[k] = {}
-        return (k, tuple(zip(neighbors, a, b))), Ik, tuple(added)
 
 
 class _Chooser:
@@ -488,19 +439,31 @@ def _build_record(
     trajectory: Optional[Sequence[Id]] = None,
     initial_integrals: Optional[Mapping[Id, float]] = None,
 ) -> LiftingRecord:
-    """Plan the transform of `forward` on `lg`: the one planner."""
-    lifter = _Lifter(lg, config, initial_integrals)
-    n_stages = lg.m - config.tau
-    initial = dict(zip(lg.ids, lifter.integrals))
-    if trajectory is None:
-        chooser = _Chooser(lifter.integrals, config.rng_seed)
-        planned = []
-        for i in range(n_stages):
-            k = chooser.choose()
-            row = lifter.adj[k]  # lift_stage leaves this dict whole
-            planned.append(lifter.lift_stage(k, lg.m - i))
-            chooser.removed(k, row)
+    """Plan the transform of `forward` on `lg`: the one planner, one stage
+    loop for both orders.  Its state is on slots 0..m-1 (line-graph
+    positions): the weighted adjacency `adj[u] = {s: dist}`, the relink
+    `LineGraph.metric_rows` pairs with it, and the integrals, a list."""
+    m, ids = lg.m, lg.ids
+    if not (config.tau < m):
+        raise LiftingError(f"stopping time {config.tau} must be below m={m}")
+    if not lg.connected:
+        raise GraphError("line graph disconnected")
+    adj, relink = lg.metric_rows(config.metric_mode)
+    if initial_integrals is None:
+        # the same inputs as init_integrals, so the two agree exactly
+        integrals = _integrals(ids, adj, config.integral_scheme)
     else:
+        integrals = [float(initial_integrals[k]) for k in ids]
+    for k, I in zip(ids, integrals):
+        if not 0 < I < math.inf:
+            raise LiftingError(f"non-positive or non-finite initial integral at {k!r}")
+    initial = dict(zip(ids, integrals))
+
+    n_stages = m - config.tau
+    if trajectory is None:
+        chooser = _Chooser(integrals, config.rng_seed)
+    else:
+        chooser = None
         trajectory = list(trajectory)
         if len(trajectory) != n_stages:
             raise LiftingError(
@@ -511,21 +474,51 @@ def _build_record(
         bad = [k for k in trajectory if k not in lg.index]
         if bad:
             raise LiftingError(f"trajectory references unknown ids {bad[:3]!r}")
-        planned = [lifter.lift_stage(lg.index[k], lg.m - i) for i, k in enumerate(trajectory)]
+        order = [lg.index[k] for k in trajectory]
+
+    predict = config.prediction_scheme
+    planned = []
+    for i in range(n_stages):
+        k = order[i] if chooser is None else chooser.choose()
+        row = adj[k]
+        if not row:
+            raise LiftingError(f"isolated vertex {ids[k]!r} at stage {m - i}")
+        neighbors = sorted(row)
+        a = _weights(map(row.__getitem__, neighbors), len(neighbors), predict)
+        Ik = integrals[k]
+        for w, s in zip(a, neighbors):
+            integrals[s] += w * Ik
+        try:
+            denom = sum([integrals[s] ** 2 for s in neighbors])
+        except OverflowError:  # the square of a finite integral past the float range
+            denom = math.inf
+        if denom == math.inf:  # or an updated integral is inf
+            raise LiftingError(f"non-finite integral update at stage {m - i}: integrals too large")
+        if denom < sys.float_info.min:  # subnormal or zero squares: b loses its digits
+            raise LiftingError(f"subnormal integral update at stage {m - i}: integrals too small")
+        b = [integrals[s] * Ik / denom for s in neighbors]
+
+        added = relink(adj, k, neighbors)  # while k's edges are in place
+        for s in row:
+            del adj[s][k]
+        adj[k] = {}  # replaced, not emptied: the chooser re-buckets k's neighbours from row
+        planned.append(((k, tuple(zip(neighbors, a, b))), Ik, tuple(added)))
+        if chooser is not None:
+            chooser.removed(k, row)
 
     # tau < m, so at least one stage
-    steps, integrals, edges = zip(*planned)
+    steps, step_integrals, step_edges = zip(*planned)
     gone = {k for k, _ in steps}
-    survivors = [u for u in range(lg.m) if u not in gone]
+    survivors = [u for u in range(m) if u not in gone]
     return LiftingRecord(
         steps=steps,
-        step_integrals=integrals,
-        step_edges=edges,
+        step_integrals=step_integrals,
+        step_edges=step_edges,
         initial_integrals=initial,
-        final_integrals={lg.ids[u]: lifter.integrals[u] for u in survivors},
-        surviving=tuple([lg.ids[u] for u in survivors]),
+        final_integrals={ids[u]: integrals[u] for u in survivors},
+        surviving=tuple([ids[u] for u in survivors]),
         config=config,
-        ids=lg.ids,
+        ids=ids,
     )
 
 
@@ -534,7 +527,11 @@ def inverse(coeffs: CoefficientSet, record: LiftingRecord) -> Dict[Id, float]:
     expected_details = set(record.removal_order)
     if set(coeffs.details) != expected_details or set(coeffs.scaling) != set(record.surviving):
         raise LiftingError("coefficient index sets do not match the record")
-    return dict(zip(record.ids, _replay_inverse(record, coeffs.as_vector(record)).tolist()))
+    c = coeffs.as_vector(record)
+    finite = np.isfinite(c)
+    if not finite.all():
+        raise LiftingError(f"non-finite coefficient at {record._order[int(np.argmin(finite))]!r}")
+    return dict(zip(record.ids, _replay_inverse(record, c).tolist()))
 
 
 def _rows(W: np.ndarray) -> list:

@@ -129,10 +129,10 @@ def weight_from_data(x: np.ndarray) -> float | np.ndarray:
     The likelihood score S(w) = sum beta/(1 + w*beta) is decreasing in w;
     the solution is bracketed between the universal-threshold weight w_lo
     and 1, and is exactly 1 where S(1) >= 0 and exactly w_lo where
-    S(w_lo) <= 0.  An interior root is found from w_lo by Newton's method
-    on w*S(w) = n - sum 1/(1 + w*beta), which is nearly linear in w; a step
-    that leaves the bracket is replaced by bisection.  Each column stops
-    once its step is within `WEIGHT_TOL`, and its sums run along one
+    S(w_lo) <= 0.  An interior root is found from w_lo by the safeguarded
+    Newton solver `_newton_root` on -w*S(w) = sum 1/(1 + w*beta) - n, which
+    is nearly linear in w and increasing through the root.  Each column
+    stops once its step is within `WEIGHT_TOL`, and its sums run along one
     contiguous row, so a weight does not depend on the other columns.  A
     column whose score is not finite (one with a NaN or infinite
     coefficient) has no weight: NaN in a batch, ShrinkageError for one
@@ -145,34 +145,25 @@ def weight_from_data(x: np.ndarray) -> float | np.ndarray:
     wlo = weight_from_thresh(math.sqrt(2.0 * math.log(n)))
     beta = beta_cauchy(np.ascontiguousarray(x.reshape(n, -1).T))
     s_one = np.sum(beta / (1.0 + beta), axis=1)
-    t = beta / (1.0 + wlo * beta)
-    s = np.sum(t, axis=1)
+    s = np.sum(beta / (1.0 + wlo * beta), axis=1)
     w = np.where(s_one >= 0, 1.0, np.where(s <= 0, wlo, np.nan))
-
     idx = np.flatnonzero((s_one < 0) & (s > 0))
-    beta, t, s = beta[idx], t[idx], s[idx]
-    cur = lo = np.full(idx.size, wlo)
-    hi = np.ones(idx.size)
-    while idx.size:
-        # (w S)' = S + w S' with S' = -sum t^2
-        step = cur * s / (cur * np.sum(t * t, axis=1) - s)
-        new = cur + step
-        done = (np.abs(step) <= WEIGHT_TOL) | (hi - lo <= WEIGHT_TOL)
-        if done.any():
-            w[idx[done]] = np.clip(new[done], lo[done], hi[done])
-            open_ = ~done
-            idx, beta, new, lo, hi = idx[open_], beta[open_], new[open_], lo[open_], hi[open_]
-        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
-        t = beta / (1.0 + new[:, None] * beta)
-        s = np.sum(t, axis=1)
-        lo = np.where(s > 0, new, lo)
-        hi = np.where(s < 0, new, hi)
-        cur = new
+    start = np.full(idx.size, wlo)
+    w[idx] = _newton_root(_weight_objective, start, (beta[idx],), start, np.ones(idx.size),
+                          np.full(idx.size, WEIGHT_TOL))
     if x.ndim > 1:
         return w
     if np.isnan(w[0]):
         raise ShrinkageError("cannot fit mixing weight: the likelihood score is not finite")
     return float(w[0])
+
+
+def _weight_objective(w: np.ndarray, beta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """-w S(w) and its slope -(S + w S') = w sum t^2 - S, with t = beta/(1 +
+    w beta), at trial weights `w` for the rows of `beta`."""
+    t = beta / (1.0 + w[:, None] * beta)
+    s = np.sum(t, axis=1)
+    return -(w * s), w * np.sum(t * t, axis=1) - s
 
 
 def _mills(mu: np.ndarray) -> np.ndarray:
@@ -188,7 +179,7 @@ def _cauchy_med_half_yl(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
 
 
 def _cauchy_med_objective(
-    x: np.ndarray, half_yl: np.ndarray, mu: np.ndarray | float
+    mu: np.ndarray | float, x: np.ndarray, half_yl: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The posterior median's objective g and its slope g' at magnitudes
     `x` and trial medians `mu`.
@@ -217,7 +208,7 @@ def _cauchy_med_at_zero(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
 
 
 def _cauchy_med_objective_small(
-    x: np.ndarray, g0: np.ndarray, mu: np.ndarray
+    mu: np.ndarray, x: np.ndarray, g0: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """`_cauchy_med_objective` for |x| < `POST_MED_SMALL`, without its
     cancellation: g(mu) = g(0) + the integral of g' over [0, mu], with
@@ -230,34 +221,35 @@ def _cauchy_med_objective_small(
     return g0 + x2 * mu * np.sum(_GL_WEIGHTS * h[:-1], axis=0), x2 * h[-1]
 
 
-def _newton_median(x: np.ndarray, aux: np.ndarray, mu: np.ndarray, objective) -> np.ndarray:
-    """The root in [0, x] of `objective(x, aux, mu)`, which returns g and
-    g' > 0 with g(0) < 0, by Newton steps from `mu` inside a bracket that
-    the sign of g narrows; a step that leaves the open bracket is replaced
-    by its midpoint.  Each coefficient stops on its own, once its step or
-    its bracket is within `POST_MED_TOL` max(1, x); a NaN stops after its
-    first evaluation."""
-    med = np.empty_like(x)
-    idx = np.arange(x.size)
-    lo, hi = np.zeros_like(x), x
-    tol = POST_MED_TOL * np.maximum(1.0, x)
+def _newton_root(objective, x0: np.ndarray, aux: tuple, lo: np.ndarray, hi: np.ndarray,
+                 tol: np.ndarray) -> np.ndarray:
+    """The root in [lo, hi] of `objective(x, *aux)`, which returns g and
+    g' at trial points x, g increasing through the root, by Newton steps
+    from x0 inside a bracket that the sign of g narrows (g <= 0 raises lo,
+    else hi comes down); a step that leaves the open bracket is replaced by
+    its midpoint.  All arrays hold one entry (a row for `aux`) per root.
+    Each root stops on its own, once its step or its bracket is within its
+    `tol`; a NaN stops after its first evaluation.  The weight fit and the
+    posterior median both solve with it."""
+    root = np.empty_like(x0)
+    idx = np.arange(x0.size)
+    x = x0
     while idx.size:
-        g, slope = objective(x, aux, mu)
+        g, slope = objective(x, *aux)
         below = g <= 0
-        lo = np.where(below, mu, lo)
-        hi = np.where(below, hi, mu)
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
         step = g / slope
-        new = mu - step
+        new = x - step
         # a NaN compares false, so it leaves at once
         open_ = (np.abs(step) > tol) & (hi - lo > tol)
         if not open_.all():
             shut = ~open_
-            med[idx[shut]] = np.clip(new[shut], lo[shut], hi[shut])
-            idx, x, aux, lo, hi, tol, new = (
-                a[open_] for a in (idx, x, aux, lo, hi, tol, new)
-            )
-        mu = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
-    return med
+            root[idx[shut]] = np.clip(new[shut], lo[shut], hi[shut])
+            idx, lo, hi, tol, new = (a[open_] for a in (idx, lo, hi, tol, new))
+            aux = tuple([a[open_] for a in aux])
+        x = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+    return root
 
 
 def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
@@ -267,7 +259,7 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     The objective increases in the median, so where it is >= 0 at 0 the
     median is 0, settled by that one evaluation.  The rest of |x| <=
     `POST_MED_BIG` is found in [0, |x|] by safeguarded Newton steps on the
-    objective and its closed-form slope (`_newton_median`), from the
+    objective and its closed-form slope (`_newton_root`), from the
     asymptote |x| - 2/|x| clipped into that bracket; about 4 evaluations
     where the bisection took up to 48 halvings.  Each coefficient stops on
     its own, so a median does not depend on the other coefficients in the
@@ -282,7 +274,7 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     work = np.where(big, 0.0, mag).ravel()
     wt = np.broadcast_to(w, x.shape).ravel()
     half_yl = _cauchy_med_half_yl(work, wt)
-    g0 = _cauchy_med_objective(work, half_yl, 0.0)[0]
+    g0 = _cauchy_med_objective(0.0, work, half_yl)[0]
     small = work < POST_MED_SMALL
     g0[small] = _cauchy_med_at_zero(work[small], wt[small])
 
@@ -296,7 +288,8 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(group)
         if idx.size:
             xs = work[idx]
-            med[idx] = _newton_median(xs, aux[idx], np.clip(xs - 2.0 / xs, 0.0, xs), objective)
+            med[idx] = _newton_root(objective, np.clip(xs - 2.0 / xs, 0.0, xs), (xs, aux[idx]),
+                                    np.zeros_like(xs), xs, POST_MED_TOL * np.maximum(1.0, xs))
     med = med.reshape(x.shape)
 
     med[big] = mag[big] - 2.0 / mag[big]
@@ -341,7 +334,10 @@ def estimate_sigma_mad(details: np.ndarray, levels: np.ndarray) -> float:
     `details` and the int array `levels` are aligned (canonical detail
     order); sigma = median(|d - median(d)|) / 0.6745 over level-0 details.
     """
-    sigma = float(_mad_sigma(np.asarray(details, dtype=float)[np.asarray(levels) == 0]))
+    details, levels = np.asarray(details, dtype=float), np.asarray(levels)
+    if levels.shape != details.shape[:1]:
+        raise ShrinkageError(f"{levels.size} levels for {len(details)} details: need one each")
+    sigma = float(_mad_sigma(details[levels == 0]))
     if not sigma > 0:
         raise ShrinkageError(f"degenerate finest level: MAD noise estimate {sigma} is not positive")
     return sigma
@@ -395,8 +391,15 @@ def ebayes_threshold(
     column (0.5, with a warning, where the fit fails), and rescaled.  The
     weight is a float for one signal, else (B,).
     """
-    details = np.asarray(details, dtype=float)
-    out, w, _, _ = _ebayes(details.reshape(len(details), -1), sigma, np.asarray(levels), config)
+    details, levels = np.asarray(details, dtype=float), np.asarray(levels)
+    block = details.reshape(len(details), -1)
+    if levels.shape != (len(block),):
+        raise ShrinkageError(f"{levels.size} levels for {len(block)} detail rows: need one each")
+    if np.ndim(sigma) and np.shape(sigma) != (block.shape[1],):
+        raise ShrinkageError(
+            f"sigma of shape {np.shape(sigma)} for {block.shape[1]} columns: need one each"
+        )
+    out, w, _, _ = _ebayes(block, sigma, levels, config)
     if details.ndim > 1:
         return out, w
     return out.reshape(details.shape), float(w[0])
@@ -406,21 +409,6 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
     """Per-detail noise gain: the 2-norm of that forward-matrix row, kept
     on the record after its first replay; every call returns a fresh dict."""
     return dict(record._gains)
-
-
-def _by_level(record: LiftingRecord) -> Tuple[np.ndarray, np.ndarray]:
-    """The detail rows of `record` (canonical order) sorted stably by
-    artificial level, and their sorted levels, kept on the record after
-    the first call.
-
-    The level bounds depend only on m and the level count, so every plan of
-    one line graph has the same sorted levels: the shrink core runs any
-    batch of plans on one level vector, and always sums in this row order.
-    """
-    by_level = record._level_rows
-    if by_level is None:
-        raise ShrinkageError("too few detail coefficients to denoise")
-    return by_level
 
 
 def _mad_pool_level(lev: np.ndarray) -> int:
@@ -470,7 +458,13 @@ def _denoise_plans(
     """
     blocks = []
     for record, C in plans:
-        rows, lev = _by_level(record)
+        by_level = record._level_rows  # the detail rows sorted stably by level
+        if by_level is None:
+            raise ShrinkageError("too few detail coefficients to denoise")
+        rows, lev = by_level
+        # the level bounds depend only on m and the level count, so every
+        # plan of one line graph has the same sorted levels: the shrink core
+        # runs the batch on one level vector, and always sums in this order
         if blocks and not np.array_equal(lev, levels):
             raise ShrinkageError("plans of one batch must share their level counts")
         levels = lev

@@ -158,6 +158,20 @@ class TestPredictWeights:
         with pytest.raises(LiftingError, match="degenerate distance"):
             predict_weights([1.0, 0.0], PredictionScheme.INVERSE_DISTANCE)
 
+    def test_infinite_distance_rejected(self):
+        # its reciprocal 0 would give a zero weight, and two of them 0/0
+        with pytest.raises(LiftingError, match="degenerate distance inf"):
+            predict_weights([1.0, math.inf], PredictionScheme.INVERSE_DISTANCE)
+        with pytest.raises(LiftingError, match="degenerate distance inf"):
+            predict_weights([math.inf, math.inf], PredictionScheme.INVERSE_DISTANCE)
+
+    @pytest.mark.parametrize("d", [1e-308, 1e-320])
+    def test_overflowing_reciprocals_rejected(self, d):
+        # 1/1e-308 is finite but two of them sum to inf (weights 0), and
+        # 1/1e-320 is inf (weights NaN)
+        with pytest.raises(LiftingError, match="reciprocal sum inf"):
+            predict_weights([d, d], PredictionScheme.INVERSE_DISTANCE)
+
     @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=12))
     def test_weights_normalized(self, dists):
         for scheme in PredictionScheme:
@@ -339,6 +353,78 @@ class TestForward:
             assert list(s0.b) == pytest.approx(list(s1.b), abs=1e-10)
 
 
+class TestTinyScales:
+    """sample_network(40, seed=3) with its lengths or coordinates scaled
+    down: filters that underflow are a lifting error, not wrong numbers."""
+
+    @staticmethod
+    def scaled(factor=1.0, smallest=None, coords=False):
+        base = build_line_graph(sample_network(40, seed=3))
+        lengths = base.edge_lengths
+        if smallest is not None:
+            factor = smallest / min(lengths.values())
+        adj = {k: {base.ids[s] for s in row} for k, row in zip(base.ids, base.rows)}
+        if coords:
+            xy = {k: (factor * x, factor * y) for k, (x, y) in base.coords.items()}
+            return make_lg(adj, coords=xy)
+        return make_lg(adj, lengths={k: factor * v for k, v in lengths.items()})
+
+    @staticmethod
+    def values(lg):
+        return {k: math.sin(j) for j, k in enumerate(lg.ids)}
+
+    @pytest.mark.parametrize("factor, acr", [
+        (1e-160, "LG-Aid-p"), (1e-160, "LG-Sid-p"), (1e-170, "LG-Sid-p"),
+    ])
+    def test_underflowing_update_filter_rejected(self, factor, acr):
+        # the squares of the updated integrals are subnormal (1e-160) or 0
+        lg = self.scaled(factor)
+        with pytest.raises(LiftingError, match="integrals too small"):
+            forward(self.values(lg), lg, LiftingConfig.from_acronym(acr))
+
+    def test_overflowing_inverse_distances_rejected(self):
+        lg = self.scaled(smallest=1e-318)
+        with pytest.raises(LiftingError, match="reciprocal sum inf"):
+            forward(self.values(lg), lg, LiftingConfig.from_acronym("LG-Did-p"))
+
+    def test_tiny_station_spacing_rejected(self):
+        lg = self.scaled(1e-310, coords=True)
+        with pytest.raises(LiftingError, match="inverse-distance weights"):
+            forward(self.values(lg), lg, LiftingConfig.from_acronym("LG-Sid-c"))
+
+    def test_delta_moving_average_still_plans(self):
+        lg = self.scaled(1e-200)
+        coeffs, record = forward(self.values(lg), lg, LiftingConfig.from_acronym("LG-Dnw-p"))
+        assert inverse(coeffs, record) == pytest.approx(self.values(lg))
+
+    @pytest.mark.parametrize("acr", [v for v in VARIANTS if v.endswith("-p")])
+    def test_small_lengths_keep_the_details(self, acr):
+        base, lg = self.scaled(), self.scaled(1e-150)
+        config = LiftingConfig.from_acronym(acr)
+        want, _ = forward(self.values(base), base, config)
+        got, _ = forward(self.values(lg), lg, config)
+        assert got.details.keys() == want.details.keys()
+        for k, v in want.details.items():
+            assert got.details[k] == pytest.approx(v, abs=1e-12)
+
+
+class TestErrorOrder:
+    """A call with two faults raises the earlier check's error."""
+
+    def test_tau_before_trajectory(self, small_tree_lg):
+        values = dict.fromkeys(small_tree_lg.ids, 1.0)
+        config = LiftingConfig(tau=small_tree_lg.m)
+        with pytest.raises(LiftingError, match="stopping time"):
+            forward(values, small_tree_lg, config, trajectory=["nowhere"])
+
+    def test_metric_inputs_before_trajectory(self, path3_lg):
+        # coordinates only, as a stations file gives: no path metric
+        values = dict.fromkeys(path3_lg.ids, 1.0)
+        config = LiftingConfig.from_acronym("LG-Sid-p")
+        with pytest.raises(GraphError, match="no source edge lengths"):
+            forward(values, path3_lg, config, trajectory=["A", "A", "nowhere"])
+
+
 class TestTrajectory:
     def test_forward_order_reproduces_forward(self, mst_lg, rng):
         cfg = LiftingConfig.from_acronym("LG-Snw-c")
@@ -422,6 +508,16 @@ class TestInverse:
         coeffs, record = forward(values, small_tree_lg, LiftingConfig())
         coeffs.details.pop(next(iter(coeffs.details)))
         with pytest.raises(LiftingError, match="do not match"):
+            inverse(coeffs, record)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        lg = build_line_graph(sample_network(30, seed=1))
+        values = {k: math.cos(j) for j, k in enumerate(lg.ids)}
+        coeffs, record = forward(values, lg, LiftingConfig.from_acronym("LG-Aid-c"))
+        k = record.removal_order[3]
+        coeffs.details[k] = bad
+        with pytest.raises(LiftingError, match=f"non-finite coefficient at {k!r}"):
             inverse(coeffs, record)
 
     def test_wavelet_vector_round_trip(self, small_tree_lg):

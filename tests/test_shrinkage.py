@@ -701,6 +701,10 @@ class TestMad:
         with pytest.raises(ShrinkageError, match="insufficient"):
             estimate_sigma_mad(np.array([1.0, 2.0]), np.array([0, 0]))
 
+    def test_misaligned_levels_rejected(self):
+        with pytest.raises(ShrinkageError, match="5 levels for 10 details"):
+            estimate_sigma_mad(np.ones(10), np.zeros(5, dtype=int))
+
     def test_monte_carlo_consistency(self, rng):
         draws = rng.normal(size=1000)
         details = draws
@@ -736,6 +740,16 @@ class TestEbayesThreshold:
     def test_bad_sigma_rejected(self):
         with pytest.raises(ShrinkageError, match="positive"):
             ebayes_threshold(np.array([1.0]), 0.0, np.array([0]))
+
+    def test_misaligned_levels_rejected(self):
+        with pytest.raises(ShrinkageError, match="8 levels for 10 detail rows"):
+            ebayes_threshold(np.arange(10.0), 1.0, np.arange(8) // 3)
+
+    @pytest.mark.parametrize("shape", [(10,), (10, 3)])
+    def test_sigma_per_column_mismatch_rejected(self, shape):
+        details = np.ones(shape)
+        with pytest.raises(ShrinkageError, match=r"sigma of shape \(2,\)"):
+            ebayes_threshold(details, np.ones(2), np.arange(10) // 4)
 
     @pytest.mark.parametrize("keep", [1.5, True, "2"])
     def test_non_integer_keep_coarsest_rejected(self, keep):
