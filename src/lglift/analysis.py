@@ -8,14 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graph import Id, LineGraph
-from .lifting import (
-    LiftingConfig,
-    LiftingError,
-    LiftingRecord,
-    _replay_forward,
-    _replay_inverse,
-    forward,
-)
+from .lifting import LiftingConfig, LiftingError, LiftingRecord, forward, inverse
 
 
 @dataclass(frozen=True)
@@ -47,22 +40,14 @@ def build_matrices(
     the inverse map on the coefficient basis (the identity matrix both
     times), so the two matrices are built independently of each other.
     """
-    record, forward_matrix = _forward_matrix(lg, config, trajectory)
+    coeffs, record = forward(np.eye(lg.m), lg, config, trajectory=trajectory)
     return TransformMatrices(
-        forward_matrix=forward_matrix,
-        inverse_matrix=_replay_inverse(record, np.eye(lg.m)),
+        forward_matrix=coeffs.vector,
+        inverse_matrix=inverse(np.eye(lg.m), record),
         coefficient_order=record._order,
         value_order=lg.ids,
         record=record,
     )
-
-
-def _forward_matrix(
-    lg: LineGraph, config: LiftingConfig, trajectory: Optional[Sequence[Id]] = None
-) -> Tuple[LiftingRecord, np.ndarray]:
-    """The plan of `build_matrices` and its forward matrix, without the inverse."""
-    _, record = forward({k: 0.0 for k in lg.ids}, lg, config, trajectory=trajectory)
-    return record, _replay_forward(record, np.eye(lg.m))
 
 
 def condition_number(matrices: TransformMatrices) -> float:
@@ -98,8 +83,8 @@ def sparsity_curve_single(
     """Greedy largest-|d| reconstruction error curve for one graph, from
     one inverse replay with a coefficient column per truncation."""
     coeffs, record = forward(true_values, lg, config)
-    c = coeffs.as_vector(record)
-    n = len(coeffs.details)
+    c = coeffs.vector
+    n = len(record.steps)
     # rank[i]: place of detail i in the greedy order, ties kept in removal
     # order; column t keeps the scaling coefficients and the t largest
     rank = np.empty(n, dtype=int)
@@ -107,5 +92,5 @@ def sparsity_curve_single(
     trials = np.tile(c[:, None], n + 1)
     trials[:n][rank[:, None] >= np.arange(n + 1)] = 0.0
     truth = np.array([true_values[k] for k in lg.ids], dtype=float)
-    ise = ((_replay_inverse(record, trials) - truth[:, None]) ** 2).sum(axis=0)
+    ise = ((inverse(trials, record) - truth[:, None]) ** 2).sum(axis=0)
     return SparsityCurve(ise=ise)

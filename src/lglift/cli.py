@@ -65,15 +65,24 @@ def _lift_config(args) -> LiftingConfig:
     return LiftingConfig.from_acronym(args.variant, tau=args.tau, rng_seed=args.seed)
 
 
-def _write_estimates_csv(path, lg, noisy, result) -> None:
+def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "noisy", "estimate", "residual"])
-        for k in lg.ids:
-            est = result.estimates[k]
-            writer.writerow(
-                [k, f"{noisy[k]:.17g}", f"{est:.17g}", f"{noisy[k] - est:.17g}"]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_estimates_csv(path, lg, noisy, result) -> None:
+    est = result.estimates
+    _write_csv(path, ["id", "noisy", "estimate", "residual"], (
+        [k, *(f"{v:.17g}" for v in (noisy[k], est[k], noisy[k] - est[k]))] for k in lg.ids
+    ))
+
+
+def _diagnostics(result) -> dict:
+    """The shrink diagnostics that the denoise and nlt manifests record."""
+    names = ("sigma_hat", "nu_hat", "zero_frac", "fallback_frac", "mad_pool_level")
+    return {name: getattr(result, name) for name in names}
 
 
 def _manifest(args, command: str, extra: dict = ()) -> None:
@@ -109,11 +118,7 @@ def cmd_forward(args) -> None:
 def cmd_inverse(args) -> None:
     coeffs, record = lio.read_transform(args.input)
     values = inverse(coeffs, record)
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "value"])
-        for k in record.ids:
-            writer.writerow([k, f"{values[k]:.17g}"])
+    _write_csv(args.output, ["id", "value"], ([k, f"{values[k]:.17g}"] for k in record.ids))
     print(f"inverse: {len(values)} values -> {args.output}")
 
 
@@ -123,17 +128,7 @@ def cmd_denoise(args) -> None:
     shrink = ShrinkageConfig(keep_coarsest=args.keep_coarsest, rule=args.rule)
     result = denoise(values, lg, _lift_config(args), shrink)
     _write_estimates_csv(args.output, lg, values, result)
-    _manifest(
-        args,
-        "denoise",
-        {
-            "sigma_hat": result.sigma_hat,
-            "nu_hat": result.nu_hat,
-            "zero_frac": result.zero_frac,
-            "fallback_frac": result.fallback_frac,
-            "mad_pool_level": result.mad_pool_level,
-        },
-    )
+    _manifest(args, "denoise", _diagnostics(result))
     print(
         f"denoise: sigma_hat={result.sigma_hat:.4g} nu_hat={result.nu_hat:.4g} -> {args.output}"
     )
@@ -147,18 +142,7 @@ def cmd_nlt(args) -> None:
         values, lg, _lift_config(args), shrink, args.trajectories, seed=args.seed
     )
     _write_estimates_csv(args.output, lg, values, result)
-    _manifest(
-        args,
-        "nlt",
-        {
-            "sigma_hat": result.sigma_hat,
-            "nu_hat": result.nu_hat,
-            "zero_frac": result.zero_frac,
-            "fallback_frac": result.fallback_frac,
-            "mad_pool_level": result.mad_pool_level,
-            "trajectories": len(singles),
-        },
-    )
+    _manifest(args, "nlt", {**_diagnostics(result), "trajectories": len(singles)})
     print(f"nlt: averaged {len(singles)} trajectories -> {args.output}")
 
 
@@ -175,20 +159,14 @@ def cmd_condnum(args) -> None:
         f"75%={qs[2]:.4f} max={max(kappas):.4f}"
     )
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["graph", "kappa"])
-            writer.writerows((q, f"{k:.17g}") for q, k in enumerate(kappas))
+        _write_csv(args.output, ["graph", "kappa"], enumerate(f"{k:.17g}" for k in kappas))
 
 
 def cmd_sparsity(args) -> None:
     lg = _load_line_graph(args.input)
     values = _require_values(lg)
     curve = sparsity_curve_single(values, lg, _lift_config(args))
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kept", "ise"])
-        writer.writerows((t, f"{v:.17g}") for t, v in curve.as_rows())
+    _write_csv(args.output, ["kept", "ise"], ((t, f"{v:.17g}") for t, v in curve.as_rows()))
     print(f"sparsity: {len(curve.ise)} points -> {args.output}")
 
 
@@ -213,10 +191,7 @@ def cmd_simulate(args) -> None:
         "bias_sq": report.bias_sq,
         "amse_std": report.amse_std,
     }
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
+    _write_csv(args.output, list(row), [list(row.values())])
     _manifest(args, "simulate", {"report": row})
     print(
         f"simulate: AMSE={report.amse:.4f} Var={report.variance:.4f} "
@@ -245,10 +220,7 @@ def cmd_flowsim(args) -> None:
         "variance": report.variance,
         "bias_sq": report.bias_sq,
     }
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
+    _write_csv(args.output, list(row), [list(row.values())])
     _manifest(args, "flowsim", {"report": row})
     print(f"flowsim: AMSE={report.amse:.4f} -> {args.output}")
 
@@ -277,47 +249,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("linegraph", help="map a graph file onto its line graph")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("linegraph", cmd_linegraph, "map a graph file onto its line graph")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_linegraph)
 
-    p = sub.add_parser("forward", help="run the forward transform")
+    p = command("forward", cmd_forward, "run the forward transform")
     _add_variant_options(p)
     p.add_argument("-o", "--output", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("inverse", help="reconstruct values from a serialized transform")
+    p = command("inverse", cmd_inverse, "reconstruct values from a serialized transform")
     p.add_argument("input", help="path prefix from the forward command")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_inverse)
 
-    p = sub.add_parser("denoise", help="shrink details and reconstruct")
+    p = command("denoise", cmd_denoise, "shrink details and reconstruct")
     _add_variant_options(p)
     _add_shrink_options(p)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("nlt", help="average the denoiser over random trajectories")
+    p = command("nlt", cmd_nlt, "average the denoiser over random trajectories")
     _add_variant_options(p)
     _add_shrink_options(p)
     p.add_argument("--trajectories", type=int, default=30)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_nlt)
 
-    p = sub.add_parser("condnum", help="condition numbers over sampled networks")
+    p = command("condnum", cmd_condnum, "condition numbers over sampled networks")
     _add_variant_options(p, with_input=False)
     p.add_argument("--graphs", type=int, default=50)
     p.add_argument("--vertices", type=int, default=100)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_condnum)
 
-    p = sub.add_parser("sparsity", help="greedy reconstruction error curve")
+    p = command("sparsity", cmd_sparsity, "greedy reconstruction error curve")
     _add_variant_options(p)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_sparsity)
 
-    p = sub.add_parser("simulate", help="AMSE study on sampled networks")
+    p = command("simulate", cmd_simulate, "AMSE study on sampled networks")
     _add_variant_options(p, with_input=False)
     p.add_argument("--field", default="quadrants")
     p.add_argument("--snr", type=float, default=3.0)
@@ -326,9 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int, default=100)
     p.add_argument("--embedding", choices=("pointwise", "edge_average"), default="pointwise")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("flowsim", help="denoising study on the flow fixture")
+    p = command("flowsim", cmd_flowsim, "denoising study on the flow fixture")
     _add_variant_options(p, with_input=False)
     p.set_defaults(variant="LG-Sid-p")
     p.add_argument("--sigma", type=float, default=1.0)
@@ -337,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="averaged multi-trajectory estimator when set")
     p.add_argument("--fixture-out", default=None)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_flowsim)
 
     return parser
 

@@ -120,13 +120,6 @@ class Graph:
     def is_connected(self) -> bool:
         return is_connected(self.vertex_ids(), [(e.u, e.v) for e in self.edges])
 
-    def edge_values(self) -> Dict[Id, float]:
-        out = {}
-        for e in self.edges:
-            if e.value is not None:
-                out[e.id] = e.value
-        return out
-
 
 class LineGraph:
     """Line graph: one new vertex per source edge, plus a metric provider.
@@ -392,7 +385,7 @@ def build_line_graph(graph: Graph) -> LineGraph:
     if graph.has_all_lengths():
         lengths = {e.id: e.length for e in graph.edges}
 
-    values = graph.edge_values() or None
+    values = {e.id: e.value for e in graph.edges if e.value is not None} or None
     return LineGraph([e.id for e in graph.edges], adjacency, coords, lengths, values)
 
 

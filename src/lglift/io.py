@@ -52,6 +52,10 @@ def _split_kv(tokens: List[str], lineno: int, allowed: Set[str]) -> Dict[str, fl
     return out
 
 
+#: the mode each directive belongs to
+_DIRECTIVE_MODE = {"vertex": "graph", "edge": "graph", "station": "stations", "link": "stations"}
+
+
 def parse_graph_text(text: str) -> Union[Graph, LineGraph]:
     """Parse a graph file; the `mode` line selects the returned type."""
     mode: Optional[str] = None
@@ -66,6 +70,8 @@ def parse_graph_text(text: str) -> Union[Graph, LineGraph]:
             continue
         tokens = line.split()
         kind = tokens[0]
+        if _DIRECTIVE_MODE.get(kind, mode) != mode:
+            raise ParseError(f"line {lineno}: {kind!r} outside {_DIRECTIVE_MODE[kind]} mode")
         if kind == "mode":
             if mode is not None:
                 raise ParseError(f"line {lineno}: duplicate mode declaration")
@@ -73,8 +79,6 @@ def parse_graph_text(text: str) -> Union[Graph, LineGraph]:
                 raise ParseError(f"line {lineno}: mode must be 'graph' or 'stations'")
             mode = tokens[1]
         elif kind == "vertex":
-            if mode != "graph":
-                raise ParseError(f"line {lineno}: 'vertex' outside graph mode")
             if len(tokens) not in (2, 4):
                 raise ParseError(f"line {lineno}: vertex takes id or id x y")
             coord = None
@@ -85,8 +89,6 @@ def parse_graph_text(text: str) -> Union[Graph, LineGraph]:
                 )
             vertices.append((_parse_id(tokens[1]), coord))
         elif kind == "edge":
-            if mode != "graph":
-                raise ParseError(f"line {lineno}: 'edge' outside graph mode")
             if len(tokens) < 4:
                 raise ParseError(f"line {lineno}: edge takes id u v [length=] [value=]")
             attrs = _split_kv(tokens[4:], lineno, {"length", "value"})
@@ -100,8 +102,6 @@ def parse_graph_text(text: str) -> Union[Graph, LineGraph]:
                 )
             )
         elif kind == "station":
-            if mode != "stations":
-                raise ParseError(f"line {lineno}: 'station' outside stations mode")
             if len(tokens) < 4:
                 raise ParseError(f"line {lineno}: station takes id x y [value=]")
             attrs = _split_kv(tokens[4:], lineno, {"value"})
@@ -116,8 +116,6 @@ def parse_graph_text(text: str) -> Union[Graph, LineGraph]:
                 )
             )
         elif kind == "link":
-            if mode != "stations":
-                raise ParseError(f"line {lineno}: 'link' outside stations mode")
             if len(tokens) != 3:
                 raise ParseError(f"line {lineno}: link takes two station ids")
             links.append((_parse_id(tokens[1]), _parse_id(tokens[2])))
@@ -317,7 +315,8 @@ def read_transform(prefix: str) -> Tuple[CoefficientSet, LiftingRecord]:
     naming the file, for a record that is not valid JSON or not a
     replayable record, and for a coefficients file without a kind, id or
     value column, with a kind other than detail or scaling, with a value
-    that is not a finite number, or with an id on two rows."""
+    that is not a finite number, or with an id on two rows; LiftingError
+    for ids that are not the record's (`CoefficientSet.from_dicts`)."""
     record_path, coeffs_path = f"{prefix}.record.json", f"{prefix}.coeffs.csv"
     with open(record_path) as fh:
         try:
@@ -338,7 +337,7 @@ def read_transform(prefix: str) -> Tuple[CoefficientSet, LiftingRecord]:
             if row["kind"] not in ("detail", "scaling"):
                 raise ParseError(f"{coeffs_path} line {reader.line_num}: kind "
                                  f"{row['kind']!r} is not detail or scaling")
-            # an id the record lacks stays text; `inverse` rejects the mismatch
+            # an id the record lacks stays text; `from_dicts` rejects the mismatch
             k = by_text.get(row["id"], row["id"])
             try:
                 value = float(row["value"])
@@ -350,7 +349,7 @@ def read_transform(prefix: str) -> Tuple[CoefficientSet, LiftingRecord]:
             if k in details or k in scaling:
                 raise ParseError(f"{coeffs_path} line {reader.line_num}: id {k!r} repeated")
             (details if row["kind"] == "detail" else scaling)[k] = value
-    return CoefficientSet(details=details, scaling=scaling), record
+    return CoefficientSet.from_dicts(details, scaling, record), record
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ relinks the neighbourhood so the structure stays connected.  The order and
 the filters never depend on the data, so one planner (`_build_record`:
 one stage loop for both orders, the relink left to `LineGraph`, and
 `_Chooser` picking the order when none is given) writes them into a
-`LiftingRecord`, and two kernels (`_replay_forward`, `_replay_inverse`)
-replay it on a signal or a batch.
-The record stores the plan once, on line-graph positions, in the form
-the kernels read; `LiftingRecord.stages`, the same plan with ids, is a
-view built when first read, and no hot path reads it.
+`LiftingRecord`, and `forward` and `inverse` replay it on a signal or an
+(m, B) batch through two kernels (`_replay_forward`, `_replay_inverse`).
+The record stores the plan once, on line-graph positions, in the form the
+kernels read, and the coefficients stay one array (`CoefficientSet`); the
+same with ids, `LiftingRecord.stages` and the coefficient dicts, are views
+built when first read, and no hot path reads them.
 A free-order plan depends only on the line graph and the config, so
 `forward` plans each such pair once (`_PLANS`); what depends only on the
 plan (coefficient order, scales, levels, detail gains) is kept on it.
@@ -27,6 +28,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -263,17 +265,37 @@ class LiftingRecord:
         return rows, lev[rows]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Details plus surviving scaling coefficients."""
+    """The coefficients of `record`, (m,) or (m, B), in its canonical order
+    (`LiftingRecord._order`); `details` and `scaling`, read-only dicts of them
+    by id (a list per row for a batch) built when first read, decide `==`."""
 
-    details: Dict[Id, float]
-    scaling: Dict[Id, float]
+    vector: np.ndarray
+    record: LiftingRecord
 
-    def as_vector(self, record: LiftingRecord) -> np.ndarray:
-        """Coefficients in canonical order (`LiftingRecord._order`)."""
-        coeffs = {**self.details, **self.scaling}
-        return np.array([coeffs[k] for k in record._order], dtype=float)
+    @classmethod
+    def from_dicts(cls, details, scaling, record: LiftingRecord) -> "CoefficientSet":
+        """The set of these coefficients by id, which must be the record's."""
+        if set(details) != set(record.removal_order) or set(scaling) != set(record.surviving):
+            raise LiftingError("coefficient index sets do not match the record")
+        coeffs = {**details, **scaling}
+        return cls(np.array([coeffs[k] for k in record._order], dtype=float), record)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoefficientSet):
+            return NotImplemented
+        return (self.details, self.scaling) == (other.details, other.scaling)
+
+    @cached_property
+    def details(self) -> Mapping[Id, float]:
+        n = len(self.record.steps)
+        return MappingProxyType(dict(zip(self.record.removal_order, self.vector[:n].tolist())))
+
+    @cached_property
+    def scaling(self) -> Mapping[Id, float]:
+        n = len(self.record.steps)
+        return MappingProxyType(dict(zip(self.record.surviving, self.vector[n:].tolist())))
 
 
 def init_integrals(
@@ -292,10 +314,14 @@ def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> Lis
     """Nonnegative prediction weights summing to one.
 
     Inverse-distance weights are proportional to 1/dist; moving average is
-    uniform over the neighbourhood.
+    uniform over the neighbourhood.  Either way each distance must be finite
+    and positive.
     """
     if not distances:
         raise LiftingError("prediction requires at least one neighbor")
+    for d in distances:
+        if not 0 < d < math.inf:
+            raise LiftingError(f"degenerate distance {d} in prediction weights")
     return _weights(distances, len(distances), scheme)
 
 
@@ -394,7 +420,7 @@ _PLANS: "weakref.WeakKeyDictionary[LineGraph, Dict[LiftingConfig, LiftingRecord]
 
 
 def forward(
-    values: Mapping[Id, float],
+    values: Mapping[Id, float] | np.ndarray,
     lg: LineGraph,
     config: LiftingConfig,
     trajectory: Optional[Sequence[Id]] = None,
@@ -402,23 +428,23 @@ def forward(
 ) -> Tuple[CoefficientSet, LiftingRecord]:
     """Run the full decomposition down to tau scaling coefficients.
 
-    The removal order follows the minimum-integral rule (ties broken by the
-    seeded generator) unless an explicit trajectory is given.  Passing
-    `initial_integrals` overrides the scheme's initialisation.
+    `values` is a mapping by id or an array in `lg.ids` order, (m,) or a
+    batch (m, B).  The removal order follows the minimum-integral rule (ties
+    broken by the seeded generator) unless an explicit trajectory is given.
+    Passing `initial_integrals` overrides the scheme's initialisation.
 
     A free-order plan (no trajectory, no initial integrals) is made once per
     line graph and config and kept until the line graph is collected: later
     calls replay the same `LiftingRecord` object, which callers must treat
     as read-only.  A planning error is raised on every call.
     """
-    try:
-        x = np.array([values[k] for k in lg.ids], dtype=float)
-    except KeyError:
-        missing = [k for k in lg.ids if k not in values]
-        raise LiftingError(f"missing values for new vertices {missing[:3]!r}") from None
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise LiftingError(f"non-finite value at {lg.ids[int(np.argmin(finite))]!r}")
+    if isinstance(values, Mapping):
+        try:
+            values = [values[k] for k in lg.ids]
+        except KeyError:
+            missing = [k for k in lg.ids if k not in values]
+            raise LiftingError(f"missing values for new vertices {missing[:3]!r}") from None
+    x = _checked(values, lg.ids, "value")
 
     if trajectory is None and initial_integrals is None:
         record = _PLANS.get(lg, {}).get(config)
@@ -426,11 +452,19 @@ def forward(
             record = _PLANS.setdefault(lg, {})[config] = _build_record(lg, config)
     else:
         record = _build_record(lg, config, trajectory, initial_integrals)
-    c = _replay_forward(record, x).tolist()
-    return CoefficientSet(
-        details=dict(zip(record.removal_order, c)),
-        scaling=dict(zip(record.surviving, c[len(record.steps):])),
-    ), record
+    return CoefficientSet(_replay_forward(record, x), record), record
+
+
+def _checked(X, ids: Sequence[Id], what: str) -> np.ndarray:
+    """X as a float array of shape (m,) or (m, B), m = len(ids), with
+    finite entries: else LiftingError, naming the id of a non-finite row."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or len(X) != len(ids):
+        raise LiftingError(f"{what}s of shape {X.shape}: need ({len(ids)},) or ({len(ids)}, B)")
+    finite = np.isfinite(X).reshape(len(X), -1).all(axis=1)
+    if not finite.all():
+        raise LiftingError(f"non-finite {what} at {ids[int(np.argmin(finite))]!r}")
+    return X
 
 
 def _build_record(
@@ -522,16 +556,18 @@ def _build_record(
     )
 
 
-def inverse(coeffs: CoefficientSet, record: LiftingRecord) -> Dict[Id, float]:
-    """Exact reconstruction by undoing each archived stage in reverse."""
-    expected_details = set(record.removal_order)
-    if set(coeffs.details) != expected_details or set(coeffs.scaling) != set(record.surviving):
-        raise LiftingError("coefficient index sets do not match the record")
-    c = coeffs.as_vector(record)
-    finite = np.isfinite(c)
-    if not finite.all():
-        raise LiftingError(f"non-finite coefficient at {record._order[int(np.argmin(finite))]!r}")
-    return dict(zip(record.ids, _replay_inverse(record, c).tolist()))
+def inverse(
+    coeffs: CoefficientSet | np.ndarray, record: LiftingRecord
+) -> Dict[Id, float] | np.ndarray:
+    """Exact reconstruction by undoing each archived stage in reverse: a dict
+    by id for a `CoefficientSet` (one of another record is read by id), an
+    array in `lg.ids` order for one in canonical order, (m,) or (m, B)."""
+    as_set = isinstance(coeffs, CoefficientSet)
+    if as_set and coeffs.record is not record:
+        coeffs = CoefficientSet.from_dicts(coeffs.details, coeffs.scaling, record)
+    C = _checked(coeffs.vector if as_set else coeffs, record._order, "coefficient")
+    X = _replay_inverse(record, C)
+    return dict(zip(record.ids, X.tolist())) if as_set else X
 
 
 def _rows(W: np.ndarray) -> list:
@@ -546,8 +582,8 @@ def _replay_forward(record: LiftingRecord, X) -> np.ndarray:
     """The recorded forward transform applied to X, of shape (m,) or (m, B).
 
     Rows of X follow the line-graph id order.  Rows of the result follow
-    the canonical coefficient order of `CoefficientSet.as_vector`: details
-    in removal order, then the scaling coefficients.
+    the canonical coefficient order of `CoefficientSet.vector`: details in
+    removal order, then the scaling coefficients.
     """
     # a copy: a batch is transformed in place
     return _replay_forward_positions(record, np.array(X, dtype=float))[record._canon]

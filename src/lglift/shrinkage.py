@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.optimize import brentq
 from scipy.special import erfcx, gammainc, ndtr
 
 from .graph import Id, LineGraph
-from .lifting import LiftingConfig, LiftingRecord, _is_count, _replay_inverse, forward
+from .lifting import CoefficientSet, LiftingConfig, LiftingRecord, _is_count, forward, inverse
 
 MAD_SCALE = 0.6745
 #: the posterior-median Newton iteration stops each coefficient once its step
@@ -62,18 +63,32 @@ class ShrinkageConfig:
             raise ShrinkageError(f"unknown shrinkage rule {self.rule!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class DenoiseResult:
-    estimates: Dict[Id, float]
+    """One denoised signal: the estimates in line-graph id order (`ids`) and
+    the shrunk details in removal order (`detail_ids`), as arrays, and as
+    dicts by id (`estimates`, `shrunk_details`) built when first read."""
+
+    ids: Tuple[Id, ...]
+    estimate_vector: np.ndarray
     sigma_hat: float
     nu_hat: float
-    shrunk_details: Dict[Id, float]
+    detail_ids: Tuple[Id, ...]
+    shrunk_vector: np.ndarray
     #: fraction of the m - tau shrunk details that are exactly 0
     zero_frac: float
     #: fraction of the signals whose mixing-weight fit fell back to 0.5
     fallback_frac: float
     #: the coarsest artificial level in the MAD noise estimate (0: the finest alone)
     mad_pool_level: int
+
+    @cached_property
+    def estimates(self) -> Dict[Id, float]:
+        return dict(zip(self.ids, self.estimate_vector.tolist()))
+
+    @cached_property
+    def shrunk_details(self) -> Dict[Id, float]:
+        return dict(zip(self.detail_ids, self.shrunk_vector.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +281,11 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     call.  Below |x| = `POST_MED_SMALL` the objective is one that does not
     cancel.  Larger |x| uses the asymptote, by then within `POST_MED_TOL`
     |x| of the median.  Medians below 1e-7 are clipped to exact zero;
-    the sign is that of x, and no median exceeds |x|.
+    the sign is that of x, and no median exceeds |x|.  A weight outside
+    (0, 1] raises ShrinkageError.
     """
+    if not np.all((np.asarray(w) > 0) & (np.asarray(w) <= 1)):  # NaN too
+        raise ShrinkageError(f"mixing weight must be in (0, 1], got {w!r}")
     x = np.asarray(x, dtype=float)
     mag = np.abs(x)
     big = mag > POST_MED_BIG
@@ -301,7 +319,9 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
 
 
 def thresh_from_weight(w: float) -> float:
-    """Hard-threshold location implied by a mixing weight."""
+    """Hard-threshold location implied by a mixing weight in (0, 1]."""
+    if not 0 < w <= 1:  # NaN too
+        raise ShrinkageError(f"mixing weight must be in (0, 1], got {w!r}")
 
     def objective(z: float) -> float:
         return _norm_moment2(z) - z * z * math.sqrt(2 * math.pi) * _norm_pdf1(z) * (1.0 / w - 1.0) / 2.0
@@ -411,13 +431,6 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
     return dict(record._gains)
 
 
-def _mad_pool_level(lev: np.ndarray) -> int:
-    """The coarsest level that the MAD pools, given sorted levels `lev`: on
-    very small graphs the finest level alone is too thin for a MAD, so it
-    pools upward from the finest until at least 3 coefficients are in hand."""
-    return int(np.argmax(np.cumsum(np.bincount(lev)) >= 3))
-
-
 def _shrink_core(
     Z: np.ndarray, lev: np.ndarray, shrink_config: ShrinkageConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -427,7 +440,9 @@ def _shrink_core(
     shrunk are a prefix of Z's, as the coarsest levels, which pass through,
     sort last; none are returned when no column is live.  A column whose
     MAD is zero (noiseless input) comes back unchanged with sigma = nu = 0."""
-    pool = _mad_pool_level(lev)
+    # the coarsest level the MAD pools: on very small graphs the finest level
+    # alone is too thin, so it pools upward until 3 coefficients are in hand
+    pool = int(np.argmax(np.cumsum(np.bincount(lev)) >= 3))
     sigma = _mad_sigma(Z[lev <= pool])
     nu = np.zeros_like(sigma)
     fallback = np.zeros(sigma.shape, dtype=bool)
@@ -443,21 +458,22 @@ def _shrink_core(
 
 
 def _denoise_plans(
-    plans: Sequence[Tuple[LiftingRecord, np.ndarray]], shrink_config: ShrinkageConfig
+    plans: Sequence[CoefficientSet], shrink_config: ShrinkageConfig
 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray, int]:
-    """Denoise each block of coefficients C, shape (m,) or (m, B) in the
-    canonical order (that of `_replay_forward` and `CoefficientSet.as_vector`),
-    on its plan `record`, in one shrink-core call for all columns.
+    """Denoise the coefficients of each plan, the (m,) or (m, B) `vector` of
+    a `CoefficientSet` on its `record`, in one shrink-core call for all
+    columns.
 
-    `plans` holds (record, C) pairs of one line graph.  Returns per plan the
-    estimates (line-graph id order) and the shrunk coefficients, both shaped
-    like its C, and sigma, nu and the weight-fit fallback mask over all
-    columns, plan after plan, and the coarsest level the MAD pooled (the
-    plans share their levels).  A column whose MAD is zero (noiseless
-    input) passes through with sigma = nu = 0.
+    `plans` are sets of one line graph.  Returns per plan the estimates
+    (line-graph id order) and the shrunk coefficients (canonical order),
+    both shaped like its vector, and sigma, nu and the weight-fit fallback
+    mask over all columns, plan after plan, and the coarsest level the MAD
+    pooled (the plans share their levels).  A column whose MAD is zero
+    (noiseless input) passes through with sigma = nu = 0.
     """
     blocks = []
-    for record, C in plans:
+    for coeffs in plans:
+        record, shape = coeffs.record, coeffs.vector.shape
         by_level = record._level_rows  # the detail rows sorted stably by level
         if by_level is None:
             raise ShrinkageError("too few detail coefficients to denoise")
@@ -468,8 +484,7 @@ def _denoise_plans(
         if blocks and not np.array_equal(lev, levels):
             raise ShrinkageError("plans of one batch must share their level counts")
         levels = lev
-        shape = np.shape(C)
-        C = np.array(C, dtype=float).reshape(len(record.ids), -1)
+        C = np.array(coeffs.vector, dtype=float).reshape(len(record.ids), -1)
         gains = np.fromiter(detail_gains(record).values(), float, len(rows))[rows, None]
         blocks.append((record, shape, rows, C, gains))
     Z = np.hstack([C[rows] / gains for _, _, rows, C, gains in blocks])
@@ -481,17 +496,21 @@ def _denoise_plans(
         C[rows[:n, None], live] = Z[:, j + live] * gains[:n]
         j += C.shape[1]
         C = C.reshape(shape)
-        out.append((_replay_inverse(record, C), C))
+        out.append((inverse(C, record), C))
     return out, sigma, nu, fallback, pool
 
 
 def _result(record: LiftingRecord, est, c, sigma, nu, fallback, pool) -> DenoiseResult:
+    if c.ndim > 1:  # the denoisers take one signal, as a mapping or an (m,) array
+        raise ShrinkageError(f"one signal at a time, not values of shape {est.shape}")
     details = c[: len(record.steps)]
     return DenoiseResult(
-        estimates=dict(zip(record.ids, est.tolist())),
+        ids=record.ids,
+        estimate_vector=est,
         sigma_hat=float(sigma),
         nu_hat=float(nu),
-        shrunk_details=dict(zip(record.removal_order, details.tolist())),
+        detail_ids=record.removal_order,
+        shrunk_vector=details,
         zero_frac=float(np.mean(details == 0.0)),
         fallback_frac=float(fallback),
         mad_pool_level=pool,
@@ -499,18 +518,17 @@ def _result(record: LiftingRecord, est, c, sigma, nu, fallback, pool) -> Denoise
 
 
 def denoise(
-    values: Mapping[Id, float],
+    values: Mapping[Id, float] | np.ndarray,
     lg: LineGraph,
     config: LiftingConfig,
     shrink_config: ShrinkageConfig = ShrinkageConfig(),
     trajectory: Optional[Sequence[Id]] = None,
 ) -> DenoiseResult:
-    """Transform the one signal with `forward`, shrink its coefficients in
-    the shrink core (`_denoise_plans`) and invert them."""
+    """Transform the one signal (a mapping by id or an (m,) array in
+    `lg.ids` order) with `forward`, shrink its coefficients in the shrink
+    core (`_denoise_plans`) and invert them."""
     coeffs, record = forward(values, lg, config, trajectory=trajectory)
-    [(est, c)], sigma, nu, fallback, pool = _denoise_plans(
-        [(record, coeffs.as_vector(record))], shrink_config
-    )
+    [(est, c)], sigma, nu, fallback, pool = _denoise_plans([coeffs], shrink_config)
     return _result(record, est, c, sigma[0], nu[0], fallback[0], pool)
 
 
@@ -536,14 +554,15 @@ def random_trajectories(
 
 
 def nlt_denoise(
-    values: Mapping[Id, float],
+    values: Mapping[Id, float] | np.ndarray,
     lg: LineGraph,
     config: LiftingConfig,
     shrink_config: ShrinkageConfig = ShrinkageConfig(),
     n_trajectories: int = 30,
     seed: int | Sequence[int] = 0,
 ) -> Tuple[DenoiseResult, List[DenoiseResult]]:
-    """Average the denoiser over random removal orders.
+    """Average the denoiser over random removal orders of one signal, a
+    mapping by id or an (m,) array in `lg.ids` order.
 
     Each trajectory gets an independent substream derived from (seed,
     index), so results do not depend on evaluation order.  `seed` is an
@@ -556,21 +575,23 @@ def nlt_denoise(
     """
     if not (_is_count(n_trajectories) and n_trajectories >= 1):
         raise ShrinkageError(f"n_trajectories must be a positive integer, got {n_trajectories!r}")
-    plans = []  # `random_trajectories` checks the seed
-    for traj in random_trajectories(lg, config, n_trajectories, seed):
-        coeffs, record = forward(values, lg, config, trajectory=traj)
-        plans.append((record, coeffs.as_vector(record)))
+    plans = [  # `random_trajectories` checks the seed
+        forward(values, lg, config, trajectory=traj)[0]
+        for traj in random_trajectories(lg, config, n_trajectories, seed)
+    ]
     blocks, sigma, nu, fallback, pool = _denoise_plans(plans, shrink_config)
     singles = [
-        _result(r, est, c, sigma[t], nu[t], fallback[t], pool)
-        for t, ((r, _), (est, c)) in enumerate(zip(plans, blocks))
+        _result(p.record, est, c, sigma[t], nu[t], fallback[t], pool)
+        for t, (p, (est, c)) in enumerate(zip(plans, blocks))
     ]
     mean_est = np.sum([est for est, _ in blocks], axis=0) / len(blocks)
     combined = DenoiseResult(
-        estimates=dict(zip(lg.ids, mean_est.tolist())),
+        ids=lg.ids,
+        estimate_vector=mean_est,
         sigma_hat=float(np.mean(sigma)),
         nu_hat=float(np.mean(nu)),
-        shrunk_details={},
+        detail_ids=(),
+        shrunk_vector=np.empty(0),
         zero_frac=float(np.mean([r.zero_frac for r in singles])),
         fallback_frac=float(np.mean(fallback)),
         # the trajectories of one line graph share their levels

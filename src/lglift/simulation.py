@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .graph import EdgeRec, Graph, Id, build_line_graph, euclidean_mst
-from .lifting import LiftingConfig, _is_count, _replay_forward, forward
+from .lifting import LiftingConfig, _is_count, forward
 from .shrinkage import ShrinkageConfig, _denoise_plans, nlt_denoise
 
 # substream tags; combined with the master seed they name an RNG stream
@@ -332,8 +332,7 @@ def run_experiment(
         ])
         noisy = truths[q][:, None] + noise
         # plan, gains and levels are data-independent: one plan per graph
-        _, record = forward(g, lg, lift_cfg)
-        [(est, _)], *_ = _denoise_plans([(record, _replay_forward(record, noisy))], shrink_config)
+        [(est, _)], *_ = _denoise_plans([forward(noisy, lg, lift_cfg)[0]], shrink_config)
         estimates[q] = est.T
     return compute_metrics(estimates, truths)
 
@@ -342,8 +341,8 @@ def condition_number_study(
     variant: str, n_graphs: int = 50, n_vertices: int = 100, seed: int = 0
 ) -> List[float]:
     """Condition number of the forward matrix over sampled networks: that
-    of `build_matrices`, which the study builds without the inverse."""
-    from .analysis import _condition, _forward_matrix
+    of `build_matrices` (the forward of the identity), without the inverse."""
+    from .analysis import _condition
 
     _check_count(n_graphs, 1, "need at least 1 graph")
     _check_count(seed, 0, _SEED)
@@ -352,7 +351,7 @@ def condition_number_study(
     for q in range(n_graphs):
         graph = sample_network(n_vertices, seed=(seed * 1000 + q))
         lg = build_line_graph(graph)
-        out.append(_condition(_forward_matrix(lg, cfg)[1]))
+        out.append(_condition(forward(np.eye(lg.m), lg, cfg)[0].vector))
     return out
 
 
@@ -383,13 +382,10 @@ def flow_experiment(
     rngs = [np.random.default_rng((seed, SUB_NOISE, r)) for r in range(n_replications)]
     noisy = truths.T + np.array([rng.normal(0, sigma, m) for rng in rngs]).T
     if nlt_trajectories is None:
-        _, record = forward(values, lg, cfg)
-        [(est, _)], *_ = _denoise_plans([(record, _replay_forward(record, noisy))], shrink_config)
+        [(est, _)], *_ = _denoise_plans([forward(noisy, lg, cfg)[0]], shrink_config)
         estimates[0] = est.T
     else:
-        for r, x in enumerate(noisy.T.tolist()):
-            res, _ = nlt_denoise(
-                dict(zip(lg.ids, x)), lg, cfg, shrink_config, nlt_trajectories, seed=seed * 100 + r
-            )
-            estimates[0, r] = [res.estimates[k] for k in lg.ids]
+        for r, x in enumerate(noisy.T):
+            res, _ = nlt_denoise(x, lg, cfg, shrink_config, nlt_trajectories, seed=seed * 100 + r)
+            estimates[0, r] = res.estimate_vector
     return compute_metrics(estimates, truths)

@@ -1,5 +1,6 @@
-"""The committed plan corpus: every record field the planner decides, for a
-fixed set of graphs, variants and removal orders, with floats as hex.
+"""The committed equivalence corpus: every record field the planner decides,
+and the outputs of the transform and the denoiser on each plan, for a fixed
+set of graphs, variants and removal orders, with floats as hex.
 
 `cases()` lists the plans: all 12 variants on the m = 99 MST of
 `sample_network(100, seed=7)`, and the 6 path-metric variants on two flow
@@ -9,6 +10,13 @@ free order and on 2 `random_trajectories`.  `summarize(record)` turns a
 record into plain JSON: the removal order, neighbours, survivors and
 relink edges as line-graph positions, and the filters, integrals and
 relink distances as `float.hex()`.
+
+`outputs()` gives, for the same cases and one fixed seeded noisy signal
+per graph (`noisy`), the coefficients in canonical order, the detail
+gains, the inverse of the coefficients, and `denoise` with the median rule
+and with the hard rule and `keep_coarsest` 0: its estimates, shrunk
+details and diagnostics.  It reads only the id-keyed public results
+(`details`, `scaling`, `inverse`'s dict, the `DenoiseResult` fields).
 
 `record_files()` gives the `write_transform` record JSON of three plans,
 which `records.json.gz` pins byte for byte: the record file format and
@@ -25,15 +33,18 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from lglift.graph import build_line_graph
 from lglift.io import parse_graph_text, write_transform
-from lglift.lifting import VARIANTS, LiftingConfig, forward
-from lglift.shrinkage import random_trajectories
-from lglift.simulation import generate_flow_fixture, sample_network
+from lglift.lifting import VARIANTS, LiftingConfig, forward, inverse
+from lglift.shrinkage import ShrinkageConfig, denoise, detail_gains, random_trajectories
+from lglift.simulation import embed_pointwise, generate_flow_fixture, get_field, sample_network
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 PATH = os.path.join(GOLDEN, "plans.json.gz")
 RECORDS_PATH = os.path.join(GOLDEN, "records.json.gz")
+OUTPUTS_PATH = os.path.join(GOLDEN, "outputs.json.gz")
 
 #: removal orders per graph besides the free one (`random_trajectories` seed 0)
 TRAJECTORIES = 2
@@ -65,19 +76,24 @@ def graphs():
     }
 
 
+def orders():
+    """(graph name, graph, line graph, variant, config, trajectory index or
+    None, trajectory or None) for every plan of the corpus, in corpus order."""
+    for name, (graph, variants) in graphs().items():
+        lg = build_line_graph(graph)
+        for acr in variants:
+            config = LiftingConfig.from_acronym(acr)
+            trajs = [None] + random_trajectories(lg, config, TRAJECTORIES, 0)
+            for t, traj in enumerate(trajs):
+                yield name, graph, lg, acr, config, (None if traj is None else t - 1), traj
+
+
 def cases():
     """(graph name, line graph, variant, trajectory index or None, record)
     for every plan of the corpus, in corpus order."""
-    for name, (graph, variants) in graphs().items():
-        lg = build_line_graph(graph)
+    for name, _, lg, acr, config, t, traj in orders():
         zeros = dict.fromkeys(lg.ids, 0.0)
-        for acr in variants:
-            config = LiftingConfig.from_acronym(acr)
-            orders = [None] + random_trajectories(lg, config, TRAJECTORIES, 0)
-            for t, traj in enumerate(orders):
-                yield name, lg, acr, (None if traj is None else t - 1), forward(
-                    zeros, lg, config, trajectory=traj
-                )[1]
+        yield name, lg, acr, t, forward(zeros, lg, config, trajectory=traj)[1]
 
 
 def summarize(record) -> dict:
@@ -115,6 +131,73 @@ def corpus() -> dict:
         ids[name] = [repr(k) for k in lg.ids]
         plans.append({"graph": name, "variant": acr, "trajectory": traj, **summarize(record)})
     return {"ids": ids, "plans": plans}
+
+
+def noisy(name: str, graph, lg) -> dict:
+    """The corpus graph's noisy signal by id: its truth (the quadrants field
+    at the edge midpoints of the MST, the fixture's flows, the lattice
+    file's values) plus N(0, 1) noise drawn in line-graph id order."""
+    if name.startswith("flow-"):
+        truth = generate_flow_fixture(int(name[5:]))[1]
+    elif name == "mst100-7":
+        truth = embed_pointwise(get_field("quadrants"), graph)
+    else:
+        truth = lg.values
+    noise = np.random.default_rng(0).normal(0.0, 1.0, lg.m)
+    return {k: truth[k] + float(e) for k, e in zip(lg.ids, noise)}
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def _denoised(values, lg, config, traj, shrink) -> dict:
+    res = denoise(values, lg, config, shrink, trajectory=traj)
+    return {
+        "estimates": _hex(res.estimates[k] for k in lg.ids),
+        "shrunk": _hex(res.shrunk_details.values()),
+        "diagnostics": _hex([res.sigma_hat, res.nu_hat, res.zero_frac, res.fallback_frac]),
+        "mad_pool_level": res.mad_pool_level,
+    }
+
+
+def outputs() -> dict:
+    """The outputs of the current code: one entry per corpus plan, on its
+    graph's `noisy` signal.  Coefficients are in canonical order (details
+    in removal order, then the scaling coefficients), gains in removal
+    order, estimates and the inverse in line-graph id order."""
+    out, signals = [], {}
+    median = ShrinkageConfig()
+    hard = ShrinkageConfig(rule="hard", keep_coarsest=0)
+    for name, graph, lg, acr, config, t, traj in orders():
+        if name not in signals:
+            signals[name] = noisy(name, graph, lg)
+        values = signals[name]
+        coeffs, record = forward(values, lg, config, trajectory=traj)
+        back = inverse(coeffs, record)
+        out.append({
+            "graph": name, "variant": acr, "trajectory": t,
+            "floats": {
+                "coefficients": _hex([*(coeffs.details[k] for k in record.removal_order),
+                                      *(coeffs.scaling[k] for k in record.surviving)]),
+                "gains": _hex(detail_gains(record)[k] for k in record.removal_order),
+                "inverse": _hex(back[k] for k in lg.ids),
+            },
+            "median": _denoised(values, lg, config, traj, median),
+            "hard": _denoised(values, lg, config, traj, hard),
+        })
+    return {"outputs": out}
+
+
+def output_floats(entry: dict):
+    """(kind, hex float) for every float of an outputs entry, in a fixed
+    order; kind "shrunk" marks the shrunk details, whose zero pattern the
+    test requires exactly."""
+    for key, values in entry["floats"].items():
+        yield from ((key, v) for v in values)
+    for rule in ("median", "hard"):
+        for key in ("estimates", "shrunk", "diagnostics"):
+            yield from ((key, v) for v in entry[rule][key])
 
 
 def record_files() -> dict:
@@ -160,6 +243,11 @@ def main() -> None:
     files = record_files()
     _dump(RECORDS_PATH, files)
     print(f"{len(files)} record files, {os.path.getsize(RECORDS_PATH)} bytes: {RECORDS_PATH}")
+    data = outputs()
+    _dump(OUTPUTS_PATH, data)
+    n = sum(1 for entry in data["outputs"] for _ in output_floats(entry))
+    print(f"{len(data['outputs'])} outputs, {n} floats, "
+          f"{os.path.getsize(OUTPUTS_PATH)} bytes: {OUTPUTS_PATH}")
 
 
 if __name__ == "__main__":

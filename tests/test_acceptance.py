@@ -180,9 +180,10 @@ def test_criterion_07_sparsity(mst_lg, small_tree_lg):
     for kept in (1, 2, 3):
         best = np.inf
         for subset in combinations(coeffs.details, kept):
-            trial = CoefficientSet(
-                details={k: (coeffs.details[k] if k in subset else 0.0) for k in coeffs.details},
-                scaling=coeffs.scaling,
+            trial = CoefficientSet.from_dicts(
+                {k: (coeffs.details[k] if k in subset else 0.0) for k in coeffs.details},
+                coeffs.scaling,
+                record,
             )
             rec = inverse(trial, record)
             best = min(best, sum((rec[k] - values[k]) ** 2 for k in small_tree_lg.ids))

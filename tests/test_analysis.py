@@ -66,7 +66,7 @@ class TestBuildMatrices:
             values, small_tree_lg, cfg, trajectory=mats.record.removal_order
         )
         vec = mats.forward_matrix @ np.array([values[k] for k in small_tree_lg.ids])
-        assert np.allclose(vec, coeffs.as_vector(mats.record), atol=1e-10)
+        assert np.allclose(vec, coeffs.vector, atol=1e-10)
 
 
 class TestConditionNumber:
@@ -128,9 +128,10 @@ class TestSparsity:
         for kept in (1, 2, 3):
             best = np.inf
             for subset in combinations(coeffs.details, kept):
-                trial = CoefficientSet(
-                    details={k: (coeffs.details[k] if k in subset else 0.0) for k in coeffs.details},
-                    scaling=coeffs.scaling,
+                trial = CoefficientSet.from_dicts(
+                    {k: (coeffs.details[k] if k in subset else 0.0) for k in coeffs.details},
+                    coeffs.scaling,
+                    record,
                 )
                 rec = inverse(trial, record)
                 best = min(best, sum((rec[k] - values[k]) ** 2 for k in lg.ids))

@@ -165,6 +165,14 @@ class TestPredictWeights:
         with pytest.raises(LiftingError, match="degenerate distance inf"):
             predict_weights([math.inf, math.inf], PredictionScheme.INVERSE_DISTANCE)
 
+    @pytest.mark.parametrize("scheme", PredictionScheme)
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
+    def test_degenerate_distance_rejected_under_both_schemes(self, scheme, d):
+        # moving average never divides by a distance, but a zero, negative,
+        # NaN or infinite one is still no distance
+        with pytest.raises(LiftingError, match="degenerate distance"):
+            predict_weights([1.0, d], scheme)
+
     @pytest.mark.parametrize("d", [1e-308, 1e-320])
     def test_overflowing_reciprocals_rejected(self, d):
         # 1/1e-308 is finite but two of them sum to inf (weights 0), and
@@ -506,9 +514,10 @@ class TestInverse:
     def test_mismatched_sets_rejected(self, small_tree_lg):
         values = {k: 1.0 for k in small_tree_lg.ids}
         coeffs, record = forward(values, small_tree_lg, LiftingConfig())
-        coeffs.details.pop(next(iter(coeffs.details)))
+        details = dict(coeffs.details)
+        details.pop(next(iter(details)))
         with pytest.raises(LiftingError, match="do not match"):
-            inverse(coeffs, record)
+            CoefficientSet.from_dicts(details, coeffs.scaling, record)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_rejected(self, bad):
@@ -516,7 +525,7 @@ class TestInverse:
         values = {k: math.cos(j) for j, k in enumerate(lg.ids)}
         coeffs, record = forward(values, lg, LiftingConfig.from_acronym("LG-Aid-c"))
         k = record.removal_order[3]
-        coeffs.details[k] = bad
+        coeffs = CoefficientSet.from_dicts({**coeffs.details, k: bad}, coeffs.scaling, record)
         with pytest.raises(LiftingError, match=f"non-finite coefficient at {k!r}"):
             inverse(coeffs, record)
 
@@ -526,9 +535,10 @@ class TestInverse:
         values = {k: 0.0 for k in small_tree_lg.ids}
         coeffs, record = forward(values, small_tree_lg, cfg)
         pick = record.removal_order[1]
-        unit = CoefficientSet(
-            details={k: (1.0 if k == pick else 0.0) for k in coeffs.details},
-            scaling={k: 0.0 for k in coeffs.scaling},
+        unit = CoefficientSet.from_dicts(
+            {k: (1.0 if k == pick else 0.0) for k in coeffs.details},
+            {k: 0.0 for k in coeffs.scaling},
+            record,
         )
         psi = inverse(unit, record)
         back, _ = forward(psi, small_tree_lg, cfg, trajectory=record.removal_order)
@@ -536,6 +546,72 @@ class TestInverse:
             assert v == pytest.approx(1.0 if k == pick else 0.0, abs=1e-10)
         for v in back.scaling.values():
             assert v == pytest.approx(0.0, abs=1e-10)
+
+
+class TestArrayInput:
+    """`forward` takes a mapping by id or an array in `lg.ids` order, one
+    signal (m,) or a batch (m, B); `inverse` takes the set or its array."""
+
+    @pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p", "LG-Dnw-c"])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_mapping_vector_and_batch_columns_bitwise(self, mst_lg, acr, fixed):
+        cfg = LiftingConfig.from_acronym(acr)
+        X = np.random.default_rng(4).normal(size=(mst_lg.m, 3))
+        traj = forward(X[:, 0], mst_lg, cfg)[1].removal_order[::-1] if fixed else None
+        batch, record = forward(X, mst_lg, cfg, trajectory=traj)
+        assert batch.vector.shape == X.shape
+        for j in range(X.shape[1]):
+            by_id = forward(dict(zip(mst_lg.ids, X[:, j].tolist())), mst_lg, cfg, trajectory=traj)[0]
+            single = forward(X[:, j], mst_lg, cfg, trajectory=traj)[0]
+            bits = single.vector.tobytes()
+            assert by_id.vector.tobytes() == bits
+            assert np.ascontiguousarray(batch.vector[:, j]).tobytes() == bits
+            assert by_id.details == single.details and by_id.scaling == single.scaling
+            back = inverse(single, single.record)
+            assert list(back) == list(mst_lg.ids)
+            col = np.ascontiguousarray(inverse(batch.vector, record)[:, j])
+            assert col.tobytes() == np.array(list(back.values())).tobytes()
+        k = record.removal_order[0]
+        assert np.array_equal(batch.details[k], batch.vector[0])
+
+    @pytest.mark.parametrize("shape", [(), (0,), (5,), (5, 2), (99, 2, 2)])
+    def test_wrong_shape_rejected(self, mst_lg, shape):
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        with pytest.raises(LiftingError, match="need \\(99,\\) or \\(99, B\\)"):
+            forward(np.zeros(shape), mst_lg, cfg)
+        record = forward(np.zeros(mst_lg.m), mst_lg, cfg)[1]
+        with pytest.raises(LiftingError, match="need \\(99,\\) or \\(99, B\\)"):
+            inverse(np.zeros(shape), record)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_non_finite_array_rejected(self, mst_lg, bad, batch):
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        X = np.ones((mst_lg.m, 3) if batch else mst_lg.m)
+        X[40, ...] = bad
+        X[60, ...] = bad
+        with pytest.raises(LiftingError, match=f"non-finite value at {mst_lg.ids[40]!r}"):
+            forward(X, mst_lg, cfg)
+        record = forward(np.ones(mst_lg.m), mst_lg, cfg)[1]
+        with pytest.raises(LiftingError, match=f"non-finite coefficient at {record._order[40]!r}"):
+            inverse(X, record)
+
+    def test_views_are_read_only(self, small_tree_lg):
+        coeffs, _ = forward(np.arange(6.0), small_tree_lg, LiftingConfig())
+        k = next(iter(coeffs.details))
+        with pytest.raises(TypeError):
+            coeffs.details[k] = 0.0
+        with pytest.raises(TypeError):
+            coeffs.scaling[next(iter(coeffs.scaling))] = 0.0
+
+    def test_set_of_another_record_is_matched_by_id(self, mst_lg):
+        # a twin plan's record whose ids are reordered: the set is read by id
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        values = dict(zip(mst_lg.ids, np.cos(np.arange(mst_lg.m)).tolist()))
+        coeffs, record = forward(values, mst_lg, cfg)
+        twin = forward(values, mst_lg, cfg, trajectory=record.removal_order)[1]
+        assert twin is not record
+        assert inverse(coeffs, twin) == inverse(coeffs, record)
 
 
 class TestArtificialLevels:

@@ -1,7 +1,7 @@
 """`forward` plans each (line graph, config) pair once, and `detail_gains`
 replays the identity once per record: the kept plans and gains give the
 same bits as planning afresh, and they die with their line graph.  No hot
-path builds a record's `stages` view."""
+path builds a record's `stages` view, nor a coefficient or estimate dict."""
 
 import dataclasses
 import gc
@@ -12,8 +12,15 @@ import pytest
 
 from lglift import analysis, lifting, shrinkage, simulation
 from lglift.graph import GraphError, LineGraph, build_line_graph
-from lglift.lifting import VARIANTS, LiftingConfig, LiftingError, forward, init_integrals
-from lglift.shrinkage import denoise, detail_gains, nlt_denoise
+from lglift.lifting import (
+    VARIANTS,
+    CoefficientSet,
+    LiftingConfig,
+    LiftingError,
+    forward,
+    init_integrals,
+)
+from lglift.shrinkage import DenoiseResult, denoise, detail_gains, nlt_denoise
 from lglift.simulation import (
     ExperimentConfig,
     condition_number_study,
@@ -55,7 +62,7 @@ def test_kept_plan_matches_fresh_line_graph(net, acr):
     assert r2 is r1 and r3 is not r1
     assert r2.removal_order == r3.removal_order
     assert list(c2.details) == list(c3.details) and list(c2.scaling) == list(c3.scaling)
-    assert _bits(c2.as_vector(r2)) == _bits(c3.as_vector(r3))
+    assert _bits(c2.vector) == _bits(c3.vector)
     # the first denoise on lg computes r1's gains, the second reuses them
     want = denoise(values, fresh, cfg)
     for got in (denoise(values, lg, cfg), denoise(values, lg, cfg)):
@@ -173,7 +180,8 @@ def test_detail_gains_replay_the_identity_once_per_record(monkeypatch):
 @pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])
 def test_plans_die_with_their_line_graph(acr):
     lg = build_line_graph(sample_network(100, seed=7))
-    _, record = forward(dict.fromkeys(lg.ids, 0.0), lg, LiftingConfig.from_acronym(acr))
+    # the record alone: a coefficient set keeps its record
+    record = forward(dict.fromkeys(lg.ids, 0.0), lg, LiftingConfig.from_acronym(acr))[1]
     detail_gains(record)
     assert lifting._PLANS[lg]
     lg_ref, record_ref = weakref.ref(lg), weakref.ref(record)
@@ -203,6 +211,7 @@ HOT_PATHS = {
     "run_experiment": lambda: run_experiment(
         ExperimentConfig(n_vertices=20, n_graphs=2, n_replications=3)),
     "flow_experiment": lambda: flow_experiment(1.0, n_replications=2),
+    "flow_experiment_nlt": lambda: flow_experiment(1.0, n_replications=2, nlt_trajectories=2),
     "condition_number_study": lambda: condition_number_study("LG-Aid-c", 2, 20),
 }
 
@@ -221,3 +230,16 @@ def test_hot_paths_never_build_the_stages_view(monkeypatch, path):
     HOT_PATHS[path]()
     built = sum("stages" in vars(r) for r in records)
     assert records and not built, f"{built} of {len(records)} records built their stages view"
+
+
+@pytest.mark.parametrize("path", list(HOT_PATHS))
+def test_hot_paths_build_no_coefficient_or_estimate_dicts(monkeypatch, path):
+    # the id-keyed views are for callers at the edges; reading one raises here
+    def refuse(self):
+        raise AssertionError("built an id-keyed coefficient or estimate dict")
+
+    for cls, names in ((CoefficientSet, ("details", "scaling")),
+                       (DenoiseResult, ("estimates", "shrunk_details"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, property(refuse))
+    HOT_PATHS[path]()

@@ -253,7 +253,7 @@ def test_kernels_match_csr_kernels_on_a_record_read_from_file(graphs, tmp_path, 
     assert record2 is not record
     assert_kernels_match_csr(record2)
     back = inverse(coeffs2, record2)
-    assert _bits([back[k] for k in lg.ids]) == _bits(csr_inverse(record2, coeffs2.as_vector(record2)))
+    assert _bits([back[k] for k in lg.ids]) == _bits(csr_inverse(record2, coeffs2.vector))
 
 
 @pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])

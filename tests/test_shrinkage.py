@@ -21,7 +21,7 @@ from scipy.stats import norm
 import lglift
 from lglift import lifting, shrinkage
 from lglift.analysis import sparsity_curve_single
-from lglift.lifting import LiftingConfig, _replay_forward, forward, inverse
+from lglift.lifting import LiftingConfig, forward, inverse
 from lglift.shrinkage import (
     POST_MED_BIG,
     POST_MED_TOL,
@@ -681,6 +681,24 @@ class TestShrinkageProperties:
         # threshold grows as the signal weight shrinks
         assert thresh_from_weight(0.05) > thr
 
+    @pytest.mark.parametrize("w", [0.0, math.nan, -0.5, 1.5])
+    def test_threshold_weight_outside_unit_interval_rejected(self, w):
+        # 0 divided by zero, NaN reached scipy's root finder, and -0.5 and
+        # 1.5 returned a threshold of 0
+        with pytest.raises(ShrinkageError, match="mixing weight must be in"):
+            thresh_from_weight(w)
+
+    @pytest.mark.parametrize("w", [-1.0, 2.0, 0.0, math.nan, np.array([0.5, 2.0])])
+    def test_median_weight_outside_unit_interval_rejected(self, w):
+        x = np.array([[0.5, 0.5], [3.0, 3.0]]) if np.ndim(w) else np.array([0.5, 3.0])
+        with pytest.raises(ShrinkageError, match="mixing weight must be in"):
+            post_med_cauchy(x, w)
+
+    def test_weight_one_accepted(self):
+        assert thresh_from_weight(1.0) == 0.0
+        assert np.array_equal(post_med_cauchy(np.array([0.5, 3.0]), 1.0),
+                              post_med_cauchy(np.array([0.5, 3.0]), np.ones(2)))
+
 
 class TestMad:
     def test_hand_example(self):
@@ -759,6 +777,16 @@ class TestEbayesThreshold:
 
 
 class TestDenoise:
+    def test_array_signal_is_the_mapping_and_a_batch_is_rejected(self, mst_lg, rng):
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        x = rng.normal(size=mst_lg.m)
+        by_id = denoise(dict(zip(mst_lg.ids, x.tolist())), mst_lg, cfg)
+        assert by_id.estimate_vector.tobytes() == denoise(x, mst_lg, cfg).estimate_vector.tobytes()
+        assert list(by_id.estimates) == list(mst_lg.ids)
+        for run in (denoise, nlt_denoise):
+            with pytest.raises(ShrinkageError, match="one signal at a time"):
+                run(np.column_stack([x, x]), mst_lg, cfg)
+
     def test_clean_flow_signal_barely_damaged(self):
         graph, values = generate_flow_fixture(0)
         lg = build_line_graph(graph)
@@ -866,7 +894,7 @@ class TestBatchCore:
         X = np.column_stack([truth[:, None] + noise, truth])
         coeffs, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        [(est, shrunk)], sigma, nu, _, _ = _denoise_plans([(record, _replay_forward(record, X))], shrink)
+        [(est, shrunk)], sigma, nu, _, _ = _denoise_plans([forward(X, lg, cfg)[0]], shrink)
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -878,7 +906,7 @@ class TestBatchCore:
             assert abs(nu[j] - single.nu_hat) <= 1e-12
         assert np.all(sigma[:-1] > 0)
         assert sigma[-1] == 0.0 and nu[-1] == 0.0
-        assert np.array_equal(shrunk[:, -1], coeffs.as_vector(record))
+        assert np.array_equal(shrunk[:, -1], coeffs.vector)
 
 
 class TestBatchCoreBitwise:
@@ -904,7 +932,7 @@ class TestBatchCoreBitwise:
         X = np.column_stack([truth[:, None] + noise, truth])
         _, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        [(est, shrunk)], sigma, nu, _, _ = _denoise_plans([(record, _replay_forward(record, X))], shrink)
+        [(est, shrunk)], sigma, nu, _, _ = _denoise_plans([forward(X, lg, cfg)[0]], shrink)
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -969,12 +997,12 @@ class TestBatchSigma:
         gains = np.array(list(detail_gains(record).values()))
         for batch in (X, X[:, 0]):
             [(est, shrunk)], sigma, _, _, _ = _denoise_plans(
-                [(record, _replay_forward(record, batch))], ShrinkageConfig(rule=rule)
+                [forward(batch, lg, cfg)[0]], ShrinkageConfig(rule=rule)
             )
             est, shrunk = est.reshape(lg.m, -1), shrunk.reshape(lg.m, -1)
             for j, x in enumerate(batch.reshape(lg.m, -1).T):
                 values = dict(zip(lg.ids, x.tolist()))
-                c = forward(values, lg, cfg, trajectory=record.removal_order)[0].as_vector(record)
+                c = forward(values, lg, cfg, trajectory=record.removal_order)[0].vector
                 z = c[:n] / gains
                 if j in zero_cols:
                     with pytest.raises(ShrinkageError, match="degenerate finest level"):
@@ -1126,10 +1154,7 @@ class TestNltBatch:
 
     def test_plans_must_share_level_counts(self, mst_lg, small_tree_lg):
         cfg = LiftingConfig.from_acronym("LG-Aid-c")
-        plans = []
-        for lg in (mst_lg, small_tree_lg):
-            _, record = forward(dict.fromkeys(lg.ids, 0.0), lg, cfg)
-            plans.append((record, np.ones(lg.m)))
+        plans = [forward(np.ones(lg.m), lg, cfg)[0] for lg in (mst_lg, small_tree_lg)]
         with pytest.raises(ShrinkageError, match="share their level counts"):
             _denoise_plans(plans, ShrinkageConfig(keep_coarsest=0))
 

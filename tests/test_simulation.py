@@ -228,14 +228,14 @@ class TestRunExperiment:
         # master seed 0: normalizing either graph's unit-variance truth a
         # second time changes the last bits of its values, which the
         # replicates must not carry
-        replay = lglift.simulation._replay_forward
+        transform = lglift.simulation.forward
         batches = []
 
-        def capture(record, X):
-            batches.append(X.copy())
-            return replay(record, X)
+        def capture(values, *args, **kwargs):
+            batches.append(np.array(values))
+            return transform(values, *args, **kwargs)
 
-        monkeypatch.setattr(lglift.simulation, "_replay_forward", capture)
+        monkeypatch.setattr(lglift.simulation, "forward", capture)
         run_experiment(ExperimentConfig(n_vertices=20, n_graphs=2, n_replications=3, snr=3.0))
         assert len(batches) == 2
         for q, X in enumerate(batches):
