@@ -108,17 +108,8 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertex_ids(self) -> List[Id]:
-        return list(self.coords)
-
-    def has_all_coords(self) -> bool:
-        return all(c is not None for c in self.coords.values())
-
-    def has_all_lengths(self) -> bool:
-        return all(e.length is not None for e in self.edges)
-
     def is_connected(self) -> bool:
-        return is_connected(self.vertex_ids(), [(e.u, e.v) for e in self.edges])
+        return is_connected(list(self.coords), [(e.u, e.v) for e in self.edges])
 
 
 class LineGraph:
@@ -375,14 +366,14 @@ def build_line_graph(graph: Graph) -> LineGraph:
             adjacency[b].add(a)
 
     coords = None
-    if graph.has_all_coords():
+    if all(c is not None for c in graph.coords.values()):
         coords = {}
         for e in graph.edges:
             (x1, y1), (x2, y2) = graph.coords[e.u], graph.coords[e.v]
             coords[e.id] = (0.5 * (x1 + x2), 0.5 * (y1 + y2))
 
     lengths = None
-    if graph.has_all_lengths():
+    if all(e.length is not None for e in graph.edges):
         lengths = {e.id: e.length for e in graph.edges}
 
     values = {e.id: e.value for e in graph.edges if e.value is not None} or None

@@ -257,10 +257,10 @@ class LiftingRecord:
         """The detail rows (canonical order) sorted stably by artificial
         level, and their sorted levels; None without levels
         (`shrinkage._denoise_plans`)."""
-        levels = self.levels
-        if levels is None:
+        n_levels = _default_n_levels(len(self.ids))
+        if len(self.steps) < n_levels:
             return None
-        lev = np.array([levels[k] for k in self.removal_order])
+        lev = _artificial_levels(self.step_integrals, n_levels)
         rows = np.argsort(lev, kind="stable")
         return rows, lev[rows]
 
@@ -641,19 +641,22 @@ def assign_artificial_levels(
     removal order, earlier removals counting as finer.  The default level
     count is max(3, floor(log2(m))).
     """
-    scales = record.scales
-    n_details = len(scales)
+    n_details = len(record.step_integrals)
     if n_levels is None:
         n_levels = _default_n_levels(len(record.ids))
     if not (_is_count(n_levels) and n_levels >= 3):
         raise LiftingError(f"need at least 3 levels, got {n_levels!r}")
     if n_levels > n_details:
         raise LiftingError(f"{n_levels} levels exceed the {n_details} details")
-    removal_pos = {k: i for i, k in enumerate(record.removal_order)}
-    ranked = sorted(scales, key=lambda k: (scales[k], removal_pos[k]))
-    bounds = [round(j * n_details / n_levels) for j in range(n_levels + 1)]
-    levels = {}
-    for lev in range(n_levels):
-        for k in ranked[bounds[lev] : bounds[lev + 1]]:
-            levels[k] = lev
+    levels = _artificial_levels(record.step_integrals, n_levels)
+    return dict(zip(record.removal_order, levels.tolist()))
+
+
+def _artificial_levels(scales: Sequence[float], n_levels: int) -> np.ndarray:
+    """`assign_artificial_levels` as an int array over `scales` in removal
+    order: ranked by scale, then removal, cut at round(j n / n_levels)."""
+    n = len(scales)
+    bounds = [round(j * n / n_levels) for j in range(n_levels + 1)]
+    levels = np.empty(n, dtype=int)
+    levels[np.lexsort((np.arange(n), scales))] = np.repeat(np.arange(n_levels), np.diff(bounds))
     return levels

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfcx, gammainc, ndtr
 
 from .graph import Id, LineGraph
@@ -32,7 +31,8 @@ POST_MED_SMALL = 0.2
 #: above this |x| the posterior median is the asymptote |x| - 2/|x|, whose
 #: error, about (2/3)/|x|^3, is then below POST_MED_TOL |x|
 POST_MED_BIG = 2000.0
-#: the mixing-weight fit stops each column once its Newton step is this small
+#: the mixing-weight fit and the hard threshold stop each root once its
+#: Newton step is this small
 WEIGHT_TOL = 1e-13
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
@@ -98,17 +98,6 @@ def _norm_pdf(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def _norm_pdf1(x: float) -> float:
-    return math.exp(-x * x / 2.0) / _SQRT_2PI
-
-
-def _norm_moment2(z: float) -> float:
-    """cdf(z) - 1/2 - z pdf(z), the integral of t^2 pdf(t) over [0, z], for
-    z >= 0.  As gammainc(3/2, z^2/2) / 2 it keeps the digits that the
-    difference cancels at small z (it is about z^3 / 7.5 there)."""
-    return float(gammainc(1.5, z * z / 2.0)) / 2.0
-
-
 def beta_cauchy(x: np.ndarray) -> np.ndarray:
     """(marginal/normal density ratio - 1) under the quasi-Cauchy slab."""
     x = np.asarray(x, dtype=float)
@@ -129,11 +118,13 @@ def beta_cauchy(x: np.ndarray) -> np.ndarray:
 
 
 def weight_from_thresh(thr: float) -> float:
-    """Mixing weight whose posterior-median threshold equals `thr`."""
-    denom = math.sqrt(math.pi / 2.0) * _norm_pdf1(thr) * thr * thr
+    """Mixing weight whose posterior-median threshold equals `thr`, with
+    cdf(thr) - 1/2 - thr pdf(thr) as gammainc(3/2, thr^2/2) / 2, which keeps
+    the digits that the difference cancels at small thr."""
+    denom = _SQRT_PI_2 * (math.exp(-thr * thr / 2.0) / _SQRT_2PI) * thr * thr
     if denom == 0:
         return 1.0
-    inv = 1.0 + _norm_moment2(thr) / denom
+    inv = 1.0 + float(gammainc(1.5, thr * thr / 2.0)) / 2.0 / denom
     return 1.0 / inv if math.isfinite(inv) else 1.0
 
 
@@ -244,8 +235,8 @@ def _newton_root(objective, x0: np.ndarray, aux: tuple, lo: np.ndarray, hi: np.n
     else hi comes down); a step that leaves the open bracket is replaced by
     its midpoint.  All arrays hold one entry (a row for `aux`) per root.
     Each root stops on its own, once its step or its bracket is within its
-    `tol`; a NaN stops after its first evaluation.  The weight fit and the
-    posterior median both solve with it."""
+    `tol`; a NaN stops after its first evaluation.  The weight fit, the
+    posterior median and the hard threshold all solve with it."""
     root = np.empty_like(x0)
     idx = np.arange(x0.size)
     x = x0
@@ -318,21 +309,36 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     return med
 
 
+def _thresh_objective(z: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """g(z) = -`_cauchy_med_at_zero`(z, w), the hard threshold's objective,
+    and its slope z^2 pdf(z) - (1/w - 1)/2 (2z - z^3) exp(-z^2/2)."""
+    slope = z * np.exp(-z * z / 2.0) * (z / _SQRT_2PI - (1.0 / w - 1.0) / 2.0 * (2.0 - z * z))
+    return -_cauchy_med_at_zero(z, w), slope
+
+
+def _hard_thresholds(w: np.ndarray) -> np.ndarray:
+    """The hard threshold of each weight in (0, 1], where the posterior
+    median leaves 0: 0 if g(1e-4) >= 0, 20 if g(20) <= 0, else the root of g
+    (`_thresh_objective`) between, by `_newton_root` from the smaller of the
+    small-z root 3 sqrt(2 pi) (1/w - 1) / 2 and one step of the large-z
+    z^2 = 2 log(1 + (1/w - 1) z^2 / gammainc(3/2, z^2/2)) from 2 log(1/w)."""
+    lo, hi = 1e-4, 20.0
+    g_lo, g_hi = -_cauchy_med_at_zero(lo, w), -_cauchy_med_at_zero(hi, w)
+    thr = np.where(g_lo >= 0, 0.0, hi)
+    idx = np.flatnonzero((g_lo < 0) & (g_hi > 0))
+    wi, n = w[idx], idx.size
+    r, z2 = 1.0 / wi - 1.0, -2.0 * np.log(wi)
+    start = np.minimum(1.5 * _SQRT_2PI * r, np.sqrt(2.0 * np.log1p(r * z2 / gammainc(1.5, z2 / 2.0))))
+    thr[idx] = _newton_root(_thresh_objective, np.clip(start, lo, hi), (wi,), np.full(n, lo),
+                            np.full(n, hi), np.full(n, WEIGHT_TOL))
+    return thr
+
+
 def thresh_from_weight(w: float) -> float:
-    """Hard-threshold location implied by a mixing weight in (0, 1]."""
+    """Hard-threshold location implied by a mixing weight in (0, 1], by `_hard_thresholds`."""
     if not 0 < w <= 1:  # NaN too
         raise ShrinkageError(f"mixing weight must be in (0, 1], got {w!r}")
-
-    def objective(z: float) -> float:
-        return _norm_moment2(z) - z * z * math.sqrt(2 * math.pi) * _norm_pdf1(z) * (1.0 / w - 1.0) / 2.0
-
-    # z = 0 is always a root; the threshold is the interior one
-    lo = 1e-4
-    if objective(lo) >= 0:
-        return 0.0
-    if objective(20.0) <= 0:
-        return 20.0
-    return float(brentq(objective, lo, 20.0, xtol=1e-12))
+    return float(_hard_thresholds(np.array([w], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +396,7 @@ def _ebayes(
         if config.rule == "median":
             shrunk = post_med_cauchy(z, w)
         else:
-            thr = np.array([thresh_from_weight(wj) for wj in w])
-            shrunk = np.where(np.abs(z) > thr, z, 0.0)
+            shrunk = np.where(np.abs(z) > _hard_thresholds(w), z, 0.0)
         out[target] = shrunk * sigma
     return out, w, fallback, target
 

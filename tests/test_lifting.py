@@ -667,4 +667,4 @@ class FakeRecord:
         self.ids = ids
         self.removal_order = removal_order
         self.surviving = surviving
-        self.scales = scales
+        self.step_integrals = tuple([scales[k] for k in removal_order])

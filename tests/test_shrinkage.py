@@ -324,6 +324,46 @@ class TestHardThresholdOracle:
         assert thresh_from_weight(w) == pytest.approx(series_thresh_from_weight(w), rel=1e-10)
 
 
+class TestBatchedThreshold:
+    """The hard threshold solved for a batch of weights by `_newton_root`."""
+
+    @pytest.mark.parametrize("w", [1e-4, 0.01, 0.3, 0.9, 0.999])
+    def test_slope_matches_reference(self, w):
+        z = np.array([1e-4, 0.01, 0.5, 1.0, math.sqrt(2.0), 2.5, 5.0, 12.0])
+        _, slope = shrinkage._thresh_objective(z, np.full(z.size, w))
+        want = [ref_thresh_slope(v, w) for v in z]
+        np.testing.assert_allclose(slope, want, rtol=1e-12, atol=1e-300)
+
+    def test_matches_series_oracle(self):
+        ws = np.geomspace(1e-4, 0.9999, 60)
+        want = np.array([series_thresh_from_weight(w) for w in ws])
+        got = shrinkage._hard_thresholds(ws)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert _bits(got) == _bits([thresh_from_weight(w) for w in ws])
+
+    def test_screens(self):
+        # w = 1 gives 0 at the lower screen, a tiny weight 20 at the upper one
+        assert thresh_from_weight(1e-100) == 20.0
+        assert _bits(shrinkage._hard_thresholds(np.array([1e-100, 0.5, 1.0]))) == _bits(
+            [20.0, thresh_from_weight(0.5), 0.0]
+        )
+
+    def test_column_is_one_column_threshold(self):
+        rng = np.random.default_rng(27)
+        b = 8
+        X = rng.normal(size=(120, b))
+        X[:40] += rng.uniform(0.0, 6.0, b) * (rng.uniform(size=(40, b)) < 0.5)
+        lev = np.repeat(np.arange(6), 20)
+        config = ShrinkageConfig(rule="hard")
+        out, w = ebayes_threshold(X, 1.0, lev, config)
+        assert len(set(w.tolist())) == b and np.all((0 < w) & (w < 1))
+        shrunk = out[lev < 4]
+        assert np.any(shrunk == 0.0) and np.any(shrunk != 0.0)
+        for j in range(b):
+            alone, wj = ebayes_threshold(X[:, j], 1.0, lev, config)
+            assert _bits(out[:, j]) == _bits(alone) and _bits([w[j]]) == _bits([wj])
+
+
 # standardized coefficients: the clip to zero at 1e-7 (and a magnitude far
 # below it), the frozen solvers' |x| > 20 asymptote, and the asymptote past
 # POST_MED_BIG
@@ -393,8 +433,9 @@ class TestClosedFormKernels:
     @given(st.floats(1e-6, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_thresh_from_weight_matches_scipy_stats(self, w):
-        # both are brentq roots (xtol 1e-12) of objectives that differ by
-        # rounding, under 1e-15, which moves the root by 1e-15 / |slope|;
+        # a Newton root (step 1e-13) and a brentq root (xtol 1e-12) of
+        # objectives that differ by rounding, under 1e-15, which moves the
+        # root by 1e-15 / |slope|;
         # that grows as w -> 1, where the threshold and the slope go to 0
         got, want = thresh_from_weight(w), ref_thresh_from_weight(w)
         if want in (0.0, 20.0):
@@ -420,16 +461,16 @@ class TestClosedFormKernels:
         assert np.count_nonzero(out[np.isfinite(x)]) == 4
 
     def test_import_does_not_load_scipy_stats(self):
-        # nor mpmath, which only the tests' oracles use
+        # nor scipy.optimize, nor mpmath, which only the tests' oracles use
         code = (
-            "import sys, lglift; print(any(m.split('.')[:2] == ['scipy', 'stats'] for m in sys.modules),"
-            " 'mpmath' in sys.modules)"
+            "import sys, lglift; loaded = {'.'.join(m.split('.')[:2]) for m in sys.modules};"
+            " print('scipy.stats' in loaded, 'scipy.optimize' in loaded, 'mpmath' in loaded)"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(lglift.__file__).resolve().parents[1])}
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
         )
-        assert run.stdout.strip() == "False False"
+        assert run.stdout.strip() == "False False False"
 
 
 def _bits(a) -> bytes:
