@@ -28,6 +28,7 @@ from .shrinkage import ShrinkageConfig, ShrinkageError, denoise, nlt_denoise
 from .simulation import (
     ExperimentConfig,
     SimulationError,
+    condition_number_study,
     flow_experiment,
     generate_flow_fixture,
     run_experiment,
@@ -147,8 +148,6 @@ def cmd_nlt(args) -> None:
 
 
 def cmd_condnum(args) -> None:
-    from .simulation import condition_number_study
-
     if args.graphs < 2:
         raise SimulationError(f"quartiles need at least 2 graphs, got {args.graphs}")
     kappas = condition_number_study(args.variant, args.graphs, args.vertices, args.seed)

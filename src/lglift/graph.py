@@ -17,7 +17,6 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 Id = Hashable
 Coord = Tuple[float, float]
@@ -538,7 +537,10 @@ def euclidean_mst(points: Sequence[Tuple[Id, Coord]]) -> List[Tuple[Id, Id, floa
 
 def _delaunay_pairs(coords: Sequence[Coord]) -> Optional[List[Tuple[int, int]]]:
     """Index pairs i < j joined in the Delaunay triangulation of `coords`,
-    or None when it would not cover every point."""
+    or None when it would not cover every point.  scipy.spatial is loaded
+    here, on the first call, not with the package."""
+    from scipy.spatial import Delaunay, QhullError
+
     if len(coords) < 3:
         return None
     xy = np.asarray(coords, dtype=float)

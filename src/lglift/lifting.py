@@ -253,16 +253,15 @@ class LiftingRecord:
         return dict(zip(self.removal_order, np.sqrt(squares).tolist()))
 
     @cached_property
-    def _level_rows(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def _level_rows(self) -> Optional[Tuple[np.ndarray, Tuple[int, ...]]]:
         """The detail rows (canonical order) sorted stably by artificial
-        level, and their sorted levels; None without levels
-        (`shrinkage._denoise_plans`)."""
+        level, and the level bounds: level j is rows[bounds[j]:bounds[j + 1]];
+        None without levels (`shrinkage._denoise_plans`)."""
         n_levels = _default_n_levels(len(self.ids))
         if len(self.steps) < n_levels:
             return None
-        lev = _artificial_levels(self.step_integrals, n_levels)
-        rows = np.argsort(lev, kind="stable")
-        return rows, lev[rows]
+        lev, bounds = _artificial_levels(self.step_integrals, n_levels)
+        return np.argsort(lev, kind="stable"), bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -648,15 +647,18 @@ def assign_artificial_levels(
         raise LiftingError(f"need at least 3 levels, got {n_levels!r}")
     if n_levels > n_details:
         raise LiftingError(f"{n_levels} levels exceed the {n_details} details")
-    levels = _artificial_levels(record.step_integrals, n_levels)
+    levels, _ = _artificial_levels(record.step_integrals, n_levels)
     return dict(zip(record.removal_order, levels.tolist()))
 
 
-def _artificial_levels(scales: Sequence[float], n_levels: int) -> np.ndarray:
+def _artificial_levels(
+    scales: Sequence[float], n_levels: int
+) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """`assign_artificial_levels` as an int array over `scales` in removal
-    order: ranked by scale, then removal, cut at round(j n / n_levels)."""
+    order: ranked by scale, then removal, cut at the bounds round(j n /
+    n_levels), which are returned too."""
     n = len(scales)
-    bounds = [round(j * n / n_levels) for j in range(n_levels + 1)]
+    bounds = tuple(round(j * n / n_levels) for j in range(n_levels + 1))
     levels = np.empty(n, dtype=int)
     levels[np.lexsort((np.arange(n), scales))] = np.repeat(np.arange(n_levels), np.diff(bounds))
-    return levels
+    return levels, bounds

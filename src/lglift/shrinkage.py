@@ -34,6 +34,8 @@ POST_MED_BIG = 2000.0
 #: the mixing-weight fit and the hard threshold stop each root once its
 #: Newton step is this small
 WEIGHT_TOL = 1e-13
+#: the smallest mixing weight: below it, 1/w overflows
+W_MIN = float(np.finfo(float).tiny)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 # the 4-point Gauss-Legendre rule on [0, 1], as columns; the nodes end with
@@ -273,10 +275,10 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     cancel.  Larger |x| uses the asymptote, by then within `POST_MED_TOL`
     |x| of the median.  Medians below 1e-7 are clipped to exact zero;
     the sign is that of x, and no median exceeds |x|.  A weight outside
-    (0, 1] raises ShrinkageError.
+    [`W_MIN`, 1] raises ShrinkageError.
     """
-    if not np.all((np.asarray(w) > 0) & (np.asarray(w) <= 1)):  # NaN too
-        raise ShrinkageError(f"mixing weight must be in (0, 1], got {w!r}")
+    if not np.all((np.asarray(w) >= W_MIN) & (np.asarray(w) <= 1)):  # NaN too
+        raise ShrinkageError(f"mixing weight must be in [{W_MIN}, 1], got {w!r}")
     x = np.asarray(x, dtype=float)
     mag = np.abs(x)
     big = mag > POST_MED_BIG
@@ -317,7 +319,7 @@ def _thresh_objective(z: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndar
 
 
 def _hard_thresholds(w: np.ndarray) -> np.ndarray:
-    """The hard threshold of each weight in (0, 1], where the posterior
+    """The hard threshold of each weight in [`W_MIN`, 1], where the posterior
     median leaves 0: 0 if g(1e-4) >= 0, 20 if g(20) <= 0, else the root of g
     (`_thresh_objective`) between, by `_newton_root` from the smaller of the
     small-z root 3 sqrt(2 pi) (1/w - 1) / 2 and one step of the large-z
@@ -335,9 +337,9 @@ def _hard_thresholds(w: np.ndarray) -> np.ndarray:
 
 
 def thresh_from_weight(w: float) -> float:
-    """Hard-threshold location implied by a mixing weight in (0, 1], by `_hard_thresholds`."""
-    if not 0 < w <= 1:  # NaN too
-        raise ShrinkageError(f"mixing weight must be in (0, 1], got {w!r}")
+    """Hard-threshold location implied by a mixing weight in [`W_MIN`, 1], by `_hard_thresholds`."""
+    if not W_MIN <= w <= 1:  # NaN too
+        raise ShrinkageError(f"mixing weight must be in [{W_MIN}, 1], got {w!r}")
     return float(_hard_thresholds(np.array([w], dtype=float))[0])
 
 
@@ -369,36 +371,18 @@ def estimate_sigma_mad(details: np.ndarray, levels: np.ndarray) -> float:
     return sigma
 
 
-def _ebayes(
-    details: np.ndarray, sigma: float | np.ndarray, levels: np.ndarray, config: ShrinkageConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`ebayes_threshold` on an (n, B) batch.  Returns the shrunk details,
-    the weight per column, the columns whose weight fit failed and fell
-    back to 0.5, each with one warning, and the mask of the rows shrunk."""
-    if not np.all(sigma > 0):
-        raise ShrinkageError(f"noise scale must be positive, got {sigma}")
-    n_levels = int(levels.max()) + 1 if levels.size else 0
-    if not config.keep_coarsest < max(n_levels, 1):
-        raise ShrinkageError(
-            f"keep_coarsest={config.keep_coarsest} must be below {n_levels} levels"
-        )
-    target = levels < n_levels - config.keep_coarsest
-    out = details.copy()
-    w = np.zeros(details.shape[1])
-    fallback = np.zeros(details.shape[1], dtype=bool)
-    if target.any():
-        z = details[target] / sigma
-        w = weight_from_data(z)
-        fallback = np.isnan(w)
-        for _ in range(np.count_nonzero(fallback)):
-            warnings.warn("mixing-weight fit failed (score not finite); falling back to 0.5")
-        w[fallback] = 0.5
-        if config.rule == "median":
-            shrunk = post_med_cauchy(z, w)
-        else:
-            shrunk = np.where(np.abs(z) > _hard_thresholds(w), z, 0.0)
-        out[target] = shrunk * sigma
-    return out, w, fallback, target
+def _shrink(z: np.ndarray, rule: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shrink the standardized details z, (n, B), by `rule` with a mixing
+    weight fitted per column.  Returns the shrunk details, the weights, and
+    the columns whose fit failed and fell back to 0.5, each with one warning."""
+    w = weight_from_data(z)
+    fallback = np.isnan(w)
+    for _ in range(np.count_nonzero(fallback)):
+        warnings.warn("mixing-weight fit failed (score not finite); falling back to 0.5")
+    w[fallback] = 0.5
+    if rule == "median":
+        return post_med_cauchy(z, w), w, fallback
+    return np.where(np.abs(z) > _hard_thresholds(w), z, 0.0), w, fallback
 
 
 def ebayes_threshold(
@@ -424,7 +408,20 @@ def ebayes_threshold(
         raise ShrinkageError(
             f"sigma of shape {np.shape(sigma)} for {block.shape[1]} columns: need one each"
         )
-    out, w, _, _ = _ebayes(block, sigma, levels, config)
+    if not np.all(sigma > 0):
+        raise ShrinkageError(f"noise scale must be positive, got {sigma}")
+    n_levels = int(levels.max()) + 1 if levels.size else 0
+    if not config.keep_coarsest < max(n_levels, 1):
+        raise ShrinkageError(
+            f"keep_coarsest={config.keep_coarsest} must be below {n_levels} levels"
+        )
+    # the caller's levels may come in any order, so the rows shrunk are a mask
+    target = levels < n_levels - config.keep_coarsest
+    out = block.copy()
+    w = np.zeros(block.shape[1])
+    if target.any():
+        shrunk, w, _ = _shrink(block[target] / sigma, config.rule)
+        out[target] = shrunk * sigma
     if details.ndim > 1:
         return out, w
     return out.reshape(details.shape), float(w[0])
@@ -436,45 +433,21 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
     return dict(record._gains)
 
 
-def _shrink_core(
-    Z: np.ndarray, lev: np.ndarray, shrink_config: ShrinkageConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Shrink gain-standardized details Z, (n, B) with rows sorted by their
-    levels `lev`.  Returns the rows it shrank, sigma, nu and the weight-fit
-    fallback per column, and the coarsest level the MAD pooled.  The rows
-    shrunk are a prefix of Z's, as the coarsest levels, which pass through,
-    sort last; none are returned when no column is live.  A column whose
-    MAD is zero (noiseless input) comes back unchanged with sigma = nu = 0."""
-    # the coarsest level the MAD pools: on very small graphs the finest level
-    # alone is too thin, so it pools upward until 3 coefficients are in hand
-    pool = int(np.argmax(np.cumsum(np.bincount(lev)) >= 3))
-    sigma = _mad_sigma(Z[lev <= pool])
-    nu = np.zeros_like(sigma)
-    fallback = np.zeros(sigma.shape, dtype=bool)
-    live = sigma > 0
-    n = 0
-    if live.any():
-        Z = Z.copy()
-        Z[:, live], nu[live], fallback[live], target = _ebayes(
-            Z[:, live], sigma[live], lev, shrink_config
-        )
-        n = int(np.count_nonzero(target))
-    return Z[:n], sigma, nu, fallback, pool
-
-
 def _denoise_plans(
     plans: Sequence[CoefficientSet], shrink_config: ShrinkageConfig
 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray, int]:
     """Denoise the coefficients of each plan, the (m,) or (m, B) `vector` of
-    a `CoefficientSet` on its `record`, in one shrink-core call for all
-    columns.
+    a `CoefficientSet` on its `record`, in one shrink step for all columns.
 
-    `plans` are sets of one line graph.  Returns per plan the estimates
-    (line-graph id order) and the shrunk coefficients (canonical order),
-    both shaped like its vector, and sigma, nu and the weight-fit fallback
-    mask over all columns, plan after plan, and the coarsest level the MAD
-    pooled (the plans share their levels).  A column whose MAD is zero
-    (noiseless input) passes through with sigma = nu = 0.
+    `plans` are sets of one line graph.  Their details, standardized by
+    their gains, are sorted by level, so each level's rows and the rows
+    shrunk (all but the `keep_coarsest` coarsest levels) are prefixes cut at
+    the level bounds.  Returns per plan the estimates (line-graph id order)
+    and the shrunk coefficients (canonical order), both shaped like its
+    vector, and sigma, nu and the weight-fit fallback mask over all columns,
+    plan after plan, and the coarsest level the MAD pooled (the plans share
+    their levels).  A column whose MAD is zero (noiseless input) passes
+    through with sigma = nu = 0.
     """
     blocks = []
     for coeffs in plans:
@@ -482,23 +455,39 @@ def _denoise_plans(
         by_level = record._level_rows  # the detail rows sorted stably by level
         if by_level is None:
             raise ShrinkageError("too few detail coefficients to denoise")
-        rows, lev = by_level
+        rows, b = by_level
         # the level bounds depend only on m and the level count, so every
-        # plan of one line graph has the same sorted levels: the shrink core
-        # runs the batch on one level vector, and always sums in this order
-        if blocks and not np.array_equal(lev, levels):
+        # plan of one line graph has the same prefixes, and the batch always
+        # sums in this order
+        if blocks and b != bounds:
             raise ShrinkageError("plans of one batch must share their level counts")
-        levels = lev
+        bounds = b
         C = np.array(coeffs.vector, dtype=float).reshape(len(record.ids), -1)
         gains = np.fromiter(detail_gains(record).values(), float, len(rows))[rows, None]
         blocks.append((record, shape, rows, C, gains))
+    n_levels = len(bounds) - 1
+    if not shrink_config.keep_coarsest < n_levels:
+        raise ShrinkageError(
+            f"keep_coarsest={shrink_config.keep_coarsest} must be below {n_levels} levels"
+        )
     Z = np.hstack([C[rows] / gains for _, _, rows, C, gains in blocks])
-    Z, sigma, nu, fallback, pool = _shrink_core(Z, levels, shrink_config)
-    n = len(Z)  # only the rows shrunk are written back; the rest stay bitwise
+    # the coarsest level the MAD pools: on very small graphs the finest level
+    # alone is too thin, so it pools upward until 3 coefficients are in hand
+    pool = next(j for j in range(n_levels) if bounds[j + 1] >= 3)
+    sigma = _mad_sigma(Z[: bounds[pool + 1]])
+    nu = np.zeros_like(sigma)
+    fallback = np.zeros(sigma.shape, dtype=bool)
+    live = sigma > 0
+    n = bounds[n_levels - shrink_config.keep_coarsest]  # the coarsest levels sort last
+    if live.any():
+        s = sigma[live]
+        shrunk, nu[live], fallback[live] = _shrink(Z[:n, live] / s, shrink_config.rule)
+        Z[:n, live] = shrunk * s
     out, j = [], 0
     for record, shape, rows, C, gains in blocks:
-        live = np.flatnonzero(sigma[j : j + C.shape[1]] > 0)
-        C[rows[:n, None], live] = Z[:, j + live] * gains[:n]
+        # only the live columns' shrunk rows are written back; the rest stay bitwise
+        cols = np.flatnonzero(live[j : j + C.shape[1]])
+        C[rows[:n, None], cols] = Z[:n, j + cols] * gains[:n]
         j += C.shape[1]
         C = C.reshape(shape)
         out.append((inverse(C, record), C))

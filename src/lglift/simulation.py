@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .analysis import _condition
 from .graph import EdgeRec, Graph, Id, build_line_graph, euclidean_mst
 from .lifting import LiftingConfig, _is_count, forward
 from .shrinkage import ShrinkageConfig, _denoise_plans, nlt_denoise
@@ -342,8 +343,6 @@ def condition_number_study(
 ) -> List[float]:
     """Condition number of the forward matrix over sampled networks: that
     of `build_matrices` (the forward of the identity), without the inverse."""
-    from .analysis import _condition
-
     _check_count(n_graphs, 1, "need at least 1 graph")
     _check_count(seed, 0, _SEED)
     cfg = LiftingConfig.from_acronym(variant)

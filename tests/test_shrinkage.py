@@ -28,7 +28,8 @@ from lglift.shrinkage import (
     ShrinkageConfig,
     ShrinkageError,
     _denoise_plans,
-    _shrink_core,
+    _mad_sigma,
+    _shrink,
     beta_cauchy,
     denoise,
     detail_gains,
@@ -43,6 +44,7 @@ from lglift.shrinkage import (
 )
 from lglift.simulation import (
     embed_pointwise,
+    flow_experiment,
     generate_flow_fixture,
     get_field,
     sample_network,
@@ -461,16 +463,18 @@ class TestClosedFormKernels:
         assert np.count_nonzero(out[np.isfinite(x)]) == 4
 
     def test_import_does_not_load_scipy_stats(self):
-        # nor scipy.optimize, nor mpmath, which only the tests' oracles use
+        # nor scipy.optimize, nor mpmath, which only the tests' oracles use,
+        # nor scipy.spatial, which the first Euclidean MST loads
         code = (
             "import sys, lglift; loaded = {'.'.join(m.split('.')[:2]) for m in sys.modules};"
-            " print('scipy.stats' in loaded, 'scipy.optimize' in loaded, 'mpmath' in loaded)"
+            " print('scipy.stats' in loaded, 'scipy.optimize' in loaded, 'mpmath' in loaded,"
+            " 'scipy.spatial' in loaded)"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(lglift.__file__).resolve().parents[1])}
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
         )
-        assert run.stdout.strip() == "False False False"
+        assert run.stdout.strip() == "False False False False"
 
 
 def _bits(a) -> bytes:
@@ -670,22 +674,25 @@ class TestBatchWeightFit:
             weight_from_data(X[:, 1])
 
         # six levels of ten sorted rows: the NaN sits in a shrunk level above
-        # the finest one, so sigma is finite and only the fit fails
+        # the finest one, so sigma is finite and only the fit fails; the
+        # default config shrinks the four finest levels, the first 40 rows
         lev = np.repeat(np.arange(6), 10)
         config = ShrinkageConfig()
+        sigma = _mad_sigma(X[:10])
+        z = X[:40] / sigma
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            Z, sigma, nu, fallback, _ = _shrink_core(X, lev, config)
+            shrunk, nu, fallback = _shrink(z, config.rule)
         assert [str(c.message) for c in caught] == [
             "mixing-weight fit failed (score not finite); falling back to 0.5"
         ]
         assert fallback.tolist() == [False, True, False]
         assert nu[1] == 0.5 and np.all(sigma > 0)
         for j in (0, 2):
-            alone = _shrink_core(X[:, j : j + 1], lev, config)
-            assert _bits(Z[:, j]) == _bits(alone[0])
-            assert _bits([sigma[j], nu[j]]) == _bits([alone[1][0], alone[2][0]])
-            assert not alone[3][0]
+            alone = _shrink(z[:, j : j + 1], config.rule)
+            assert _bits(shrunk[:, j]) == _bits(alone[0])
+            assert _bits([nu[j]]) == _bits(alone[1])
+            assert not alone[2][0]
 
         with pytest.warns(UserWarning, match="mixing-weight fit failed") as rec:
             _, w = ebayes_threshold(X, sigma, lev, config)
@@ -722,18 +729,28 @@ class TestShrinkageProperties:
         # threshold grows as the signal weight shrinks
         assert thresh_from_weight(0.05) > thr
 
-    @pytest.mark.parametrize("w", [0.0, math.nan, -0.5, 1.5])
+    @pytest.mark.parametrize("w", [0.0, math.nan, -0.5, 1.5, 5e-324, 1e-310])
     def test_threshold_weight_outside_unit_interval_rejected(self, w):
-        # 0 divided by zero, NaN reached scipy's root finder, and -0.5 and
-        # 1.5 returned a threshold of 0
+        # 0 divided by zero, NaN reached scipy's root finder, -0.5 and 1.5
+        # returned a threshold of 0, and 1/w overflows below the smallest
+        # normal float
         with pytest.raises(ShrinkageError, match="mixing weight must be in"):
             thresh_from_weight(w)
 
-    @pytest.mark.parametrize("w", [-1.0, 2.0, 0.0, math.nan, np.array([0.5, 2.0])])
+    @pytest.mark.parametrize(
+        "w", [-1.0, 2.0, 0.0, math.nan, np.array([0.5, 2.0]), 5e-324, 1e-310]
+    )
     def test_median_weight_outside_unit_interval_rejected(self, w):
         x = np.array([[0.5, 0.5], [3.0, 3.0]]) if np.ndim(w) else np.array([0.5, 3.0])
         with pytest.raises(ShrinkageError, match="mixing weight must be in"):
             post_med_cauchy(x, w)
+
+    def test_smallest_weight_finite_without_warning(self):
+        # 5e-324 gave a NaN median (0 * inf) and an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(thresh_from_weight(shrinkage.W_MIN))
+            assert np.all(np.isfinite(post_med_cauchy(np.array([0.5, 3.0, 50.0]), shrinkage.W_MIN)))
 
     def test_weight_one_accepted(self):
         assert thresh_from_weight(1.0) == 0.0
@@ -868,6 +885,39 @@ class TestDenoise:
         assert res.zero_frac == sum(d == 0.0 for d in details) / len(details)
         # pure noise: most details shrink to exactly 0
         assert res.zero_frac > 0.5
+
+
+class TestKeepCoarsestChecked:
+    """`keep_coarsest` must leave a level to shrink on every input, a
+    noiseless one too, whose columns pass through unshrunk."""
+
+    def test_noiseless_input_rejected(self):
+        graph, values = generate_flow_fixture(0)
+        lg = build_line_graph(graph)
+        cfg = LiftingConfig.from_acronym("LG-Sid-p")
+        shrink = ShrinkageConfig(keep_coarsest=99)
+        assert denoise(values, lg, cfg).sigma_hat == 0.0
+        for run in (
+            lambda: denoise(values, lg, cfg, shrink),
+            lambda: nlt_denoise(values, lg, cfg, shrink, n_trajectories=2),
+            lambda: flow_experiment(0.0, n_replications=2, shrink_config=shrink),
+        ):
+            with pytest.raises(ShrinkageError, match="keep_coarsest=99 must be below"):
+                run()
+
+
+class TestLevelRows:
+    @pytest.mark.parametrize("acr", lifting.VARIANTS)
+    @pytest.mark.parametrize("order", ["free", "trajectory"])
+    def test_bounds_are_level_counts(self, mst_lg, acr, order):
+        cfg = LiftingConfig.from_acronym(acr)
+        traj = random_trajectories(mst_lg, cfg, 1, 4)[0] if order == "trajectory" else None
+        _, record = forward(np.ones(mst_lg.m), mst_lg, cfg, trajectory=traj)
+        rows, bounds = record._level_rows
+        levels = np.array([record.levels[k] for k in record.removal_order])
+        assert np.diff(bounds).tolist() == np.bincount(levels).tolist()
+        assert bounds[0] == 0 and bounds[-1] == len(levels)
+        assert rows.tolist() == np.argsort(levels, kind="stable").tolist()
 
 
 class TestPassThroughLevels:
