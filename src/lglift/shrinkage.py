@@ -67,19 +67,22 @@ class ShrinkageConfig:
 
 @dataclass(eq=False)
 class DenoiseResult:
-    """One denoised signal: the estimates in line-graph id order (`ids`) and
-    the shrunk details in removal order (`detail_ids`), as arrays, and as
-    dicts by id (`estimates`, `shrunk_details`) built when first read."""
+    """A denoised signal or batch: the estimates in line-graph id order
+    (`ids`) and the shrunk details in removal order (`detail_ids`), as
+    arrays, (m,) and (n,) for one signal or (m, B) and (n, B) for a batch,
+    and as dicts by id (`estimates`, `shrunk_details`; lists for a batch)
+    built when first read.  `sigma_hat` and `nu_hat`, the MAD noise scale
+    and the mixing weight, are floats for one signal, (B,) for a batch."""
 
     ids: Tuple[Id, ...]
     estimate_vector: np.ndarray
-    sigma_hat: float
-    nu_hat: float
+    sigma_hat: float | np.ndarray
+    nu_hat: float | np.ndarray
     detail_ids: Tuple[Id, ...]
     shrunk_vector: np.ndarray
-    #: fraction of the m - tau shrunk details that are exactly 0
+    #: fraction of the shrunk details (m - tau per column) that are exactly 0
     zero_frac: float
-    #: fraction of the signals whose mixing-weight fit fell back to 0.5
+    #: fraction of the columns whose mixing-weight fit fell back to 0.5
     fallback_frac: float
     #: the coarsest artificial level in the MAD noise estimate (0: the finest alone)
     mad_pool_level: int
@@ -394,11 +397,11 @@ def ebayes_threshold(
     """Shrink details level-aware; returns (shrunk details, fitted weights).
 
     `details` is one signal's column (n,) or a batch (n, B), rows aligned
-    to the int array `levels`; `sigma` is a noise scale, or one per column.
-    The `keep_coarsest` coarsest levels pass through untouched; the rest
-    are standardized by sigma, shrunk with a mixing weight fitted per
-    column (0.5, with a warning, where the fit fails), and rescaled.  The
-    weight is a float for one signal, else (B,).
+    to the int array `levels`; `sigma` is a finite positive noise scale, or
+    one per column.  The `keep_coarsest` coarsest levels pass through
+    untouched; the rest are standardized by sigma, shrunk with a mixing
+    weight fitted per column (0.5, with a warning, where the fit fails), and
+    rescaled.  The weight is a float for one signal, else (B,).
     """
     details, levels = np.asarray(details, dtype=float), np.asarray(levels)
     block = details.reshape(len(details), -1)
@@ -408,8 +411,8 @@ def ebayes_threshold(
         raise ShrinkageError(
             f"sigma of shape {np.shape(sigma)} for {block.shape[1]} columns: need one each"
         )
-    if not np.all(sigma > 0):
-        raise ShrinkageError(f"noise scale must be positive, got {sigma}")
+    if not np.all(np.isfinite(sigma) & (np.asarray(sigma) > 0)):  # NaN too
+        raise ShrinkageError(f"noise scale must be finite and positive, got {sigma}")
     n_levels = int(levels.max()) + 1 if levels.size else 0
     if not config.keep_coarsest < max(n_levels, 1):
         raise ShrinkageError(
@@ -435,19 +438,16 @@ def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
 
 def _denoise_plans(
     plans: Sequence[CoefficientSet], shrink_config: ShrinkageConfig
-) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray, int]:
+) -> List[DenoiseResult]:
     """Denoise the coefficients of each plan, the (m,) or (m, B) `vector` of
-    a `CoefficientSet` on its `record`, in one shrink step for all columns.
+    a `CoefficientSet` on its `record`, in one shrink step for all columns;
+    returns one `DenoiseResult` per plan, shaped like its vector.
 
     `plans` are sets of one line graph.  Their details, standardized by
     their gains, are sorted by level, so each level's rows and the rows
     shrunk (all but the `keep_coarsest` coarsest levels) are prefixes cut at
-    the level bounds.  Returns per plan the estimates (line-graph id order)
-    and the shrunk coefficients (canonical order), both shaped like its
-    vector, and sigma, nu and the weight-fit fallback mask over all columns,
-    plan after plan, and the coarsest level the MAD pooled (the plans share
-    their levels).  A column whose MAD is zero (noiseless input) passes
-    through with sigma = nu = 0.
+    the level bounds.  Each column's results depend on that column alone; one
+    whose MAD is zero (noiseless input) passes through with sigma = nu = 0.
     """
     blocks = []
     for coeffs in plans:
@@ -485,30 +485,28 @@ def _denoise_plans(
         Z[:n, live] = shrunk * s
     out, j = [], 0
     for record, shape, rows, C, gains in blocks:
+        cols = slice(j, j + C.shape[1])
         # only the live columns' shrunk rows are written back; the rest stay bitwise
-        cols = np.flatnonzero(live[j : j + C.shape[1]])
-        C[rows[:n, None], cols] = Z[:n, j + cols] * gains[:n]
-        j += C.shape[1]
+        done = np.flatnonzero(live[cols])
+        C[rows[:n, None], done] = Z[:n, j + done] * gains[:n]
+        j = cols.stop
         C = C.reshape(shape)
-        out.append((inverse(C, record), C))
-    return out, sigma, nu, fallback, pool
-
-
-def _result(record: LiftingRecord, est, c, sigma, nu, fallback, pool) -> DenoiseResult:
-    if c.ndim > 1:  # the denoisers take one signal, as a mapping or an (m,) array
-        raise ShrinkageError(f"one signal at a time, not values of shape {est.shape}")
-    details = c[: len(record.steps)]
-    return DenoiseResult(
-        ids=record.ids,
-        estimate_vector=est,
-        sigma_hat=float(sigma),
-        nu_hat=float(nu),
-        detail_ids=record.removal_order,
-        shrunk_vector=details,
-        zero_frac=float(np.mean(details == 0.0)),
-        fallback_frac=float(fallback),
-        mad_pool_level=pool,
-    )
+        details = C[: len(rows)]
+        sigma_hat, nu_hat = sigma[cols], nu[cols]
+        if C.ndim == 1:  # one signal's diagnostics are floats
+            sigma_hat, nu_hat = float(sigma_hat[0]), float(nu_hat[0])
+        out.append(DenoiseResult(
+            ids=record.ids,
+            estimate_vector=inverse(C, record),
+            sigma_hat=sigma_hat,
+            nu_hat=nu_hat,
+            detail_ids=record.removal_order,
+            shrunk_vector=details,
+            zero_frac=float(np.mean(details == 0.0)),
+            fallback_frac=float(np.mean(fallback[cols])),
+            mad_pool_level=pool,
+        ))
+    return out
 
 
 def denoise(
@@ -518,12 +516,11 @@ def denoise(
     shrink_config: ShrinkageConfig = ShrinkageConfig(),
     trajectory: Optional[Sequence[Id]] = None,
 ) -> DenoiseResult:
-    """Transform the one signal (a mapping by id or an (m,) array in
-    `lg.ids` order) with `forward`, shrink its coefficients in the shrink
-    core (`_denoise_plans`) and invert them."""
-    coeffs, record = forward(values, lg, config, trajectory=trajectory)
-    [(est, c)], sigma, nu, fallback, pool = _denoise_plans([coeffs], shrink_config)
-    return _result(record, est, c, sigma[0], nu[0], fallback[0], pool)
+    """Transform the values, one signal or a batch as `forward` takes them,
+    shrink the coefficients in the shrink core (`_denoise_plans`) and invert
+    them.  Each column of a batch is bitwise `denoise` on that column alone."""
+    coeffs, _ = forward(values, lg, config, trajectory=trajectory)
+    return _denoise_plans([coeffs], shrink_config)[0]
 
 
 def random_trajectories(
@@ -556,7 +553,8 @@ def nlt_denoise(
     seed: int | Sequence[int] = 0,
 ) -> Tuple[DenoiseResult, List[DenoiseResult]]:
     """Average the denoiser over random removal orders of one signal, a
-    mapping by id or an (m,) array in `lg.ids` order.
+    mapping by id or an (m,) array in `lg.ids` order; a batch is refused
+    before any trajectory is planned.
 
     Each trajectory gets an independent substream derived from (seed,
     index), so results do not depend on evaluation order.  `seed` is an
@@ -569,26 +567,23 @@ def nlt_denoise(
     """
     if not (_is_count(n_trajectories) and n_trajectories >= 1):
         raise ShrinkageError(f"n_trajectories must be a positive integer, got {n_trajectories!r}")
+    if np.ndim(list(values.values()) if isinstance(values, Mapping) else values) > 1:
+        raise ShrinkageError("nlt_denoise takes one signal at a time, not a batch")
     plans = [  # `random_trajectories` checks the seed
         forward(values, lg, config, trajectory=traj)[0]
         for traj in random_trajectories(lg, config, n_trajectories, seed)
     ]
-    blocks, sigma, nu, fallback, pool = _denoise_plans(plans, shrink_config)
-    singles = [
-        _result(p.record, est, c, sigma[t], nu[t], fallback[t], pool)
-        for t, (p, (est, c)) in enumerate(zip(plans, blocks))
-    ]
-    mean_est = np.sum([est for est, _ in blocks], axis=0) / len(blocks)
+    singles = _denoise_plans(plans, shrink_config)
     combined = DenoiseResult(
         ids=lg.ids,
-        estimate_vector=mean_est,
-        sigma_hat=float(np.mean(sigma)),
-        nu_hat=float(np.mean(nu)),
+        estimate_vector=np.sum([r.estimate_vector for r in singles], axis=0) / len(singles),
+        sigma_hat=float(np.mean([r.sigma_hat for r in singles])),
+        nu_hat=float(np.mean([r.nu_hat for r in singles])),
         detail_ids=(),
         shrunk_vector=np.empty(0),
         zero_frac=float(np.mean([r.zero_frac for r in singles])),
-        fallback_frac=float(np.mean(fallback)),
+        fallback_frac=float(np.mean([r.fallback_frac for r in singles])),
         # the trajectories of one line graph share their levels
-        mad_pool_level=pool,
+        mad_pool_level=singles[0].mad_pool_level,
     )
     return combined, singles

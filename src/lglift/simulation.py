@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import _condition
 from .graph import EdgeRec, Graph, Id, build_line_graph, euclidean_mst
 from .lifting import LiftingConfig, _is_count, forward
-from .shrinkage import ShrinkageConfig, _denoise_plans, nlt_denoise
+from .shrinkage import ShrinkageConfig, denoise, nlt_denoise
 
 # substream tags; combined with the master seed they name an RNG stream
 SUB_GRAPH = 1
@@ -139,11 +139,18 @@ def sample_network(n: int, seed: int) -> Graph:
     return Graph(vertices, edges)
 
 
+def _endpoints(graph: Graph, e: EdgeRec):
+    """The coordinates of edge `e`'s two ends, which a field needs."""
+    if graph.coords[e.u] is None or graph.coords[e.v] is None:
+        raise SimulationError(f"edge {e.id!r} has an endpoint without coordinates")
+    return graph.coords[e.u], graph.coords[e.v]
+
+
 def embed_pointwise(fn: FieldFn, graph: Graph) -> Dict[Id, float]:
     """Field value at each edge midpoint."""
     out = {}
     for e in graph.edges:
-        (x1, y1), (x2, y2) = graph.coords[e.u], graph.coords[e.v]
+        (x1, y1), (x2, y2) = _endpoints(graph, e)
         out[e.id] = float(fn(0.5 * (x1 + x2), 0.5 * (y1 + y2)))
     return out
 
@@ -154,7 +161,7 @@ def embed_edge_average(fn: FieldFn, graph: Graph, n_samples: int = 100) -> Dict[
     out = {}
     ts = np.linspace(0.0, 1.0, n_samples)
     for e in graph.edges:
-        (x1, y1), (x2, y2) = graph.coords[e.u], graph.coords[e.v]
+        (x1, y1), (x2, y2) = _endpoints(graph, e)
         out[e.id] = float(
             np.mean([fn(x1 + t * (x2 - x1), y1 + t * (y2 - y1)) for t in ts])
         )
@@ -162,11 +169,13 @@ def embed_edge_average(fn: FieldFn, graph: Graph, n_samples: int = 100) -> Dict[
 
 
 def normalize_unit_variance(values: Mapping[Id, float]) -> Dict[Id, float]:
-    """Scale values so the sample variance is one."""
-    arr = np.array(list(values.values()))
-    sd = float(np.std(arr, ddof=1))
-    if sd == 0:
-        raise SimulationError("cannot normalize: values are constant")
+    """Scale values so the sample variance is one; their sample SD must be
+    finite and positive (not one value, constant, non-finite or overflowing)."""
+    arr = np.array(list(values.values()), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else math.nan
+    if not 0 < sd < math.inf:  # NaN too
+        raise SimulationError(f"cannot normalize {arr.size} values with sample SD {sd}")
     return {k: v / sd for k, v in values.items()}
 
 
@@ -200,9 +209,9 @@ class MetricsReport:
 def compute_metrics(estimates: np.ndarray, truths: np.ndarray) -> MetricsReport:
     """AMSE, variance and squared bias from a complete result grid.
 
-    `estimates` has shape (Q, R, m), `truths` (Q, m).  The variance uses
-    the per-cell mean over the R replications with a 1/R denominator, so
-    AMSE = Var + Bias^2 holds exactly.
+    `estimates` has shape (Q, R, m), `truths` (Q, m), every axis nonempty
+    and every cell finite.  The variance uses the per-cell mean over the R
+    replications with a 1/R denominator, so AMSE = Var + Bias^2 holds exactly.
     """
     estimates = np.asarray(estimates, dtype=float)
     truths = np.asarray(truths, dtype=float)
@@ -210,8 +219,8 @@ def compute_metrics(estimates: np.ndarray, truths: np.ndarray) -> MetricsReport:
         raise SimulationError(
             f"grid shapes mismatched: {estimates.shape} vs {truths.shape}"
         )
-    if not np.all(np.isfinite(estimates)) or not np.all(np.isfinite(truths)):
-        raise SimulationError("grid has missing or non-finite cells")
+    if not estimates.size or not (np.isfinite(estimates).all() and np.isfinite(truths).all()):
+        raise SimulationError(f"grid {estimates.shape} is empty or has missing or non-finite cells")
     err = estimates - truths[:, None, :]
     amse = float(np.mean(err**2))
     cell_mean = estimates.mean(axis=1)
@@ -319,11 +328,8 @@ def run_experiment(
     for q in range(Q):
         graph = sample_network(config.n_vertices, seed=(config.master_seed * 1000 + q))
         lg = build_line_graph(graph)
-        if config.embedding == "pointwise":
-            g = embed_pointwise(fn, graph)
-        else:
-            g = embed_edge_average(fn, graph)
-        g = normalize_unit_variance(g)
+        embed = embed_pointwise if config.embedding == "pointwise" else embed_edge_average
+        g = normalize_unit_variance(embed(fn, graph))
         truths[q] = [g[k] for k in lg.ids]
         # add_noise's draws, without normalizing g a second time: lg.ids
         # follows graph.edges, the order add_noise draws in
@@ -333,8 +339,7 @@ def run_experiment(
         ])
         noisy = truths[q][:, None] + noise
         # plan, gains and levels are data-independent: one plan per graph
-        [(est, _)], *_ = _denoise_plans([forward(noisy, lg, lift_cfg)[0]], shrink_config)
-        estimates[q] = est.T
+        estimates[q] = denoise(noisy, lg, lift_cfg, shrink_config).estimate_vector.T
     return compute_metrics(estimates, truths)
 
 
@@ -381,8 +386,7 @@ def flow_experiment(
     rngs = [np.random.default_rng((seed, SUB_NOISE, r)) for r in range(n_replications)]
     noisy = truths.T + np.array([rng.normal(0, sigma, m) for rng in rngs]).T
     if nlt_trajectories is None:
-        [(est, _)], *_ = _denoise_plans([forward(noisy, lg, cfg)[0]], shrink_config)
-        estimates[0] = est.T
+        estimates[0] = denoise(noisy, lg, cfg, shrink_config).estimate_vector.T
     else:
         for r, x in enumerate(noisy.T):
             res, _ = nlt_denoise(x, lg, cfg, shrink_config, nlt_trajectories, seed=seed * 100 + r)

@@ -817,6 +817,13 @@ class TestEbayesThreshold:
         with pytest.raises(ShrinkageError, match="positive"):
             ebayes_threshold(np.array([1.0]), 0.0, np.array([0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [math.inf, np.array([1.0, math.inf]), np.array([1.0, np.nan])])
+    def test_non_finite_sigma_rejected(self, sigma):
+        details = np.ones((12, *np.shape(sigma)))
+        with pytest.raises(ShrinkageError, match="noise scale must be finite and positive"):
+            ebayes_threshold(details, sigma, np.arange(12) // 4)
+
     def test_misaligned_levels_rejected(self):
         with pytest.raises(ShrinkageError, match="8 levels for 10 detail rows"):
             ebayes_threshold(np.arange(10.0), 1.0, np.arange(8) // 3)
@@ -835,15 +842,30 @@ class TestEbayesThreshold:
 
 
 class TestDenoise:
-    def test_array_signal_is_the_mapping_and_a_batch_is_rejected(self, mst_lg, rng):
+    def test_array_signal_is_the_mapping(self, mst_lg, rng):
         cfg = LiftingConfig.from_acronym("LG-Aid-c")
         x = rng.normal(size=mst_lg.m)
         by_id = denoise(dict(zip(mst_lg.ids, x.tolist())), mst_lg, cfg)
         assert by_id.estimate_vector.tobytes() == denoise(x, mst_lg, cfg).estimate_vector.tobytes()
         assert list(by_id.estimates) == list(mst_lg.ids)
-        for run in (denoise, nlt_denoise):
+
+    def test_nlt_rejects_a_batch_before_planning(self, monkeypatch, mst_lg, rng):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(shrinkage, "forward", counted)
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        x = rng.normal(size=mst_lg.m)
+        by_id = dict(zip(mst_lg.ids, np.column_stack([x, x]).tolist()))
+        for batch in (np.column_stack([x, x]), by_id):
             with pytest.raises(ShrinkageError, match="one signal at a time"):
-                run(np.column_stack([x, x]), mst_lg, cfg)
+                nlt_denoise(batch, mst_lg, cfg, n_trajectories=2)
+        assert calls == []
+        nlt_denoise(x, mst_lg, cfg, n_trajectories=2)
+        assert len(calls) == 2
 
     def test_clean_flow_signal_barely_damaged(self):
         graph, values = generate_flow_fixture(0)
@@ -963,7 +985,7 @@ class TestOneForwardReplay:
 
 
 class TestBatchCore:
-    """B columns through the shrink core equal B single-signal denoise calls."""
+    """A batch `denoise` of B columns equals B single-signal denoise calls."""
 
     @pytest.mark.parametrize(
         "acr, graph", [("LG-Aid-c", "mst"), ("LG-Sid-p", "flow"), ("LG-Dnw-p", "flow")]
@@ -985,7 +1007,8 @@ class TestBatchCore:
         X = np.column_stack([truth[:, None] + noise, truth])
         coeffs, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        [(est, shrunk)], sigma, nu, _, _ = _denoise_plans([forward(X, lg, cfg)[0]], shrink)
+        res = denoise(X, lg, cfg, shrink)
+        est, shrunk, sigma, nu = res.estimate_vector, res.shrunk_vector, res.sigma_hat, res.nu_hat
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -997,11 +1020,36 @@ class TestBatchCore:
             assert abs(nu[j] - single.nu_hat) <= 1e-12
         assert np.all(sigma[:-1] > 0)
         assert sigma[-1] == 0.0 and nu[-1] == 0.0
-        assert np.array_equal(shrunk[:, -1], coeffs.vector)
+        assert np.array_equal(shrunk[:, -1], coeffs.vector[:n])
+
+    def test_batch_fractions(self, monkeypatch, mst_lg, rng):
+        """A batch's zero fraction is over all its shrunk details, its
+        fallback fraction over its columns."""
+        fit = shrinkage.weight_from_data
+
+        def first_column_fails(z):
+            w = fit(z)
+            w[0] = np.nan
+            return w
+
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        X = rng.normal(size=(mst_lg.m, 4))
+        res = denoise(X, mst_lg, cfg)
+        assert res.estimate_vector.shape == (mst_lg.m, 4)
+        assert res.shrunk_vector.shape == (mst_lg.m - cfg.tau, 4)
+        assert res.sigma_hat.shape == res.nu_hat.shape == (4,)
+        zero = [denoise(x, mst_lg, cfg).zero_frac for x in X.T]
+        assert res.zero_frac == pytest.approx(np.mean(zero), abs=1e-15)
+        assert 0.0 < res.zero_frac < 1.0 and res.fallback_frac == 0.0
+        monkeypatch.setattr(shrinkage, "weight_from_data", first_column_fails)
+        with pytest.warns(UserWarning, match="mixing-weight fit failed") as rec:
+            res = denoise(X, mst_lg, cfg)
+        assert len(rec) == 1
+        assert res.fallback_frac == 0.25 and res.nu_hat[0] == 0.5
 
 
 class TestBatchCoreBitwise:
-    """Each column through the shrink core equals a single-signal denoise of
+    """Each column of a batch `denoise` equals a single-signal denoise of
     that column bit for bit: no column's result depends on its batch."""
 
     @pytest.mark.parametrize(
@@ -1023,7 +1071,8 @@ class TestBatchCoreBitwise:
         X = np.column_stack([truth[:, None] + noise, truth])
         _, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        [(est, shrunk)], sigma, nu, _, _ = _denoise_plans([forward(X, lg, cfg)[0]], shrink)
+        res = denoise(X, lg, cfg, shrink)
+        est, shrunk, sigma, nu = res.estimate_vector, res.shrunk_vector, res.sigma_hat, res.nu_hat
         for j in range(X.shape[1]):
             single = denoise(
                 dict(zip(lg.ids, X[:, j].tolist())), lg, cfg, shrink,
@@ -1056,7 +1105,7 @@ class TestDetailGains:
 
 
 class TestBatchSigma:
-    """The shrink core estimates sigma in one MAD pass over the batch: column
+    """`denoise` estimates sigma in one MAD pass over a batch: column
     by column it is bitwise `estimate_sigma_mad` on the pooled levels, and a
     zero-MAD column has sigma 0 and passes through unshrunk."""
 
@@ -1087,10 +1136,9 @@ class TestBatchSigma:
         mad_levels = np.where(lev <= pool, 0, lev)
         gains = np.array(list(detail_gains(record).values()))
         for batch in (X, X[:, 0]):
-            [(est, shrunk)], sigma, _, _, _ = _denoise_plans(
-                [forward(batch, lg, cfg)[0]], ShrinkageConfig(rule=rule)
-            )
-            est, shrunk = est.reshape(lg.m, -1), shrunk.reshape(lg.m, -1)
+            res = denoise(batch, lg, cfg, ShrinkageConfig(rule=rule))
+            est, shrunk = res.estimate_vector.reshape(lg.m, -1), res.shrunk_vector.reshape(n, -1)
+            sigma = np.reshape(res.sigma_hat, -1)
             for j, x in enumerate(batch.reshape(lg.m, -1).T):
                 values = dict(zip(lg.ids, x.tolist()))
                 c = forward(values, lg, cfg, trajectory=record.removal_order)[0].vector
@@ -1099,7 +1147,7 @@ class TestBatchSigma:
                     with pytest.raises(ShrinkageError, match="degenerate finest level"):
                         estimate_sigma_mad(z, mad_levels)
                     assert sigma[j] == 0.0
-                    assert _bits(shrunk[:, j]) == _bits(c)
+                    assert _bits(shrunk[:, j]) == _bits(c[:n])
                     assert np.max(np.abs(est[:, j] - x)) <= 1e-12
                 else:
                     assert _bits([sigma[j]]) == _bits([estimate_sigma_mad(z, mad_levels)])

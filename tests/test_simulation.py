@@ -107,6 +107,16 @@ class TestEmbeddings:
         with pytest.raises(SimulationError, match="at least 2 samples, got 3.5"):
             embed_edge_average(lambda x, y: x, segment_graph, 3.5)
 
+    @pytest.mark.parametrize("embed", [embed_pointwise, embed_edge_average])
+    def test_vertices_without_coordinates_rejected(self, embed):
+        graph, _ = generate_flow_fixture(0)
+        with pytest.raises(SimulationError, match="edge 0 has an endpoint without coordinates"):
+            embed(lambda x, y: x, graph)
+
+
+#: `normalize_unit_variance`, and `add_noise`, which normalizes first
+NORMALIZERS = [normalize_unit_variance, lambda values: add_noise(values, snr=3.0, seed=0)]
+
 
 class TestNoise:
     def test_sigma_from_snr(self, rng):
@@ -123,6 +133,26 @@ class TestNoise:
     def test_constant_rejected(self):
         with pytest.raises(SimulationError, match="cannot normalize"):
             add_noise({0: 1.0, 1: 1.0}, snr=3.0, seed=0)
+
+    # each rejected without a NumPy warning on the way
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("normalize", NORMALIZERS)
+    def test_one_value_rejected(self, normalize):
+        with pytest.raises(SimulationError, match="cannot normalize 1 values"):
+            normalize({1: 5.0})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("normalize", NORMALIZERS)
+    def test_non_finite_value_rejected(self, normalize, bad):
+        with pytest.raises(SimulationError, match="with sample SD nan"):
+            normalize({1: 1.0, 2: bad, 3: 2.0})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("normalize", NORMALIZERS)
+    def test_overflowing_spread_rejected(self, normalize):
+        with pytest.raises(SimulationError, match="with sample SD inf"):
+            normalize({1: 1e308, 2: -1e308})
 
     def test_noise_variance_calibrated(self, rng):
         values = {i: float(v) for i, v in enumerate(rng.normal(size=10**6))}
@@ -167,6 +197,11 @@ class TestMetrics:
         assert rep.amse == pytest.approx(amse, abs=1e-12)
         assert rep.bias_sq == pytest.approx(bias, abs=1e-12)
         assert rep.amse == pytest.approx(rep.variance + rep.bias_sq, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 0, 5), (0, 2, 5), (1, 2, 0)])
+    def test_empty_grid_rejected(self, shape):
+        with pytest.raises(SimulationError, match="is empty"):
+            compute_metrics(np.zeros(shape), np.zeros((shape[0], shape[2])))
 
     def test_missing_cells_rejected(self):
         est = np.zeros((1, 2, 3))
@@ -228,14 +263,14 @@ class TestRunExperiment:
         # master seed 0: normalizing either graph's unit-variance truth a
         # second time changes the last bits of its values, which the
         # replicates must not carry
-        transform = lglift.simulation.forward
+        run = lglift.simulation.denoise
         batches = []
 
         def capture(values, *args, **kwargs):
             batches.append(np.array(values))
-            return transform(values, *args, **kwargs)
+            return run(values, *args, **kwargs)
 
-        monkeypatch.setattr(lglift.simulation, "forward", capture)
+        monkeypatch.setattr(lglift.simulation, "denoise", capture)
         run_experiment(ExperimentConfig(n_vertices=20, n_graphs=2, n_replications=3, snr=3.0))
         assert len(batches) == 2
         for q, X in enumerate(batches):
