@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -13,19 +14,21 @@ from .lifting import LiftingConfig, LiftingError, LiftingRecord, forward, invers
 
 @dataclass(frozen=True)
 class TransformMatrices:
-    """Dense forward/inverse matrices with their coefficient ordering.
+    """The dense forward matrix of `record`, and its inverse matrix.
 
     Rows of `forward_matrix` follow the canonical coefficient order:
     details in removal order, then scaling ids ascending by line-graph
     position.  Columns follow the line-graph id order.  `inverse_matrix`
-    is indexed the other way around, so forward @ inverse = identity.
+    is indexed the other way around, so forward @ inverse = identity; it
+    is the inverse replay of the identity, built when first read.
     """
 
     forward_matrix: np.ndarray
-    inverse_matrix: np.ndarray
-    coefficient_order: Tuple[Id, ...]
-    value_order: Tuple[Id, ...]
     record: LiftingRecord
+
+    @cached_property
+    def inverse_matrix(self) -> np.ndarray:
+        return inverse(np.eye(len(self.record.ids)), self.record)
 
 
 def build_matrices(
@@ -36,28 +39,17 @@ def build_matrices(
     """Assemble the transform as dense matrices.
 
     The removal order is fixed once (from the seed or the given
-    trajectory), then the forward map is replayed on the value basis and
-    the inverse map on the coefficient basis (the identity matrix both
-    times), so the two matrices are built independently of each other.
+    trajectory), then the forward map is replayed on the value basis, the
+    identity.  The inverse map is replayed on the coefficient basis only
+    when `inverse_matrix` is first read, so `condition_number` pays for none.
     """
     coeffs, record = forward(np.eye(lg.m), lg, config, trajectory=trajectory)
-    return TransformMatrices(
-        forward_matrix=coeffs.vector,
-        inverse_matrix=inverse(np.eye(lg.m), record),
-        coefficient_order=record._order,
-        value_order=lg.ids,
-        record=record,
-    )
+    return TransformMatrices(forward_matrix=coeffs.vector, record=record)
 
 
 def condition_number(matrices: TransformMatrices) -> float:
     """Ratio of the extreme singular values of the forward matrix."""
-    return _condition(matrices.forward_matrix)
-
-
-def _condition(forward_matrix: np.ndarray) -> float:
-    """`condition_number` of a forward matrix alone."""
-    sv = np.linalg.svd(forward_matrix, compute_uv=False)
+    sv = np.linalg.svd(matrices.forward_matrix, compute_uv=False)
     if sv[-1] <= 0 or not np.isfinite(sv[-1]):
         raise LiftingError("transform not invertible")
     return float(sv[0] / sv[-1])
@@ -78,12 +70,17 @@ class SparsityCurve:
 
 
 def sparsity_curve_single(
-    true_values: Dict[Id, float], lg: LineGraph, config: LiftingConfig
+    true_values: Mapping[Id, float] | np.ndarray, lg: LineGraph, config: LiftingConfig
 ) -> SparsityCurve:
     """Greedy largest-|d| reconstruction error curve for one graph, from
-    one inverse replay with a coefficient column per truncation."""
+    one inverse replay with a coefficient column per truncation; the truth
+    is a mapping by id or an (m,) array in `lg.ids` order, as in `forward`."""
     coeffs, record = forward(true_values, lg, config)
     c = coeffs.vector
+    if c.ndim != 1:
+        raise LiftingError(f"a sparsity curve is of one signal: values of shape {c.shape}")
+    if isinstance(true_values, Mapping):
+        true_values = [true_values[k] for k in lg.ids]
     n = len(record.steps)
     # rank[i]: place of detail i in the greedy order, ties kept in removal
     # order; column t keeps the scaling coefficients and the t largest
@@ -91,6 +88,6 @@ def sparsity_curve_single(
     rank[np.argsort(-np.abs(c[:n]), kind="stable")] = np.arange(n)
     trials = np.tile(c[:, None], n + 1)
     trials[:n][rank[:, None] >= np.arange(n + 1)] = 0.0
-    truth = np.array([true_values[k] for k in lg.ids], dtype=float)
+    truth = np.asarray(true_values, dtype=float)
     ise = ((inverse(trials, record) - truth[:, None]) ** 2).sum(axis=0)
     return SparsityCurve(ise=ise)

@@ -156,6 +156,9 @@ class LineGraph:
             bad = [k for k, ok in zip(self.ids, finite.tolist()) if not ok]
             if bad:
                 raise GraphError(f"non-finite {what} at new vertices {bad[:3]!r}")
+        short = [k for k in self.ids if not edge_lengths[k] > 0] if edge_lengths else []
+        if short:
+            raise GraphError(f"non-positive edge lengths at new vertices {short[:3]!r}")
         self.coords = dict(coords) if coords else None
         self.edge_lengths = dict(edge_lengths) if edge_lengths else None
         self.values = dict(values) if values else None

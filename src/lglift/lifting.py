@@ -455,11 +455,11 @@ def forward(
 
 
 def _checked(X, ids: Sequence[Id], what: str) -> np.ndarray:
-    """X as a float array of shape (m,) or (m, B), m = len(ids), with
+    """X as a float array of shape (m,) or (m, B), m = len(ids), B > 0, with
     finite entries: else LiftingError, naming the id of a non-finite row."""
     X = np.asarray(X, dtype=float)
-    if X.ndim not in (1, 2) or len(X) != len(ids):
-        raise LiftingError(f"{what}s of shape {X.shape}: need ({len(ids)},) or ({len(ids)}, B)")
+    if X.ndim not in (1, 2) or len(X) != len(ids) or X.ndim == 2 and not X.shape[1]:
+        raise LiftingError(f"{what} array {X.shape}: need ({len(ids)},) or ({len(ids)}, B), B > 0")
     finite = np.isfinite(X).reshape(len(X), -1).all(axis=1)
     if not finite.all():
         raise LiftingError(f"non-finite {what} at {ids[int(np.argmin(finite))]!r}")

@@ -14,9 +14,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .analysis import _condition
+from .analysis import build_matrices, condition_number
 from .graph import EdgeRec, Graph, Id, build_line_graph, euclidean_mst
-from .lifting import LiftingConfig, _is_count, forward
+from .lifting import LiftingConfig, _is_count
 from .shrinkage import ShrinkageConfig, denoise, nlt_denoise
 
 # substream tags; combined with the master seed they name an RNG stream
@@ -42,7 +42,7 @@ def _check_count(value, low: int, message: str) -> None:
 
 def _substream(seed, tag: int) -> np.random.Generator:
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    for part in parts:
+    for part in parts or (seed,):  # an empty sequence is checked, and fails, as a seed
         _check_count(part, 0, _SEED)
     return np.random.default_rng((*parts, tag))
 
@@ -346,16 +346,15 @@ def run_experiment(
 def condition_number_study(
     variant: str, n_graphs: int = 50, n_vertices: int = 100, seed: int = 0
 ) -> List[float]:
-    """Condition number of the forward matrix over sampled networks: that
-    of `build_matrices` (the forward of the identity), without the inverse."""
+    """`condition_number(build_matrices(...))` over sampled networks, graph
+    q drawn with seed `seed * 1000 + q`; it builds no inverse matrix."""
     _check_count(n_graphs, 1, "need at least 1 graph")
     _check_count(seed, 0, _SEED)
     cfg = LiftingConfig.from_acronym(variant)
     out = []
     for q in range(n_graphs):
-        graph = sample_network(n_vertices, seed=(seed * 1000 + q))
-        lg = build_line_graph(graph)
-        out.append(_condition(forward(np.eye(lg.m), lg, cfg)[0].vector))
+        lg = build_line_graph(sample_network(n_vertices, seed=(seed * 1000 + q)))
+        out.append(condition_number(build_matrices(lg, cfg)))
     return out
 
 

@@ -1,8 +1,10 @@
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from lglift import analysis
 from lglift.analysis import (
     SparsityCurve,
     TransformMatrices,
@@ -10,18 +12,13 @@ from lglift.analysis import (
     condition_number,
     sparsity_curve_single,
 )
-from lglift.graph import build_line_graph
-from lglift.lifting import CoefficientSet, LiftingConfig, forward, inverse
+from lglift.graph import EdgeRec, Graph, build_line_graph
+from lglift.lifting import CoefficientSet, LiftingConfig, LiftingError, forward, inverse
+from lglift.simulation import sample_network
 
 
 def fake_matrices(mat):
-    return TransformMatrices(
-        forward_matrix=np.asarray(mat, dtype=float),
-        inverse_matrix=np.linalg.inv(mat),
-        coefficient_order=(),
-        value_order=(),
-        record=None,
-    )
+    return TransformMatrices(forward_matrix=np.asarray(mat, dtype=float), record=None)
 
 
 class TestBuildMatrices:
@@ -32,6 +29,21 @@ class TestBuildMatrices:
         assert np.max(np.abs(resid)) <= 1e-8
         resid = mats.inverse_matrix @ mats.forward_matrix - np.eye(mst_lg.m)
         assert np.max(np.abs(resid)) <= 1e-8
+
+    def test_inverse_matrix_built_once_on_first_read(self, mst_lg, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "inverse", counted)
+        mats = build_matrices(mst_lg, LiftingConfig.from_acronym("LG-Sid-p"))
+        assert [f.name for f in fields(TransformMatrices)] == ["forward_matrix", "record"]
+        assert not calls
+        first = mats.inverse_matrix
+        assert mats.inverse_matrix is first and len(calls) == 1
+        assert first.tobytes() == inverse(np.eye(mst_lg.m), mats.record).tobytes()
 
     def test_constant_vector_zero_detail_rows(self, small_tree_lg):
         mats = build_matrices(small_tree_lg, LiftingConfig.from_acronym("LG-Sid-c"))
@@ -138,3 +150,28 @@ class TestSparsity:
             greedy = curve.ise[kept]
             assert greedy >= best - 1e-12
             print(f"m=6 best-{kept}: greedy {greedy:.6f} vs optimal {best:.6f}")
+
+    @pytest.mark.parametrize("relabel", ["reversed", "shifted", "permuted"])
+    def test_array_and_mapping_give_the_same_curve(self, relabel):
+        # integer edge ids that are not the line-graph positions: an array is
+        # read in lg.ids order, the truth included
+        graph = sample_network(30, seed=1)
+        m = len(graph.edges)
+        new_ids = {
+            "reversed": list(range(m - 1, -1, -1)),
+            "shifted": list(range(5, m + 5)),
+            "permuted": np.random.default_rng(3).permutation(m).tolist(),
+        }[relabel]
+        edges = [EdgeRec(id=k, u=e.u, v=e.v) for k, e in zip(new_ids, graph.edges)]
+        lg = build_line_graph(Graph(list(graph.coords.items()), edges))
+        assert list(lg.ids) == new_ids
+        values = np.random.default_rng(4).normal(size=m)
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        by_array = sparsity_curve_single(values, lg, cfg)
+        by_id = sparsity_curve_single(dict(zip(lg.ids, values.tolist())), lg, cfg)
+        assert by_array.ise.tobytes() == by_id.ise.tobytes()
+        assert by_array.ise[-1] <= 1e-8
+
+    def test_batch_rejected(self, small_tree_lg):
+        with pytest.raises(LiftingError, match="one signal"):
+            sparsity_curve_single(np.ones((small_tree_lg.m, 2)), small_tree_lg, LiftingConfig())

@@ -184,6 +184,14 @@ class TestLineGraphValidation:
         with pytest.raises(GraphError, match=r"non-finite .* at new vertices \['c'\]"):
             LineGraph(ids, adj, **{field: given})
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0])
+    def test_non_positive_edge_length_rejected(self, bad):
+        ids = ["a", "b", "c", "d"]
+        adj = {k: set(ids) - {k} for k in ids}
+        lengths = {"a": 1.0, "b": 2.0, "c": bad, "d": 3.0}
+        with pytest.raises(GraphError, match=r"non-positive edge lengths at new vertices \['c'\]"):
+            LineGraph(ids, adj, edge_lengths=lengths)
+
     @pytest.mark.parametrize(
         "mode, field, given, named",
         [(MetricMode.COORDINATE, "coords",

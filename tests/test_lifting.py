@@ -574,7 +574,7 @@ class TestArrayInput:
         k = record.removal_order[0]
         assert np.array_equal(batch.details[k], batch.vector[0])
 
-    @pytest.mark.parametrize("shape", [(), (0,), (5,), (5, 2), (99, 2, 2)])
+    @pytest.mark.parametrize("shape", [(), (0,), (5,), (5, 2), (99, 2, 2), (99, 0)])
     def test_wrong_shape_rejected(self, mst_lg, shape):
         cfg = LiftingConfig.from_acronym("LG-Aid-c")
         with pytest.raises(LiftingError, match="need \\(99,\\) or \\(99, B\\)"):

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lglift import analysis, lifting, shrinkage, simulation
+from lglift import analysis, lifting, shrinkage
 from lglift.graph import GraphError, LineGraph, build_line_graph
 from lglift.lifting import (
     VARIANTS,
@@ -225,7 +225,7 @@ def test_hot_paths_never_build_the_stages_view(monkeypatch, path):
         records.append(out[1])
         return out
 
-    for module in (analysis, shrinkage, simulation):
+    for module in (analysis, shrinkage):
         monkeypatch.setattr(module, "forward", caught)
     HOT_PATHS[path]()
     built = sum("stages" in vars(r) for r in records)

@@ -263,7 +263,7 @@ def test_detail_gains_are_forward_matrix_row_norms(graphs, acr):
     gains = detail_gains(mats.record)
     n = len(mats.record.stages)
     norms = np.linalg.norm(mats.forward_matrix[:n], axis=1)
-    assert list(gains) == list(mats.coefficient_order[:n])
+    assert list(gains) == list(mats.record.removal_order)
     assert np.max(np.abs(np.array(list(gains.values())) - norms)) <= 1e-12
 
 

@@ -21,7 +21,7 @@ from scipy.stats import norm
 import lglift
 from lglift import lifting, shrinkage
 from lglift.analysis import sparsity_curve_single
-from lglift.lifting import LiftingConfig, forward, inverse
+from lglift.lifting import LiftingConfig, LiftingError, forward, inverse
 from lglift.shrinkage import (
     POST_MED_BIG,
     POST_MED_TOL,
@@ -1021,6 +1021,14 @@ class TestBatchCore:
         assert np.all(sigma[:-1] > 0)
         assert sigma[-1] == 0.0 and nu[-1] == 0.0
         assert np.array_equal(shrunk[:, -1], coeffs.vector[:n])
+
+    def test_empty_batch_rejected(self, mst_lg):
+        # no columns once gave NaN zero and fallback fractions
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LiftingError, match=r"\(99, B\), B > 0"):
+                denoise(np.empty((mst_lg.m, 0)), mst_lg, cfg)
 
     def test_batch_fractions(self, monkeypatch, mst_lg, rng):
         """A batch's zero fraction is over all its shrunk details, its

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import lglift.analysis
 import lglift.shrinkage
 import lglift.simulation
 from lglift.analysis import build_matrices, condition_number
 from lglift.graph import EdgeRec, Graph, build_line_graph
-from lglift.lifting import VARIANTS, LiftingConfig, forward
+from lglift.lifting import VARIANTS, LiftingConfig, forward, inverse
 from lglift.simulation import (
     FIELDS,
     SUB_NOISE,
@@ -305,7 +306,6 @@ class TestRunExperiment:
             calls.append(1)
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(lglift.simulation, "forward", counted)
         monkeypatch.setattr(lglift.shrinkage, "forward", counted)
         run_experiment(ExperimentConfig(n_vertices=20, n_graphs=2, n_replications=3))
         assert len(calls) == 2
@@ -359,6 +359,18 @@ class TestConditionNumberStudy:
         want = [condition_number(build_matrices(lg, cfg)) for lg in graphs]
         assert np.array(kappas).tobytes() == np.array(want).tobytes()
 
+    def test_builds_no_inverse(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inverse(*args, **kwargs)
+
+        for module in (lglift.analysis, lglift.shrinkage):
+            monkeypatch.setattr(module, "inverse", counted)
+        assert len(condition_number_study("LG-Aid-c", n_graphs=2, n_vertices=20)) == 2
+        assert not calls
+
 
 @pytest.mark.parametrize(
     "call",
@@ -372,3 +384,23 @@ class TestConditionNumberStudy:
 def test_negative_substream_seed_rejected(call):
     with pytest.raises(SimulationError, match="seed must be a nonnegative integer"):
         call()
+
+
+@pytest.mark.parametrize("seed", [(), [], -1, 1.0, True], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: sample_network(10, seed=seed),
+        lambda seed: generate_flow_fixture(seed),
+        lambda seed: add_noise({1: 1.0, 2: 2.0}, 3.0, seed=seed),
+        lambda seed: condition_number_study("LG-Aid-c", n_graphs=1, n_vertices=10, seed=seed),
+        lambda seed: flow_experiment(1.0, n_replications=1, seed=seed),
+        lambda seed: ExperimentConfig(n_vertices=10, n_graphs=1, n_replications=1, master_seed=seed),
+    ],
+    ids=["sample_network", "generate_flow_fixture", "add_noise", "condition_number_study",
+         "flow_experiment", "ExperimentConfig"],
+)
+def test_bad_seed_rejected(call, seed):
+    # an empty sequence once named a stream by its tag alone
+    with pytest.raises(SimulationError, match="seed must be"):
+        call(seed)
