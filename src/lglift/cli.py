@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Each subcommand wraps one library operation, writes its outputs plus a
-JSON manifest sufficient to reproduce the run, and exits nonzero with a
-machine-readable `error category=...` line on failure.
+Each subcommand wraps one library operation and writes its outputs; `main`
+then writes a JSON manifest sufficient to reproduce the run, or exits
+nonzero with a machine-readable `error category=...` line on failure.
 """
 
 from __future__ import annotations
@@ -86,15 +86,6 @@ def _diagnostics(result) -> dict:
     return {name: getattr(result, name) for name in names}
 
 
-def _manifest(args, command: str, extra: dict = ()) -> None:
-    manifest = {
-        "command": command,
-        "args": {k: v for k, v in vars(args).items() if k != "func"},
-        **dict(extra or {}),
-    }
-    lio.write_manifest(args.output + ".manifest.json", manifest)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -107,13 +98,13 @@ def cmd_linegraph(args) -> None:
     print(f"line graph: {lg.m} vertices, {len(lg.edges())} edges -> {args.output}")
 
 
-def cmd_forward(args) -> None:
+def cmd_forward(args) -> dict:
     lg = _load_line_graph(args.input)
     values = _require_values(lg)
     coeffs, record = forward(values, lg, _lift_config(args))
     paths = lio.write_transform(args.output, coeffs, record)
-    _manifest(args, "forward", {"outputs": list(paths)})
     print(f"forward: {len(coeffs.details)} details, {len(coeffs.scaling)} scaling -> {paths[1]}")
+    return {"outputs": list(paths)}
 
 
 def cmd_inverse(args) -> None:
@@ -123,19 +114,19 @@ def cmd_inverse(args) -> None:
     print(f"inverse: {len(values)} values -> {args.output}")
 
 
-def cmd_denoise(args) -> None:
+def cmd_denoise(args) -> dict:
     lg = _load_line_graph(args.input)
     values = _require_values(lg)
     shrink = ShrinkageConfig(keep_coarsest=args.keep_coarsest, rule=args.rule)
     result = denoise(values, lg, _lift_config(args), shrink)
     _write_estimates_csv(args.output, lg, values, result)
-    _manifest(args, "denoise", _diagnostics(result))
     print(
         f"denoise: sigma_hat={result.sigma_hat:.4g} nu_hat={result.nu_hat:.4g} -> {args.output}"
     )
+    return _diagnostics(result)
 
 
-def cmd_nlt(args) -> None:
+def cmd_nlt(args) -> dict:
     lg = _load_line_graph(args.input)
     values = _require_values(lg)
     shrink = ShrinkageConfig(keep_coarsest=args.keep_coarsest, rule=args.rule)
@@ -143,8 +134,8 @@ def cmd_nlt(args) -> None:
         values, lg, _lift_config(args), shrink, args.trajectories, seed=args.seed
     )
     _write_estimates_csv(args.output, lg, values, result)
-    _manifest(args, "nlt", {**_diagnostics(result), "trajectories": len(singles)})
     print(f"nlt: averaged {len(singles)} trajectories -> {args.output}")
+    return {**_diagnostics(result), "trajectories": len(singles)}
 
 
 def cmd_condnum(args) -> None:
@@ -169,7 +160,7 @@ def cmd_sparsity(args) -> None:
     print(f"sparsity: {len(curve.ise)} points -> {args.output}")
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args) -> dict:
     config = ExperimentConfig(
         n_vertices=args.vertices,
         n_graphs=args.graphs,
@@ -191,14 +182,14 @@ def cmd_simulate(args) -> None:
         "amse_std": report.amse_std,
     }
     _write_csv(args.output, list(row), [list(row.values())])
-    _manifest(args, "simulate", {"report": row})
     print(
         f"simulate: AMSE={report.amse:.4f} Var={report.variance:.4f} "
         f"Bias2={report.bias_sq:.4f} -> {args.output}"
     )
+    return {"report": row}
 
 
-def cmd_flowsim(args) -> None:
+def cmd_flowsim(args) -> dict:
     if args.fixture_out:
         graph, values = generate_flow_fixture(args.seed)
         edges = [e.__class__(e.id, e.u, e.v, e.length, values[e.id]) for e in graph.edges]
@@ -220,8 +211,8 @@ def cmd_flowsim(args) -> None:
         "bias_sq": report.bias_sq,
     }
     _write_csv(args.output, list(row), [list(row.values())])
-    _manifest(args, "flowsim", {"report": row})
     print(f"flowsim: AMSE={report.amse:.4f} -> {args.output}")
+    return {"report": row}
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        results = args.func(args) or {}  # what the subcommand adds to its manifest
+        if args.output:  # condnum writes no file without -o
+            given = {k: v for k, v in vars(args).items() if k != "func"}
+            lio.write_manifest(args.output + ".manifest.json",
+                               {"command": args.command, "args": given, **results})
     except tuple(e for e, _ in _ERROR_CATEGORIES) as exc:
         category = next(c for e, c in _ERROR_CATEGORIES if isinstance(exc, e))
         print(f"error category={category}: {exc}", file=sys.stderr)

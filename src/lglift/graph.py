@@ -181,6 +181,10 @@ class LineGraph:
         `_relink`).  Finite inputs so large that a distance overflows are
         rejected.  Each mode's rows and relink are built once; a call
         returns copies of the rows, which the planner edits."""
+        try:
+            mode = MetricMode(mode)
+        except ValueError:
+            raise GraphError(f"unknown metric mode {mode!r}") from None
         metric = self._metrics.get(mode)
         if metric is None:
             metric = self._metrics[mode] = self._metric(mode)

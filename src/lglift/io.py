@@ -194,12 +194,11 @@ def write_graph(path: str, obj: Union[Graph, LineGraph]) -> None:
 # an id inside the record is its position in that "ids" list.
 
 def record_to_dict(record: LiftingRecord) -> dict:
-    pos = {k: i for i, k in enumerate(record.ids)}
     m = len(record.ids)
     return {
         "ids": list(record.ids),
         "config": record.config.to_dict(),
-        "surviving": [pos[k] for k in record.surviving],
+        "surviving": record._canon[len(record.steps):].tolist(),
         "initial_integrals": [record.initial_integrals[k] for k in record.ids],
         "final_integrals": [record.final_integrals[k] for k in record.surviving],
         "stages": [
@@ -228,8 +227,8 @@ def record_from_dict(d: dict) -> LiftingRecord:
     `a` and one finite `b` entry per neighbour and a finite `integral`,
     each relink edge [u, v, distance] with u < v two of the stage's
     neighbours and a finite positive distance, `surviving` exactly the ids
-    never removed, and finite integrals: one initial per id, one final per
-    survivor.
+    never removed (in any order, which `final_integrals` follows), and
+    finite integrals: one initial per id, one final per survivor.
     """
     ids = tuple(int(k) if d.get("id_kind") == "int" else k for k in d["ids"])
     m = len(ids)
@@ -276,15 +275,13 @@ def record_from_dict(d: dict) -> LiftingRecord:
         raise ParseError(f"record: {len(initial)} initial and {len(final)} final integrals "
                          f"for {m} ids and {len(d['surviving'])} survivors")
     finite("initial or final integral", [*initial, *final])
-    surviving = tuple(ids[i] for i in d["surviving"])
     stages = d["stages"]
     return LiftingRecord(
         steps=tuple([(s["removed"], tuple(zip(s["neighbors"], s["a"], s["b"]))) for s in stages]),
         step_integrals=tuple([s["integral"] for s in stages]),
         step_edges=tuple([tuple([(u, v, w) for u, v, w in s["edges_added"]]) for s in stages]),
         initial_integrals=dict(zip(ids, initial)),
-        final_integrals=dict(zip(surviving, final)),
-        surviving=surviving,
+        final_integrals=dict(zip([ids[i] for i in d["surviving"]], final)),
         config=LiftingConfig.from_dict(d["config"]),
         ids=ids,
     )
@@ -292,21 +289,21 @@ def record_from_dict(d: dict) -> LiftingRecord:
 
 def write_transform(prefix: str, coeffs: CoefficientSet, record: LiftingRecord) -> Tuple[str, str]:
     """Write <prefix>.record.json and <prefix>.coeffs.csv; returns the paths.
-    A detail's scale and level are written from the record, for the reader."""
+    A detail's scale (`step_integrals`) and level (`levels`) are written from
+    the record, for the reader."""
     record_path = f"{prefix}.record.json"
     coeffs_path = f"{prefix}.coeffs.csv"
     with open(record_path, "w") as fh:
         json.dump(record_to_dict(record), fh, indent=1)
+    values, n = coeffs.on(record).vector.tolist(), len(record.steps)
+    levels = [""] * n if record.levels is None else record.levels.tolist()
     with open(coeffs_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "id", "value", "scale", "level"])
-        for k in record.removal_order:
-            level = "" if record.levels is None else record.levels[k]
-            writer.writerow(
-                ["detail", k, _fmt(coeffs.details[k]), _fmt(record.scales[k]), level]
-            )
-        for k in record.surviving:
-            writer.writerow(["scaling", k, _fmt(coeffs.scaling[k]), "", ""])
+        for k, v, scale, level in zip(record.removal_order, values, record.step_integrals, levels):
+            writer.writerow(["detail", k, _fmt(v), _fmt(scale), level])
+        for k, v in zip(record.surviving, values[n:]):
+            writer.writerow(["scaling", k, _fmt(v), "", ""])
     return record_path, coeffs_path
 
 

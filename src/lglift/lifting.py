@@ -15,7 +15,7 @@ same with ids, `LiftingRecord.stages` and the coefficient dicts, are views
 built when first read, and no hot path reads them.
 A free-order plan depends only on the line graph and the config, so
 `forward` plans each such pair once (`_PLANS`); what depends only on the
-plan (coefficient order, scales, levels, detail gains) is kept on it.
+plan (coefficient order, levels, detail gains) is kept on it, read-only.
 """
 
 from __future__ import annotations
@@ -46,6 +46,18 @@ GAIN_BLOCK = 1024
 def _is_count(value) -> bool:
     """An int or a numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _member(enum, value, what: str):
+    try:
+        return enum(value)
+    except ValueError:
+        raise LiftingError(f"unknown {what.replace('_', ' ')} {value!r}") from None
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # a record's kept arrays are shared by every caller
+    return a
 
 
 class IntegralScheme(str, Enum):
@@ -89,11 +101,7 @@ class LiftingConfig:
             ("prediction_scheme", PredictionScheme),
             ("metric_mode", MetricMode),
         ):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, scheme(value))
-            except ValueError:
-                raise LiftingError(f"unknown {name.replace('_', ' ')} {value!r}") from None
+            object.__setattr__(self, name, _member(scheme, getattr(self, name), name))
         for name, low, kind in (("tau", 2, "an integer of at least 2"),
                                 ("rng_seed", 0, "a nonnegative integer")):
             value = getattr(self, name)
@@ -160,10 +168,11 @@ class LiftingRecord:
     the garbage collections that planning many records triggers.
     step_integrals[i] is k's integral at its removal and step_edges[i] its
     relink edges (u, v, distance), u < v.  `stages` is the same plan with
-    ids, built when first read.
+    ids, and every other per-detail fact an array in removal order, each
+    built when first read.
 
     Read-only: `forward` hands the same free-order record to every caller
-    that plans one line graph with one config.
+    that plans one line graph with one config, so it keeps no writable array.
     """
 
     steps: Tuple[Tuple[int, Tuple[Tuple[int, float, float], ...]], ...]
@@ -171,7 +180,6 @@ class LiftingRecord:
     step_edges: Tuple[Tuple[Tuple[int, int, float], ...], ...]
     initial_integrals: Dict[Id, float]
     final_integrals: Dict[Id, float]
-    surviving: Tuple[Id, ...]
     config: LiftingConfig
     ids: Tuple[Id, ...]
 
@@ -195,19 +203,18 @@ class LiftingRecord:
 
     @cached_property
     def removal_order(self) -> Tuple[Id, ...]:
-        ids = self.ids
-        return tuple([ids[k] for k, _ in self.steps])
+        return self._order[: len(self.steps)]
 
     @cached_property
-    def scales(self) -> Dict[Id, float]:
-        """Each detail's scale: its vertex's integral when it was removed."""
-        return dict(zip(self.removal_order, self.step_integrals))
+    def surviving(self) -> Tuple[Id, ...]:
+        """The ids no step removes, ascending by line-graph position."""
+        return self._order[len(self.steps):]
 
     @cached_property
-    def levels(self) -> Optional[Dict[Id, int]]:
-        """Artificial level per detail, None with fewer details than levels."""
-        n_levels = _default_n_levels(len(self.ids))
-        return None if len(self.steps) < n_levels else assign_artificial_levels(self, n_levels)
+    def levels(self) -> Optional[np.ndarray]:
+        """Artificial level per detail in removal order, None with too few details."""
+        n = _default_n_levels(len(self.ids))
+        return None if len(self.steps) < n else _frozen(assign_artificial_levels(self, n))
 
     def update_filter_fraction_below_half(self) -> float:
         """Fraction of update-filter entries b <= 1/2 (stability diagnostic)."""
@@ -223,7 +230,7 @@ class LiftingRecord:
         through it after the forward stages and scatter before the inverse."""
         removed = [k for k, _ in self.steps]
         survivors = sorted(set(range(len(self.ids))).difference(removed))
-        return np.array(removed + survivors, dtype=np.intp)
+        return _frozen(np.array(removed + survivors, dtype=np.intp))
 
     @cached_property
     def _order(self) -> Tuple[Id, ...]:
@@ -233,7 +240,7 @@ class LiftingRecord:
         return tuple([ids[p] for p in self._canon.tolist()])
 
     @cached_property
-    def _gains(self) -> Dict[Id, float]:
+    def _gains(self) -> np.ndarray:
         """Each detail's noise gain, the 2-norm of its forward-matrix row, in
         removal order (`shrinkage.detail_gains`): the identity replayed
         `GAIN_BLOCK` columns at a time in line-graph position order, keeping
@@ -250,18 +257,17 @@ class LiftingRecord:
             # every row's norm, then the removed ones: no copy of the rows
             squares += np.einsum("ij,ij->i", block, block)[removed]
             del block
-        return dict(zip(self.removal_order, np.sqrt(squares).tolist()))
+        return _frozen(np.sqrt(squares))
 
     @cached_property
     def _level_rows(self) -> Optional[Tuple[np.ndarray, Tuple[int, ...]]]:
         """The detail rows (canonical order) sorted stably by artificial
         level, and the level bounds: level j is rows[bounds[j]:bounds[j + 1]];
         None without levels (`shrinkage._denoise_plans`)."""
-        n_levels = _default_n_levels(len(self.ids))
-        if len(self.steps) < n_levels:
+        if self.levels is None:
             return None
-        lev, bounds = _artificial_levels(self.step_integrals, n_levels)
-        return np.argsort(lev, kind="stable"), bounds
+        bounds = (0, *np.cumsum(np.bincount(self.levels)).tolist())
+        return _frozen(np.argsort(self.levels, kind="stable")), bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +286,10 @@ class CoefficientSet:
             raise LiftingError("coefficient index sets do not match the record")
         coeffs = {**details, **scaling}
         return cls(np.array([coeffs[k] for k in record._order], dtype=float), record)
+
+    def on(self, record: LiftingRecord) -> "CoefficientSet":
+        """These coefficients in `record`'s order, read by id from another record's."""
+        return self if self.record is record else self.from_dicts(self.details, self.scaling, record)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoefficientSet):
@@ -305,6 +315,8 @@ def init_integrals(
     Sum: total distance to neighbours.  Average: that total divided by
     twice the neighbourhood size.  Delta: a vector of ones.
     """
+    scheme = _member(IntegralScheme, scheme, "integral_scheme")
+    metric_mode = _member(MetricMode, metric_mode, "metric_mode")  # checked under delta too
     rows = lg.rows if scheme is IntegralScheme.DELTA else lg.metric_rows(metric_mode)[0]
     return dict(zip(lg.ids, _integrals(lg.ids, rows, scheme)))
 
@@ -316,6 +328,7 @@ def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> Lis
     uniform over the neighbourhood.  Either way each distance must be finite
     and positive.
     """
+    scheme = _member(PredictionScheme, scheme, "prediction_scheme")
     if not distances:
         raise LiftingError("prediction requires at least one neighbor")
     for d in distances:
@@ -542,14 +555,12 @@ def _build_record(
     # tau < m, so at least one stage
     steps, step_integrals, step_edges = zip(*planned)
     gone = {k for k, _ in steps}
-    survivors = [u for u in range(m) if u not in gone]
     return LiftingRecord(
         steps=steps,
         step_integrals=step_integrals,
         step_edges=step_edges,
         initial_integrals=initial,
-        final_integrals={ids[u]: integrals[u] for u in survivors},
-        surviving=tuple([ids[u] for u in survivors]),
+        final_integrals={ids[u]: integrals[u] for u in range(m) if u not in gone},
         config=config,
         ids=ids,
     )
@@ -562,9 +573,7 @@ def inverse(
     by id for a `CoefficientSet` (one of another record is read by id), an
     array in `lg.ids` order for one in canonical order, (m,) or (m, B)."""
     as_set = isinstance(coeffs, CoefficientSet)
-    if as_set and coeffs.record is not record:
-        coeffs = CoefficientSet.from_dicts(coeffs.details, coeffs.scaling, record)
-    C = _checked(coeffs.vector if as_set else coeffs, record._order, "coefficient")
+    C = _checked(coeffs.on(record).vector if as_set else coeffs, record._order, "coefficient")
     X = _replay_inverse(record, C)
     return dict(zip(record.ids, X.tolist())) if as_set else X
 
@@ -631,34 +640,20 @@ def _default_n_levels(m: int) -> int:
     return max(3, int(math.log2(m)))
 
 
-def assign_artificial_levels(
-    record: LiftingRecord, n_levels: Optional[int] = None
-) -> Dict[Id, int]:
-    """Group details into resolution-like levels by quantiles of `record.scales`.
-
-    Level 0 is the finest (smallest scales).  Ties in scale are broken by
-    removal order, earlier removals counting as finer.  The default level
-    count is max(3, floor(log2(m))).
-    """
-    n_details = len(record.step_integrals)
+def assign_artificial_levels(record: LiftingRecord, n_levels: Optional[int] = None) -> np.ndarray:
+    """Each detail's resolution-like level, an int array in removal order:
+    the details ranked by scale (`record.step_integrals`; level 0 is the
+    finest), earlier removals first among equal scales, and cut at the
+    quantile bounds round(j n / n_levels), by default max(3, floor(log2(m)))."""
+    scales = record.step_integrals
+    n = len(scales)
     if n_levels is None:
         n_levels = _default_n_levels(len(record.ids))
     if not (_is_count(n_levels) and n_levels >= 3):
         raise LiftingError(f"need at least 3 levels, got {n_levels!r}")
-    if n_levels > n_details:
-        raise LiftingError(f"{n_levels} levels exceed the {n_details} details")
-    levels, _ = _artificial_levels(record.step_integrals, n_levels)
-    return dict(zip(record.removal_order, levels.tolist()))
-
-
-def _artificial_levels(
-    scales: Sequence[float], n_levels: int
-) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """`assign_artificial_levels` as an int array over `scales` in removal
-    order: ranked by scale, then removal, cut at the bounds round(j n /
-    n_levels), which are returned too."""
-    n = len(scales)
-    bounds = tuple(round(j * n / n_levels) for j in range(n_levels + 1))
+    if n_levels > n:
+        raise LiftingError(f"{n_levels} levels exceed the {n} details")
+    bounds = [round(j * n / n_levels) for j in range(n_levels + 1)]
     levels = np.empty(n, dtype=int)
     levels[np.lexsort((np.arange(n), scales))] = np.repeat(np.arange(n_levels), np.diff(bounds))
-    return levels, bounds
+    return levels

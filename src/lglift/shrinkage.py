@@ -359,16 +359,24 @@ def _mad_sigma(finest: np.ndarray) -> np.ndarray:
     return np.median(np.abs(finest - np.median(finest, axis=0)), axis=0) / MAD_SCALE
 
 
+def _levels(levels, n: int, what: str) -> np.ndarray:
+    """`levels` as an int array of one level >= 0 for each of n `what`."""
+    levels = np.asarray(levels)
+    if levels.shape != (n,):
+        raise ShrinkageError(f"{levels.size} levels for {n} {what}: need one each")
+    if not (np.issubdtype(levels.dtype, np.integer) and np.all(levels >= 0)):
+        raise ShrinkageError(f"levels must be nonnegative integers, got {levels!r}")
+    return levels
+
+
 def estimate_sigma_mad(details: np.ndarray, levels: np.ndarray) -> float:
     """Robust noise scale from the finest artificial level.
 
-    `details` and the int array `levels` are aligned (canonical detail
-    order); sigma = median(|d - median(d)|) / 0.6745 over level-0 details.
+    `details` and the int array `levels` (each >= 0) are aligned (canonical
+    detail order); sigma = median(|d - median(d)|) / 0.6745 over level-0 details.
     """
-    details, levels = np.asarray(details, dtype=float), np.asarray(levels)
-    if levels.shape != details.shape[:1]:
-        raise ShrinkageError(f"{levels.size} levels for {len(details)} details: need one each")
-    sigma = float(_mad_sigma(details[levels == 0]))
+    details = np.asarray(details, dtype=float)
+    sigma = float(_mad_sigma(details[_levels(levels, len(details), "details") == 0]))
     if not sigma > 0:
         raise ShrinkageError(f"degenerate finest level: MAD noise estimate {sigma} is not positive")
     return sigma
@@ -397,16 +405,15 @@ def ebayes_threshold(
     """Shrink details level-aware; returns (shrunk details, fitted weights).
 
     `details` is one signal's column (n,) or a batch (n, B), rows aligned
-    to the int array `levels`; `sigma` is a finite positive noise scale, or
-    one per column.  The `keep_coarsest` coarsest levels pass through
-    untouched; the rest are standardized by sigma, shrunk with a mixing
-    weight fitted per column (0.5, with a warning, where the fit fails), and
-    rescaled.  The weight is a float for one signal, else (B,).
+    to the int array `levels` (each >= 0); `sigma` is a finite positive
+    noise scale, or one per column.  The `keep_coarsest` coarsest levels
+    pass through untouched; the rest are standardized by sigma, shrunk with
+    a mixing weight fitted per column (0.5, with a warning, where the fit
+    fails), and rescaled.  The weight is a float for one signal, else (B,).
     """
-    details, levels = np.asarray(details, dtype=float), np.asarray(levels)
+    details = np.asarray(details, dtype=float)
     block = details.reshape(len(details), -1)
-    if levels.shape != (len(block),):
-        raise ShrinkageError(f"{levels.size} levels for {len(block)} detail rows: need one each")
+    levels = _levels(levels, len(block), "detail rows")
     if np.ndim(sigma) and np.shape(sigma) != (block.shape[1],):
         raise ShrinkageError(
             f"sigma of shape {np.shape(sigma)} for {block.shape[1]} columns: need one each"
@@ -430,10 +437,11 @@ def ebayes_threshold(
     return out.reshape(details.shape), float(w[0])
 
 
-def detail_gains(record: LiftingRecord) -> Dict[Id, float]:
-    """Per-detail noise gain: the 2-norm of that forward-matrix row, kept
-    on the record after its first replay; every call returns a fresh dict."""
-    return dict(record._gains)
+def detail_gains(record: LiftingRecord) -> np.ndarray:
+    """Per-detail noise gain in removal order: the 2-norm of that
+    forward-matrix row, kept on the record after its first replay; every
+    call returns a fresh copy."""
+    return record._gains.copy()
 
 
 def _denoise_plans(
@@ -463,7 +471,7 @@ def _denoise_plans(
             raise ShrinkageError("plans of one batch must share their level counts")
         bounds = b
         C = np.array(coeffs.vector, dtype=float).reshape(len(record.ids), -1)
-        gains = np.fromiter(detail_gains(record).values(), float, len(rows))[rows, None]
+        gains = detail_gains(record)[rows, None]
         blocks.append((record, shape, rows, C, gains))
     n_levels = len(bounds) - 1
     if not shrink_config.keep_coarsest < n_levels:

@@ -180,7 +180,7 @@ def outputs() -> dict:
             "floats": {
                 "coefficients": _hex([*(coeffs.details[k] for k in record.removal_order),
                                       *(coeffs.scaling[k] for k in record.surviving)]),
-                "gains": _hex(detail_gains(record)[k] for k in record.removal_order),
+                "gains": _hex(detail_gains(record)),
                 "inverse": _hex(back[k] for k in lg.ids),
             },
             "median": _denoised(values, lg, config, traj, median),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglift.cli import main
+from lglift.cli import build_parser, main
 from lglift.graph import Graph, LineGraph, build_line_graph
 from lglift.io import (
     ParseError,
@@ -227,6 +227,26 @@ class TestTransformSerialization:
         with pytest.raises(ParseError, match=message):
             record_from_dict(d)
 
+    def test_survivors_in_any_order_keep_their_labels(self, tmp_path, mst_lg, rng):
+        # a file may list the survivors, and their final integrals, in any
+        # order; the record keeps its own, so labels and files do not move
+        values = dict(zip(mst_lg.ids, rng.normal(size=mst_lg.m).tolist()))
+        coeffs, record = forward(values, mst_lg, LiftingConfig.from_acronym("LG-Sid-p", tau=5))
+        write_transform(str(tmp_path / "t"), coeffs, record)
+        files = {s: (tmp_path / f"t.{s}").read_bytes() for s in ("record.json", "coeffs.csv")}
+        d = json.loads(files["record.json"])
+        assert d["surviving"] == sorted(d["surviving"])
+        d["surviving"].reverse()
+        d["final_integrals"].reverse()
+        (tmp_path / "t.record.json").write_text(json.dumps(d))
+        coeffs2, record2 = read_transform(str(tmp_path / "t"))
+        assert record2.surviving == record.surviving
+        assert record2.final_integrals == record.final_integrals
+        assert dict(coeffs2.scaling) == dict(coeffs.scaling)
+        assert coeffs2.vector.tobytes() == coeffs.vector.tobytes()
+        write_transform(str(tmp_path / "u"), coeffs2, record2)
+        assert {s: (tmp_path / f"u.{s}").read_bytes() for s in files} == files
+
     def test_ids_sharing_a_text_form_rejected(self, tmp_path):
         ids = [1, "1", "a", "b"]
         lg = LineGraph(ids, {1: {"1"}, "1": {1, "a"}, "a": {"1", "b"}, "b": {"a"}},
@@ -409,6 +429,41 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "error category=lifting" in err and "LG-Aid-c" in err
+
+    def test_every_subcommand_writes_its_manifest(self, tmp_path, graph_file):
+        g, o = str(graph_file), str(tmp_path)
+        runs = {
+            "linegraph": [g, "-o", f"{o}/lg.st"],
+            "forward": [g, "-o", f"{o}/fw"],
+            "inverse": [f"{o}/fw", "-o", f"{o}/inv.csv"],
+            "denoise": [g, "-o", f"{o}/den.csv"],
+            "nlt": [g, "--trajectories", "2", "-o", f"{o}/nlt.csv"],
+            "condnum": ["--graphs", "2", "--vertices", "20", "-o", f"{o}/k.csv"],
+            "sparsity": [g, "-o", f"{o}/sp.csv"],
+            "simulate": ["--graphs", "1", "--replications", "1", "--vertices", "12",
+                         "-o", f"{o}/sim.csv"],
+            "flowsim": ["--replications", "1", "-o", f"{o}/flow.csv"],
+        }
+        commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        assert set(runs) == set(commands)
+        for command, argv in runs.items():
+            assert main([command, *argv]) == 0
+            out = argv[-1]
+            manifest = json.loads(open(out + ".manifest.json").read())
+            assert manifest["command"] == command
+            assert manifest["args"]["command"] == command and manifest["args"]["output"] == out
+            assert "func" not in manifest["args"]
+
+    @pytest.mark.parametrize("argv", [
+        ["inverse", "missing", "-o"],
+        ["condnum", "--graphs", "1", "--vertices", "20", "-o"],
+        ["flowsim", "--sigma", "-1", "-o"],
+    ], ids=["inverse", "condnum", "flowsim"])
+    def test_failed_run_writes_no_manifest(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "x.csv")
+        assert main([*argv, out]) == 2
+        assert "error category=" in capsys.readouterr().err
+        assert not os.path.exists(out + ".manifest.json")
 
     @pytest.mark.parametrize("variant", ["LG-Sidxp", "Sid-p"])
     def test_near_miss_variant_rejected(self, tmp_path, graph_file, capsys, variant):

@@ -140,8 +140,50 @@ class TestInitIntegrals:
         assert r1.removal_order == r0.removal_order
         assert c1.details == c0.details
 
+    @pytest.mark.parametrize("scheme", IntegralScheme)
+    @pytest.mark.parametrize("mode", MetricMode)
+    def test_scheme_values_give_the_members_bits(self, scheme, mode):
+        lg = build_line_graph(sample_network(30, seed=0))
+        want = init_integrals(lg, scheme, mode)
+        got = init_integrals(build_line_graph(sample_network(30, seed=0)), scheme.value, mode.value)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+    @pytest.mark.parametrize("scheme", [IntegralScheme.SUM, "sum"])
+    def test_metric_by_value_leaves_the_plan_alone(self, scheme):
+        # a "path_length" given by value reads the path rows, and caches
+        # nothing under the path key that a later plan would read
+        lg, twin = (build_line_graph(sample_network(30, seed=0)) for _ in range(2))
+        init_integrals(lg, scheme, "path_length")
+        cfg = LiftingConfig.from_acronym("LG-Sid-p")
+        values = dict.fromkeys(lg.ids, 1.0)
+        got, want = forward(values, lg, cfg)[1], forward(values, twin, cfg)[1]
+        assert got.initial_integrals == want.initial_integrals
+        assert got.steps == want.steps and got.step_integrals == want.step_integrals
+
+    @pytest.mark.parametrize("scheme, mode, match", [
+        ("bogus", MetricMode.COORDINATE, "unknown integral scheme 'bogus'"),
+        (IntegralScheme.SUM, "bogus", "unknown metric mode 'bogus'"),
+        ("delta", "bogus", "unknown metric mode 'bogus'"),
+    ])
+    def test_unknown_values_rejected(self, mst_lg, scheme, mode, match):
+        with pytest.raises(LiftingError, match=match):
+            init_integrals(mst_lg, scheme, mode)
+        with pytest.raises(GraphError, match="unknown metric mode 'bogus'"):
+            mst_lg.metric_rows("bogus")
+
 
 class TestPredictWeights:
+    @pytest.mark.parametrize("scheme", PredictionScheme)
+    def test_scheme_values_give_the_members_weights(self, scheme):
+        assert predict_weights([1.0, 3.0], scheme.value) == predict_weights([1.0, 3.0], scheme)
+        if scheme is PredictionScheme.MOVING_AVERAGE:
+            assert predict_weights([1.0, 3.0], scheme.value) == [0.5, 0.5]
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(LiftingError, match="unknown prediction scheme 'bogus'"):
+            predict_weights([1.0, 3.0], "bogus")
+
     def test_inverse_distance_example(self):
         assert predict_weights([1.0, 3.0], PredictionScheme.INVERSE_DISTANCE) == pytest.approx(
             [0.75, 0.25]
@@ -617,24 +659,21 @@ class TestArrayInput:
 class TestArtificialLevels:
     def test_quantile_groups_with_ties(self):
         order = list("abcdef")
-        fake = FakeRecord(
-            ids=tuple(order) + ("x", "y"), removal_order=tuple(order), surviving=("x", "y"),
-            scales=dict(zip(order, [1.0, 1.0, 2.0, 3.0, 3.0, 9.0])),
-        )
+        fake = FakeRecord(ids=tuple(order) + ("x", "y"),
+                          step_integrals=(1.0, 1.0, 2.0, 3.0, 3.0, 9.0))
         levels = assign_artificial_levels(fake, n_levels=3)
-        assert [levels[k] for k in order] == [0, 0, 1, 1, 2, 2]
+        assert levels.tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_all_equal_scales_use_removal_order(self, small_tree_lg):
         cfg = LiftingConfig.from_acronym("LG-Dnw-c")  # unit integrals early on
         values = {k: 0.0 for k in small_tree_lg.ids}
         _, record = forward(values, small_tree_lg, cfg)
-        levels = record.levels
-        order = record.removal_order
+        levels, scales = record.levels, record.step_integrals
         # earlier removals never sit on a coarser level than later ones
         # when their scales are equal
-        for i, a in enumerate(order):
-            for b in order[i + 1 :]:
-                if record.scales[a] == record.scales[b]:
+        for a in range(len(scales)):
+            for b in range(a + 1, len(scales)):
+                if scales[a] == scales[b]:
                     assert levels[a] <= levels[b]
 
     def test_too_many_levels_rejected(self, small_tree_lg):
@@ -651,20 +690,17 @@ class TestArtificialLevels:
 
     def test_equal_sized_groups(self):
         levels = assign_artificial_levels(
-            FakeRecord(ids=tuple(range(10)), removal_order=tuple(range(8)), surviving=(8, 9),
-                       scales={i: float(i) for i in range(8)}),
+            FakeRecord(ids=tuple(range(10)), step_integrals=tuple(map(float, range(8)))),
             n_levels=4,
         )
         from collections import Counter
 
-        assert sorted(Counter(levels.values()).values()) == [2, 2, 2, 2]
+        assert sorted(Counter(levels.tolist()).values()) == [2, 2, 2, 2]
 
 
 class FakeRecord:
     """Just enough of the record interface for level-assignment tests."""
 
-    def __init__(self, ids, removal_order, surviving, scales):
+    def __init__(self, ids, step_integrals):
         self.ids = ids
-        self.removal_order = removal_order
-        self.surviving = surviving
-        self.step_integrals = tuple([scales[k] for k in removal_order])
+        self.step_integrals = step_integrals

@@ -169,12 +169,27 @@ def test_detail_gains_replay_the_identity_once_per_record(monkeypatch):
     second = detail_gains(record)
     denoise(values, lg, cfg)
     assert replays == [record]
-    assert second == first and second is not first  # a fresh dict every call
-    second.clear()
-    assert detail_gains(record) == first
+    assert _bits(second) == _bits(first) and second is not first  # a fresh copy every call
+    second[:] = 0.0
+    assert _bits(detail_gains(record)) == _bits(first)
     twin = forward(values, lg, cfg, trajectory=record.removal_order)[1]
-    assert _bits(list(detail_gains(twin).values())) == _bits(list(first.values()))
+    assert _bits(detail_gains(twin)) == _bits(first)
     assert replays == [record, twin]
+
+
+def test_kept_arrays_are_read_only():
+    # one record serves every caller of its plan, so what it keeps is frozen,
+    # and `detail_gains` hands out copies
+    lg = build_line_graph(sample_network(100, seed=7))
+    _, record = forward(_noisy(lg, 1), lg, LiftingConfig.from_acronym("LG-Aid-c"))
+    gains = detail_gains(record)
+    rows, _ = record._level_rows
+    for kept in (record.levels, record._gains, record._canon, rows):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = kept[1]
+    gains[:] = -1.0
+    assert np.all(detail_gains(record) > 0)
+    assert _bits(detail_gains(record)) == _bits(record._gains)
 
 
 @pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])

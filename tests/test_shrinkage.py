@@ -828,6 +828,15 @@ class TestEbayesThreshold:
         with pytest.raises(ShrinkageError, match="8 levels for 10 detail rows"):
             ebayes_threshold(np.arange(10.0), 1.0, np.arange(8) // 3)
 
+    @pytest.mark.parametrize("levels", [
+        np.arange(9) / 3.0, np.arange(9.0), np.arange(9) - 2, np.arange(9) % 2 == 0,
+    ], ids=["fractional", "float", "negative", "bool"])
+    def test_levels_must_be_nonnegative_integers(self, levels):
+        with pytest.raises(ShrinkageError, match="levels must be nonnegative integers"):
+            ebayes_threshold(np.arange(9.0), 1.0, levels)
+        with pytest.raises(ShrinkageError, match="levels must be nonnegative integers"):
+            estimate_sigma_mad(np.arange(9.0), levels)
+
     @pytest.mark.parametrize("shape", [(10,), (10, 3)])
     def test_sigma_per_column_mismatch_rejected(self, shape):
         details = np.ones(shape)
@@ -936,7 +945,7 @@ class TestLevelRows:
         traj = random_trajectories(mst_lg, cfg, 1, 4)[0] if order == "trajectory" else None
         _, record = forward(np.ones(mst_lg.m), mst_lg, cfg, trajectory=traj)
         rows, bounds = record._level_rows
-        levels = np.array([record.levels[k] for k in record.removal_order])
+        levels = record.levels
         assert np.diff(bounds).tolist() == np.bincount(levels).tolist()
         assert bounds[0] == 0 and bounds[-1] == len(levels)
         assert rows.tolist() == np.argsort(levels, kind="stable").tolist()
@@ -953,11 +962,11 @@ class TestPassThroughLevels:
         cfg = LiftingConfig.from_acronym(acr)
         coeffs, record = forward(values, lg, cfg)
         res = denoise(values, lg, cfg)
-        top = max(record.levels.values()) + 1 - ShrinkageConfig().keep_coarsest
-        kept = [k for k in record.removal_order if record.levels[k] >= top]
-        assert len(kept) == 32 and res.zero_frac > 0
-        assert _bits([res.shrunk_details[k] for k in kept]) == _bits(
-            [coeffs.details[k] for k in kept])
+        top = record.levels.max() + 1 - ShrinkageConfig().keep_coarsest
+        kept = record.levels >= top
+        assert np.count_nonzero(kept) == 32 and res.zero_frac > 0
+        n = len(record.steps)
+        assert _bits(res.shrunk_vector[kept]) == _bits(coeffs.vector[:n][kept])
 
 
 class TestOneForwardReplay:
@@ -1107,9 +1116,9 @@ class TestDetailGains:
         zeros = dict.fromkeys(mst_lg.ids, 0.0)
         twin = forward(zeros, mst_lg, cfg, trajectory=record.removal_order)[1]
         many = detail_gains(twin)
-        assert list(many) == list(one) == list(record.removal_order)
-        for k, g in one.items():
-            assert many[k] == pytest.approx(g, rel=1e-15, abs=0.0)
+        assert many.shape == one.shape == (len(record.removal_order),)
+        for got, g in zip(many, one):
+            assert got == pytest.approx(g, rel=1e-15, abs=0.0)
 
 
 class TestBatchSigma:
@@ -1138,11 +1147,11 @@ class TestBatchSigma:
         X = np.column_stack([truth[:, None] + noise, np.full(lg.m, 2.5), truth])
         _, record = forward(clean, lg, cfg)
         n = len(record.stages)
-        lev = np.array([record.levels[k] for k in record.removal_order])
+        lev = record.levels
         pool = int(np.argmax(np.cumsum(np.bincount(lev)) >= 3))
         assert pool == (1 if graph == "tiny" else 0)
         mad_levels = np.where(lev <= pool, 0, lev)
-        gains = np.array(list(detail_gains(record).values()))
+        gains = detail_gains(record)
         for batch in (X, X[:, 0]):
             res = denoise(batch, lg, cfg, ShrinkageConfig(rule=rule))
             est, shrunk = res.estimate_vector.reshape(lg.m, -1), res.shrunk_vector.reshape(n, -1)
@@ -1317,7 +1326,7 @@ class TestFewDetails:
         coeffs, record = forward(values, mst_lg, cfg)
         assert len(coeffs.details) == mst_lg.m - tau
         assert record.levels is None
-        assert record.scales == {st.removed: st.integral for st in record.stages}
+        assert record.step_integrals == tuple(st.integral for st in record.stages)
         back = inverse(coeffs, record)
         assert max(abs(back[k] - values[k]) for k in mst_lg.ids) <= 1e-12
         curve = sparsity_curve_single(values, mst_lg, cfg)
@@ -1329,4 +1338,4 @@ class TestFewDetails:
         # floor(log2 99) = 6 details: one per level
         cfg = LiftingConfig.from_acronym("LG-Sid-p", tau=93)
         _, record = forward(dict.fromkeys(mst_lg.ids, 0.0), mst_lg, cfg)
-        assert sorted(record.levels.values()) == list(range(6))
+        assert sorted(record.levels.tolist()) == list(range(6))
