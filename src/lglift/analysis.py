@@ -9,7 +9,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .graph import Id, LineGraph
-from .lifting import LiftingConfig, LiftingError, LiftingRecord, forward, inverse
+from .lifting import LiftingConfig, LiftingError, LiftingRecord, _checked, forward, inverse
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,11 @@ def sparsity_curve_single(
     """Greedy largest-|d| reconstruction error curve for one graph, from
     one inverse replay with a coefficient column per truncation; the truth
     is a mapping by id or an (m,) array in `lg.ids` order, as in `forward`."""
-    coeffs, record = forward(true_values, lg, config)
+    truth = _checked(true_values, lg.ids, "value")
+    if truth.ndim != 1:
+        raise LiftingError(f"a sparsity curve is of one signal: values of shape {truth.shape}")
+    coeffs, record = forward(truth, lg, config)
     c = coeffs.vector
-    if c.ndim != 1:
-        raise LiftingError(f"a sparsity curve is of one signal: values of shape {c.shape}")
-    if isinstance(true_values, Mapping):
-        true_values = [true_values[k] for k in lg.ids]
     n = len(record.steps)
     # rank[i]: place of detail i in the greedy order, ties kept in removal
     # order; column t keeps the scaling coefficients and the t largest
@@ -88,6 +87,5 @@ def sparsity_curve_single(
     rank[np.argsort(-np.abs(c[:n]), kind="stable")] = np.arange(n)
     trials = np.tile(c[:, None], n + 1)
     trials[:n][rank[:, None] >= np.arange(n + 1)] = 0.0
-    truth = np.asarray(true_values, dtype=float)
     ise = ((inverse(trials, record) - truth[:, None]) ** 2).sum(axis=0)
     return SparsityCurve(ise=ise)

@@ -148,8 +148,7 @@ def cmd_condnum(args) -> None:
         f"min={min(kappas):.4f} 25%={qs[0]:.4f} median={qs[1]:.4f} "
         f"75%={qs[2]:.4f} max={max(kappas):.4f}"
     )
-    if args.output:
-        _write_csv(args.output, ["graph", "kappa"], enumerate(f"{k:.17g}" for k in kappas))
+    _write_csv(args.output, ["graph", "kappa"], enumerate(f"{k:.17g}" for k in kappas))
 
 
 def cmd_sparsity(args) -> None:
@@ -242,40 +241,34 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, func, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
+        p.add_argument("-o", "--output", required=True, help="output path (forward: a prefix)")
         return p
 
     p = command("linegraph", cmd_linegraph, "map a graph file onto its line graph")
     p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
 
     p = command("forward", cmd_forward, "run the forward transform")
     _add_variant_options(p)
-    p.add_argument("-o", "--output", required=True, help="output path prefix")
 
     p = command("inverse", cmd_inverse, "reconstruct values from a serialized transform")
     p.add_argument("input", help="path prefix from the forward command")
-    p.add_argument("-o", "--output", required=True)
 
     p = command("denoise", cmd_denoise, "shrink details and reconstruct")
     _add_variant_options(p)
     _add_shrink_options(p)
-    p.add_argument("-o", "--output", required=True)
 
     p = command("nlt", cmd_nlt, "average the denoiser over random trajectories")
     _add_variant_options(p)
     _add_shrink_options(p)
     p.add_argument("--trajectories", type=int, default=30)
-    p.add_argument("-o", "--output", required=True)
 
     p = command("condnum", cmd_condnum, "condition numbers over sampled networks")
     _add_variant_options(p, with_input=False)
     p.add_argument("--graphs", type=int, default=50)
     p.add_argument("--vertices", type=int, default=100)
-    p.add_argument("-o", "--output", default=None)
 
     p = command("sparsity", cmd_sparsity, "greedy reconstruction error curve")
     _add_variant_options(p)
-    p.add_argument("-o", "--output", required=True)
 
     p = command("simulate", cmd_simulate, "AMSE study on sampled networks")
     _add_variant_options(p, with_input=False)
@@ -285,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--vertices", type=int, default=100)
     p.add_argument("--embedding", choices=("pointwise", "edge_average"), default="pointwise")
-    p.add_argument("-o", "--output", required=True)
 
     p = command("flowsim", cmd_flowsim, "denoising study on the flow fixture")
     _add_variant_options(p, with_input=False)
@@ -295,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=int, default=None,
                    help="averaged multi-trajectory estimator when set")
     p.add_argument("--fixture-out", default=None)
-    p.add_argument("-o", "--output", required=True)
 
     return parser
 
@@ -304,10 +295,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         results = args.func(args) or {}  # what the subcommand adds to its manifest
-        if args.output:  # condnum writes no file without -o
-            given = {k: v for k, v in vars(args).items() if k != "func"}
-            lio.write_manifest(args.output + ".manifest.json",
-                               {"command": args.command, "args": given, **results})
+        given = {k: v for k, v in vars(args).items() if k != "func"}
+        lio.write_manifest(args.output + ".manifest.json",
+                           {"command": args.command, "args": given, **results})
     except tuple(e for e, _ in _ERROR_CATEGORIES) as exc:
         category = next(c for e, c in _ERROR_CATEGORIES if isinstance(exc, e))
         print(f"error category={category}: {exc}", file=sys.stderr)

@@ -87,6 +87,8 @@ class Graph:
                 raise GraphError(f"duplicate edge between {e.u!r} and {e.v!r}")
             seen_pairs.add(e.pair)
             length = e.length
+            if isinstance(length, bool):  # a flag passed for a length
+                raise GraphError(f"edge {e.id!r} has a bool length {length}")
             if length is None:
                 cu, cv = self.coords[e.u], self.coords[e.v]
                 if cu is not None and cv is not None:
@@ -129,6 +131,9 @@ class LineGraph:
     ) -> None:
         self.ids: Tuple[Id, ...] = tuple(ids)
         self.index: Dict[Id, int] = {k: i for i, k in enumerate(self.ids)}
+        if len(self.index) < len(self.ids):  # the index keeps an id's last position
+            dup = next(k for i, k in enumerate(self.ids) if self.index[k] != i)
+            raise GraphError(f"duplicate line-graph id {dup!r}")
         rows = []
         for k in self.ids:
             nbrs = adjacency.get(k, ())

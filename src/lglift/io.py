@@ -128,9 +128,7 @@ def parse_graph_text(text: str) -> Union[Graph, LineGraph]:
         if mode == "graph":
             return Graph(vertices, edges)
         ids = [s[0] for s in stations]
-        known = set(ids)
-        if len(known) != len(ids):
-            raise GraphError("duplicate station id")
+        known = set(ids)  # a duplicate id is LineGraph's GraphError
         adjacency: Dict[Id, Set[Id]] = {k: set() for k in ids}
         for a, b in links:
             if a not in known or b not in known:

@@ -450,12 +450,6 @@ def forward(
     calls replay the same `LiftingRecord` object, which callers must treat
     as read-only.  A planning error is raised on every call.
     """
-    if isinstance(values, Mapping):
-        try:
-            values = [values[k] for k in lg.ids]
-        except KeyError:
-            missing = [k for k in lg.ids if k not in values]
-            raise LiftingError(f"missing values for new vertices {missing[:3]!r}") from None
     x = _checked(values, lg.ids, "value")
 
     if trajectory is None and initial_integrals is None:
@@ -468,9 +462,19 @@ def forward(
 
 
 def _checked(X, ids: Sequence[Id], what: str) -> np.ndarray:
-    """X as a float array of shape (m,) or (m, B), m = len(ids), B > 0, with
-    finite entries: else LiftingError, naming the id of a non-finite row."""
-    X = np.asarray(X, dtype=float)
+    """X, a mapping by id or an array in `ids` order (the one read of a signal),
+    as a float array of shape (m,) or (m, B), m = len(ids), B > 0, with finite
+    real entries: else LiftingError, naming the id of a missing or non-finite row."""
+    if isinstance(X, Mapping):
+        try:
+            X = [X[k] for k in ids]
+        except KeyError:
+            missing = [k for k in ids if k not in X]
+            raise LiftingError(f"missing {what}s for new vertices {missing[:3]!r}") from None
+    try:  # text, rows of different lengths, complex numbers, other objects
+        X = np.asarray(X).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise LiftingError(f"{what}s must be an array of real numbers: {exc}") from None
     if X.ndim not in (1, 2) or len(X) != len(ids) or X.ndim == 2 and not X.shape[1]:
         raise LiftingError(f"{what} array {X.shape}: need ({len(ids)},) or ({len(ids)}, B), B > 0")
     finite = np.isfinite(X).reshape(len(X), -1).all(axis=1)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erfcx, gammainc, ndtr
 
 from .graph import Id, LineGraph
-from .lifting import CoefficientSet, LiftingConfig, LiftingRecord, _is_count, forward, inverse
+from .lifting import CoefficientSet, LiftingConfig, LiftingRecord, _checked, _is_count, forward, inverse
 
 MAD_SCALE = 0.6745
 #: the posterior-median Newton iteration stops each coefficient once its step
@@ -418,7 +418,7 @@ def ebayes_threshold(
         raise ShrinkageError(
             f"sigma of shape {np.shape(sigma)} for {block.shape[1]} columns: need one each"
         )
-    if not np.all(np.isfinite(sigma) & (np.asarray(sigma) > 0)):  # NaN too
+    if np.asarray(sigma).dtype == bool or not np.all(np.isfinite(sigma) & (np.asarray(sigma) > 0)):
         raise ShrinkageError(f"noise scale must be finite and positive, got {sigma}")
     n_levels = int(levels.max()) + 1 if levels.size else 0
     if not config.keep_coarsest < max(n_levels, 1):
@@ -575,10 +575,11 @@ def nlt_denoise(
     """
     if not (_is_count(n_trajectories) and n_trajectories >= 1):
         raise ShrinkageError(f"n_trajectories must be a positive integer, got {n_trajectories!r}")
-    if np.ndim(list(values.values()) if isinstance(values, Mapping) else values) > 1:
+    x = _checked(values, lg.ids, "value")
+    if x.ndim > 1:
         raise ShrinkageError("nlt_denoise takes one signal at a time, not a batch")
     plans = [  # `random_trajectories` checks the seed
-        forward(values, lg, config, trajectory=traj)[0]
+        forward(x, lg, config, trajectory=traj)[0]
         for traj in random_trajectories(lg, config, n_trajectories, seed)
     ]
     singles = _denoise_plans(plans, shrink_config)

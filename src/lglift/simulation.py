@@ -183,8 +183,8 @@ def add_noise(
     values: Mapping[Id, float], snr: float, seed: int
 ) -> Tuple[Dict[Id, float], float]:
     """Unit-variance normalization plus iid Gaussian noise at sigma = 1/SNR."""
-    if not snr > 0:
-        raise SimulationError(f"SNR must be positive, got {snr}")
+    if isinstance(snr, bool) or not snr > 0:
+        raise SimulationError(f"SNR must be a positive number, got {snr}")
     normalized = normalize_unit_variance(values)
     sigma = 1.0 / snr
     rng = _substream(seed, SUB_NOISE)
@@ -307,8 +307,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n_vertices", "n_graphs", "n_replications"):
             _check_count(getattr(self, name), 1, f"{name} must be an integer of at least 1")
-        if not self.snr > 0:
-            raise SimulationError("SNR must be positive")
+        if isinstance(self.snr, bool) or not self.snr > 0:
+            raise SimulationError(f"SNR must be a positive number, got {self.snr}")
         if self.embedding not in ("pointwise", "edge_average"):
             raise SimulationError(f"unknown embedding {self.embedding!r}")
         _check_count(self.master_seed, 0, _SEED)
@@ -372,9 +372,11 @@ def flow_experiment(
     is used instead of a single run.  `sigma = 0` is valid: the noiseless
     column passes through the shrink core unchanged.
     """
-    if not 0 <= sigma < math.inf:
-        raise SimulationError(f"noise level must be finite and nonnegative, got {sigma}")
+    if isinstance(sigma, bool) or not 0 <= sigma < math.inf:
+        raise SimulationError(f"noise level must be a finite nonnegative number, got {sigma}")
     _check_count(n_replications, 1, "need at least 1 replication")
+    if nlt_trajectories is not None:
+        _check_count(nlt_trajectories, 1, "need at least 1 trajectory")
     _check_count(seed, 0, _SEED)
     graph, values = generate_flow_fixture(seed)
     lg = build_line_graph(graph)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,20 @@ def mst_lg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+class CountingMapping(dict):
+    """A signal by id that counts how often each id is read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = Counter()
+
+    def __getitem__(self, k):
+        self.reads[k] += 1
+        return super().__getitem__(k)
+
+
+@pytest.fixture
+def counting_mapping():
+    return CountingMapping

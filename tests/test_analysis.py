@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lglift import analysis
+from lglift import analysis, lifting
 from lglift.analysis import (
     SparsityCurve,
     TransformMatrices,
@@ -175,3 +175,28 @@ class TestSparsity:
     def test_batch_rejected(self, small_tree_lg):
         with pytest.raises(LiftingError, match="one signal"):
             sparsity_curve_single(np.ones((small_tree_lg.m, 2)), small_tree_lg, LiftingConfig())
+
+    def test_batch_rejected_before_planning(self, monkeypatch, small_tree_lg):
+        calls = []
+        build_record = lifting._build_record
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build_record(*args, **kwargs)
+
+        monkeypatch.setattr(lifting, "_build_record", counted)
+        batch = np.ones((small_tree_lg.m, 2))
+        for values in (batch, dict(zip(small_tree_lg.ids, batch.tolist()))):
+            with pytest.raises(LiftingError, match="one signal"):
+                sparsity_curve_single(values, small_tree_lg, LiftingConfig())
+        assert calls == []
+        sparsity_curve_single(batch[:, 0], small_tree_lg, LiftingConfig())
+        assert len(calls) == 1
+
+    def test_truth_read_once(self, small_tree_lg, counting_mapping):
+        x = np.linspace(-1.0, 1.0, small_tree_lg.m)
+        values = counting_mapping(zip(small_tree_lg.ids, x.tolist()))
+        curve = sparsity_curve_single(values, small_tree_lg, LiftingConfig())
+        assert values.reads == dict.fromkeys(small_tree_lg.ids, 1)
+        by_array = sparsity_curve_single(x, small_tree_lg, LiftingConfig())
+        assert curve.ise.tobytes() == by_array.ise.tobytes()

@@ -165,6 +165,17 @@ class TestLineGraphValidation:
         with pytest.raises(GraphError, match="self-adjacency"):
             LineGraph(["a", "b"], {"a": {"a", "b"}, "b": {"a"}})
 
+    def test_duplicate_id_rejected(self):
+        # one id twice would give two rows of one vertex and a transform of
+        # more coefficients than values
+        coords = {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (2.0, 0.0)}
+        adjacency = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        with pytest.raises(GraphError, match="duplicate line-graph id 'a'"):
+            LineGraph(["a", "a", "b", "c"], adjacency, coords=coords)
+        with pytest.raises(GraphError, match="duplicate line-graph id 'c'"):
+            LineGraph(["a", "c", "b", "c"], adjacency, coords=coords)
+        assert LineGraph(["a", "b", "c"], adjacency, coords=coords).rows == ((1,), (0, 2), (1,))
+
     @pytest.mark.parametrize("field", ["coords", "edge_lengths"])
     def test_partial_metric_inputs_rejected(self, field):
         ids = ["a", "b", "c", "d"]

@@ -126,6 +126,10 @@ class TestParse:
         assert lg.m == 3
         assert lg.values == {"s1": 1.0, "s2": 2.0, "s3": 3.0}
 
+    def test_duplicate_station_rejected(self):
+        with pytest.raises(ParseError, match="duplicate line-graph id 's2'"):
+            parse_graph_text(STATIONS + "station s2 3 0 value=4\n")
+
     def test_stations_round_trip(self):
         lg = parse_graph_text(STATIONS)
         text = serialize_line_graph(lg)
@@ -363,16 +367,18 @@ class TestCli:
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 4
 
-    def test_condnum_quartiles_ordered(self, capsys):
-        assert main(["condnum", "--graphs", "2", "--vertices", "20"]) == 0
+    def test_condnum_quartiles_ordered(self, tmp_path, capsys):
+        out = str(tmp_path / "k.csv")
+        assert main(["condnum", "--graphs", "2", "--vertices", "20", "-o", out]) == 0
         line = capsys.readouterr().out.splitlines()[-1]
         stats = dict(part.split("=") for part in line.split())
         order = [float(stats[k]) for k in ("min", "25%", "median", "75%", "max")]
         assert order == sorted(order)
 
     @pytest.mark.parametrize("graphs", ["1", "0"])
-    def test_condnum_needs_two_graphs(self, capsys, graphs):
-        assert main(["condnum", "--graphs", graphs, "--vertices", "20"]) == 2
+    def test_condnum_needs_two_graphs(self, tmp_path, capsys, graphs):
+        out = str(tmp_path / "k.csv")
+        assert main(["condnum", "--graphs", graphs, "--vertices", "20", "-o", out]) == 2
         assert "error category=simulation" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

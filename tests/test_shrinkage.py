@@ -876,6 +876,18 @@ class TestDenoise:
         nlt_denoise(x, mst_lg, cfg, n_trajectories=2)
         assert len(calls) == 2
 
+    def test_nlt_reads_each_value_once(self, mst_lg, rng, counting_mapping):
+        # the signal is read and checked once, and every trajectory
+        # transforms that array
+        cfg = LiftingConfig.from_acronym("LG-Aid-c")
+        x = rng.normal(size=mst_lg.m)
+        values = counting_mapping(zip(mst_lg.ids, x.tolist()))
+        by_id, singles = nlt_denoise(values, mst_lg, cfg, n_trajectories=5)
+        assert len(singles) == 5
+        assert values.reads == dict.fromkeys(mst_lg.ids, 1)
+        by_array = nlt_denoise(x, mst_lg, cfg, n_trajectories=5)[0]
+        assert by_id.estimate_vector.tobytes() == by_array.estimate_vector.tobytes()
+
     def test_clean_flow_signal_barely_damaged(self):
         graph, values = generate_flow_fixture(0)
         lg = build_line_graph(graph)
