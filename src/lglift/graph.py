@@ -67,25 +67,27 @@ class Graph:
             if vid in self.coords:
                 raise GraphError(f"duplicate vertex id {vid!r}")
             if xy is not None:
-                xy = (float(xy[0]), float(xy[1]))
-                if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
-                    raise GraphError(f"vertex {vid!r} has non-finite coordinates {xy}")
+                x, y = float(xy[0]), float(xy[1])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise GraphError(f"vertex {vid!r} has non-finite coordinates {(x, y)}")
+                # float() returns a float itself, so only other types are looked at
+                if (x is not xy[0] or y is not xy[1]) and bool in (type(xy[0]), type(xy[1])):
+                    raise GraphError(f"vertex {vid!r} has a bool coordinate in {tuple(xy)}")
+                xy = (x, y)
             self.coords[vid] = xy
 
         seen_pairs: Set[FrozenSet[Id]] = set()
-        seen_ids: Set[Id] = set()
-        resolved: List[EdgeRec] = []
+        self.edge_by_id: Dict[Id, EdgeRec] = {}
         for e in edges:
-            if e.id in seen_ids:
+            if e.id in self.edge_by_id:
                 raise GraphError(f"duplicate edge id {e.id!r}")
-            seen_ids.add(e.id)
             if e.u not in self.coords or e.v not in self.coords:
                 raise GraphError(f"edge {e.id!r} references unknown vertex")
             if e.u == e.v:
                 raise GraphError(f"edge {e.id!r} is a self-loop")
-            if e.pair in seen_pairs:
+            if (pair := e.pair) in seen_pairs:
                 raise GraphError(f"duplicate edge between {e.u!r} and {e.v!r}")
-            seen_pairs.add(e.pair)
+            seen_pairs.add(pair)
             length = e.length
             if isinstance(length, bool):  # a flag passed for a length
                 raise GraphError(f"edge {e.id!r} has a bool length {length}")
@@ -93,13 +95,13 @@ class Graph:
                 cu, cv = self.coords[e.u], self.coords[e.v]
                 if cu is not None and cv is not None:
                     length = math.dist(cu, cv)
+                    e = EdgeRec(e.id, e.u, e.v, length, e.value)
             if length is not None and not math.isfinite(length):
                 raise GraphError(f"edge {e.id!r} has non-finite length {length}")
             if length is not None and not length > 0:
                 raise GraphError(f"edge {e.id!r} has non-positive length {length}")
-            resolved.append(EdgeRec(e.id, e.u, e.v, length, e.value))
-        self.edges: Tuple[EdgeRec, ...] = tuple(resolved)
-        self.edge_by_id: Dict[Id, EdgeRec] = {e.id: e for e in self.edges}
+            self.edge_by_id[e.id] = e  # the caller's own when it has its length: EdgeRec is frozen
+        self.edges: Tuple[EdgeRec, ...] = tuple(self.edge_by_id.values())
 
     @property
     def n(self) -> int:
@@ -155,12 +157,18 @@ class LineGraph:
             missing = [k for k in self.ids if k not in given] if given else []
             if missing:
                 raise GraphError(f"{what} missing for new vertices {missing[:3]!r}")
-            finite = np.isfinite([given[k] for k in self.ids] if given else [])
-            if finite.ndim == 2:  # coordinate pairs
+            listed = [given[k] for k in self.ids] if given else []
+            finite = np.isfinite(listed)
+            paired = finite.ndim == 2  # coordinate pairs
+            if paired:
                 finite = finite.all(axis=1)
             bad = [k for k, ok in zip(self.ids, finite.tolist()) if not ok]
             if bad:
                 raise GraphError(f"non-finite {what} at new vertices {bad[:3]!r}")
+            # numpy reads a bool as 0 or 1: one look at the numbers' types
+            if bool in set(map(type, [c for v in listed for c in v] if paired else listed)):
+                bad = [k for k, v in zip(self.ids, listed) if bool in map(type, v if paired else (v,))]
+                raise GraphError(f"bool {what} at new vertices {bad[:3]!r}")
         short = [k for k in self.ids if not edge_lengths[k] > 0] if edge_lengths else []
         if short:
             raise GraphError(f"non-positive edge lengths at new vertices {short[:3]!r}")
@@ -203,9 +211,7 @@ class LineGraph:
                 raise GraphError("metric inputs unavailable: no source edge lengths")
             ids = self.ids
             lengths = [self.edge_lengths[k] for k in ids]
-            rows = [
-                {s: 0.5 * (lengths[u] + lengths[s]) for s in r} for u, r in enumerate(self.rows)
-            ]
+            rows = self._mirrored(lambda u, s: 0.5 * (lengths[u] + lengths[s]))
             # no live weight falls below the rows' smallest (see `_relink`)
             w_min = min((w for row in rows for w in row.values()), default=math.inf)
 
@@ -266,7 +272,7 @@ class LineGraph:
             def measure(adj, k, slots):
                 return [pair_distance(u, v) for u, v in combinations(slots, 2)]
 
-            rows = [{s: pair_distance(u, s) for s in r} for u, r in enumerate(self.rows)]
+            rows = self._mirrored(pair_distance)
         for k, row in zip(self.ids, rows):
             # distances of finite inputs are finite or +inf, never NaN
             if math.inf in row.values():
@@ -274,6 +280,13 @@ class LineGraph:
                     f"non-finite metric distance at new vertex {k!r}: inputs too large"
                 )
         return rows, partial(self._relink, measure, self.rank)
+
+    def _mirrored(self, weight) -> List[Dict[int, float]]:
+        """Rows `{s: weight(u, s)}` as `rows`, `weight` (bitwise symmetric) called once a pair."""
+        rows: List[Dict[int, float]] = []
+        for u, r in enumerate(self.rows):
+            rows.append({s: rows[s][u] if s < u else weight(u, s) for s in r})
+        return rows
 
     @staticmethod
     def _relink(
@@ -361,13 +374,13 @@ def build_line_graph(graph: Graph) -> LineGraph:
     """
     if graph.m < 3:
         raise GraphError(f"graph too small: {graph.m} edges, need at least 3")
-    if not graph.is_connected():
-        raise GraphError("source graph disconnected")
-
     incident: Dict[Id, List[Id]] = {v: [] for v in graph.coords}
     for e in graph.edges:
         incident[e.u].append(e.id)
         incident[e.v].append(e.id)
+    # a graph is connected iff no vertex is isolated and its line graph is
+    if not all(incident.values()):
+        raise GraphError("source graph disconnected")
 
     adjacency: Dict[Id, Set[Id]] = {e.id: set() for e in graph.edges}
     for v, eids in incident.items():
@@ -376,19 +389,16 @@ def build_line_graph(graph: Graph) -> LineGraph:
             adjacency[a].add(b)
             adjacency[b].add(a)
 
-    coords = None
-    if all(c is not None for c in graph.coords.values()):
-        coords = {}
-        for e in graph.edges:
-            (x1, y1), (x2, y2) = graph.coords[e.u], graph.coords[e.v]
-            coords[e.id] = (0.5 * (x1 + x2), 0.5 * (y1 + y2))
-
-    lengths = None
-    if all(e.length is not None for e in graph.edges):
-        lengths = {e.id: e.length for e in graph.edges}
-
-    values = {e.id: e.value for e in graph.edges if e.value is not None} or None
-    return LineGraph([e.id for e in graph.edges], adjacency, coords, lengths, values)
+    xy, edges = graph.coords, graph.edges
+    coords = None if None in xy.values() else {
+        e.id: (0.5 * (xy[e.u][0] + xy[e.v][0]), 0.5 * (xy[e.u][1] + xy[e.v][1])) for e in edges
+    }
+    lengths = None if any(e.length is None for e in edges) else {e.id: e.length for e in edges}
+    values = {e.id: e.value for e in edges if e.value is not None} or None
+    lg = LineGraph([e.id for e in edges], adjacency, coords, lengths, values)
+    if not lg.connected:
+        raise GraphError("source graph disconnected")
+    return lg
 
 
 def is_connected(vertices: Iterable[Id], edges: Iterable[Tuple[Id, Id]]) -> bool:
@@ -532,19 +542,21 @@ def euclidean_mst(points: Sequence[Tuple[Id, Coord]]) -> List[Tuple[Id, Id, floa
     therefore accepts the same edges in the same order.  All pairs are
     considered only where Qhull cannot triangulate every point: fewer than
     3 points, non-finite or collinear points, or duplicates it drops (whose
-    zero distance `minimum_spanning_tree` rejects).
+    zero distance is rejected).  Kruskal runs on the point positions, with
+    the checks and errors of `minimum_spanning_tree` but no id lookups.
     """
     if len(points) < 2:
         raise GraphError("euclidean_mst requires at least two points")
-    coords = [c for _, c in points]
-    pairs = _delaunay_pairs(coords)
-    if pairs is None:
-        pairs = combinations(range(len(points)), 2)
-    edges = [
-        (points[i][0], points[j][0], math.dist(coords[i], coords[j]))
-        for i, j in pairs
-    ]
-    return minimum_spanning_tree([p[0] for p in points], edges)
+    ids, coords = [p for p, _ in points], [c for _, c in points]
+    pairs = _delaunay_pairs(coords) or list(combinations(range(len(points)), 2))
+    weights = [math.dist(coords[i], coords[j]) for i, j in pairs]
+    for w in weights:
+        if not 0.0 < w < math.inf:  # NaN too
+            raise GraphError(f"non-positive or non-finite edge weight {w}")
+    if len(set(ids)) < len(ids):  # repeated ids: no tree of distinct ids spans them
+        raise GraphError("cannot span: weighted edges do not connect the vertices")
+    tree = _kruskal(len(ids), pairs, weights, _repr_rank(ids))
+    return [(ids[pairs[e][0]], ids[pairs[e][1]], weights[e]) for e in tree]
 
 
 def _delaunay_pairs(coords: Sequence[Coord]) -> Optional[List[Tuple[int, int]]]:

@@ -40,6 +40,11 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
         raise ParseError(f"line {lineno}: bad {what} {token!r}") from None
 
 
+def _parse_xy(tokens: List[str], lineno: int) -> Tuple[float, float]:
+    """The coordinates of a vertex or station line, its third and fourth tokens."""
+    return _parse_float(tokens[2], lineno, "x"), _parse_float(tokens[3], lineno, "y")
+
+
 def _split_kv(tokens: List[str], lineno: int, allowed: Set[str]) -> Dict[str, float]:
     out = {}
     for tok in tokens:
@@ -81,40 +86,18 @@ def parse_graph_text(text: str) -> Union[Graph, LineGraph]:
         elif kind == "vertex":
             if len(tokens) not in (2, 4):
                 raise ParseError(f"line {lineno}: vertex takes id or id x y")
-            coord = None
-            if len(tokens) == 4:
-                coord = (
-                    _parse_float(tokens[2], lineno, "x"),
-                    _parse_float(tokens[3], lineno, "y"),
-                )
+            coord = _parse_xy(tokens, lineno) if len(tokens) == 4 else None
             vertices.append((_parse_id(tokens[1]), coord))
         elif kind == "edge":
             if len(tokens) < 4:
                 raise ParseError(f"line {lineno}: edge takes id u v [length=] [value=]")
             attrs = _split_kv(tokens[4:], lineno, {"length", "value"})
-            edges.append(
-                EdgeRec(
-                    id=_parse_id(tokens[1]),
-                    u=_parse_id(tokens[2]),
-                    v=_parse_id(tokens[3]),
-                    length=attrs.get("length"),
-                    value=attrs.get("value"),
-                )
-            )
+            edges.append(EdgeRec(*map(_parse_id, tokens[1:4]), **attrs))
         elif kind == "station":
             if len(tokens) < 4:
                 raise ParseError(f"line {lineno}: station takes id x y [value=]")
             attrs = _split_kv(tokens[4:], lineno, {"value"})
-            stations.append(
-                (
-                    _parse_id(tokens[1]),
-                    (
-                        _parse_float(tokens[2], lineno, "x"),
-                        _parse_float(tokens[3], lineno, "y"),
-                    ),
-                    attrs.get("value"),
-                )
-            )
+            stations.append((_parse_id(tokens[1]), _parse_xy(tokens, lineno), attrs.get("value")))
         elif kind == "link":
             if len(tokens) != 3:
                 raise ParseError(f"line {lineno}: link takes two station ids")

@@ -332,7 +332,7 @@ def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> Lis
     if not distances:
         raise LiftingError("prediction requires at least one neighbor")
     for d in distances:
-        if not 0 < d < math.inf:
+        if isinstance(d, bool) or not 0 < d < math.inf:
             raise LiftingError(f"degenerate distance {d} in prediction weights")
     return _weights(distances, len(distances), scheme)
 
@@ -504,6 +504,9 @@ def _build_record(
         integrals = _integrals(ids, adj, config.integral_scheme)
     else:
         integrals = [float(initial_integrals[k]) for k in ids]
+        bools = [k for k in ids if isinstance(initial_integrals[k], bool)]
+        if bools:  # float() reads a bool as 0 or 1
+            raise LiftingError(f"bool initial integral at {bools[0]!r}")
     for k, I in zip(ids, integrals):
         if not 0 < I < math.inf:
             raise LiftingError(f"non-positive or non-finite initial integral at {k!r}")

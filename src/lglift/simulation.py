@@ -132,10 +132,9 @@ def sample_network(n: int, seed: int) -> Graph:
     """n uniform points on the unit square joined by their Euclidean MST."""
     _check_count(n, 3, "need at least 3 vertices")
     rng = _substream(seed, SUB_GRAPH)
-    pts = rng.uniform(0.0, 1.0, size=(n, 2))
-    vertices = [(i, (float(x), float(y))) for i, (x, y) in enumerate(pts)]
-    tree = euclidean_mst([(i, c) for i, c in vertices])
-    edges = [EdgeRec(id=j, u=u, v=v) for j, (u, v, _) in enumerate(tree)]
+    vertices = list(enumerate(map(tuple, rng.uniform(0.0, 1.0, size=(n, 2)).tolist())))
+    # each edge carries its tree weight, the length Graph would measure
+    edges = [EdgeRec(j, u, v, w) for j, (u, v, w) in enumerate(euclidean_mst(vertices))]
     return Graph(vertices, edges)
 
 
@@ -170,10 +169,13 @@ def embed_edge_average(fn: FieldFn, graph: Graph, n_samples: int = 100) -> Dict[
 
 def normalize_unit_variance(values: Mapping[Id, float]) -> Dict[Id, float]:
     """Scale values so the sample variance is one; their sample SD must be
-    finite and positive (not one value, constant, non-finite or overflowing)."""
+    finite and positive (not one value, constant, non-finite or overflowing).
+    It is the SD of the values scaled by 2^-e, e the exponent of the largest
+    |value|, scaled back: exact steps, so `np.std`'s where its squares are normal."""
     arr = np.array(list(values.values()), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else math.nan
+        e = np.frexp(np.max(np.abs(arr), initial=0.0))[1]
+        sd = float(np.ldexp(np.std(np.ldexp(arr, -e), ddof=1), e)) if arr.size > 1 else math.nan
     if not 0 < sd < math.inf:  # NaN too
         raise SimulationError(f"cannot normalize {arr.size} values with sample SD {sd}")
     return {k: v / sd for k, v in values.items()}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -122,6 +123,14 @@ class TestBuildLineGraph:
             ],
         )
         with pytest.raises(GraphError, match="disconnected"):
+            build_line_graph(g)
+
+    def test_isolated_vertex_rejected(self):
+        g = Graph(
+            [(i, None) for i in range(5)],
+            [EdgeRec(k, 0, i, length=1.0) for i, k in enumerate("abc", 1)],
+        )
+        with pytest.raises(GraphError, match="^source graph disconnected$"):
             build_line_graph(g)
 
     def test_triangle_maps_to_triangle(self, triangle_graph):
@@ -896,3 +905,39 @@ class TestFrozenReferences:
         assert _outcome(is_connected, vertices, pairs) == _outcome(
             graph_reference.is_connected, vertices, pairs
         )
+
+
+def network_fingerprint(graph) -> str:
+    """sha256 over a network and its line graph: vertex coordinates, edges
+    (id, u, v, length), the line graph's rows, rank, coordinates, edge
+    lengths and values, and the weighted rows of each metric it has, every
+    float by its exact `repr` and every dict in its own order."""
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode())
+
+    lg = build_line_graph(graph)
+    put(list(graph.coords.items()))
+    put([(e.id, e.u, e.v, e.length) for e in graph.edges])
+    put(lg.rows, lg.rank)
+    for given in (lg.coords, lg.edge_lengths, lg.values):
+        put(list(given.items()) if given is not None else None)
+    for mode, given in ((MetricMode.COORDINATE, lg.coords), (MetricMode.PATH_LENGTH, lg.edge_lengths)):
+        if given is not None:
+            put(mode.value, [list(row.items()) for row in lg.metric_rows(mode)[0]])
+    return h.hexdigest()
+
+
+def test_sampled_networks_match_the_parent():
+    """The sampled MST networks (n = 100 seeds 0-19, the n = 500 networks
+    of seeds 0 and 1) and flow fixtures (seeds 0-4), their line graphs and
+    metric rows are bitwise those recorded before the network build was
+    streamlined."""
+    networks = [sample_network(100, seed) for seed in range(20)]
+    networks += [sample_network(500, seed) for seed in range(2)]
+    networks += [generate_flow_fixture(seed)[0] for seed in range(5)]
+    digest = hashlib.sha256()
+    for graph in networks:
+        digest.update(network_fingerprint(graph).encode())
+    assert digest.hexdigest() == "9a5a13cbcaefea423f8f474f306b155e573b9b78175c719743f8c629c1be28f6"

@@ -7,7 +7,8 @@ negative value (counts and seeds) or NaN, +-inf and a bool (floats).  Each
 call raises its module's error category, or is listed in the table as
 accepted on purpose, with the reason.  `test_signal_must_be_real_numbers`
 feeds the signals that `lifting._checked` reads values that are not finite
-real numbers.
+real numbers, and `test_bool_inside_a_container_rejected` puts a bool among
+the numbers of the other containers of numbers a caller passes.
 """
 
 import inspect
@@ -26,6 +27,8 @@ from lglift import (
     GraphError,
     LiftingConfig,
     LiftingError,
+    LineGraph,
+    PredictionScheme,
     ShrinkageConfig,
     ShrinkageError,
     SimulationError,
@@ -41,6 +44,7 @@ from lglift import (
     get_field,
     inverse,
     nlt_denoise,
+    predict_weights,
     sample_network,
     sparsity_curve_single,
 )
@@ -217,3 +221,49 @@ def test_signal_must_be_real_numbers(entry, kind):
         warnings.simplefilter("error")
         with pytest.raises(LiftingError, match=message):
             ENTRY_POINTS[entry](values)
+
+
+ADJACENCY = {k: {LG.ids[s] for s in row} for k, row in zip(LG.ids, LG.rows)}
+
+
+def _with_first(values, value):
+    """`values` by line-graph id, the first one swapped for `value`."""
+    return {k: value if k == LG.ids[0] else v for k, v in values.items()}
+
+
+# where: (call(value), a valid value, error); each call puts the value
+# among valid numbers of one container
+CONTAINERS = {
+    "Graph vertex coordinate": (
+        lambda v: Graph([(0, (v, 0.0)), (1, (2.0, 0.0))], [EdgeRec("e", 0, 1)]),
+        1.0, GraphError,
+    ),
+    "LineGraph coordinates": (
+        lambda v: LineGraph(LG.ids, ADJACENCY, coords=_with_first(LG.coords, (0.5, v))),
+        0.5, GraphError,
+    ),
+    "LineGraph edge lengths": (
+        lambda v: LineGraph(LG.ids, ADJACENCY, edge_lengths=_with_first(LG.edge_lengths, v)),
+        1.0, GraphError,
+    ),
+    "predict_weights distances": (
+        lambda v: predict_weights([v, 2.0], PredictionScheme.INVERSE_DISTANCE),
+        1.0, LiftingError,
+    ),
+    "forward initial_integrals": (
+        lambda v: forward(SIGNAL, LG, LiftingConfig(),
+                          initial_integrals=_with_first(dict.fromkeys(LG.ids, 1.0), v)),
+        1.0, LiftingError,
+    ),
+}
+
+
+@pytest.mark.parametrize("where", CONTAINERS)
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_inside_a_container_rejected(where, flag):
+    """A bool among the numbers of a container is rejected with the
+    module's error category, not read as 1.0 or 0.0."""
+    call, valid, error = CONTAINERS[where]
+    call(valid)  # so the error below is the bool's
+    with pytest.raises(error, match="bool|degenerate distance"):
+        call(flag)

@@ -152,8 +152,26 @@ class TestNoise:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("normalize", NORMALIZERS)
     def test_overflowing_spread_rejected(self, normalize):
+        # sample SD sqrt(2) * 1.7e308: beyond the largest float
         with pytest.raises(SimulationError, match="with sample SD inf"):
-            normalize({1: 1e308, 2: -1e308})
+            normalize({1: 1.7e308, 2: -1.7e308})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_overflowing_squares_normalized(self, big):
+        # the SD, sqrt(2) * big, is finite though the squares of the values are not
+        normalized = normalize_unit_variance({1: big, 2: -big})
+        assert normalized == pytest.approx({1: 0.5**0.5, 2: -(0.5**0.5)}, rel=1e-15)
+
+    def test_sd_is_bitwise_numpy_std(self):
+        """Where the squares stay normal, the power-of-two scaled SD is
+        bitwise `np.std`'s, from 1e-100 to 1e100."""
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            x = rng.normal(rng.normal(), 1.0, rng.integers(2, 100)) * 10.0 ** rng.uniform(-100, 100)
+            values = dict(enumerate(x.tolist()))
+            sd = float(np.std(x, ddof=1))
+            assert normalize_unit_variance(values) == {k: v / sd for k, v in values.items()}
 
     def test_noise_variance_calibrated(self, rng):
         values = {i: float(v) for i, v in enumerate(rng.normal(size=10**6))}
