@@ -28,6 +28,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from numbers import Real
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,6 +47,15 @@ GAIN_BLOCK = 1024
 def _is_count(value) -> bool:
     """An int or a numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _stream(seed, *tags, error=LiftingError) -> np.random.Generator:
+    """The generator keyed by `seed` (an int >= 0, or a nonempty tuple or
+    list of them) followed by `tags`; every seeded draw in lglift is one."""
+    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    if not parts or not all(_is_count(p) and p >= 0 for p in parts):
+        raise error(f"seed must be a nonnegative integer or a nonempty sequence of them, got {seed!r}")
+    return np.random.default_rng((*parts, *tags))
 
 
 def _member(enum, value, what: str):
@@ -296,6 +306,10 @@ class CoefficientSet:
             return NotImplemented
         return (self.details, self.scaling) == (other.details, other.scaling)
 
+    def __reduce__(self):
+        # only the fields: a cached view is a mappingproxy, which does not pickle
+        return CoefficientSet, (self.vector, self.record)
+
     @cached_property
     def details(self) -> Mapping[Id, float]:
         n = len(self.record.steps)
@@ -375,7 +389,7 @@ class _Chooser:
             self.buckets.setdefault(I, []).append(u)
         self.values = list(self.buckets)
         heapq.heapify(self.values)
-        self.rng = np.random.default_rng(rng_seed)
+        self.rng = _stream(rng_seed)
 
     def choose(self) -> int:
         while self.values[0] not in self.buckets:
@@ -503,10 +517,20 @@ def _build_record(
         # the same inputs as init_integrals, so the two agree exactly
         integrals = _integrals(ids, adj, config.integral_scheme)
     else:
-        integrals = [float(initial_integrals[k]) for k in ids]
-        bools = [k for k in ids if isinstance(initial_integrals[k], bool)]
-        if bools:  # float() reads a bool as 0 or 1
-            raise LiftingError(f"bool initial integral at {bools[0]!r}")
+        if not isinstance(initial_integrals, Mapping):  # a list would be read with ids as indices
+            raise LiftingError(
+                f"initial integrals must be a mapping by id, got {type(initial_integrals).__name__}"
+            )
+        missing = [k for k in ids if k not in initial_integrals]
+        if missing:
+            raise LiftingError(f"missing initial integrals for new vertices {missing[:3]!r}")
+        given = [initial_integrals[k] for k in ids]
+        for k, I in zip(ids, given):  # float() reads a bool as 0 or 1, and text as a number
+            if isinstance(I, bool) or not isinstance(I, Real):
+                raise LiftingError(
+                    f"initial integral at {k!r} must be a real number (not a bool), got {I!r}"
+                )
+        integrals = [float(I) for I in given]
     for k, I in zip(ids, integrals):
         if not 0 < I < math.inf:
             raise LiftingError(f"non-positive or non-finite initial integral at {k!r}")

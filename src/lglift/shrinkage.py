@@ -19,7 +19,9 @@ import numpy as np
 from scipy.special import erfcx, gammainc, ndtr
 
 from .graph import Id, LineGraph
-from .lifting import CoefficientSet, LiftingConfig, LiftingRecord, _checked, _is_count, forward, inverse
+from .lifting import (
+    CoefficientSet, LiftingConfig, LiftingRecord, _checked, _is_count, _stream, forward, inverse,
+)
 
 MAD_SCALE = 0.6745
 #: the posterior-median Newton iteration stops each coefficient once its step
@@ -534,22 +536,13 @@ def denoise(
 def random_trajectories(
     lg: LineGraph, config: LiftingConfig, n: int, seed: int | Sequence[int]
 ) -> List[Tuple[Id, ...]]:
-    """n removal orders: uniform permutations truncated to length m - tau.
-    `seed` is an int or a nonempty sequence of ints; order p is drawn from
-    the substream (seed, p)."""
+    """n removal orders: uniform permutations truncated to length m - tau,
+    order p drawn from the stream `_stream(seed, p)`."""
     if not (_is_count(n) and n >= 0):
         raise ShrinkageError(f"trajectory count must be a nonnegative integer, got {n!r}")
-    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    if not parts or not all(map(_is_count, parts)):
-        raise ShrinkageError(f"seed must be an int or a nonempty sequence of ints, got {seed!r}")
-    if min(parts) < 0:
-        raise ShrinkageError(f"seed must be nonnegative, got {seed}")
-    out = []
-    for p in range(n):
-        rng = np.random.default_rng((seed, p))
-        perm = rng.permutation(lg.m)
-        out.append(tuple(lg.ids[i] for i in perm[: lg.m - config.tau]))
-    return out
+    _stream(seed, error=ShrinkageError)  # a bad seed fails with no orders too
+    perms = [_stream(seed, p, error=ShrinkageError).permutation(lg.m) for p in range(n)]
+    return [tuple(lg.ids[i] for i in perm[: lg.m - config.tau]) for perm in perms]
 
 
 def nlt_denoise(
@@ -564,9 +557,9 @@ def nlt_denoise(
     mapping by id or an (m,) array in `lg.ids` order; a batch is refused
     before any trajectory is planned.
 
-    Each trajectory gets an independent substream derived from (seed,
-    index), so results do not depend on evaluation order.  `seed` is an
-    int or a nonempty sequence of ints.  Each trajectory is transformed
+    Trajectory p is drawn from `_stream(seed, p)` (`random_trajectories`),
+    so results do not depend on evaluation order.  `seed` is an int or a
+    nonempty sequence of ints.  Each trajectory is transformed
     with `forward`; the shrink core then runs once on all the trajectories'
     coefficients (`_denoise_plans`), so each per-trajectory result is bitwise
     `denoise(..., trajectory=...)`.  Returns the averaged result (its

@@ -1,9 +1,25 @@
 """Experiment harness: test fields, sampled networks, noise, and metrics.
 
-All randomness flows from one master seed through documented per-purpose
-substreams (graph, noise, fixture; NLT removal orders seed `(seed, p)` in
-`shrinkage.random_trajectories`), so any cell of an experiment grid can be
-recomputed independently.
+Every seeded draw is a `lifting._stream(seed, *tags)` generator, keyed by
+(*seed, *tags), so any cell of an experiment grid can be recomputed on its
+own.  For a seed s the keys are:
+
+- `sample_network`: (s, SUB_GRAPH); `run_experiment` and
+  `condition_number_study` draw graph q with s = seed * 1000 + q;
+- `add_noise`: (s, SUB_NOISE); `run_experiment`, replicate r of graph q:
+  (seed, q, r, SUB_NOISE);
+- `generate_flow_fixture`: (s, SUB_FIXTURE);
+- `flow_experiment`, replicate r: noise (seed, SUB_NOISE, r), NLT orders
+  through `nlt_denoise` with s = seed * 100 + r;
+- NLT order p (`shrinkage.random_trajectories`): (*s, p); the free-order
+  tie-break (`lifting._Chooser`): (rng_seed,).
+
+These are not all separate streams.  numpy's `SeedSequence` ignores
+trailing zeros and the NLT keys carry no purpose tag, so the tie-break,
+network, noise and fixture keys of s are NLT orders 0, 1, 2 and 4 of s,
+and `flow_experiment`'s replicate 0 noise at seed 0, (0, SUB_NOISE, 0), is
+NLT order 2 of its own replicate 0.  seed * 1000 + q and seed * 100 + r
+overlap once q >= 1000 or r >= 100.
 """
 
 from __future__ import annotations
@@ -16,10 +32,10 @@ import numpy as np
 
 from .analysis import build_matrices, condition_number
 from .graph import EdgeRec, Graph, Id, build_line_graph, euclidean_mst
-from .lifting import LiftingConfig, _is_count
+from .lifting import LiftingConfig, _is_count, _stream
 from .shrinkage import ShrinkageConfig, denoise, nlt_denoise
 
-# substream tags; combined with the master seed they name an RNG stream
+# purpose tags, which end or follow the seed in a `_stream` key (see above)
 SUB_GRAPH = 1
 SUB_NOISE = 2
 SUB_FIXTURE = 4
@@ -38,13 +54,6 @@ def _check_count(value, low: int, message: str) -> None:
     bool) of at least `low`."""
     if not (_is_count(value) and value >= low):
         raise SimulationError(f"{message}, got {value!r}")
-
-
-def _substream(seed, tag: int) -> np.random.Generator:
-    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    for part in parts or (seed,):  # an empty sequence is checked, and fails, as a seed
-        _check_count(part, 0, _SEED)
-    return np.random.default_rng((*parts, tag))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +140,7 @@ def get_field(name: str) -> FieldFn:
 def sample_network(n: int, seed: int) -> Graph:
     """n uniform points on the unit square joined by their Euclidean MST."""
     _check_count(n, 3, "need at least 3 vertices")
-    rng = _substream(seed, SUB_GRAPH)
+    rng = _stream(seed, SUB_GRAPH, error=SimulationError)
     vertices = list(enumerate(map(tuple, rng.uniform(0.0, 1.0, size=(n, 2)).tolist())))
     # each edge carries its tree weight, the length Graph would measure
     edges = [EdgeRec(j, u, v, w) for j, (u, v, w) in enumerate(euclidean_mst(vertices))]
@@ -189,7 +198,7 @@ def add_noise(
         raise SimulationError(f"SNR must be a positive number, got {snr}")
     normalized = normalize_unit_variance(values)
     sigma = 1.0 / snr
-    rng = _substream(seed, SUB_NOISE)
+    rng = _stream(seed, SUB_NOISE, error=SimulationError)
     keys = list(normalized)
     noise = rng.normal(0.0, sigma, size=len(keys))
     return {k: normalized[k] + float(e) for k, e in zip(keys, noise)}, sigma
@@ -244,7 +253,7 @@ def generate_flow_fixture(seed: int) -> Tuple[Graph, Dict[Id, float]]:
     adjacency).  Values start at 9; whole clusters are repeatedly raised to
     levels drawn from {12, 15, 18} until more than 30 edges exceed 9.
     """
-    rng = _substream(seed, SUB_FIXTURE)
+    rng = _stream(seed, SUB_FIXTURE, error=SimulationError)
     n = 80
     edges = []
     for i in range(1, n):
@@ -336,7 +345,7 @@ def run_experiment(
         # add_noise's draws, without normalizing g a second time: lg.ids
         # follows graph.edges, the order add_noise draws in
         noise = np.column_stack([
-            _substream((config.master_seed, q, r), SUB_NOISE).normal(0.0, sigma, m)
+            _stream((config.master_seed, q, r), SUB_NOISE, error=SimulationError).normal(0.0, sigma, m)
             for r in range(R)
         ])
         noisy = truths[q][:, None] + noise
@@ -386,7 +395,7 @@ def flow_experiment(
     m = lg.m
     truths = np.array([[values[k] for k in lg.ids]])
     estimates = np.empty((1, n_replications, m))
-    rngs = [np.random.default_rng((seed, SUB_NOISE, r)) for r in range(n_replications)]
+    rngs = [_stream(seed, SUB_NOISE, r, error=SimulationError) for r in range(n_replications)]
     noisy = truths.T + np.array([rng.normal(0, sigma, m) for rng in rngs]).T
     if nlt_trajectories is None:
         estimates[0] = denoise(noisy, lg, cfg, shrink_config).estimate_vector.T

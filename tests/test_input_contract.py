@@ -9,11 +9,15 @@ accepted on purpose, with the reason.  `test_signal_must_be_real_numbers`
 feeds the signals that `lifting._checked` reads values that are not finite
 real numbers, and `test_bool_inside_a_container_rejected` puts a bool among
 the numbers of the other containers of numbers a caller passes.
+`test_input_check_raises_its_category` feeds each remaining input check
+one ordinary bad input and expects its category and message.
 """
 
 import inspect
 import math
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -48,6 +52,12 @@ from lglift import (
     sample_network,
     sparsity_curve_single,
 )
+from lglift.analysis import TransformMatrices, condition_number
+from lglift.cli import build_parser
+from lglift.graph import euclidean_mst
+from lglift.io import ParseError, parse_graph_text, serialize_line_graph
+from lglift.shrinkage import weight_from_data
+from lglift.simulation import compute_metrics
 
 INTS = (2.5, True, -1)
 FLOATS = (math.nan, math.inf, -math.inf, True)
@@ -267,3 +277,132 @@ def test_bool_inside_a_container_rejected(where, flag):
     call(valid)  # so the error below is the bool's
     with pytest.raises(error, match="bool|degenerate distance"):
         call(flag)
+
+
+GRAPH_HEAD = "mode graph\nvertex 1 0 0\nvertex 2 1 0\nvertex 3 2 1\n"
+STATIONS = "mode stations\nstation a 0 0\nstation b 1 0\n"
+
+
+def _cli(command, text):
+    """Run subcommand `command` on an input file holding `text`, raising the
+    error that `main` would print with its category."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.graph")
+        with open(path, "w") as fh:
+            fh.write(text)
+        args = build_parser().parse_args([command, path, "-o", os.path.join(tmp, "out")])
+        args.func(args)
+
+
+def _trajectory_with_unknown_id():
+    order = list(RECORD.removal_order)
+    order[0] = "zz"
+    return forward(SIGNAL, LG, LiftingConfig(), trajectory=order)
+
+
+# name: (call, error, message)
+CHECKS = {
+    "parse: key without value": (
+        lambda: parse_graph_text(GRAPH_HEAD + "edge e1 1 2 foo\n"),
+        ParseError, "line 5: expected key=value, got 'foo'",
+    ),
+    "parse: unknown attribute": (
+        lambda: parse_graph_text(GRAPH_HEAD + "edge e1 1 2 colour=3\n"),
+        ParseError, "line 5: unknown attribute 'colour'",
+    ),
+    "parse: second mode line": (
+        lambda: parse_graph_text("mode graph\nmode graph\n"),
+        ParseError, "line 2: duplicate mode declaration",
+    ),
+    "parse: unknown mode": (
+        lambda: parse_graph_text("mode lattice\n"),
+        ParseError, "line 1: mode must be 'graph' or 'stations'",
+    ),
+    "parse: short edge": (
+        lambda: parse_graph_text(GRAPH_HEAD + "edge e1 1\n"),
+        ParseError, r"line 5: edge takes id u v \[length=\] \[value=\]",
+    ),
+    "parse: short station": (
+        lambda: parse_graph_text("mode stations\nstation s 1\n"),
+        ParseError, r"line 2: station takes id x y \[value=\]",
+    ),
+    "parse: short link": (
+        lambda: parse_graph_text(STATIONS + "link a\n"),
+        ParseError, "line 4: link takes two station ids",
+    ),
+    "parse: unknown directive": (
+        lambda: parse_graph_text("mode graph\nbogus 1\n"),
+        ParseError, "line 2: unknown directive 'bogus'",
+    ),
+    "parse: only comments": (
+        lambda: parse_graph_text("# nothing\n\n# here\n"),
+        ParseError, "line 1: missing 'mode graph' or 'mode stations' declaration",
+    ),
+    "parse: link to an unknown station": (
+        lambda: parse_graph_text(STATIONS + "link a zz\n"),
+        ParseError, "link references unknown station 'a' or 'zz'",
+    ),
+    "serialize a line graph without coordinates": (
+        lambda: serialize_line_graph(LineGraph(LG.ids, ADJACENCY)),
+        GraphError, "stations mode requires coordinates on every vertex",
+    ),
+    "cli: denoise without values": (
+        lambda: _cli("denoise", GRAPH_HEAD + "edge e1 1 2\nedge e2 2 3\nedge e3 3 1\n"),
+        ParseError, "input file must carry a value on every edge/station",
+    ),
+    "cli: linegraph of a stations file": (
+        lambda: _cli("linegraph", STATIONS + "link a b\n"),
+        ParseError, "linegraph expects a graph-mode file",
+    ),
+    "Graph: duplicate edge id": (
+        lambda: Graph([(1, None), (2, None)], [EdgeRec("e", 1, 2, 1.0), EdgeRec("e", 2, 1, 1.0)]),
+        GraphError, "duplicate edge id 'e'",
+    ),
+    "euclidean_mst: one point": (
+        lambda: euclidean_mst([(1, (0.0, 0.0))]),
+        GraphError, "euclidean_mst requires at least two points",
+    ),
+    "euclidean_mst: repeated ids": (
+        lambda: euclidean_mst([(1, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (0.0, 1.0))]),
+        GraphError, "cannot span: weighted edges do not connect the vertices",
+    ),
+    "forward: trajectory with an unknown id": (
+        _trajectory_with_unknown_id,
+        LiftingError, r"trajectory references unknown ids \['zz'\]",
+    ),
+    "predict_weights: no neighbours": (
+        lambda: predict_weights([], PredictionScheme.INVERSE_DISTANCE),
+        LiftingError, "prediction requires at least one neighbor",
+    ),
+    "ShrinkageConfig: unknown rule": (
+        lambda: ShrinkageConfig(rule="soft"),
+        ShrinkageError, "unknown shrinkage rule 'soft'",
+    ),
+    "weight_from_data: no coefficients": (
+        lambda: weight_from_data(np.empty(0)),
+        ShrinkageError, "cannot fit mixing weight to zero coefficients",
+    ),
+    "ebayes_threshold: keep_coarsest at the level count": (
+        lambda: ebayes_threshold(
+            np.ones(4), 1.0, np.array([0, 0, 1, 1]), ShrinkageConfig(keep_coarsest=2)
+        ),
+        ShrinkageError, "keep_coarsest=2 must be below 2 levels",
+    ),
+    "condition_number: singular matrix": (
+        lambda: condition_number(TransformMatrices(np.zeros((N, N)), RECORD)),
+        LiftingError, "transform not invertible",
+    ),
+    "compute_metrics: mismatched shapes": (
+        lambda: compute_metrics(np.zeros((2, 3, 4)), np.zeros((2, 5))),
+        SimulationError, r"grid shapes mismatched: \(2, 3, 4\) vs \(2, 5\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_input_check_raises_its_category(name):
+    """Each input check that an ordinary bad input reaches raises its
+    module's error category with its own message."""
+    call, error, message = CHECKS[name]
+    with pytest.raises(error, match=message):
+        call()

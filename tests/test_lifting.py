@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -386,6 +387,31 @@ class TestForward:
         with pytest.raises(LiftingError, match="non-positive or non-finite initial integral at 'B'"):
             forward(values, path3_lg, LiftingConfig(), initial_integrals=integrals)
 
+    @pytest.mark.parametrize(
+        "integrals, message",
+        [
+            ({"A": 1.0, "C": 1.0}, r"missing initial integrals for new vertices \['B'\]"),
+            ({"A": 1.0, "B": "abc", "C": 1.0}, "initial integral at 'B' must be a real number"),
+            ({"A": 1.0, "B": "1.5", "C": 1.0}, "initial integral at 'B' must be a real number"),
+            ({"A": 1.0, "B": None, "C": 1.0}, "initial integral at 'B' must be a real number"),
+            ({"A": 1.0, "B": 1 + 2j, "C": 1.0}, "initial integral at 'B' must be a real number"),
+            ([1.0, 1.0, 1.0], "initial integrals must be a mapping by id, got list"),
+        ],
+        ids=["missing", "text", "numeric-text", "None", "complex", "list"],
+    )
+    def test_malformed_given_initial_integrals_rejected(self, path3_lg, integrals, message):
+        values = dict.fromkeys(path3_lg.ids, 1.0)
+        with pytest.raises(LiftingError, match=message):
+            forward(values, path3_lg, LiftingConfig(), initial_integrals=integrals)
+
+    def test_initial_integrals_by_position_rejected(self):
+        # with ids 0..m-1 a list or an array could be read by id as an index
+        lg = build_line_graph(sample_network(7, seed=42))
+        assert lg.ids == tuple(range(lg.m))
+        for integrals in ([1.0] * lg.m, np.ones(lg.m)):
+            with pytest.raises(LiftingError, match="must be a mapping by id"):
+                forward(np.ones(lg.m), lg, LiftingConfig(), initial_integrals=integrals)
+
     def test_scaled_integrals_leave_details_unchanged(self, mst_lg, rng):
         # multiplying the initial integrals by a constant must not change
         # any detail or filter
@@ -570,6 +596,14 @@ class TestInverse:
         coeffs = CoefficientSet.from_dicts({**coeffs.details, k: bad}, coeffs.scaling, record)
         with pytest.raises(LiftingError, match=f"non-finite coefficient at {k!r}"):
             inverse(coeffs, record)
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["signal", "batch"])
+    def test_pickle_round_trip_after_the_views_are_read(self, mst_lg, rng, shape):
+        coeffs, _ = forward(rng.normal(size=(mst_lg.m, *shape)), mst_lg, LiftingConfig())
+        coeffs.details, coeffs.scaling  # the cached views are read-only dicts
+        back = pickle.loads(pickle.dumps(coeffs))
+        assert back == coeffs
+        assert back.vector.tobytes() == coeffs.vector.tobytes()
 
     def test_wavelet_vector_round_trip(self, small_tree_lg):
         # canonical coefficient vector -> primal wavelet -> same vector

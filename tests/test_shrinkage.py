@@ -1228,13 +1228,14 @@ class TestNlt:
     def test_negative_seed_rejected(self, small_tree_lg):
         values = {k: 0.0 for k in small_tree_lg.ids}
         for seed in (-1, (3, -1)):
-            with pytest.raises(ShrinkageError, match="seed must be nonnegative"):
+            with pytest.raises(ShrinkageError, match="seed must be a nonnegative integer or a nonempty sequence of them"):
                 nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=2, seed=seed)
 
     @pytest.mark.parametrize("seed", [(), 1.5, (2, 0.5), "3", True, (2, False)])
     def test_malformed_seed_rejected(self, small_tree_lg, seed):
         values = {k: 0.0 for k in small_tree_lg.ids}
-        with pytest.raises(ShrinkageError, match=f"seed must be an int .*got {re.escape(repr(seed))}"):
+        message = f"seed must be a nonnegative integer or a nonempty sequence of them, got {re.escape(repr(seed))}"
+        with pytest.raises(ShrinkageError, match=message):
             nlt_denoise(values, small_tree_lg, LiftingConfig(), n_trajectories=2, seed=seed)
 
     @pytest.mark.parametrize("count", [2.0, True, "2"])
