@@ -25,7 +25,7 @@ import math
 import sys
 import weakref
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from numbers import Real
@@ -183,6 +183,8 @@ class LiftingRecord:
 
     Read-only: `forward` hands the same free-order record to every caller
     that plans one line graph with one config, so it keeps no writable array.
+    It pickles as its seven fields, without the arrays built from them, so a
+    copy builds its own, read-only, when first read.
     """
 
     steps: Tuple[Tuple[int, Tuple[Tuple[int, float, float], ...]], ...]
@@ -192,6 +194,10 @@ class LiftingRecord:
     final_integrals: Dict[Id, float]
     config: LiftingConfig
     ids: Tuple[Id, ...]
+
+    def __reduce__(self):
+        # only the fields: a cached array would come back writable
+        return LiftingRecord, tuple([getattr(self, f.name) for f in fields(self)])
 
     @cached_property
     def stages(self) -> Tuple[LiftingStage, ...]:

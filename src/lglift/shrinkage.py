@@ -119,8 +119,9 @@ def beta_cauchy(x: np.ndarray) -> np.ndarray:
     # the normal density ratio pdf(0)/pdf(x) is exp(x^2/2): expm1 keeps the
     # digits that exp(x^2/2) - 1 cancels at small |x|, and its overflow to
     # inf beyond |x| ~ 37.7 lands on the cap below
+    sq = x[mid] ** 2
     with np.errstate(over="ignore"):
-        out[mid] = np.expm1(x[mid] ** 2 / 2.0) / x[mid] ** 2 - 1.0
+        out[mid] = np.expm1(sq / 2.0) / sq - 1.0
     return np.minimum(out, 1e20)
 
 
@@ -157,8 +158,8 @@ def weight_from_data(x: np.ndarray) -> float | np.ndarray:
         raise ShrinkageError("cannot fit mixing weight to zero coefficients")
     wlo = weight_from_thresh(math.sqrt(2.0 * math.log(n)))
     beta = beta_cauchy(np.ascontiguousarray(x.reshape(n, -1).T))
-    s_one = np.sum(beta / (1.0 + beta), axis=1)
-    s = np.sum(beta / (1.0 + wlo * beta), axis=1)
+    s_one = np.add.reduce(beta / (1.0 + beta), axis=1)
+    s = np.add.reduce(beta / (1.0 + wlo * beta), axis=1)
     w = np.where(s_one >= 0, 1.0, np.where(s <= 0, wlo, np.nan))
     idx = np.flatnonzero((s_one < 0) & (s > 0))
     start = np.full(idx.size, wlo)
@@ -175,8 +176,8 @@ def _weight_objective(w: np.ndarray, beta: np.ndarray) -> Tuple[np.ndarray, np.n
     """-w S(w) and its slope -(S + w S') = w sum t^2 - S, with t = beta/(1 +
     w beta), at trial weights `w` for the rows of `beta`."""
     t = beta / (1.0 + w[:, None] * beta)
-    s = np.sum(t, axis=1)
-    return -(w * s), w * np.sum(t * t, axis=1) - s
+    s = np.add.reduce(t, axis=1)
+    return -(w * s), w * np.add.reduce(t * t, axis=1) - s
 
 
 def _mills(mu: np.ndarray) -> np.ndarray:
@@ -231,7 +232,7 @@ def _cauchy_med_objective_small(
     s = _GL_NODES * mu
     h = _norm_pdf(x - s) * (1.0 - s * _mills(s))
     x2 = x * x
-    return g0 + x2 * mu * np.sum(_GL_WEIGHTS * h[:-1], axis=0), x2 * h[-1]
+    return g0 + x2 * mu * np.add.reduce(_GL_WEIGHTS * h[:-1], axis=0), x2 * h[-1]
 
 
 def _newton_root(objective, x0: np.ndarray, aux: tuple, lo: np.ndarray, hi: np.ndarray,
@@ -243,7 +244,11 @@ def _newton_root(objective, x0: np.ndarray, aux: tuple, lo: np.ndarray, hi: np.n
     its midpoint.  All arrays hold one entry (a row for `aux`) per root.
     Each root stops on its own, once its step or its bracket is within its
     `tol`; a NaN stops after its first evaluation.  The weight fit, the
-    posterior median and the hard threshold all solve with it."""
+    posterior median and the hard threshold all solve with it.  The arrays
+    are tiny (a few roots, a few evaluations each), so the loop is written
+    for few numpy calls: once a root shuts, every root in hand writes its
+    step clipped into its bracket, with no mask, and the midpoint is formed
+    only when some step leaves the bracket."""
     root = np.empty_like(x0)
     idx = np.arange(x0.size)
     x = x0
@@ -256,12 +261,16 @@ def _newton_root(objective, x0: np.ndarray, aux: tuple, lo: np.ndarray, hi: np.n
         new = x - step
         # a NaN compares false, so it leaves at once
         open_ = (np.abs(step) > tol) & (hi - lo > tol)
-        if not open_.all():
-            shut = ~open_
-            root[idx[shut]] = np.clip(new[shut], lo[shut], hi[shut])
-            idx, lo, hi, tol, new = (a[open_] for a in (idx, lo, hi, tol, new))
+        n_open = np.count_nonzero(open_)
+        if n_open < idx.size:
+            # the open roots are written again when they shut
+            root[idx] = np.minimum(np.maximum(new, lo), hi)
+            if not n_open:
+                break
+            idx, lo, hi, tol, new = idx[open_], lo[open_], hi[open_], tol[open_], new[open_]
             aux = tuple([a[open_] for a in aux])
-        x = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        inside = (new > lo) & (new < hi)
+        x = new if inside.all() else np.where(inside, new, 0.5 * (lo + hi))
     return root
 
 
@@ -282,7 +291,8 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     the sign is that of x, and no median exceeds |x|.  A weight outside
     [`W_MIN`, 1] raises ShrinkageError.
     """
-    if not np.all((np.asarray(w) >= W_MIN) & (np.asarray(w) <= 1)):  # NaN too
+    wa = np.asarray(w)
+    if not np.all((wa >= W_MIN) & (wa <= 1)):  # NaN too
         raise ShrinkageError(f"mixing weight must be in [{W_MIN}, 1], got {w!r}")
     x = np.asarray(x, dtype=float)
     mag = np.abs(x)
@@ -304,14 +314,16 @@ def post_med_cauchy(x: np.ndarray, w: float | np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(group)
         if idx.size:
             xs = work[idx]
-            med[idx] = _newton_root(objective, np.clip(xs - 2.0 / xs, 0.0, xs), (xs, aux[idx]),
-                                    np.zeros_like(xs), xs, POST_MED_TOL * np.maximum(1.0, xs))
+            start = np.minimum(np.maximum(xs - 2.0 / xs, 0.0), xs)
+            med[idx] = _newton_root(objective, start, (xs, aux[idx]), np.zeros_like(xs), xs,
+                                    POST_MED_TOL * np.maximum(1.0, xs))
     med = med.reshape(x.shape)
 
-    med[big] = mag[big] - 2.0 / mag[big]
+    if big.any():
+        med[big] = mag[big] - 2.0 / mag[big]
     med[med < 1e-7] = 0.0
     med = np.sign(x) * med
-    clip = np.abs(med) > np.abs(x)
+    clip = np.abs(med) > mag
     med[clip] = x[clip]
     return med
 
@@ -336,8 +348,9 @@ def _hard_thresholds(w: np.ndarray) -> np.ndarray:
     wi, n = w[idx], idx.size
     r, z2 = 1.0 / wi - 1.0, -2.0 * np.log(wi)
     start = np.minimum(1.5 * _SQRT_2PI * r, np.sqrt(2.0 * np.log1p(r * z2 / gammainc(1.5, z2 / 2.0))))
-    thr[idx] = _newton_root(_thresh_objective, np.clip(start, lo, hi), (wi,), np.full(n, lo),
-                            np.full(n, hi), np.full(n, WEIGHT_TOL))
+    start = np.minimum(np.maximum(start, lo), hi)
+    thr[idx] = _newton_root(_thresh_objective, start, (wi,), np.full(n, lo), np.full(n, hi),
+                            np.full(n, WEIGHT_TOL))
     return thr
 
 
@@ -351,6 +364,22 @@ def thresh_from_weight(w: float) -> float:
 # ---------------------------------------------------------------------------
 # pipeline operations
 
+def _median(a: np.ndarray) -> np.ndarray:
+    """`np.median(a, axis=0)` of a float array (n,) or (n, B), n >= 1, bit
+    for bit, from one `np.partition` with numpy's kth list (the middle rows
+    and the last): the mean of the middle row or rows as `np.mean` forms
+    it, a sum that starts from 0.0 (so -0.0 comes out as 0.0) over the
+    count, and a column's last partitioned row where that is NaN, as
+    numpy's NaN check returns it."""
+    n = len(a)
+    h = n // 2
+    p = np.partition(a, [h, n - 1] if n % 2 else [h - 1, h, n - 1], axis=0)
+    mid = 0.0 + p[h] if n % 2 else (0.0 + p[h - 1] + p[h]) / 2.0
+    last = p[n - 1]
+    nan = np.isnan(last)
+    return np.where(nan, last, mid) if nan.any() else mid
+
+
 def _mad_sigma(finest: np.ndarray) -> np.ndarray:
     """median(|d - median(d)|) / 0.6745 down each column of `finest`, the
     finest-level details of one signal (n,) or of a batch (n, B)."""
@@ -358,7 +387,7 @@ def _mad_sigma(finest: np.ndarray) -> np.ndarray:
         raise ShrinkageError(
             f"insufficient coefficients: finest level has {len(finest)}, need 3"
         )
-    return np.median(np.abs(finest - np.median(finest, axis=0)), axis=0) / MAD_SCALE
+    return _median(np.abs(finest - _median(finest))) / MAD_SCALE
 
 
 def _levels(levels, n: int, what: str) -> np.ndarray:
@@ -502,7 +531,7 @@ def _denoise_plans(
         j = cols.stop
         C = C.reshape(shape)
         details = C[: len(rows)]
-        sigma_hat, nu_hat = sigma[cols], nu[cols]
+        sigma_hat, nu_hat, failed = sigma[cols], nu[cols], fallback[cols]
         if C.ndim == 1:  # one signal's diagnostics are floats
             sigma_hat, nu_hat = float(sigma_hat[0]), float(nu_hat[0])
         out.append(DenoiseResult(
@@ -512,8 +541,9 @@ def _denoise_plans(
             nu_hat=nu_hat,
             detail_ids=record.removal_order,
             shrunk_vector=details,
-            zero_frac=float(np.mean(details == 0.0)),
-            fallback_frac=float(np.mean(fallback[cols])),
+            # a count over a size is np.mean's bits, without its Python layer
+            zero_frac=float(np.count_nonzero(details == 0.0) / details.size),
+            fallback_frac=float(np.count_nonzero(failed) / failed.size),
             mad_pool_level=pool,
         ))
     return out

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -17,6 +18,7 @@ from lglift.lifting import (
     IntegralScheme,
     LiftingConfig,
     LiftingError,
+    LiftingRecord,
     PredictionScheme,
     assign_artificial_levels,
     forward,
@@ -604,6 +606,28 @@ class TestInverse:
         back = pickle.loads(pickle.dumps(coeffs))
         assert back == coeffs
         assert back.vector.tobytes() == coeffs.vector.tobytes()
+
+    def test_record_pickles_as_its_fields(self, mst_lg, rng):
+        # the arrays built from a record's fields, read before pickling, are
+        # rebuilt read-only in the copy, alone or inside a CoefficientSet,
+        # not restored as writable arrays
+        coeffs, record = forward(rng.normal(size=(mst_lg.m, 3)), mst_lg, LiftingConfig())
+
+        def cached(r):
+            return [r.levels, r._gains, r._canon, r._level_rows[0]]
+
+        want = [a.tobytes() for a in cached(record)]
+        back_coeffs = pickle.loads(pickle.dumps(coeffs))
+        backs = (pickle.loads(pickle.dumps(record)), back_coeffs.record)
+        for back in backs:
+            assert set(vars(back)) == {f.name for f in dataclasses.fields(LiftingRecord)}
+        assert back_coeffs == coeffs
+        assert back_coeffs.vector.tobytes() == coeffs.vector.tobytes()
+        for back in backs:
+            assert back == record
+            got = cached(back)
+            assert [a.tobytes() for a in got] == want
+            assert not any(a.flags.writeable for a in got)
 
     def test_wavelet_vector_round_trip(self, small_tree_lg):
         # canonical coefficient vector -> primal wavelet -> same vector

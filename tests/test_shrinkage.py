@@ -25,6 +25,7 @@ from lglift.lifting import LiftingConfig, LiftingError, forward, inverse
 from lglift.shrinkage import (
     POST_MED_BIG,
     POST_MED_TOL,
+    W_MIN,
     ShrinkageConfig,
     ShrinkageError,
     _denoise_plans,
@@ -282,6 +283,31 @@ def ref_thresh_from_weight(w: float) -> float:
     return float(brentq(ref_thresh_objective, 1e-4, 20.0, args=(w,), xtol=1e-12))
 
 
+def ref_newton_root(objective, x0, aux, lo, hi, tol):
+    """The safeguarded Newton solver as it was before its bookkeeping was
+    cut to fewer numpy calls (`np.clip`, a generator to compact, the
+    midpoint formed on every step), frozen: the new one must give the same
+    bytes."""
+    root = np.empty_like(x0)
+    idx = np.arange(x0.size)
+    x = x0
+    while idx.size:
+        g, slope = objective(x, *aux)
+        below = g <= 0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        step = g / slope
+        new = x - step
+        open_ = (np.abs(step) > tol) & (hi - lo > tol)
+        if not open_.all():
+            shut = ~open_
+            root[idx[shut]] = np.clip(new[shut], lo[shut], hi[shut])
+            idx, lo, hi, tol, new = (a[open_] for a in (idx, lo, hi, tol, new))
+            aux = tuple([a[open_] for a in aux])
+        x = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+    return root
+
+
 _PI = Decimal("3.141592653589793238462643383279502884197")
 
 
@@ -364,6 +390,66 @@ class TestBatchedThreshold:
         for j in range(b):
             alone, wj = ebayes_threshold(X[:, j], 1.0, lev, config)
             assert _bits(out[:, j]) == _bits(alone) and _bits([w[j]]) == _bits([wj])
+
+
+class TestParentSolver:
+    """`_newton_root` against its frozen former self, `ref_newton_root`:
+    the weight fit, the posterior median and the hard threshold give the
+    same bytes through either."""
+
+    @staticmethod
+    def _sweep(seed, cols):
+        # Cauchy and Gaussian z, with a NaN and an inf in some columns
+        rng = np.random.default_rng(seed)
+        z = np.vstack([rng.standard_cauchy((150, cols)), rng.normal(0.0, 1.5, (150, cols))])
+        z.reshape(-1)[rng.permutation(z.size)[:300]] *= 0.01
+        if cols > 1:
+            z[17, 3], z[99, 5], z[4, 7], z[200, 7] = np.nan, np.inf, -np.inf, np.nan
+        return z
+
+    @staticmethod
+    def _outputs(z):
+        w = weight_from_data(z)
+        fitted = np.where(np.isnan(w), 0.5, w)
+        weights = [W_MIN, 0.5, 1.0, fitted, np.resize([W_MIN, 0.5, 1.0], z.shape[1])]
+        ws = np.concatenate([fitted, [W_MIN, 0.5, 1.0], np.geomspace(W_MIN, 1.0, 200)])
+        return [w, *(post_med_cauchy(z, v) for v in weights), shrinkage._hard_thresholds(ws)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("cols", [1, 20])
+    def test_same_bytes_as_frozen_solver(self, monkeypatch, seed, cols):
+        z = self._sweep(seed, cols)
+        got = self._outputs(z)
+        monkeypatch.setattr(shrinkage, "_newton_root", ref_newton_root)
+        want = self._outputs(z)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+    @staticmethod
+    def _tanh(x, r, k):
+        u = k * (x - r)
+        return np.tanh(u), k / np.cosh(u) ** 2
+
+    @staticmethod
+    def _cbrt(x, r):
+        c = np.cbrt(x - r)
+        return c, 1.0 / (3.0 * c * c)
+
+    def test_same_roots_off_the_shrink_path(self):
+        # objectives whose Newton steps overshoot (tanh) or always leave the
+        # bracket (cbrt), so that brackets close before steps do and shut
+        # roots are clipped into their bracket, which the shrink step's
+        # objectives seldom reach; NaN roots and roots at the bracket ends
+        rng = np.random.default_rng(5)
+        n = 300
+        r = rng.uniform(-1.0, 1.0, n)
+        r[:5], r[5:10], r[10:15] = np.nan, 1.0, -1.0
+        k = 10.0 ** rng.uniform(0.0, 4.0, n)
+        bracket = (np.full(n, -1.0), np.full(n, 1.0), 10.0 ** rng.uniform(-13.0, -3.0, n))
+        x0 = rng.uniform(-1.0, 1.0, n)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for objective, aux in ((self._tanh, (r, k)), (self._cbrt, (r,))):
+                got = shrinkage._newton_root(objective, x0, aux, *bracket)
+                assert _bits(got) == _bits(ref_newton_root(objective, x0, aux, *bracket))
 
 
 # standardized coefficients: the clip to zero at 1e-7 (and a magnitude far
@@ -780,6 +866,24 @@ class TestMad:
     def test_misaligned_levels_rejected(self):
         with pytest.raises(ShrinkageError, match="5 levels for 10 details"):
             estimate_sigma_mad(np.ones(10), np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 101])
+    def test_median_is_numpy_median(self, n):
+        # bit for bit np.median(axis=0), down (n, B) and along each column:
+        # signed zeros, infinities (inf - inf is NaN at even n), NaN entries
+        # and all-NaN columns
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 60))
+        special = rng.uniform(size=a.shape) < 0.3
+        a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], np.count_nonzero(special))
+        a[:, 0] = np.nan
+        a[:, 1] = -0.0
+        a[:, 2] = rng.choice([0.0, -0.0], n)
+        a[:, 3] = rng.choice([np.inf, -np.inf], n)
+        a[:, 4] = rng.choice([0.0, -0.0, np.nan], n)
+        with np.errstate(invalid="ignore"):
+            for arr in (a, *a.T):
+                assert _bits(shrinkage._median(arr)) == _bits(np.median(arr, axis=0))
 
     def test_monte_carlo_consistency(self, rng):
         draws = rng.normal(size=1000)
