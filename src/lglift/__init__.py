@@ -8,8 +8,6 @@ from .graph import (
     MetricMode,
     build_line_graph,
     euclidean_mst,
-    is_connected,
-    minimum_spanning_tree,
 )
 from .lifting import (
     VARIANTS,

@@ -111,9 +111,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def is_connected(self) -> bool:
-        return is_connected(list(self.coords), [(e.u, e.v) for e in self.edges])
-
 
 class LineGraph:
     """Line graph: one new vertex per source edge, plus a metric provider.
@@ -401,21 +398,6 @@ def build_line_graph(graph: Graph) -> LineGraph:
     return lg
 
 
-def is_connected(vertices: Iterable[Id], edges: Iterable[Tuple[Id, Id]]) -> bool:
-    """True iff the subgraph on `vertices` with `edges` has one component.
-
-    The empty vertex set counts as connected.  Edges must reference subset
-    vertices only.
-    """
-    index = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
-    if not index:
-        return True
-    edges = list(edges)
-    if any(u not in index or v not in index for u, v in edges):
-        raise GraphError("edge references vertex outside the subset")
-    return _connected(len(index), ((index[u], index[v]) for u, v in edges))
-
-
 def shortest_path_distance(
     adj, source: Id, targets: Iterable[Id], bound: float = math.inf
 ) -> Dict[Id, float]:
@@ -455,31 +437,6 @@ def shortest_path_distance(
                 counter += 1
                 heappush(heap, (nd, counter, s))
     return found
-
-
-def minimum_spanning_tree(
-    vertices: Sequence[Id],
-    weighted_edges: Sequence[Tuple[Id, Id, float]],
-) -> List[Tuple[Id, Id, float]]:
-    """Kruskal MST with a deterministic tie-break.
-
-    Candidate edges are processed in lexicographic (weight, smaller id,
-    larger id) order so the result is reproducible across runs.
-    """
-    if not vertices:
-        raise GraphError("minimum_spanning_tree requires at least one vertex")
-    for _, _, w in weighted_edges:
-        if not (math.isfinite(w) and w > 0):
-            raise GraphError(f"non-positive or non-finite edge weight {w}")
-    index = {v: i for i, v in enumerate(vertices)}
-    if any(u not in index or v not in index for u, v, _ in weighted_edges):
-        raise GraphError("edge references vertex outside the subset")
-    pairs = [(index[u], index[v]) for u, v, _ in weighted_edges]
-    weights = [w for _, _, w in weighted_edges]
-    tree = _kruskal(len(vertices), pairs, weights, _repr_rank(vertices))
-    if len(tree) != len(vertices) - 1:
-        raise GraphError("cannot span: weighted edges do not connect the vertices")
-    return [tuple(weighted_edges[e]) for e in tree]
 
 
 def _repr_rank(ids: Sequence[Id]) -> List[int]:
@@ -542,8 +499,9 @@ def euclidean_mst(points: Sequence[Tuple[Id, Coord]]) -> List[Tuple[Id, Id, floa
     therefore accepts the same edges in the same order.  All pairs are
     considered only where Qhull cannot triangulate every point: fewer than
     3 points, non-finite or collinear points, or duplicates it drops (whose
-    zero distance is rejected).  Kruskal runs on the point positions, with
-    the checks and errors of `minimum_spanning_tree` but no id lookups.
+    zero distance is rejected).  Kruskal runs on the point positions, so no
+    id is looked up; a zero or non-finite distance and repeated ids, which
+    no tree of distinct ids spans, are `GraphError`s.
     """
     if len(points) < 2:
         raise GraphError("euclidean_mst requires at least two points")

@@ -70,6 +70,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _by_level(levels: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """The rows of the int array `levels` (each >= 0) sorted stably by level,
+    and the level bounds: level j is rows[bounds[j]:bounds[j + 1]]."""
+    return np.argsort(levels, kind="stable"), (0, *np.cumsum(np.bincount(levels)).tolist())
+
+
 class IntegralScheme(str, Enum):
     SUM = "sum"
     AVERAGE = "average"
@@ -282,8 +288,8 @@ class LiftingRecord:
         None without levels (`shrinkage._denoise_plans`)."""
         if self.levels is None:
             return None
-        bounds = (0, *np.cumsum(np.bincount(self.levels)).tolist())
-        return _frozen(np.argsort(self.levels, kind="stable")), bounds
+        rows, bounds = _by_level(self.levels)
+        return _frozen(rows), bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,25 +487,32 @@ def forward(
     return CoefficientSet(_replay_forward(record, x), record), record
 
 
-def _checked(X, ids: Sequence[Id], what: str) -> np.ndarray:
+def _checked(X, ids: Optional[Sequence[Id]], what: str, error=LiftingError) -> np.ndarray:
     """X, a mapping by id or an array in `ids` order (the one read of a signal),
     as a float array of shape (m,) or (m, B), m = len(ids), B > 0, with finite
-    real entries: else LiftingError, naming the id of a missing or non-finite row."""
-    if isinstance(X, Mapping):
+    real entries: else `error`, naming the id of a missing or non-finite row.
+    Without `ids` (shrinkage details, aligned to their levels) X is an array
+    (n,) or (n, B) of any n, whose NaN or infinite entries the shrink step
+    takes by its own rules."""
+    if ids is not None and isinstance(X, Mapping):
         try:
             X = [X[k] for k in ids]
         except KeyError:
             missing = [k for k in ids if k not in X]
-            raise LiftingError(f"missing {what}s for new vertices {missing[:3]!r}") from None
+            raise error(f"missing {what}s for new vertices {missing[:3]!r}") from None
     try:  # text, rows of different lengths, complex numbers, other objects
         X = np.asarray(X).astype(float, casting="same_kind", copy=False)
     except (TypeError, ValueError) as exc:
-        raise LiftingError(f"{what}s must be an array of real numbers: {exc}") from None
-    if X.ndim not in (1, 2) or len(X) != len(ids) or X.ndim == 2 and not X.shape[1]:
-        raise LiftingError(f"{what} array {X.shape}: need ({len(ids)},) or ({len(ids)}, B), B > 0")
+        raise error(f"{what}s must be an array of real numbers: {exc}") from None
+    if (X.ndim not in (1, 2) or ids is not None and len(X) != len(ids)
+            or X.ndim == 2 and not X.shape[1]):
+        m = "n" if ids is None else len(ids)
+        raise error(f"{what} array {X.shape}: need ({m},) or ({m}, B), B > 0")
+    if ids is None:
+        return X
     finite = np.isfinite(X).reshape(len(X), -1).all(axis=1)
     if not finite.all():
-        raise LiftingError(f"non-finite {what} at {ids[int(np.argmin(finite))]!r}")
+        raise error(f"non-finite {what} at {ids[int(np.argmin(finite))]!r}")
     return X
 
 

@@ -20,7 +20,8 @@ from scipy.special import erfcx, gammainc, ndtr
 
 from .graph import Id, LineGraph
 from .lifting import (
-    CoefficientSet, LiftingConfig, LiftingRecord, _checked, _is_count, _stream, forward, inverse,
+    CoefficientSet, LiftingConfig, LiftingRecord, _by_level, _checked, _is_count, _stream, forward,
+    inverse,
 )
 
 MAD_SCALE = 0.6745
@@ -403,28 +404,44 @@ def _levels(levels, n: int, what: str) -> np.ndarray:
 def estimate_sigma_mad(details: np.ndarray, levels: np.ndarray) -> float:
     """Robust noise scale from the finest artificial level.
 
-    `details` and the int array `levels` (each >= 0) are aligned (canonical
+    `details` (n,) and the int array `levels` (each >= 0) are aligned (canonical
     detail order); sigma = median(|d - median(d)|) / 0.6745 over level-0 details.
     """
-    details = np.asarray(details, dtype=float)
+    details = _checked(details, None, "detail", error=ShrinkageError)
+    if details.ndim > 1:
+        raise ShrinkageError(f"detail array {details.shape}: need (n,)")
     sigma = float(_mad_sigma(details[_levels(levels, len(details), "details") == 0]))
     if not sigma > 0:
         raise ShrinkageError(f"degenerate finest level: MAD noise estimate {sigma} is not positive")
     return sigma
 
 
-def _shrink(z: np.ndarray, rule: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shrink the standardized details z, (n, B), by `rule` with a mixing
-    weight fitted per column.  Returns the shrunk details, the weights, and
+def _shrunk_rows(bounds: Tuple[int, ...], keep_coarsest: int) -> int:
+    """How many level-sorted rows with level `bounds` are shrunk: all but the
+    `keep_coarsest` coarsest levels, which must be fewer than the levels."""
+    n_levels = len(bounds) - 1
+    if not keep_coarsest < max(n_levels, 1):
+        raise ShrinkageError(f"keep_coarsest={keep_coarsest} must be below {n_levels} levels")
+    return bounds[n_levels - keep_coarsest]
+
+
+def _shrink(d: np.ndarray, sigma: float | np.ndarray,
+            rule: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shrink the details d, (n, B), by `rule`: divided by the noise scale
+    `sigma` (one, or one per column), shrunk with a mixing weight fitted per
+    column, and multiplied back.  Returns the shrunk details, the weights and
     the columns whose fit failed and fell back to 0.5, each with one warning."""
+    z = d / sigma
     w = weight_from_data(z)
     fallback = np.isnan(w)
     for _ in range(np.count_nonzero(fallback)):
         warnings.warn("mixing-weight fit failed (score not finite); falling back to 0.5")
     w[fallback] = 0.5
     if rule == "median":
-        return post_med_cauchy(z, w), w, fallback
-    return np.where(np.abs(z) > _hard_thresholds(w), z, 0.0), w, fallback
+        z = post_med_cauchy(z, w)
+    else:
+        z = np.where(np.abs(z) > _hard_thresholds(w), z, 0.0)
+    return z * sigma, w, fallback
 
 
 def ebayes_threshold(
@@ -438,31 +455,25 @@ def ebayes_threshold(
     `details` is one signal's column (n,) or a batch (n, B), rows aligned
     to the int array `levels` (each >= 0); `sigma` is a finite positive
     noise scale, or one per column.  The `keep_coarsest` coarsest levels
-    pass through untouched; the rest are standardized by sigma, shrunk with
-    a mixing weight fitted per column (0.5, with a warning, where the fit
+    pass through untouched; the rest are shrunk in the shrink core's step:
+    the rows sorted stably by level, standardized by sigma, shrunk with a
+    mixing weight fitted per column (0.5, with a warning, where the fit
     fails), and rescaled.  The weight is a float for one signal, else (B,).
     """
-    details = np.asarray(details, dtype=float)
+    details = _checked(details, None, "detail", error=ShrinkageError)
     block = details.reshape(len(details), -1)
-    levels = _levels(levels, len(block), "detail rows")
+    rows, bounds = _by_level(_levels(levels, len(block), "detail rows"))
     if np.ndim(sigma) and np.shape(sigma) != (block.shape[1],):
         raise ShrinkageError(
             f"sigma of shape {np.shape(sigma)} for {block.shape[1]} columns: need one each"
         )
     if np.asarray(sigma).dtype == bool or not np.all(np.isfinite(sigma) & (np.asarray(sigma) > 0)):
         raise ShrinkageError(f"noise scale must be finite and positive, got {sigma}")
-    n_levels = int(levels.max()) + 1 if levels.size else 0
-    if not config.keep_coarsest < max(n_levels, 1):
-        raise ShrinkageError(
-            f"keep_coarsest={config.keep_coarsest} must be below {n_levels} levels"
-        )
-    # the caller's levels may come in any order, so the rows shrunk are a mask
-    target = levels < n_levels - config.keep_coarsest
+    n = _shrunk_rows(bounds, config.keep_coarsest)
     out = block.copy()
     w = np.zeros(block.shape[1])
-    if target.any():
-        shrunk, w, _ = _shrink(block[target] / sigma, config.rule)
-        out[target] = shrunk * sigma
+    if n:
+        out[rows[:n]], w, _ = _shrink(block[rows[:n]], sigma, config.rule)
     if details.ndim > 1:
         return out, w
     return out.reshape(details.shape), float(w[0])
@@ -504,24 +515,17 @@ def _denoise_plans(
         C = np.array(coeffs.vector, dtype=float).reshape(len(record.ids), -1)
         gains = detail_gains(record)[rows, None]
         blocks.append((record, shape, rows, C, gains))
-    n_levels = len(bounds) - 1
-    if not shrink_config.keep_coarsest < n_levels:
-        raise ShrinkageError(
-            f"keep_coarsest={shrink_config.keep_coarsest} must be below {n_levels} levels"
-        )
+    n = _shrunk_rows(bounds, shrink_config.keep_coarsest)  # the coarsest levels sort last
     Z = np.hstack([C[rows] / gains for _, _, rows, C, gains in blocks])
     # the coarsest level the MAD pools: on very small graphs the finest level
     # alone is too thin, so it pools upward until 3 coefficients are in hand
-    pool = next(j for j in range(n_levels) if bounds[j + 1] >= 3)
+    pool = next(j for j in range(len(bounds) - 1) if bounds[j + 1] >= 3)
     sigma = _mad_sigma(Z[: bounds[pool + 1]])
     nu = np.zeros_like(sigma)
     fallback = np.zeros(sigma.shape, dtype=bool)
     live = sigma > 0
-    n = bounds[n_levels - shrink_config.keep_coarsest]  # the coarsest levels sort last
     if live.any():
-        s = sigma[live]
-        shrunk, nu[live], fallback[live] = _shrink(Z[:n, live] / s, shrink_config.rule)
-        Z[:n, live] = shrunk * s
+        Z[:n, live], nu[live], fallback[live] = _shrink(Z[:n, live], sigma[live], shrink_config.rule)
     out, j = [], 0
     for record, shape, rows, C, gains in blocks:
         cols = slice(j, j + C.shape[1])

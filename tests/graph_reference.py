@@ -1,9 +1,10 @@
-"""Frozen reference copies of `lglift.graph.is_connected` and
-`lglift.graph.minimum_spanning_tree` as they were before the package
-moved both onto the union-find Kruskal its planner relinks with: a
-depth-first search, and a Kruskal with its own union-find.  The planner
-and spanning-tree tests check the package against these, so a fault in
-the shared Kruskal cannot hide by checking the planner against itself.
+"""Frozen reference copies of the package's former `is_connected` and
+`minimum_spanning_tree`, as they were before the package moved both onto
+the union-find Kruskal its planner relinks with (`lglift.graph._kruskal`
+and `_connected`, which now serve alone): a depth-first search, and a
+Kruskal with its own union-find.  The planner and spanning-tree tests
+check the package against these, so a fault in the shared Kruskal cannot
+hide by checking the planner against itself.
 `shortest_path_distances` is the whole-component Dijkstra that
 `lglift.graph.shortest_path_distance` ran before it kept only its
 bounded, multi-target search, and `path_relink` the path-metric relink

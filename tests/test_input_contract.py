@@ -7,8 +7,10 @@ negative value (counts and seeds) or NaN, +-inf and a bool (floats).  Each
 call raises its module's error category, or is listed in the table as
 accepted on purpose, with the reason.  `test_signal_must_be_real_numbers`
 feeds the signals that `lifting._checked` reads values that are not finite
-real numbers, and `test_bool_inside_a_container_rejected` puts a bool among
-the numbers of the other containers of numbers a caller passes.
+real numbers, `test_details_must_be_real_numbers` feeds the details it reads
+for the shrinkage functions values that are not real numbers, and
+`test_bool_inside_a_container_rejected` puts a bool among the numbers of
+the other containers of numbers a caller passes.
 `test_input_check_raises_its_category` feeds each remaining input check
 one ordinary bad input and expects its category and message.
 """
@@ -42,6 +44,7 @@ from lglift import (
     denoise,
     ebayes_threshold,
     embed_edge_average,
+    estimate_sigma_mad,
     flow_experiment,
     forward,
     generate_flow_fixture,
@@ -231,6 +234,50 @@ def test_signal_must_be_real_numbers(entry, kind):
         warnings.simplefilter("error")
         with pytest.raises(LiftingError, match=message):
             ENTRY_POINTS[entry](values)
+
+
+LEVELS = np.arange(12) // 4
+DETAIL_READERS = {
+    "ebayes_threshold": lambda d: ebayes_threshold(d, 1.0, LEVELS),
+    "estimate_sigma_mad": lambda d: estimate_sigma_mad(d, LEVELS),
+}
+BAD_DETAILS = {
+    "text": (["abc"] * 12, REAL),
+    "numeric text": (["1.5"] * 12, REAL),
+    "complex list": ([1.0 + 2.0j] * 12, REAL),
+    "complex array": (np.full(12, 1.0 + 2.0j), REAL),
+    "objects": (np.array([object()] * 12), REAL),
+    "three axes": (np.ones((12, 2, 3)), r"detail array \(12, 2, 3\): need \(n,\) or \(n, B\)"),
+}
+
+
+@pytest.mark.parametrize("reader", DETAIL_READERS)
+@pytest.mark.parametrize("kind", BAD_DETAILS)
+def test_details_must_be_real_numbers(reader, kind):
+    # details are read by the signals' rule, with ShrinkageError, and may
+    # hold NaN or inf (the shrink step's rules take those)
+    values, message = BAD_DETAILS[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        DETAIL_READERS[reader](np.linspace(-3.0, 3.0, 12))  # so the error below is the values'
+        with pytest.raises(ShrinkageError, match=message):
+            DETAIL_READERS[reader](values)
+
+
+@pytest.mark.parametrize("reader", DETAIL_READERS)
+def test_bool_details_read_as_numbers(reader):
+    flags = np.arange(12) % 3 == 0  # 0/1, as a bool signal entry reads
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_equal(DETAIL_READERS[reader](flags),
+                                DETAIL_READERS[reader](flags.astype(float)))
+
+
+def test_estimate_sigma_mad_takes_one_signal():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShrinkageError, match=r"detail array \(12, 3\): need \(n,\)"):
+            estimate_sigma_mad(np.ones((12, 3)), LEVELS)
 
 
 ADJACENCY = {k: {LG.ids[s] for s in row} for k, row in zip(LG.ids, LG.rows)}

@@ -765,17 +765,16 @@ class TestBatchWeightFit:
         lev = np.repeat(np.arange(6), 10)
         config = ShrinkageConfig()
         sigma = _mad_sigma(X[:10])
-        z = X[:40] / sigma
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            shrunk, nu, fallback = _shrink(z, config.rule)
+            shrunk, nu, fallback = _shrink(X[:40], sigma, config.rule)
         assert [str(c.message) for c in caught] == [
             "mixing-weight fit failed (score not finite); falling back to 0.5"
         ]
         assert fallback.tolist() == [False, True, False]
         assert nu[1] == 0.5 and np.all(sigma > 0)
         for j in (0, 2):
-            alone = _shrink(z[:, j : j + 1], config.rule)
+            alone = _shrink(X[:40, j : j + 1], sigma[j : j + 1], config.rule)
             assert _bits(shrunk[:, j]) == _bits(alone[0])
             assert _bits([nu[j]]) == _bits(alone[1])
             assert not alone[2][0]
@@ -952,6 +951,37 @@ class TestEbayesThreshold:
         with pytest.raises(ShrinkageError, match="keep_coarsest must be a nonnegative integer"):
             ShrinkageConfig(keep_coarsest=keep)
         assert ShrinkageConfig(keep_coarsest=np.int64(1)).keep_coarsest == 1
+
+
+class TestPublicStepIsCoreStep:
+    """`ebayes_threshold` runs the shrink core's step: given a record's
+    details over their gains, in removal order, and the core's sigma, it
+    shrinks the rows the core shrinks to the core's bits, with the core's
+    weights.  A planned order removes the details finest level first, so
+    their levels come sorted; a random order's do not."""
+
+    @pytest.mark.parametrize("order", ["planned", "random"])
+    @pytest.mark.parametrize("width", [1, 5])
+    @pytest.mark.parametrize("rule", ["median", "hard"])
+    @pytest.mark.parametrize("acr", lifting.VARIANTS)
+    def test_same_bits_as_the_core(self, mst_lg, acr, rule, width, order):
+        cfg, config = LiftingConfig.from_acronym(acr), ShrinkageConfig(rule=rule)
+        clean = embed_pointwise(get_field("quadrants"), sample_network(100, seed=7))
+        truth = np.array([clean[k] for k in mst_lg.ids])
+        X = truth[:, None] + np.random.default_rng(3).normal(size=(mst_lg.m, width))
+        X = X[:, 0] if width == 1 else X
+        traj = random_trajectories(mst_lg, cfg, 1, 0)[0] if order == "random" else None
+        result = denoise(X, mst_lg, cfg, config, trajectory=traj)
+        coeffs, record = forward(X, mst_lg, cfg, trajectory=traj)
+        assert np.all(np.diff(record.levels) >= 0) == (order == "planned")
+        gains = detail_gains(record).reshape(-1, *X.shape[1:2] and (1,))
+        n = len(gains)
+        shrunk, w = ebayes_threshold(coeffs.vector[:n] / gains, result.sigma_hat, record.levels,
+                                     config)
+        core = record.levels <= record.levels.max() - config.keep_coarsest
+        assert core.any()
+        assert _bits((shrunk * gains)[core]) == _bits(result.shrunk_vector[core])
+        assert _bits(w) == _bits(result.nu_hat)
 
 
 class TestDenoise:

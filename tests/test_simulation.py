@@ -30,6 +30,8 @@ from lglift.simulation import (
     sample_network,
 )
 
+import graph_reference
+
 
 class TestFields:
     @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -71,7 +73,7 @@ class TestSampleNetwork:
 
     def test_n100_gives_99_edges_connected(self):
         g = sample_network(100, seed=1)
-        assert g.m == 99 and g.is_connected()
+        assert g.m == 99 and graph_reference.is_connected(g.coords, [(e.u, e.v) for e in g.edges])
 
 
 class TestEmbeddings:
@@ -250,7 +252,8 @@ class TestFlowFixture:
 
     def test_tree_shape(self):
         g, _ = generate_flow_fixture(0)
-        assert g.n == 80 and g.m == 79 and g.is_connected()
+        edges = [(e.u, e.v) for e in g.edges]
+        assert g.n == 80 and g.m == 79 and graph_reference.is_connected(g.coords, edges)
 
     def test_serialization_round_trip_bit_exact(self, tmp_path):
         from lglift.io import parse_graph, write_graph
