@@ -18,11 +18,8 @@ from .lifting import (
     LiftingRecord,
     LiftingStage,
     PredictionScheme,
-    assign_artificial_levels,
     forward,
-    init_integrals,
     inverse,
-    predict_weights,
 )
 from .analysis import (
     SparsityCurve,

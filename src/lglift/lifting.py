@@ -70,10 +70,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _by_level(levels: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
+def _by_level(levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The rows of the int array `levels` (each >= 0) sorted stably by level,
-    and the level bounds: level j is rows[bounds[j]:bounds[j + 1]]."""
-    return np.argsort(levels, kind="stable"), (0, *np.cumsum(np.bincount(levels)).tolist())
+    and their levels in that order; memory is linear in the rows, whatever
+    the largest level."""
+    rows = np.argsort(levels, kind="stable")
+    return rows, levels[rows]
 
 
 class IntegralScheme(str, Enum):
@@ -234,9 +236,19 @@ class LiftingRecord:
 
     @cached_property
     def levels(self) -> Optional[np.ndarray]:
-        """Artificial level per detail in removal order, None with too few details."""
-        n = _default_n_levels(len(self.ids))
-        return None if len(self.steps) < n else _frozen(assign_artificial_levels(self, n))
+        """Each detail's resolution-like level, an int array in removal order,
+        or None with fewer details than levels: the details ranked by scale
+        (`step_integrals`; level 0 is the finest), earlier removals first
+        among equal scales, and cut at the quantile bounds round(j n / L)
+        into L = max(3, floor(log2 m)) levels."""
+        scales = self.step_integrals
+        n, n_levels = len(scales), max(3, int(math.log2(len(self.ids))))
+        if n < n_levels:
+            return None
+        bounds = [round(j * n / n_levels) for j in range(n_levels + 1)]
+        levels = np.empty(n, dtype=int)
+        levels[np.lexsort((np.arange(n), scales))] = np.repeat(np.arange(n_levels), np.diff(bounds))
+        return _frozen(levels)
 
     def update_filter_fraction_below_half(self) -> float:
         """Fraction of update-filter entries b <= 1/2 (stability diagnostic)."""
@@ -282,14 +294,14 @@ class LiftingRecord:
         return _frozen(np.sqrt(squares))
 
     @cached_property
-    def _level_rows(self) -> Optional[Tuple[np.ndarray, Tuple[int, ...]]]:
+    def _level_rows(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The detail rows (canonical order) sorted stably by artificial
-        level, and the level bounds: level j is rows[bounds[j]:bounds[j + 1]];
-        None without levels (`shrinkage._denoise_plans`)."""
+        level, and their levels in that order (`_by_level`); None without
+        levels (`shrinkage._denoise_plans`)."""
         if self.levels is None:
             return None
-        rows, bounds = _by_level(self.levels)
-        return _frozen(rows), bounds
+        rows, levels = _by_level(self.levels)
+        return _frozen(rows), _frozen(levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,39 +345,10 @@ class CoefficientSet:
         return MappingProxyType(dict(zip(self.record.surviving, self.vector[n:].tolist())))
 
 
-def init_integrals(
-    lg: LineGraph, scheme: IntegralScheme, metric_mode: MetricMode = MetricMode.COORDINATE
-) -> Dict[Id, float]:
-    """Initial integral per new vertex, exactly as `forward` initialises it.
-
-    Sum: total distance to neighbours.  Average: that total divided by
-    twice the neighbourhood size.  Delta: a vector of ones.
-    """
-    scheme = _member(IntegralScheme, scheme, "integral_scheme")
-    metric_mode = _member(MetricMode, metric_mode, "metric_mode")  # checked under delta too
-    rows = lg.rows if scheme is IntegralScheme.DELTA else lg.metric_rows(metric_mode)[0]
-    return dict(zip(lg.ids, _integrals(lg.ids, rows, scheme)))
-
-
-def predict_weights(distances: Sequence[float], scheme: PredictionScheme) -> List[float]:
-    """Nonnegative prediction weights summing to one.
-
-    Inverse-distance weights are proportional to 1/dist; moving average is
-    uniform over the neighbourhood.  Either way each distance must be finite
-    and positive.
-    """
-    scheme = _member(PredictionScheme, scheme, "prediction_scheme")
-    if not distances:
-        raise LiftingError("prediction requires at least one neighbor")
-    for d in distances:
-        if isinstance(d, bool) or not 0 < d < math.inf:
-            raise LiftingError(f"degenerate distance {d} in prediction weights")
-    return _weights(distances, len(distances), scheme)
-
-
 def _weights(distances: Iterable[float], n: int, scheme: PredictionScheme) -> List[float]:
-    """The weights of `predict_weights` over n > 0 distances, which may come
-    from any iterable (the planner maps a row over its neighbours)."""
+    """The prediction filter over n > 0 neighbour distances from any iterable
+    (the planner maps a row over its neighbours), summing to one: uniform for
+    the moving average, or proportional to 1/distance, each finite and > 0."""
     if scheme is PredictionScheme.MOVING_AVERAGE:
         return [1.0 / n] * n
     inv = [1.0 / d if 0 < d < math.inf else _degenerate(d) for d in distances]
@@ -436,12 +419,11 @@ class _Chooser:
         self._drop(k)
 
 
-def _integrals(ids: Sequence[Id], rows, scheme: IntegralScheme) -> List[float]:
-    """Starting integral per slot; a row's distances are added in slot order."""
+def _integrals(rows, scheme: IntegralScheme) -> List[float]:
+    """Starting integral per slot from its nonempty metric row: 1 (delta), its
+    distances added in slot order (sum), or that over twice its size (average)."""
     out = []
-    for k, row in zip(ids, rows):
-        if not row:
-            raise GraphError(f"degenerate line graph: isolated new vertex {k!r}")
+    for row in rows:
         if scheme is IntegralScheme.DELTA:
             out.append(1.0)
             continue
@@ -533,8 +515,7 @@ def _build_record(
         raise GraphError("line graph disconnected")
     adj, relink = lg.metric_rows(config.metric_mode)
     if initial_integrals is None:
-        # the same inputs as init_integrals, so the two agree exactly
-        integrals = _integrals(ids, adj, config.integral_scheme)
+        integrals = _integrals(adj, config.integral_scheme)  # lg is connected with m >= 3
     else:
         if not isinstance(initial_integrals, Mapping):  # a list would be read with ids as indices
             raise LiftingError(
@@ -684,26 +665,3 @@ def _replay_inverse(record: LiftingRecord, C) -> np.ndarray:
             pred += aj * x[s]
         x[k] += pred
     return W if W.ndim > 1 else np.array(x)
-
-
-def _default_n_levels(m: int) -> int:
-    return max(3, int(math.log2(m)))
-
-
-def assign_artificial_levels(record: LiftingRecord, n_levels: Optional[int] = None) -> np.ndarray:
-    """Each detail's resolution-like level, an int array in removal order:
-    the details ranked by scale (`record.step_integrals`; level 0 is the
-    finest), earlier removals first among equal scales, and cut at the
-    quantile bounds round(j n / n_levels), by default max(3, floor(log2(m)))."""
-    scales = record.step_integrals
-    n = len(scales)
-    if n_levels is None:
-        n_levels = _default_n_levels(len(record.ids))
-    if not (_is_count(n_levels) and n_levels >= 3):
-        raise LiftingError(f"need at least 3 levels, got {n_levels!r}")
-    if n_levels > n:
-        raise LiftingError(f"{n_levels} levels exceed the {n} details")
-    bounds = [round(j * n / n_levels) for j in range(n_levels + 1)]
-    levels = np.empty(n, dtype=int)
-    levels[np.lexsort((np.arange(n), scales))] = np.repeat(np.arange(n_levels), np.diff(bounds))
-    return levels

@@ -355,13 +355,6 @@ def _hard_thresholds(w: np.ndarray) -> np.ndarray:
     return thr
 
 
-def thresh_from_weight(w: float) -> float:
-    """Hard-threshold location implied by a mixing weight in [`W_MIN`, 1], by `_hard_thresholds`."""
-    if not W_MIN <= w <= 1:  # NaN too
-        raise ShrinkageError(f"mixing weight must be in [{W_MIN}, 1], got {w!r}")
-    return float(_hard_thresholds(np.array([w], dtype=float))[0])
-
-
 # ---------------------------------------------------------------------------
 # pipeline operations
 
@@ -416,13 +409,13 @@ def estimate_sigma_mad(details: np.ndarray, levels: np.ndarray) -> float:
     return sigma
 
 
-def _shrunk_rows(bounds: Tuple[int, ...], keep_coarsest: int) -> int:
-    """How many level-sorted rows with level `bounds` are shrunk: all but the
-    `keep_coarsest` coarsest levels, which must be fewer than the levels."""
-    n_levels = len(bounds) - 1
+def _shrunk_rows(levels: np.ndarray, keep_coarsest: int) -> int:
+    """How many rows with the sorted int `levels` are shrunk: all but those of
+    the `keep_coarsest` coarsest of the max + 1 levels, which must be more."""
+    n_levels = int(levels[-1]) + 1 if len(levels) else 0
     if not keep_coarsest < max(n_levels, 1):
         raise ShrinkageError(f"keep_coarsest={keep_coarsest} must be below {n_levels} levels")
-    return bounds[n_levels - keep_coarsest]
+    return int(np.searchsorted(levels, n_levels - keep_coarsest))
 
 
 def _shrink(d: np.ndarray, sigma: float | np.ndarray,
@@ -462,14 +455,14 @@ def ebayes_threshold(
     """
     details = _checked(details, None, "detail", error=ShrinkageError)
     block = details.reshape(len(details), -1)
-    rows, bounds = _by_level(_levels(levels, len(block), "detail rows"))
+    rows, levels = _by_level(_levels(levels, len(block), "detail rows"))
     if np.ndim(sigma) and np.shape(sigma) != (block.shape[1],):
         raise ShrinkageError(
             f"sigma of shape {np.shape(sigma)} for {block.shape[1]} columns: need one each"
         )
     if np.asarray(sigma).dtype == bool or not np.all(np.isfinite(sigma) & (np.asarray(sigma) > 0)):
         raise ShrinkageError(f"noise scale must be finite and positive, got {sigma}")
-    n = _shrunk_rows(bounds, config.keep_coarsest)
+    n = _shrunk_rows(levels, config.keep_coarsest)
     out = block.copy()
     w = np.zeros(block.shape[1])
     if n:
@@ -505,22 +498,22 @@ def _denoise_plans(
         by_level = record._level_rows  # the detail rows sorted stably by level
         if by_level is None:
             raise ShrinkageError("too few detail coefficients to denoise")
-        rows, b = by_level
-        # the level bounds depend only on m and the level count, so every
+        rows, sorted_levels = by_level
+        # the sorted levels depend only on m and the level count, so every
         # plan of one line graph has the same prefixes, and the batch always
         # sums in this order
-        if blocks and b != bounds:
+        if blocks and not np.array_equal(sorted_levels, levels):
             raise ShrinkageError("plans of one batch must share their level counts")
-        bounds = b
+        levels = sorted_levels
         C = np.array(coeffs.vector, dtype=float).reshape(len(record.ids), -1)
         gains = detail_gains(record)[rows, None]
         blocks.append((record, shape, rows, C, gains))
-    n = _shrunk_rows(bounds, shrink_config.keep_coarsest)  # the coarsest levels sort last
+    n = _shrunk_rows(levels, shrink_config.keep_coarsest)  # the coarsest levels sort last
     Z = np.hstack([C[rows] / gains for _, _, rows, C, gains in blocks])
     # the coarsest level the MAD pools: on very small graphs the finest level
     # alone is too thin, so it pools upward until 3 coefficients are in hand
-    pool = next(j for j in range(len(bounds) - 1) if bounds[j + 1] >= 3)
-    sigma = _mad_sigma(Z[: bounds[pool + 1]])
+    pool = int(levels[2])
+    sigma = _mad_sigma(Z[: np.searchsorted(levels, pool, "right")])
     nu = np.zeros_like(sigma)
     fallback = np.zeros(sigma.shape, dtype=bool)
     live = sigma > 0
@@ -587,34 +580,40 @@ def nlt_denoise(
     n_trajectories: int = 30,
     seed: int | Sequence[int] = 0,
 ) -> Tuple[DenoiseResult, List[DenoiseResult]]:
-    """Average the denoiser over random removal orders of one signal, a
-    mapping by id or an (m,) array in `lg.ids` order; a batch is refused
-    before any trajectory is planned.
+    """Average the denoiser over random removal orders of one signal or a
+    batch, as `forward` takes them.
 
     Trajectory p is drawn from `_stream(seed, p)` (`random_trajectories`),
-    so results do not depend on evaluation order.  `seed` is an int or a
-    nonempty sequence of ints.  Each trajectory is transformed
-    with `forward`; the shrink core then runs once on all the trajectories'
-    coefficients (`_denoise_plans`), so each per-trajectory result is bitwise
-    `denoise(..., trajectory=...)`.  Returns the averaged result (its
-    sigma, nu, zero and fallback fractions are the trajectories' means)
-    plus the per-trajectory results.
+    once for all columns, so results do not depend on evaluation order.
+    `seed` is an int or a nonempty sequence of ints.  Each trajectory
+    transforms the values with `forward`; the shrink core then runs once on
+    all the trajectories' coefficients (`_denoise_plans`), so each
+    per-trajectory result is bitwise `denoise(..., trajectory=...)`, and each
+    column of a batch bitwise `nlt_denoise` on that column alone.  Returns
+    the averaged result (its sigma, nu, zero and fallback fractions are the
+    trajectories' means) plus the per-trajectory results.
     """
     if not (_is_count(n_trajectories) and n_trajectories >= 1):
         raise ShrinkageError(f"n_trajectories must be a positive integer, got {n_trajectories!r}")
     x = _checked(values, lg.ids, "value")
-    if x.ndim > 1:
-        raise ShrinkageError("nlt_denoise takes one signal at a time, not a batch")
     plans = [  # `random_trajectories` checks the seed
         forward(x, lg, config, trajectory=traj)[0]
         for traj in random_trajectories(lg, config, n_trajectories, seed)
     ]
     singles = _denoise_plans(plans, shrink_config)
+    # each column's mean runs along one contiguous row, as one signal's list
+    # does: a mean down the strided axis of a (T, B) stack adds in another order
+    sigma_hat, nu_hat = (
+        np.mean(np.ascontiguousarray(np.transpose([getattr(r, f) for r in singles])), axis=-1)
+        for f in ("sigma_hat", "nu_hat")
+    )
+    if x.ndim == 1:
+        sigma_hat, nu_hat = float(sigma_hat), float(nu_hat)
     combined = DenoiseResult(
         ids=lg.ids,
         estimate_vector=np.sum([r.estimate_vector for r in singles], axis=0) / len(singles),
-        sigma_hat=float(np.mean([r.sigma_hat for r in singles])),
-        nu_hat=float(np.mean([r.nu_hat for r in singles])),
+        sigma_hat=sigma_hat,
+        nu_hat=nu_hat,
         detail_ids=(),
         shrunk_vector=np.empty(0),
         zero_frac=float(np.mean([r.zero_frac for r in singles])),

@@ -34,12 +34,10 @@ from lglift import (
     LiftingConfig,
     LiftingError,
     LineGraph,
-    PredictionScheme,
     ShrinkageConfig,
     ShrinkageError,
     SimulationError,
     add_noise,
-    assign_artificial_levels,
     build_line_graph,
     denoise,
     ebayes_threshold,
@@ -51,7 +49,6 @@ from lglift import (
     get_field,
     inverse,
     nlt_denoise,
-    predict_weights,
     sample_network,
     sparsity_curve_single,
 )
@@ -116,9 +113,6 @@ TABLE = {
     ),
     ("add_noise", "seed"): (
         lambda v: add_noise({0: 1.0, 1: 2.0, 2: 4.0}, 3.0, v), 1, INTS, SimulationError, {},
-    ),
-    ("assign_artificial_levels", "n_levels"): (
-        lambda v: assign_artificial_levels(RECORD, v), 3, INTS, LiftingError, {},
     ),
     ("ebayes_threshold", "sigma"): (
         lambda v: ebayes_threshold(np.linspace(-3.0, 3.0, 6), v, np.zeros(6, dtype=int),
@@ -303,10 +297,6 @@ CONTAINERS = {
         lambda v: LineGraph(LG.ids, ADJACENCY, edge_lengths=_with_first(LG.edge_lengths, v)),
         1.0, GraphError,
     ),
-    "predict_weights distances": (
-        lambda v: predict_weights([v, 2.0], PredictionScheme.INVERSE_DISTANCE),
-        1.0, LiftingError,
-    ),
     "forward initial_integrals": (
         lambda v: forward(SIGNAL, LG, LiftingConfig(),
                           initial_integrals=_with_first(dict.fromkeys(LG.ids, 1.0), v)),
@@ -416,10 +406,6 @@ CHECKS = {
     "forward: trajectory with an unknown id": (
         _trajectory_with_unknown_id,
         LiftingError, r"trajectory references unknown ids \['zz'\]",
-    ),
-    "predict_weights: no neighbours": (
-        lambda: predict_weights([], PredictionScheme.INVERSE_DISTANCE),
-        LiftingError, "prediction requires at least one neighbor",
     ),
     "ShrinkageConfig: unknown rule": (
         lambda: ShrinkageConfig(rule="soft"),

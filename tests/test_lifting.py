@@ -20,11 +20,9 @@ from lglift.lifting import (
     LiftingError,
     LiftingRecord,
     PredictionScheme,
-    assign_artificial_levels,
+    _weights,
     forward,
-    init_integrals,
     inverse,
-    predict_weights,
 )
 from lglift.simulation import sample_network
 
@@ -99,9 +97,16 @@ class TestConfig:
             LiftingConfig.from_dict(d)
 
 
+def initial_integrals(lg, config):
+    """The integrals `forward` starts its plan of `lg` from."""
+    return forward(np.zeros(lg.m), lg, config)[1].initial_integrals
+
+
 class TestInitIntegrals:
+    """The record's initial integrals, the one reading of the schemes."""
+
     def test_delta_is_all_ones(self, mst_lg):
-        I = init_integrals(mst_lg, IntegralScheme.DELTA)
+        I = initial_integrals(mst_lg, LiftingConfig(integral_scheme=IntegralScheme.DELTA))
         assert all(v == 1.0 for v in I.values())
 
     def test_sum_of_distances(self):
@@ -109,7 +114,7 @@ class TestInitIntegrals:
             {"k": {"s", "t"}, "s": {"k"}, "t": {"k"}},
             coords={"k": (0.0, 0.0), "s": (2.0, 0.0), "t": (0.0, 3.0)},
         )
-        I = init_integrals(lg, IntegralScheme.SUM)
+        I = initial_integrals(lg, LiftingConfig(integral_scheme=IntegralScheme.SUM))
         assert I["k"] == pytest.approx(5.0)
 
     def test_average_halves_per_neighbor(self):
@@ -117,13 +122,8 @@ class TestInitIntegrals:
             {"k": {"s", "t"}, "s": {"k"}, "t": {"k"}},
             coords={"k": (0.0, 0.0), "s": (2.0, 0.0), "t": (0.0, 3.0)},
         )
-        I = init_integrals(lg, IntegralScheme.AVERAGE)
+        I = initial_integrals(lg, LiftingConfig(integral_scheme=IntegralScheme.AVERAGE))
         assert I["k"] == pytest.approx(1.25)
-
-    def test_isolated_vertex_rejected(self):
-        lg = make_lg({"a": set(), "b": set()})
-        with pytest.raises(GraphError, match="degenerate line graph"):
-            init_integrals(lg, IntegralScheme.DELTA)
 
     @pytest.mark.parametrize("acr", ["LG-Sid-c", "LG-Aid-c"])
     def test_coincident_stations_match_forward(self, acr):
@@ -135,9 +135,8 @@ class TestInitIntegrals:
         )
         cfg = LiftingConfig.from_acronym(acr)
         values = {"k": 1.0, "s": 2.0, "t": 4.0}
-        I = init_integrals(lg, cfg.integral_scheme, cfg.metric_mode)
         c0, r0 = forward(values, lg, cfg)
-        assert I == r0.initial_integrals
+        I = r0.initial_integrals
         assert I["k"] > 0
         c1, r1 = forward(values, lg, cfg, initial_integrals=I)
         assert r1.removal_order == r0.removal_order
@@ -146,18 +145,20 @@ class TestInitIntegrals:
     @pytest.mark.parametrize("scheme", IntegralScheme)
     @pytest.mark.parametrize("mode", MetricMode)
     def test_scheme_values_give_the_members_bits(self, scheme, mode):
-        lg = build_line_graph(sample_network(30, seed=0))
-        want = init_integrals(lg, scheme, mode)
-        got = init_integrals(build_line_graph(sample_network(30, seed=0)), scheme.value, mode.value)
+        # a config takes the schemes by value too; twin line graphs, so
+        # neither plan is the other's kept one
+        lg, twin = (build_line_graph(sample_network(30, seed=0)) for _ in range(2))
+        want = initial_integrals(lg, LiftingConfig(integral_scheme=scheme, metric_mode=mode))
+        got = initial_integrals(twin, LiftingConfig(integral_scheme=scheme.value, metric_mode=mode.value))
         assert list(got) == list(want)
         assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
     @pytest.mark.parametrize("scheme", [IntegralScheme.SUM, "sum"])
     def test_metric_by_value_leaves_the_plan_alone(self, scheme):
-        # a "path_length" given by value reads the path rows, and caches
-        # nothing under the path key that a later plan would read
+        # a "path_length" given by value plans on the path rows: the plan it
+        # keeps is the one the member config reads, equal to a fresh one
         lg, twin = (build_line_graph(sample_network(30, seed=0)) for _ in range(2))
-        init_integrals(lg, scheme, "path_length")
+        initial_integrals(lg, LiftingConfig(integral_scheme=scheme, metric_mode="path_length"))
         cfg = LiftingConfig.from_acronym("LG-Sid-p")
         values = dict.fromkeys(lg.ids, 1.0)
         got, want = forward(values, lg, cfg)[1], forward(values, twin, cfg)[1]
@@ -171,64 +172,71 @@ class TestInitIntegrals:
     ])
     def test_unknown_values_rejected(self, mst_lg, scheme, mode, match):
         with pytest.raises(LiftingError, match=match):
-            init_integrals(mst_lg, scheme, mode)
+            LiftingConfig(integral_scheme=scheme, metric_mode=mode)
         with pytest.raises(GraphError, match="unknown metric mode 'bogus'"):
             mst_lg.metric_rows("bogus")
+
+
+def weights(distances, scheme):
+    """The planner's prediction filter over `distances`."""
+    return _weights(distances, len(distances), scheme)
 
 
 class TestPredictWeights:
     @pytest.mark.parametrize("scheme", PredictionScheme)
     def test_scheme_values_give_the_members_weights(self, scheme):
-        assert predict_weights([1.0, 3.0], scheme.value) == predict_weights([1.0, 3.0], scheme)
+        # a config reads a scheme given by value as its member
+        by_value = LiftingConfig(prediction_scheme=scheme.value).prediction_scheme
+        assert weights([1.0, 3.0], by_value) == weights([1.0, 3.0], scheme)
         if scheme is PredictionScheme.MOVING_AVERAGE:
-            assert predict_weights([1.0, 3.0], scheme.value) == [0.5, 0.5]
+            assert weights([1.0, 3.0], by_value) == [0.5, 0.5]
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(LiftingError, match="unknown prediction scheme 'bogus'"):
-            predict_weights([1.0, 3.0], "bogus")
+            LiftingConfig(prediction_scheme="bogus")
 
     def test_inverse_distance_example(self):
-        assert predict_weights([1.0, 3.0], PredictionScheme.INVERSE_DISTANCE) == pytest.approx(
+        assert weights([1.0, 3.0], PredictionScheme.INVERSE_DISTANCE) == pytest.approx(
             [0.75, 0.25]
         )
 
     def test_moving_average_uniform(self):
-        assert predict_weights([5, 1, 9, 2], PredictionScheme.MOVING_AVERAGE) == [0.25] * 4
+        assert weights([5, 1, 9, 2], PredictionScheme.MOVING_AVERAGE) == [0.25] * 4
 
     @pytest.mark.parametrize("scheme", PredictionScheme)
     def test_single_neighbor(self, scheme):
-        assert predict_weights([0.3], scheme) == [1.0]
+        assert weights([0.3], scheme) == [1.0]
 
     def test_degenerate_distance_rejected(self):
         with pytest.raises(LiftingError, match="degenerate distance"):
-            predict_weights([1.0, 0.0], PredictionScheme.INVERSE_DISTANCE)
+            weights([1.0, 0.0], PredictionScheme.INVERSE_DISTANCE)
 
     def test_infinite_distance_rejected(self):
         # its reciprocal 0 would give a zero weight, and two of them 0/0
         with pytest.raises(LiftingError, match="degenerate distance inf"):
-            predict_weights([1.0, math.inf], PredictionScheme.INVERSE_DISTANCE)
+            weights([1.0, math.inf], PredictionScheme.INVERSE_DISTANCE)
         with pytest.raises(LiftingError, match="degenerate distance inf"):
-            predict_weights([math.inf, math.inf], PredictionScheme.INVERSE_DISTANCE)
+            weights([math.inf, math.inf], PredictionScheme.INVERSE_DISTANCE)
 
-    @pytest.mark.parametrize("scheme", PredictionScheme)
+    @pytest.mark.parametrize("scheme", [PredictionScheme.INVERSE_DISTANCE])
     @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
     def test_degenerate_distance_rejected_under_both_schemes(self, scheme, d):
-        # moving average never divides by a distance, but a zero, negative,
-        # NaN or infinite one is still no distance
+        # a zero, negative, NaN or infinite distance is no distance; the
+        # moving average divides by none, and `LineGraph` admits none
         with pytest.raises(LiftingError, match="degenerate distance"):
-            predict_weights([1.0, d], scheme)
+            weights([1.0, d], scheme)
 
     @pytest.mark.parametrize("d", [1e-308, 1e-320])
     def test_overflowing_reciprocals_rejected(self, d):
         # 1/1e-308 is finite but two of them sum to inf (weights 0), and
         # 1/1e-320 is inf (weights NaN)
         with pytest.raises(LiftingError, match="reciprocal sum inf"):
-            predict_weights([d, d], PredictionScheme.INVERSE_DISTANCE)
+            weights([d, d], PredictionScheme.INVERSE_DISTANCE)
 
     @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=12))
     def test_weights_normalized(self, dists):
         for scheme in PredictionScheme:
-            w = predict_weights(dists, scheme)
+            w = weights(dists, scheme)
             assert sum(w) == pytest.approx(1.0, abs=1e-12)
             assert all(x >= 0 for x in w)
 
@@ -419,7 +427,8 @@ class TestForward:
         # any detail or filter
         cfg = LiftingConfig.from_acronym("LG-Aid-c", rng_seed=3)
         values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
-        base_I = init_integrals(mst_lg, cfg.integral_scheme, cfg.metric_mode)
+        # the default integrals, from a twin line graph: no plan is kept for mst_lg
+        base_I = initial_integrals(build_line_graph(sample_network(100, seed=7)), cfg)
         c0, r0 = forward(values, mst_lg, cfg, initial_integrals=base_I)
         scaled = {k: 1000.0 * v for k, v in base_I.items()}
         c1, r1 = forward(values, mst_lg, cfg, initial_integrals=scaled)
@@ -614,7 +623,7 @@ class TestInverse:
         coeffs, record = forward(rng.normal(size=(mst_lg.m, 3)), mst_lg, LiftingConfig())
 
         def cached(r):
-            return [r.levels, r._gains, r._canon, r._level_rows[0]]
+            return [r.levels, r._gains, r._canon, *r._level_rows]
 
         want = [a.tobytes() for a in cached(record)]
         back_coeffs = pickle.loads(pickle.dumps(coeffs))
@@ -717,9 +726,9 @@ class TestArrayInput:
 class TestArtificialLevels:
     def test_quantile_groups_with_ties(self):
         order = list("abcdef")
-        fake = FakeRecord(ids=tuple(order) + ("x", "y"),
+        fake = FakeRecord(ids=tuple(order) + ("x", "y"),  # m = 8: 3 levels
                           step_integrals=(1.0, 1.0, 2.0, 3.0, 3.0, 9.0))
-        levels = assign_artificial_levels(fake, n_levels=3)
+        levels = LiftingRecord.levels.func(fake)
         assert levels.tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_all_equal_scales_use_removal_order(self, small_tree_lg):
@@ -734,30 +743,17 @@ class TestArtificialLevels:
                 if scales[a] == scales[b]:
                     assert levels[a] <= levels[b]
 
-    def test_too_many_levels_rejected(self, small_tree_lg):
-        values = {k: 0.0 for k in small_tree_lg.ids}
-        _, record = forward(values, small_tree_lg, LiftingConfig())
-        with pytest.raises(LiftingError, match="exceed"):
-            assign_artificial_levels(record, n_levels=99)
-
-    def test_fractional_level_count_rejected(self, small_tree_lg):
-        values = {k: 0.0 for k in small_tree_lg.ids}
-        _, record = forward(values, small_tree_lg, LiftingConfig())
-        with pytest.raises(LiftingError, match="need at least 3 levels, got 3.5"):
-            assign_artificial_levels(record, 3.5)
-
     def test_equal_sized_groups(self):
-        levels = assign_artificial_levels(
-            FakeRecord(ids=tuple(range(10)), step_integrals=tuple(map(float, range(8)))),
-            n_levels=4,
-        )
+        # m = 16: 4 levels
+        fake = FakeRecord(ids=tuple(range(16)), step_integrals=tuple(map(float, range(8))))
+        levels = LiftingRecord.levels.func(fake)
         from collections import Counter
 
         assert sorted(Counter(levels.tolist()).values()) == [2, 2, 2, 2]
 
 
 class FakeRecord:
-    """Just enough of the record interface for level-assignment tests."""
+    """Just enough of the record interface for `LiftingRecord.levels`."""
 
     def __init__(self, ids, step_integrals):
         self.ids = ids

@@ -18,7 +18,6 @@ from lglift.lifting import (
     LiftingConfig,
     LiftingError,
     forward,
-    init_integrals,
 )
 from lglift.shrinkage import DenoiseResult, denoise, detail_gains, nlt_denoise
 from lglift.simulation import (
@@ -104,8 +103,9 @@ def test_fixed_plans_neither_read_nor_fill_the_memo():
     lg = build_line_graph(sample_network(100, seed=7))
     cfg = LiftingConfig.from_acronym("LG-Sid-p")
     values = _noisy(lg, 1)
-    integrals = init_integrals(lg, cfg.integral_scheme, cfg.metric_mode)
-    order = forward(values, build_line_graph(sample_network(100, seed=7)), cfg)[1].removal_order
+    # the default integrals and order, planned on a twin line graph
+    twin = forward(values, build_line_graph(sample_network(100, seed=7)), cfg)[1]
+    integrals, order = twin.initial_integrals, twin.removal_order
     fixed = forward(values, lg, cfg, trajectory=order)[1]
     given = forward(values, lg, cfg, initial_integrals=integrals)[1]
     assert lg not in lifting._PLANS
@@ -183,8 +183,7 @@ def test_kept_arrays_are_read_only():
     lg = build_line_graph(sample_network(100, seed=7))
     _, record = forward(_noisy(lg, 1), lg, LiftingConfig.from_acronym("LG-Aid-c"))
     gains = detail_gains(record)
-    rows, _ = record._level_rows
-    for kept in (record.levels, record._gains, record._canon, rows):
+    for kept in (record.levels, record._gains, record._canon, *record._level_rows):
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = kept[1]
     gains[:] = -1.0

@@ -27,11 +27,11 @@ from lglift.lifting import (
     IntegralScheme,
     LiftingConfig,
     LiftingStage,
+    PredictionScheme,
     _replay_forward,
     _replay_inverse,
     forward,
     inverse,
-    predict_weights,
 )
 from lglift.shrinkage import detail_gains, random_trajectories
 from lglift.simulation import generate_flow_fixture, sample_network
@@ -287,6 +287,17 @@ def _full_dijkstra(adjacency, edge_dist, source):
     return dist
 
 
+def reference_weights(distances, scheme):
+    """The prediction filter as the package's former `predict_weights` gave
+    it, frozen, so the planner's `_weights` is not checked against itself:
+    uniform for the moving average, else the reciprocals over their sum."""
+    if scheme is PredictionScheme.MOVING_AVERAGE:
+        return [1.0 / len(distances)] * len(distances)
+    inv = [1.0 / d for d in distances]
+    total = sum(inv)
+    return [w / total for w in inv]
+
+
 class ReferencePlanner:
     """The planner as first written, on line-graph ids: an adjacency of id
     sets and a distance per frozenset pair.  Each stage scans every live
@@ -335,7 +346,7 @@ class ReferencePlanner:
     def lift_stage(self, k, stage):
         neighbors = sorted(self.adjacency[k], key=self.position)
         dists = [self.edge_dist[frozenset((k, s))] for s in neighbors]
-        a = predict_weights(dists, self.config.prediction_scheme)
+        a = reference_weights(dists, self.config.prediction_scheme)
         Ik = self.integrals[k]
         for w, s in zip(a, neighbors):
             self.integrals[s] = self.integrals[s] + w * Ik

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -39,7 +40,6 @@ from lglift.shrinkage import (
     nlt_denoise,
     post_med_cauchy,
     random_trajectories,
-    thresh_from_weight,
     weight_from_data,
     weight_from_thresh,
 )
@@ -329,6 +329,11 @@ def series_moment2(z: float) -> float:
         return float(x * x.sqrt() * (-x).exp() * total / _PI.sqrt())
 
 
+def hard_threshold(w: float) -> float:
+    """The shrink step's hard threshold of the one weight `w`."""
+    return float(shrinkage._hard_thresholds(np.array([w]))[0])
+
+
 def series_thresh_from_weight(w: float) -> float:
     def objective(z):
         return series_moment2(z) - z * z * (1.0 / w - 1.0) / 2.0 * math.exp(-z * z / 2.0)
@@ -349,7 +354,7 @@ class TestHardThresholdOracle:
 
     @pytest.mark.parametrize("w", [0.01, 0.1, 0.5, 0.9, 0.99, 0.99266, 0.999, 0.9999])
     def test_thresh_from_weight(self, w):
-        assert thresh_from_weight(w) == pytest.approx(series_thresh_from_weight(w), rel=1e-10)
+        assert hard_threshold(w) == pytest.approx(series_thresh_from_weight(w), rel=1e-10)
 
 
 class TestBatchedThreshold:
@@ -367,13 +372,13 @@ class TestBatchedThreshold:
         want = np.array([series_thresh_from_weight(w) for w in ws])
         got = shrinkage._hard_thresholds(ws)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-        assert _bits(got) == _bits([thresh_from_weight(w) for w in ws])
+        assert _bits(got) == _bits([hard_threshold(w) for w in ws])
 
     def test_screens(self):
         # w = 1 gives 0 at the lower screen, a tiny weight 20 at the upper one
-        assert thresh_from_weight(1e-100) == 20.0
+        assert hard_threshold(1e-100) == 20.0
         assert _bits(shrinkage._hard_thresholds(np.array([1e-100, 0.5, 1.0]))) == _bits(
-            [20.0, thresh_from_weight(0.5), 0.0]
+            [20.0, hard_threshold(0.5), 0.0]
         )
 
     def test_column_is_one_column_threshold(self):
@@ -525,7 +530,7 @@ class TestClosedFormKernels:
         # objectives that differ by rounding, under 1e-15, which moves the
         # root by 1e-15 / |slope|;
         # that grows as w -> 1, where the threshold and the slope go to 0
-        got, want = thresh_from_weight(w), ref_thresh_from_weight(w)
+        got, want = hard_threshold(w), ref_thresh_from_weight(w)
         if want in (0.0, 20.0):
             assert got == want
         else:
@@ -809,18 +814,10 @@ class TestShrinkageProperties:
         assert (10.0 - out) / 10.0 < 0.1
 
     def test_hard_threshold_from_weight(self):
-        thr = thresh_from_weight(0.2)
+        thr = hard_threshold(0.2)
         assert 0 < thr < 20
         # threshold grows as the signal weight shrinks
-        assert thresh_from_weight(0.05) > thr
-
-    @pytest.mark.parametrize("w", [0.0, math.nan, -0.5, 1.5, 5e-324, 1e-310])
-    def test_threshold_weight_outside_unit_interval_rejected(self, w):
-        # 0 divided by zero, NaN reached scipy's root finder, -0.5 and 1.5
-        # returned a threshold of 0, and 1/w overflows below the smallest
-        # normal float
-        with pytest.raises(ShrinkageError, match="mixing weight must be in"):
-            thresh_from_weight(w)
+        assert hard_threshold(0.05) > thr
 
     @pytest.mark.parametrize(
         "w", [-1.0, 2.0, 0.0, math.nan, np.array([0.5, 2.0]), 5e-324, 1e-310]
@@ -834,11 +831,11 @@ class TestShrinkageProperties:
         # 5e-324 gave a NaN median (0 * inf) and an overflow warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isfinite(thresh_from_weight(shrinkage.W_MIN))
+            assert math.isfinite(hard_threshold(shrinkage.W_MIN))
             assert np.all(np.isfinite(post_med_cauchy(np.array([0.5, 3.0, 50.0]), shrinkage.W_MIN)))
 
     def test_weight_one_accepted(self):
-        assert thresh_from_weight(1.0) == 0.0
+        assert hard_threshold(1.0) == 0.0
         assert np.array_equal(post_med_cauchy(np.array([0.5, 3.0]), 1.0),
                               post_med_cauchy(np.array([0.5, 3.0]), np.ones(2)))
 
@@ -916,6 +913,28 @@ class TestEbayesThreshold:
             zero_frac.append(sum(1 for k in target if out[k] == 0.0) / len(target))
         assert np.median(zero_frac) >= 0.8
 
+    @pytest.mark.parametrize("keep", [0, 1])
+    @pytest.mark.parametrize("rule", ["median", "hard"])
+    def test_level_gaps_cost_no_memory(self, rule, keep):
+        # the level cuts come from the sorted levels, not a count per level
+        # up to the largest: a top level of 1e9 shrinks the same rows to the
+        # same bits as a top level of 3, within a 1 MB peak
+        details = np.random.default_rng(5).normal(size=(40, 2)) * 3.0
+        config = ShrinkageConfig(keep_coarsest=keep, rule=rule)
+        got = []
+        for top in (3, 10**6, 10**9):
+            levels = np.minimum(np.arange(40) // 10, 3)
+            levels[levels == 3] = top
+            tracemalloc.start()
+            try:
+                shrunk, w = ebayes_threshold(details, 1.0, levels, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            got.append(_bits(shrunk) + _bits(w))
+        assert got[0] == got[1] == got[2]
+
     def test_bad_sigma_rejected(self):
         with pytest.raises(ShrinkageError, match="positive"):
             ebayes_threshold(np.array([1.0]), 0.0, np.array([0]))
@@ -992,23 +1011,27 @@ class TestDenoise:
         assert by_id.estimate_vector.tobytes() == denoise(x, mst_lg, cfg).estimate_vector.tobytes()
         assert list(by_id.estimates) == list(mst_lg.ids)
 
-    def test_nlt_rejects_a_batch_before_planning(self, monkeypatch, mst_lg, rng):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(shrinkage, "forward", counted)
-        cfg = LiftingConfig.from_acronym("LG-Aid-c")
-        x = rng.normal(size=mst_lg.m)
-        by_id = dict(zip(mst_lg.ids, np.column_stack([x, x]).tolist()))
-        for batch in (np.column_stack([x, x]), by_id):
-            with pytest.raises(ShrinkageError, match="one signal at a time"):
-                nlt_denoise(batch, mst_lg, cfg, n_trajectories=2)
-        assert calls == []
-        nlt_denoise(x, mst_lg, cfg, n_trajectories=2)
-        assert len(calls) == 2
+    @pytest.mark.parametrize("fixture", [0, 1, 2, 3])
+    @pytest.mark.parametrize("acr", ["LG-Sid-p", "LG-Aid-p", "LG-Dnw-p"])
+    @pytest.mark.parametrize("rule", ["median", "hard"])
+    def test_nlt_batch_columns_are_single_signals(self, fixture, acr, rule):
+        # one trajectory draw for the batch; column j gives the bits of
+        # nlt_denoise on column j alone, the noiseless column 0 too
+        graph, clean = generate_flow_fixture(fixture)
+        lg = build_line_graph(graph)
+        cfg, shrink = LiftingConfig.from_acronym(acr), ShrinkageConfig(rule=rule)
+        noise = np.random.default_rng(fixture).normal(size=(lg.m, 5)) * [0.0, 0.5, 1.0, 2.0, 4.0]
+        X = np.array([clean[k] for k in lg.ids])[:, None] + noise
+        combined, singles = nlt_denoise(X, lg, cfg, shrink, n_trajectories=10, seed=3)
+        assert combined.estimate_vector.shape == X.shape and combined.sigma_hat.shape == (5,)
+        by_id = nlt_denoise(dict(zip(lg.ids, X.tolist())), lg, cfg, shrink, n_trajectories=10, seed=3)
+        assert _bits(by_id[0].estimate_vector) == _bits(combined.estimate_vector)
+        for j in range(X.shape[1]):
+            one, one_singles = nlt_denoise(X[:, j], lg, cfg, shrink, n_trajectories=10, seed=3)
+            assert _bits(combined.estimate_vector[:, j]) == _bits(one.estimate_vector)
+            assert _bits([combined.sigma_hat[j], combined.nu_hat[j]]) == _bits([one.sigma_hat, one.nu_hat])
+            for in_batch, single in zip(singles, one_singles, strict=True):
+                assert _bits(in_batch.estimate_vector[:, j]) == _bits(single.estimate_vector)
 
     def test_nlt_reads_each_value_once(self, mst_lg, rng, counting_mapping):
         # the signal is read and checked once, and every trajectory
@@ -1090,8 +1113,11 @@ class TestLevelRows:
         cfg = LiftingConfig.from_acronym(acr)
         traj = random_trajectories(mst_lg, cfg, 1, 4)[0] if order == "trajectory" else None
         _, record = forward(np.ones(mst_lg.m), mst_lg, cfg, trajectory=traj)
-        rows, bounds = record._level_rows
+        rows, sorted_levels = record._level_rows
         levels = record.levels
+        assert sorted_levels.tolist() == levels[rows].tolist()
+        # the shrink step cuts where the sorted levels reach each level
+        bounds = np.searchsorted(sorted_levels, np.arange(levels.max() + 2))
         assert np.diff(bounds).tolist() == np.bincount(levels).tolist()
         assert bounds[0] == 0 and bounds[-1] == len(levels)
         assert rows.tolist() == np.argsort(levels, kind="stable").tolist()
