@@ -40,7 +40,9 @@ class LiftingError(ValueError):
     """Invalid lifting configuration or state."""
 
 
-#: identity columns the detail gains replay at a time, bounding their memory
+#: identity columns the detail gains replay at a time, bounding their memory;
+#: the first block may carry a denoiser's signal columns beside them
+#: (`forward`'s `_gains`)
 GAIN_BLOCK = 1024
 
 
@@ -276,22 +278,10 @@ class LiftingRecord:
     @cached_property
     def _gains(self) -> np.ndarray:
         """Each detail's noise gain, the 2-norm of its forward-matrix row, in
-        removal order (`shrinkage.detail_gains`): the identity replayed
-        `GAIN_BLOCK` columns at a time in line-graph position order, keeping
-        the norms of the removed positions' rows; each block is freed before
-        the next, so memory is linear in m."""
-        m = len(self.ids)
-        removed = self._canon[: len(self.steps)]
-        squares = np.zeros(len(self.steps))
-        for lo in range(0, m, GAIN_BLOCK):
-            width = min(GAIN_BLOCK, m - lo)
-            block = np.zeros((m, width))
-            block[np.arange(lo, lo + width), np.arange(width)] = 1.0
-            _replay_forward_positions(self, block)
-            # every row's norm, then the removed ones: no copy of the rows
-            squares += np.einsum("ij,ij->i", block, block)[removed]
-            del block
-        return _frozen(np.sqrt(squares))
+        removal order (`shrinkage.detail_gains`), kept after the first
+        replay of the identity (`_gain_replay`), which a denoiser's
+        `forward` may carry."""
+        return _gain_replay(self)[0]
 
     @cached_property
     def _level_rows(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -445,6 +435,8 @@ def forward(
     config: LiftingConfig,
     trajectory: Optional[Sequence[Id]] = None,
     initial_integrals: Optional[Mapping[Id, float]] = None,
+    *,
+    _gains: bool = False,
 ) -> Tuple[CoefficientSet, LiftingRecord]:
     """Run the full decomposition down to tau scaling coefficients.
 
@@ -457,6 +449,11 @@ def forward(
     line graph and config and kept until the line graph is collected: later
     calls replay the same `LiftingRecord` object, which callers must treat
     as read-only.  A planning error is raised on every call.
+
+    The detail gains are replayed when first read, except that the
+    denoisers pass `_gains`: a record that keeps no gains yet then replays
+    the values beside the identity's first block, in one kernel call, and
+    keeps the gains, bit for bit those of `shrinkage.detail_gains`.
     """
     x = _checked(values, lg.ids, "value")
 
@@ -466,7 +463,12 @@ def forward(
             record = _PLANS.setdefault(lg, {})[config] = _build_record(lg, config)
     else:
         record = _build_record(lg, config, trajectory, initial_integrals)
-    return CoefficientSet(_replay_forward(record, x), record), record
+    if _gains and "_gains" not in record.__dict__:
+        # the cached_property's own slot: the frozen dataclass allows no setattr
+        record.__dict__["_gains"], C = _gain_replay(record, x)
+    else:
+        C = _replay_forward(record, x)
+    return CoefficientSet(C, record), record
 
 
 def _checked(X, ids: Optional[Sequence[Id]], what: str, error=LiftingError) -> np.ndarray:
@@ -626,6 +628,38 @@ def _replay_forward(record: LiftingRecord, X) -> np.ndarray:
     """
     # a copy: a batch is transformed in place
     return _replay_forward_positions(record, np.array(X, dtype=float))[record._canon]
+
+
+def _gain_replay(record: LiftingRecord, X: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The detail gains (`LiftingRecord._gains`) and, for a float array X of
+    shape (m,) or (m, B) in line-graph id order, `_replay_forward(record, X)`.
+
+    The identity is replayed `GAIN_BLOCK` columns at a time in line-graph
+    position order, keeping the norms of the removed positions' rows; X
+    rides as extra columns of the first block, a signal as one column,
+    whose row operations are the float kernel's, bit for bit.  Each block
+    is freed before the next, so memory is m (`GAIN_BLOCK` + B) floats."""
+    m = len(record.ids)
+    removed = record._canon[: len(record.steps)]
+    squares = np.zeros(len(record.steps))
+    cols = None if X is None else X.reshape(m, -1)
+    C = None
+    for lo in range(0, m, GAIN_BLOCK):
+        width = min(GAIN_BLOCK, m - lo)
+        rides = cols is not None and not lo
+        block = np.zeros((m, width + cols.shape[1] if rides else width))
+        block[np.arange(lo, lo + width), np.arange(width)] = 1.0
+        if rides:
+            block[:, width:] = cols
+        _replay_forward_positions(record, block)
+        identity = block[:, :width]
+        # every row's norm, then the removed ones: no copy of the rows
+        squares += np.einsum("ij,ij->i", identity, identity)[removed]
+        if rides:
+            C = block[record._canon, width:].reshape(X.shape)
+        del block, identity
+    return _frozen(np.sqrt(squares)), C
 
 
 def _replay_forward_positions(record: LiftingRecord, W: np.ndarray) -> np.ndarray:

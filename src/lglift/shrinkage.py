@@ -474,8 +474,9 @@ def ebayes_threshold(
 
 def detail_gains(record: LiftingRecord) -> np.ndarray:
     """Per-detail noise gain in removal order: the 2-norm of that
-    forward-matrix row, kept on the record after its first replay; every
-    call returns a fresh copy."""
+    forward-matrix row, kept on the record after its first replay of the
+    identity, which a denoiser's `forward` may carry; every call returns a
+    fresh copy."""
     return record._gains.copy()
 
 
@@ -487,10 +488,12 @@ def _denoise_plans(
     returns one `DenoiseResult` per plan, shaped like its vector.
 
     `plans` are sets of one line graph.  Their details, standardized by
-    their gains, are sorted by level, so each level's rows and the rows
-    shrunk (all but the `keep_coarsest` coarsest levels) are prefixes cut at
-    the level bounds.  Each column's results depend on that column alone; one
-    whose MAD is zero (noiseless input) passes through with sigma = nu = 0.
+    their gains (kept by a denoiser's `forward`, or replayed here for a
+    record that keeps none), are sorted by level, so each level's rows and
+    the rows shrunk (all but the `keep_coarsest` coarsest levels) are
+    prefixes cut at the level bounds.  Each column's results depend on that
+    column alone; one whose MAD is zero (noiseless input) passes through
+    with sigma = nu = 0.
     """
     blocks = []
     for coeffs in plans:
@@ -555,8 +558,11 @@ def denoise(
 ) -> DenoiseResult:
     """Transform the values, one signal or a batch as `forward` takes them,
     shrink the coefficients in the shrink core (`_denoise_plans`) and invert
-    them.  Each column of a batch is bitwise `denoise` on that column alone."""
-    coeffs, _ = forward(values, lg, config, trajectory=trajectory)
+    them.  On a fresh plan the values ride beside the identity whose replay
+    gives the detail gains, one forward kernel call for both (`forward`'s
+    `_gains`).  Each column of a batch is bitwise `denoise` on that column
+    alone."""
+    coeffs, _ = forward(values, lg, config, trajectory=trajectory, _gains=True)
     return _denoise_plans([coeffs], shrink_config)[0]
 
 
@@ -586,7 +592,8 @@ def nlt_denoise(
     Trajectory p is drawn from `_stream(seed, p)` (`random_trajectories`),
     once for all columns, so results do not depend on evaluation order.
     `seed` is an int or a nonempty sequence of ints.  Each trajectory
-    transforms the values with `forward`; the shrink core then runs once on
+    transforms the values with `forward`, in one kernel call with the
+    identity that gives its detail gains; the shrink core then runs once on
     all the trajectories' coefficients (`_denoise_plans`), so each
     per-trajectory result is bitwise `denoise(..., trajectory=...)`, and each
     column of a batch bitwise `nlt_denoise` on that column alone.  Returns
@@ -597,7 +604,7 @@ def nlt_denoise(
         raise ShrinkageError(f"n_trajectories must be a positive integer, got {n_trajectories!r}")
     x = _checked(values, lg.ids, "value")
     plans = [  # `random_trajectories` checks the seed
-        forward(x, lg, config, trajectory=traj)[0]
+        forward(x, lg, config, trajectory=traj, _gains=True)[0]
         for traj in random_trajectories(lg, config, n_trajectories, seed)
     ]
     singles = _denoise_plans(plans, shrink_config)

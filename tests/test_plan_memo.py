@@ -1,7 +1,8 @@
 """`forward` plans each (line graph, config) pair once, and `detail_gains`
-replays the identity once per record: the kept plans and gains give the
-same bits as planning afresh, and they die with their line graph.  No hot
-path builds a record's `stages` view, nor a coefficient or estimate dict."""
+replays the identity once per record (a denoiser's `forward` carries that
+replay): the kept plans and gains give the same bits as planning afresh,
+and they die with their line graph.  No hot path builds a record's
+`stages` view, nor a coefficient or estimate dict."""
 
 import dataclasses
 import gc
@@ -175,6 +176,40 @@ def test_detail_gains_replay_the_identity_once_per_record(monkeypatch):
     twin = forward(values, lg, cfg, trajectory=record.removal_order)[1]
     assert _bits(detail_gains(twin)) == _bits(first)
     assert replays == [record, twin]
+
+
+@pytest.mark.parametrize("block", [None, 16])
+@pytest.mark.parametrize("order", ["free", "trajectory"])
+@pytest.mark.parametrize("batch", [None, 4])
+@pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p", "LG-Dnw-c"])
+def test_a_denoisers_forward_keeps_the_gains_of_its_replay(monkeypatch, acr, batch, order, block):
+    # a denoiser's forward replays the signal beside the identity's first
+    # block (with a block of 16 columns, the first of several): its
+    # coefficients and the gains it keeps are those of a plain forward and
+    # detail_gains on a twin line graph (plans are kept by line graph)
+    if block is not None:
+        monkeypatch.setattr(lifting, "GAIN_BLOCK", block)
+    network = sample_network(100, seed=7)
+    lg, twin = build_line_graph(network), build_line_graph(network)
+    assert lg.m > lifting.GAIN_BLOCK if block else lg.m <= lifting.GAIN_BLOCK
+    cfg = LiftingConfig.from_acronym(acr)
+    values = np.random.default_rng(3).normal(size=(lg.m,) if batch is None else (lg.m, batch))
+    trajectory = None if order == "free" else shrinkage.random_trajectories(lg, cfg, 1, seed=5)[0]
+    shrunk = []
+    core = shrinkage._denoise_plans
+
+    def kept(plans, shrink_config):
+        shrunk.extend(plans)
+        return core(plans, shrink_config)
+
+    monkeypatch.setattr(shrinkage, "_denoise_plans", kept)
+    denoise(values, lg, cfg, trajectory=trajectory)
+    [coeffs] = shrunk
+    want, record = forward(values, twin, cfg, trajectory=trajectory)
+    assert "_gains" not in record.__dict__  # forward alone keeps no gains
+    assert coeffs.vector.shape == values.shape
+    assert _bits(coeffs.vector) == _bits(want.vector)
+    assert _bits(detail_gains(coeffs.record)) == _bits(detail_gains(record))
 
 
 def test_kept_arrays_are_read_only():

@@ -1143,26 +1143,38 @@ class TestPassThroughLevels:
 
 class TestOneForwardReplay:
     """The shrink core takes the coefficients of the caller's `forward`
-    call, so each signal goes through the forward kernel once."""
+    call, and a fresh plan's signal rides in its identity block, so each
+    record goes through the forward kernel once."""
 
     @pytest.mark.parametrize("acr", ["LG-Aid-c", "LG-Sid-p"])
-    def test_one_kernel_call_per_signal(self, monkeypatch, mst_lg, rng, acr):
+    def test_one_kernel_call_per_fresh_plan(self, monkeypatch, mst_lg, rng, acr):
         kernel = lifting._replay_forward_positions
-        signals = []
+        calls = []
 
         def counted(record, W):
-            if W.ndim == 1:  # a signal; the detail gains replay identity blocks
-                signals.append(record)
+            calls.append((record, W.shape))
             return kernel(record, W)
 
         monkeypatch.setattr(lifting, "_replay_forward_positions", counted)
+        m = mst_lg.m
+        assert m <= lifting.GAIN_BLOCK
         cfg = LiftingConfig.from_acronym(acr)
-        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=mst_lg.m))}
-        denoise(values, mst_lg, cfg)
-        assert len(signals) == 1
-        signals.clear()
+        values = {k: float(v) for k, v in zip(mst_lg.ids, rng.normal(size=m))}
+        denoise(values, mst_lg, cfg)  # a fresh free-order plan: identity and signal
+        [(record, shape)] = calls
+        assert shape == (m, m + 1)
+        calls.clear()
+        denoise(values, mst_lg, cfg)  # the kept plan keeps its gains: the signal alone
+        assert calls == [(record, (m,))]
+        calls.clear()
         _, singles = nlt_denoise(values, mst_lg, cfg, n_trajectories=3, seed=2)
-        assert len(signals) == 3 and len(set(map(id, signals))) == 3
+        assert [shape for _, shape in calls] == [(m, m + 1)] * 3
+        records = [r for r, _ in calls]
+        assert len(set(map(id, records))) == 3
+        calls.clear()
+        for r in records:
+            detail_gains(r)
+        assert calls == []
 
 
 class TestBatchCore:
