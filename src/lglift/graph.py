@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -50,8 +51,28 @@ class EdgeRec:
         return frozenset((self.u, self.v))
 
 
+def _coord(vid: Id, xy) -> Coord:
+    """The coordinates `xy` of vertex `vid` as a pair of floats: exactly two
+    finite real numbers, neither a bool, or a `GraphError`."""
+    try:
+        x, y = xy
+    except (TypeError, ValueError):  # None, a number, or not two entries
+        raise GraphError(f"vertex {vid!r} has coordinates {xy!r}: need two real numbers") from None
+    if type(x) is not float or type(y) is not float:  # any other real number but a bool
+        for c in (x, y):
+            if isinstance(c, (bool, np.bool_)):
+                raise GraphError(f"vertex {vid!r} has a bool coordinate in {(x, y)}")
+            if not isinstance(c, numbers.Real):
+                raise GraphError(f"vertex {vid!r} has coordinates {xy!r}: need two real numbers")
+        x, y = float(x), float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise GraphError(f"vertex {vid!r} has non-finite coordinates {(x, y)}")
+    return x, y
+
+
 class Graph:
-    """Undirected graph with optional 2-D vertex coordinates.
+    """Undirected graph with optional 2-D vertex coordinates, each read by
+    `_coord`.
 
     Edge lengths default to the Euclidean endpoint distance when both
     endpoints carry coordinates; explicit lengths take precedence.
@@ -66,15 +87,7 @@ class Graph:
         for vid, xy in vertices:
             if vid in self.coords:
                 raise GraphError(f"duplicate vertex id {vid!r}")
-            if xy is not None:
-                x, y = float(xy[0]), float(xy[1])
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise GraphError(f"vertex {vid!r} has non-finite coordinates {(x, y)}")
-                # float() returns a float itself, so only other types are looked at
-                if (x is not xy[0] or y is not xy[1]) and bool in (type(xy[0]), type(xy[1])):
-                    raise GraphError(f"vertex {vid!r} has a bool coordinate in {tuple(xy)}")
-                xy = (x, y)
-            self.coords[vid] = xy
+            self.coords[vid] = None if xy is None else _coord(vid, xy)
 
         seen_pairs: Set[FrozenSet[Id]] = set()
         self.edge_by_id: Dict[Id, EdgeRec] = {}
@@ -489,52 +502,109 @@ def _kruskal(n: int, pairs: Sequence[Tuple[int, int]], weights: Sequence[float],
 
 
 def euclidean_mst(points: Sequence[Tuple[Id, Coord]]) -> List[Tuple[Id, Id, float]]:
-    """MST of points under Euclidean distance, over Delaunay candidates.
+    """MST of points under Euclidean distance: its edges (id, id, weight),
+    in the order Kruskal over all pairs accepts them.
 
-    A point on or inside the closed diametral disk of an edge would make
-    that edge the strictly heaviest of a triangle, so every edge of a
-    Euclidean MST has an empty closed diametral disk: it is a Gabriel edge
-    and lies in every Delaunay triangulation.  Kruskal over the Delaunay
-    edges, with the `math.dist` weights and the key of the all-pairs run,
-    therefore accepts the same edges in the same order.  All pairs are
-    considered only where Qhull cannot triangulate every point: fewer than
-    3 points, non-finite or collinear points, or duplicates it drops (whose
-    zero distance is rejected).  Kruskal runs on the point positions, so no
-    id is looked up; a zero or non-finite distance and repeated ids, which
-    no tree of distinct ids spans, are `GraphError`s.
+    Coordinates are read by `_coord`.  A pair weighs its `math.dist`, and
+    pairs are taken by the key (weight, lower `repr` rank, higher rank),
+    the ids of a pair in point order.  Kruskal runs on the point positions
+    over the candidate pairs within a radius r (`_pairs_within`), sorted by
+    their `np.hypot` distance; each run of distances that agree within
+    1e-12 relative (plus 1e-300) is re-sorted by the exact key.  hypot and
+    `math.dist` of the same coordinate differences agree to a few ulps, or
+    to a few subnormals, far inside the gap between two runs, so the walk
+    takes the candidates in exact key order.  It stops at n - 1 joins, and
+    their tree T, whose weights ascend to the largest L, is returned when
+    every pair is a candidate or L (1 + 4e-12) + 1e-300 < r; otherwise r
+    doubles and the search runs again.
+
+    That tree is the all-pairs one.  Ranks are distinct, so keys are, and
+    the all-pairs tree T* is the unique tree in which each edge e = {u, v}
+    is the least key among the pairs across the cut that removing e from
+    T* leaves.  The path from u to v in T crosses that cut at an edge f,
+    so e's key is at most f's and its weight at most L: the bottleneck
+    property.  A pair that weighs at most L has a hypot of at most
+    L (1 + 4e-12) + 1e-300 < r, so every edge of T* is a candidate.  T* is
+    then the MST of the candidates too, that is T, and Kruskal takes its
+    edges in key order on either set of pairs.  The first radius is set so
+    that uniform points rarely need a second search: about log n + 8
+    points in the disk around each point, by the area of their bounding
+    box.  The work grows with the number of pairs within the final
+    radius: about n log n for uniform points, but about n^2 for two
+    far-apart clusters, as the radius must pass the bridge between them
+    and nearly every pair lies within it.  A zero distance (repeated
+    points), repeated ids, which no tree of distinct ids spans, and points
+    spread 1e300 or more apart, whose distances may overflow, are
+    `GraphError`s.
     """
     if len(points) < 2:
         raise GraphError("euclidean_mst requires at least two points")
-    ids, coords = [p for p, _ in points], [c for _, c in points]
-    pairs = _delaunay_pairs(coords) or list(combinations(range(len(points)), 2))
-    weights = [math.dist(coords[i], coords[j]) for i, j in pairs]
-    for w in weights:
-        if not 0.0 < w < math.inf:  # NaN too
-            raise GraphError(f"non-positive or non-finite edge weight {w}")
+    ids, coords = [p for p, _ in points], [_coord(p, c) for p, c in points]
     if len(set(ids)) < len(ids):  # repeated ids: no tree of distinct ids spans them
         raise GraphError("cannot span: weighted edges do not connect the vertices")
-    tree = _kruskal(len(ids), pairs, weights, _repr_rank(ids))
-    return [(ids[pairs[e][0]], ids[pairs[e][1]], weights[e]) for e in tree]
+    n, rank = len(ids), _repr_rank(ids)
+    xy = np.array(coords)
+    (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+    diag = math.hypot(x1 - x0, y1 - y0)
+    if not diag < 1e300:
+        raise GraphError(f"points spread {diag} apart: their distances may overflow")
+    # the bounding box's area over the squared diagonal, at least 1/n so
+    # that points on a line get a radius too
+    fill = max((x1 - x0) / diag * (y1 - y0) / diag, 1.0 / n) if diag else 1.0
+    r = max(diag * math.sqrt(fill * (math.log(n) + 8.0) / (math.pi * n)), math.ulp(0.0))
+    while True:
+        i, j, h = _pairs_within(xy, r)
+        if not h.all():
+            raise GraphError("non-positive or non-finite edge weight 0.0")
+        order = np.argsort(h)
+        h = h[order]
+        i, j = i[order].tolist(), j[order].tolist()
+        # near[k]: positions k and k + 1 tie up to rounding; near turns on at
+        # s and off at e, so each run of ties covers the positions s..e
+        near = np.diff(h) <= 1e-12 * h[1:] + 1e-300
+        bounds = np.flatnonzero(np.diff(near, prepend=False, append=False)).tolist()
+        for s, e in zip(bounds[::2], bounds[1::2]):
+            run = sorted((math.dist(coords[u], coords[v]), *sorted((rank[u], rank[v])), u, v)
+                         for u, v in zip(i[s:e + 1], j[s:e + 1]))
+            i[s:e + 1], j[s:e + 1] = [k[3] for k in run], [k[4] for k in run]
+        parent = list(range(n))
+        tree = []
+        for u, v in zip(i, j):
+            if _union(parent, u, v):
+                tree.append((ids[u], ids[v], math.dist(coords[u], coords[v])))
+                if len(tree) == n - 1:
+                    break
+        if len(tree) == n - 1 and (
+            len(h) == n * (n - 1) // 2 or tree[-1][2] * (1.0 + 4e-12) + 1e-300 < r
+        ):
+            return tree
+        r *= 2.0
 
 
-def _delaunay_pairs(coords: Sequence[Coord]) -> Optional[List[Tuple[int, int]]]:
-    """Index pairs i < j joined in the Delaunay triangulation of `coords`,
-    or None when it would not cover every point.  scipy.spatial is loaded
-    here, on the first call, not with the package."""
-    from scipy.spatial import Delaunay, QhullError
-
-    if len(coords) < 3:
-        return None
-    xy = np.asarray(coords, dtype=float)
-    if xy.shape != (len(coords), 2) or not np.isfinite(xy).all():
-        return None
-    try:
-        tri = Delaunay(xy)
-    except QhullError:
-        return None
-    if len(tri.coplanar):
-        return None
-    indptr, nbrs = tri.vertex_neighbor_vertices
-    src = np.repeat(np.arange(len(coords)), np.diff(indptr))
-    keep = src < nbrs
-    return list(zip(src[keep].tolist(), nbrs[keep].tolist()))
+def _pairs_within(xy: np.ndarray, r: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of the rows of `xy` (n, 2) whose `np.hypot` distance
+    is at most r > 0, as arrays (i, j, distance).  The points are binned in
+    square cells of side r, so such a pair lies in one cell or in two
+    neighbouring ones.  Each point is paired with the points after it in
+    its own cell and with every point of four of its neighbour cells (the
+    other four find it), so each pair is looked at once."""
+    cell = np.floor((xy - xy.min(axis=0)) / r).astype(np.int64)
+    rows = int(cell[:, 1].max()) + 2  # a spare row: no neighbour key wraps a column
+    key = cell[:, 0] * rows + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    x, y = xy[order, 0], xy[order, 1]
+    pos = np.arange(len(key))
+    ps, qs = [], []
+    # the cell itself, the one above, and the three of the next column
+    for shift in (0, 1, rows - 1, rows, rows + 1):
+        target = key + shift
+        start = pos + 1 if shift == 0 else np.searchsorted(key, target)
+        count = np.searchsorted(key, target, "right") - start
+        ps.append(np.repeat(pos, count))
+        qs.append(np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count))
+    p, q = np.concatenate(ps), np.concatenate(qs)
+    h = np.hypot(x[p] - x[q], y[p] - y[q])
+    within = h <= r
+    p, q = order[p[within]], order[q[within]]
+    return np.minimum(p, q), np.maximum(p, q), h[within]

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erfcx, gammainc, ndtr
 
 from .graph import Id, LineGraph
 from .lifting import (
@@ -46,6 +45,26 @@ _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(4)
 _GL_NODES = np.append((1.0 + _gl_nodes) / 2.0, 1.0)[:, None]
 _GL_WEIGHTS = (_gl_weights / 2.0)[:, None]
+
+
+def _special(name: str):
+    """A stand-in for `scipy.special.<name>`: its first call loads the
+    module and binds this module's `name` to the function, so later calls
+    go straight to scipy, and a run that never shrinks never loads it."""
+
+    def first_call(*args):
+        from scipy import special
+
+        fn = globals()[name] = getattr(special, name)
+        return fn(*args)
+
+    # scipy's name, as the function it stands for: not this module's surface
+    first_call.__module__ = "scipy.special"
+    first_call.__name__ = first_call.__qualname__ = name
+    return first_call
+
+
+erfcx, gammainc, ndtr = map(_special, ("erfcx", "gammainc", "ndtr"))
 
 
 class ShrinkageError(ValueError):

@@ -15,8 +15,8 @@ from lglift.graph import (
     LineGraph,
     MetricMode,
     _connected,
-    _delaunay_pairs,
     _kruskal,
+    _pairs_within,
     _repr_rank,
     build_line_graph,
     euclidean_mst,
@@ -718,31 +718,83 @@ def collinear_points(draw):
 
 
 class TestEuclideanMstCandidates:
-    """`euclidean_mst` runs Kruskal over Delaunay edges only; the tree must
-    be the all-pairs tree, the same tuples in the same order."""
+    """`euclidean_mst` runs Kruskal over the pairs within a radius that it
+    doubles until the tree certifies itself; the tree must be the all-pairs
+    tree, the same tuples in the same order."""
 
     @settings(max_examples=60, deadline=None)
     @given(pts=uniform_points())
     def test_uniform_points(self, pts):
-        assert (_delaunay_pairs([c for _, c in pts]) is None) == (len(pts) < 3)
         assert euclidean_mst(pts) == all_pairs_mst(pts)
 
     @settings(max_examples=40, deadline=None)
     @given(pts=lattice_points())
     def test_shuffled_lattices(self, pts):
-        assert _delaunay_pairs([c for _, c in pts]) is not None
         assert euclidean_mst(pts) == all_pairs_mst(pts)
 
     @settings(max_examples=40, deadline=None)
     @given(pts=cocircular_points())
     def test_cocircular_with_centre(self, pts):
-        assert _delaunay_pairs([c for _, c in pts]) is not None
         assert euclidean_mst(pts) == all_pairs_mst(pts)
 
     @settings(max_examples=30, deadline=None)
     @given(pts=collinear_points())
-    def test_collinear_points_use_all_pairs(self, pts):
-        assert _delaunay_pairs([c for _, c in pts]) is None
+    def test_collinear_points(self, pts):
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
+
+    @staticmethod
+    def _radii(monkeypatch):
+        """The radius of every candidate search `euclidean_mst` runs."""
+        radii = []
+
+        def counted(xy, r):
+            radii.append(r)
+            return _pairs_within(xy, r)
+
+        monkeypatch.setattr("lglift.graph._pairs_within", counted)
+        return radii
+
+    def test_far_apart_clusters(self, monkeypatch):
+        """Two clusters 50 apart: the first radius joins neither to the
+        other, so the radius doubles until the bridge is a candidate."""
+        xy = np.random.default_rng(5).uniform(0.0, 1.0, size=(40, 2))
+        xy[20:] += 50.0
+        pts = _points(xy, 5)
+        radii = self._radii(monkeypatch)
+        tree = euclidean_mst(pts)
+        assert tree == all_pairs_mst(pts)
+        bridge = tree[-1][2]  # the heaviest edge, the one across
+        assert bridge > 50.0 and radii[0] < bridge < radii[-1]
+        assert radii == [radii[0] * 2.0**k for k in range(len(radii))]
+
+    def test_lattice_offset_by_1e8(self):
+        """A lattice of spacing 0.1, 1e8 from the origin: its neighbour
+        distances, equal on paper, differ by rounding, so the runs of near
+        ties are re-sorted by the exact key."""
+        xy = [(1e8 + 0.1 * i, 1e8 + 0.1 * j) for i in range(9) for j in range(7)]
+        assert len({math.dist(a, b) for a, b in combinations(xy, 2) if math.dist(a, b) < 0.15}) > 1
+        pts = _points(xy, 8)
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
+
+    def test_points_far_from_the_origin(self):
+        """Four points 1e8 from the origin, within a unit square, where a
+        Delaunay triangulation from Qhull misses the tree's heaviest edge."""
+        pts = [(3, (100000000.82537207, 100000000.86302719)), (0, (100000000.7029646, 100000000.79588556)),
+               (1, (100000000.8300402, 100000000.04153429)), (2, (100000000.90549822, 100000000.16490127))]
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
+        # not the heavier (3, 2) of the triangulation's tree
+        assert euclidean_mst(pts)[-1] == (0, 2, math.dist(pts[1][1], pts[3][1]))
+
+    @pytest.mark.parametrize("xy", [[(0.0, 0.0), (3.0, 4.0)], [(1e-3, 0.0), (0.0, 0.0)]])
+    def test_two_points(self, xy):
+        pts = _points(xy, 2)
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
+
+    def test_all_points_collinear(self):
+        """Points on one line: a bounding box of no area, so the first
+        radius comes from its diagonal."""
+        t = np.random.default_rng(3).permutation(200)
+        pts = _points([(2.0 * x, -1.0 * x) for x in t.tolist()], 3)
         assert euclidean_mst(pts) == all_pairs_mst(pts)
 
     @pytest.mark.parametrize("n", [2, 3, 50])
@@ -870,10 +922,11 @@ def _slots(vertices, edges):
 
 
 class TestFrozenReferences:
-    """The union-find Kruskal and connectivity test that the planner, the
-    line graph and `euclidean_mst` share must give what the frozen
-    references in `graph_reference` give on the same vertices and edges:
-    the same tree, or no spanning tree where the reference cannot span."""
+    """The union-find Kruskal and connectivity test that the planner and
+    the line graph share (`euclidean_mst` walks the same union-find) must
+    give what the frozen references in `graph_reference` give on the same
+    vertices and edges: the same tree, or no spanning tree where the
+    reference cannot span."""
 
     @settings(max_examples=300, deadline=None)
     @given(inputs=spanning_inputs())

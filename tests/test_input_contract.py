@@ -11,6 +11,9 @@ real numbers, `test_details_must_be_real_numbers` feeds the details it reads
 for the shrinkage functions values that are not real numbers, and
 `test_bool_inside_a_container_rejected` puts a bool among the numbers of
 the other containers of numbers a caller passes.
+`test_coordinates_must_be_two_finite_real_numbers` feeds the two readers
+of a point's coordinates, `Graph` and `euclidean_mst`, coordinates that are
+not two finite real numbers.
 `test_input_check_raises_its_category` feeds each remaining input check
 one ordinary bad input and expects its category and message.
 """
@@ -302,6 +305,10 @@ CONTAINERS = {
                           initial_integrals=_with_first(dict.fromkeys(LG.ids, 1.0), v)),
         1.0, LiftingError,
     ),
+    "euclidean_mst points": (
+        lambda v: euclidean_mst([(0, (v, 0.0)), (1, (2.0, 0.0)), (2, (0.0, 1.0))]),
+        1.0, GraphError,
+    ),
 }
 
 
@@ -314,6 +321,52 @@ def test_bool_inside_a_container_rejected(where, flag):
     call(valid)  # so the error below is the bool's
     with pytest.raises(error, match="bool|degenerate distance"):
         call(flag)
+
+
+# the readers of a point's coordinates, each given one point `xy` among valid ones
+COORDINATE_READERS = {
+    "Graph": lambda xy: list(Graph([(0, xy), (1, (2.0, 0.0))], [EdgeRec("e", 0, 1)]).coords.items()),
+    "euclidean_mst": lambda xy: euclidean_mst([(0, xy), (1, (2.0, 0.0)), (2, (0.0, 1.0))]),
+}
+TWO_REALS = "need two real numbers"
+BAD_COORDINATES = {
+    "one entry": ((0.0,), TWO_REALS),
+    "three entries": ((0.0, 0.0, 9.0), TWO_REALS),
+    "nested": (((0.0, 1.0), 2.0), TWO_REALS),
+    "a number": (1.5, TWO_REALS),
+    "numeric text": (("0.5", 0.0), TWO_REALS),
+    "two characters": ("12", TWO_REALS),
+    "complex": ((1j, 0.0), TWO_REALS),
+    "an object": ((object(), 0.0), TWO_REALS),
+    "numpy bool": ((np.True_, 0.0), "bool coordinate"),
+    "nan": ((math.nan, 0.0), "non-finite coordinates"),
+    "inf": ((0.0, -math.inf), "non-finite coordinates"),
+}
+
+
+@pytest.mark.parametrize("reader", COORDINATE_READERS)
+@pytest.mark.parametrize("kind", BAD_COORDINATES)
+def test_coordinates_must_be_two_finite_real_numbers(reader, kind):
+    """A coordinate is exactly two finite real numbers, for a vertex of a
+    Graph and for a point of euclidean_mst alike."""
+    xy, message = BAD_COORDINATES[kind]
+    COORDINATE_READERS[reader]((0.0, 0.0))  # so the error below is the coordinate's
+    with pytest.raises(GraphError, match=message):
+        COORDINATE_READERS[reader](xy)
+
+
+@pytest.mark.parametrize("reader", COORDINATE_READERS)
+@pytest.mark.parametrize("xy", [(1, 0), (np.float32(0.5), np.int64(-1)), np.array([0.25, 0.5]), [0.5, 1.0]])
+def test_coordinates_of_any_real_type_read_as_floats(reader, xy):
+    got, want = COORDINATE_READERS[reader](xy), COORDINATE_READERS[reader](tuple(map(float, xy)))
+    assert repr(got) == repr(want)
+
+
+def test_graph_vertex_without_coordinates():
+    """A Graph vertex may have no coordinates; a point of euclidean_mst may not."""
+    assert COORDINATE_READERS["Graph"](None) == [(0, None), (1, (2.0, 0.0))]
+    with pytest.raises(GraphError, match="vertex 0 has coordinates None: need two real numbers"):
+        COORDINATE_READERS["euclidean_mst"](None)
 
 
 GRAPH_HEAD = "mode graph\nvertex 1 0 0\nvertex 2 1 0\nvertex 3 2 1\n"

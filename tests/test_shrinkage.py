@@ -554,18 +554,33 @@ class TestClosedFormKernels:
         assert np.count_nonzero(out[np.isfinite(x)]) == 4
 
     def test_import_does_not_load_scipy_stats(self):
-        # nor scipy.optimize, nor mpmath, which only the tests' oracles use,
-        # nor scipy.spatial, which the first Euclidean MST loads
+        # nor scipy.optimize, nor mpmath, which only the tests' oracles use:
+        # neither the import nor a study that never shrinks loads any of
+        # the modules below; the first shrink loads scipy.special, and no
+        # run loads scipy.spatial
         code = (
-            "import sys, lglift; loaded = {'.'.join(m.split('.')[:2]) for m in sys.modules};"
-            " print('scipy.stats' in loaded, 'scipy.optimize' in loaded, 'mpmath' in loaded,"
-            " 'scipy.spatial' in loaded)"
+            "import sys, numpy as np, lglift\n"
+            "from lglift import LiftingConfig, build_line_graph, denoise, sample_network\n"
+            "from lglift.analysis import build_matrices, condition_number\n"
+            "names = ('scipy.stats', 'scipy.optimize', 'mpmath', 'scipy.special', 'scipy.spatial',"
+            " 'scipy.linalg', 'scipy.sparse')\n"
+            "def loaded():\n"
+            "    have = {'.'.join(m.split('.')[:2]) for m in sys.modules}\n"
+            "    print(' '.join(n for n in names if n in have) or '-')\n"
+            "loaded()\n"
+            "lg = build_line_graph(sample_network(100, 0))\n"
+            "condition_number(build_matrices(lg, LiftingConfig()))\n"
+            "loaded()\n"
+            "denoise(np.random.default_rng(0).normal(size=lg.m), lg, LiftingConfig())\n"
+            "loaded()\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(lglift.__file__).resolve().parents[1])}
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
         )
-        assert run.stdout.strip() == "False False False False"
+        imported, studied, shrunk = run.stdout.split("\n")[:3]
+        assert (imported, studied) == ("-", "-")
+        assert "scipy.special" in shrunk.split() and "scipy.spatial" not in shrunk.split()
 
 
 def _bits(a) -> bytes:
