@@ -58,9 +58,6 @@ def _special(name: str):
         fn = globals()[name] = getattr(special, name)
         return fn(*args)
 
-    # scipy's name, as the function it stands for: not this module's surface
-    first_call.__module__ = "scipy.special"
-    first_call.__name__ = first_call.__qualname__ = name
     return first_call
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from lglift.graph import (
     GraphError,
     LineGraph,
     MetricMode,
+    _boruvka,
     _connected,
     _kruskal,
     _pairs_within,
@@ -718,9 +721,9 @@ def collinear_points(draw):
 
 
 class TestEuclideanMstCandidates:
-    """`euclidean_mst` runs Kruskal over the pairs within a radius that it
-    doubles until the tree certifies itself; the tree must be the all-pairs
-    tree, the same tuples in the same order."""
+    """`euclidean_mst` runs Kruskal over the pairs within a radius, up to a
+    certified cut, and `_boruvka` joins the components left; the tree must
+    be the all-pairs tree, the same tuples in the same order."""
 
     @settings(max_examples=60, deadline=None)
     @given(pts=uniform_points())
@@ -742,30 +745,107 @@ class TestEuclideanMstCandidates:
     def test_collinear_points(self, pts):
         assert euclidean_mst(pts) == all_pairs_mst(pts)
 
+    @settings(max_examples=80, deadline=None)
+    @given(pts=st.one_of(uniform_points(), lattice_points(), cocircular_points(), collinear_points()))
+    def test_second_step_alone(self, pts):
+        """With no candidates from the first step, `_boruvka` builds the
+        whole tree from single points."""
+        with mock.patch("lglift.graph._pairs_within", lambda xy, r, budget: None):
+            assert euclidean_mst(pts) == all_pairs_mst(pts)
+
     @staticmethod
-    def _radii(monkeypatch):
-        """The radius of every candidate search `euclidean_mst` runs."""
-        radii = []
+    def _steps(monkeypatch):
+        """What each step of `euclidean_mst` does: (pairs found or None,
+        budget) for each candidate search, and the number of components
+        each `_boruvka` call starts from."""
+        seen = {"searches": [], "components": []}
 
-        def counted(xy, r):
-            radii.append(r)
-            return _pairs_within(xy, r)
+        def pairs(xy, r, budget):
+            found = _pairs_within(xy, r, budget)
+            seen["searches"].append((None if found is None else len(found[2]), budget))
+            return found
 
-        monkeypatch.setattr("lglift.graph._pairs_within", counted)
-        return radii
+        def boruvka(xy, comp, rank):
+            seen["components"].append(int(comp.max()) + 1)
+            return _boruvka(xy, comp, rank)
+
+        monkeypatch.setattr("lglift.graph._pairs_within", pairs)
+        monkeypatch.setattr("lglift.graph._boruvka", boruvka)
+        return seen
 
     def test_far_apart_clusters(self, monkeypatch):
-        """Two clusters 50 apart: the first radius joins neither to the
-        other, so the radius doubles until the bridge is a candidate."""
-        xy = np.random.default_rng(5).uniform(0.0, 1.0, size=(40, 2))
-        xy[20:] += 50.0
+        """Two clusters 50 apart: the first radius holds too many pairs and
+        halves, the first step joins each cluster, and the second step
+        joins the two."""
+        xy = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, 2))
+        xy[100:] += 50.0
         pts = _points(xy, 5)
-        radii = self._radii(monkeypatch)
+        seen = self._steps(monkeypatch)
         tree = euclidean_mst(pts)
         assert tree == all_pairs_mst(pts)
-        bridge = tree[-1][2]  # the heaviest edge, the one across
-        assert bridge > 50.0 and radii[0] < bridge < radii[-1]
-        assert radii == [radii[0] * 2.0**k for k in range(len(radii))]
+        assert tree[-1][2] > 50.0 and seen["components"] == [2]
+        assert seen["searches"][0][0] is None and seen["searches"][-1][0] is not None
+
+    def test_cut_inside_a_run_of_ties(self, monkeypatch):
+        """A run of near ties that the cut splits is not taken at all: the
+        run's order is known only once it is re-sorted by the exact key, and
+        its pairs past the cut need not all be candidates.  Here every
+        candidate's hypot is replaced by one run around the cut, half of it
+        below, so the first step takes nothing and the second builds the
+        tree."""
+        pts = _points(np.random.default_rng(8).uniform(0.0, 1.0, size=(60, 2)), 8)
+
+        def one_run(xy, r, budget):
+            i, j, h = _pairs_within(xy, r, budget)
+            assert len(h) < 60 * 59 // 2
+            spread = np.random.default_rng(0).uniform(-1e-14, 1e-14, len(h))
+            return i, j, r / (1.0 + 4e-12) * (1.0 + spread)
+
+        seen = self._steps(monkeypatch)
+        monkeypatch.setattr("lglift.graph._pairs_within", one_run)
+        assert euclidean_mst(pts) == all_pairs_mst(pts)
+        assert seen["components"] == [60]
+
+    @pytest.mark.parametrize("layout", ["one far point", "two clusters"])
+    def test_work_stays_bounded(self, monkeypatch, layout):
+        """4000 points in a unit square and one more at (1000, 1000), or
+        two unit squares 50 apart: every candidate search stays within its
+        budget, the second step joins the two parts, and the call's numpy
+        and Python allocations peak below 32 MB (the pairs within a radius
+        that spans both parts, about 8e6, would take hundreds)."""
+        n = 4000
+        xy = np.random.default_rng(11).uniform(0.0, 1.0, size=(n, 2))
+        if layout == "one far point":
+            xy[-1] = 1000.0
+        else:
+            xy[n // 2:] += 50.0
+        pts = _points(xy, 11)
+        seen = self._steps(monkeypatch)
+        tracemalloc.start()
+        try:
+            tree = euclidean_mst(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert all(found is None or found <= budget for found, budget in seen["searches"])
+        assert seen["components"] == [2] and len(tree) == n - 1
+        # the heaviest edge is the least distance between the two parts
+        near, far = (xy[:-1], xy[-1:]) if layout == "one far point" else (xy[: n // 2], xy[n // 2:])
+        gaps = np.hypot(*(near[:, None, :] - far[None, :, :]).transpose(2, 0, 1))
+        a, b = np.unravel_index(np.argmin(gaps), gaps.shape)
+        assert tree[-1][2] == math.dist(near[a].tolist(), far[b].tolist())
+
+    def test_pairs_within(self):
+        """The pairs within r, each once, as brute force finds them; None
+        when the cells would put more pairs to the test than the budget."""
+        xy = np.random.default_rng(4).uniform(0.0, 1.0, size=(300, 2))
+        i, j, h = _pairs_within(xy, 0.1, math.inf)
+        brute = {(a, b) for a, b in combinations(range(300), 2)
+                 if np.hypot(*(xy[a] - xy[b])) <= 0.1}
+        assert sorted(zip(i.tolist(), j.tolist())) == sorted(brute)
+        assert h.tolist() == [np.hypot(*(xy[a] - xy[b])) for a, b in zip(i, j)]
+        assert _pairs_within(xy, 0.1, len(brute)) is None
 
     def test_lattice_offset_by_1e8(self):
         """A lattice of spacing 0.1, 1e8 from the origin: its neighbour
