@@ -7,7 +7,6 @@ from .graph import (
     LineGraph,
     MetricMode,
     build_line_graph,
-    euclidean_mst,
 )
 from .lifting import (
     VARIANTS,

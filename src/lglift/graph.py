@@ -501,264 +501,104 @@ def _kruskal(n: int, pairs: Sequence[Tuple[int, int]], weights: Sequence[float],
     return tree
 
 
-def euclidean_mst(points: Sequence[Tuple[Id, Coord]]) -> List[Tuple[Id, Id, float]]:
-    """MST of points under Euclidean distance: its edges (id, id, weight),
-    in the order Kruskal over all pairs accepts them.
+def _euclidean_mst(xy: np.ndarray) -> List[Tuple[int, int, float]]:
+    """The MST of the rows of `xy` (n, 2), n >= 2, under Euclidean
+    distance, for `simulation.sample_network`: its edges (u, v, weight),
+    u < v row positions, in the order Kruskal over all pairs accepts them.
 
-    Coordinates are read by `_coord`.  A pair weighs its `math.dist`, and
-    pairs are taken by the key (weight, lower `repr` rank, higher rank),
-    the ids of a pair in point order.  Ranks are distinct, so keys are, and
-    the all-pairs tree T* is unique.  It is built in two steps, and each
-    step adds only edges of T*.
-
-    First, Kruskal runs on the point positions over the candidate pairs
+    A pair weighs its `math.dist`, and pairs are taken by the key (weight,
+    lower rank, higher rank), where a row's rank is its position's place
+    in `repr` order, the tie-break of a network whose ids are the
+    positions.  Kruskal runs on the positions over the candidate pairs
     within a radius r (`_pairs_within`), sorted by their `np.hypot`
     distance; each run of distances that agree within 1e-12 relative (plus
     1e-300) is re-sorted by the exact key.  hypot and `math.dist` of the
     same coordinate differences agree to a few ulps, or to a few
     subnormals, far inside the gap between two runs, so the walk takes the
-    candidates in exact key order.  It takes them only while their hypot h
-    has h (1 + 4e-12) + 1e-300 < r (a cut inside a run of ties moves to
-    the run's start), or all of them when every pair is a candidate.  A
-    pair whose key is below a taken one's weighs at most h (1 + a few
-    ulps), so its hypot is within r and it is a candidate too: the walk is
-    Kruskal over all pairs up to the cut, and it accepts exactly the edges
-    of T* below the cut, in key order.  The first radius is set so that
-    uniform points rarely leave any edge of T* beyond it: about log n + 8
-    points in the disk around each point, by the area of their bounding
-    box.  It halves while the cells would put more than 2 n (log n + 8)
-    pairs to the test, so this step looks at O(n log n) pairs on any
-    input, and a point set that packs more than that into cells of side
-    diag / 2^26 skips it.
+    candidates in exact key order.  It stops at n - 1 joins, and their tree
+    T, whose weights ascend to the largest L, is returned when every pair
+    is a candidate or L (1 + 4e-12) + 1e-300 < r; otherwise r doubles and
+    the search runs again.
 
-    Second, when that leaves k > 1 components, `_boruvka` joins them: the
-    least key among the pairs that leave a component is an edge of T*, by
-    the cut property, and each round adds that edge for every component.
-    Its edges weigh more than the first step's cut, so they follow in key
-    order.  Clustered points, or one point far from the rest, take this
-    step; uniform points rarely do.
+    That tree is the all-pairs one.  Ranks are distinct, so keys are, and
+    the all-pairs tree T* is the unique tree in which each edge e = {u, v}
+    is the least key among the pairs across the cut that removing e from
+    T* leaves.  The path from u to v in T crosses that cut at an edge f,
+    so e's key is at most f's and its weight at most L: the bottleneck
+    property.  A pair that weighs at most L has a hypot of at most
+    L (1 + 4e-12) + 1e-300 < r, so every edge of T* is a candidate.  T* is
+    then the MST of the candidates too, that is T, and Kruskal takes its
+    edges in key order on either set of pairs.
 
-    A zero distance (repeated points), repeated ids, which no tree of
-    distinct ids spans, and points spread 1e300 or more apart, whose
-    distances may overflow, are `GraphError`s.
+    The first radius is set so that uniform points rarely need a second
+    search: about log n + 8 points in the disk around each point, by the
+    area of their bounding box.  The work grows with the number of pairs
+    within the final radius: about n log n for uniform points, but about
+    n^2 on clustered or far-apart points, as the radius must pass the gaps
+    between them and nearly every pair lies within it.  So only
+    `sample_network`'s uniform points reach this function.  A zero
+    distance (repeated points) is a `GraphError`.
     """
-    if len(points) < 2:
-        raise GraphError("euclidean_mst requires at least two points")
-    ids, coords = [p for p, _ in points], [_coord(p, c) for p, c in points]
-    if len(set(ids)) < len(ids):  # repeated ids: no tree of distinct ids spans them
-        raise GraphError("cannot span: weighted edges do not connect the vertices")
-    n, rank = len(ids), _repr_rank(ids)
-    xy = np.array(coords)
+    n, rank, coords = len(xy), _repr_rank(range(len(xy))), xy.tolist()
     (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
     diag = math.hypot(x1 - x0, y1 - y0)
-    if not diag < 1e300:
-        raise GraphError(f"points spread {diag} apart: their distances may overflow")
     # the bounding box's area over the squared diagonal, at least 1/n so
     # that points on a line get a radius too
     fill = max((x1 - x0) / diag * (y1 - y0) / diag, 1.0 / n) if diag else 1.0
     r = max(diag * math.sqrt(fill * (math.log(n) + 8.0) / (math.pi * n)), math.ulp(0.0))
-    budget = 2.0 * n * (math.log(n) + 8.0)
-    while (found := _pairs_within(xy, r, budget)) is None and r > diag * 2.0**-26:
-        r /= 2.0
-    # no candidates when even the smallest radius holds too many pairs
-    i, j, h = found or (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)
-    if not h.all():
-        raise GraphError("non-positive or non-finite edge weight 0.0")
-    order = np.argsort(h)
-    h = h[order]
-    i, j = i[order].tolist(), j[order].tolist()
-    cut = len(h) if len(h) == n * (n - 1) // 2 else int(np.count_nonzero(h * (1.0 + 4e-12) + 1e-300 < r))
-    # near[k]: positions k and k + 1 tie up to rounding; near turns on at
-    # s and off at e, so each run of ties covers the positions s..e
-    near = np.diff(h[:cut + 1]) <= 1e-12 * h[1:cut + 1] + 1e-300
-    bounds = np.flatnonzero(np.diff(near, prepend=False, append=False)).tolist()
-    for s, e in zip(bounds[::2], bounds[1::2]):
-        if e >= cut:  # the cut is inside this run: take none of it
-            cut = s
-            break
-        run = sorted((math.dist(coords[u], coords[v]), *sorted((rank[u], rank[v])), u, v)
-                     for u, v in zip(i[s:e + 1], j[s:e + 1]))
-        i[s:e + 1], j[s:e + 1] = [k[3] for k in run], [k[4] for k in run]
-    parent = list(range(n))
-    tree = []
-    for u, v in zip(i[:cut], j[:cut]):
-        if _union(parent, u, v):
-            tree.append((ids[u], ids[v], math.dist(coords[u], coords[v])))
-            if len(tree) == n - 1:
-                return tree
-    rest = sorted((math.dist(coords[u], coords[v]), *sorted((rank[u], rank[v])), u, v)
-                  for u, v in _boruvka(xy, _roots(parent), rank))
-    return tree + [(ids[u], ids[v], w) for w, _, _, u, v in rest]
+    while True:
+        i, j, h = _pairs_within(xy, r)
+        if not h.all():
+            raise GraphError("non-positive or non-finite edge weight 0.0")
+        order = np.argsort(h)
+        h = h[order]
+        i, j = i[order].tolist(), j[order].tolist()
+        # near[k]: positions k and k + 1 tie up to rounding; near turns on at
+        # s and off at e, so each run of ties covers the positions s..e
+        near = np.diff(h) <= 1e-12 * h[1:] + 1e-300
+        bounds = np.flatnonzero(np.diff(near, prepend=False, append=False)).tolist()
+        for s, e in zip(bounds[::2], bounds[1::2]):
+            run = sorted((math.dist(coords[u], coords[v]), *sorted((rank[u], rank[v])), u, v)
+                         for u, v in zip(i[s:e + 1], j[s:e + 1]))
+            i[s:e + 1], j[s:e + 1] = [k[3] for k in run], [k[4] for k in run]
+        parent = list(range(n))
+        tree = []
+        for u, v in zip(i, j):
+            if _union(parent, u, v):
+                tree.append((u, v, math.dist(coords[u], coords[v])))
+                if len(tree) == n - 1:
+                    break
+        if len(tree) == n - 1 and (
+            len(h) == n * (n - 1) // 2 or tree[-1][2] * (1.0 + 4e-12) + 1e-300 < r
+        ):
+            return tree
+        r *= 2.0
 
 
-def _pairs_within(xy: np.ndarray, r: float,
-                  budget: float) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _pairs_within(xy: np.ndarray, r: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs i < j of the rows of `xy` (n, 2) whose `np.hypot` distance
-    is at most r > 0, as arrays (i, j, distance), or None when more than
-    `budget` pairs would be looked at.  The points are binned in square
-    cells of side r, so such a pair lies in one cell or in two neighbouring
-    ones.  Each point is paired with the points after it in its own cell
-    and with every point of four of its neighbour cells (the other four
-    find it), so each pair is looked at once."""
+    is at most r > 0, as arrays (i, j, distance).  The points are binned in
+    square cells of side r, so such a pair lies in one cell or in two
+    neighbouring ones.  Each point is paired with the points after it in
+    its own cell and with every point of four of its neighbour cells (the
+    other four find it), so each pair is looked at once."""
     cell = np.floor((xy - xy.min(axis=0)) / r).astype(np.int64)
     rows = int(cell[:, 1].max()) + 2  # a spare row: no neighbour key wraps a column
     key = cell[:, 0] * rows + cell[:, 1]
     order = np.argsort(key, kind="stable")
     key = key[order]
+    x, y = xy[order, 0], xy[order, 1]
     pos = np.arange(len(key))
-    spans = []
+    ps, qs = [], []
     # the cell itself, the one above, and the three of the next column
     for shift in (0, 1, rows - 1, rows, rows + 1):
         target = key + shift
         start = pos + 1 if shift == 0 else np.searchsorted(key, target)
-        spans.append((start, np.searchsorted(key, target, "right") - start))
-    if sum(int(count.sum()) for _, count in spans) > budget:
-        return None
-    p = np.concatenate([np.repeat(pos, count) for _, count in spans])
-    q = np.concatenate([_slots(start, count) for start, count in spans])
-    x, y = xy[order, 0], xy[order, 1]
+        count = np.searchsorted(key, target, "right") - start
+        ps.append(np.repeat(pos, count))
+        qs.append(np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count))
+    p, q = np.concatenate(ps), np.concatenate(qs)
     h = np.hypot(x[p] - x[q], y[p] - y[q])
     within = h <= r
     p, q = order[p[within]], order[q[within]]
     return np.minimum(p, q), np.maximum(p, q), h[within]
-
-
-def _slots(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The positions start[k], ..., start[k] + count[k] - 1 for each k, in
-    one array."""
-    return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-
-
-def _roots(parent: List[int]) -> np.ndarray:
-    """The set of each slot of the union-find `parent`, numbered 0, 1, ...
-    in order of the sets' roots."""
-    root = np.array(parent)
-    while (root[root] != root).any():
-        root = root[root]
-    return np.unique(root, return_inverse=True)[1]
-
-
-#: most points in a leaf of `_kd_tree`
-_LEAF = 16
-
-
-def _kd_tree(xy: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A k-d tree over the rows of `xy` (n, 2), as arrays (perm, starts,
-    lo, hi).  Each node splits its points at their median along its
-    longer side; the 2^d nodes of depth d hold about n / 2^d points each,
-    and the leaves at most `_LEAF`.  `perm` lists the points leaf by leaf:
-    leaf l holds perm[starts[l]:starts[l + 1]].  lo and hi are the
-    corners of each node's bounding box, the nodes in heap order (node t
-    has children 2t + 1 and 2t + 2), so the leaves are the last
-    len(starts) rows."""
-    n = len(xy)
-    depth = ((n - 1) // _LEAF).bit_length()
-    rank = np.empty((n, 2), dtype=np.int64)  # each point's place along x and along y
-    np.put_along_axis(rank, np.argsort(xy, axis=0, kind="stable"), np.arange(n)[:, None], axis=0)
-    perm = np.arange(n)
-    for d in range(depth):
-        starts = (np.arange(1 << d) * n) >> d
-        part = xy[perm]
-        span = np.maximum.reduceat(part, starts) - np.minimum.reduceat(part, starts)
-        node = np.repeat(np.arange(1 << d), np.diff(starts, append=n))
-        axis = (span[:, 1] > span[:, 0]).astype(np.int64)[node]
-        perm = perm[np.argsort(node * n + rank[perm, axis])]
-    starts = (np.arange(1 << depth) * n) >> depth
-    part = xy[perm]
-    lo, hi = [np.minimum.reduceat(part, starts)], [np.maximum.reduceat(part, starts)]
-    for _ in range(depth):
-        lo.append(np.minimum(lo[-1][0::2], lo[-1][1::2]))
-        hi.append(np.maximum(hi[-1][0::2], hi[-1][1::2]))
-    return perm, starts, np.concatenate(lo[::-1]), np.concatenate(hi[::-1])
-
-
-def _boruvka(xy: np.ndarray, comp: np.ndarray, rank: Sequence[int]) -> List[Tuple[int, int]]:
-    """The pairs (u, v), u < v, of the all-pairs tree that join the
-    components comp[u] = 0, ..., k - 1 of the rows of `xy` into one, for
-    `euclidean_mst`.
-
-    Each round finds, for every component, its pair of least key (hypot
-    first, then `math.dist` and the ranks among the pairs within 1e-12
-    relative of the least hypot) to a point of another component, and
-    joins along all of them; components at least halve each round.  The
-    search runs on a `_kd_tree`, with best[c] an upper bound on the least
-    hypot out of component c.  The points of a leaf that holds several
-    components first meet one another.  Then each leaf walks the tree from
-    the root down, one depth at a time, keeping the nodes that may hold a
-    point of another component within the bound of its points: best[c] for
-    a leaf of component c, which the farthest corners of the boxes it
-    keeps lower, or the largest best of a mixed leaf's components.  Each
-    point of a leaf meets the points of each leaf kept whose box lies
-    within its own bound."""
-    perm, starts, lo, hi = _kd_tree(xy)
-    n, leaves = len(xy), len(starts)
-    size = np.diff(starts, append=n)
-    leaf_of = np.repeat(np.arange(leaves), size)
-    leaf_lo, leaf_hi = lo[leaves - 1:], hi[leaves - 1:]
-    pts, comp, rank = xy[perm], comp[perm], np.asarray(rank)[perm]
-    joins = []
-    k = int(comp.max()) + 1
-    while k > 1:
-        # the component of each node, or -1 when it holds several
-        top = np.maximum.reduceat(comp, starts)
-        levels = [np.where(np.minimum.reduceat(comp, starts) == top, top, -1)]
-        while len(levels[-1]) > 1:
-            a, b = levels[-1][0::2], levels[-1][1::2]
-            levels.append(np.where(a == b, a, -1))
-        node_comp, own = np.concatenate(levels[::-1]), levels[0]
-        best = np.full(k, np.inf)
-        mixed = np.flatnonzero(own[leaf_of] < 0)
-        met = [_meet(pts, comp, best, mixed, starts[leaf_of[mixed]], size[leaf_of[mixed]])]
-        mixed_bound = np.maximum.reduceat(best[comp], starts)
-        Q, node = np.arange(leaves), np.zeros(leaves, dtype=np.int64)
-        for depth in range(leaves.bit_length()):
-            if depth:
-                Q, node = np.repeat(Q, 2), (2 * node[:, None] + [1, 2]).ravel()
-            cQ = own[Q]
-            away = ((node_comp[node] != cQ) | (cQ < 0)) & (node != leaves - 1 + Q)
-            Q, node, cQ = Q[away], node[away], cQ[away]
-            Q_lo, Q_hi, box_lo, box_hi = leaf_lo[Q], leaf_hi[Q], lo[node], hi[node]
-            gap = np.maximum(np.maximum(box_lo - Q_hi, Q_lo - box_hi), 0.0)
-            corner = np.maximum(Q_hi - box_lo, box_hi - Q_lo)
-            pure = cQ >= 0
-            np.minimum.at(best, cQ[pure], np.hypot(corner[pure, 0], corner[pure, 1]))
-            bound = np.where(own < 0, mixed_bound, best[own])
-            close = np.hypot(gap[:, 0], gap[:, 1]) <= bound[Q] * (1.0 + 1e-12) + 1e-300
-            Q, node = Q[close], node[close]
-        leaf = node - (leaves - 1)
-        q, leaf = _slots(starts[Q], size[Q]), np.repeat(leaf, size[Q])
-        cq, p = comp[q], pts[q]
-        gap = np.maximum(np.maximum(leaf_lo[leaf] - p, p - leaf_hi[leaf]), 0.0)
-        close = (np.hypot(gap[:, 0], gap[:, 1]) <= best[cq] * (1.0 + 1e-12) + 1e-300) & (own[leaf] != cq)
-        q, leaf = q[close], leaf[close]
-        met.append(_meet(pts, comp, best, q, starts[leaf], size[leaf]))
-        a, b, ca, h = map(np.concatenate, zip(*met))
-        least = h <= best[ca] * (1.0 + 1e-12) + 1e-300
-        a, b, ca = a[least], b[least], ca[least]
-        w = np.array([math.dist(pts[u].tolist(), pts[v].tolist()) for u, v in zip(a.tolist(), b.tolist())])
-        if not w.all():
-            raise GraphError("non-positive or non-finite edge weight 0.0")
-        ra, rb = rank[a], rank[b]
-        order = np.lexsort((np.maximum(ra, rb), np.minimum(ra, rb), w, ca))
-        pick = order[np.flatnonzero(np.diff(ca[order], prepend=-1))]
-        parent = list(range(k))
-        for u, v in zip(a[pick].tolist(), b[pick].tolist()):
-            if _union(parent, int(comp[u]), int(comp[v])):
-                joins.append(tuple(sorted((int(perm[u]), int(perm[v])))))
-        comp = _roots(parent)[comp]
-        k = int(comp.max()) + 1
-    return joins
-
-
-def _meet(pts: np.ndarray, comp: np.ndarray, best: np.ndarray, q: np.ndarray, start: np.ndarray,
-          count: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each point q[k] paired with the points start[k], ..., start[k] +
-    count[k] - 1 of another component, as arrays (a, b, comp[a], hypot);
-    best[c] falls to the least hypot out of component c among them."""
-    a, b = np.repeat(q, count), _slots(start, count)
-    ca = comp[a]
-    away = comp[b] != ca
-    a, b, ca = a[away], b[away], ca[away]
-    h = np.hypot(pts[b, 0] - pts[a, 0], pts[b, 1] - pts[a, 1])
-    np.minimum.at(best, ca, h)
-    return a, b, ca, h

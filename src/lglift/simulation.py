@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .analysis import build_matrices, condition_number
-from .graph import EdgeRec, Graph, Id, build_line_graph, euclidean_mst
+from .graph import EdgeRec, Graph, Id, _euclidean_mst, build_line_graph
 from .lifting import LiftingConfig, _is_count, _stream
 from .shrinkage import ShrinkageConfig, denoise, nlt_denoise
 
@@ -138,12 +138,22 @@ def get_field(name: str) -> FieldFn:
 # network sampling and embeddings
 
 def sample_network(n: int, seed: int) -> Graph:
-    """n uniform points on the unit square joined by their Euclidean MST."""
+    """n uniform points on the unit square joined by their Euclidean MST.
+
+    The tree is the exact all-pairs MST, ties broken by the `repr` order
+    of the vertex ids 0..n-1, built by `graph._euclidean_mst` from the
+    pairs within a radius.  Its work stays about n log n because the
+    points are uniform: the first radius holds about log n + 8 points
+    around each point, so the tree's longest edge rarely passes it, and
+    each doubling of the radius, needed more rarely still, multiplies the
+    pairs by about 4.  On clustered points that work would be quadratic,
+    which is why the tree builder is private to this function.
+    """
     _check_count(n, 3, "need at least 3 vertices")
-    rng = _stream(seed, SUB_GRAPH, error=SimulationError)
-    vertices = list(enumerate(map(tuple, rng.uniform(0.0, 1.0, size=(n, 2)).tolist())))
+    xy = _stream(seed, SUB_GRAPH, error=SimulationError).uniform(0.0, 1.0, size=(n, 2))
+    vertices = list(enumerate(map(tuple, xy.tolist())))
     # each edge carries its tree weight, the length Graph would measure
-    edges = [EdgeRec(j, u, v, w) for j, (u, v, w) in enumerate(euclidean_mst(vertices))]
+    edges = [EdgeRec(j, u, v, w) for j, (u, v, w) in enumerate(_euclidean_mst(xy))]
     return Graph(vertices, edges)
 
 

@@ -1,8 +1,6 @@
 import hashlib
 import math
-import tracemalloc
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +14,12 @@ from lglift.graph import (
     GraphError,
     LineGraph,
     MetricMode,
-    _boruvka,
     _connected,
+    _euclidean_mst,
     _kruskal,
     _pairs_within,
     _repr_rank,
     build_line_graph,
-    euclidean_mst,
     shortest_path_distance,
 )
 from lglift.lifting import LiftingConfig, forward
@@ -668,10 +665,10 @@ class TestPathRelink:
             relink(rows, 0, [1, 2])
 
 
-def all_pairs_mst(points):
-    """The all-pairs Euclidean MST: Kruskal over every pair of points."""
-    if len(points) < 2:
-        raise GraphError("euclidean_mst requires at least two points")
+def all_pairs_mst(xy):
+    """The all-pairs Euclidean MST of the rows of `xy`, each row's id its
+    position: Kruskal over every pair of points."""
+    points = list(enumerate(np.asarray(xy, dtype=float).tolist()))
     edges = [
         (a, b, math.dist(ca, cb))
         for (a, ca), (b, cb) in combinations(points, 2)
@@ -680,10 +677,10 @@ def all_pairs_mst(points):
 
 
 def _points(xy, seed):
-    """Points with ids shuffled against their coordinates, so that id ranks
-    and geometry break distance ties differently."""
-    ids = np.random.default_rng(seed).permutation(len(xy)).tolist()
-    return [(i, (float(x), float(y))) for i, (x, y) in zip(ids, xy)]
+    """The points `xy` as an (n, 2) array, rows shuffled, so that the ranks
+    of their positions and the geometry break distance ties differently."""
+    xy = np.asarray(xy, dtype=float)
+    return xy[np.random.default_rng(seed).permutation(len(xy))]
 
 
 @st.composite
@@ -721,131 +718,38 @@ def collinear_points(draw):
 
 
 class TestEuclideanMstCandidates:
-    """`euclidean_mst` runs Kruskal over the pairs within a radius, up to a
-    certified cut, and `_boruvka` joins the components left; the tree must
-    be the all-pairs tree, the same tuples in the same order."""
+    """`_euclidean_mst` runs Kruskal over the pairs within a radius, which
+    doubles until the tree certifies itself; the tree must be the all-pairs
+    tree, the same tuples in the same order."""
 
     @settings(max_examples=60, deadline=None)
-    @given(pts=uniform_points())
-    def test_uniform_points(self, pts):
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
+    @given(xy=uniform_points())
+    def test_uniform_points(self, xy):
+        assert _euclidean_mst(xy) == all_pairs_mst(xy)
 
     @settings(max_examples=40, deadline=None)
-    @given(pts=lattice_points())
-    def test_shuffled_lattices(self, pts):
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
+    @given(xy=lattice_points())
+    def test_shuffled_lattices(self, xy):
+        assert _euclidean_mst(xy) == all_pairs_mst(xy)
 
     @settings(max_examples=40, deadline=None)
-    @given(pts=cocircular_points())
-    def test_cocircular_with_centre(self, pts):
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
+    @given(xy=cocircular_points())
+    def test_cocircular_with_centre(self, xy):
+        assert _euclidean_mst(xy) == all_pairs_mst(xy)
 
     @settings(max_examples=30, deadline=None)
-    @given(pts=collinear_points())
-    def test_collinear_points(self, pts):
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
-
-    @settings(max_examples=80, deadline=None)
-    @given(pts=st.one_of(uniform_points(), lattice_points(), cocircular_points(), collinear_points()))
-    def test_second_step_alone(self, pts):
-        """With no candidates from the first step, `_boruvka` builds the
-        whole tree from single points."""
-        with mock.patch("lglift.graph._pairs_within", lambda xy, r, budget: None):
-            assert euclidean_mst(pts) == all_pairs_mst(pts)
-
-    @staticmethod
-    def _steps(monkeypatch):
-        """What each step of `euclidean_mst` does: (pairs found or None,
-        budget) for each candidate search, and the number of components
-        each `_boruvka` call starts from."""
-        seen = {"searches": [], "components": []}
-
-        def pairs(xy, r, budget):
-            found = _pairs_within(xy, r, budget)
-            seen["searches"].append((None if found is None else len(found[2]), budget))
-            return found
-
-        def boruvka(xy, comp, rank):
-            seen["components"].append(int(comp.max()) + 1)
-            return _boruvka(xy, comp, rank)
-
-        monkeypatch.setattr("lglift.graph._pairs_within", pairs)
-        monkeypatch.setattr("lglift.graph._boruvka", boruvka)
-        return seen
-
-    def test_far_apart_clusters(self, monkeypatch):
-        """Two clusters 50 apart: the first radius holds too many pairs and
-        halves, the first step joins each cluster, and the second step
-        joins the two."""
-        xy = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, 2))
-        xy[100:] += 50.0
-        pts = _points(xy, 5)
-        seen = self._steps(monkeypatch)
-        tree = euclidean_mst(pts)
-        assert tree == all_pairs_mst(pts)
-        assert tree[-1][2] > 50.0 and seen["components"] == [2]
-        assert seen["searches"][0][0] is None and seen["searches"][-1][0] is not None
-
-    def test_cut_inside_a_run_of_ties(self, monkeypatch):
-        """A run of near ties that the cut splits is not taken at all: the
-        run's order is known only once it is re-sorted by the exact key, and
-        its pairs past the cut need not all be candidates.  Here every
-        candidate's hypot is replaced by one run around the cut, half of it
-        below, so the first step takes nothing and the second builds the
-        tree."""
-        pts = _points(np.random.default_rng(8).uniform(0.0, 1.0, size=(60, 2)), 8)
-
-        def one_run(xy, r, budget):
-            i, j, h = _pairs_within(xy, r, budget)
-            assert len(h) < 60 * 59 // 2
-            spread = np.random.default_rng(0).uniform(-1e-14, 1e-14, len(h))
-            return i, j, r / (1.0 + 4e-12) * (1.0 + spread)
-
-        seen = self._steps(monkeypatch)
-        monkeypatch.setattr("lglift.graph._pairs_within", one_run)
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
-        assert seen["components"] == [60]
-
-    @pytest.mark.parametrize("layout", ["one far point", "two clusters"])
-    def test_work_stays_bounded(self, monkeypatch, layout):
-        """4000 points in a unit square and one more at (1000, 1000), or
-        two unit squares 50 apart: every candidate search stays within its
-        budget, the second step joins the two parts, and the call's numpy
-        and Python allocations peak below 32 MB (the pairs within a radius
-        that spans both parts, about 8e6, would take hundreds)."""
-        n = 4000
-        xy = np.random.default_rng(11).uniform(0.0, 1.0, size=(n, 2))
-        if layout == "one far point":
-            xy[-1] = 1000.0
-        else:
-            xy[n // 2:] += 50.0
-        pts = _points(xy, 11)
-        seen = self._steps(monkeypatch)
-        tracemalloc.start()
-        try:
-            tree = euclidean_mst(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
-        assert all(found is None or found <= budget for found, budget in seen["searches"])
-        assert seen["components"] == [2] and len(tree) == n - 1
-        # the heaviest edge is the least distance between the two parts
-        near, far = (xy[:-1], xy[-1:]) if layout == "one far point" else (xy[: n // 2], xy[n // 2:])
-        gaps = np.hypot(*(near[:, None, :] - far[None, :, :]).transpose(2, 0, 1))
-        a, b = np.unravel_index(np.argmin(gaps), gaps.shape)
-        assert tree[-1][2] == math.dist(near[a].tolist(), far[b].tolist())
+    @given(xy=collinear_points())
+    def test_collinear_points(self, xy):
+        assert _euclidean_mst(xy) == all_pairs_mst(xy)
 
     def test_pairs_within(self):
-        """The pairs within r, each once, as brute force finds them; None
-        when the cells would put more pairs to the test than the budget."""
+        """The pairs within r, each once, as brute force finds them."""
         xy = np.random.default_rng(4).uniform(0.0, 1.0, size=(300, 2))
-        i, j, h = _pairs_within(xy, 0.1, math.inf)
+        i, j, h = _pairs_within(xy, 0.1)
         brute = {(a, b) for a, b in combinations(range(300), 2)
                  if np.hypot(*(xy[a] - xy[b])) <= 0.1}
         assert sorted(zip(i.tolist(), j.tolist())) == sorted(brute)
         assert h.tolist() == [np.hypot(*(xy[a] - xy[b])) for a, b in zip(i, j)]
-        assert _pairs_within(xy, 0.1, len(brute)) is None
 
     def test_lattice_offset_by_1e8(self):
         """A lattice of spacing 0.1, 1e8 from the origin: its neighbour
@@ -853,48 +757,73 @@ class TestEuclideanMstCandidates:
         ties are re-sorted by the exact key."""
         xy = [(1e8 + 0.1 * i, 1e8 + 0.1 * j) for i in range(9) for j in range(7)]
         assert len({math.dist(a, b) for a, b in combinations(xy, 2) if math.dist(a, b) < 0.15}) > 1
-        pts = _points(xy, 8)
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
+        xy = _points(xy, 8)
+        assert _euclidean_mst(xy) == all_pairs_mst(xy)
 
     def test_points_far_from_the_origin(self):
         """Four points 1e8 from the origin, within a unit square, where a
         Delaunay triangulation from Qhull misses the tree's heaviest edge."""
-        pts = [(3, (100000000.82537207, 100000000.86302719)), (0, (100000000.7029646, 100000000.79588556)),
-               (1, (100000000.8300402, 100000000.04153429)), (2, (100000000.90549822, 100000000.16490127))]
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
+        xy = np.array([(100000000.7029646, 100000000.79588556), (100000000.8300402, 100000000.04153429),
+                       (100000000.90549822, 100000000.16490127), (100000000.82537207, 100000000.86302719)])
+        assert _euclidean_mst(xy) == all_pairs_mst(xy)
         # not the heavier (3, 2) of the triangulation's tree
-        assert euclidean_mst(pts)[-1] == (0, 2, math.dist(pts[1][1], pts[3][1]))
+        assert _euclidean_mst(xy)[-1] == (0, 2, math.dist(xy[0].tolist(), xy[2].tolist()))
 
     @pytest.mark.parametrize("xy", [[(0.0, 0.0), (3.0, 4.0)], [(1e-3, 0.0), (0.0, 0.0)]])
     def test_two_points(self, xy):
-        pts = _points(xy, 2)
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
+        xy = _points(xy, 2)
+        assert _euclidean_mst(xy) == all_pairs_mst(xy)
 
     def test_all_points_collinear(self):
         """Points on one line: a bounding box of no area, so the first
         radius comes from its diagonal."""
         t = np.random.default_rng(3).permutation(200)
-        pts = _points([(2.0 * x, -1.0 * x) for x in t.tolist()], 3)
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
+        xy = _points([(2.0 * x, -1.0 * x) for x in t.tolist()], 3)
+        assert _euclidean_mst(xy) == all_pairs_mst(xy)
 
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_duplicate_points_rejected(self, n):
         xy = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 2))
-        pts = _points(np.vstack([xy, xy[:1]]), n)
-        for mst in (euclidean_mst, all_pairs_mst):
+        xy = _points(np.vstack([xy, xy[:1]]), n)
+        for mst in (_euclidean_mst, all_pairs_mst):
             with pytest.raises(GraphError, match="non-positive"):
-                mst(pts)
-
-    def test_non_finite_point_rejected(self):
-        pts = [(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (0.0, 1.0)), (3, (math.nan, 0.5))]
-        for mst in (euclidean_mst, all_pairs_mst):
-            with pytest.raises(GraphError, match="non-finite"):
-                mst(pts)
+                mst(xy)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sampled_network_n500(self, seed):
-        pts = list(sample_network(500, seed).coords.items())
-        assert euclidean_mst(pts) == all_pairs_mst(pts)
+        graph = sample_network(500, seed)
+        xy = np.array(list(graph.coords.values()))
+        tree = all_pairs_mst(xy)
+        assert _euclidean_mst(xy) == tree
+        assert [(e.id, e.u, e.v, e.length) for e in graph.edges] == [(j, *e) for j, e in enumerate(tree)]
+
+    def test_sampled_networks_stay_near_linear(self, monkeypatch):
+        """No quadratic case is reachable from a public function: over
+        many seeds of `sample_network` from n = 3 to 20 000, the tree takes
+        at most 3 candidate searches, and the last one finds at most
+        2.5 n (log n + 8) pairs within its radius.
+
+        Measured on these seeds: at most 2 searches (a second one for
+        about 8% of the networks at n = 100 and 4% at n = 500, none at
+        n >= 2000), and at most 1.72 n (log n + 8) pairs (n = 500).  A
+        doubled radius holds about 4 times the first one's pairs,
+        n (log n + 8) / 2 less the unit square's edges, so the ratio nears
+        2 as n grows: 1.81 at n = 1000 over 300 seeds."""
+        found = []
+
+        def counted(xy, r):
+            pairs = _pairs_within(xy, r)
+            found.append(len(pairs[2]))
+            return pairs
+
+        monkeypatch.setattr("lglift.graph._pairs_within", counted)
+        for n, seeds in [(3, 1000), (5, 1000), (20, 1000), (100, 1000), (500, 200), (2000, 20),
+                         (20000, 2)]:
+            for seed in range(seeds):
+                found.clear()
+                assert sample_network(n, seed).m == n - 1
+                assert 1 <= len(found) <= 3
+                assert found[-1] <= 2.5 * n * (math.log(n) + 8.0), (n, seed)
 
 
 def brute_force_mst_weight(vertices, weighted_edges):
@@ -907,11 +836,11 @@ def brute_force_mst_weight(vertices, weighted_edges):
 
 class TestSpanningTree:
     def test_two_points(self):
-        tree = euclidean_mst([("a", (0.0, 0.0)), ("b", (1.0, 0.0))])
+        tree = _euclidean_mst(np.array([(0.0, 0.0), (1.0, 0.0)]))
         assert len(tree) == 1 and tree[0][2] == pytest.approx(1.0)
 
     def test_collinear_three_points(self):
-        tree = euclidean_mst([(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (3.0, 0.0))])
+        tree = _euclidean_mst(np.array([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)]))
         total = sum(w for _, _, w in tree)
         assert total == pytest.approx(3.0)
         assert {frozenset((u, v)) for u, v, _ in tree} == {
@@ -920,29 +849,29 @@ class TestSpanningTree:
         }
 
     def test_unit_square(self):
-        pts = [(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (1.0, 1.0)), (3, (0.0, 1.0))]
-        assert sum(w for _, _, w in euclidean_mst(pts)) == pytest.approx(3.0)
+        xy = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        assert sum(w for _, _, w in _euclidean_mst(xy)) == pytest.approx(3.0)
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(GraphError, match="non-positive"):
-            euclidean_mst([(1, (0.0, 0.0)), (2, (0.0, 0.0))])
+            _euclidean_mst(np.array([(0.0, 0.0), (0.0, 0.0)]))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force_minimum(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 8))
-        pts = [(i, tuple(rng.uniform(0, 1, 2))) for i in range(n)]
-        edges = [(a, b, math.dist(ca, cb)) for (a, ca), (b, cb) in combinations(pts, 2)]
-        tree = euclidean_mst(pts)
+        xy = rng.uniform(0, 1, (n, 2))
+        edges = [(a, b, math.dist(xy[a], xy[b])) for a, b in combinations(range(n), 2)]
+        tree = _euclidean_mst(xy)
         assert len(tree) == n - 1
-        assert graph_reference.is_connected([p[0] for p in pts], [(u, v) for u, v, _ in tree])
+        assert graph_reference.is_connected(range(n), [(u, v) for u, v, _ in tree])
         total = sum(w for _, _, w in tree)
-        assert total == pytest.approx(brute_force_mst_weight([p[0] for p in pts], edges))
+        assert total == pytest.approx(brute_force_mst_weight(range(n), edges))
 
     def test_deterministic_under_ties(self):
         # square with unit sides: four equal-weight candidates, stable pick
-        pts = [(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (1.0, 1.0)), (3, (0.0, 1.0))]
-        assert euclidean_mst(pts) == euclidean_mst(list(pts))
+        xy = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        assert _euclidean_mst(xy) == _euclidean_mst(xy.copy())
 
 
 class TestConnectivity:
@@ -1003,7 +932,7 @@ def _slots(vertices, edges):
 
 class TestFrozenReferences:
     """The union-find Kruskal and connectivity test that the planner and
-    the line graph share (`euclidean_mst` walks the same union-find) must
+    the line graph share (`_euclidean_mst` walks the same union-find) must
     give what the frozen references in `graph_reference` give on the same
     vertices and edges: the same tree, or no spanning tree where the
     reference cannot span."""

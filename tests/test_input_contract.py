@@ -11,9 +11,9 @@ real numbers, `test_details_must_be_real_numbers` feeds the details it reads
 for the shrinkage functions values that are not real numbers, and
 `test_bool_inside_a_container_rejected` puts a bool among the numbers of
 the other containers of numbers a caller passes.
-`test_coordinates_must_be_two_finite_real_numbers` feeds the two readers
-of a point's coordinates, `Graph` and `euclidean_mst`, coordinates that are
-not two finite real numbers.
+`test_coordinates_must_be_two_finite_real_numbers` feeds the reader of
+a point's coordinates, `Graph`, coordinates that are not two finite real
+numbers.
 `test_input_check_raises_its_category` feeds each remaining input check
 one ordinary bad input and expects its category and message.
 """
@@ -57,7 +57,6 @@ from lglift import (
 )
 from lglift.analysis import TransformMatrices, condition_number
 from lglift.cli import build_parser
-from lglift.graph import euclidean_mst
 from lglift.io import ParseError, parse_graph_text, serialize_line_graph
 from lglift.shrinkage import weight_from_data
 from lglift.simulation import compute_metrics
@@ -305,10 +304,6 @@ CONTAINERS = {
                           initial_integrals=_with_first(dict.fromkeys(LG.ids, 1.0), v)),
         1.0, LiftingError,
     ),
-    "euclidean_mst points": (
-        lambda v: euclidean_mst([(0, (v, 0.0)), (1, (2.0, 0.0)), (2, (0.0, 1.0))]),
-        1.0, GraphError,
-    ),
 }
 
 
@@ -326,7 +321,6 @@ def test_bool_inside_a_container_rejected(where, flag):
 # the readers of a point's coordinates, each given one point `xy` among valid ones
 COORDINATE_READERS = {
     "Graph": lambda xy: list(Graph([(0, xy), (1, (2.0, 0.0))], [EdgeRec("e", 0, 1)]).coords.items()),
-    "euclidean_mst": lambda xy: euclidean_mst([(0, xy), (1, (2.0, 0.0)), (2, (0.0, 1.0))]),
 }
 TWO_REALS = "need two real numbers"
 BAD_COORDINATES = {
@@ -347,8 +341,7 @@ BAD_COORDINATES = {
 @pytest.mark.parametrize("reader", COORDINATE_READERS)
 @pytest.mark.parametrize("kind", BAD_COORDINATES)
 def test_coordinates_must_be_two_finite_real_numbers(reader, kind):
-    """A coordinate is exactly two finite real numbers, for a vertex of a
-    Graph and for a point of euclidean_mst alike."""
+    """A coordinate of a Graph vertex is exactly two finite real numbers."""
     xy, message = BAD_COORDINATES[kind]
     COORDINATE_READERS[reader]((0.0, 0.0))  # so the error below is the coordinate's
     with pytest.raises(GraphError, match=message):
@@ -363,10 +356,8 @@ def test_coordinates_of_any_real_type_read_as_floats(reader, xy):
 
 
 def test_graph_vertex_without_coordinates():
-    """A Graph vertex may have no coordinates; a point of euclidean_mst may not."""
+    """A Graph vertex may have no coordinates."""
     assert COORDINATE_READERS["Graph"](None) == [(0, None), (1, (2.0, 0.0))]
-    with pytest.raises(GraphError, match="vertex 0 has coordinates None: need two real numbers"):
-        COORDINATE_READERS["euclidean_mst"](None)
 
 
 GRAPH_HEAD = "mode graph\nvertex 1 0 0\nvertex 2 1 0\nvertex 3 2 1\n"
@@ -447,14 +438,6 @@ CHECKS = {
     "Graph: duplicate edge id": (
         lambda: Graph([(1, None), (2, None)], [EdgeRec("e", 1, 2, 1.0), EdgeRec("e", 2, 1, 1.0)]),
         GraphError, "duplicate edge id 'e'",
-    ),
-    "euclidean_mst: one point": (
-        lambda: euclidean_mst([(1, (0.0, 0.0))]),
-        GraphError, "euclidean_mst requires at least two points",
-    ),
-    "euclidean_mst: repeated ids": (
-        lambda: euclidean_mst([(1, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (0.0, 1.0))]),
-        GraphError, "cannot span: weighted edges do not connect the vertices",
     ),
     "forward: trajectory with an unknown id": (
         _trajectory_with_unknown_id,
