@@ -70,9 +70,25 @@ def _coord(vid: Id, xy) -> Coord:
     return x, y
 
 
+def _length(eid: Id, value) -> float:
+    """The length `value` of edge `eid` as a float: one finite, positive
+    real number, not a bool, or a `GraphError`."""
+    if type(value) is not float:  # any other real number but a bool
+        if isinstance(value, (bool, np.bool_)):
+            raise GraphError(f"edge {eid!r} has a bool length {value}")
+        if not isinstance(value, numbers.Real):
+            raise GraphError(f"edge {eid!r} has length {value!r}: need a real number")
+        value = float(value)
+    if not math.isfinite(value):
+        raise GraphError(f"edge {eid!r} has non-finite length {value}")
+    if not value > 0:
+        raise GraphError(f"edge {eid!r} has non-positive length {value}")
+    return value
+
+
 class Graph:
     """Undirected graph with optional 2-D vertex coordinates, each read by
-    `_coord`.
+    `_coord`, and edge lengths, each read by `_length`.
 
     Edge lengths default to the Euclidean endpoint distance when both
     endpoints carry coordinates; explicit lengths take precedence.
@@ -102,18 +118,15 @@ class Graph:
                 raise GraphError(f"duplicate edge between {e.u!r} and {e.v!r}")
             seen_pairs.add(pair)
             length = e.length
-            if isinstance(length, bool):  # a flag passed for a length
-                raise GraphError(f"edge {e.id!r} has a bool length {length}")
             if length is None:
                 cu, cv = self.coords[e.u], self.coords[e.v]
                 if cu is not None and cv is not None:
                     length = math.dist(cu, cv)
+            if length is not None:
+                length = _length(e.id, length)
+                if length is not e.length:
                     e = EdgeRec(e.id, e.u, e.v, length, e.value)
-            if length is not None and not math.isfinite(length):
-                raise GraphError(f"edge {e.id!r} has non-finite length {length}")
-            if length is not None and not length > 0:
-                raise GraphError(f"edge {e.id!r} has non-positive length {length}")
-            self.edge_by_id[e.id] = e  # the caller's own when it has its length: EdgeRec is frozen
+            self.edge_by_id[e.id] = e  # the caller's own when its length is a float: EdgeRec is frozen
         self.edges: Tuple[EdgeRec, ...] = tuple(self.edge_by_id.values())
 
     @property
@@ -130,7 +143,8 @@ class LineGraph:
 
     New vertices inherit the source edge ids.  Coordinates, when present,
     are the source-edge midpoints (or station coordinates in station mode);
-    coordinates and edge lengths, when given, must cover every new vertex.
+    coordinates and edge lengths, when given, must cover every new vertex,
+    and each is read by `_coord` or `_length`, as `Graph` reads its own.
     """
 
     def __init__(
@@ -167,23 +181,8 @@ class LineGraph:
             missing = [k for k in self.ids if k not in given] if given else []
             if missing:
                 raise GraphError(f"{what} missing for new vertices {missing[:3]!r}")
-            listed = [given[k] for k in self.ids] if given else []
-            finite = np.isfinite(listed)
-            paired = finite.ndim == 2  # coordinate pairs
-            if paired:
-                finite = finite.all(axis=1)
-            bad = [k for k, ok in zip(self.ids, finite.tolist()) if not ok]
-            if bad:
-                raise GraphError(f"non-finite {what} at new vertices {bad[:3]!r}")
-            # numpy reads a bool as 0 or 1: one look at the numbers' types
-            if bool in set(map(type, [c for v in listed for c in v] if paired else listed)):
-                bad = [k for k, v in zip(self.ids, listed) if bool in map(type, v if paired else (v,))]
-                raise GraphError(f"bool {what} at new vertices {bad[:3]!r}")
-        short = [k for k in self.ids if not edge_lengths[k] > 0] if edge_lengths else []
-        if short:
-            raise GraphError(f"non-positive edge lengths at new vertices {short[:3]!r}")
-        self.coords = dict(coords) if coords else None
-        self.edge_lengths = dict(edge_lengths) if edge_lengths else None
+        self.coords = {k: _coord(k, coords[k]) for k in self.ids} if coords else None
+        self.edge_lengths = {k: _length(k, edge_lengths[k]) for k in self.ids} if edge_lengths else None
         self.values = dict(values) if values else None
         #: each metric mode's weighted rows and relink, built on first use
         self._metrics: Dict[MetricMode, tuple] = {}

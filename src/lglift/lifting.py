@@ -46,16 +46,22 @@ class LiftingError(ValueError):
 GAIN_BLOCK = 1024
 
 
-def _is_count(value) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _is_count(value, low: int) -> bool:
+    """An int or a numpy integer, not a bool, of at least `low`."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
+def _check_count(value, low: int, message: str, error=LiftingError) -> None:
+    """Raise `error` with `message` and the value unless `_is_count(value, low)`."""
+    if not _is_count(value, low):
+        raise error(f"{message}, got {value!r}")
 
 
 def _stream(seed, *tags, error=LiftingError) -> np.random.Generator:
     """The generator keyed by `seed` (an int >= 0, or a nonempty tuple or
     list of them) followed by `tags`; every seeded draw in lglift is one."""
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    if not parts or not all(_is_count(p) and p >= 0 for p in parts):
+    if not parts or not all(_is_count(p, 0) for p in parts):
         raise error(f"seed must be a nonnegative integer or a nonempty sequence of them, got {seed!r}")
     return np.random.default_rng((*parts, *tags))
 
@@ -125,8 +131,7 @@ class LiftingConfig:
         for name, low, kind in (("tau", 2, "an integer of at least 2"),
                                 ("rng_seed", 0, "a nonnegative integer")):
             value = getattr(self, name)
-            if not (_is_count(value) and value >= low):
-                raise LiftingError(f"{name} must be {kind}, got {value!r}")
+            _check_count(value, low, f"{name} must be {kind}")
             object.__setattr__(self, name, int(value))
 
     @classmethod

@@ -19,8 +19,8 @@ import numpy as np
 
 from .graph import Id, LineGraph
 from .lifting import (
-    CoefficientSet, LiftingConfig, LiftingRecord, _by_level, _checked, _is_count, _stream, forward,
-    inverse,
+    CoefficientSet, LiftingConfig, LiftingRecord, _by_level, _check_count, _checked, _stream,
+    forward, inverse,
 )
 
 MAD_SCALE = 0.6745
@@ -76,10 +76,8 @@ class ShrinkageConfig:
     rule: str = "median"      # "median" (posterior median) or "hard"
 
     def __post_init__(self):
-        if not (_is_count(self.keep_coarsest) and self.keep_coarsest >= 0):
-            raise ShrinkageError(
-                f"keep_coarsest must be a nonnegative integer, got {self.keep_coarsest!r}"
-            )
+        _check_count(self.keep_coarsest, 0, "keep_coarsest must be a nonnegative integer",
+                     ShrinkageError)
         if self.rule not in ("median", "hard"):
             raise ShrinkageError(f"unknown shrinkage rule {self.rule!r}")
 
@@ -587,8 +585,7 @@ def random_trajectories(
 ) -> List[Tuple[Id, ...]]:
     """n removal orders: uniform permutations truncated to length m - tau,
     order p drawn from the stream `_stream(seed, p)`."""
-    if not (_is_count(n) and n >= 0):
-        raise ShrinkageError(f"trajectory count must be a nonnegative integer, got {n!r}")
+    _check_count(n, 0, "trajectory count must be a nonnegative integer", ShrinkageError)
     _stream(seed, error=ShrinkageError)  # a bad seed fails with no orders too
     perms = [_stream(seed, p, error=ShrinkageError).permutation(lg.m) for p in range(n)]
     return [tuple(lg.ids[i] for i in perm[: lg.m - config.tau]) for perm in perms]
@@ -616,8 +613,7 @@ def nlt_denoise(
     the averaged result (its sigma, nu, zero and fallback fractions are the
     trajectories' means) plus the per-trajectory results.
     """
-    if not (_is_count(n_trajectories) and n_trajectories >= 1):
-        raise ShrinkageError(f"n_trajectories must be a positive integer, got {n_trajectories!r}")
+    _check_count(n_trajectories, 1, "n_trajectories must be a positive integer", ShrinkageError)
     x = _checked(values, lg.ids, "value")
     plans = [  # `random_trajectories` checks the seed
         forward(x, lg, config, trajectory=traj, _gains=True)[0]

@@ -25,6 +25,7 @@ overlap once q >= 1000 or r >= 100.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .analysis import build_matrices, condition_number
 from .graph import EdgeRec, Graph, Id, _euclidean_mst, build_line_graph
-from .lifting import LiftingConfig, _is_count, _stream
+from .lifting import LiftingConfig, _check_count, _stream
 from .shrinkage import ShrinkageConfig, denoise, nlt_denoise
 
 # purpose tags, which end or follow the seed in a `_stream` key (see above)
@@ -49,11 +50,10 @@ class SimulationError(ValueError):
 _SEED = "seed must be a nonnegative integer"
 
 
-def _check_count(value, low: int, message: str) -> None:
-    """Reject a count or seed unless it is an int or a numpy integer (not a
-    bool) of at least `low`."""
-    if not (_is_count(value) and value >= low):
-        raise SimulationError(f"{message}, got {value!r}")
+def _check_snr(snr) -> None:
+    """Reject an SNR that is not a positive real number, or is a bool."""
+    if isinstance(snr, bool) or not (isinstance(snr, numbers.Real) and snr > 0):
+        raise SimulationError(f"SNR must be a positive number, got {snr}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def sample_network(n: int, seed: int) -> Graph:
     pairs by about 4.  On clustered points that work would be quadratic,
     which is why the tree builder is private to this function.
     """
-    _check_count(n, 3, "need at least 3 vertices")
+    _check_count(n, 3, "need at least 3 vertices", SimulationError)
     xy = _stream(seed, SUB_GRAPH, error=SimulationError).uniform(0.0, 1.0, size=(n, 2))
     vertices = list(enumerate(map(tuple, xy.tolist())))
     # each edge carries its tree weight, the length Graph would measure
@@ -175,7 +175,7 @@ def embed_pointwise(fn: FieldFn, graph: Graph) -> Dict[Id, float]:
 
 def embed_edge_average(fn: FieldFn, graph: Graph, n_samples: int = 100) -> Dict[Id, float]:
     """Field averaged over n_samples equispaced points along each edge."""
-    _check_count(n_samples, 2, "edge averaging needs at least 2 samples")
+    _check_count(n_samples, 2, "edge averaging needs at least 2 samples", SimulationError)
     out = {}
     ts = np.linspace(0.0, 1.0, n_samples)
     for e in graph.edges:
@@ -204,8 +204,7 @@ def add_noise(
     values: Mapping[Id, float], snr: float, seed: int
 ) -> Tuple[Dict[Id, float], float]:
     """Unit-variance normalization plus iid Gaussian noise at sigma = 1/SNR."""
-    if isinstance(snr, bool) or not snr > 0:
-        raise SimulationError(f"SNR must be a positive number, got {snr}")
+    _check_snr(snr)
     normalized = normalize_unit_variance(values)
     sigma = 1.0 / snr
     rng = _stream(seed, SUB_NOISE, error=SimulationError)
@@ -327,12 +326,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_vertices", "n_graphs", "n_replications"):
-            _check_count(getattr(self, name), 1, f"{name} must be an integer of at least 1")
-        if isinstance(self.snr, bool) or not self.snr > 0:
-            raise SimulationError(f"SNR must be a positive number, got {self.snr}")
+            _check_count(getattr(self, name), 1, f"{name} must be an integer of at least 1",
+                         SimulationError)
+        _check_snr(self.snr)
         if self.embedding not in ("pointwise", "edge_average"):
             raise SimulationError(f"unknown embedding {self.embedding!r}")
-        _check_count(self.master_seed, 0, _SEED)
+        _check_count(self.master_seed, 0, _SEED, SimulationError)
 
 
 def run_experiment(
@@ -369,8 +368,8 @@ def condition_number_study(
 ) -> List[float]:
     """`condition_number(build_matrices(...))` over sampled networks, graph
     q drawn with seed `seed * 1000 + q`; it builds no inverse matrix."""
-    _check_count(n_graphs, 1, "need at least 1 graph")
-    _check_count(seed, 0, _SEED)
+    _check_count(n_graphs, 1, "need at least 1 graph", SimulationError)
+    _check_count(seed, 0, _SEED, SimulationError)
     cfg = LiftingConfig.from_acronym(variant)
     out = []
     for q in range(n_graphs):
@@ -393,12 +392,12 @@ def flow_experiment(
     is used instead of a single run.  `sigma = 0` is valid: the noiseless
     column passes through the shrink core unchanged.
     """
-    if isinstance(sigma, bool) or not 0 <= sigma < math.inf:
+    if isinstance(sigma, bool) or not (isinstance(sigma, numbers.Real) and 0 <= sigma < math.inf):
         raise SimulationError(f"noise level must be a finite nonnegative number, got {sigma}")
-    _check_count(n_replications, 1, "need at least 1 replication")
+    _check_count(n_replications, 1, "need at least 1 replication", SimulationError)
     if nlt_trajectories is not None:
-        _check_count(nlt_trajectories, 1, "need at least 1 trajectory")
-    _check_count(seed, 0, _SEED)
+        _check_count(nlt_trajectories, 1, "need at least 1 trajectory", SimulationError)
+    _check_count(seed, 0, _SEED, SimulationError)
     graph, values = generate_flow_fixture(seed)
     lg = build_line_graph(graph)
     cfg = LiftingConfig.from_acronym(variant)

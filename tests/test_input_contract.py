@@ -11,9 +11,12 @@ real numbers, `test_details_must_be_real_numbers` feeds the details it reads
 for the shrinkage functions values that are not real numbers, and
 `test_bool_inside_a_container_rejected` puts a bool among the numbers of
 the other containers of numbers a caller passes.
-`test_coordinates_must_be_two_finite_real_numbers` feeds the reader of
-a point's coordinates, `Graph`, coordinates that are not two finite real
-numbers.
+`test_coordinates_must_be_two_finite_real_numbers` feeds the readers of
+a point's coordinates, `Graph`, `LineGraph` and a stations file,
+coordinates that are not two finite real numbers, and
+`test_lengths_must_be_one_finite_positive_real_number` feeds the readers of
+an edge length, `Graph` and `LineGraph`, lengths that are not one finite,
+positive real number.
 `test_input_check_raises_its_category` feeds each remaining input check
 one ordinary bad input and expects its category and message.
 """
@@ -37,6 +40,7 @@ from lglift import (
     LiftingConfig,
     LiftingError,
     LineGraph,
+    MetricMode,
     ShrinkageConfig,
     ShrinkageError,
     SimulationError,
@@ -63,6 +67,7 @@ from lglift.simulation import compute_metrics
 
 INTS = (2.5, True, -1)
 FLOATS = (math.nan, math.inf, -math.inf, True)
+NOISE_LEVELS = FLOATS + ("3", None)
 NOISELESS = "sigma = 1/SNR = 0: the noiseless run, as flow_experiment's sigma = 0"
 
 GRAPH = sample_network(7, seed=42)
@@ -98,7 +103,8 @@ TABLE = {
         for name in ("n_vertices", "n_graphs", "n_replications", "master_seed")
     },
     ("ExperimentConfig", "snr"): (
-        lambda v: ExperimentConfig(snr=v), 3.0, FLOATS, SimulationError, {math.inf: NOISELESS},
+        lambda v: ExperimentConfig(snr=v), 3.0, NOISE_LEVELS, SimulationError,
+        {math.inf: NOISELESS},
     ),
     **{
         ("LiftingConfig", name): (
@@ -110,7 +116,7 @@ TABLE = {
         lambda v: ShrinkageConfig(keep_coarsest=v), 1, INTS, ShrinkageError, {},
     ),
     ("add_noise", "snr"): (
-        lambda v: add_noise({0: 1.0, 1: 2.0, 2: 4.0}, v, 0), 3.0, FLOATS, SimulationError,
+        lambda v: add_noise({0: 1.0, 1: 2.0, 2: 4.0}, v, 0), 3.0, NOISE_LEVELS, SimulationError,
         {math.inf: NOISELESS},
     ),
     ("add_noise", "seed"): (
@@ -126,7 +132,7 @@ TABLE = {
         SimulationError, {},
     ),
     ("flow_experiment", "sigma"): (
-        lambda v: flow_experiment(v, n_replications=1), 1.0, FLOATS, SimulationError, {},
+        lambda v: flow_experiment(v, n_replications=1), 1.0, NOISE_LEVELS, SimulationError, {},
     ),
     **{
         ("flow_experiment", name): (
@@ -318,9 +324,27 @@ def test_bool_inside_a_container_rejected(where, flag):
         call(flag)
 
 
-# the readers of a point's coordinates, each given one point `xy` among valid ones
+LINKED = {"a": {"b"}, "b": {"a"}}
+# the readers of a point's coordinates, each given one point `xy` among valid
+# ones, and the error each raises: a stations file writes the point as text
+# and wraps the GraphError of its line graph in a ParseError
 COORDINATE_READERS = {
-    "Graph": lambda xy: list(Graph([(0, xy), (1, (2.0, 0.0))], [EdgeRec("e", 0, 1)]).coords.items()),
+    "Graph": (
+        lambda xy: list(Graph([(0, xy), (1, (2.0, 0.0))], [EdgeRec("e", 0, 1)]).coords.items()),
+        GraphError,
+    ),
+    "LineGraph": (
+        lambda xy: list(
+            LineGraph(["a", "b"], LINKED, coords={"a": xy, "b": (2.0, 0.0)}).coords.items()
+        ),
+        GraphError,
+    ),
+    "stations file": (
+        lambda xy: list(parse_graph_text(
+            "mode stations\nstation a %s %s\nstation b 2 0\nlink a b\n" % tuple(xy)
+        ).coords.items()),
+        ParseError,
+    ),
 }
 TWO_REALS = "need two real numbers"
 BAD_COORDINATES = {
@@ -338,26 +362,99 @@ BAD_COORDINATES = {
 }
 
 
-@pytest.mark.parametrize("reader", COORDINATE_READERS)
-@pytest.mark.parametrize("kind", BAD_COORDINATES)
+#: the bad points a line of a stations file can hold: its x and y are floats
+TEXT_KINDS = ("nan", "inf")
+
+
+@pytest.mark.parametrize("reader, kind", [
+    pytest.param(reader, kind, id=f"{kind}-{reader}")
+    for kind in BAD_COORDINATES for reader in COORDINATE_READERS
+    if reader != "stations file" or kind in TEXT_KINDS
+])
 def test_coordinates_must_be_two_finite_real_numbers(reader, kind):
-    """A coordinate of a Graph vertex is exactly two finite real numbers."""
+    """A coordinate of a Graph vertex, of a LineGraph vertex and of a
+    station is exactly two finite real numbers."""
     xy, message = BAD_COORDINATES[kind]
-    COORDINATE_READERS[reader]((0.0, 0.0))  # so the error below is the coordinate's
-    with pytest.raises(GraphError, match=message):
-        COORDINATE_READERS[reader](xy)
+    call, error = COORDINATE_READERS[reader]
+    call((0.0, 0.0))  # so the error below is the coordinate's
+    with pytest.raises(error, match=message):
+        call(xy)
 
 
 @pytest.mark.parametrize("reader", COORDINATE_READERS)
 @pytest.mark.parametrize("xy", [(1, 0), (np.float32(0.5), np.int64(-1)), np.array([0.25, 0.5]), [0.5, 1.0]])
 def test_coordinates_of_any_real_type_read_as_floats(reader, xy):
-    got, want = COORDINATE_READERS[reader](xy), COORDINATE_READERS[reader](tuple(map(float, xy)))
-    assert repr(got) == repr(want)
+    call, _ = COORDINATE_READERS[reader]
+    assert repr(call(xy)) == repr(call(tuple(map(float, xy))))
 
 
 def test_graph_vertex_without_coordinates():
     """A Graph vertex may have no coordinates."""
-    assert COORDINATE_READERS["Graph"](None) == [(0, None), (1, (2.0, 0.0))]
+    assert COORDINATE_READERS["Graph"][0](None) == [(0, None), (1, (2.0, 0.0))]
+
+
+# the readers of an edge length, each given one length among valid ones; a
+# Graph edge without a length takes its ends' distance, or none
+LENGTH_READERS = {
+    "Graph": lambda v: Graph([(0, None), (1, None)], [EdgeRec("e", 0, 1, v)]),
+    "LineGraph": lambda v: LineGraph(["a", "b"], LINKED, edge_lengths={"a": v, "b": 1.0}),
+}
+BAD_LENGTHS = {
+    "numpy bool": (np.True_, "bool length"),
+    "bool": (True, "bool length"),
+    "numeric text": ("1.0", "need a real number"),
+    "a tuple": ((1.0,), "need a real number"),
+    "complex": (1j, "need a real number"),
+    "nan": (math.nan, "non-finite length"),
+    "inf": (math.inf, "non-finite length"),
+    "-inf": (-math.inf, "non-finite length"),
+    "zero": (0.0, "non-positive length"),
+    "negative": (-1.0, "non-positive length"),
+    "None": (None, "need a real number"),
+}
+
+
+@pytest.mark.parametrize("reader, kind", [
+    pytest.param(reader, kind, id=f"{kind}-{reader}")
+    for kind in BAD_LENGTHS for reader in LENGTH_READERS
+    if reader != "Graph" or kind != "None"
+])
+def test_lengths_must_be_one_finite_positive_real_number(reader, kind):
+    """An edge length, given to a Graph edge or to a LineGraph vertex, is
+    one finite, positive real number, not a bool."""
+    value, message = BAD_LENGTHS[kind]
+    LENGTH_READERS[reader](1.0)  # so the error below is the length's
+    with pytest.raises(GraphError, match=message):
+        LENGTH_READERS[reader](value)
+
+
+# a path 0 - 1 - 2 - 3 with a leaf 4 at 2, and its line graph
+TREE = [EdgeRec("u", 0, 1), EdgeRec("k", 1, 2), EdgeRec("x", 2, 3), EdgeRec("v", 2, 4)]
+TREE_LG = {"u": {"k"}, "k": {"u", "x", "v"}, "x": {"k", "v"}, "v": {"k", "x"}}
+
+
+@pytest.mark.parametrize("lengths", [
+    pytest.param(list(map(np.float32, [0.1, 0.7, 0.3, 1.9])), id="float32"),
+    pytest.param([1, 3, 2, 7], id="int"),
+    pytest.param([np.int64(1), np.uint8(3), 2, np.float16(0.2)], id="mixed"),
+])
+@pytest.mark.parametrize("via", ["Graph", "LineGraph"])
+def test_lengths_of_any_real_type_read_as_floats(lengths, via):
+    """Path-metric rows are Python floats, bitwise those of the lengths
+    read as floats: two float32 lengths kept as they are would average in
+    float32."""
+    def rows(given):
+        if via == "Graph":
+            edges = [EdgeRec(e.id, e.u, e.v, length) for e, length in zip(TREE, given)]
+            lg = build_line_graph(Graph([(i, None) for i in range(5)], edges))
+        else:
+            lg = LineGraph(list(TREE_LG), TREE_LG, edge_lengths=dict(zip(TREE_LG, given)))
+        return lg.metric_rows(MetricMode.PATH_LENGTH)[0]
+
+    got, want = rows(lengths), rows([float(length) for length in lengths])
+    assert all(type(w) is float for row in got for w in row.values())
+    assert [{s: w.hex() for s, w in row.items()} for row in got] == \
+        [{s: w.hex() for s, w in row.items()} for row in want]
 
 
 GRAPH_HEAD = "mode graph\nvertex 1 0 0\nvertex 2 1 0\nvertex 3 2 1\n"

@@ -100,7 +100,7 @@ edge e3 3 4 value=3 length=1e308
 class TestParse:
     @pytest.mark.parametrize(
         "text, message",
-        [(INF_STATION, r"non-finite coordinates at new vertices \['d'\]"),
+        [(INF_STATION, "vertex 'd' has non-finite coordinates"),
          (INF_LENGTH, "edge 'e2' has non-finite length inf")],
         ids=["inf-station", "inf-length"],
     )
